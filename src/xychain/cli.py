@@ -10,8 +10,9 @@ Two subcommands:
     Cross-check the analytic engines against the 12-site
     exact-diagonalization oracle.
 
-Exit codes: 0 on success, 2 for configuration or capability problems,
-3 for numerical-health failures, 1 for anything unexpected.
+Exit codes: 0 on success, 1 when ``selftest`` finds a comparison outside
+its tolerance (or on anything unexpected), 2 for configuration or capability
+problems, 3 for numerical-health failures.
 """
 
 import argparse

@@ -2,8 +2,13 @@
 
 Everything the analytic machinery computes in closed form is recomputed here
 by brute force on rings of up to 12 sites: build the spin Hamiltonian as a
-sparse matrix, diagonalize it densely once per parameter point, evolve
-states exactly, and take partial traces for the reduced density matrices.
+sparse matrix and never form it densely.  States evolve through the action
+of the matrix exponential on a vector (scaled truncated Taylor series,
+``scipy.sparse.linalg.expm_multiply``; Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33:488, 2011).  The ground state comes from a sparse Lanczos solve
+in each of the two fermion-parity sectors, which H never mixes (Lieb,
+Schultz & Mattis 1961); the lower of the two wins, since on a finite ring
+either sector can hold it.  Reduced density matrices are partial traces.
 This module deliberately shares no formulas with the analytic path beyond
 the Hamiltonian itself; agreement between the two is the main correctness
 argument of the package.
@@ -76,21 +81,26 @@ def majorana_ops(n, l):
     return (cdag + c).tocsr(), (cdag - c).tocsr()
 
 
-_workspaces = {}
-
-
+@functools.lru_cache(maxsize=8)
 def workspace(n, gamma, lam):
-    """Shared, diagonalized oracle for one parameter point."""
-    key = (int(n), float(gamma), float(lam))
-    ws = _workspaces.get(key)
-    if ws is None:
-        ws = OracleWorkspace(int(n), float(gamma), float(lam))
-        _workspaces[key] = ws
-    return ws
+    """Shared oracle for one parameter point."""
+    return OracleWorkspace(int(n), float(gamma), float(lam))
+
+
+def _sector_ground_state(h, sector):
+    """Lowest (energy, vector) of H restricted to the basis indices given."""
+    from scipy.sparse.linalg import eigsh
+
+    block = h[sector][:, sector]
+    # a fixed generic start vector: reproducible, and it overlaps every
+    # symmetry sector of the block
+    start = np.random.default_rng(0).standard_normal(len(sector))
+    vals, vecs = eigsh(block, k=1, which="SA", tol=0, v0=start)
+    return float(vals[0]), vecs[:, 0]
 
 
 class OracleWorkspace:
-    """Dense-diagonalized ring: exact states, evolution, and reductions."""
+    """Sparse ring Hamiltonian: exact states, evolution, and reductions."""
 
     def __init__(self, n, gamma, lam):
         if n < 4 or n > MAX_SITES:
@@ -99,16 +109,32 @@ class OracleWorkspace:
         self.n = n
         self.gamma = gamma
         self.lam = lam
-        h = build_hamiltonian(n, gamma, lam).toarray()
-        self.energies, self.modes = np.linalg.eigh(h)
+        self.hamiltonian = build_hamiltonian(n, gamma, lam)
+
+    @functools.cached_property
+    def _ground(self):
+        """(energy, real vector) of the lower parity-sector ground state,
+        found on first use."""
+        index = np.arange(2 ** self.n)
+        odd = np.array([bin(i).count("1") % 2 for i in index], dtype=bool)
+        energy, vec, sector = min(
+            (_sector_ground_state(self.hamiltonian, sector) + (sector,)
+             for sector in (index[~odd], index[odd])),
+            key=lambda found: found[0])
+        full = np.zeros(2 ** self.n)
+        full[sector] = vec
+        return energy, full
 
     @property
     def ground_energy(self):
-        return float(self.energies[0])
+        return self._ground[0]
 
     def evolve(self, vec, t):
-        phases = np.exp(-1j * self.energies * t)
-        return self.modes @ (phases * (self.modes.T @ vec))
+        if t == 0:
+            return vec
+        from scipy.sparse.linalg import expm_multiply
+
+        return expm_multiply(-1j * t * self.hamiltonian, vec)
 
     def evolve_components(self, vecs, t):
         return [self.evolve(v, t) for v in vecs]
@@ -135,7 +161,7 @@ class OracleWorkspace:
         return [(v + np.exp(1j * phi) * pair) / math.sqrt(2)]
 
     def ground_state(self):
-        return [self.modes[:, 0].astype(complex)]
+        return [self._ground[1].astype(complex)]
 
     def knitted_singlet(self, i, j):
         """Project sites (i, j) of the ground state onto each pair basis
@@ -146,7 +172,7 @@ class OracleWorkspace:
         """
         if i == j:
             raise ValueError("knitting needs two distinct sites")
-        gs = self.modes[:, 0].astype(complex)
+        (gs,) = self.ground_state()
         tensor = gs.reshape((2,) * self.n)
         tensor = np.moveaxis(tensor, (i, j), (0, 1))
         inv = 1.0 / math.sqrt(2.0)

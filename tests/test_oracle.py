@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from xychain import measures, oracle
 from xychain.errors import ConfigError
@@ -44,6 +45,63 @@ def test_workspace_bounds():
 
 def test_workspace_is_shared():
     assert oracle.workspace(8, 0.5, 1.0) is oracle.workspace(8, 0.5, 1.0)
+
+
+def test_workspace_cache_is_bounded():
+    assert oracle.workspace.cache_info().maxsize is not None
+
+
+def dense_spectrum(n, gamma, lam):
+    return np.linalg.eigh(oracle.build_hamiltonian(n, gamma, lam).toarray())
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, 2.3, 5.0])
+def test_evolve_matches_dense_diagonalization(t):
+    n, gamma, lam = 8, 0.7, 0.8
+    energies, modes = dense_spectrum(n, gamma, lam)
+    rng = np.random.default_rng(1)
+    vec = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    vec /= np.linalg.norm(vec)
+    ref = modes @ (np.exp(-1j * energies * t) * (modes.T @ vec))
+    out = oracle.workspace(n, gamma, lam).evolve(vec, t)
+    assert np.max(np.abs(out - ref)) < 1e-12
+
+
+# the lower sector flips with the point: even (popcount of the basis index)
+# at (0.5, 0.5), odd at the other two
+@pytest.mark.parametrize("gamma,lam,parity", [(0.5, 0.5, 0), (0.3, 1.1, 1),
+                                              (0.1, 2.0, 1)])
+def test_ground_state_matches_dense_diagonalization(gamma, lam, parity):
+    n = 8
+    energies, modes = dense_spectrum(n, gamma, lam)
+    ws = oracle.workspace(n, gamma, lam)
+    assert abs(ws.ground_energy - energies[0]) < 1e-12
+    (gs,) = ws.ground_state()
+    ref = modes[:, 0]
+    projector_diff = np.outer(gs, gs.conj()) - np.outer(ref, ref)
+    assert np.max(np.abs(projector_diff)) < 1e-10
+    support = np.flatnonzero(gs)
+    assert all(bin(i).count("1") % 2 == parity for i in support)
+
+
+def _held_bytes(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if sp.issparse(obj):
+        csr = obj.tocsr()
+        return csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(_held_bytes(x) for x in obj)
+    if isinstance(obj, dict):
+        return sum(_held_bytes(x) for x in obj.values())
+    return 0
+
+
+def test_workspace_holds_no_dense_matrix():
+    ws = oracle.OracleWorkspace(12, 0.5, 1.0)
+    ws.evolve_components(ws.knitted_singlet(1, 2), 0.5)
+    assert ws.ground_energy < 0.0
+    assert _held_bytes(vars(ws)) < 5e6
 
 
 def test_evolution_is_unitary():

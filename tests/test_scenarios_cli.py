@@ -210,6 +210,13 @@ def test_cli_exit_codes(tmp_path):
     assert "oracle" in err
 
 
+def test_cli_selftest_failure_exits_1(monkeypatch):
+    from xychain import cli, selftest
+
+    monkeypatch.setattr(selftest, "run_selftest", lambda fast=False: False)
+    assert cli.main(["selftest", "--fast"]) == 1
+
+
 def test_cli_threads_flag(tmp_path):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(BASE)
