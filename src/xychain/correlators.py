@@ -38,7 +38,6 @@ All of these were cross-checked against exact diagonalization on small rings
 before being frozen into the test suite.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +46,6 @@ from .errors import CutoffError
 from .model import ModelParams, light_cone_radius, propagation_kernels
 from .quadrature import kernel_grid
 from . import model as _model
-
-_cache_lock = threading.Lock()
-_kernel_cache = {}
-_vacuum_cache = {}
 
 
 @dataclass(frozen=True)
@@ -81,18 +76,10 @@ class KernelCache:
 
 
 def kernels(params, t, radius):
-    """Cached kernel tables for separations up to radius."""
-    key = (params, float(t), int(radius))
-    with _cache_lock:
-        hit = _kernel_cache.get(key)
-    if hit is not None:
-        return hit
+    """Kernel tables for separations up to radius."""
     xs = np.arange(-radius, radius + 1)
     vx, ex, ox = propagation_kernels(params, t, xs)
-    cache = KernelCache(params, float(t), int(radius), vx, ex, ox)
-    with _cache_lock:
-        _kernel_cache[key] = cache
-    return cache
+    return KernelCache(params, float(t), int(radius), vx, ex, ox)
 
 
 class VacuumContractions:
@@ -214,15 +201,7 @@ class BellContractions:
 def vacuum_contractions(params, t, radius=None):
     if radius is None:
         radius = light_cone_radius(params, t)
-    key = (params, float(t), int(radius))
-    with _cache_lock:
-        hit = _vacuum_cache.get(key)
-    if hit is not None:
-        return hit
-    out = VacuumContractions(params, t, radius)
-    with _cache_lock:
-        _vacuum_cache[key] = out
-    return out
+    return VacuumContractions(params, t, radius)
 
 
 def bell_contractions(params, t, i, j, amp=-1.0, radius=None):

@@ -39,15 +39,8 @@ def _gs_grid(params, reach):
     return composite_grid(panels)
 
 
-_gs_cache = {}
-
-
 def gs_contractions(params, radius):
     """GroundStateContractions with G(r) tabulated on |r| <= radius."""
-    key = (params, int(radius))
-    hit = _gs_cache.get(key)
-    if hit is not None:
-        return hit
     rs = np.arange(-radius, radius + 1)
     if params.gamma == 0.0 and params.lam > 1.0:
         # e_k changes sign at k_F; split the integral there.
@@ -67,9 +60,7 @@ def gs_contractions(params, radius):
     ckr = np.cos(np.outer(rs, k))
     skr = np.sin(np.outer(rs, k))
     g = (ckr @ (w * e / lam_k) - skr @ (w * s / lam_k)) / np.pi
-    out = GroundStateContractions(params, int(radius), g)
-    _gs_cache[key] = out
-    return out
+    return GroundStateContractions(params, int(radius), g)
 
 
 class GroundStateContractions:

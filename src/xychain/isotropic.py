@@ -35,6 +35,7 @@ where the interior sum carries the Jordan-Wigner reordering sign.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,7 +61,8 @@ class SingleParticleState:
     """One conserved excitation on the vacuum, gamma = 0.
 
     Amplitudes are stored on the window [start, start + len - 1]; sites
-    outside carry weight below the normalization tolerance.
+    outside carry weight below the normalization tolerance.  With no
+    amplitudes it is the stationary vacuum.  A measurement view (`scenarios`).
     """
 
     start: int
@@ -101,6 +103,30 @@ class SingleParticleState:
         rho[3, 3] = 1.0 - x - y
         return rho
 
+    def one_tangle(self, n):
+        p = abs(self.w(n)) ** 2
+        return 4.0 * p * (1.0 - p)
+
+    def concurrence(self, n, m):
+        """C_{nm} = 2 |w_n wbar_m| for a one-particle state."""
+        return 2.0 * abs(self.w(n) * np.conj(self.w(m)))
+
+    @functools.cached_property
+    def _magnitudes(self):
+        return np.abs(self.amps)
+
+    def partner_concurrences(self, n):
+        """C_{nq} = 2|w_n w_q| over the window; the entry of n itself is 0
+        (cheaper than cutting it out, and neutral in every partner sum)."""
+        partners = 2.0 * abs(self.w(n)) * self._magnitudes
+        if n in self.sites:
+            partners[n - self.start] = 0.0
+        return partners
+
+    def baseline_tangle(self, n):
+        """Tangle of the unperturbed state: the stationary vacuum, zero."""
+        return 0.0
+
 
 def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD):
     """Evolved one-particle Bell seed (c_i + e^{i phi} c_j)^dag |vac>/sqrt(2)."""
@@ -138,25 +164,13 @@ def single_source_packet(i, t, lam, pad=LIGHT_CONE_PAD):
     return state
 
 
-def concurrence_pair(state, n, m):
-    """C_{nm} = 2 |w_n wbar_m| for a one-particle state."""
-    return 2.0 * abs(state.w(n) * np.conj(state.w(m)))
-
-
-def one_tangle_site(state, n):
-    p = abs(state.w(n)) ** 2
-    return 4.0 * p * (1.0 - p)
+concurrence_pair = SingleParticleState.concurrence
+one_tangle_site = SingleParticleState.one_tangle
 
 
 def entropy_pair(state, n, m):
     """Von Neumann entropy of the reduced pair state, in bits."""
     return binary_entropy(abs(state.w(n)) ** 2 + abs(state.w(m)) ** 2)
-
-
-def block_entropy(state, sites):
-    """Entropy of a contiguous (or any) block of sites, in bits."""
-    p = float(sum(abs(state.w(s)) ** 2 for s in sites))
-    return binary_entropy(min(p, 1.0))
 
 
 def fidelity_pair(state, n, m, phi_ref):
@@ -249,7 +263,8 @@ class PhiState:
 
     Works in the rotating frame described in the module docstring.  The
     window is sized by the light cone; coefficient weight escaping it would
-    show up as a trace defect and is checked.
+    show up as a trace defect and is checked.  A measurement view
+    (`scenarios`).
     """
 
     def __init__(self, i, j, phi, t, lam, pad=LIGHT_CONE_PAD):
@@ -306,6 +321,16 @@ class PhiState:
         ni = self._idx(n)
         p = 0.5 * float(np.sum(np.abs(self.t_mat[ni]) ** 2))
         return 4.0 * p * (1.0 - p)
+
+    def partner_concurrences(self, n):
+        """Concurrences of site n with every other site of the window."""
+        lo = self.start
+        return np.array([self.concurrence(min(n, q), max(n, q))
+                         for q in range(lo, lo + len(self.sites)) if q != n])
+
+    def baseline_tangle(self, n):
+        """Tangle of the unperturbed state: the stationary vacuum, zero."""
+        return 0.0
 
     def optimal_phase_pair(self, n, m):
         """Maximizer of the uu/dd Bell fidelity over the reference phase."""

@@ -104,9 +104,9 @@ def bogoliubov(params, k):
     """Bogoliubov pair (alpha_k, beta_k) with alpha^2 + beta^2 = 1.
 
     alpha = (Lambda - e)/D and beta = s/D with D = sqrt(2 Lambda (Lambda-e)),
-    e = 1 + lam cos k, s = lam gamma sin k.  For e > 0 the difference
-    Lambda - e is evaluated as s^2/(Lambda + e); the naive subtraction loses
-    all significant digits once gamma drops below ~1e-7.
+    e = 1 + lam cos k, s = lam gamma sin k.  For e > 0, Lambda - e =
+    s^2/(Lambda + e) is divided out by hand: the naive subtraction loses all
+    digits once gamma drops below ~1e-7, and s^2 underflows below ~1e-154.
 
     Conventions at the undefined points: s = 0 with e > 0 returns (0, 0)
     (the mode is already diagonal); Lambda = 0 (critical momentum at
@@ -121,13 +121,13 @@ def bogoliubov(params, k):
     if np.any(lam_k == 0.0):
         raise DegenerateMomentumError(
             "dispersion vanishes at a requested momentum")
-    denom = np.where(e > 0.0, lam_k + e, 1.0)
-    diff = np.where(e > 0.0, s * s / denom, lam_k - e)
-    d = np.sqrt(2.0 * lam_k * diff)
-    trivial = d == 0.0
-    d_safe = np.where(trivial, 1.0, d)
-    alpha = np.where(trivial, 0.0, diff / d_safe)
-    beta = np.where(trivial, 0.0, s / d_safe)
+    pos = e > 0.0
+    plus = np.where(pos, lam_k + e, 1.0)
+    minus = np.where(pos, 1.0, lam_k - e)
+    alpha = np.where(pos, np.abs(s) / np.sqrt(2.0 * lam_k * plus),
+                     np.sqrt(minus / (2.0 * lam_k)))
+    beta = np.where(pos, np.sign(s) * np.sqrt(plus / (2.0 * lam_k)),
+                    s / np.sqrt(2.0 * lam_k * minus))
     if scalar:
         return float(alpha[0]), float(beta[0])
     return alpha, beta

@@ -31,6 +31,12 @@ from . import measures
 
 MAX_SITES = 12
 
+# expm_multiply sizes its Taylor series from the exact 1-norm of t*H only
+# while that norm is at most 2*ell*p_max*(p_max + 3) * theta_55 / 55 = 63.36
+# (condition 3.13 of Al-Mohy & Higham); past it, scipy's onenormest draws
+# from NumPy's global random state.  Steps below that bound stay off it.
+EXACT_NORM_STEP = 60.0
+
 
 @functools.lru_cache(maxsize=4)
 def _site_ops(n):
@@ -110,6 +116,7 @@ class OracleWorkspace:
         self.gamma = gamma
         self.lam = lam
         self.hamiltonian = build_hamiltonian(n, gamma, lam)
+        self._norm1 = float(abs(self.hamiltonian).sum(axis=0).max())
 
     @functools.cached_property
     def _ground(self):
@@ -134,7 +141,11 @@ class OracleWorkspace:
             return vec
         from scipy.sparse.linalg import expm_multiply
 
-        return expm_multiply(-1j * t * self.hamiltonian, vec)
+        steps = max(1, math.ceil(abs(t) * self._norm1 / EXACT_NORM_STEP))
+        step = -1j * (t / steps) * self.hamiltonian
+        for _ in range(steps):
+            vec = expm_multiply(step, vec)
+        return vec
 
     def evolve_components(self, vecs, t):
         return [self.evolve(v, t) for v in vecs]
@@ -245,21 +256,3 @@ class OracleWorkspace:
     def one_tangle(self, vecs, site):
         rho = self.rho1(vecs, site)
         return float(4.0 * np.linalg.det(rho).real)
-
-    def entropy2(self, vecs, p, q):
-        return measures.entropy_vn(self.rho2(vecs, p, q))
-
-    def bell_fidelities(self, vecs, p, q):
-        return measures.bell_fidelities(self.rho2(vecs, p, q))
-
-    def total_concurrence(self, vecs, site):
-        return float(sum(
-            self.concurrence(vecs, site, m)
-            for m in range(self.n) if m != site % self.n))
-
-    def ckw_residual(self, vecs, site):
-        tau = self.one_tangle(vecs, site)
-        total = sum(
-            self.concurrence(vecs, site, m) ** 2
-            for m in range(self.n) if m != site % self.n)
-        return tau - total

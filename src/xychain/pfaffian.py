@@ -17,9 +17,8 @@ pair contractions.  For the one-particle Bell seeds the state is vacuum plus
 a two-source excitation, and the expectation becomes a weighted sum of four
 enlarged Pfaffians: the contraction matrix is bordered with a bra row of
 "left" elements, a ket column of "right" elements, and a corner entry
-delta_ab that books the direct c_a - c_b^dag pairing.  An independent
-row-replacement expansion of the same expectation is kept as a secondary
-route and cross-checked in the tests.
+delta_ab that books the direct c_a - c_b^dag pairing.  The tests check this
+against an independent row-replacement expansion of the same expectation.
 
 The Pfaffian itself is computed by the Parlett-Reid tridiagonalization with
 partial pivoting; pf(M)^2 = det(M) serves as a health check.
@@ -149,26 +148,6 @@ def _string_expectation(contractions, kinds, sites):
     return total / contractions.n2
 
 
-def _string_expectation_rowrep(contractions, kinds, sites):
-    """Same expectation through the row-replacement expansion (secondary)."""
-    mvac = _vacuum_matrix(contractions, kinds, sites)
-    if not contractions.is_modified:
-        return pfaffian(mvac)
-    n = len(kinds)
-    mmod = np.zeros((n, n), dtype=complex)
-    for p in range(n):
-        for q in range(p + 1, n):
-            mmod[p, q] = contractions.mod(kinds[p], sites[p],
-                                          kinds[q], sites[q])
-    total = pfaffian(mvac)
-    for s in range(n - 1):
-        ms = np.triu(mvac).copy()
-        ms[s, s + 1:] = mmod[s, s + 1:]
-        ms[:s, s] = 0.0
-        total += pfaffian(ms - ms.T)
-    return total
-
-
 def _real_result(value, what):
     value = complex(value)
     if abs(value.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(value)):
@@ -177,12 +156,11 @@ def _real_result(value, what):
     return value.real
 
 
-def spin_correlator(contractions, alpha, beta, l, m, route="pfaffian"):
+def spin_correlator(contractions, alpha, beta, l, m):
     """g^{alpha beta}_{lm} = <S^alpha_l S^beta_m> in the given state.
 
     Sites may come in either order (operators at distinct sites commute, so
-    g^{ab}_{lm} = g^{ba}_{ml}).  route='rowrep' switches to the secondary
-    row-replacement expansion for modified states.
+    g^{ab}_{lm} = g^{ba}_{ml}).
     """
     if l == m:
         raise ValueError("spin_correlator needs two distinct sites")
@@ -190,12 +168,7 @@ def spin_correlator(contractions, alpha, beta, l, m, route="pfaffian"):
         alpha, beta = beta, alpha
         l, m = m, l
     kinds, sites, pref = operator_string(alpha, beta, l, m)
-    if route == "pfaffian":
-        raw = _string_expectation(contractions, kinds, sites)
-    elif route == "rowrep":
-        raw = _string_expectation_rowrep(contractions, kinds, sites)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    raw = _string_expectation(contractions, kinds, sites)
     return _real_result(pref * raw, f"g_{alpha}{beta}({l},{m})")
 
 

@@ -23,13 +23,22 @@ ground_state_equilibrium, singlet_knitted_gs.  Measures: concurrence (pair
 against the evolved unperturbed reference of the scenario family),
 total_concurrence, ckw_residual.
 
-The analytic engine auto-selects the Bessel route at gamma = 0 and the
-Pfaffian route otherwise.  Combinations it cannot represent exactly (pair
-seeds at gamma != 0, generic seed phases at gamma != 0, knitted scenarios)
-raise CapabilityError instead of being approximated; the oracle engine
-handles them on small rings.
+Each measure is defined once, in `measure_rows`, over a view of the state
+at one time.  A view offers one_tangle(x), concurrence(l, m), rho2(l, m),
+partner_concurrences(x) over the route's window (the light cone on the
+Bessel route, +-PAIR_WINDOW on the Pfaffian route, the whole ring on the
+oracle) and baseline_tangle(x), the tangle of the unperturbed reference.
+The analytic engine's views are the one-particle packet (the gamma = 0
+vacuum is the empty packet) and `isotropic.PhiState` at gamma = 0, and
+Pfaffian contractions otherwise or in equilibrium; the oracle's view is
+the evolved ring.  Views are built per time, so threads share no mutable
+state.  What the analytic engine cannot represent exactly (knitted
+scenarios, phi_bell and generic seed phases at gamma != 0, ckw_residual on
+phi_bell) raises CapabilityError when the engine is built; the oracle
+engine handles those on small rings.
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -257,242 +266,166 @@ def _validate(raw, source):
 # ---------------------------------------------------------------------------
 
 
+def measure_rows(config, view, t):
+    """Rows (name, x, t, value) of every configured measure, read off the
+    view of the state at time t."""
+    d = config.concurrence_distance
+    rows = []
+    for name in config.measure_list:
+        for x in config.sites():
+            if name == "concurrence":
+                rows.append((name, x, t, view.concurrence(x, x + d)))
+            elif name == "one_tangle":
+                rows.append((name, x, t, view.one_tangle(x)))
+            elif name == "entropy2":
+                rows.append((name, x, t,
+                             measures.entropy_vn(view.rho2(x, x + 1))))
+            elif name == "bell_fidelities":
+                vals = measures.bell_fidelities(view.rho2(x, x + 1))
+                rows.extend(zip(_FIDELITY_NAMES, (x,) * 4, (t,) * 4, vals))
+            elif name == "tangle_deviation":
+                delta, rel = measures.tangle_deviation(
+                    view.one_tangle(x), view.baseline_tangle(x))
+                rows.append(("tangle_deviation", x, t, delta))
+                rows.append(("tangle_deviation_rel", x, t, rel))
+            elif name == "total_concurrence":
+                total = float(view.partner_concurrences(x).sum())
+                rows.append((name, x, t, total))
+            else:  # ckw_residual
+                rows.append((name, x, t, measures.ckw_residual(
+                    view.one_tangle(x), view.partner_concurrences(x))))
+    return rows
+
+
+class _ContractionView:
+    """Pfaffian-route view of one time's Majorana contractions.  Bundles
+    are memoized per (l, m), so pair rows and partner sums share their
+    Pfaffians; ``baseline`` builds the reference contractions on first use
+    (None: the state is its own reference)."""
+
+    def __init__(self, contractions, baseline=None):
+        self.con = contractions
+        self._baseline = baseline
+        self._bundles = {}
+
+    def _bundle(self, l, m):
+        bundle = self._bundles.get((l, m))
+        if bundle is None:
+            bundle = measures.bundle_from_contractions(self.con, l, m)
+            self._bundles[(l, m)] = bundle
+        return bundle
+
+    def one_tangle(self, x):
+        return measures.one_tangle(magnetization(self.con, x))
+
+    def concurrence(self, l, m):
+        return measures.concurrence_closed(self._bundle(l, m))
+
+    def rho2(self, l, m):
+        return measures.rho2_from_correlators(self._bundle(l, m))
+
+    def partner_concurrences(self, x):
+        return np.array([self.concurrence(min(x, q), max(x, q))
+                         for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1)
+                         if q != x])
+
+    @functools.cached_property
+    def _reference(self):
+        return self.con if self._baseline is None else self._baseline()
+
+    def baseline_tangle(self, x):
+        return measures.one_tangle(magnetization(self._reference, x))
+
+
 class AnalyticEngine:
     """Thermodynamic-limit engine: Bessel route at gamma = 0, Pfaffian
-    route otherwise."""
+    route otherwise.  Everything it cannot represent is refused here."""
 
-    name = "analytic"
-
-    def __init__(self, config, force_route=None):
+    def __init__(self, config):
         self.config = config
         self.params = config.params
         kind = config.kind
-        if force_route not in (None, "bessel", "pfaffian"):
-            raise ValueError(f"unknown route {force_route!r}")
-        route = force_route or ("bessel" if config.gamma == 0.0
-                                else "pfaffian")
         if kind == "singlet_knitted_gs":
             raise CapabilityError(
                 "singlet_knitted_gs runs on the oracle engine only")
-        if route == "pfaffian" and kind == "phi_bell":
+        if config.gamma != 0.0 and kind == "phi_bell":
             raise CapabilityError(
                 "phi_bell with gamma != 0 has no analytic route; use the "
                 "oracle engine")
-        if route == "pfaffian" and kind == "psi_bell":
+        if config.gamma != 0.0 and kind == "psi_bell":
             phase = config.seed_phase % (2.0 * math.pi)
             if min(abs(phase), abs(phase - math.pi),
                    abs(phase - 2.0 * math.pi)) > 1e-12:
                 raise CapabilityError(
                     "psi_bell with gamma != 0 supports only phi in {0, pi}")
-        if route == "bessel" and self.params.gamma != 0.0:
-            raise CapabilityError("the Bessel route requires gamma = 0")
-        self.route = route
-
-    # -- state/contraction construction per time point --------------------
-
-    def _seed_amp(self):
-        return complex(np.exp(1j * self.config.seed_phase))
-
-    def _contractions(self, t):
-        cfg = self.config
-        if cfg.kind in ("vacuum_only",):
-            return vacuum_contractions(self.params, t)
-        if cfg.kind in ("singlet_on_vacuum", "psi_bell"):
-            amp = self._seed_amp()
-            amp = 1.0 if abs(amp - 1.0) < 1e-9 else -1.0
-            return bell_contractions(self.params, t, cfg.i, cfg.j, amp=amp)
-        if cfg.kind == "ground_state_equilibrium":
-            reach = (abs(cfg.x_stop - cfg.x_start)
-                     + max(cfg.concurrence_distance, PAIR_WINDOW) + 2)
-            return groundstate.gs_contractions(self.params, reach)
-        raise CapabilityError(f"no contraction family for {cfg.kind}")
-
-    def _bundle(self, contractions, l, m, cache):
-        key = (l, m)
-        if key not in cache:
-            cache[key] = measures.bundle_from_contractions(contractions, l, m)
-        return cache[key]
-
-    def _vacuum_tangle(self, t):
-        if self.params.gamma == 0.0:
-            return 0.0
-        vac = vacuum_contractions(self.params, t)
-        return measures.one_tangle(magnetization(vac, 0))
-
-    # -- row evaluation ----------------------------------------------------
-
-    def rows_at(self, t):
-        if self.config.kind == "ground_state_equilibrium":
-            return self._rows_equilibrium(t)
-        if self.route == "bessel":
-            return self._rows_bessel(t)
-        return self._rows_pfaffian(t)
-
-    def _rows_bessel(self, t):
-        cfg = self.config
-        rows = []
-        kind = cfg.kind
-        if kind == "vacuum_only":
-            state = None
-        elif kind == "phi_bell":
-            state = isotropic.PhiState(cfg.i, cfg.j, cfg.seed_phase, t,
-                                       cfg.lam)
-        else:
-            state = isotropic.wavepacket(cfg.i, cfg.j, cfg.seed_phase, t,
-                                         cfg.lam)
-        for name in cfg.measure_list:
-            for x in cfg.sites():
-                rows.extend(self._bessel_value(name, state, x, t))
-        return rows
-
-    def _bessel_value(self, name, state, x, t):
-        cfg = self.config
-        d = cfg.concurrence_distance
-        if state is None:  # stationary vacuum
-            return _trivial_vacuum_rows(name, x, t)
-        if isinstance(state, isotropic.PhiState):
-            return self._phi_rows(name, state, x, t)
-        if name == "concurrence":
-            return [("concurrence", x, t,
-                     isotropic.concurrence_pair(state, x, x + d))]
-        if name == "one_tangle":
-            return [("one_tangle", x, t, isotropic.one_tangle_site(state, x))]
-        if name == "entropy2":
-            return [("entropy2", x, t, isotropic.entropy_pair(state, x, x + 1))]
-        if name == "bell_fidelities":
-            vals = isotropic.bell_fidelities_pair(state, x, x + 1)
-            return list(zip(_FIDELITY_NAMES, (x,) * 4, (t,) * 4, vals))
-        if name == "tangle_deviation":
-            delta, rel = measures.tangle_deviation(
-                isotropic.one_tangle_site(state, x), 0.0)
-            return [("tangle_deviation", x, t, delta),
-                    ("tangle_deviation_rel", x, t, rel)]
-        if name == "total_concurrence":
-            return [("total_concurrence", x, t,
-                     isotropic.total_concurrence(state, x))]
-        if name == "ckw_residual":
-            return [("ckw_residual", x, t, isotropic.ckw_pair(state, x)[2])]
-        raise ConfigError(f"unknown measure {name!r}")
-
-    def _phi_rows(self, name, state, x, t):
-        cfg = self.config
-        d = cfg.concurrence_distance
-        if name == "concurrence":
-            return [("concurrence", x, t, state.concurrence(x, x + d))]
-        if name == "one_tangle":
-            return [("one_tangle", x, t, state.one_tangle(x))]
-        if name == "entropy2":
-            rho = state.rho2(x, x + 1)
-            return [("entropy2", x, t, measures.entropy_vn(rho))]
-        if name == "bell_fidelities":
-            vals = measures.bell_fidelities(state.rho2(x, x + 1))
-            return list(zip(_FIDELITY_NAMES, (x,) * 4, (t,) * 4, vals))
-        if name == "tangle_deviation":
-            delta, rel = measures.tangle_deviation(state.one_tangle(x), 0.0)
-            return [("tangle_deviation", x, t, delta),
-                    ("tangle_deviation_rel", x, t, rel)]
-        if name == "total_concurrence":
-            lo = state.start
-            hi = state.start + len(state.sites) - 1
-            total = sum(
-                state.concurrence(min(x, q), max(x, q))
-                for q in range(lo, hi + 1) if q != x)
-            return [("total_concurrence", x, t, total)]
-        if name == "ckw_residual":
+        if kind == "phi_bell" and "ckw_residual" in config.measure_list:
             raise CapabilityError(
                 "ckw_residual of the pair seed refers to its one-particle "
                 "orbitals; evaluate it on a psi seed or the oracle engine")
-        raise ConfigError(f"unknown measure {name!r}")
+        self._ground = None
+        if kind == "ground_state_equilibrium":
+            reach = (abs(config.x_stop - config.x_start)
+                     + max(config.concurrence_distance, PAIR_WINDOW) + 2)
+            self._ground = groundstate.gs_contractions(self.params, reach)
 
-    def _rows_pfaffian(self, t):
+    def _view(self, t):
         cfg = self.config
-        con = self._contractions(t)
-        cache = {}
-        rows = []
-        for name in cfg.measure_list:
-            for x in cfg.sites():
-                rows.extend(self._pfaffian_value(name, con, x, t, cache))
-        return rows
+        if self._ground is not None:
+            return _ContractionView(self._ground)
+        if cfg.gamma == 0.0:
+            if cfg.kind == "vacuum_only":  # stationary: the empty packet
+                return isotropic.SingleParticleState(
+                    start=0, amps=np.zeros(0, dtype=complex), time=t,
+                    lam=cfg.lam, sources=(), phi=0.0)
+            if cfg.kind == "phi_bell":
+                return isotropic.PhiState(cfg.i, cfg.j, cfg.seed_phase, t,
+                                          cfg.lam)
+            return isotropic.wavepacket(cfg.i, cfg.j, cfg.seed_phase, t,
+                                        cfg.lam)
+        if cfg.kind == "vacuum_only":
+            return _ContractionView(vacuum_contractions(self.params, t))
+        amp = 1.0 if abs(np.exp(1j * cfg.seed_phase) - 1.0) < 1e-9 else -1.0
+        return _ContractionView(
+            bell_contractions(self.params, t, cfg.i, cfg.j, amp=amp),
+            baseline=lambda: vacuum_contractions(self.params, t))
 
-    def _pfaffian_value(self, name, con, x, t, cache):
-        cfg = self.config
-        d = cfg.concurrence_distance
-        if name == "concurrence":
-            bundle = self._bundle(con, x, x + d, cache)
-            return [("concurrence", x, t,
-                     measures.concurrence_closed(bundle))]
-        if name == "one_tangle":
-            tau = measures.one_tangle(magnetization(con, x))
-            return [("one_tangle", x, t, tau)]
-        if name == "entropy2":
-            bundle = self._bundle(con, x, x + 1, cache)
-            rho = measures.rho2_from_correlators(bundle)
-            return [("entropy2", x, t, measures.entropy_vn(rho))]
-        if name == "bell_fidelities":
-            bundle = self._bundle(con, x, x + 1, cache)
-            vals = measures.bell_fidelities(
-                measures.rho2_from_correlators(bundle))
-            return list(zip(_FIDELITY_NAMES, (x,) * 4, (t,) * 4, vals))
-        if name == "tangle_deviation":
-            tau = measures.one_tangle(magnetization(con, x))
-            delta, rel = measures.tangle_deviation(tau,
-                                                   self._vacuum_tangle(t))
-            return [("tangle_deviation", x, t, delta),
-                    ("tangle_deviation_rel", x, t, rel)]
-        if name == "total_concurrence":
-            total = 0.0
-            for delta_x in range(-PAIR_WINDOW, PAIR_WINDOW + 1):
-                if delta_x == 0:
-                    continue
-                l, m = sorted((x, x + delta_x))
-                bundle = self._bundle(con, l, m, cache)
-                total += measures.concurrence_closed(bundle)
-            return [("total_concurrence", x, t, total)]
-        if name == "ckw_residual":
-            tau = measures.one_tangle(magnetization(con, x))
-            total = 0.0
-            for delta_x in range(-PAIR_WINDOW, PAIR_WINDOW + 1):
-                if delta_x == 0:
-                    continue
-                l, m = sorted((x, x + delta_x))
-                bundle = self._bundle(con, l, m, cache)
-                total += measures.concurrence_closed(bundle) ** 2
-            return [("ckw_residual", x, t, tau - total)]
-        raise ConfigError(f"unknown measure {name!r}")
-
-    def _rows_equilibrium(self, t):
-        cfg = self.config
-        con = self._contractions(t)
-        cache = {}
-        rows = []
-        for name in cfg.measure_list:
-            for x in cfg.sites():
-                rows.extend(self._equilibrium_value(name, con, x, t, cache))
-        return rows
-
-    def _equilibrium_value(self, name, con, x, t, cache):
-        cfg = self.config
-        if name == "tangle_deviation":
-            return [("tangle_deviation", x, t, 0.0),
-                    ("tangle_deviation_rel", x, t, 0.0)]
-        return self._pfaffian_value(name, con, x, t, cache)
+    def rows_at(self, t):
+        return measure_rows(self.config, self._view(t), t)
 
 
-def _trivial_vacuum_rows(name, x, t):
-    """Measures of the stationary vacuum at gamma = 0."""
-    if name == "bell_fidelities":
-        vals = (0.0, 0.0, 0.5, 0.5)
-        return list(zip(_FIDELITY_NAMES, (x,) * 4, (t,) * 4, vals))
-    if name == "tangle_deviation":
-        return [("tangle_deviation", x, t, 0.0),
-                ("tangle_deviation_rel", x, t, 0.0)]
-    return [(name, x, t, 0.0)]
+class _RingView:
+    """Oracle view of one evolved ring state; site indices wrap.
+    ``reference`` evolves the unperturbed reference on first use."""
+
+    def __init__(self, ws, vecs, reference):
+        self.ws = ws
+        self.vecs = vecs
+        self._evolve_reference = reference
+
+    def one_tangle(self, x):
+        return self.ws.one_tangle(self.vecs, x)
+
+    def concurrence(self, l, m):
+        return self.ws.concurrence(self.vecs, l, m)
+
+    def rho2(self, l, m):
+        return self.ws.rho2(self.vecs, l, m)
+
+    def partner_concurrences(self, x):
+        site = x % self.ws.n
+        return np.array([self.ws.concurrence(self.vecs, site, m)
+                         for m in range(self.ws.n) if m != site])
+
+    @functools.cached_property
+    def _reference(self):
+        return self._evolve_reference()
+
+    def baseline_tangle(self, x):
+        return self.ws.one_tangle(self._reference, x)
 
 
 class OracleEngine:
     """Small-ring exact-diagonalization engine; site indices wrap."""
-
-    name = "oracle"
 
     def __init__(self, config):
         self.config = config
@@ -506,6 +439,9 @@ class OracleEngine:
                     "ring")
         self.ws = oracle.workspace(n, config.gamma, config.lam)
         self._base = self._prepare()
+        equilibrium = kind in ("ground_state_equilibrium", "singlet_knitted_gs")
+        self._reference = (self.ws.ground_state() if equilibrium
+                           else self.ws.vacuum())
 
     def _prepare(self):
         cfg = self.config
@@ -523,55 +459,16 @@ class OracleEngine:
         raise ConfigError(f"unknown scenario kind {cfg.kind!r}")
 
     def rows_at(self, t):
-        cfg = self.config
-        n = self.ws.n
-        vecs = self.ws.evolve_components(self._base, t)
-        ref_vecs = None
-        if "tangle_deviation" in cfg.measure_list:
-            if cfg.kind in ("ground_state_equilibrium", "singlet_knitted_gs"):
-                ref = self.ws.ground_state()
-            else:
-                ref = self.ws.vacuum()
-            ref_vecs = self.ws.evolve_components(ref, t)
-        rows = []
-        d = cfg.concurrence_distance
-        for name in cfg.measure_list:
-            for x in cfg.sites():
-                site = x % n
-                if name == "concurrence":
-                    val = self.ws.concurrence(vecs, site, (x + d) % n)
-                    rows.append(("concurrence", x, t, val))
-                elif name == "one_tangle":
-                    rows.append(("one_tangle", x, t,
-                                 self.ws.one_tangle(vecs, site)))
-                elif name == "entropy2":
-                    rows.append(("entropy2", x, t,
-                                 self.ws.entropy2(vecs, site, (x + 1) % n)))
-                elif name == "bell_fidelities":
-                    vals = self.ws.bell_fidelities(vecs, site, (x + 1) % n)
-                    rows.extend(zip(_FIDELITY_NAMES, (x,) * 4, (t,) * 4,
-                                    vals))
-                elif name == "tangle_deviation":
-                    tau = self.ws.one_tangle(vecs, site)
-                    delta, rel = measures.tangle_deviation(
-                        tau, self.ws.one_tangle(ref_vecs, site))
-                    rows.append(("tangle_deviation", x, t, delta))
-                    rows.append(("tangle_deviation_rel", x, t, rel))
-                elif name == "total_concurrence":
-                    rows.append(("total_concurrence", x, t,
-                                 self.ws.total_concurrence(vecs, site)))
-                elif name == "ckw_residual":
-                    rows.append(("ckw_residual", x, t,
-                                 self.ws.ckw_residual(vecs, site)))
-                else:
-                    raise ConfigError(f"unknown measure {name!r}")
-        return rows
+        ws = self.ws
+        view = _RingView(ws, ws.evolve_components(self._base, t),
+                         lambda: ws.evolve_components(self._reference, t))
+        return measure_rows(self.config, view, t)
 
 
-def make_engine(config, engine_name=None, force_route=None):
+def make_engine(config, engine_name=None):
     name = engine_name or config.engine
     if name == "analytic":
-        return AnalyticEngine(config, force_route=force_route)
+        return AnalyticEngine(config)
     if name == "oracle":
         return OracleEngine(config)
     raise ConfigError(f"unknown engine {name!r}")

@@ -165,7 +165,7 @@ def run_case(gamma, lam, kind, fast=False):
                 bundle = bundle_from_contractions(con, s, s + 1)
                 fids = measures.bell_fidelities(
                     rho2_from_correlators(bundle))
-                fids_ref = ws.bell_fidelities(vecs, s, s + 1)
+                fids_ref = measures.bell_fidelities(ws.rho2(vecs, s, s + 1))
                 diff = max(abs(a - b) for a, b in zip(fids, fids_ref))
                 report.record("fidelities", diff)
                 if state is not None:

@@ -185,7 +185,9 @@ def test_criterion_08_monogamy_saturation_and_gap():
             _tau, _total, residual = isotropic.ckw_pair(orbital, site)
             worst = max(worst, abs(residual))
     ws = oracle.workspace(12, 0.5, 1.0)
-    gap = ws.ckw_residual(ws.ground_state(), 0)
+    gs = ws.ground_state()
+    gap = ws.one_tangle(gs, 0) - sum(ws.concurrence(gs, 0, m) ** 2
+                                     for m in range(1, ws.n))
     ok = worst < 1e-9 and gap > 0.0
     _verdict(8, "monogamy saturation and ground-state gap",
              ok, f"max one-particle residual = {worst:.2e}, "

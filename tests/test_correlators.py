@@ -99,13 +99,6 @@ def test_separation_outside_table_raises():
         vac.ab(vac.radius + 1)
 
 
-def test_vacuum_cache_reuse():
-    p = ModelParams(lam=1.0, gamma=0.5)
-    c1 = correlators.vacuum_contractions(p, 2.0)
-    c2 = correlators.vacuum_contractions(p, 2.0)
-    assert c1 is c2
-
-
 def test_singlet_tilts_phi_weights_ahead_of_front():
     # a singlet seeded at (0, 1) reshapes the pair-creation background at
     # sites ahead of the front: both phi-family weights stay nonzero and
@@ -126,6 +119,6 @@ def test_singlet_tilts_phi_weights_ahead_of_front():
     ana = bell_fidelities(rho2_from_correlators(
         bundle_from_contractions(con, 5, 6)))
     ws = oracle.workspace(12, 0.5, 0.5)
-    ring = ws.bell_fidelities(
-        ws.evolve_components(ws.psi_bell(0, 1, np.pi), 6.0), 5, 6)
+    ring = bell_fidelities(
+        ws.rho2(ws.evolve_components(ws.psi_bell(0, 1, np.pi), 6.0), 5, 6))
     assert np.allclose(ana, ring, atol=2e-3)

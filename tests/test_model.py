@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from xychain import model
 from xychain.bessel import bessel_j
@@ -23,6 +23,7 @@ def test_dispersion_closed_values():
 @given(st.floats(min_value=0.05, max_value=3.0),
        st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=-np.pi, max_value=np.pi))
+@example(lam=1.0, gamma=1.0, k=1.4118803741824836e-161)  # s^2 underflows
 def test_bogoliubov_normalized(lam, gamma, k):
     p = ModelParams(lam=lam, gamma=gamma)
     if model.dispersion(p, k) < 1e-12:

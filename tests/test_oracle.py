@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from xychain import measures, oracle
 from xychain.errors import ConfigError
+from xychain.scenarios import parse_config_text, run_scenario
 
 
 def dense_reference_hamiltonian(n, gamma, lam):
@@ -55,7 +56,7 @@ def dense_spectrum(n, gamma, lam):
     return np.linalg.eigh(oracle.build_hamiltonian(n, gamma, lam).toarray())
 
 
-@pytest.mark.parametrize("t", [0.0, 0.7, 2.3, 5.0])
+@pytest.mark.parametrize("t", [0.0, 0.7, 2.3, 5.0, 20.0])
 def test_evolve_matches_dense_diagonalization(t):
     n, gamma, lam = 8, 0.7, 0.8
     energies, modes = dense_spectrum(n, gamma, lam)
@@ -65,6 +66,22 @@ def test_evolve_matches_dense_diagonalization(t):
     ref = modes @ (np.exp(-1j * energies * t) * (modes.T @ vec))
     out = oracle.workspace(n, gamma, lam).evolve(vec, t)
     assert np.max(np.abs(out - ref)) < 1e-12
+
+
+def test_evolve_leaves_global_random_state_alone():
+    # at t = 20 a single expm_multiply call would estimate norms with
+    # onenormest, which draws from np.random
+    ws = oracle.workspace(8, 0.5, 1.0)
+    (vec,) = ws.psi_bell(0, 1, np.pi)
+    outs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        outs.append(ws.evolve(vec, 20.0))
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
+    assert np.array_equal(outs[0], outs[1])
 
 
 # the lower sector flips with the point: even (popcount of the basis index)
@@ -137,8 +154,8 @@ def test_psi_bell_t0_is_singlet():
     assert np.isclose(rho[1, 1], 0.5) and np.isclose(rho[2, 2], 0.5)
     assert np.isclose(rho[1, 2], -0.5)
     assert np.isclose(ws.concurrence(vecs, 2, 3), 1.0, atol=1e-10)
-    assert np.allclose(ws.bell_fidelities(vecs, 2, 3), (1, 0, 0, 0),
-                       atol=1e-12)
+    assert np.allclose(measures.bell_fidelities(ws.rho2(vecs, 2, 3)),
+                       (1, 0, 0, 0), atol=1e-12)
 
 
 def test_phi_bell_t0_pair_coherence():
@@ -154,7 +171,8 @@ def test_phi_bell_t0_pair_coherence():
 def test_fidelities_sum_to_one():
     ws = oracle.workspace(8, 0.5, 0.5)
     vecs = ws.evolve_components(ws.psi_bell(1, 2, np.pi), 1.7)
-    assert np.isclose(sum(ws.bell_fidelities(vecs, 3, 4)), 1.0, atol=1e-10)
+    assert np.isclose(sum(measures.bell_fidelities(ws.rho2(vecs, 3, 4))), 1.0,
+                      atol=1e-10)
 
 
 def test_knitted_singlet_t0():
@@ -167,16 +185,32 @@ def test_knitted_singlet_t0():
 
 
 def test_total_concurrence_and_ckw():
+    # the oracle engine sums a site's concurrences over the whole ring
+    cfg = parse_config_text("""
+engine = oracle
+scenario.oracle_sites = 8
+model.lambda = 1.0
+model.gamma = 0.0
+scenario.kind = psi_bell
+scenario.i = 0
+scenario.j = 1
+scenario.phi = 3.141592653589793
+grid.t_start = 1.0
+grid.t_stop = 1.0
+grid.dt = 1.0
+grid.x_start = 0
+grid.x_stop = 0
+measures.list = total_concurrence, ckw_residual
+""")
+    rows = {name: value for name, _, _, value in run_scenario(cfg)}
     ws = oracle.workspace(8, 0.0, 1.0)
     vecs = ws.evolve_components(ws.psi_bell(0, 1, np.pi), 1.0)
-    total = ws.total_concurrence(vecs, 0)
     by_hand = sum(ws.concurrence(vecs, *sorted((0, q))) for q in range(1, 8))
-    assert np.isclose(total, by_hand, atol=1e-12)
+    assert np.isclose(rows["total_concurrence"], by_hand, atol=1e-12)
     tau1 = ws.one_tangle(vecs, 0)
-    residual = ws.ckw_residual(vecs, 0)
     by_hand_res = tau1 - sum(
         ws.concurrence(vecs, *sorted((0, q))) ** 2 for q in range(1, 8))
-    assert np.isclose(residual, by_hand_res, atol=1e-12)
+    assert np.isclose(rows["ckw_residual"], by_hand_res, atol=1e-12)
 
 
 def test_rho2_concurrence_consistent_with_measures():

@@ -1,14 +1,23 @@
+import dataclasses
 import io
+import math
+import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xychain import groundstate, scenarios
+from xychain import correlators, groundstate, scenarios
 from xychain.errors import CapabilityError, ConfigError
 from xychain.model import ModelParams
-from xychain.scenarios import parse_config_text, run_scenario, write_csv
+from xychain.scenarios import (MEASURES, parse_config_file, parse_config_text,
+                               run_scenario, write_csv)
+from xychain.selftest import PFAFFIAN_TOL
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 BASE = """
 model.lambda = 1.0
@@ -26,8 +35,12 @@ measures.list = concurrence, one_tangle
 
 
 def run_cli(*argv):
+    # the child imports the same xychain as this process
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "xychain", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -159,14 +172,101 @@ def test_analytic_engine_rejects_what_it_cannot_do():
 
 
 def test_oracle_engine_agrees_with_analytic():
-    text = BASE.replace("grid.t_stop = 1.0", "grid.t_stop = 1.5")
-    cfg = parse_config_text(text)
-    ana = run_scenario(cfg)
-    orc = run_scenario(cfg, engine_name="oracle")
-    assert len(ana) == len(orc)
-    for (n1, x1, t1, v1), (n2, x2, t2, v2) in zip(ana, orc):
-        assert (n1, x1, t1) == (n2, x2, t2)
-        assert abs(v1 - v2) < 1e-4, (n1, x1, t1)
+    # every measure on the gamma = 0 singlet (Bessel route) and on a
+    # gamma = 0.5 psi_bell at phi = pi (Pfaffian route)
+    bessel = BASE.replace("grid.t_stop = 1.0", "grid.t_stop = 1.5").replace(
+        "concurrence, one_tangle", ", ".join(MEASURES))
+    pfaffian = bessel.replace("model.gamma = 0.0", "model.gamma = 0.5")
+    pfaffian = pfaffian.replace(
+        "kind = singlet_on_vacuum",
+        "kind = psi_bell\nscenario.phi = 3.141592653589793")
+    # The pair sums run over the light cone on the Bessel route, +-7 sites
+    # on the Pfaffian route and the whole 12-site ring on the oracle.  Up
+    # to lambda*t = 1.5 the Bessel tails that the ring folds back onto
+    # itself moved total_concurrence by 3.6e-4 (the Pfaffian route 4.6e-7)
+    # and ckw_residual by 7e-16 (1.4e-7).
+    window_tol = {"total_concurrence": 1e-3, "ckw_residual": 1e-6}
+    for text, tol in ((bessel, 1e-4), (pfaffian, PFAFFIAN_TOL)):
+        cfg = parse_config_text(text)
+        ana = run_scenario(cfg)
+        orc = run_scenario(cfg, engine_name="oracle")
+        assert len(ana) == len(orc) == 4 * 4 * 11  # sites, times, rows
+        for (n1, x1, t1, v1), (n2, x2, t2, v2) in zip(ana, orc):
+            assert (n1, x1, t1) == (n2, x2, t2)
+            assert abs(v1 - v2) < window_tol.get(n1, tol), (n1, x1, t1)
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_shipped_config_runs(path):
+    cfg = parse_config_file(path)
+    rows = run_scenario(cfg)
+    per_cell = {"bell_fidelities": 4, "tangle_deviation": 2}
+    cells = len(cfg.sites()) * len(cfg.times())
+    assert len(rows) == cells * sum(per_cell.get(m, 1)
+                                    for m in cfg.measure_list)
+    assert all(math.isfinite(value) for _, _, _, value in rows)
+
+
+def test_shipped_configs_refused_at_engine_construction(monkeypatch):
+    def no_time_step(self, t):
+        raise AssertionError("a time step ran before the refusal")
+
+    monkeypatch.setattr(scenarios.AnalyticEngine, "rows_at", no_time_step)
+    knitted = parse_config_file(SCRIPTS / "knitted.cfg")
+    phi = parse_config_file(SCRIPTS / "phi_switch.cfg")
+    psi = parse_config_file(SCRIPTS / "bell_oracle.cfg")
+    refused = (
+        knitted,
+        dataclasses.replace(phi, gamma=0.5),
+        dataclasses.replace(psi, phi=0.7),
+        dataclasses.replace(
+            phi, measure_list=phi.measure_list + ("ckw_residual",)),
+    )
+    for cfg in refused:
+        with pytest.raises(CapabilityError):
+            scenarios.make_engine(cfg, "analytic")
+        with pytest.raises(CapabilityError):
+            run_scenario(cfg, engine_name="analytic")
+
+
+def test_analytic_engine_builds_each_table_once(monkeypatch):
+    built = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        correlators.VacuumContractions, "__init__",
+        counting("vacuum", correlators.VacuumContractions.__init__))
+    monkeypatch.setattr(correlators, "kernels",
+                        counting("kernels", correlators.kernels))
+    monkeypatch.setattr(groundstate, "gs_contractions",
+                        counting("ground", groundstate.gs_contractions))
+    times = 3
+    singlet = BASE.replace("model.gamma = 0.0", "model.gamma = 0.5").replace(
+        "concurrence, one_tangle",
+        "concurrence, tangle_deviation, total_concurrence")
+    run_scenario(parse_config_text(singlet))
+    # per time: the seed's own vacuum part and the baseline vacuum
+    assert built == {"vacuum": 2 * times, "kernels": times}
+    built.clear()
+    ground = """
+model.lambda = 1.0
+model.gamma = 0.5
+scenario.kind = ground_state_equilibrium
+grid.t_start = 0.0
+grid.t_stop = 1.0
+grid.dt = 0.5
+grid.x_start = 0
+grid.x_stop = 1
+measures.list = concurrence, ckw_residual, tangle_deviation
+"""
+    run_scenario(parse_config_text(ground))
+    assert built == {"ground": 1}
 
 
 def test_oracle_engine_wraps_sites_on_the_ring():
