@@ -25,6 +25,7 @@ import math
 import numpy as np
 
 from . import model as _model
+from .correlators import A
 from .errors import NumericalHealthError
 from .measures import CorrelatorBundle, bundle_from_contractions, one_tangle
 from .quadrature import composite_grid
@@ -74,21 +75,25 @@ class GroundStateContractions:
         self._g = g_table
 
     def g(self, r):
-        if abs(r) > self.radius:
+        """G(r) at the separations r (any shape)."""
+        r = np.asarray(r)
+        if r.size and np.abs(r).max() > self.radius:
             raise NumericalHealthError(
                 f"ground-state contraction radius {self.radius} exceeded")
         return self._g[r + self.radius]
 
     def pair(self, kind_l, l, kind_m, m):
-        if kind_l == "A" and kind_m == "B":
-            return complex(-self.g(m - l))
-        if kind_l == "B" and kind_m == "A":
-            return complex(self.g(l - m))
-        # same-kind pairs vanish in the ground state except for the
-        # operator identities A_l^2 = 1 and B_l^2 = -1
-        if l == m:
-            return complex(1.0 if kind_l == "A" else -1.0)
-        return 0.0 + 0.0j
+        """<X_l Y_m> for kind codes X, Y in {A, B}; arguments broadcast.
+
+        <A_l B_m> = -G(m - l) and <B_l A_m> = G(l - m); same-kind pairs
+        vanish except for the operator identities A_l^2 = 1, B_l^2 = -1.
+        """
+        is_a = np.asarray(kind_l) == A
+        same = is_a == (np.asarray(kind_m) == A)
+        r = np.subtract(m, l)
+        g = self.g(np.where(same, 0, np.where(is_a, r, -r)))
+        square = np.where(r == 0, np.where(is_a, 1.0, -1.0), 0.0)
+        return np.where(same, square, np.where(is_a, -g, g)).astype(complex)
 
 
 def gs_magnetization(params):

@@ -52,17 +52,9 @@ class CorrelatorBundle:
 
 def bundle_from_contractions(contractions, l, m):
     """Evaluate all correlators of the pair (l, m) in a Gaussian-family state."""
-    from .pfaffian import magnetization, spin_correlator
+    from .pfaffian import bundles
 
-    return CorrelatorBundle(
-        gxx=spin_correlator(contractions, "x", "x", l, m),
-        gyy=spin_correlator(contractions, "y", "y", l, m),
-        gzz=spin_correlator(contractions, "z", "z", l, m),
-        gxy=spin_correlator(contractions, "x", "y", l, m),
-        gyx=spin_correlator(contractions, "y", "x", l, m),
-        mz_l=magnetization(contractions, l),
-        mz_m=magnetization(contractions, m),
-    )
+    return bundles(contractions, [(l, m)])[0]
 
 
 def rho2_from_correlators(bundle):
@@ -189,7 +181,8 @@ def entropy_vn(rho):
     """Von Neumann entropy in bits of a density matrix."""
     evals = validate_density(np.asarray(rho, dtype=complex))
     evals = evals[evals > 0.0]
-    return float(-np.sum(evals * np.log2(evals)))
+    # 0 - sum rather than -sum: a pure state gives +0.0, not -0.0
+    return float(0.0 - np.sum(evals * np.log2(evals)))
 
 
 def entropy_from_tangle(tau):

@@ -20,15 +20,33 @@ enlarged Pfaffians: the contraction matrix is bordered with a bra row of
 delta_ab that books the direct c_a - c_b^dag pairing.  The tests check this
 against an independent row-replacement expansion of the same expectation.
 
-The Pfaffian itself is computed by the Parlett-Reid tridiagonalization with
-partial pivoting; pf(M)^2 = det(M) serves as a health check.
+Strings are evaluated in stacks.  `bundles` expands every requested site
+pair into its five strings (xx, yy, zz, xy, yx: sizes 2R, 2R, 4, 2R, 2R),
+groups the strings by size and cuts each size group into chunks of
+STACK_CHUNK strings.  A chunk's contraction matrices are assembled at once
+by indexing the state's pair tables with arrays of kind codes and sites
+(the vacuum or ground-state table; a Bell seed uses its vacuum).  For a
+Bell seed each string then becomes four matrices bordered at row 0 and
+column n + 1, one per (bra source, ket source) in the order (i, i),
+(i, j), (j, i), (j, j), and their Pfaffians are summed in that order with
+weights conj(w_a) w_b / n2.  Every stack goes through `pfaffians`, a
+batched Parlett-Reid tridiagonalization (Wimmer, ACM TOMS 38:30, 2012) with
+the pivot chosen per matrix; a matrix whose pivot column is exactly zero has
+Pfaffian 0, and dimensions up to 4 use the closed forms.  The scalar
+`pfaffian` runs the same steps on one matrix and is the reference the
+tests compare against; pf(M)^2 = det(M) serves as a health check.
 """
 
 import numpy as np
 
+from .correlators import A, B
 from .errors import NumericalHealthError
+from .measures import CorrelatorBundle
 
 IMAG_RESIDUE_TOL = 1e-10
+STACK_CHUNK = 32  # strings per evaluated stack; bounds the working set
+COMPONENTS = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "x"))
+_SWAPPED = (0, 1, 2, 4, 3)  # component columns of (m, l) from those of (l, m)
 
 
 def pfaffian(mat):
@@ -66,6 +84,43 @@ def pfaffian(mat):
         v = a[k + 1, k + 2:]
         a[k + 2:, k + 2:] += np.outer(v, w) - np.outer(w, v)
     return val * a[n - 2, n - 1]
+
+
+def pfaffians(a):
+    """Pfaffians of a stack a (count, n, n) of complex antisymmetric
+    matrices; a is overwritten.
+
+    The batched `pfaffian`: the same Parlett-Reid steps and closed forms,
+    with the pivot chosen per matrix.  Odd n raises ValueError.
+    """
+    count, n = a.shape[0], a.shape[2]
+    if n % 2:
+        raise ValueError("pfaffian needs even dimension")
+    if n == 0:
+        return np.ones(count, dtype=complex)
+    if n == 2:
+        return a[:, 0, 1].copy()
+    if n == 4:
+        return (a[:, 0, 1] * a[:, 2, 3] - a[:, 0, 2] * a[:, 1, 3]
+                + a[:, 0, 3] * a[:, 1, 2])
+    val = np.ones(count, dtype=complex)
+    for k in range(0, n - 2, 2):
+        piv = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
+        swap = np.flatnonzero(piv != k + 1)
+        if swap.size:
+            p = piv[swap]
+            a[swap, k + 1], a[swap, p] = a[swap, p], a[swap, k + 1]
+            a[swap, :, k + 1], a[swap, :, p] = a[swap, :, p], a[swap, :, k + 1]
+            val[swap] = -val[swap]
+        # a zero pivot means a zero column k, so a[k, k + 1] = 0 zeroes
+        # val; dividing by 1 there keeps the stack finite
+        pivot = a[:, k + 1, k]
+        val *= a[:, k, k + 1]
+        w = a[:, k + 2:, k] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        v = a[:, k + 1, k + 2:]
+        a[:, k + 2:, k + 2:] += (v[:, :, None] * w[:, None, :]
+                                 - w[:, :, None] * v[:, None, :])
+    return val * a[:, n - 2, n - 1]
 
 
 def pfaffian_checked(mat, rtol=1e-9):
@@ -116,44 +171,86 @@ def operator_string(alpha, beta, l, m):
     return kinds, a_sites + b_sites, pref
 
 
-def _vacuum_matrix(contractions, kinds, sites):
-    n = len(kinds)
-    mat = np.zeros((n, n), dtype=complex)
+def _expectations(contractions, kinds, sites):
+    """<string> for equal-size strings given as (count, n) arrays of kind
+    codes and sites, in the state of the contractions."""
+    count, n = kinds.shape
+    p, q = np.triu_indices(n, 1)
     vac = contractions.vacuum if contractions.is_modified else contractions
-    for p in range(n):
-        for q in range(p + 1, n):
-            mat[p, q] = vac.pair(kinds[p], sites[p], kinds[q], sites[q])
-    return mat - mat.T
-
-
-def _string_expectation(contractions, kinds, sites):
-    """<op string> in the given state via Pfaffian machinery."""
-    mvac = _vacuum_matrix(contractions, kinds, sites)
+    upper = vac.pair(kinds[:, p], sites[:, p], kinds[:, q], sites[:, q])
     if not contractions.is_modified:
-        return pfaffian(mvac)
-    n = len(kinds)
+        mats = np.zeros((count, n, n), dtype=complex)
+        mats[:, p, q] = upper
+        mats[:, q, p] = -upper
+        return pfaffians(mats)
+    bra, ket = (0, 0, 1, 1), (0, 1, 0, 1)
+    sources = np.array(contractions.sources)[None, :, None]
+    left = contractions.left(kinds[:, None], sites[:, None], sources)[:, bra]
+    right = contractions.right(kinds[:, None], sites[:, None], sources)[:, ket]
+    inner = slice(1, n + 1)
+    big = np.zeros((count, 4, n + 2, n + 2), dtype=complex)
+    big[:, :, p + 1, q + 1] = upper[:, None]
+    big[:, :, q + 1, p + 1] = -upper[:, None]
+    big[:, :, 0, inner] = left
+    big[:, :, inner, 0] = -left
+    big[:, :, inner, n + 1] = right
+    big[:, :, n + 1, inner] = -right
+    corner = (np.array(bra) == np.array(ket)).astype(float)
+    big[:, :, 0, n + 1] = corner
+    big[:, :, n + 1, 0] = -corner
+    pf = pfaffians(big.reshape(4 * count, n + 2, n + 2)).reshape(count, 4)
     total = 0.0 + 0.0j
-    for ai, (a, wa) in enumerate(zip(contractions.sources,
-                                     contractions.weights)):
-        for bi, (b, wb) in enumerate(zip(contractions.sources,
-                                         contractions.weights)):
-            big = np.zeros((n + 2, n + 2), dtype=complex)
-            big[1:n + 1, 1:n + 1] = np.triu(mvac)
-            for p in range(n):
-                big[0, p + 1] = contractions.left(kinds[p], sites[p], a)
-                big[p + 1, n + 1] = contractions.right(kinds[p], sites[p], b)
-            big[0, n + 1] = 1.0 if ai == bi else 0.0
-            big -= big.T.copy()
-            total += np.conj(wa) * wb * pfaffian(big)
+    for col, (a, b) in enumerate(zip(bra, ket)):
+        wa, wb = contractions.weights[a], contractions.weights[b]
+        total = total + np.conj(wa) * wb * pf[:, col]
     return total / contractions.n2
 
 
-def _real_result(value, what):
-    value = complex(value)
-    if abs(value.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(value)):
+def _real(values, what):
+    """Real parts of values; an imaginary residue above IMAG_RESIDUE_TOL
+    raises NumericalHealthError naming what(k) of the first offender k."""
+    values = np.asarray(values)
+    bad = np.abs(values.imag) > IMAG_RESIDUE_TOL * np.maximum(
+        1.0, np.abs(values))
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
         raise NumericalHealthError(
-            f"{what} has imaginary residue {value.imag:.3e}")
-    return value.real
+            f"{what(k)} has imaginary residue {values.imag.flat[k]:.3e}")
+    return values.real
+
+
+def bundles(contractions, pairs):
+    """CorrelatorBundle of every site pair (l, m), l != m, in the state of
+    the contractions, evaluated as stacked Pfaffians."""
+    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+    if np.any(pairs[:, 0] == pairs[:, 1]):
+        raise ValueError("bundles needs two distinct sites per pair")
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    blocks = {}  # string size -> [(rows, columns, kinds, sites, prefactors)]
+    for r in np.unique(hi - lo).tolist():
+        rows = np.flatnonzero(hi - lo == r)
+        for col, (alpha, beta) in enumerate(COMPONENTS):
+            kinds, offsets, pref = operator_string(alpha, beta, 0, r)
+            codes = [A if kind == "A" else B for kind in kinds]
+            blocks.setdefault(len(kinds), []).append((
+                rows, np.full(len(rows), col),
+                np.broadcast_to(codes, (len(rows), len(kinds))),
+                lo[rows, None] + np.array(offsets, dtype=int),
+                np.full(len(rows), pref)))
+    values = np.empty((len(pairs), len(COMPONENTS)))
+    for group in blocks.values():
+        rows, cols, kinds, sites, prefs = map(np.concatenate, zip(*group))
+        raw = prefs * np.concatenate([
+            _expectations(contractions, kinds[s:s + STACK_CHUNK],
+                          sites[s:s + STACK_CHUNK])
+            for s in range(0, len(rows), STACK_CHUNK)])
+        values[rows, cols] = _real(raw, lambda k: "g_{}{}({},{})".format(
+            *COMPONENTS[cols[k]], lo[rows[k]], hi[rows[k]]))
+    swapped = pairs[:, 0] > pairs[:, 1]
+    values[swapped] = values[swapped][:, _SWAPPED]
+    mz = magnetization(contractions, pairs)
+    return [CorrelatorBundle(*row)
+            for row in np.column_stack([values, mz]).tolist()]
 
 
 def spin_correlator(contractions, alpha, beta, l, m):
@@ -162,17 +259,15 @@ def spin_correlator(contractions, alpha, beta, l, m):
     Sites may come in either order (operators at distinct sites commute, so
     g^{ab}_{lm} = g^{ba}_{ml}).
     """
-    if l == m:
-        raise ValueError("spin_correlator needs two distinct sites")
-    if l > m:
-        alpha, beta = beta, alpha
-        l, m = m, l
-    kinds, sites, pref = operator_string(alpha, beta, l, m)
-    raw = _string_expectation(contractions, kinds, sites)
-    return _real_result(pref * raw, f"g_{alpha}{beta}({l},{m})")
+    if (alpha, beta) not in COMPONENTS:
+        raise ValueError(f"unsupported component pair {(alpha, beta)!r}")
+    return getattr(bundles(contractions, [(l, m)])[0], f"g{alpha}{beta}")
 
 
-def magnetization(contractions, l):
-    """<S^z_l> = -(1/2) <A_l B_l> in the given state."""
-    return _real_result(-0.5 * contractions.pair("A", l, "B", l),
-                        f"mz({l})")
+def magnetization(contractions, sites):
+    """<S^z_l> = -(1/2) <A_l B_l> at every site l of sites (any shape); a
+    single site gives a float."""
+    sites = np.asarray(sites, dtype=int)
+    mz = _real(-0.5 * contractions.pair(A, sites, B, sites),
+               lambda k: f"mz({sites.flat[k]})")
+    return float(mz) if sites.ndim == 0 else mz

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groundstate, isotropic, measures, oracle
-from .pfaffian import magnetization
+from .pfaffian import bundles, magnetization
 from .correlators import bell_contractions, vacuum_contractions
 from .errors import CapabilityError, ConfigError
 from .model import THERMODYNAMIC_LIMIT, ModelParams
@@ -298,25 +298,51 @@ def measure_rows(config, view, t):
 
 
 class _ContractionView:
-    """Pfaffian-route view of one time's Majorana contractions.  Bundles
-    are memoized per (l, m), so pair rows and partner sums share their
-    Pfaffians; ``baseline`` builds the reference contractions on first use
-    (None: the state is its own reference)."""
+    """Pfaffian-route view of one time's Majorana contractions on the
+    config's site grid.  Bundles are memoized per (l, m) and evaluated a
+    column at a time: a miss at (l, m) fills (x, x + m - l) for every grid
+    site x in one batched call, and the first partner sum fills the
+    +-PAIR_WINDOW windows of every grid site in another.  Magnetizations of
+    the grid sites come as one array.  ``baseline`` builds the reference
+    contractions on first use (None: the state is its own reference)."""
 
-    def __init__(self, contractions, baseline=None):
+    def __init__(self, contractions, sites, baseline=None):
         self.con = contractions
+        self.sites = sites
         self._baseline = baseline
         self._bundles = {}
 
+    def _fill(self, pairs):
+        todo = list(dict.fromkeys(p for p in pairs if p not in self._bundles))
+        if todo:
+            self._bundles.update(zip(todo, bundles(self.con, todo)))
+
     def _bundle(self, l, m):
-        bundle = self._bundles.get((l, m))
-        if bundle is None:
-            bundle = measures.bundle_from_contractions(self.con, l, m)
-            self._bundles[(l, m)] = bundle
-        return bundle
+        if (l, m) not in self._bundles:
+            self._fill([(l, m)] + [(x, x + m - l) for x in self.sites])
+        return self._bundles[(l, m)]
+
+    @staticmethod
+    def _window(x):
+        return [(min(x, q), max(x, q))
+                for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1) if q != x]
+
+    def _tangles(self, contractions):
+        mz = magnetization(contractions, self.sites)
+        return dict(zip(self.sites, measures.one_tangle(mz).tolist()))
+
+    @functools.cached_property
+    def _tangle(self):
+        return self._tangles(self.con)
+
+    @functools.cached_property
+    def _baseline_tangle(self):
+        if self._baseline is None:
+            return self._tangle
+        return self._tangles(self._baseline())
 
     def one_tangle(self, x):
-        return measures.one_tangle(magnetization(self.con, x))
+        return self._tangle[x]
 
     def concurrence(self, l, m):
         return measures.concurrence_closed(self._bundle(l, m))
@@ -325,16 +351,15 @@ class _ContractionView:
         return measures.rho2_from_correlators(self._bundle(l, m))
 
     def partner_concurrences(self, x):
-        return np.array([self.concurrence(min(x, q), max(x, q))
-                         for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1)
-                         if q != x])
-
-    @functools.cached_property
-    def _reference(self):
-        return self.con if self._baseline is None else self._baseline()
+        pairs = self._window(x)
+        if any(p not in self._bundles for p in pairs):
+            self._fill(pairs + [p for s in self.sites
+                                for p in self._window(s)])
+        return np.array([measures.concurrence_closed(self._bundles[p])
+                         for p in pairs])
 
     def baseline_tangle(self, x):
-        return measures.one_tangle(magnetization(self._reference, x))
+        return self._baseline_tangle[x]
 
 
 class AnalyticEngine:
@@ -371,7 +396,7 @@ class AnalyticEngine:
     def _view(self, t):
         cfg = self.config
         if self._ground is not None:
-            return _ContractionView(self._ground)
+            return _ContractionView(self._ground, cfg.sites())
         if cfg.gamma == 0.0:
             if cfg.kind == "vacuum_only":  # stationary: the empty packet
                 return isotropic.SingleParticleState(
@@ -383,11 +408,12 @@ class AnalyticEngine:
             return isotropic.wavepacket(cfg.i, cfg.j, cfg.seed_phase, t,
                                         cfg.lam)
         if cfg.kind == "vacuum_only":
-            return _ContractionView(vacuum_contractions(self.params, t))
+            return _ContractionView(vacuum_contractions(self.params, t),
+                                    cfg.sites())
         amp = 1.0 if abs(np.exp(1j * cfg.seed_phase) - 1.0) < 1e-9 else -1.0
         return _ContractionView(
             bell_contractions(self.params, t, cfg.i, cfg.j, amp=amp),
-            baseline=lambda: vacuum_contractions(self.params, t))
+            cfg.sites(), baseline=lambda: vacuum_contractions(self.params, t))
 
     def rows_at(self, t):
         return measure_rows(self.config, self._view(t), t)

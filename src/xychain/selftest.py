@@ -20,9 +20,9 @@ import numpy as np
 
 from . import isotropic, measures, oracle
 from .correlators import bell_contractions, vacuum_contractions
-from .measures import bundle_from_contractions, rho2_from_correlators
+from .measures import rho2_from_correlators
 from .model import THERMODYNAMIC_LIMIT, ModelParams
-from .pfaffian import magnetization
+from .pfaffian import bundles, magnetization
 
 RING = 12
 SEED_I, SEED_J = 1, 2
@@ -131,8 +131,8 @@ def run_case(gamma, lam, kind, fast=False):
         else:
             state = None
 
-        for l, m, _ in pair_cells:
-            bundle = bundle_from_contractions(con, l, m)
+        pair_bundles = bundles(con, [(l, m) for l, m, _ in pair_cells])
+        for (l, m, _), bundle in zip(pair_cells, pair_bundles):
             for comp, value in (("xx", bundle.gxx), ("yy", bundle.gyy),
                                 ("zz", bundle.gzz), ("xy", bundle.gxy),
                                 ("yx", bundle.gyx)):
@@ -150,8 +150,10 @@ def run_case(gamma, lam, kind, fast=False):
                     abs(isotropic.concurrence_pair(state, l, m) - c_ref))
             report.cells += 1
 
-        for s in site_cells:
-            mz = magnetization(con, s)
+        fid_sites = site_cells[:-1]  # the sites s with s + 1 in the window
+        fid_bundles = dict(zip(
+            fid_sites, bundles(con, [(s, s + 1) for s in fid_sites])))
+        for s, mz in zip(site_cells, magnetization(con, site_cells)):
             report.record("correlators",
                           abs(mz - ws.magnetization(vecs, s)))
             tau_ref = ws.one_tangle(vecs, s)
@@ -161,10 +163,9 @@ def run_case(gamma, lam, kind, fast=False):
                 report.record("one_tangle(bessel)",
                               abs(isotropic.one_tangle_site(state, s)
                                   - tau_ref))
-            if s + 1 <= max(site_cells, default=s):
-                bundle = bundle_from_contractions(con, s, s + 1)
+            if s in fid_bundles:
                 fids = measures.bell_fidelities(
-                    rho2_from_correlators(bundle))
+                    rho2_from_correlators(fid_bundles[s]))
                 fids_ref = measures.bell_fidelities(ws.rho2(vecs, s, s + 1))
                 diff = max(abs(a - b) for a, b in zip(fids, fids_ref))
                 report.record("fidelities", diff)

@@ -2,33 +2,38 @@ import numpy as np
 import pytest
 
 from xychain import correlators, oracle
+from xychain.correlators import A, B
 from xychain.model import ModelParams
+
+KIND = {"A": A, "B": B}
 
 
 def test_vacuum_t0_deltas():
     p = ModelParams(lam=1.0, gamma=0.5)
     con = correlators.vacuum_contractions(p, 0.0)
-    assert np.isclose(con.ab(0), 1.0)
-    assert np.isclose(con.ab(3), 0.0, atol=1e-12)
-    assert np.isclose(con.aa(0), 1.0)
-    assert np.isclose(con.aa(2), 0.0, atol=1e-12)
-    assert np.isclose(con.bb(0), -1.0)
+    assert np.isclose(con.pair(A, 0, B, 0), 1.0)
+    assert np.isclose(con.pair(A, 0, B, 3), 0.0, atol=1e-12)
+    assert np.isclose(con.pair(A, 0, A, 0), 1.0)
+    assert np.isclose(con.pair(A, 0, A, 2), 0.0, atol=1e-12)
+    assert np.isclose(con.pair(B, 0, B, 0), -1.0)
 
 
 def test_vacuum_stationary_at_zero_gamma():
     # no pair creation at gamma = 0, so the empty chain never moves
     p = ModelParams(lam=1.0, gamma=0.0)
     con = correlators.vacuum_contractions(p, 7.3)
-    for r in range(0, 5):
-        assert np.isclose(con.ab(r), 1.0 if r == 0 else 0.0, atol=1e-12)
-        assert np.isclose(con.aa(r), 1.0 if r == 0 else 0.0, atol=1e-12)
+    rs = np.arange(5)
+    expected = np.where(rs == 0, 1.0, 0.0)
+    assert np.allclose(con.pair(A, 0, B, rs), expected, atol=1e-12)
+    assert np.allclose(con.pair(A, 0, A, rs), expected, atol=1e-12)
 
 
 def test_bb_is_minus_conjugate_aa():
     p = ModelParams(lam=0.8, gamma=0.6)
     con = correlators.vacuum_contractions(p, 2.0)
-    for r in (0, 1, 3, -2):
-        assert np.isclose(con.bb(r), -np.conj(con.aa(r)), atol=1e-12)
+    rs = np.array([0, 1, 3, -2])
+    assert np.allclose(con.pair(B, 0, B, rs), -np.conj(con.pair(A, 0, A, rs)),
+                       atol=1e-12)
 
 
 def test_pair_interface_antisymmetry():
@@ -37,7 +42,7 @@ def test_pair_interface_antisymmetry():
     for con in (correlators.vacuum_contractions(p, 1.5),
                 correlators.bell_contractions(p, 1.5, 0, 1)):
         for l, m in ((0, 2), (3, 1), (1, 1)):
-            assert con.pair("B", l, "A", m) == -con.pair("A", m, "B", l)
+            assert con.pair(B, l, A, m) == -con.pair(A, m, B, l)
 
 
 @pytest.mark.parametrize("gamma,lam", [(0.5, 1.0), (1.0, 0.5)])
@@ -50,7 +55,7 @@ def test_vacuum_contractions_match_ring(gamma, lam):
     vecs = ws.evolve_components(ws.vacuum(), t)
     for l, m in ((0, 0), (0, 1), (0, 2), (1, 3)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
-            ana = con.pair(kl, l, km, m)
+            ana = con.pair(KIND[kl], l, KIND[km], m)
             ref = ws.majorana_pair(vecs, kl, l, km, m)
             assert np.isclose(ana, ref, atol=2e-5), (kl, km, l, m, ana, ref)
 
@@ -63,7 +68,7 @@ def test_bell_contractions_match_ring():
     vecs = ws.evolve_components(ws.psi_bell(1, 2, np.pi), t)
     for l, m in ((1, 1), (1, 2), (0, 3), (2, 2)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
-            ana = con.pair(kl, l, km, m)
+            ana = con.pair(KIND[kl], l, KIND[km], m)
             ref = ws.majorana_pair(vecs, kl, l, km, m)
             assert np.isclose(ana, ref, atol=2e-5), (kl, km, l, m, ana, ref)
 
@@ -73,9 +78,9 @@ def test_bell_occupation_at_t0():
     # <A_l B_l> = 1 - 2 n_l
     p = ModelParams(lam=1.0, gamma=0.5)
     con = correlators.bell_contractions(p, 0.0, 0, 1)
-    assert np.isclose(con.pair("A", 0, "B", 0), 0.0, atol=1e-12)
-    assert np.isclose(con.pair("A", 1, "B", 1), 0.0, atol=1e-12)
-    assert np.isclose(con.pair("A", 5, "B", 5), 1.0, atol=1e-12)
+    sites = np.array([0, 1, 5])
+    assert np.allclose(con.pair(A, sites, B, sites), [0.0, 0.0, 1.0],
+                       atol=1e-12)
 
 
 def test_bell_reduces_to_vacuum_far_away():
@@ -84,9 +89,9 @@ def test_bell_reduces_to_vacuum_far_away():
     bell = correlators.bell_contractions(p, t, 0, 1)
     vac = correlators.vacuum_contractions(p, t)
     # 20 sites out at t = 1 nothing has arrived
-    assert np.isclose(bell.pair("A", 20, "B", 21), vac.pair("A", 20, "B", 21),
+    assert np.isclose(bell.pair(A, 20, B, 21), vac.pair(A, 20, B, 21),
                       atol=1e-12)
-    assert np.isclose(bell.pair("A", 20, "A", 22), vac.pair("A", 20, "A", 22),
+    assert np.isclose(bell.pair(A, 20, A, 22), vac.pair(A, 20, A, 22),
                       atol=1e-12)
 
 
@@ -96,7 +101,17 @@ def test_separation_outside_table_raises():
     p = ModelParams(lam=1.0, gamma=0.5)
     vac = correlators.vacuum_contractions(p, 1.0)
     with pytest.raises(CutoffError):
-        vac.ab(vac.radius + 1)
+        vac.pair(A, 0, B, vac.radius + 1)
+    with pytest.raises(CutoffError):
+        vac.pair(A, np.zeros(3, dtype=int), B, [0, 1, -vac.radius - 1])
+    bell = correlators.bell_contractions(p, 1.0, 0, 1)
+    far = bell.kernel.radius + 1
+    bell.left(A, far - 1, 0)  # inside the kernel table
+    for accessor in (bell.left, bell.right):
+        with pytest.raises(CutoffError):
+            accessor(A, [0, far], 0)
+    with pytest.raises(CutoffError):
+        bell.pair(A, far, B, far)
 
 
 def test_singlet_tilts_phi_weights_ahead_of_front():

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from xychain import groundstate, oracle
+from xychain.correlators import A, B
 from xychain.model import ModelParams
+
+KIND = {"A": A, "B": B}
 
 # four-decimal reference values for the nearest-neighbor ground-state
 # concurrence, plus our converged numbers as regression pins
@@ -80,7 +83,7 @@ def test_contractions_match_ring_when_gapped():
     gs = ws.ground_state()
     for l, m in ((0, 0), (0, 1), (0, 2), (1, 3), (2, 2)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
-            ana = con.pair(kl, l, km, m)
+            ana = con.pair(KIND[kl], l, KIND[km], m)
             ref = ws.majorana_pair(gs, kl, l, km, m)
             assert np.isclose(ana, ref, atol=1e-4), (kl, km, l, m)
 
@@ -93,7 +96,8 @@ def test_contractions_near_critical_have_slow_convergence():
     ws = oracle.workspace(12, gamma, lam)
     gs = ws.ground_state()
     worst = max(
-        abs(con.pair(kl, l, km, m) - ws.majorana_pair(gs, kl, l, km, m))
+        abs(con.pair(KIND[kl], l, KIND[km], m)
+            - ws.majorana_pair(gs, kl, l, km, m))
         for l, m in ((0, 1), (0, 2), (1, 3))
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")))
     assert worst < 2e-2

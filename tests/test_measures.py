@@ -110,6 +110,15 @@ def test_entropy_values():
     assert measures.binary_entropy(1.0) == 0.0
 
 
+def test_pure_state_entropy_is_positive_zero():
+    # the all-down pair is pure; its entropy must print as 0, not -0
+    down = CorrelatorBundle(gxx=0.0, gyy=0.0, gzz=0.25, gxy=0.0, gyx=0.0,
+                            mz_l=-0.5, mz_m=-0.5)
+    value = measures.entropy_vn(measures.rho2_from_correlators(down))
+    assert value == 0.0
+    assert math.copysign(1.0, value) == 1.0
+
+
 def test_entropy_from_tangle_relation():
     # S = h((1 + sqrt(1 - tau))/2)
     assert np.isclose(measures.entropy_from_tangle(1.0), 1.0)

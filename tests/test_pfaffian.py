@@ -1,24 +1,43 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from xychain import correlators, oracle
+from xychain import correlators, groundstate, oracle, scenarios
+from xychain.correlators import A, B
+from xychain.errors import CutoffError, NumericalHealthError
 from xychain.model import ModelParams
-from xychain.pfaffian import (_vacuum_matrix, magnetization, operator_string,
-                              pfaffian, pfaffian_checked, spin_correlator)
+from xychain.pfaffian import (bundles, magnetization, operator_string,
+                              pfaffian, pfaffian_checked, pfaffians,
+                              spin_correlator)
+
+KIND = {"A": A, "B": B}
+
+
+def vacuum_matrix(contractions, kinds, sites):
+    """Contraction matrix of one string, assembled entry by entry."""
+    n = len(kinds)
+    mat = np.zeros((n, n), dtype=complex)
+    vac = contractions.vacuum if contractions.is_modified else contractions
+    for p in range(n):
+        for q in range(p + 1, n):
+            mat[p, q] = vac.pair(KIND[kinds[p]], sites[p],
+                                 KIND[kinds[q]], sites[q])
+    return mat - mat.T
 
 
 def string_expectation_rowrep(contractions, kinds, sites):
     """Reference for the bordered-Pfaffian route: the row-replacement
     expansion of the same string expectation."""
-    mvac = _vacuum_matrix(contractions, kinds, sites)
+    mvac = vacuum_matrix(contractions, kinds, sites)
     if not contractions.is_modified:
         return pfaffian(mvac)
     n = len(kinds)
     mmod = np.zeros((n, n), dtype=complex)
     for p in range(n):
         for q in range(p + 1, n):
-            mmod[p, q] = contractions.mod(kinds[p], sites[p],
-                                          kinds[q], sites[q])
+            mmod[p, q] = contractions.mod(KIND[kinds[p]], sites[p],
+                                          KIND[kinds[q]], sites[q])
     total = pfaffian(mvac)
     for s in range(n - 1):
         ms = np.triu(mvac).copy()
@@ -47,6 +66,61 @@ def test_empty_and_odd():
     assert pfaffian(np.zeros((0, 0))) == 1.0
     with pytest.raises(ValueError):
         pfaffian(np.zeros((3, 3)))
+    assert np.array_equal(pfaffians(np.zeros((2, 0, 0), dtype=complex)),
+                          [1.0, 1.0])
+    with pytest.raises(ValueError):
+        pfaffians(np.zeros((2, 3, 3), dtype=complex))
+
+
+def hadamard_scale(stack):
+    """sqrt(prod of row norms) >= |pf| per matrix (Hadamard's bound)."""
+    return np.sqrt(np.prod(np.linalg.norm(stack, axis=-1), axis=-1))
+
+
+def assert_matches_scalar(stack):
+    # same steps as the scalar routine, but numpy's complex products in
+    # stacked loops may round differently, so agreement is to roundoff on
+    # the scale of the matrix entries, not bit for bit
+    batched = pfaffians(stack.copy())
+    scalar = np.array([pfaffian(m) for m in stack])
+    assert batched.shape == (len(stack),)
+    assert np.all(np.abs(batched - scalar)
+                  <= 1e-12 * np.maximum(hadamard_scale(stack), 1.0))
+    assert np.array_equal(batched == 0.0, scalar == 0.0)
+
+
+def random_stack(count, n, rng):
+    a = (rng.standard_normal((count, n, n))
+         + 1j * rng.standard_normal((count, n, n)))
+    return a - a.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("n", range(0, 34, 2))
+def test_batched_matches_scalar(n):
+    rng = np.random.default_rng(100 + n)
+    stack = random_stack(6, n, rng)
+    if n >= 4:
+        # member 1 keeps every pivot in place (dominant (k+1, k) entries),
+        # while random members swap rows; members 2 and 3 have an exactly
+        # zero pivot column at the first and the second step
+        for k in range(0, n, 2):
+            stack[1, k + 1, k], stack[1, k, k + 1] = 1e3, -1e3
+        stack[2, :, 0] = stack[2, 0, :] = 0.0
+        stack[3, :, 2] = stack[3, 2, :] = 0.0
+    assert_matches_scalar(stack)
+    if n >= 4:
+        assert np.all(pfaffians(stack)[2:4] == 0.0)
+
+
+@given(st.integers(0, 8), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_batched_matches_scalar_property(half, count, seed, zero_line):
+    rng = np.random.default_rng(seed)
+    stack = random_stack(count, 2 * half, rng)
+    if zero_line and half:
+        member, line = rng.integers(count), rng.integers(2 * half)
+        stack[member, line, :] = stack[member, :, line] = 0.0
+    assert_matches_scalar(stack)
 
 
 def test_closed_form_2x2():
@@ -192,3 +266,102 @@ def test_distinct_site_correlators_are_real():
     con = correlators.bell_contractions(p, 2.0, 0, 1)
     val = spin_correlator(con, "x", "x", 0, 4)
     assert isinstance(val, float)
+
+
+def bundle_reference(con, l, m):
+    """Row-replacement values of the bundle fields, one string at a time."""
+    values = [spin_correlator_rowrep(con, alpha, beta, l, m)
+              if l < m else spin_correlator_rowrep(con, beta, alpha, m, l)
+              for alpha, beta in (("x", "x"), ("y", "y"), ("z", "z"),
+                                  ("x", "y"), ("y", "x"))]
+    mz = [-0.5 * complex(con.pair(A, s, B, s)).real for s in (l, m)]
+    return values + mz
+
+
+@pytest.mark.parametrize("state", ["vacuum", "bell+1", "bell-1",
+                                   "bell_complex", "ground"])
+def test_bundles_match_rowrep_reference(state):
+    p = ModelParams(lam=0.8, gamma=0.6)
+    con = {
+        "vacuum": lambda: correlators.vacuum_contractions(p, 1.7),
+        "bell+1": lambda: correlators.bell_contractions(p, 1.7, 1, 2, amp=1.0),
+        "bell-1": lambda: correlators.bell_contractions(p, 1.7, 0, 2,
+                                                        amp=-1.0),
+        "bell_complex": lambda: correlators.bell_contractions(
+            p, 1.7, 1, 3, amp=0.6 - 0.8j),
+        "ground": lambda: groundstate.gs_contractions(p, 8),
+    }[state]()
+    pairs = [(0, 1), (1, 3), (3, 1), (-1, 3), (2, 3), (4, 0), (-2, 2)]
+    got = bundles(con, pairs)
+    for (l, m), bundle in zip(pairs, got):
+        fields = [bundle.gxx, bundle.gyy, bundle.gzz, bundle.gxy, bundle.gyx,
+                  bundle.mz_l, bundle.mz_m]
+        assert all(isinstance(v, float) for v in fields)
+        assert np.allclose(fields, bundle_reference(con, l, m), rtol=0,
+                           atol=1e-13), (state, l, m)
+
+
+def test_bundles_empty_and_invalid():
+    con = correlators.vacuum_contractions(ModelParams(lam=1.0, gamma=0.5), 1.0)
+    assert bundles(con, []) == []
+    assert magnetization(con, []).shape == (0,)
+    with pytest.raises(ValueError):
+        bundles(con, [(0, 1), (2, 2)])
+
+
+def test_bundles_raise_past_table_radius():
+    p = ModelParams(lam=1.0, gamma=0.5)
+    vac = correlators.vacuum_contractions(p, 1.0, radius=3)
+    bundles(vac, [(0, 3)])
+    with pytest.raises(CutoffError):
+        bundles(vac, [(0, 1), (0, 4)])
+    bell = correlators.bell_contractions(p, 1.0, 0, 1)
+    far = bell.kernel.radius + 1
+    with pytest.raises(CutoffError):
+        bundles(bell, [(0, 1), (far, far + 1)])
+
+
+def test_bundles_raise_on_imaginary_residue():
+    p = ModelParams(lam=0.8, gamma=0.6)
+    clean = groundstate.gs_contractions(p, 6)
+    table = clean.g(np.arange(-6, 7))
+    quiet = groundstate.GroundStateContractions(p, 6, table + 1e-13j)
+    bundles(quiet, [(0, 1), (0, 3)])
+    noisy = groundstate.GroundStateContractions(p, 6, table + 1e-6j)
+    with pytest.raises(NumericalHealthError, match="imaginary residue"):
+        bundles(noisy, [(0, 1), (0, 3)])
+
+
+def test_singlet_time_step_batches_its_pairs(monkeypatch):
+    config = scenarios.parse_config_text("""
+    model.lambda = 1.0
+    model.gamma = 0.5
+    scenario.kind = singlet_on_vacuum
+    scenario.i = 0
+    scenario.j = 1
+    grid.t_start = 0.0
+    grid.t_stop = 2.0
+    grid.dt = 1.0
+    grid.x_start = -8
+    grid.x_stop = 8
+    measures.list = concurrence, one_tangle, total_concurrence, ckw_residual
+    measures.concurrence_distance = 3
+    """)
+    calls = []
+
+    def counting_bundles(contractions, pairs):
+        calls.append(list(pairs))
+        return bundles(contractions, pairs)
+
+    monkeypatch.setattr(scenarios, "bundles", counting_bundles)
+    rows = scenarios.AnalyticEngine(config).rows_at(2.0)
+    assert len(rows) == 4 * 17
+    assert len(calls) <= 2
+    evaluated = [pair for call in calls for pair in call]
+    assert len(evaluated) == len(set(evaluated))
+    con = correlators.bell_contractions(config.params, 2.0, 0, 1)
+    for name, x, _, value in rows:
+        if name == "concurrence":
+            ref = bundles(con, [(x, x + 3)])[0]
+            assert np.isclose(scenarios.measures.concurrence_closed(ref),
+                              value, rtol=0, atol=1e-14)
