@@ -25,8 +25,7 @@ import math
 import numpy as np
 
 from . import model as _model
-from .correlators import A
-from .errors import NumericalHealthError
+from .correlators import A, _table_index
 from .measures import CorrelatorBundle, bundle_from_contractions, one_tangle
 from .quadrature import composite_grid
 
@@ -75,12 +74,9 @@ class GroundStateContractions:
         self._g = g_table
 
     def g(self, r):
-        """G(r) at the separations r (any shape)."""
-        r = np.asarray(r)
-        if r.size and np.abs(r).max() > self.radius:
-            raise NumericalHealthError(
-                f"ground-state contraction radius {self.radius} exceeded")
-        return self._g[r + self.radius]
+        """G(r) at the separations r (any shape); CutoffError beyond the
+        tabulated radius."""
+        return self._g[_table_index(r, self.radius, "ground-state table")]
 
     def pair(self, kind_l, l, kind_m, m):
         """<X_l Y_m> for kind codes X, Y in {A, B}; arguments broadcast.

@@ -31,7 +31,16 @@ matrix with
     b = 1 - a - x - y
     z = (1/2) [ sum_{q<n} + sum_{q>m} - sum_{n<q<m} ] T_nq conj(T_mq)
 
-where the interior sum carries the Jordan-Wigner reordering sign.
+where the interior sum carries the Jordan-Wigner reordering sign.  These
+entries are evaluated for many pairs at once: the rows T_nq and T_mq of a
+batch of pairs, with q = n, m cut out, form a (pairs x window) block; x and
+y are its row sums of |T|^2, and z is one signed row sum of
+T_nq conj(T_mq), the sign being -1 strictly between n and m.
+
+Every window starts at the light cone plus LIGHT_CONE_PAD sites and widens
+by PAD_STEP sites until the weight it holds is within NORM_DEFECT_TOL of one
+(the norm of a packet, the pair-sector weight of a pair seed); a window
+whose Bessel ladder would pass bessel.MAX_ORDER raises CutoffError.
 """
 
 import cmath
@@ -41,12 +50,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_signed_row
+from .bessel import MAX_ORDER, bessel_j, bessel_signed_row
 from .errors import CutoffError
 from .measures import binary_entropy
 from .model import LIGHT_CONE_PAD
 
 NORM_DEFECT_TOL = 1e-10
+PAD_STEP = 10  # sites a window widens by when its weight defect is too large
+_BLOCK = 1 << 15  # entries of one (pairs x window) block: 512 KB complex
 
 
 def _ladder(nmax, x):
@@ -128,40 +139,55 @@ class SingleParticleState:
         return 0.0
 
 
+def _widening(lam_t, span, pad, build):
+    """build(radius) -> (result, weight defect), with the window radius
+    ceil(lam_t) + pad widened by PAD_STEP until the defect is at most
+    NORM_DEFECT_TOL.  span is the ladder's reach beyond the radius; a
+    ladder past bessel.MAX_ORDER raises CutoffError."""
+    while True:
+        radius = int(math.ceil(lam_t)) + pad
+        result, defect = build(radius)
+        if defect <= NORM_DEFECT_TOL:
+            return result
+        pad += PAD_STEP
+        if int(math.ceil(lam_t)) + pad + span > MAX_ORDER:
+            raise CutoffError(
+                f"window too small at lam*t={lam_t}: defect {defect:.3e}, "
+                f"and a wider one needs Bessel orders past {MAX_ORDER}")
+
+
 def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD):
     """Evolved one-particle Bell seed (c_i + e^{i phi} c_j)^dag |vac>/sqrt(2)."""
     if i == j:
         raise ValueError("seed sites must differ")
     i, j = (i, j) if i < j else (j, i)
-    radius = int(math.ceil(abs(lam) * t)) + pad
-    nmax = radius + (j - i)
-    g = _ladder(nmax, abs(lam) * t)
-    start = i - radius
-    sites = np.arange(start, j + radius + 1)
-    amps = (g[(sites - i) + nmax] + np.exp(1j * phi) * g[(sites - j) + nmax])
-    amps = amps / math.sqrt(2.0)
-    state = SingleParticleState(start=int(start), amps=amps, time=float(t),
-                                lam=float(lam), sources=(i, j),
-                                phi=float(phi))
-    if state.norm_defect > NORM_DEFECT_TOL:
-        raise CutoffError(
-            f"wavepacket window too small at t={t}: defect "
-            f"{state.norm_defect:.3e}")
-    return state
+
+    def build(radius):
+        nmax = radius + (j - i)
+        g = _ladder(nmax, abs(lam) * t)
+        start = i - radius
+        sites = np.arange(start, j + radius + 1)
+        amps = (g[(sites - i) + nmax]
+                + np.exp(1j * phi) * g[(sites - j) + nmax])
+        amps = amps / math.sqrt(2.0)
+        state = SingleParticleState(start=int(start), amps=amps,
+                                    time=float(t), lam=float(lam),
+                                    sources=(i, j), phi=float(phi))
+        return state, state.norm_defect
+
+    return _widening(abs(lam) * t, j - i, pad, build)
 
 
 def single_source_packet(i, t, lam, pad=LIGHT_CONE_PAD):
     """Evolved single insertion c_i^dag |vac>."""
-    radius = int(math.ceil(abs(lam) * t)) + pad
-    g = _ladder(radius, abs(lam) * t)
-    state = SingleParticleState(start=int(i - radius), amps=g.copy(),
-                                time=float(t), lam=float(lam),
-                                sources=(int(i),), phi=0.0)
-    if state.norm_defect > NORM_DEFECT_TOL:
-        raise CutoffError(
-            f"packet window too small at t={t}: defect "
-            f"{state.norm_defect:.3e}")
-    return state
+    def build(radius):
+        g = _ladder(radius, abs(lam) * t)
+        state = SingleParticleState(start=int(i - radius), amps=g,
+                                    time=float(t), lam=float(lam),
+                                    sources=(int(i),), phi=0.0)
+        return state, state.norm_defect
+
+    return _widening(abs(lam) * t, 0, pad, build)
 
 
 concurrence_pair = SingleParticleState.concurrence
@@ -220,6 +246,19 @@ def ckw_pair(state, n):
     return tau1, total, tau1 - total
 
 
+def _modulus(v):
+    """|v| of complex scalars or arrays.  np.abs rounds complex arrays
+    differently from scalars; hypot rounds both like Python's abs()."""
+    return np.hypot(np.real(v), np.imag(v))
+
+
+def _branches(a, b, x, y, c, z):
+    """Competing concurrence branches 2(|c|-sqrt(xy)), 2(|z|-sqrt(ab)) of
+    X-matrix entries (scalars or arrays)."""
+    return (2.0 * (_modulus(c) - np.sqrt(np.maximum(x * y, 0.0))),
+            2.0 * (_modulus(z) - np.sqrt(np.maximum(a * b, 0.0))))
+
+
 @dataclass(frozen=True)
 class PhiCoefficients:
     """X-matrix entries of a pair-seed reduced state on sites n < m."""
@@ -245,8 +284,8 @@ class PhiCoefficients:
 
     def branches(self):
         """Competing concurrence branches 2(|c|-sqrt(xy)), 2(|z|-sqrt(ab))."""
-        return (2.0 * (abs(self.c) - math.sqrt(max(self.x * self.y, 0.0))),
-                2.0 * (abs(self.z) - math.sqrt(max(self.a * self.b, 0.0))))
+        b1, b2 = _branches(self.a, self.b, self.x, self.y, self.c, self.z)
+        return float(b1), float(b2)
 
     def concurrence(self):
         b1, b2 = self.branches()
@@ -262,9 +301,9 @@ class PhiState:
     """Evolved two-particle Bell seed (|vac> + e^{i phi} c_i^dag c_j^dag)/sqrt(2).
 
     Works in the rotating frame described in the module docstring.  The
-    window is sized by the light cone; coefficient weight escaping it would
-    show up as a trace defect and is checked.  A measurement view
-    (`scenarios`).
+    window is sized by the light cone and widened until the pair-sector
+    weight it holds, sum_{p<q} |T_pq|^2, is within NORM_DEFECT_TOL of one.
+    A measurement view (`scenarios`).
     """
 
     def __init__(self, i, j, phi, t, lam, pad=LIGHT_CONE_PAD):
@@ -275,41 +314,68 @@ class PhiState:
         self.phi = float(phi)
         self.time = float(t)
         self.lam = float(lam)
-        radius = int(math.ceil(abs(lam) * t)) + pad
-        self.start = i - radius
-        sites = np.arange(self.start, j + radius + 1)
+
+        def build(radius):
+            sites = np.arange(i - radius, j + radius + 1)
+            nmax = radius + (j - i)
+            g = _ladder(nmax, abs(lam) * t)
+            gi = g[(sites - i) + nmax]
+            gj = g[(sites - j) + nmax]
+            # sum_{p<q} |T_pq|^2 is the Gram determinant of the orbitals
+            weight = (np.vdot(gi, gi).real * np.vdot(gj, gj).real
+                      - abs(np.vdot(gi, gj)) ** 2)
+            return (sites, gi, gj), abs(1.0 - weight)
+
+        sites, gi, gj = _widening(abs(lam) * t, j - i, pad, build)
+        self.start = int(sites[0])
         self.sites = sites
-        nmax = radius + (j - i)
-        g = _ladder(nmax, abs(lam) * t)
-        gi = g[(sites - i) + nmax]
-        gj = g[(sites - j) + nmax]
         self.t_mat = np.exp(1j * phi) * (np.outer(gi, gj) - np.outer(gj, gi))
 
     def _idx(self, site):
-        idx = site - self.start
-        if idx < 0 or idx >= len(self.sites):
-            raise CutoffError(f"site {site} outside the coefficient window")
+        """Window positions of the sites (any shape)."""
+        idx = np.asarray(site) - self.start
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self.sites)):
+            raise CutoffError("site outside the coefficient window "
+                              f"[{self.start}, {self.sites[-1]}]")
         return idx
+
+    def pair_entries(self, ns, ms):
+        """X-matrix entries (a, b, x, y, c, z) of the ordered pairs
+        ns < ms, as arrays over the pairs.
+
+        Each pair's sums run over the window with q = n, m cut out, in
+        (pairs x window) blocks of at most _BLOCK entries."""
+        ns, ms = np.broadcast_arrays(np.atleast_1d(ns), np.atleast_1d(ms))
+        if np.any(ns >= ms):
+            raise ValueError("coefficients need ordered sites n < m")
+        ni, mi = self._idx(ns), self._idx(ms)
+        rest = np.arange(len(self.sites) - 2)
+        x, y = np.empty(len(ni)), np.empty(len(ni))
+        z = np.empty(len(ni), dtype=complex)
+        step = max(1, _BLOCK // len(self.sites))
+        for lo in range(0, len(ni), step):
+            bn = ni[lo:lo + step, None]
+            bm = mi[lo:lo + step, None]
+            qs = rest + (rest >= bn)  # window positions other than n, m
+            qs += qs >= bm
+            t_n, t_m = self.t_mat[bn, qs], self.t_mat[bm, qs]
+            x[lo:lo + step] = np.sum(np.abs(t_n) ** 2, axis=1)
+            y[lo:lo + step] = np.sum(np.abs(t_m) ** 2, axis=1)
+            prod = t_n * np.conj(t_m)
+            inside = (qs > bn) & (qs < bm)
+            z[lo:lo + step] = np.sum(np.where(inside, -prod, prod), axis=1)
+        t_nm = self.t_mat[ni, mi]
+        a = 0.5 * _modulus(t_nm) ** 2
+        x *= 0.5
+        y *= 0.5
+        z *= 0.5
+        return a, 1.0 - a - x - y, x, y, 0.5 * t_nm, z
 
     def coefficients(self, n, m):
         """PhiCoefficients of the ordered pair n < m."""
-        if not n < m:
-            raise ValueError("coefficients need ordered sites n < m")
-        ni, mi = self._idx(n), self._idx(m)
-        t_n = self.t_mat[ni]
-        t_m = self.t_mat[mi]
-        mask = np.ones(len(self.sites), dtype=bool)
-        mask[[ni, mi]] = False
-        a = 0.5 * abs(t_n[mi]) ** 2
-        c = 0.5 * t_n[mi]
-        x = 0.5 * float(np.sum(np.abs(t_n[mask]) ** 2))
-        y = 0.5 * float(np.sum(np.abs(t_m[mask]) ** 2))
-        signs = np.ones(len(self.sites))
-        signs[ni + 1:mi] = -1.0
-        z = 0.5 * complex(np.sum(signs[mask] * t_n[mask]
-                                 * np.conj(t_m[mask])))
-        b = 1.0 - a - x - y
-        return PhiCoefficients(a=a, b=b, x=x, y=y, c=c, z=z)
+        a, b, x, y, c, z = (v[0] for v in self.pair_entries(n, m))
+        return PhiCoefficients(a=float(a), b=float(b), x=float(x),
+                               y=float(y), c=complex(c), z=complex(z))
 
     def rho2(self, n, m):
         return self.coefficients(n, m).rho2()
@@ -324,9 +390,10 @@ class PhiState:
 
     def partner_concurrences(self, n):
         """Concurrences of site n with every other site of the window."""
-        lo = self.start
-        return np.array([self.concurrence(min(n, q), max(n, q))
-                         for q in range(lo, lo + len(self.sites)) if q != n])
+        qs = np.delete(self.sites, self._idx(n))
+        b1, b2 = _branches(*self.pair_entries(np.minimum(n, qs),
+                                              np.maximum(n, qs)))
+        return np.maximum(0.0, np.maximum(b1, b2))
 
     def baseline_tangle(self, n):
         """Tangle of the unperturbed state: the stationary vacuum, zero."""
@@ -344,11 +411,6 @@ class PhiState:
         """The two one-particle orbitals seeded at i and j."""
         return (single_source_packet(self.i, self.time, self.lam),
                 single_source_packet(self.j, self.time, self.lam))
-
-
-def phi_state_coefficients(i, j, n, m, t, lam, phi=0.0):
-    """X-matrix entries of the evolved pair seed, at one site pair."""
-    return PhiState(i, j, phi, t, lam).coefficients(n, m)
 
 
 def optimal_phases(n, m, i, j, phi):

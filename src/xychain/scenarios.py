@@ -302,15 +302,17 @@ class _ContractionView:
     config's site grid.  Bundles are memoized per (l, m) and evaluated a
     column at a time: a miss at (l, m) fills (x, x + m - l) for every grid
     site x in one batched call, and the first partner sum fills the
-    +-PAIR_WINDOW windows of every grid site in another.  Magnetizations of
-    the grid sites come as one array.  ``baseline`` builds the reference
-    contractions on first use (None: the state is its own reference)."""
+    +-PAIR_WINDOW windows of every grid site in another.  Each pair's
+    concurrence is memoized next to its bundle.  Magnetizations of the grid
+    sites come as one array.  ``baseline`` holds the reference contractions
+    (None: the state is its own reference)."""
 
     def __init__(self, contractions, sites, baseline=None):
         self.con = contractions
         self.sites = sites
         self._baseline = baseline
         self._bundles = {}
+        self._concurrences = {}
 
     def _fill(self, pairs):
         todo = list(dict.fromkeys(p for p in pairs if p not in self._bundles))
@@ -339,13 +341,16 @@ class _ContractionView:
     def _baseline_tangle(self):
         if self._baseline is None:
             return self._tangle
-        return self._tangles(self._baseline())
+        return self._tangles(self._baseline)
 
     def one_tangle(self, x):
         return self._tangle[x]
 
     def concurrence(self, l, m):
-        return measures.concurrence_closed(self._bundle(l, m))
+        if (l, m) not in self._concurrences:
+            self._concurrences[(l, m)] = measures.concurrence_closed(
+                self._bundle(l, m))
+        return self._concurrences[(l, m)]
 
     def rho2(self, l, m):
         return measures.rho2_from_correlators(self._bundle(l, m))
@@ -355,8 +360,7 @@ class _ContractionView:
         if any(p not in self._bundles for p in pairs):
             self._fill(pairs + [p for s in self.sites
                                 for p in self._window(s)])
-        return np.array([measures.concurrence_closed(self._bundles[p])
-                         for p in pairs])
+        return np.array([self.concurrence(l, m) for l, m in pairs])
 
     def baseline_tangle(self, x):
         return self._baseline_tangle[x]
@@ -411,9 +415,8 @@ class AnalyticEngine:
             return _ContractionView(vacuum_contractions(self.params, t),
                                     cfg.sites())
         amp = 1.0 if abs(np.exp(1j * cfg.seed_phase) - 1.0) < 1e-9 else -1.0
-        return _ContractionView(
-            bell_contractions(self.params, t, cfg.i, cfg.j, amp=amp),
-            cfg.sites(), baseline=lambda: vacuum_contractions(self.params, t))
+        seed = bell_contractions(self.params, t, cfg.i, cfg.j, amp=amp)
+        return _ContractionView(seed, cfg.sites(), baseline=seed.vacuum)
 
     def rows_at(self, t):
         return measure_rows(self.config, self._view(t), t)

@@ -3,6 +3,7 @@ import pytest
 
 from xychain import groundstate, oracle
 from xychain.correlators import A, B
+from xychain.errors import CutoffError
 from xychain.model import ModelParams
 
 KIND = {"A": A, "B": B}
@@ -121,3 +122,10 @@ def test_budget_gap_grows_with_anisotropy():
             ModelParams(lam=1.0, gamma=gamma))
         gaps.append(tau1 - total)
     assert gaps[0] < gaps[1] < gaps[2]
+
+
+def test_separation_beyond_the_table_is_a_cutoff():
+    # the same error as the vacuum and Bell-seed tables
+    con = groundstate.gs_contractions(ModelParams(1.0, gamma=0.5), 3)
+    with pytest.raises(CutoffError):
+        con.pair(A, 0, B, 5)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from xychain import isotropic, oracle
+from xychain import isotropic, model, oracle
 from xychain.bessel import bessel_j
+from xychain.errors import CutoffError
 
 
 def fold_on_ring(state, n):
@@ -172,13 +173,126 @@ def test_total_concurrence_budget():
 
 def test_phi_coefficients_t0():
     # at the seed pair the state is (uu + exp(i phi) dd)/sqrt(2)
-    pc = isotropic.phi_state_coefficients(-5, 5, -5, 5, 0.0, 1.0, phi=0.7)
+    pc = isotropic.PhiState(-5, 5, 0.7, 0.0, 1.0).coefficients(-5, 5)
     assert np.isclose(pc.a, 0.5) and np.isclose(pc.b, 0.5)
     assert np.isclose(pc.c, 0.5 * cmath.exp(0.7j))
     assert pc.x == 0.0 and pc.y == 0.0
     # away from the seeds nothing has happened yet
-    pc = isotropic.phi_state_coefficients(-5, 5, -1, 1, 0.0, 1.0, phi=0.7)
+    pc = isotropic.PhiState(-5, 5, 0.7, 0.0, 1.0).coefficients(-1, 1)
     assert np.isclose(pc.a, 0.0, atol=1e-12) and np.isclose(pc.b, 1.0)
+
+
+def reference_coefficients(state, n, m):
+    """One pair's X-matrix entries by explicit masks over the window."""
+    ni, mi = n - state.start, m - state.start
+    t_n = state.t_mat[ni]
+    t_m = state.t_mat[mi]
+    mask = np.ones(len(state.sites), dtype=bool)
+    mask[[ni, mi]] = False
+    a = 0.5 * abs(t_n[mi]) ** 2
+    c = 0.5 * t_n[mi]
+    x = 0.5 * float(np.sum(np.abs(t_n[mask]) ** 2))
+    y = 0.5 * float(np.sum(np.abs(t_m[mask]) ** 2))
+    signs = np.ones(len(state.sites))
+    signs[ni + 1:mi] = -1.0
+    z = 0.5 * complex(np.sum(signs[mask] * t_n[mask] * np.conj(t_m[mask])))
+    b = 1.0 - a - x - y
+    return isotropic.PhiCoefficients(a=a, b=b, x=x, y=y, c=c, z=z)
+
+
+def assert_coefficients_close(got, want, tol=1e-14):
+    for field in ("a", "b", "x", "y", "c", "z"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= tol, field
+
+
+@pytest.mark.parametrize("i, j", [(-2, 3), (3, -2), (0, 1)])
+def test_phi_pair_entries_match_reference(i, j):
+    # both seed orders, adjacent pairs, and pairs at both window edges
+    ps = isotropic.PhiState(i, j, 0.9, 2.7, 1.1)
+    lo, hi = ps.start, int(ps.sites[-1])
+    pairs = [(lo, lo + 1), (hi - 1, hi), (lo, hi), (lo, 0), (0, hi),
+             (-1, 0), (-2, 3), (i if i < j else j, j if i < j else i)]
+    entries = ps.pair_entries([n for n, _ in pairs], [m for _, m in pairs])
+    for k, (n, m) in enumerate(pairs):
+        want = reference_coefficients(ps, n, m)
+        got = isotropic.PhiCoefficients(*(v[k] for v in entries))
+        assert_coefficients_close(got, want)
+        assert_coefficients_close(ps.coefficients(n, m), want)
+        assert ps.concurrence(n, m) == pytest.approx(want.concurrence(),
+                                                     abs=1e-14)
+
+
+@given(st.integers(min_value=-4, max_value=4),
+       st.integers(min_value=1, max_value=5),
+       st.floats(min_value=0.0, max_value=2.0 * math.pi),
+       st.floats(min_value=0.0, max_value=15.0),
+       st.integers(min_value=-25, max_value=25),
+       st.integers(min_value=1, max_value=30))
+def test_phi_pair_entries_property(i, gap, phi, lam_t, n, d):
+    ps = isotropic.PhiState(i, i + gap, phi, lam_t, 1.0)
+    n = int(np.clip(n, ps.start, ps.sites[-1] - 1))
+    m = min(n + d, int(ps.sites[-1]))
+    assert_coefficients_close(ps.coefficients(n, m),
+                              reference_coefficients(ps, n, m))
+
+
+@pytest.mark.parametrize("block", [isotropic._BLOCK, 3 * 76])
+def test_phi_partner_concurrences_match_reference_loop(monkeypatch, block):
+    # the small block splits each window into blocks of three pairs
+    monkeypatch.setattr(isotropic, "_BLOCK", block)
+    ps = isotropic.PhiState(-1, 2, 1.3, 6.0, 0.9)
+    assert len(ps.sites) == 76
+    for n in (ps.start, -1, 0, 5, int(ps.sites[-1])):
+        want = [reference_coefficients(ps, min(n, q), max(n, q)).concurrence()
+                for q in ps.sites if q != n]
+        got = ps.partner_concurrences(n)
+        assert got.shape == (len(ps.sites) - 1,)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_phi_pair_entries_refuse_bad_pairs():
+    ps = isotropic.PhiState(0, 1, 0.3, 2.0, 1.0)
+    with pytest.raises(ValueError):
+        ps.coefficients(2, 2)
+    with pytest.raises(ValueError):
+        ps.pair_entries([0, 3], [1, 2])
+    with pytest.raises(CutoffError):
+        ps.coefficients(ps.start - 1, 0)
+    with pytest.raises(CutoffError):
+        ps.concurrence(0, int(ps.sites[-1]) + 1)
+    with pytest.raises(CutoffError):
+        ps.partner_concurrences(int(ps.sites[-1]) + 1)
+
+
+def test_windows_widen_past_the_fixed_pad():
+    # at lam*t = 400 a 30-site pad loses more than the tolerated weight
+    lam, lam_t = 1.0, 400.0
+    state = isotropic.wavepacket(0, 1, np.pi, lam_t / lam, lam)
+    assert state.norm_defect <= isotropic.NORM_DEFECT_TOL
+    assert state.start < 0 - math.ceil(lam_t) - model.LIGHT_CONE_PAD
+    _, _, residual = isotropic.ckw_pair(state, 0)
+    assert abs(residual) <= 1e-9
+    single = isotropic.single_source_packet(3, lam_t / lam, lam)
+    assert single.norm_defect <= isotropic.NORM_DEFECT_TOL
+    ps = isotropic.PhiState(0, 2, 0.4, lam_t / lam, lam)
+    weight = 0.5 * np.sum(np.abs(ps.t_mat) ** 2)
+    assert abs(1.0 - weight) <= isotropic.NORM_DEFECT_TOL
+
+
+@pytest.mark.parametrize("lam, t", [(1.0, 0.0), (0.7, 12.0), (1.0, 361.0)])
+def test_windows_keep_the_fixed_pad_when_it_suffices(lam, t):
+    radius = math.ceil(lam * t) + model.LIGHT_CONE_PAD
+    assert isotropic.wavepacket(2, 5, 0.3, t, lam).start == 2 - radius
+    if t <= 12.0:
+        assert isotropic.single_source_packet(2, t, lam).start == 2 - radius
+        assert isotropic.PhiState(2, 5, 0.3, t, lam).start == 2 - radius
+
+
+def test_window_past_the_bessel_ladder_is_a_cutoff():
+    # at lam*t = 1965 the 30-site pad falls short and the next one would
+    # need Bessel orders past 2000
+    with pytest.raises(CutoffError):
+        isotropic.single_source_packet(0, 1965.0, 1.0)
 
 
 def test_phi_rho2_is_physical():

@@ -251,8 +251,8 @@ def test_analytic_engine_builds_each_table_once(monkeypatch):
         "concurrence, one_tangle",
         "concurrence, tangle_deviation, total_concurrence")
     run_scenario(parse_config_text(singlet))
-    # per time: the seed's own vacuum part and the baseline vacuum
-    assert built == {"vacuum": 2 * times, "kernels": times}
+    # per time: the seed's own vacuum part, which is also the baseline
+    assert built == {"vacuum": times, "kernels": times}
     built.clear()
     ground = """
 model.lambda = 1.0
@@ -267,6 +267,23 @@ measures.list = concurrence, ckw_residual, tangle_deviation
 """
     run_scenario(parse_config_text(ground))
     assert built == {"ground": 1}
+
+
+def test_contraction_view_evaluates_each_pair_concurrence_once(monkeypatch):
+    evaluated = []
+
+    def recording(bundle):
+        evaluated.append(bundle)  # kept alive, so ids stay distinct
+        return closed(bundle)
+
+    closed = scenarios.measures.concurrence_closed
+    monkeypatch.setattr(scenarios.measures, "concurrence_closed", recording)
+    singlet = BASE.replace("model.gamma = 0.0", "model.gamma = 0.5").replace(
+        "concurrence, one_tangle",
+        "concurrence, total_concurrence, ckw_residual")
+    run_scenario(parse_config_text(singlet))
+    assert evaluated
+    assert len({id(b) for b in evaluated}) == len(evaluated)
 
 
 def test_oracle_engine_wraps_sites_on_the_ring():
