@@ -19,8 +19,7 @@ from xychain import isotropic
 def arrival_time(x, lam):
     grid = np.arange(0.01 / lam, (x + 18) / lam + 1e-12, 0.01 / lam)
     vals = [
-        isotropic.concurrence_pair(
-            isotropic.wavepacket(0, 1, np.pi, t, lam), 0, x)
+        isotropic.wavepacket(0, 1, np.pi, t, lam).concurrence(0, x)
         for t in grid
     ]
     return grid[int(np.argmax(vals))]

@@ -11,12 +11,13 @@ import sys
 import numpy as np
 
 from xychain.correlators import vacuum_contractions
-from xychain.measures import bundle_from_contractions, concurrence_closed
+from xychain.measures import concurrence_closed
 from xychain.model import ModelParams
+from xychain.pfaffian import bundles
 
 
 def pair_concurrence(params, t):
-    bundle = bundle_from_contractions(vacuum_contractions(params, t), 0, 1)
+    bundle = bundles(vacuum_contractions(params, t), [(0, 1)])[0]
     return concurrence_closed(bundle)
 
 

@@ -18,18 +18,11 @@ from .errors import (
     DegenerateMomentumError,
     NumericalHealthError,
     OutOfRangeError,
-    QuadratureError,
     XYChainError,
 )
-from .model import (
-    THERMODYNAMIC_LIMIT,
-    ModelParams,
-    bogoliubov,
-    dispersion,
-    evolution_coefficients,
-)
+from .model import THERMODYNAMIC_LIMIT, ModelParams, bogoliubov, dispersion
 from .correlators import bell_contractions, vacuum_contractions
-from .pfaffian import magnetization, pfaffian, spin_correlator
+from .pfaffian import magnetization
 from .measures import (
     bell_fidelities,
     concurrence_closed,
@@ -56,7 +49,6 @@ __all__ = [
     "ModelParams",
     "NumericalHealthError",
     "OutOfRangeError",
-    "QuadratureError",
     "ScenarioConfig",
     "THERMODYNAMIC_LIMIT",
     "XYChainError",
@@ -66,18 +58,15 @@ __all__ = [
     "concurrence_closed",
     "concurrence_wootters",
     "dispersion",
-    "evolution_coefficients",
     "gs_concurrence",
     "gs_contractions",
     "magnetization",
     "one_tangle",
     "parse_config_file",
     "parse_config_text",
-    "pfaffian",
     "rho2_from_correlators",
     "ring_ground_energy",
     "run_scenario",
-    "spin_correlator",
     "vacuum_contractions",
     "write_csv",
 ]

@@ -2,8 +2,7 @@
 
 Two subcommands:
 
-``xychain run <config> [--out file.csv] [--engine analytic|oracle]
-[--threads K]``
+``xychain run <config> [--out file.csv] [--engine analytic|oracle]``
     Parse a scenario config, run it and write a CSV table of measures.
 
 ``xychain selftest [--fast]``
@@ -35,8 +34,6 @@ def _build_parser():
     run_p.add_argument("--engine", default=None,
                        choices=("analytic", "oracle"),
                        help="override the engine named in the config")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="override the thread count in the config")
 
     self_p = sub.add_parser("selftest",
                             help="compare analytic engines to the oracle")
@@ -52,11 +49,8 @@ def main(argv=None):
             from .selftest import run_selftest
             return 0 if run_selftest(fast=args.fast) else 1
 
-        config = parse_config_file(args.config)
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        rows = run_scenario(config, engine_name=args.engine,
-                            threads=args.threads)
+        rows = run_scenario(parse_config_file(args.config),
+                            engine_name=args.engine)
         if args.out is None:
             write_csv(rows, sys.stdout)
         else:

@@ -37,6 +37,11 @@ u^e = e*t*sinc(Lambda t), v = cos(Lambda t):
 All of these were cross-checked against exact diagonalization on small rings
 before being frozen into the test suite.
 
+`VacuumContractions` evaluates these integrals and the kernels V, E, O of
+`model` on one momentum grid per (t, radius); this is the only place the
+grid is built for the dynamics.  A Bell seed reads both from its vacuum,
+tabulated out to the seed span plus the seed's own radius.
+
 Every accessor (`pair`, and the Bell seed's `left`, `right` and `mod`)
 indexes the tables with arrays: kinds are the codes A and B, and kinds,
 sites and sources broadcast together, so the Pfaffian route assembles a
@@ -44,14 +49,11 @@ whole stack of contraction matrices in one call.  A separation beyond a
 table's radius raises CutoffError.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CutoffError
-from .model import ModelParams, light_cone_radius, propagation_kernels
+from .model import light_cone_radius, momentum_grid
 from .quadrature import kernel_grid
-from . import model as _model
 
 
 A, B = 0, 1  # Majorana kind codes of A_l and B_l
@@ -70,28 +72,10 @@ def _table_index(x, radius, what):
     return x + radius
 
 
-@dataclass(frozen=True)
-class KernelCache:
-    """Kernel tables V, E, O on |x| <= radius at one (params, t); entry
-    x + radius holds separation x."""
-
-    params: ModelParams
-    time: float
-    radius: int
-    v_table: np.ndarray
-    e_table: np.ndarray
-    o_table: np.ndarray
-
-
-def kernels(params, t, radius):
-    """Kernel tables for separations up to radius."""
-    xs = np.arange(-radius, radius + 1)
-    vx, ex, ox = propagation_kernels(params, t, xs)
-    return KernelCache(params, float(t), int(radius), vx, ex, ox)
-
-
 class VacuumContractions:
-    """Pair expectations of the time-evolved vacuum, indexed by separation."""
+    """Pair expectations of the time-evolved vacuum, and the kernel tables
+    V, E, O they are built from, indexed by separation: entry x + radius
+    of a table holds separation x."""
 
     is_modified = False
 
@@ -100,8 +84,10 @@ class VacuumContractions:
         self.time = float(t)
         self.radius = int(radius)
         rs = np.arange(-radius, radius + 1)
+        # w sums to pi: the full antiperiodic ring grid (valid for the
+        # k-even integrands here), or quadrature on [0, pi]
         if params.is_finite:
-            k = _model.momentum_grid(params.size, "antiperiodic")
+            k = momentum_grid(params.size, "antiperiodic")
             w = np.full(params.size, np.pi / params.size)
         else:
             k, w = kernel_grid(params.lam * t, radius)
@@ -114,6 +100,10 @@ class VacuumContractions:
         uo = s * sinc_t
         ckr = np.cos(np.outer(rs, k))
         skr = np.sin(np.outer(rs, k))
+        inv_pi = 1.0 / np.pi
+        self.v_table = inv_pi * ckr @ (w * v)
+        self.e_table = inv_pi * ckr @ (w * ue)
+        self.o_table = inv_pi * skr @ (w * uo)
         delta = (rs == 0).astype(float)
         two_pi = 2.0 / np.pi
         ab = delta - two_pi * (ckr @ (w * uo * uo) + skr @ (w * ue * uo))
@@ -150,17 +140,15 @@ class BellContractions:
         self.weights = (1.0 + 0j, complex(amp))
         self.n2 = 1.0 + abs(amp) ** 2
         self.sources = (int(i), int(j))
-        span = abs(j - i) + radius
-        self.vacuum = vacuum_contractions(params, t, radius=span)
-        self.kernel = kernels(params, t, span)
+        self.vacuum = vacuum_contractions(params, t, radius=abs(j - i) + radius)
 
     def _kernels_at(self, kind, site, source):
         """V(x) and E(x) -+ O(x) (minus for kind A) at x = source - site."""
-        kc = self.kernel
-        idx = _table_index(np.subtract(source, site), kc.radius, "kernel")
-        e, o = kc.e_table[idx], kc.o_table[idx]
+        vac = self.vacuum
+        idx = _table_index(np.subtract(source, site), vac.radius, "kernel")
+        e, o = vac.e_table[idx], vac.o_table[idx]
         is_a = np.asarray(kind) == A
-        return kc.v_table[idx], np.where(is_a, e - o, e + o), is_a
+        return vac.v_table[idx], np.where(is_a, e - o, e + o), is_a
 
     def left(self, kind, site, source):
         """<vac| c_source X_site(t) |vac> (source index as bra-side mode)."""

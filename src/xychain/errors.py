@@ -1,9 +1,9 @@
 """Exception hierarchy.
 
 Config-level problems (bad files, unsupported engine/scenario combinations)
-and numerical-health problems (quadrature failure, nonphysical density
-matrices, Pfaffian consistency) are kept distinct because the CLI maps them
-to different exit codes (2 and 3).
+and numerical-health problems (nonphysical density matrices, Pfaffian
+consistency) are kept distinct because the CLI maps them to different exit
+codes (2 and 3).
 """
 
 
@@ -30,10 +30,6 @@ class CapabilityError(ConfigError):
 
 class NumericalHealthError(XYChainError):
     """A numerical sanity check failed (nonphysical state, residue too large)."""
-
-
-class QuadratureError(NumericalHealthError):
-    """Quadrature could not reach its target accuracy."""
 
 
 class CutoffError(XYChainError):

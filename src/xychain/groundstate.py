@@ -24,9 +24,9 @@ import math
 
 import numpy as np
 
-from . import model as _model
 from .correlators import A, _table_index
-from .measures import CorrelatorBundle, bundle_from_contractions, one_tangle
+from .measures import concurrence_branches, one_tangle
+from .pfaffian import bundles
 from .quadrature import composite_grid
 
 
@@ -101,14 +101,11 @@ def gs_bundle(params, d):
     """Correlators of a ground-state site pair at distance d >= 1."""
     if d < 1:
         raise ValueError("distance must be >= 1")
-    con = gs_contractions(params, d + 1)
-    return bundle_from_contractions(con, 0, d)
+    return bundles(gs_contractions(params, d + 1), [(0, d)])[0]
 
 
 def gs_concurrence(params, d):
     """Ground-state concurrence at distance d, with the winning branch."""
-    from .measures import concurrence_branches
-
     bundle = gs_bundle(params, d)
     branch_c, branch_z = concurrence_branches(bundle)
     value = max(0.0, branch_c, branch_z)

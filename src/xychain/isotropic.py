@@ -190,10 +190,6 @@ def single_source_packet(i, t, lam, pad=LIGHT_CONE_PAD):
     return _widening(abs(lam) * t, 0, pad, build)
 
 
-concurrence_pair = SingleParticleState.concurrence
-one_tangle_site = SingleParticleState.one_tangle
-
-
 def entropy_pair(state, n, m):
     """Von Neumann entropy of the reduced pair state, in bits."""
     return binary_entropy(abs(state.w(n)) ** 2 + abs(state.w(m)) ** 2)
@@ -202,16 +198,6 @@ def entropy_pair(state, n, m):
 def fidelity_pair(state, n, m, phi_ref):
     """Overlap with (ud + e^{i phi_ref} du)/sqrt(2) on sites (n, m)."""
     return 0.5 * abs(state.w(n) + np.exp(-1j * phi_ref) * state.w(m)) ** 2
-
-
-def bell_fidelities_pair(state, n, m):
-    """(psi-, psi+, phi-, phi+) overlaps of the reduced pair state."""
-    x = abs(state.w(n)) ** 2
-    y = abs(state.w(m)) ** 2
-    z_re = (state.w(n) * np.conj(state.w(m))).real
-    mid = 0.5 * (x + y)
-    outer = 0.5 * (1.0 - x - y)
-    return (mid - z_re, mid + z_re, outer, outer)
 
 
 def self_concurrence(x, phi, t, lam):
@@ -225,25 +211,6 @@ def self_concurrence(x, phi, t, lam):
     val = (j0 * j0 + 2.0 * (1j ** x) * j0 * jx * math.cos(phi)
            + (-1.0) ** x * jx * jx)
     return abs(val)
-
-
-def total_concurrence(state, n):
-    """Sum of pair concurrences of site n with every other site."""
-    mags = np.abs(state.amps)
-    wn = abs(state.w(n))
-    return 2.0 * wn * (float(mags.sum()) - wn)
-
-
-def ckw_pair(state, n):
-    """(tau1, sum of squared concurrences, residual) at site n.
-
-    For a pure one-particle state the monogamy bound is saturated:
-    tau1 = sum_m C_{nm}^2 exactly, up to the window normalization defect.
-    """
-    tau1 = one_tangle_site(state, n)
-    wn2 = abs(state.w(n)) ** 2
-    total = 4.0 * wn2 * (float(np.sum(np.abs(state.amps) ** 2)) - wn2)
-    return tau1, total, tau1 - total
 
 
 def _modulus(v):

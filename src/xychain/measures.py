@@ -50,13 +50,6 @@ class CorrelatorBundle:
         return 0.5 * (self.mz_l - self.mz_m)
 
 
-def bundle_from_contractions(contractions, l, m):
-    """Evaluate all correlators of the pair (l, m) in a Gaussian-family state."""
-    from .pfaffian import bundles
-
-    return bundles(contractions, [(l, m)])[0]
-
-
 def rho2_from_correlators(bundle):
     """Two-site density matrix in the basis (uu, ud, du, dd)."""
     b = bundle
@@ -144,24 +137,6 @@ def concurrence_wootters(rho):
     return max(0.0, 2.0 * roots[-1] - roots.sum())
 
 
-def concurrence_iso(bundle, tol=1e-8):
-    """Concurrence specialization for number-conserving (isotropic) states.
-
-    Valid only when the uu/dd coherence vanishes; a bundle carrying pair
-    coherence is rejected rather than silently truncated.
-    """
-    b = bundle
-    c_abs = math.hypot(b.gxx - b.gyy, b.gxy + b.gyx)
-    if c_abs > tol:
-        raise ValueError(
-            f"pair coherence |c| = {c_abs:.3e} present: state is not "
-            "number conserving")
-    root = _safe_sqrt((0.5 * (1.0 + 4.0 * b.gzz)) ** 2
-                      - (b.mz_l + b.mz_m) ** 2,
-                      "isotropic concurrence")
-    return max(0.0, 4.0 * abs(b.gxx) - root)
-
-
 def one_tangle(mz):
     """tau1 = 1 - 4 <S^z>^2, the single-site tangle of an X-family state."""
     return 1.0 - 4.0 * mz * mz
@@ -183,11 +158,6 @@ def entropy_vn(rho):
     evals = evals[evals > 0.0]
     # 0 - sum rather than -sum: a pure state gives +0.0, not -0.0
     return float(0.0 - np.sum(evals * np.log2(evals)))
-
-
-def entropy_from_tangle(tau):
-    """S(rho1) for a diagonal one-site state with tangle tau."""
-    return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - tau))))
 
 
 def bell_fidelities(rho):
@@ -238,9 +208,3 @@ def tangle_deviation(tau_state, tau_baseline):
     else:
         rel = 1.0 - tau_baseline / tau_state
     return delta, rel
-
-
-def perturbative_vacuum_concurrence(gamma, lam, t):
-    """Small-time estimate of the pair concurrence created from the vacuum."""
-    s = gamma * lam * t
-    return max(0.0, s - 0.5 * s * s)

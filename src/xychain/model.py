@@ -1,4 +1,4 @@
-"""Chain parameters, dispersion, and Heisenberg-picture mode evolution.
+"""Chain parameters, dispersion, and the kernels of mode evolution.
 
 The Hamiltonian is
 
@@ -24,17 +24,18 @@ Lambda = 0.  On a finite ring the integrals become 1/N sums over the
 antiperiodic momentum grid (odd multiples of pi/N), which never contains the
 gapless points.
 
-At gamma = 0 the anomalous kernel O vanishes identically and
-a(x) = exp(i t) i^x J_x(lam t); the Bessel route in `isotropic` builds on
-that closed form, and the equality is checked in the tests.
+The kernels are tabulated by `correlators.VacuumContractions`, on the same
+momentum grid as the vacuum contractions they feed.  At gamma = 0 the
+anomalous kernel O vanishes identically and a(x) = exp(i t) i^x J_x(lam t);
+the Bessel route in `isotropic` builds on that closed form, and the
+equality is checked in the tests.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffError, DegenerateMomentumError
-from .quadrature import kernel_grid
+from .errors import DegenerateMomentumError
 
 
 class _ThermodynamicLimit:
@@ -82,10 +83,6 @@ class ModelParams:
         if self.size is not THERMODYNAMIC_LIMIT:
             if not isinstance(self.size, (int, np.integer)) or self.size < 2:
                 raise ValueError(f"size must be an int >= 2, got {self.size!r}")
-
-    @property
-    def is_isotropic(self):
-        return self.gamma == 0.0
 
     @property
     def is_finite(self):
@@ -147,103 +144,6 @@ def momentum_grid(n, sector):
     raise ValueError(f"unknown sector {sector!r}")
 
 
-def _momentum_weights(params, lam_t, reach):
-    """Grid (k, w) such that sum w*f approximates (1/?) int_0^pi f dk.
-
-    Thermodynamic limit: composite Gauss-Legendre on [0, pi] with weights
-    summing to pi.  Finite ring: the full antiperiodic grid with uniform
-    weight pi/n, valid for integrands written in k-even form (all kernels
-    here are).
-    """
-    if params.is_finite:
-        k = momentum_grid(params.size, "antiperiodic")
-        w = np.full(params.size, np.pi / params.size)
-        return k, w
-    return kernel_grid(lam_t, reach)
-
-
-def propagation_kernels(params, t, xs, extra_panels=0):
-    """Kernel tables (V, E, O) evaluated at integer separations xs."""
-    xs = np.asarray(xs, dtype=float)
-    reach = float(np.max(np.abs(xs))) if xs.size else 0.0
-    if params.is_finite:
-        k, w = _momentum_weights(params, 0.0, 0.0)
-    else:
-        k, w = kernel_grid(params.lam * t, reach, extra_panels)
-    e = 1.0 + params.lam * np.cos(k)
-    s = params.lam * params.gamma * np.sin(k)
-    lam_k = np.hypot(e, s)
-    v = np.cos(lam_k * t)
-    sinc_t = t * np.sinc(lam_k * t / np.pi)
-    ue = e * sinc_t
-    uo = s * sinc_t
-    ckx = np.cos(np.outer(xs, k))
-    skx = np.sin(np.outer(xs, k))
-    inv_pi = 1.0 / np.pi
-    vx = inv_pi * ckx @ (w * v)
-    ex = inv_pi * ckx @ (w * ue)
-    ox = inv_pi * skx @ (w * uo)
-    return vx, ex, ox
-
-
-@dataclass(frozen=True)
-class EvolutionCoefficients:
-    """Mode-mixing coefficients a(x), b(x) at a fixed time."""
-
-    params: ModelParams
-    time: float
-    x_lo: int
-    a_tilde: np.ndarray
-    b_tilde: np.ndarray
-
-    def a(self, x):
-        return self.a_tilde[x - self.x_lo]
-
-    def b(self, x):
-        return self.b_tilde[x - self.x_lo]
-
-    @property
-    def x_hi(self):
-        return self.x_lo + len(self.a_tilde) - 1
-
-    @property
-    def weight_defect(self):
-        total = np.sum(np.abs(self.a_tilde) ** 2 + np.abs(self.b_tilde) ** 2)
-        return abs(1.0 - total)
-
-
 def light_cone_radius(params, t):
     """Site cutoff beyond which evolved-mode weight is negligible."""
     return int(np.ceil(abs(params.lam) * abs(t))) + LIGHT_CONE_PAD
-
-
-def evolution_coefficients(params, t, x_max=None):
-    """Evolved-mode coefficients over separations within x_max.
-
-    In the thermodynamic limit the truncated weight must satisfy
-    sum_x (|a|^2 + |b|^2) = 1 within 1e-10, otherwise CutoffError is raised
-    (the light cone has outrun the cutoff).  On a finite ring the full ring
-    is always returned and the same identity holds exactly.
-    """
-    if params.is_finite:
-        n = params.size
-        x_lo = -((n - 1) // 2)
-        xs = np.arange(x_lo, x_lo + n)
-    else:
-        if x_max is None:
-            x_max = light_cone_radius(params, t)
-        x_lo = -int(x_max)
-        xs = np.arange(x_lo, x_max + 1)
-    vx, ex, ox = propagation_kernels(params, t, xs)
-    coeffs = EvolutionCoefficients(
-        params=params,
-        time=float(t),
-        x_lo=int(x_lo),
-        a_tilde=vx + 1j * ex,
-        b_tilde=-1j * ox,
-    )
-    if coeffs.weight_defect > 1e-10:
-        raise CutoffError(
-            f"coefficient cutoff x_max={xs.max()} too small at t={t}: "
-            f"weight defect {coeffs.weight_defect:.3e}")
-    return coeffs

@@ -32,9 +32,9 @@ column n + 1, one per (bra source, ket source) in the order (i, i),
 weights conj(w_a) w_b / n2.  Every stack goes through `pfaffians`, a
 batched Parlett-Reid tridiagonalization (Wimmer, ACM TOMS 38:30, 2012) with
 the pivot chosen per matrix; a matrix whose pivot column is exactly zero has
-Pfaffian 0, and dimensions up to 4 use the closed forms.  The scalar
-`pfaffian` runs the same steps on one matrix and is the reference the
-tests compare against; pf(M)^2 = det(M) serves as a health check.
+Pfaffian 0, and dimensions up to 4 use the closed forms.  The tests check
+`pfaffians` against a one-matrix reference of the same steps, and
+`pfaffian_checked` adds the pf(M)^2 = det(M) health check.
 """
 
 import numpy as np
@@ -49,49 +49,14 @@ COMPONENTS = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "x"))
 _SWAPPED = (0, 1, 2, 4, 3)  # component columns of (m, l) from those of (l, m)
 
 
-def pfaffian(mat):
-    """Pfaffian of an even-dimensional antisymmetric matrix.
-
-    Parlett-Reid tridiagonalization with partial pivoting; the input is
-    copied.  Dimensions 0, 2 and 4 short-circuit to the closed forms (the
-    four-operator strings keep this path hot).  Odd dimension raises
-    ValueError.
-    """
-    a = np.array(mat, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("pfaffian needs a square matrix")
-    n = a.shape[0]
-    if n % 2:
-        raise ValueError("pfaffian needs even dimension")
-    if n == 0:
-        return 1.0 + 0.0j
-    if n == 2:
-        return a[0, 1]
-    if n == 4:
-        return (a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3]
-                + a[0, 3] * a[1, 2])
-    val = 1.0 + 0.0j
-    for k in range(0, n - 2, 2):
-        piv = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
-        if a[piv, k] == 0.0:
-            return 0.0 + 0.0j
-        if piv != k + 1:
-            a[[k + 1, piv], :] = a[[piv, k + 1], :]
-            a[:, [k + 1, piv]] = a[:, [piv, k + 1]]
-            val = -val
-        val *= a[k, k + 1]
-        w = a[k + 2:, k] / a[k + 1, k]
-        v = a[k + 1, k + 2:]
-        a[k + 2:, k + 2:] += np.outer(v, w) - np.outer(w, v)
-    return val * a[n - 2, n - 1]
-
-
 def pfaffians(a):
     """Pfaffians of a stack a (count, n, n) of complex antisymmetric
     matrices; a is overwritten.
 
-    The batched `pfaffian`: the same Parlett-Reid steps and closed forms,
-    with the pivot chosen per matrix.  Odd n raises ValueError.
+    Parlett-Reid tridiagonalization with partial pivoting, the pivot chosen
+    per matrix.  Dimensions 0, 2 and 4 short-circuit to the closed forms
+    (the four-operator strings keep this path hot).  Odd n raises
+    ValueError.
     """
     count, n = a.shape[0], a.shape[2]
     if n % 2:
@@ -123,18 +88,21 @@ def pfaffians(a):
     return val * a[:, n - 2, n - 1]
 
 
-def pfaffian_checked(mat, rtol=1e-9):
-    """Pfaffian with the pf^2 = det consistency check.
+def pfaffian_checked(a, rtol=1e-9):
+    """`pfaffians` of the stack a (count, n, n), left intact, with the
+    pf^2 = det consistency check on every member.
 
-    Raises NumericalHealthError when the relative residual exceeds rtol.
+    Raises NumericalHealthError when a relative residual exceeds rtol.
     """
-    pf = pfaffian(mat)
-    det = np.linalg.det(np.asarray(mat, dtype=complex))
-    scale = max(abs(det), abs(pf) ** 2, 1e-300)
-    residual = abs(pf * pf - det) / scale
-    if residual > rtol:
+    a = np.asarray(a, dtype=complex)
+    pf = pfaffians(a.copy())
+    det = np.linalg.det(a)
+    scale = np.maximum(np.maximum(np.abs(det), np.abs(pf) ** 2), 1e-300)
+    residual = np.abs(pf * pf - det) / scale
+    if np.any(residual > rtol):
         raise NumericalHealthError(
-            f"pfaffian^2 vs det residual {residual:.3e} exceeds {rtol:.1e}")
+            f"pfaffian^2 vs det residual {residual.max():.3e} exceeds "
+            f"{rtol:.1e}")
     return pf
 
 
@@ -251,17 +219,6 @@ def bundles(contractions, pairs):
     mz = magnetization(contractions, pairs)
     return [CorrelatorBundle(*row)
             for row in np.column_stack([values, mz]).tolist()]
-
-
-def spin_correlator(contractions, alpha, beta, l, m):
-    """g^{alpha beta}_{lm} = <S^alpha_l S^beta_m> in the given state.
-
-    Sites may come in either order (operators at distinct sites commute, so
-    g^{ab}_{lm} = g^{ba}_{ml}).
-    """
-    if (alpha, beta) not in COMPONENTS:
-        raise ValueError(f"unsupported component pair {(alpha, beta)!r}")
-    return getattr(bundles(contractions, [(l, m)])[0], f"g{alpha}{beta}")
 
 
 def magnetization(contractions, sites):

@@ -5,7 +5,8 @@ cos(Lambda_k t), sin-type kernels and plane-wave factors cos(k x) / sin(k x),
 so the oscillation budget is roughly (lambda*t + |x|) periods across the
 Brillouin half-zone.  Eight panels per unit of that budget with 8 nodes per
 panel leaves a comfortable margin: halving the panel width moves results by
-less than 1e-10 in practice, which the test suite checks.
+less than 1e-10 in practice, and the kernel tables match a 512-site ring sum
+to that level in the tests.
 """
 
 import functools
@@ -40,6 +41,6 @@ def oscillation_panels(lam_t, reach):
     return int(math.ceil(8.0 * (1.0 + abs(lam_t) + abs(reach))))
 
 
-def kernel_grid(lam_t, reach, extra_panels=0):
-    """Shared momentum grid on [0, pi] sized for a given time and site reach."""
-    return composite_grid(oscillation_panels(lam_t, reach) + extra_panels)
+def kernel_grid(lam_t, reach):
+    """Momentum grid on [0, pi] sized for a given time and site reach."""
+    return composite_grid(oscillation_panels(lam_t, reach))

@@ -31,7 +31,7 @@ oracle) and baseline_tangle(x), the tangle of the unperturbed reference.
 The analytic engine's views are the one-particle packet (the gamma = 0
 vacuum is the empty packet) and `isotropic.PhiState` at gamma = 0, and
 Pfaffian contractions otherwise or in equilibrium; the oracle's view is
-the evolved ring.  Views are built per time, so threads share no mutable
+the evolved ring.  Views are built per time and hold only that time's
 state.  What the analytic engine cannot represent exactly (knitted
 scenarios, phi_bell and generic seed phases at gamma != 0, ckw_residual on
 phi_bell) raises CapabilityError when the engine is built; the oracle
@@ -40,7 +40,6 @@ engine handles those on small rings.
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +96,6 @@ class ScenarioConfig:
     measure_list: tuple = ()
     concurrence_distance: int = 1
     engine: str = "analytic"
-    threads: int = 1
 
     @property
     def params(self):
@@ -136,7 +134,6 @@ _KEY_TYPES = {
     "measures.list": str,
     "measures.concurrence_distance": int,
     "engine": str,
-    "threads": int,
 }
 
 
@@ -249,9 +246,6 @@ def _validate(raw, source):
     engine = raw.get("engine", "analytic")
     if engine not in ("analytic", "oracle"):
         raise ConfigError(f"{source}: engine must be 'analytic' or 'oracle'")
-    threads = raw.get("threads", 1)
-    if threads < 1:
-        raise ConfigError(f"{source}: threads must be >= 1")
 
     return ScenarioConfig(
         lam=float(lam), gamma=float(gamma), kind=kind,
@@ -259,7 +253,7 @@ def _validate(raw, source):
         t_start=float(t_start), t_stop=float(t_stop), dt=float(dt),
         x_start=int(x_start), x_stop=int(x_stop),
         measure_list=mlist, concurrence_distance=int(distance),
-        engine=engine, threads=int(threads),
+        engine=engine,
     )
 
 
@@ -503,17 +497,10 @@ def make_engine(config, engine_name=None):
     raise ConfigError(f"unknown engine {name!r}")
 
 
-def run_scenario(config, engine_name=None, threads=None):
+def run_scenario(config, engine_name=None):
     """Evaluate the full measurement grid; rows sorted deterministically."""
     engine = make_engine(config, engine_name)
-    times = config.times()
-    threads = threads if threads is not None else config.threads
-    if threads > 1 and len(times) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(engine.rows_at, times))
-    else:
-        chunks = [engine.rows_at(t) for t in times]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for t in config.times() for row in engine.rows_at(t)]
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     return rows
 

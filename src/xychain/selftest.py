@@ -147,7 +147,7 @@ def run_case(gamma, lam, kind, fast=False):
             if state is not None:
                 report.record(
                     "concurrence(bessel)",
-                    abs(isotropic.concurrence_pair(state, l, m) - c_ref))
+                    abs(state.concurrence(l, m) - c_ref))
             report.cells += 1
 
         fid_sites = site_cells[:-1]  # the sites s with s + 1 in the window
@@ -161,8 +161,7 @@ def run_case(gamma, lam, kind, fast=False):
                           abs(measures.one_tangle(mz) - tau_ref))
             if state is not None:
                 report.record("one_tangle(bessel)",
-                              abs(isotropic.one_tangle_site(state, s)
-                                  - tau_ref))
+                              abs(state.one_tangle(s) - tau_ref))
             if s in fid_bundles:
                 fids = measures.bell_fidelities(
                     rho2_from_correlators(fid_bundles[s]))
@@ -170,7 +169,7 @@ def run_case(gamma, lam, kind, fast=False):
                 diff = max(abs(a - b) for a, b in zip(fids, fids_ref))
                 report.record("fidelities", diff)
                 if state is not None:
-                    fids_b = isotropic.bell_fidelities_pair(state, s, s + 1)
+                    fids_b = measures.bell_fidelities(state.rho2(s, s + 1))
                     diff_b = max(abs(a - b)
                                  for a, b in zip(fids_b, fids_ref))
                     report.record("fidelities(bessel)", diff_b)

@@ -14,13 +14,13 @@ from xychain import isotropic, oracle
 from xychain.correlators import vacuum_contractions
 from xychain.groundstate import gs_concurrence
 from xychain.measures import (
-    bundle_from_contractions,
+    ckw_residual,
     concurrence_closed,
     concurrence_wootters,
     rho2_from_correlators,
 )
 from xychain.model import ModelParams
-from xychain.pfaffian import pfaffian
+from xychain.pfaffian import bundles, pfaffians
 from xychain.selftest import run_selftest
 
 from helpers import random_x_bundle
@@ -61,8 +61,8 @@ def test_criterion_02_total_concurrence_plateau():
     lam = 1.0
     grid = np.arange(20.0, 40.0 + 1e-4, 0.1)
     vals = [
-        isotropic.total_concurrence(
-            isotropic.wavepacket(0, 1, np.pi, lt / lam, lam), 0)
+        isotropic.wavepacket(0, 1, np.pi, lt / lam, lam)
+        .partner_concurrences(0).sum()
         for lt in grid
     ]
     avg = float(np.mean(vals))
@@ -79,7 +79,7 @@ def test_criterion_03_vacuum_pair_creation():
     params = ModelParams(0.5, gamma=0.5)
 
     def pair_concurrence(t):
-        bundle = bundle_from_contractions(vacuum_contractions(params, t), 0, 1)
+        bundle = bundles(vacuum_contractions(params, t), [(0, 1)])[0]
         return concurrence_closed(bundle)
 
     ts = np.linspace(0.0, 0.1, 11)
@@ -102,8 +102,7 @@ def test_criterion_04_propagation_velocity():
         for x in xs:
             grid = np.arange(0.01 / lam, (x + 18) / lam + 1e-12, 0.01 / lam)
             vals = [
-                isotropic.concurrence_pair(
-                    isotropic.wavepacket(0, 1, np.pi, t, lam), 0, int(x))
+                isotropic.wavepacket(0, 1, np.pi, t, lam).concurrence(0, x)
                 for t in grid
             ]
             tstars.append(grid[int(np.argmax(vals))])
@@ -142,18 +141,18 @@ def test_criterion_06_closed_form_concurrence():
 
 
 def test_criterion_07_pfaffian_identities():
-    # pf(A)^2 = det(A) for random skew matrices, and the small closed
-    # forms are exact
+    # pf(A)^2 = det(A) for stacks of random skew matrices, and the small
+    # closed forms are exact
     rng = np.random.default_rng(7)
     worst = 0.0
     for n in range(2, 21, 2):
-        for _ in range(20):
-            re = rng.normal(size=(n, n))
-            im = rng.normal(size=(n, n))
-            a = (re - re.T) + 1j * (im - im.T)
-            pf = pfaffian(a)
-            det = np.linalg.det(a)
-            worst = max(worst, abs(pf * pf - det) / max(abs(det), 1e-300))
+        re = rng.normal(size=(20, n, n))
+        im = rng.normal(size=(20, n, n))
+        a = (re - re.transpose(0, 2, 1)) + 1j * (im - im.transpose(0, 2, 1))
+        det = np.linalg.det(a)
+        pf = pfaffians(a)
+        worst = max(worst, float(np.max(
+            np.abs(pf * pf - det) / np.maximum(np.abs(det), 1e-300))))
     two = np.array([[0, 3], [-3, 0]], dtype=float)
     four = np.array([
         [0, 1, 2, 3],
@@ -161,8 +160,9 @@ def test_criterion_07_pfaffian_identities():
         [-2, -4, 0, 6],
         [-3, -5, -6, 0],
     ], dtype=float)
-    exact = (pfaffian(two) == 3.0
-             and pfaffian(four) == 1.0 * 6 - 2 * 5 + 3 * 4)
+    pf_two, pf_four = (pfaffians(m.astype(complex)[None])[0]
+                       for m in (two, four))
+    exact = pf_two == 3.0 and pf_four == 1.0 * 6 - 2 * 5 + 3 * 4
     ok = worst < 1e-9 and exact
     _verdict(7, "pfaffian squared equals determinant",
              ok, f"worst relative residual = {worst:.2e}, "
@@ -176,13 +176,12 @@ def test_criterion_08_monogamy_saturation_and_gap():
     lam = 1.0
     for lt in (1.0, 5.0, 20.0):
         packet = isotropic.wavepacket(0, 1, np.pi, lt / lam, lam)
-        for site in (0, 1):
-            _tau, _total, residual = isotropic.ckw_pair(packet, site)
-            worst = max(worst, abs(residual))
-        for orbital, site in zip(
-                isotropic.PhiState(-5, 5, 0.3, lt / lam, lam).orbital_states(),
-                (-5, 5)):
-            _tau, _total, residual = isotropic.ckw_pair(orbital, site)
+        states = [(packet, 0), (packet, 1)] + list(zip(
+            isotropic.PhiState(-5, 5, 0.3, lt / lam, lam).orbital_states(),
+            (-5, 5)))
+        for state, site in states:
+            residual = ckw_residual(state.one_tangle(site),
+                                    state.partner_concurrences(site))
             worst = max(worst, abs(residual))
     ws = oracle.workspace(12, 0.5, 1.0)
     gs = ws.ground_state()

@@ -105,7 +105,7 @@ def test_separation_outside_table_raises():
     with pytest.raises(CutoffError):
         vac.pair(A, np.zeros(3, dtype=int), B, [0, 1, -vac.radius - 1])
     bell = correlators.bell_contractions(p, 1.0, 0, 1)
-    far = bell.kernel.radius + 1
+    far = bell.vacuum.radius + 1
     bell.left(A, far - 1, 0)  # inside the kernel table
     for accessor in (bell.left, bell.right):
         with pytest.raises(CutoffError):
@@ -118,13 +118,13 @@ def test_singlet_tilts_phi_weights_ahead_of_front():
     # a singlet seeded at (0, 1) reshapes the pair-creation background at
     # sites ahead of the front: both phi-family weights stay nonzero and
     # the flip-antisymmetric combination dominates
-    from xychain.measures import (bell_fidelities, bundle_from_contractions,
-                                  rho2_from_correlators)
+    from xychain.measures import bell_fidelities, rho2_from_correlators
+    from xychain.pfaffian import bundles
 
     p = ModelParams(lam=0.5, gamma=0.5)
     con = correlators.bell_contractions(p, 8.0, 0, 1)
     fid = bell_fidelities(rho2_from_correlators(
-        bundle_from_contractions(con, 5, 6)))
+        bundles(con, [(5, 6)])[0]))
     assert fid[2] > 0.0 and fid[3] > 0.0
     assert fid[2] >= fid[3]
 
@@ -132,7 +132,7 @@ def test_singlet_tilts_phi_weights_ahead_of_front():
     # front without wrap-around (t = 8 leaks a few 1e-3 through the wrap)
     con = correlators.bell_contractions(p, 6.0, 0, 1)
     ana = bell_fidelities(rho2_from_correlators(
-        bundle_from_contractions(con, 5, 6)))
+        bundles(con, [(5, 6)])[0]))
     ws = oracle.workspace(12, 0.5, 0.5)
     ring = bell_fidelities(
         ws.rho2(ws.evolve_components(ws.psi_bell(0, 1, np.pi), 6.0), 5, 6))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from xychain import isotropic, model, oracle
+from xychain import isotropic, measures, model, oracle
 from xychain.bessel import bessel_j
 from xychain.errors import CutoffError
 
@@ -55,8 +55,8 @@ def test_amplitudes_match_ring():
 
 def test_concurrence_t0_trivials():
     st0 = isotropic.wavepacket(0, 1, np.pi, 0.0, 1.0)
-    assert np.isclose(isotropic.concurrence_pair(st0, 0, 1), 1.0)
-    assert np.isclose(isotropic.concurrence_pair(st0, 0, 5), 0.0, atol=1e-14)
+    assert np.isclose(st0.concurrence(0, 1), 1.0)
+    assert np.isclose(st0.concurrence(0, 5), 0.0, atol=1e-14)
 
 
 def test_concurrence_match_ring_short_time():
@@ -67,13 +67,13 @@ def test_concurrence_match_ring_short_time():
     t = 2.0
     st2 = isotropic.wavepacket(0, 1, np.pi, t, lam)
     ref = ws.concurrence(ws.evolve_components(vecs0, t), 0, 3)
-    assert abs(isotropic.concurrence_pair(st2, 0, 3) - ref) < 1e-6
+    assert abs(st2.concurrence(0, 3) - ref) < 1e-6
     # by lam*t = 3 the N = 12 images contribute at the 1e-5 level, so the
     # comparison only makes sense at a wrap-limited tolerance
     t = 3.0
     st3 = isotropic.wavepacket(0, 1, np.pi, t, lam)
     ref = ws.concurrence(ws.evolve_components(vecs0, t), 0, 3)
-    assert abs(isotropic.concurrence_pair(st3, 0, 3) - ref) < 1e-4
+    assert abs(st3.concurrence(0, 3) - ref) < 1e-4
 
 
 def test_self_concurrence_identity():
@@ -82,7 +82,7 @@ def test_self_concurrence_identity():
                        (2, np.pi / 2, 0.3)):
         lam = 0.8
         st1 = isotropic.wavepacket(0, x, phi, lt / lam, lam)
-        via_packet = isotropic.concurrence_pair(st1, 0, x)
+        via_packet = st1.concurrence(0, x)
         closed = isotropic.self_concurrence(x, phi, lt / lam, lam)
         assert abs(via_packet - closed) < 1e-12
 
@@ -106,7 +106,8 @@ def test_self_concurrence_envelope_decay():
 def test_ckw_identity_one_particle(t, lam, phi, x):
     # for one-particle states the one-tangle equals the concurrence budget
     state = isotropic.wavepacket(0, x, phi, t, lam)
-    tau1, total, residual = isotropic.ckw_pair(state, 0)
+    tau1 = state.one_tangle(0)
+    residual = measures.ckw_residual(tau1, state.partner_concurrences(0))
     assert tau1 >= -1e-12
     assert abs(residual) < 1e-9
 
@@ -115,13 +116,11 @@ def test_one_tangle_is_occupation_parabola():
     state = isotropic.wavepacket(0, 1, np.pi, 2.5, 1.0)
     for n in (-2, 0, 1, 3):
         p = abs(state.w(n)) ** 2
-        assert np.isclose(isotropic.one_tangle_site(state, n),
+        assert np.isclose(state.one_tangle(n),
                           4.0 * p * (1.0 - p), atol=1e-12)
 
 
 def test_entropy_pair_against_rho2():
-    from xychain import measures
-
     state = isotropic.wavepacket(0, 1, np.pi, 1.7, 1.0)
     rho = state.rho2(0, 2)
     assert np.isclose(isotropic.entropy_pair(state, 0, 2),
@@ -133,16 +132,16 @@ def test_global_phase_invariance():
     rotated = isotropic.SingleParticleState(
         start=base.start, amps=base.amps * cmath.exp(0.9j), time=base.time,
         lam=base.lam, sources=base.sources, phi=base.phi)
-    assert np.isclose(isotropic.concurrence_pair(base, 0, 2),
-                      isotropic.concurrence_pair(rotated, 0, 2), atol=1e-14)
-    assert np.isclose(isotropic.one_tangle_site(base, 1),
-                      isotropic.one_tangle_site(rotated, 1), atol=1e-14)
+    assert np.isclose(base.concurrence(0, 2),
+                      rotated.concurrence(0, 2), atol=1e-14)
+    assert np.isclose(base.one_tangle(1),
+                      rotated.one_tangle(1), atol=1e-14)
     assert base.rho2(0, 1) == pytest.approx(rotated.rho2(0, 1))
 
 
 def test_bell_fidelities_pair_t0():
     st0 = isotropic.wavepacket(0, 1, np.pi, 0.0, 1.0)
-    vals = isotropic.bell_fidelities_pair(st0, 0, 1)
+    vals = measures.bell_fidelities(st0.rho2(0, 1))
     assert np.allclose(vals, (1.0, 0.0, 0.0, 0.0), atol=1e-12)
 
 
@@ -168,7 +167,7 @@ def test_total_concurrence_budget():
     n = 0
     wn = abs(state.w(n))
     ref = 2.0 * wn * (np.sum(np.abs(state.amps)) - wn)
-    assert np.isclose(isotropic.total_concurrence(state, n), ref, atol=1e-10)
+    assert np.isclose(state.partner_concurrences(n).sum(), ref, atol=1e-10)
 
 
 def test_phi_coefficients_t0():
@@ -270,7 +269,8 @@ def test_windows_widen_past_the_fixed_pad():
     state = isotropic.wavepacket(0, 1, np.pi, lam_t / lam, lam)
     assert state.norm_defect <= isotropic.NORM_DEFECT_TOL
     assert state.start < 0 - math.ceil(lam_t) - model.LIGHT_CONE_PAD
-    _, _, residual = isotropic.ckw_pair(state, 0)
+    residual = measures.ckw_residual(state.one_tangle(0),
+                                     state.partner_concurrences(0))
     assert abs(residual) <= 1e-9
     single = isotropic.single_source_packet(3, lam_t / lam, lam)
     assert single.norm_defect <= isotropic.NORM_DEFECT_TOL
@@ -296,8 +296,6 @@ def test_window_past_the_bessel_ladder_is_a_cutoff():
 
 
 def test_phi_rho2_is_physical():
-    from xychain import measures
-
     ps = isotropic.PhiState(-5, 5, 0.7, 3.0, 1.0)
     for n, m in ((-1, 1), (-5, 5), (0, 4)):
         rho = ps.rho2(n, m)
@@ -329,8 +327,6 @@ def test_phi_matches_ring():
 
 
 def test_phi_optimal_phase_maximizes_fidelity():
-    from xychain import measures
-
     ps = isotropic.PhiState(-5, 5, 0.7, 4.0, 1.0)
     n, m = -1, 1
     rho = ps.rho2(n, m)

@@ -61,26 +61,6 @@ def test_rho2_roundtrip():
     assert rho[0, 1] == 0.0 and rho[0, 2] == 0.0
 
 
-def test_iso_route_matches_closed():
-    # number conservation kills the uu/dd coherence and makes the ud/du
-    # one real, which in correlator language is gyy = gxx, gxy = gyx = 0
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        b = random_x_bundle(rng)
-        iso = CorrelatorBundle(gxx=b.gxx, gyy=b.gxx, gzz=b.gzz,
-                               gxy=0.0, gyx=0.0,
-                               mz_l=b.mz_l, mz_m=b.mz_m)
-        assert np.isclose(measures.concurrence_iso(iso),
-                          measures.concurrence_closed(iso), atol=1e-12)
-
-
-def test_iso_route_rejects_pair_coherence():
-    b = CorrelatorBundle(gxx=0.2, gyy=0.1, gzz=0.0, gxy=0.0, gyx=0.0,
-                         mz_l=0.0, mz_m=0.0)
-    with pytest.raises(ValueError):
-        measures.concurrence_iso(b)
-
-
 def test_fidelities_sum_to_one():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -117,16 +97,6 @@ def test_pure_state_entropy_is_positive_zero():
     value = measures.entropy_vn(measures.rho2_from_correlators(down))
     assert value == 0.0
     assert math.copysign(1.0, value) == 1.0
-
-
-def test_entropy_from_tangle_relation():
-    # S = h((1 + sqrt(1 - tau))/2)
-    assert np.isclose(measures.entropy_from_tangle(1.0), 1.0)
-    assert np.isclose(measures.entropy_from_tangle(0.0), 0.0, atol=1e-12)
-    for tau in (0.1, 0.5, 0.9):
-        p = 0.5 * (1.0 + math.sqrt(1.0 - tau))
-        assert np.isclose(measures.entropy_from_tangle(tau),
-                          measures.binary_entropy(p))
 
 
 def test_one_tangle_range():
@@ -176,12 +146,3 @@ def test_wootters_rejects_unphysical_input():
     rho = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
     with pytest.raises(NumericalHealthError):
         measures.concurrence_wootters(rho)
-
-
-def test_perturbative_slope():
-    # short-time growth of the vacuum nearest-neighbor concurrence starts
-    # with slope gamma*lambda
-    gamma, lam = 0.5, 0.5
-    t = 1e-4
-    val = measures.perturbative_vacuum_concurrence(gamma, lam, t)
-    assert np.isclose(val / t, gamma * lam, rtol=1e-4)

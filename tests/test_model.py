@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from xychain import model
+from xychain import correlators, model
 from xychain.bessel import bessel_j
 from xychain.errors import CutoffError, DegenerateMomentumError
 from xychain.model import ModelParams, THERMODYNAMIC_LIMIT
@@ -68,63 +68,65 @@ def test_momentum_grids():
         model.momentum_grid(6, "open")
 
 
+def kernel_tables(params, t, radius=None):
+    """V, E, O on |x| <= radius, entry x + radius at separation x."""
+    vac = correlators.vacuum_contractions(params, t, radius)
+    return vac.v_table, vac.e_table, vac.o_table
+
+
 def test_evolution_identity_at_t0():
-    p = ModelParams(lam=0.8, gamma=0.6)
-    coeff = model.evolution_coefficients(p, 0.0)
-    xs = np.arange(coeff.x_lo, coeff.x_lo + len(coeff.a_tilde))
-    ref = np.where(xs == 0, 1.0, 0.0)
-    assert np.allclose(coeff.a_tilde, ref, atol=1e-12)
-    assert np.allclose(coeff.b_tilde, 0.0, atol=1e-12)
+    # a(x) = V + iE and b(x) = -iO reduce to delta_x0 and 0
+    v, e, o = kernel_tables(ModelParams(lam=0.8, gamma=0.6), 0.0)
+    radius = (len(v) - 1) // 2
+    ref = np.where(np.arange(-radius, radius + 1) == 0, 1.0, 0.0)
+    assert np.allclose(v, ref, atol=1e-12)
+    assert np.allclose(e, 0.0, atol=1e-12)
+    assert np.allclose(o, 0.0, atol=1e-12)
 
 
 def test_evolution_unitarity():
-    # sum |a|^2 + |b|^2 over the window is 1 for any gamma, lambda
+    # sum |a|^2 + |b|^2 = sum V^2 + E^2 + O^2 over the window is 1 for any
+    # gamma, lambda
     for gamma, lam in ((0.0, 1.0), (0.5, 0.5), (1.0, 1.0)):
-        p = ModelParams(lam=lam, gamma=gamma)
-        coeff = model.evolution_coefficients(p, 3.0)
-        weight = np.sum(np.abs(coeff.a_tilde) ** 2
-                        + np.abs(coeff.b_tilde) ** 2)
-        assert np.isclose(weight, 1.0, atol=1e-10)
+        v, e, o = kernel_tables(ModelParams(lam=lam, gamma=gamma), 3.0)
+        assert np.isclose(np.sum(v * v + e * e + o * o), 1.0, atol=1e-10)
 
 
 def test_isotropic_coefficients_are_bessel():
-    # gamma = 0: a_tilde(x) = exp(it) i^x J_x(lambda t), b_tilde = 0
+    # gamma = 0: V + iE = exp(it) i^x J_x(lambda t), O = 0
     lam, t = 0.7, 4.0
-    p = ModelParams(lam=lam, gamma=0.0)
-    coeff = model.evolution_coefficients(p, t)
-    xs = np.arange(coeff.x_lo, coeff.x_lo + len(coeff.a_tilde))
+    v, e, o = kernel_tables(ModelParams(lam=lam, gamma=0.0), t)
+    radius = (len(v) - 1) // 2
+    xs = np.arange(-radius, radius + 1)
     ref = np.exp(1j * t) * (1j) ** xs * np.array(
         [bessel_j(int(x), lam * t) for x in xs])
-    assert np.allclose(coeff.a_tilde, ref, atol=1e-12)
-    assert np.allclose(coeff.b_tilde, 0.0, atol=1e-14)
+    assert np.allclose(v + 1j * e, ref, atol=1e-12)
+    assert np.allclose(o, 0.0, atol=1e-14)
 
 
 def test_finite_ring_approaches_open_coefficients():
-    # a large ring reproduces the infinite-chain coefficients pointwise
-    p_inf = ModelParams(lam=1.0, gamma=0.4)
-    p_ring = ModelParams(lam=1.0, gamma=0.4, size=512)
+    # a large ring reproduces the infinite-chain kernels pointwise
     t = 2.5
-    ci = model.evolution_coefficients(p_inf, t)
-    cr = model.evolution_coefficients(p_ring, t)
-    lo = max(ci.x_lo, cr.x_lo)
-    hi = min(ci.x_lo + len(ci.a_tilde), cr.x_lo + len(cr.a_tilde))
-    sl_i = slice(lo - ci.x_lo, hi - ci.x_lo)
-    sl_r = slice(lo - cr.x_lo, hi - cr.x_lo)
-    assert np.allclose(ci.a_tilde[sl_i], cr.a_tilde[sl_r], atol=1e-10)
-    assert np.allclose(ci.b_tilde[sl_i], cr.b_tilde[sl_r], atol=1e-10)
+    open_chain = kernel_tables(ModelParams(lam=1.0, gamma=0.4), t)
+    ring = kernel_tables(ModelParams(lam=1.0, gamma=0.4, size=512), t)
+    for chain_table, ring_table in zip(open_chain, ring):
+        assert np.allclose(chain_table, ring_table, rtol=0, atol=1e-10)
 
 
 def test_window_too_small_raises():
+    # at t = 40 the light cone outruns a radius-5 table: it holds only a
+    # fraction of the unit weight, and separations past it are refused
     p = ModelParams(lam=1.0, gamma=0.3)
+    vac = correlators.vacuum_contractions(p, 40.0, radius=5)
+    weight = np.sum(vac.v_table ** 2 + vac.e_table ** 2 + vac.o_table ** 2)
+    assert weight < 0.5
     with pytest.raises(CutoffError):
-        model.evolution_coefficients(p, 40.0, x_max=5)
+        vac.pair(correlators.A, 0, correlators.B, 6)
 
 
 def test_kernel_parity():
     # v and u_e kernels are even in x, u_o is odd
-    p = ModelParams(lam=0.9, gamma=0.7)
-    xs = np.arange(-6, 7)
-    v, e, o = model.propagation_kernels(p, 1.7, xs)
+    v, e, o = kernel_tables(ModelParams(lam=0.9, gamma=0.7), 1.7, radius=6)
     assert np.allclose(v, v[::-1], atol=1e-12)
     assert np.allclose(e, e[::-1], atol=1e-12)
     assert np.allclose(o, -o[::-1], atol=1e-12)

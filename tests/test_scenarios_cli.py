@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +35,18 @@ measures.list = concurrence, one_tangle
 """
 
 
-def run_cli(*argv):
+def run_python(*argv):
     # the child imports the same xychain as this process
     src = str(Path(scenarios.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "xychain", *argv],
+    proc = subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*argv):
+    return run_python("-m", "xychain", *argv)
 
 
 def test_parse_roundtrip():
@@ -58,6 +63,9 @@ def test_parse_errors_carry_location():
         parse_config_text("model.lambda = 1.0\nmodel.bogus = 3\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text(BASE + "model.gamma = 0.5\n")
+    # the thread count is no longer a setting
+    with pytest.raises(ConfigError, match="unknown key 'threads'"):
+        parse_config_text(BASE + "threads = 1\n")
     with pytest.raises(ConfigError, match="="):
         parse_config_text("model.lambda 1.0\n")
     with pytest.raises(ConfigError):
@@ -118,8 +126,11 @@ def test_rows_are_deterministic_and_thread_safe():
     cfg = parse_config_text(BASE)
     rows1 = run_scenario(cfg)
     rows2 = run_scenario(cfg)
-    rows3 = run_scenario(cfg, threads=3)
-    assert rows1 == rows2 == rows3
+    # runs share no mutable state, so concurrent callers get the same rows
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        concurrent = list(pool.map(run_scenario, [cfg] * 3))
+    assert rows1 == rows2
+    assert all(rows == rows1 for rows in concurrent)
 
 
 def test_csv_format():
@@ -242,8 +253,6 @@ def test_analytic_engine_builds_each_table_once(monkeypatch):
     monkeypatch.setattr(
         correlators.VacuumContractions, "__init__",
         counting("vacuum", correlators.VacuumContractions.__init__))
-    monkeypatch.setattr(correlators, "kernels",
-                        counting("kernels", correlators.kernels))
     monkeypatch.setattr(groundstate, "gs_contractions",
                         counting("ground", groundstate.gs_contractions))
     times = 3
@@ -251,8 +260,9 @@ def test_analytic_engine_builds_each_table_once(monkeypatch):
         "concurrence, one_tangle",
         "concurrence, tangle_deviation, total_concurrence")
     run_scenario(parse_config_text(singlet))
-    # per time: the seed's own vacuum part, which is also the baseline
-    assert built == {"vacuum": times, "kernels": times}
+    # per time: the seed's own vacuum part, which also holds its kernel
+    # tables and is the baseline
+    assert built == {"vacuum": times}
     built.clear()
     ground = """
 model.lambda = 1.0
@@ -334,20 +344,20 @@ def test_cli_selftest_failure_exits_1(monkeypatch):
     assert cli.main(["selftest", "--fast"]) == 1
 
 
-def test_cli_threads_flag(tmp_path):
-    cfg = tmp_path / "scenario.cfg"
-    cfg.write_text(BASE)
-    code, out, _ = run_cli("run", str(cfg), "--threads", "2")
-    assert code == 0
-    code_s, out_s, _ = run_cli("run", str(cfg))
-    assert out == out_s
-    code, _, _ = run_cli("run", str(cfg), "--threads", "0")
-    assert code == 2
-
-
 def test_selftest_single_case_passes():
     from xychain.selftest import run_case
 
     report = run_case(0.0, 1.0, "vacuum_only", fast=True)
     assert report.ok
     assert report.cells > 0
+
+
+@pytest.mark.parametrize("argv,header", [
+    (("gs_table.py",), " gamma  lambda      C(1) branch"),
+    (("vacuum_max.py",), "gamma=0.5 lambda=0.5"),
+    (("propagation_fit.py", "1.0"), "lambda=1.0: fitted velocity"),
+], ids=lambda value: value[0] if isinstance(value, tuple) else None)
+def test_worked_example_scripts_run(argv, header):
+    code, out, err = run_python(str(SCRIPTS / argv[0]), *argv[1:])
+    assert code == 0, err
+    assert out.startswith(header)
