@@ -38,9 +38,18 @@ All of these were cross-checked against exact diagonalization on small rings
 before being frozen into the test suite.
 
 `VacuumContractions` evaluates these integrals and the kernels V, E, O of
-`model` on one momentum grid per (t, radius); this is the only place the
-grid is built for the dynamics.  A Bell seed reads both from its vacuum,
-tabulated out to the seed span plus the seed's own radius.
+`model` as one ring sum per (t, radius): the mean over M equally spaced
+momenta of the k-even integrands (weight pi/M against the 1/pi above).
+This is the only place the grid is built for the dynamics.  The boundary
+sector of the ring follows the state's fermion parity (Lieb, Schultz &
+Mattis, Ann. Phys. 16:407, 1961): antiperiodic for the vacuum, periodic
+for a one-particle Bell seed.  On a finite ring M is its size, and the
+tables are exact for that ring.  The thermodynamic limit is a ring too
+large to wrap, M = `ring_size`: the integrands are periodic and analytic
+in k, so the sum converges exponentially (Trefethen & Weideman, SIAM Rev.
+56:385, 2014), and the only error is aliasing from separations M away.  A
+Bell seed reads both from its vacuum, tabulated out to the seed span plus
+the seed's own radius.
 
 Every accessor (`pair`, and the Bell seed's `left`, `right` and `mod`)
 indexes the tables with arrays: kinds are the codes A and B, and kinds,
@@ -49,14 +58,30 @@ whole stack of contraction matrices in one call.  A separation beyond a
 table's radius raises CutoffError.
 """
 
+import math
+
 import numpy as np
 
 from .errors import CutoffError
 from .model import light_cone_radius, momentum_grid
-from .quadrature import kernel_grid
 
 
 A, B = 0, 1  # Majorana kind codes of A_l and B_l
+RING_MARGIN = 32  # sites between the nearest alias and the product reach
+
+
+def ring_size(params, t, radius):
+    """Ring size M whose momentum sum gives the thermodynamic-limit tables
+    of separations |x| <= radius at time t to roundoff.
+
+    An M-site sum adds to separation x the Fourier coefficients at x + jM.
+    The product integrands (u_o u_o, u_e u_o, v u_o) reach twice the light
+    cone, and the group velocity is at most lam * max(1, |gamma|), so the
+    nearest alias of a tabulated separation lies RING_MARGIN sites or more
+    past that reach.
+    """
+    reach = math.ceil(2.0 * params.lam * max(1.0, abs(params.gamma)) * abs(t))
+    return 2 * (int(radius) + reach + RING_MARGIN)
 
 
 def _table_index(x, radius, what):
@@ -75,22 +100,19 @@ def _table_index(x, radius, what):
 class VacuumContractions:
     """Pair expectations of the time-evolved vacuum, and the kernel tables
     V, E, O they are built from, indexed by separation: entry x + radius
-    of a table holds separation x."""
+    of a table holds separation x.  sector is the ring's boundary sector,
+    antiperiodic for the (even-parity) vacuum itself."""
 
     is_modified = False
 
-    def __init__(self, params, t, radius):
+    def __init__(self, params, t, radius, sector="antiperiodic"):
         self.params = params
         self.time = float(t)
         self.radius = int(radius)
         rs = np.arange(-radius, radius + 1)
-        # w sums to pi: the full antiperiodic ring grid (valid for the
-        # k-even integrands here), or quadrature on [0, pi]
-        if params.is_finite:
-            k = momentum_grid(params.size, "antiperiodic")
-            w = np.full(params.size, np.pi / params.size)
-        else:
-            k, w = kernel_grid(params.lam * t, radius)
+        n = params.size if params.is_finite else ring_size(params, t, radius)
+        k = momentum_grid(n, sector)
+        w = np.full(n, np.pi / n)
         e = 1.0 + params.lam * np.cos(k)
         s = params.lam * params.gamma * np.sin(k)
         lam_k = np.hypot(e, s)
@@ -125,9 +147,15 @@ class BellContractions:
     (1, amp).  Real amp = +/-1 covers the Bell pair insertions used by the
     scenario engine; the machinery itself accepts any complex amp.  Every
     accessor takes kind codes, sites and sources as broadcasting arrays.
+
+    The state has odd fermion parity, so every table, the vacuum part
+    included, is a periodic-sector ring sum.  On a finite ring `vacuum` is
+    therefore not the state's unperturbed (even-parity) vacuum; in the
+    thermodynamic limit the two sectors agree to roundoff.
     """
 
     is_modified = True
+    sector = "periodic"
 
     def __init__(self, params, t, radius, i, j, amp=-1.0):
         if i == j:
@@ -140,7 +168,8 @@ class BellContractions:
         self.weights = (1.0 + 0j, complex(amp))
         self.n2 = 1.0 + abs(amp) ** 2
         self.sources = (int(i), int(j))
-        self.vacuum = vacuum_contractions(params, t, radius=abs(j - i) + radius)
+        self.vacuum = VacuumContractions(params, t, abs(j - i) + radius,
+                                         self.sector)
 
     def _kernels_at(self, kind, site, source):
         """V(x) and E(x) -+ O(x) (minus for kind A) at x = source - site."""

@@ -113,20 +113,6 @@ def gs_concurrence(params, d):
     return value, label
 
 
-def gs_gxx_determinant(params, d):
-    """<Sx_0 Sx_d> via the Toeplitz determinant (secondary route).
-
-    The Pfaffian of the xx string collapses to a determinant because the
-    ground state has no anomalous A-A or B-B contractions.
-    """
-    con = gs_contractions(params, d + 1)
-    k = np.empty((d, d))
-    for p in range(d):
-        for q in range(d):
-            k[p, q] = -con.g(q - 1 - p)
-    return 0.25 * (-1.0) ** d * np.linalg.det(k)
-
-
 def gs_one_tangle(params):
     return one_tangle(gs_magnetization(params))
 

@@ -22,9 +22,9 @@ This module keeps the pair sector in the frame rotating with the uniform
 field (the relative phase exp(2it) between the sectors is dropped), which is
 the natural frame for the Bessel coefficients; coherence magnitudes,
 populations and concurrences are frame independent, while the phases of the
-uu/dd and ud/du coherences, and hence the Bell-fidelity maximizers reported
-here, are frame-relative.  The pair density matrix of sites n < m is the X
-matrix with
+uu/dd and ud/du coherences, and hence the Bell fidelities and the reference
+phases that maximize them, are frame-relative.  The pair density matrix of
+sites n < m is the X matrix with
 
     a = |T_nm|^2/2                   c = T_nm/2
     x = sum_{q != n,m} |T_nq|^2/2    y = likewise with m
@@ -43,16 +43,14 @@ by PAD_STEP sites until the weight it holds is within NORM_DEFECT_TOL of one
 whose Bessel ladder would pass bessel.MAX_ORDER raises CutoffError.
 """
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import MAX_ORDER, bessel_j, bessel_signed_row
+from .bessel import MAX_ORDER, bessel_signed_row
 from .errors import CutoffError
-from .measures import binary_entropy
 from .model import LIGHT_CONE_PAD
 
 NORM_DEFECT_TOL = 1e-10
@@ -60,11 +58,13 @@ PAD_STEP = 10  # sites a window widens by when its weight defect is too large
 _BLOCK = 1 << 15  # entries of one (pairs x window) block: 512 KB complex
 
 
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^n by n mod 4, exact for any n
+
+
 def _ladder(nmax, x):
     """g_n = i^n J_n(x) for n = -nmax..nmax, indexed by n + nmax."""
     js = bessel_signed_row(nmax, x)
-    ns = np.arange(-nmax, nmax + 1)
-    return (1j) ** ns * js
+    return _I_POWERS[np.arange(-nmax, nmax + 1) % 4] * js
 
 
 @dataclass(frozen=True)
@@ -176,41 +176,6 @@ def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD):
         return state, state.norm_defect
 
     return _widening(abs(lam) * t, j - i, pad, build)
-
-
-def single_source_packet(i, t, lam, pad=LIGHT_CONE_PAD):
-    """Evolved single insertion c_i^dag |vac>."""
-    def build(radius):
-        g = _ladder(radius, abs(lam) * t)
-        state = SingleParticleState(start=int(i - radius), amps=g,
-                                    time=float(t), lam=float(lam),
-                                    sources=(int(i),), phi=0.0)
-        return state, state.norm_defect
-
-    return _widening(abs(lam) * t, 0, pad, build)
-
-
-def entropy_pair(state, n, m):
-    """Von Neumann entropy of the reduced pair state, in bits."""
-    return binary_entropy(abs(state.w(n)) ** 2 + abs(state.w(m)) ** 2)
-
-
-def fidelity_pair(state, n, m, phi_ref):
-    """Overlap with (ud + e^{i phi_ref} du)/sqrt(2) on sites (n, m)."""
-    return 0.5 * abs(state.w(n) + np.exp(-1j * phi_ref) * state.w(m)) ** 2
-
-
-def self_concurrence(x, phi, t, lam):
-    """Concurrence between the two seed sites at separation x.
-
-    Closed form |J_0^2 + 2 i^x J_0 J_x cos(phi) + (-1)^x J_x^2| at argument
-    lam*t; equal to 2|w_i wbar_{i+x}| of the wavepacket.
-    """
-    j0 = bessel_j(0, abs(lam) * t)
-    jx = bessel_j(x, abs(lam) * t)
-    val = (j0 * j0 + 2.0 * (1j ** x) * j0 * jx * math.cos(phi)
-           + (-1.0) ** x * jx * jx)
-    return abs(val)
 
 
 def _modulus(v):
@@ -365,30 +330,3 @@ class PhiState:
     def baseline_tangle(self, n):
         """Tangle of the unperturbed state: the stationary vacuum, zero."""
         return 0.0
-
-    def optimal_phase_pair(self, n, m):
-        """Maximizer of the uu/dd Bell fidelity over the reference phase."""
-        return cmath.phase(self.coefficients(n, m).c) % (2.0 * math.pi)
-
-    def optimal_phase_exchange(self, n, m):
-        """Maximizer of the ud/du Bell fidelity over the reference phase."""
-        return cmath.phase(self.coefficients(n, m).z) % (2.0 * math.pi)
-
-    def orbital_states(self):
-        """The two one-particle orbitals seeded at i and j."""
-        return (single_source_packet(self.i, self.time, self.lam),
-                single_source_packet(self.j, self.time, self.lam))
-
-
-def optimal_phases(n, m, i, j, phi):
-    """Static reference-phase formulas for the pair seed coherences.
-
-    phi_pair = phi + (pi/2)(i + j - m - n) and phi_exchange = (pi/2)(m - n),
-    both mod 2 pi.  These are the t -> 0+ branch values: the exact maximizers
-    follow the coherence arguments and jump by pi whenever the underlying
-    Bessel combination changes sign, so agreement with the instance methods
-    holds modulo pi in general.
-    """
-    phi_pair = (phi + 0.5 * math.pi * (i + j - m - n)) % (2.0 * math.pi)
-    phi_exchange = (0.5 * math.pi * (m - n)) % (2.0 * math.pi)
-    return phi_pair, phi_exchange

@@ -176,20 +176,6 @@ def bell_fidelities(rho):
     return (mid - z_re, mid + z_re, outer - c_re, outer + c_re)
 
 
-def bell_fidelity(rho, family, phi):
-    """Overlap with (first + e^{i phi} second)/sqrt(2) of the given family."""
-    rho = np.asarray(rho, dtype=complex)
-    if family == "psi":
-        diag = 0.5 * (rho[1, 1].real + rho[2, 2].real)
-        coh = rho[1, 2]
-    elif family == "phi":
-        diag = 0.5 * (rho[0, 0].real + rho[3, 3].real)
-        coh = rho[0, 3]
-    else:
-        raise ValueError(f"unknown Bell family {family!r}")
-    return diag + (np.exp(1j * phi) * np.conj(coh)).real
-
-
 def ckw_residual(tau1, concurrences):
     """tau1 minus the sum of squared pair concurrences."""
     concs = np.asarray(concurrences, dtype=float)

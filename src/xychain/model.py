@@ -20,12 +20,14 @@ b(x) = -i O(x) built from three momentum kernels
 
 where Lambda_k = sqrt((1 + lam cos k)^2 + (lam gamma sin k)^2).  Writing
 sin(Lambda t)/Lambda as t*sinc(Lambda t) keeps the kernels smooth through
-Lambda = 0.  On a finite ring the integrals become 1/N sums over the
-antiperiodic momentum grid (odd multiples of pi/N), which never contains the
-gapless points.
+Lambda = 0.  On a ring of N sites the integrals become 1/N sums over the
+ring momenta of the state's fermion-parity sector (`momentum_grid`): odd
+multiples of pi/N (antiperiodic) for even parity, such as the vacuum, and
+even multiples (periodic) for odd parity, such as a one-particle Bell seed.
+The thermodynamic limit is the same sum on a ring too large to wrap.
 
 The kernels are tabulated by `correlators.VacuumContractions`, on the same
-momentum grid as the vacuum contractions they feed.  At gamma = 0 the
+ring of momenta as the vacuum contractions they feed.  At gamma = 0 the
 anomalous kernel O vanishes identically and a(x) = exp(i t) i^x J_x(lam t);
 the Bessel route in `isotropic` builds on that closed form, and the
 equality is checked in the tests.

@@ -44,7 +44,7 @@ from .errors import NumericalHealthError
 from .measures import CorrelatorBundle
 
 IMAG_RESIDUE_TOL = 1e-10
-STACK_CHUNK = 32  # strings per evaluated stack; bounds the working set
+STACK_CHUNK = 128  # strings per evaluated stack; bounds the working set
 COMPONENTS = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "x"))
 _SWAPPED = (0, 1, 2, 4, 3)  # component columns of (m, l) from those of (l, m)
 

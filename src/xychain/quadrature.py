@@ -1,12 +1,11 @@
-"""Composite Gauss-Legendre quadrature on [0, pi].
+"""Composite Gauss-Legendre quadrature on [0, pi] for the ground state.
 
-Every momentum integral in the package has an integrand built from
-cos(Lambda_k t), sin-type kernels and plane-wave factors cos(k x) / sin(k x),
-so the oscillation budget is roughly (lambda*t + |x|) periods across the
-Brillouin half-zone.  Eight panels per unit of that budget with 8 nodes per
-panel leaves a comfortable margin: halving the panel width moves results by
-less than 1e-10 in practice, and the kernel tables match a 512-site ring sum
-to that level in the tests.
+The dynamics never come here: their integrands are periodic and analytic in
+k, so `correlators` sums them over a ring of momenta.  The ground-state
+contraction G(r) of `groundstate` is not analytic at a gapless point (lam = 1,
+or lam > 1 at gamma = 0, where e_k changes sign), and there a ring sum
+converges only algebraically.  Gauss-Legendre panels placed by the caller,
+split at the non-analytic point where it is known, keep that accuracy.
 """
 
 import functools
@@ -34,13 +33,3 @@ def composite_grid(n_panels, a=0.0, b=math.pi, nodes_per_panel=NODES_PER_PANEL):
     nodes = (mid[:, None] + half * xr[None, :]).ravel()
     weights = np.tile(half * wr, n_panels)
     return nodes, weights
-
-
-def oscillation_panels(lam_t, reach):
-    """Panel count for an integrand oscillating ~(lam_t + reach) times."""
-    return int(math.ceil(8.0 * (1.0 + abs(lam_t) + abs(reach))))
-
-
-def kernel_grid(lam_t, reach):
-    """Momentum grid on [0, pi] sized for a given time and site reach."""
-    return composite_grid(oscillation_panels(lam_t, reach))

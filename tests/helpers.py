@@ -1,8 +1,11 @@
-"""Shared test utilities: random physical two-site states in X form."""
+"""Shared test utilities: random physical two-site states in X form, and
+reference routines that more than one test module checks against."""
 
 import numpy as np
 
+from xychain import isotropic
 from xychain.measures import CorrelatorBundle
+from xychain.model import LIGHT_CONE_PAD
 
 
 def random_x_bundle(rng, edge=False):
@@ -26,3 +29,36 @@ def random_x_bundle(rng, edge=False):
     gxy = (z - c).imag / 2.0
     return CorrelatorBundle(gxx=gxx, gyy=gyy, gzz=gzz, gxy=gxy, gyx=gyx,
                             mz_l=mz_mean + mz_diff, mz_m=mz_mean - mz_diff)
+
+
+def bell_fidelity(rho, family, phi):
+    """Overlap with (first + e^{i phi} second)/sqrt(2) of the given family."""
+    rho = np.asarray(rho, dtype=complex)
+    if family == "psi":
+        diag = 0.5 * (rho[1, 1].real + rho[2, 2].real)
+        coh = rho[1, 2]
+    elif family == "phi":
+        diag = 0.5 * (rho[0, 0].real + rho[3, 3].real)
+        coh = rho[0, 3]
+    else:
+        raise ValueError(f"unknown Bell family {family!r}")
+    return diag + (np.exp(1j * phi) * np.conj(coh)).real
+
+
+def single_source_packet(i, t, lam, pad=LIGHT_CONE_PAD):
+    """Evolved single insertion c_i^dag |vac>, on a widening window."""
+    def build(radius):
+        g = isotropic._ladder(radius, abs(lam) * t)
+        state = isotropic.SingleParticleState(
+            start=int(i - radius), amps=g, time=float(t), lam=float(lam),
+            sources=(int(i),), phi=0.0)
+        return state, state.norm_defect
+
+    return isotropic._widening(abs(lam) * t, 0, pad, build)
+
+
+def orbital_states(phi_state):
+    """The two one-particle orbitals a pair seed is built from, seeded at
+    its sites i and j."""
+    return (single_source_packet(phi_state.i, phi_state.time, phi_state.lam),
+            single_source_packet(phi_state.j, phi_state.time, phi_state.lam))

@@ -23,7 +23,7 @@ from xychain.model import ModelParams
 from xychain.pfaffian import bundles, pfaffians
 from xychain.selftest import run_selftest
 
-from helpers import random_x_bundle
+from helpers import orbital_states, random_x_bundle
 
 
 def _verdict(num, label, ok, detail):
@@ -177,7 +177,7 @@ def test_criterion_08_monogamy_saturation_and_gap():
     for lt in (1.0, 5.0, 20.0):
         packet = isotropic.wavepacket(0, 1, np.pi, lt / lam, lam)
         states = [(packet, 0), (packet, 1)] + list(zip(
-            isotropic.PhiState(-5, 5, 0.3, lt / lam, lam).orbital_states(),
+            orbital_states(isotropic.PhiState(-5, 5, 0.3, lt / lam, lam)),
             (-5, 5)))
         for state, site in states:
             residual = ckw_residual(state.one_tangle(site),

@@ -1,0 +1,44 @@
+"""The shipped configs reproduce their pinned CSVs.
+
+`tests/golden/` holds the output of every `scripts/*.cfg`.  Row keys
+(measure, x, t) must match exactly and every value to 1e-11 relative plus
+1e-13 absolute, one unit of the 12th printed digit, so a change that moves
+a printed result shows here.  To re-pin after an intended change, run
+`xychain run scripts/NAME.cfg --out tests/golden/NAME.csv` for each config.
+"""
+
+import io
+import math
+from pathlib import Path
+
+import pytest
+
+from xychain import parse_config_file, run_scenario, write_csv
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "scripts").glob("*.cfg"))
+RTOL, ATOL = 1e-11, 1e-13
+
+
+def _rows(text):
+    lines = text.splitlines()
+    assert lines[0] == "measure,x,t,value"
+    return [line.rsplit(",", 1) for line in lines[1:]]
+
+
+def test_every_config_is_pinned():
+    pinned = sorted(p.stem for p in (ROOT / "tests" / "golden").glob("*.csv"))
+    assert pinned == [p.stem for p in CONFIGS] and len(pinned) == 6
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_config_matches_golden_csv(config):
+    buf = io.StringIO()
+    write_csv(run_scenario(parse_config_file(config)), buf)
+    golden = (ROOT / "tests" / "golden" / f"{config.stem}.csv").read_text()
+    got, want = _rows(buf.getvalue()), _rows(golden)
+    assert [key for key, _ in got] == [key for key, _ in want]
+    for (key, value), (_, ref) in zip(got, want):
+        value, ref = float(value), float(ref)
+        assert abs(value - ref) <= RTOL * abs(ref) + ATOL or (
+            math.isnan(value) and math.isnan(ref)), (key, value, ref)

@@ -54,11 +54,25 @@ def test_antiparallel_branch_wins_at_large_lam():
     assert value > 0.25
 
 
+def gs_gxx_determinant(params, d):
+    """<Sx_0 Sx_d> via the Toeplitz determinant (secondary route).
+
+    The Pfaffian of the xx string collapses to a determinant because the
+    ground state has no anomalous A-A or B-B contractions.
+    """
+    con = groundstate.gs_contractions(params, d + 1)
+    k = np.empty((d, d))
+    for p in range(d):
+        for q in range(d):
+            k[p, q] = -con.g(q - 1 - p)
+    return 0.25 * (-1.0) ** d * np.linalg.det(k)
+
+
 def test_determinant_route_equals_pfaffian_route():
     for gamma, lam in ((0.5, 1.0), (1.0, 0.5), (0.3, 0.9)):
         p = ModelParams(lam=lam, gamma=gamma)
         for d in (1, 2, 3, 4):
-            det_val = groundstate.gs_gxx_determinant(p, d)
+            det_val = gs_gxx_determinant(p, d)
             assert np.isclose(det_val, groundstate.gs_bundle(p, d).gxx,
                               atol=1e-12), (gamma, lam, d)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_x_bundle
+from helpers import bell_fidelity, random_x_bundle
 from xychain import measures
 from xychain.errors import NumericalHealthError
 from xychain.measures import CorrelatorBundle
@@ -72,14 +72,14 @@ def test_fidelity_phase_sweep():
     # the four named fidelities are the phase-family values at 0 and pi
     rho = werner_rho(0.8)
     psi_minus, psi_plus, phi_minus, phi_plus = measures.bell_fidelities(rho)
-    assert np.isclose(measures.bell_fidelity(rho, "psi", np.pi), psi_minus)
-    assert np.isclose(measures.bell_fidelity(rho, "psi", 0.0), psi_plus)
-    assert np.isclose(measures.bell_fidelity(rho, "phi", np.pi), phi_minus)
-    assert np.isclose(measures.bell_fidelity(rho, "phi", 0.0), phi_plus)
+    assert np.isclose(bell_fidelity(rho, "psi", np.pi), psi_minus)
+    assert np.isclose(bell_fidelity(rho, "psi", 0.0), psi_plus)
+    assert np.isclose(bell_fidelity(rho, "phi", np.pi), phi_minus)
+    assert np.isclose(bell_fidelity(rho, "phi", 0.0), phi_plus)
     # opposite phases average to half the family weight
     for phi in (0.3, 1.1, 2.9):
-        pair = (measures.bell_fidelity(rho, "psi", phi)
-                + measures.bell_fidelity(rho, "psi", phi + np.pi))
+        pair = (bell_fidelity(rho, "psi", phi)
+                + bell_fidelity(rho, "psi", phi + np.pi))
         assert np.isclose(pair, psi_minus + psi_plus)
 
 

@@ -113,6 +113,25 @@ def test_finite_ring_approaches_open_coefficients():
         assert np.allclose(chain_table, ring_table, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("lam_t", [0.5, 8.0, 40.0])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("lam", [0.5, 1.25])
+def test_ring_size_resolves_the_tables(lam_t, gamma, lam):
+    # the thermodynamic-limit tables, summed over ring_size momenta, equal
+    # the sums over a ring twice that size: aliasing stays below roundoff
+    p = ModelParams(lam=lam, gamma=gamma)
+    t = lam_t / lam
+    radius = model.light_cone_radius(p, t)
+    size = 2 * correlators.ring_size(p, t, radius)
+    ring = ModelParams(lam=lam, gamma=gamma, size=size)
+    for sector in ("antiperiodic", "periodic"):
+        chain = correlators.VacuumContractions(p, t, radius, sector)
+        double = correlators.VacuumContractions(ring, t, radius, sector)
+        for table in ("v_table", "e_table", "o_table", "_tables"):
+            diff = np.abs(getattr(chain, table) - getattr(double, table))
+            assert diff.max() <= 1e-13, (sector, table, diff.max())
+
+
 def test_window_too_small_raises():
     # at t = 40 the light cone outruns a radius-5 table: it holds only a
     # fraction of the unit weight, and separations past it are refused

@@ -296,6 +296,35 @@ def test_bell_correlators_match_ring():
                           atol=2e-4)
 
 
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("gamma,lam", [(0.5, 1.0), (1.0, 0.5), (1.5, 0.8)])
+@pytest.mark.parametrize("kind", ["vacuum", "bell"])
+def test_finite_ring_route_matches_oracle_exactly(n, gamma, lam, kind):
+    # on the oracle's own ring, summed over the momenta of the state's
+    # parity sector, the Pfaffian route describes the same system: every
+    # pair l < m and every site agree to roundoff, also after the front
+    # has wrapped around the ring (lam * t = 3.1 > n / 2 - 2 at n = 8)
+    p = ModelParams(lam=lam, gamma=gamma, size=n)
+    ws = oracle.workspace(n, gamma, lam)
+    pairs = [(l, m) for l in range(n) for m in range(l + 1, n)]
+    for t in (0.7, 3.1 / lam):
+        if kind == "vacuum":
+            con, state = correlators.vacuum_contractions(p, t), ws.vacuum()
+        else:
+            con = correlators.bell_contractions(p, t, 1, 2, amp=-1.0)
+            state = ws.psi_bell(1, 2, np.pi)
+        vecs = ws.evolve_components(state, t)
+        for (l, m), bundle in zip(pairs, bundles(con, pairs)):
+            for alpha, beta in (("x", "x"), ("y", "y"), ("z", "z"),
+                                ("x", "y"), ("y", "x")):
+                ana = getattr(bundle, f"g{alpha}{beta}")
+                ref = ws.correlator(vecs, alpha, beta, l, m)
+                assert abs(ana - ref) <= 1e-10, (t, alpha, beta, l, m)
+        mz = magnetization(con, np.arange(n))
+        for l in range(n):
+            assert abs(mz[l] - ws.magnetization(vecs, l)) <= 1e-10, (t, l)
+
+
 def test_distinct_site_correlators_are_real():
     # the imaginary part is a health indicator, kept below 1e-10
     p = ModelParams(lam=1.0, gamma=1.0)
