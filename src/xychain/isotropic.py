@@ -31,11 +31,17 @@ sites n < m is the X matrix with
     b = 1 - a - x - y
     z = (1/2) [ sum_{q<n} + sum_{q>m} - sum_{n<q<m} ] T_nq conj(T_mq)
 
-where the interior sum carries the Jordan-Wigner reordering sign.  These
-entries are evaluated for many pairs at once: the rows T_nq and T_mq of a
-batch of pairs, with q = n, m cut out, form a (pairs x window) block; x and
-y are its row sums of |T|^2, and z is one signed row sum of
-T_nq conj(T_mq), the sign being -1 strictly between n and m.
+where the interior sum carries the Jordan-Wigner reordering sign.  T has
+rank two, so each entry is an O(1) closed form in the orbitals u = g_{.-i},
+v = g_{.-j} on the window: x = (R_n - |T_nm|^2)/2, y likewise, with the row
+weight R_p = |u_p|^2 S_vv + |v_p|^2 S_uu - 2 Re(u_p vbar_p conj(S_uv)) (S the
+window sums of |u|^2, |v|^2, u vbar), and
+
+    2z = u_n ubar_m s_vv - u_n vbar_m conj(s_uv) - v_n ubar_m s_uv + v_n vbar_m s_uu
+
+where each signed sum s is the window sum minus twice the sum over n < q < m,
+read off prefix sums; the terms q = n, m cancel exactly.  Sites outside the
+window have zero orbitals.
 
 Every window starts at the light cone plus LIGHT_CONE_PAD sites and widens
 by PAD_STEP sites until the weight it holds is within NORM_DEFECT_TOL of one
@@ -55,7 +61,6 @@ from .model import LIGHT_CONE_PAD
 
 NORM_DEFECT_TOL = 1e-10
 PAD_STEP = 10  # sites a window widens by when its weight defect is too large
-_BLOCK = 1 << 15  # entries of one (pairs x window) block: 512 KB complex
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^n by n mod 4, exact for any n
@@ -156,6 +161,14 @@ def _widening(lam_t, span, pad, build):
                 f"and a wider one needs Bessel orders past {MAX_ORDER}")
 
 
+def _orbitals(i, j, lam_t, radius):
+    """Window sites i - radius .. j + radius and g_{site-i}, g_{site-j}."""
+    nmax = radius + (j - i)
+    g = _ladder(nmax, lam_t)
+    sites = np.arange(i - radius, j + radius + 1)
+    return sites, g[(sites - i) + nmax], g[(sites - j) + nmax]
+
+
 def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD):
     """Evolved one-particle Bell seed (c_i + e^{i phi} c_j)^dag |vac>/sqrt(2)."""
     if i == j:
@@ -163,14 +176,9 @@ def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD):
     i, j = (i, j) if i < j else (j, i)
 
     def build(radius):
-        nmax = radius + (j - i)
-        g = _ladder(nmax, abs(lam) * t)
-        start = i - radius
-        sites = np.arange(start, j + radius + 1)
-        amps = (g[(sites - i) + nmax]
-                + np.exp(1j * phi) * g[(sites - j) + nmax])
-        amps = amps / math.sqrt(2.0)
-        state = SingleParticleState(start=int(start), amps=amps,
+        sites, gi, gj = _orbitals(i, j, abs(lam) * t, radius)
+        amps = (gi + np.exp(1j * phi) * gj) / math.sqrt(2.0)
+        state = SingleParticleState(start=int(sites[0]), amps=amps,
                                     time=float(t), lam=float(lam),
                                     sources=(i, j), phi=float(phi))
         return state, state.norm_defect
@@ -235,6 +243,7 @@ class PhiState:
     Works in the rotating frame described in the module docstring.  The
     window is sized by the light cone and widened until the pair-sector
     weight it holds, sum_{p<q} |T_pq|^2, is within NORM_DEFECT_TOL of one.
+    Memory is O(window): the orbitals gi, gj, prefix sums and row weights.
     A measurement view (`scenarios`).
     """
 
@@ -248,60 +257,49 @@ class PhiState:
         self.lam = float(lam)
 
         def build(radius):
-            sites = np.arange(i - radius, j + radius + 1)
-            nmax = radius + (j - i)
-            g = _ladder(nmax, abs(lam) * t)
-            gi = g[(sites - i) + nmax]
-            gj = g[(sites - j) + nmax]
+            sites, gi, gj = _orbitals(i, j, abs(lam) * t, radius)
             # sum_{p<q} |T_pq|^2 is the Gram determinant of the orbitals
             weight = (np.vdot(gi, gi).real * np.vdot(gj, gj).real
                       - abs(np.vdot(gi, gj)) ** 2)
             return (sites, gi, gj), abs(1.0 - weight)
 
         sites, gi, gj = _widening(abs(lam) * t, j - i, pad, build)
-        self.start = int(sites[0])
-        self.sites = sites
-        self.t_mat = np.exp(1j * phi) * (np.outer(gi, gj) - np.outer(gj, gi))
+        self.start, self.sites, self.gi, self.gj = int(sites[0]), sites, gi, gj
+        # prefix[:, k]: sums of |gi|^2, |gj|^2, gi conj(gj) over positions < k
+        terms = [np.abs(gi) ** 2, np.abs(gj) ** 2, gi * np.conj(gj)]
+        self.prefix = np.pad(np.cumsum(terms, axis=1), ((0, 0), (1, 0)))
+        s_ii, s_jj, s_ij = self.prefix[:, -1]
+        self.row_weight = np.real(terms[0] * s_jj + terms[1] * s_ii
+                                  - 2.0 * terms[2] * np.conj(s_ij))
 
-    def _idx(self, site):
-        """Window positions of the sites (any shape)."""
-        idx = np.asarray(site) - self.start
-        if idx.size and (idx.min() < 0 or idx.max() >= len(self.sites)):
-            raise CutoffError("site outside the coefficient window "
-                              f"[{self.start}, {self.sites[-1]}]")
-        return idx
+    def _at(self, sites):
+        """gi, gj and the row weight at the sites (any shape); all zero
+        outside the window."""
+        idx = np.asarray(sites) - self.start
+        inside = (idx >= 0) & (idx < len(self.sites))
+        idx = np.where(inside, idx, 0)
+        return [np.where(inside, v[idx], 0.0)
+                for v in (self.gi, self.gj, self.row_weight)]
 
     def pair_entries(self, ns, ms):
-        """X-matrix entries (a, b, x, y, c, z) of the ordered pairs
-        ns < ms, as arrays over the pairs.
-
-        Each pair's sums run over the window with q = n, m cut out, in
-        (pairs x window) blocks of at most _BLOCK entries."""
+        """X-matrix entries (a, b, x, y, c, z) of the ordered pairs ns < ms,
+        as arrays over the pairs (closed forms of the module docstring)."""
         ns, ms = np.broadcast_arrays(np.atleast_1d(ns), np.atleast_1d(ms))
         if np.any(ns >= ms):
             raise ValueError("coefficients need ordered sites n < m")
-        ni, mi = self._idx(ns), self._idx(ms)
-        rest = np.arange(len(self.sites) - 2)
-        x, y = np.empty(len(ni)), np.empty(len(ni))
-        z = np.empty(len(ni), dtype=complex)
-        step = max(1, _BLOCK // len(self.sites))
-        for lo in range(0, len(ni), step):
-            bn = ni[lo:lo + step, None]
-            bm = mi[lo:lo + step, None]
-            qs = rest + (rest >= bn)  # window positions other than n, m
-            qs += qs >= bm
-            t_n, t_m = self.t_mat[bn, qs], self.t_mat[bm, qs]
-            x[lo:lo + step] = np.sum(np.abs(t_n) ** 2, axis=1)
-            y[lo:lo + step] = np.sum(np.abs(t_m) ** 2, axis=1)
-            prod = t_n * np.conj(t_m)
-            inside = (qs > bn) & (qs < bm)
-            z[lo:lo + step] = np.sum(np.where(inside, -prod, prod), axis=1)
-        t_nm = self.t_mat[ni, mi]
-        a = 0.5 * _modulus(t_nm) ** 2
-        x *= 0.5
-        y *= 0.5
-        z *= 0.5
-        return a, 1.0 - a - x - y, x, y, 0.5 * t_nm, z
+        un, vn, rn = self._at(ns)
+        um, vm, rm = self._at(ms)
+        t_nm = np.exp(1j * self.phi) * (un * vm - vn * um)
+        t2 = _modulus(t_nm) ** 2
+        # signed sums: the total minus twice the interior n < q < m
+        lo = np.clip(ns - self.start + 1, 0, len(self.sites))
+        hi = np.clip(ms - self.start, 0, len(self.sites))
+        s_uu, s_vv, s_uv = (self.prefix[:, -1:]
+                            - 2.0 * (self.prefix[:, hi] - self.prefix[:, lo]))
+        z = (un * np.conj(um) * s_vv - un * np.conj(vm) * np.conj(s_uv)
+             - vn * np.conj(um) * s_uv + vn * np.conj(vm) * s_uu)
+        a, x, y = 0.5 * t2, 0.5 * (rn - t2), 0.5 * (rm - t2)
+        return a, 1.0 - a - x - y, x, y, 0.5 * t_nm, 0.5 * z
 
     def coefficients(self, n, m):
         """PhiCoefficients of the ordered pair n < m."""
@@ -316,13 +314,12 @@ class PhiState:
         return self.coefficients(n, m).concurrence()
 
     def one_tangle(self, n):
-        ni = self._idx(n)
-        p = 0.5 * float(np.sum(np.abs(self.t_mat[ni]) ** 2))
+        p = 0.5 * float(self._at(n)[2])
         return 4.0 * p * (1.0 - p)
 
     def partner_concurrences(self, n):
         """Concurrences of site n with every other site of the window."""
-        qs = np.delete(self.sites, self._idx(n))
+        qs = self.sites[self.sites != n]
         b1, b2 = _branches(*self.pair_entries(np.minimum(n, qs),
                                               np.maximum(n, qs)))
         return np.maximum(0.0, np.maximum(b1, b2))

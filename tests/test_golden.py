@@ -28,7 +28,7 @@ def _rows(text):
 
 def test_every_config_is_pinned():
     pinned = sorted(p.stem for p in (ROOT / "tests" / "golden").glob("*.csv"))
-    assert pinned == [p.stem for p in CONFIGS] and len(pinned) == 6
+    assert pinned == [p.stem for p in CONFIGS] and len(pinned) == 7
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)

@@ -229,11 +229,18 @@ def test_phi_coefficients_t0():
     assert np.isclose(pc.a, 0.0, atol=1e-12) and np.isclose(pc.b, 1.0)
 
 
+def pair_matrix(state, rows=slice(None)):
+    """Rows of the dense pair amplitudes T = e^{i phi}(gi gj^T - gj gi^T),
+    rebuilt from the orbitals the state stores."""
+    gi, gj = state.gi, state.gj
+    return np.exp(1j * state.phi) * (np.outer(gi[rows], gj)
+                                     - np.outer(gj[rows], gi))
+
+
 def reference_coefficients(state, n, m):
     """One pair's X-matrix entries by explicit masks over the window."""
     ni, mi = n - state.start, m - state.start
-    t_n = state.t_mat[ni]
-    t_m = state.t_mat[mi]
+    t_n, t_m = pair_matrix(state, [ni, mi])
     mask = np.ones(len(state.sites), dtype=bool)
     mask[[ni, mi]] = False
     a = 0.5 * abs(t_n[mi]) ** 2
@@ -283,10 +290,7 @@ def test_phi_pair_entries_property(i, gap, phi, lam_t, n, d):
                               reference_coefficients(ps, n, m))
 
 
-@pytest.mark.parametrize("block", [isotropic._BLOCK, 3 * 76])
-def test_phi_partner_concurrences_match_reference_loop(monkeypatch, block):
-    # the small block splits each window into blocks of three pairs
-    monkeypatch.setattr(isotropic, "_BLOCK", block)
+def test_phi_partner_concurrences_match_reference_loop():
     ps = isotropic.PhiState(-1, 2, 1.3, 6.0, 0.9)
     assert len(ps.sites) == 76
     for n in (ps.start, -1, 0, 5, int(ps.sites[-1])):
@@ -303,12 +307,21 @@ def test_phi_pair_entries_refuse_bad_pairs():
         ps.coefficients(2, 2)
     with pytest.raises(ValueError):
         ps.pair_entries([0, 3], [1, 2])
-    with pytest.raises(CutoffError):
-        ps.coefficients(ps.start - 1, 0)
-    with pytest.raises(CutoffError):
-        ps.concurrence(0, int(ps.sites[-1]) + 1)
-    with pytest.raises(CutoffError):
-        ps.partner_concurrences(int(ps.sites[-1]) + 1)
+    # sites outside the window are not refused: their orbitals are zero,
+    # as a packet's amplitudes are, so they read the vacuum
+    lo, hi = ps.start, int(ps.sites[-1])
+    vacuum = isotropic.PhiCoefficients(a=0.0, b=1.0, x=0.0, y=0.0, c=0j, z=0j)
+    assert ps.coefficients(lo - 2, lo - 1) == vacuum
+    assert ps.coefficients(hi + 1, hi + 5) == vacuum
+    assert ps.coefficients(lo - 1, hi + 1) == vacuum
+    # a pair with one site inside keeps only that site's population
+    pc = ps.coefficients(lo - 1, 0)
+    assert (pc.a, pc.x, pc.c, pc.z) == (0.0, 0.0, 0j, 0j)
+    assert pc.y == 0.5 * ps.row_weight[0 - lo] and pc.b == 1.0 - pc.y
+    assert ps.concurrence(0, hi + 1) == 0.0
+    assert ps.one_tangle(hi + 1) == 0.0
+    partners = ps.partner_concurrences(hi + 1)
+    assert partners.shape == (len(ps.sites),) and not partners.any()
 
 
 def test_windows_widen_past_the_fixed_pad():
@@ -323,8 +336,31 @@ def test_windows_widen_past_the_fixed_pad():
     single = single_source_packet(3, lam_t / lam, lam)
     assert single.norm_defect <= isotropic.NORM_DEFECT_TOL
     ps = isotropic.PhiState(0, 2, 0.4, lam_t / lam, lam)
-    weight = 0.5 * np.sum(np.abs(ps.t_mat) ** 2)
+    weight = 0.5 * np.sum(np.abs(pair_matrix(ps)) ** 2)
     assert abs(1.0 - weight) <= isotropic.NORM_DEFECT_TOL
+
+
+@pytest.mark.parametrize("lam_t", [361.0, 400.0])
+def test_phi_pair_entries_match_reference_on_long_windows(lam_t):
+    # window-edge pairs, the seed pair and seeded random pairs
+    ps = isotropic.PhiState(0, 2, 0.4, lam_t, 1.0)
+    lo, hi = ps.start, int(ps.sites[-1])
+    rng = np.random.default_rng(7)
+    pairs = [(lo, lo + 1), (hi - 1, hi), (lo, hi), (lo, 0), (2, hi), (0, 2)]
+    pairs += [tuple(sorted(int(q) for q in rng.choice(ps.sites, 2, False)))
+              for _ in range(24)]
+    entries = ps.pair_entries([n for n, _ in pairs], [m for _, m in pairs])
+    for k, (n, m) in enumerate(pairs):
+        got = isotropic.PhiCoefficients(*(v[k] for v in entries))
+        assert_coefficients_close(got, reference_coefficients(ps, n, m))
+
+
+def test_phi_state_memory_is_linear_in_the_window():
+    # the window has 883 sites; a dense pair matrix alone would be 12.5 MB
+    ps = isotropic.PhiState(0, 2, 0.4, 400.0, 1.0)
+    held = sum(v.nbytes for v in vars(ps).values()
+               if isinstance(v, np.ndarray))
+    assert len(ps.sites) == 883 and held < 200_000
 
 
 @pytest.mark.parametrize("lam, t", [(1.0, 0.0), (0.7, 12.0), (1.0, 361.0)])

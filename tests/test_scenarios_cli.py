@@ -337,6 +337,24 @@ def test_cli_exit_codes(tmp_path):
     assert "oracle" in err
 
 
+def test_cli_phi_bell_outside_the_window_reads_the_vacuum(tmp_path):
+    # the grid lies beyond the pair seed's Bessel window [-30, 31]; like a
+    # psi seed there, the phi seed prints vacuum values and exits 0
+    far = (BASE.replace("grid.x_start = -1", "grid.x_start = -40")
+           .replace("grid.x_stop = 2", "grid.x_stop = -38")
+           .replace("concurrence, one_tangle", "concurrence, one_tangle, "
+                    "entropy2, bell_fidelities, total_concurrence")
+           + "scenario.phi = 0.0\n")
+    outs = []
+    for kind in ("phi_bell", "psi_bell"):
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(far.replace("singlet_on_vacuum", kind))
+        code, out, err = run_cli("run", str(cfg))
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_cli_selftest_failure_exits_1(monkeypatch):
     from xychain import cli, selftest
 
