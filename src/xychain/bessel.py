@@ -1,17 +1,19 @@
-"""Integer-order Bessel functions of the first kind.
+"""Integer-order Bessel functions of the first kind, many ladders at once.
 
 The isotropic chain propagates a locally inserted excitation with amplitudes
-i^x J_x(lambda*t), so whole ladders J_0..J_n are needed at a single argument.
-Miller's downward recurrence produces the full ladder in one sweep and stays
-accurate in the tail where upward recurrence blows up.  The values are
-normalized with J_0(x) + 2*sum_k J_{2k}(x) = 1.
+i^x J_x(lambda*t), so a run needs whole ladders J_0..J_n at every time of its
+grid.  Miller's downward recurrence produces a full ladder in one sweep and
+stays accurate in the tail where upward recurrence blows up.  The values are
+normalized with J_0(x) + 2*sum_k J_{2k}(x) = 1.  The sweep is a fixed
+three-term recurrence (Gautschi, SIAM Review 9:24, 1967), so `bessel_rows`
+runs it for a batch of (order, argument) lanes at once: one loop over
+orders, each step an array operation over the lanes, in which every lane
+does exactly the arithmetic of a sweep of its own.
 
-Supported range is |n| <= 2000 and 0 <= x <= 2000, plenty for light cones of
-a few hundred sites; outside that an OutOfRangeError is raised rather than
-returning something quietly wrong.
+Supported range is 0 <= n <= 2000 and 0 <= x <= 2000, plenty for light cones
+of a few hundred sites; outside that an OutOfRangeError is raised rather
+than returning something quietly wrong.
 """
-
-import math
 
 import numpy as np
 
@@ -21,6 +23,15 @@ MAX_ORDER = 2000
 MAX_ARGUMENT = 2000.0
 
 _SMALL_X = 1e-4
+
+
+def range_error(nmax, x):
+    """The OutOfRangeError of a ladder to order nmax at x, or None."""
+    if nmax < 0 or nmax > MAX_ORDER:
+        return OutOfRangeError(f"order {nmax} outside [0, {MAX_ORDER}]")
+    if not (0.0 <= x <= MAX_ARGUMENT):
+        return OutOfRangeError(f"argument {x} outside [0, {MAX_ARGUMENT}]")
+    return None
 
 
 def _series_row(nmax, x):
@@ -40,77 +51,57 @@ def _series_row(nmax, x):
     return row
 
 
-def bessel_row(nmax, x):
-    """Return the array [J_0(x), J_1(x), ..., J_nmax(x)].
-
-    Parameters
-    ----------
-    nmax : int
-        Largest order, 0 <= nmax <= 2000.
-    x : float
-        Argument, 0 <= x <= 2000.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape (nmax + 1,), float64.
-    """
-    nmax = int(nmax)
-    if nmax < 0 or nmax > MAX_ORDER:
-        raise OutOfRangeError(f"order {nmax} outside [0, {MAX_ORDER}]")
-    if not (0.0 <= x <= MAX_ARGUMENT):
-        raise OutOfRangeError(f"argument {x} outside [0, {MAX_ARGUMENT}]")
-    if x < _SMALL_X:
-        return _series_row(nmax, x)
-
-    # Start the downward sweep far enough above both the order and the
-    # turning point that the minimal solution dominates by > 1e18.
-    m_start = max(nmax, int(math.ceil(x))) + 16
-    m_start += int(2.0 * math.sqrt(m_start)) + 20
-    if m_start % 2:
-        m_start += 1
-
-    row = np.zeros(nmax + 1)
-    jp = 0.0           # J_{m+1}
-    j = 1e-290         # J_m, arbitrary seed
-    even_sum = 0.0     # J_0 + 2*sum_{k>=1} J_{2k}
-    for m in range(m_start, 0, -1):
+def _miller(nmax, x):
+    """Miller sweeps of the lanes (nmax, x), x >= _SMALL_X, as the
+    transpose of one order-major array.  A lane holds zero until the sweep
+    reaches its own start order, where it takes the arbitrary seed;
+    0 * (2m/x) - 0 keeps it exactly zero before that.  Each lane keeps only
+    its orders up to nmax and rescales, in place, at the step where its own
+    |J_m| passes 1e250."""
+    nmax, x = np.array(nmax), np.array(x)
+    # Start each sweep far enough above both the order and the turning
+    # point that the minimal solution dominates by > 1e18.
+    start = np.maximum(nmax, np.ceil(x).astype(int)) + 16
+    start += (2.0 * np.sqrt(start)).astype(int) + 20
+    start += start % 2
+    seeds = set(start.tolist())
+    rows = np.zeros((nmax.max() + 1, len(x)))  # order-major while sweeping
+    jp = np.zeros(len(x))        # J_{m+1}
+    j = np.zeros(len(x))         # J_m
+    even_sum = np.zeros(len(x))  # J_0 + 2*sum_{k>=1} J_{2k}
+    for m in range(max(seeds), 0, -1):
+        if m in seeds:
+            j[start == m] = 1e-290
         jm = (2.0 * m / x) * j - jp
         jp = j
         j = jm
         n = m - 1
-        if n <= nmax:
-            row[n] = jm
+        if n < len(rows):
+            np.copyto(rows[n], jm, where=nmax >= n)
         if n % 2 == 0:
             even_sum += jm if n == 0 else 2.0 * jm
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp *= 1e-250
-            even_sum *= 1e-250
-            row *= 1e-250
-    row /= even_sum
-    return row
+        big = np.abs(j) > 1e250
+        if big.any():
+            for v in (j, jp, even_sum, rows[n:]):
+                np.multiply(v, 1e-250, out=v, where=big)
+    rows /= even_sum
+    return rows.T
 
 
-def bessel_j(n, x):
-    """J_n(x) for integer n (either sign), 0 <= x <= 2000.
-
-    Negative orders use J_{-n}(x) = (-1)^n J_n(x).
-    """
-    n = int(n)
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -1.0
-    return sign * bessel_row(n, x)[n]
-
-
-def bessel_signed_row(nmax, x):
-    """Array of J_n(x) for n = -nmax..nmax, indexed by n + nmax."""
-    pos = bessel_row(nmax, x)
-    out = np.empty(2 * nmax + 1)
-    out[nmax:] = pos
-    signs = np.where(np.arange(1, nmax + 1) % 2 == 1, -1.0, 1.0)
-    out[:nmax] = (signs * pos[1:])[::-1]
-    return out
+def bessel_rows(nmax, x):
+    """Ladders [J_0(x_k), ..., J_{nmax_k}(x_k)] of the lanes k, as one
+    (lanes, max(nmax) + 1) array that is zero past each lane's nmax.  The
+    first lane out of range raises OutOfRangeError.  Lanes with x < 1e-4
+    take the series; they sweep at x = 1 meanwhile, so that every lane
+    shares one order-major buffer."""
+    nmax, x = [int(n) for n in nmax], [float(v) for v in x]
+    for n, v in zip(nmax, x):
+        error = range_error(n, v)
+        if error is not None:
+            raise error
+    rows = _miller(nmax, [1.0 if v < _SMALL_X else v for v in x])
+    for k, v in enumerate(x):
+        if v < _SMALL_X:
+            rows[k] = 0.0
+            rows[k, :nmax[k] + 1] = _series_row(nmax[k], v)
+    return rows

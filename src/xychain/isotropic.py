@@ -47,6 +47,10 @@ Every window starts at the light cone plus LIGHT_CONE_PAD sites and widens
 by PAD_STEP sites until the weight it holds is within NORM_DEFECT_TOL of one
 (the norm of a packet, the pair-sector weight of a pair seed); a window
 whose Bessel ladder would pass bessel.MAX_ORDER raises CutoffError.
+`windows` sizes a batch of times at once, one batch of Miller sweeps per
+widening round; `wavepacket` and `PhiState` take their time's window or
+size their own.  The states are measurement views (`scenarios`) whose
+methods take sites or pairs as scalars or arrays.
 """
 
 import functools
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import MAX_ORDER, bessel_signed_row
+from .bessel import MAX_ORDER, bessel_rows, range_error
 from .errors import CutoffError
 from .model import LIGHT_CONE_PAD
 
@@ -66,130 +70,105 @@ PAD_STEP = 10  # sites a window widens by when its weight defect is too large
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^n by n mod 4, exact for any n
 
 
-def _ladder(nmax, x):
-    """g_n = i^n J_n(x) for n = -nmax..nmax, indexed by n + nmax."""
-    js = bessel_signed_row(nmax, x)
+def _ladder(row):
+    """g_n = i^n J_n for n = -nmax..nmax, indexed by n + nmax, from the
+    ladder J_0..J_nmax and J_{-n} = (-1)^n J_n."""
+    nmax = len(row) - 1
+    signs = np.where(np.arange(nmax, 0, -1) % 2 == 1, -1.0, 1.0)
+    js = np.concatenate((signs * row[:0:-1], row))
     return _I_POWERS[np.arange(-nmax, nmax + 1) % 4] * js
 
 
-@dataclass(frozen=True)
-class SingleParticleState:
-    """One conserved excitation on the vacuum, gamma = 0.
+def _window_sums(rows, radius, span):
+    """A = sum J_n^2 and X = sum J_n J_{n-s} over n = -r..r+s per lane, from
+    ladders J_0..J_{r+s} (zero beyond).  With J_{-n} = (-1)^n J_n,
+    A = 2 sum_0^{r+s} J_n^2 - J_0^2 - sum_{r+1}^{r+s} J_n^2 and
+    X = (1 + (-1)^s) sum_0^r J_m J_{m+s} + sum_1^{s-1} (-1)^{s-n} J_n J_{s-n}.
+    The row sums are einsum contractions, which need no block-sized
+    temporaries."""
+    tail = np.take_along_axis(rows, radius[:, None] + np.arange(1, span + 1),
+                              axis=1)
+    a = (2.0 * np.einsum("ij,ij->i", rows, rows) - rows[:, 0] ** 2
+         - np.einsum("ij,ij->i", tail, tail))
+    lagged = np.einsum("ij,ij->i", rows[:, :-span], rows[:, span:])
+    signs = np.where(np.arange(span - 1, 0, -1) % 2 == 1, -1.0, 1.0)
+    between = (rows[:, 1:span] * rows[:, span - 1:0:-1] * signs).sum(axis=1)
+    return a, (1 + (-1) ** span) * lagged + between
 
-    Amplitudes are stored on the window [start, start + len - 1]; sites
-    outside carry weight below the normalization tolerance.  With no
-    amplitudes it is the stationary vacuum.  A measurement view (`scenarios`).
+
+def windows(i, j, phi, lam_ts, pair=False, pad=LIGHT_CONE_PAD):
+    """Window of the Bell seed on sites i, j at each lam*t of a batch.
+
+    Entry k is (radius, ladder): the sites min(i, j) - radius .. max(i, j)
+    + radius and J_0..J_{radius + |j - i|}(lam_ts[k]), or the CutoffError
+    or OutOfRangeError of that lam*t.  The radius starts at ceil(lam*t) +
+    pad and widens by PAD_STEP until the weight the window holds is within
+    NORM_DEFECT_TOL of one.  With A = sum |g_{p-i}|^2 = sum |g_{p-j}|^2 and
+    X = sum J_{p-i} J_{p-j} over the window, that weight is the packet norm
+    A + Re(e^{i phi} i^{i-j}) X, or with pair=True the pair-sector weight
+    A^2 - X^2 (the Gram determinant of the orbitals).
     """
-
-    start: int
-    amps: np.ndarray
-    time: float
-    lam: float
-    sources: tuple
-    phi: float
-
-    def w(self, site):
-        idx = site - self.start
-        if idx < 0 or idx >= len(self.amps):
-            return 0.0 + 0.0j
-        return self.amps[idx]
-
-    @property
-    def sites(self):
-        return range(self.start, self.start + len(self.amps))
-
-    @property
-    def norm_defect(self):
-        return abs(1.0 - float(np.sum(np.abs(self.amps) ** 2)))
-
-    def rho1(self, site):
-        p = abs(self.w(site)) ** 2
-        return np.array([[p, 0.0], [0.0, 1.0 - p]])
-
-    def rho2(self, n, m):
-        """Reduced pair state in the basis (uu, ud, du, dd)."""
-        wn, wm = self.w(n), self.w(m)
-        x = abs(wn) ** 2
-        y = abs(wm) ** 2
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[1, 1] = x
-        rho[2, 2] = y
-        rho[1, 2] = wn * np.conj(wm)
-        rho[2, 1] = np.conj(rho[1, 2])
-        rho[3, 3] = 1.0 - x - y
-        return rho
-
-    def one_tangle(self, n):
-        p = abs(self.w(n)) ** 2
-        return 4.0 * p * (1.0 - p)
-
-    def concurrence(self, n, m):
-        """C_{nm} = 2 |w_n wbar_m| for a one-particle state."""
-        return 2.0 * abs(self.w(n) * np.conj(self.w(m)))
-
-    @functools.cached_property
-    def _magnitudes(self):
-        return np.abs(self.amps)
-
-    def partner_concurrences(self, n):
-        """C_{nq} = 2|w_n w_q| over the window; the entry of n itself is 0
-        (cheaper than cutting it out, and neutral in every partner sum)."""
-        partners = 2.0 * abs(self.w(n)) * self._magnitudes
-        if n in self.sites:
-            partners[n - self.start] = 0.0
-        return partners
-
-    def baseline_tangle(self, n):
-        """Tangle of the unperturbed state: the stationary vacuum, zero."""
-        return 0.0
-
-
-def _widening(lam_t, span, pad, build):
-    """build(radius) -> (result, weight defect), with the window radius
-    ceil(lam_t) + pad widened by PAD_STEP until the defect is at most
-    NORM_DEFECT_TOL.  span is the ladder's reach beyond the radius; a
-    ladder past bessel.MAX_ORDER raises CutoffError."""
-    while True:
-        radius = int(math.ceil(lam_t)) + pad
-        result, defect = build(radius)
-        if defect <= NORM_DEFECT_TOL:
-            return result
-        pad += PAD_STEP
-        if int(math.ceil(lam_t)) + pad + span > MAX_ORDER:
-            raise CutoffError(
-                f"window too small at lam*t={lam_t}: defect {defect:.3e}, "
-                f"and a wider one needs Bessel orders past {MAX_ORDER}")
-
-
-def _orbitals(i, j, lam_t, radius):
-    """Window sites i - radius .. j + radius and g_{site-i}, g_{site-j}."""
-    nmax = radius + (j - i)
-    g = _ladder(nmax, lam_t)
-    sites = np.arange(i - radius, j + radius + 1)
-    return sites, g[(sites - i) + nmax], g[(sites - j) + nmax]
-
-
-def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD):
-    """Evolved one-particle Bell seed (c_i + e^{i phi} c_j)^dag |vac>/sqrt(2)."""
-    if i == j:
-        raise ValueError("seed sites must differ")
     i, j = (i, j) if i < j else (j, i)
+    span = j - i
+    coupling = (np.exp(1j * phi) * _I_POWERS[(i - j) % 4]).real
+    radii = [int(math.ceil(v)) + pad for v in lam_ts]
+    out = [range_error(r + span, v) for r, v in zip(radii, lam_ts)]
+    todo = [k for k, error in enumerate(out) if error is None]
+    while todo:
+        radius = np.array([radii[k] for k in todo])
+        rows = bessel_rows(radius + span, [lam_ts[k] for k in todo])
+        a, x = _window_sums(rows, radius, span)
+        weight = a * a - x * x if pair else a + coupling * x
+        for n, (k, defect) in enumerate(zip(todo, np.abs(1.0 - weight))):
+            if defect <= NORM_DEFECT_TOL:
+                out[k] = (radii[k], rows[n, :radii[k] + span + 1].copy())
+            elif radii[k] + PAD_STEP + span > MAX_ORDER:
+                out[k] = CutoffError(
+                    f"window too small at lam*t={lam_ts[k]}: defect "
+                    f"{defect:.3e}, and a wider one needs Bessel orders past "
+                    f"{MAX_ORDER}")
+            else:
+                radii[k] += PAD_STEP
+        del rows  # frees this round's block before the next one is swept
+        todo = [k for k in todo if out[k] is None]
+    return out
 
-    def build(radius):
-        sites, gi, gj = _orbitals(i, j, abs(lam) * t, radius)
-        amps = (gi + np.exp(1j * phi) * gj) / math.sqrt(2.0)
-        state = SingleParticleState(start=int(sites[0]), amps=amps,
-                                    time=float(t), lam=float(lam),
-                                    sources=(i, j), phi=float(phi))
-        return state, state.norm_defect
 
-    return _widening(abs(lam) * t, j - i, pad, build)
+def _orbitals(i, j, window):
+    """Window sites i - radius .. j + radius (i < j) and g_{site-i},
+    g_{site-j}; an error in place of the window is raised."""
+    if isinstance(window, Exception):
+        raise window
+    radius, row = window
+    g = _ladder(row)
+    span = j - i
+    return np.arange(i - radius, j + radius + 1), g[span:], g[:len(g) - span]
 
 
 def _modulus(v):
     """|v| of complex scalars or arrays.  np.abs rounds complex arrays
     differently from scalars; hypot rounds both like Python's abs()."""
-    return np.hypot(np.real(v), np.imag(v))
+    return np.hypot(v.real, v.imag)
+
+
+def _times_conj(u, v):
+    """Real and imaginary parts of u conj(v), in real arithmetic that
+    rounds like a scalar product (complex arrays may round differently)."""
+    return u.real * v.real + u.imag * v.imag, u.imag * v.real - u.real * v.imag
+
+
+def _x_matrices(a, b, x, y, c, z):
+    """X-form density matrices in the basis (uu, ud, du, dd), shape
+    (..., 4, 4), from entries that broadcast together."""
+    rho = np.zeros(np.broadcast(a, b, x, y, c, z).shape + (4, 4),
+                   dtype=complex)
+    for k, v in enumerate((a, x, y, b)):
+        rho[..., k, k] = v
+    rho[..., 0, 3] = c
+    rho[..., 3, 0] = np.conj(c)
+    rho[..., 1, 2] = z
+    rho[..., 2, 1] = np.conj(z)
+    return rho
 
 
 def _branches(a, b, x, y, c, z):
@@ -200,54 +179,97 @@ def _branches(a, b, x, y, c, z):
 
 
 @dataclass(frozen=True)
-class PhiCoefficients:
-    """X-matrix entries of a pair-seed reduced state on sites n < m."""
+class SingleParticleState:
+    """One conserved excitation on the vacuum, gamma = 0.
 
-    a: float
-    b: float
-    x: float
-    y: float
-    c: complex
-    z: complex
+    Amplitudes are stored on the window [start, start + len - 1]; sites
+    outside carry weight below the normalization tolerance.  With no
+    amplitudes it is the stationary vacuum.  |w|^2 is rounded as the
+    scalar abs(w) ** 2 (libm pow), so a site grid gives the values of
+    site-by-site calls bit for bit.
+    """
 
-    def rho2(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = self.a
-        rho[1, 1] = self.x
-        rho[2, 2] = self.y
-        rho[3, 3] = self.b
-        rho[0, 3] = self.c
-        rho[3, 0] = np.conj(self.c)
-        rho[1, 2] = self.z
-        rho[2, 1] = np.conj(self.z)
-        return rho
+    start: int
+    amps: np.ndarray
+    time: float
+    lam: float
+    sources: tuple
+    phi: float
 
-    def branches(self):
-        """Competing concurrence branches 2(|c|-sqrt(xy)), 2(|z|-sqrt(ab))."""
-        b1, b2 = _branches(self.a, self.b, self.x, self.y, self.c, self.z)
-        return float(b1), float(b2)
+    @functools.cached_property
+    def _padded(self):
+        return np.concatenate(([0.0], self.amps, [0.0]))
 
-    def concurrence(self):
-        b1, b2 = self.branches()
-        return max(0.0, b1, b2)
+    def w(self, sites):
+        """Amplitudes at the sites (any shape); zero outside the window,
+        where the clipped index lands on a padding zero."""
+        return self._padded.take(np.subtract(sites, self.start - 1),
+                                 mode="clip")
 
-    def active_branch(self):
-        """'pair' when the uu/dd coherence branch dominates, else 'exchange'."""
-        b1, b2 = self.branches()
-        return "pair" if b1 >= b2 else "exchange"
+    def _population(self, sites):
+        return np.float_power(_modulus(self.w(sites)), 2)
+
+    def rho2(self, n, m):
+        """Reduced pair states in the basis (uu, ud, du, dd)."""
+        x, y = self._population(n), self._population(m)
+        re, im = _times_conj(self.w(n), self.w(m))
+        z = np.empty(np.shape(re), dtype=complex)
+        z.real, z.imag = re, im
+        return _x_matrices(0.0, 1.0 - x - y, x, y, 0.0, z)
+
+    def one_tangle(self, n):
+        p = self._population(n)
+        return 4.0 * p * (1.0 - p)
+
+    def concurrence(self, n, m):
+        """C_{nm} = 2 |w_n wbar_m| for a one-particle state."""
+        return 2.0 * np.hypot(*_times_conj(self.w(n), self.w(m)))
+
+    @functools.cached_property
+    def _magnitudes(self):
+        return np.abs(self.amps)
+
+    def partner_concurrences(self, n):
+        """C_{nq} = 2|w_n w_q| over the window, one row per site n; the
+        entry of n itself is 0 (cheaper than cutting it out, and neutral in
+        every partner sum)."""
+        n = np.asarray(n)
+        idx = np.atleast_1d(n) - self.start
+        partners = (2.0 * _modulus(self.w(n)))[..., None] * self._magnitudes
+        own = np.nonzero((idx >= 0) & (idx < len(self.amps)))[0]
+        partners.reshape(len(idx), -1)[own, idx[own]] = 0.0
+        return partners
+
+    def baseline_tangle(self, n):
+        """Tangle of the unperturbed state: the stationary vacuum, zero."""
+        return np.zeros(np.shape(n))
+
+
+def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD, window=None):
+    """Evolved one-particle Bell seed (c_i + e^{i phi} c_j)^dag |vac>/sqrt(2)
+    on its entry of `windows` (sized here when None)."""
+    if i == j:
+        raise ValueError("seed sites must differ")
+    i, j = (i, j) if i < j else (j, i)
+    if window is None:
+        window, = windows(i, j, phi, [abs(lam) * t], pad=pad)
+    sites, gi, gj = _orbitals(i, j, window)
+    amps = (gi + np.exp(1j * phi) * gj) / math.sqrt(2.0)
+    return SingleParticleState(start=int(sites[0]), amps=amps, time=float(t),
+                               lam=float(lam), sources=(i, j),
+                               phi=float(phi))
 
 
 class PhiState:
     """Evolved two-particle Bell seed (|vac> + e^{i phi} c_i^dag c_j^dag)/sqrt(2).
 
-    Works in the rotating frame described in the module docstring.  The
-    window is sized by the light cone and widened until the pair-sector
-    weight it holds, sum_{p<q} |T_pq|^2, is within NORM_DEFECT_TOL of one.
-    Memory is O(window): the orbitals gi, gj, prefix sums and row weights.
-    A measurement view (`scenarios`).
+    Works in the rotating frame described in the module docstring, on its
+    entry of `windows` (sized here when None): the pair-sector weight
+    sum_{p<q} |T_pq|^2 it holds is within NORM_DEFECT_TOL of one.  Memory
+    is O(window): the orbitals gi, gj, prefix sums and row weights.
     """
 
-    def __init__(self, i, j, phi, t, lam, pad=LIGHT_CONE_PAD):
+    def __init__(self, i, j, phi, t, lam, pad=LIGHT_CONE_PAD, window=None):
         if i == j:
             raise ValueError("seed sites must differ")
         i, j = (i, j) if i < j else (j, i)
@@ -255,15 +277,9 @@ class PhiState:
         self.phi = float(phi)
         self.time = float(t)
         self.lam = float(lam)
-
-        def build(radius):
-            sites, gi, gj = _orbitals(i, j, abs(lam) * t, radius)
-            # sum_{p<q} |T_pq|^2 is the Gram determinant of the orbitals
-            weight = (np.vdot(gi, gi).real * np.vdot(gj, gj).real
-                      - abs(np.vdot(gi, gj)) ** 2)
-            return (sites, gi, gj), abs(1.0 - weight)
-
-        sites, gi, gj = _widening(abs(lam) * t, j - i, pad, build)
+        if window is None:
+            window, = windows(i, j, phi, [abs(lam) * t], pair=True, pad=pad)
+        sites, gi, gj = _orbitals(i, j, window)
         self.start, self.sites, self.gi, self.gj = int(sites[0]), sites, gi, gj
         # prefix[:, k]: sums of |gi|^2, |gj|^2, gi conj(gj) over positions < k
         terms = [np.abs(gi) ** 2, np.abs(gj) ** 2, gi * np.conj(gj)]
@@ -283,8 +299,10 @@ class PhiState:
 
     def pair_entries(self, ns, ms):
         """X-matrix entries (a, b, x, y, c, z) of the ordered pairs ns < ms,
-        as arrays over the pairs (closed forms of the module docstring)."""
-        ns, ms = np.broadcast_arrays(np.atleast_1d(ns), np.atleast_1d(ms))
+        shaped like the broadcast pairs (closed forms of the module
+        docstring, evaluated over the flattened pairs)."""
+        shape = np.broadcast(ns, ms).shape
+        ns, ms = (np.broadcast_to(v, shape).ravel() for v in (ns, ms))
         if np.any(ns >= ms):
             raise ValueError("coefficients need ordered sites n < m")
         un, vn, rn = self._at(ns)
@@ -299,31 +317,32 @@ class PhiState:
         z = (un * np.conj(um) * s_vv - un * np.conj(vm) * np.conj(s_uv)
              - vn * np.conj(um) * s_uv + vn * np.conj(vm) * s_uu)
         a, x, y = 0.5 * t2, 0.5 * (rn - t2), 0.5 * (rm - t2)
-        return a, 1.0 - a - x - y, x, y, 0.5 * t_nm, 0.5 * z
-
-    def coefficients(self, n, m):
-        """PhiCoefficients of the ordered pair n < m."""
-        a, b, x, y, c, z = (v[0] for v in self.pair_entries(n, m))
-        return PhiCoefficients(a=float(a), b=float(b), x=float(x),
-                               y=float(y), c=complex(c), z=complex(z))
+        return tuple(np.reshape(v, shape) for v in
+                     (a, 1.0 - a - x - y, x, y, 0.5 * t_nm, 0.5 * z))
 
     def rho2(self, n, m):
-        return self.coefficients(n, m).rho2()
+        return _x_matrices(*self.pair_entries(n, m))
 
     def concurrence(self, n, m):
-        return self.coefficients(n, m).concurrence()
+        b1, b2 = _branches(*self.pair_entries(n, m))
+        return np.maximum(0.0, np.maximum(b1, b2))
 
     def one_tangle(self, n):
-        p = 0.5 * float(self._at(n)[2])
+        p = 0.5 * self._at(n)[2]
         return 4.0 * p * (1.0 - p)
 
     def partner_concurrences(self, n):
-        """Concurrences of site n with every other site of the window."""
-        qs = self.sites[self.sites != n]
-        b1, b2 = _branches(*self.pair_entries(np.minimum(n, qs),
-                                              np.maximum(n, qs)))
-        return np.maximum(0.0, np.maximum(b1, b2))
+        """Concurrences of site n with every other site of the window; for
+        an array of sites, one such array per site, from one batch."""
+        sites = np.atleast_1d(n)
+        partners = [self.sites[self.sites != s] for s in sites]
+        counts = [len(q) for q in partners]
+        ns, qs = np.repeat(sites, counts), np.concatenate(partners)
+        rows = np.split(self.concurrence(np.minimum(ns, qs),
+                                         np.maximum(ns, qs)),
+                        np.cumsum(counts)[:-1])
+        return rows if np.ndim(n) else rows[0]
 
     def baseline_tangle(self, n):
         """Tangle of the unperturbed state: the stationary vacuum, zero."""
-        return 0.0
+        return np.zeros(np.shape(n))

@@ -24,22 +24,26 @@ against the evolved unperturbed reference of the scenario family),
 total_concurrence, ckw_residual.
 
 Each measure is defined once, in `measure_rows`, over a view of the state
-at one time.  A view offers one_tangle(x), concurrence(l, m), rho2(l, m),
-partner_concurrences(x) over the route's window (the light cone on the
+at one time, which it asks once per measure for the whole site grid.  A
+view offers one_tangle(xs), concurrence(ls, ms), rho2(ls, ms),
+partner_concurrences(xs) over the route's window (the light cone on the
 Bessel route, +-PAIR_WINDOW on the Pfaffian route, the whole ring on the
-oracle) and baseline_tangle(x), the tangle of the unperturbed reference.
-The analytic engine's views are the one-particle packet (the gamma = 0
-vacuum is the empty packet) and `isotropic.PhiState` at gamma = 0, and
-Pfaffian contractions otherwise or in equilibrium; the oracle's view is
-the evolved ring.  Views are built per time and hold only that time's
-state.  What the analytic engine cannot represent exactly (knitted
-scenarios, phi_bell and generic seed phases at gamma != 0, ckw_residual on
-phi_bell) raises CapabilityError when the engine is built; the oracle
-engine handles those on small rings.
+oracle) and baseline_tangle(xs), the tangle of the unperturbed reference,
+each returning one entry per site or pair.  The analytic engine's views are
+the one-particle packet (the gamma = 0 vacuum is the empty packet) and
+`isotropic.PhiState` at gamma = 0, and Pfaffian contractions otherwise or
+in equilibrium; the oracle's view is the evolved ring.  Views are built per
+time and hold only that time's state; at gamma = 0 the engine sizes the
+Bessel windows of its time grid a block at a time (`isotropic.windows`).
+What the analytic engine cannot represent exactly (knitted scenarios,
+phi_bell and generic seed phases at gamma != 0, ckw_residual on phi_bell)
+raises CapabilityError when the engine is built; the oracle engine handles
+those on small rings.
 """
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +52,7 @@ from . import groundstate, isotropic, measures, oracle
 from .pfaffian import bundles, magnetization
 from .correlators import bell_contractions, vacuum_contractions
 from .errors import CapabilityError, ConfigError
-from .model import THERMODYNAMIC_LIMIT, ModelParams
+from .model import LIGHT_CONE_PAD, THERMODYNAMIC_LIMIT, ModelParams
 
 SCENARIO_KINDS = (
     "vacuum_only",
@@ -70,6 +74,8 @@ MEASURES = (
 )
 
 PAIR_WINDOW = 7  # partner reach of sums evaluated on the Pfaffian route
+WINDOW_BLOCK_BYTES = 1 << 18  # Bessel ladders held per block of times
+CSV_BLOCK_ROWS = 1 << 10  # CSV lines formatted per write
 
 _FIDELITY_NAMES = (
     "bell_fidelity_psi_minus",
@@ -262,44 +268,51 @@ def _validate(raw, source):
 
 def measure_rows(config, view, t):
     """Rows (name, x, t, value) of every configured measure, read off the
-    view of the state at time t."""
-    d = config.concurrence_distance
+    view of the state at time t, one call per measure for the site grid."""
+    xs = config.sites()
+    right = [x + 1 for x in xs]
     rows = []
+
+    def put(name, values):
+        rows.extend(zip([name] * len(xs), xs, [t] * len(xs),
+                        np.asarray(values, dtype=float).tolist()))
+
     for name in config.measure_list:
-        for x in config.sites():
-            if name == "concurrence":
-                rows.append((name, x, t, view.concurrence(x, x + d)))
-            elif name == "one_tangle":
-                rows.append((name, x, t, view.one_tangle(x)))
-            elif name == "entropy2":
-                rows.append((name, x, t,
-                             measures.entropy_vn(view.rho2(x, x + 1))))
-            elif name == "bell_fidelities":
-                vals = measures.bell_fidelities(view.rho2(x, x + 1))
-                rows.extend(zip(_FIDELITY_NAMES, (x,) * 4, (t,) * 4, vals))
-            elif name == "tangle_deviation":
-                delta, rel = measures.tangle_deviation(
-                    view.one_tangle(x), view.baseline_tangle(x))
-                rows.append(("tangle_deviation", x, t, delta))
-                rows.append(("tangle_deviation_rel", x, t, rel))
-            elif name == "total_concurrence":
-                total = float(view.partner_concurrences(x).sum())
-                rows.append((name, x, t, total))
-            else:  # ckw_residual
-                rows.append((name, x, t, measures.ckw_residual(
-                    view.one_tangle(x), view.partner_concurrences(x))))
+        if name == "concurrence":
+            d = config.concurrence_distance
+            put(name, view.concurrence(xs, [x + d for x in xs]))
+        elif name == "one_tangle":
+            put(name, view.one_tangle(xs))
+        elif name == "entropy2":
+            put(name, [measures.entropy_vn(rho)
+                       for rho in view.rho2(xs, right)])
+        elif name == "bell_fidelities":
+            fids = [measures.bell_fidelities(rho)
+                    for rho in view.rho2(xs, right)]
+            for k, fid_name in enumerate(_FIDELITY_NAMES):
+                put(fid_name, [f[k] for f in fids])
+        elif name == "tangle_deviation":
+            devs = [measures.tangle_deviation(tau, base) for tau, base in
+                    zip(view.one_tangle(xs), view.baseline_tangle(xs))]
+            put("tangle_deviation", [delta for delta, _ in devs])
+            put("tangle_deviation_rel", [rel for _, rel in devs])
+        elif name == "total_concurrence":
+            put(name, [p.sum() for p in view.partner_concurrences(xs)])
+        else:  # ckw_residual
+            put(name, [measures.ckw_residual(tau, p) for tau, p in
+                       zip(view.one_tangle(xs),
+                           view.partner_concurrences(xs))])
     return rows
 
 
 class _ContractionView:
     """Pfaffian-route view of one time's Majorana contractions on the
-    config's site grid.  Bundles are memoized per (l, m) and evaluated a
-    column at a time: a miss at (l, m) fills (x, x + m - l) for every grid
-    site x in one batched call, and the first partner sum fills the
-    +-PAIR_WINDOW windows of every grid site in another.  Each pair's
-    concurrence is memoized next to its bundle.  Magnetizations of the grid
-    sites come as one array.  ``baseline`` holds the reference contractions
-    (None: the state is its own reference)."""
+    config's site grid.  Bundles are memoized per (l, m) and evaluated in
+    batches: each call fills every pair it is asked for that is not held
+    yet, and a partner sum the +-PAIR_WINDOW windows of all its sites.
+    Each pair's concurrence is memoized next to its bundle.  Magnetizations
+    of the grid sites come as one array.  ``baseline`` holds the reference
+    contractions (None: the state is its own reference)."""
 
     def __init__(self, contractions, sites, baseline=None):
         self.con = contractions
@@ -312,11 +325,7 @@ class _ContractionView:
         todo = list(dict.fromkeys(p for p in pairs if p not in self._bundles))
         if todo:
             self._bundles.update(zip(todo, bundles(self.con, todo)))
-
-    def _bundle(self, l, m):
-        if (l, m) not in self._bundles:
-            self._fill([(l, m)] + [(x, x + m - l) for x in self.sites])
-        return self._bundles[(l, m)]
+        return pairs
 
     @staticmethod
     def _window(x):
@@ -337,27 +346,30 @@ class _ContractionView:
             return self._tangle
         return self._tangles(self._baseline)
 
-    def one_tangle(self, x):
-        return self._tangle[x]
+    def one_tangle(self, xs):
+        return [self._tangle[x] for x in xs]
 
-    def concurrence(self, l, m):
-        if (l, m) not in self._concurrences:
-            self._concurrences[(l, m)] = measures.concurrence_closed(
-                self._bundle(l, m))
-        return self._concurrences[(l, m)]
+    def _concurrence(self, pair):
+        if pair not in self._concurrences:
+            self._concurrences[pair] = measures.concurrence_closed(
+                self._bundles[pair])
+        return self._concurrences[pair]
 
-    def rho2(self, l, m):
-        return measures.rho2_from_correlators(self._bundle(l, m))
+    def concurrence(self, ls, ms):
+        return [self._concurrence(p) for p in self._fill(list(zip(ls, ms)))]
 
-    def partner_concurrences(self, x):
-        pairs = self._window(x)
-        if any(p not in self._bundles for p in pairs):
-            self._fill(pairs + [p for s in self.sites
-                                for p in self._window(s)])
-        return np.array([self.concurrence(l, m) for l, m in pairs])
+    def rho2(self, ls, ms):
+        return [measures.rho2_from_correlators(self._bundles[p])
+                for p in self._fill(list(zip(ls, ms)))]
 
-    def baseline_tangle(self, x):
-        return self._baseline_tangle[x]
+    def partner_concurrences(self, xs):
+        windows = [self._window(x) for x in xs]
+        self._fill([p for pairs in windows for p in pairs])
+        return [np.array([self._concurrence(p) for p in pairs])
+                for pairs in windows]
+
+    def baseline_tangle(self, xs):
+        return [self._baseline_tangle[x] for x in xs]
 
 
 class AnalyticEngine:
@@ -391,29 +403,42 @@ class AnalyticEngine:
                      + max(config.concurrence_distance, PAIR_WINDOW) + 2)
             self._ground = groundstate.gs_contractions(self.params, reach)
 
+    def views(self, times):
+        """The view of each time, in order.  A Bell seed at gamma = 0 sizes
+        the Bessel windows of a block of times at once; a block holds about
+        WINDOW_BLOCK_BYTES of the grid's longest ladders."""
+        cfg = self.config
+        if cfg.gamma != 0.0 or cfg.kind in ("vacuum_only",
+                                            "ground_state_equilibrium"):
+            yield from map(self._view, times)
+            return
+        state = (isotropic.PhiState if cfg.kind == "phi_bell"
+                 else isotropic.wavepacket)
+        lam_ts = [abs(cfg.lam) * t for t in times]
+        longest = (math.ceil(max(lam_ts, default=0.0)) + LIGHT_CONE_PAD
+                   + abs(cfg.j - cfg.i) + 1)
+        step = max(1, WINDOW_BLOCK_BYTES // (8 * max(1, longest)))
+        for k in range(0, len(times), step):
+            for t, window in zip(times[k:k + step], isotropic.windows(
+                    cfg.i, cfg.j, cfg.seed_phase, lam_ts[k:k + step],
+                    pair=cfg.kind == "phi_bell")):
+                yield state(cfg.i, cfg.j, cfg.seed_phase, t, cfg.lam,
+                            window=window)
+
     def _view(self, t):
         cfg = self.config
         if self._ground is not None:
             return _ContractionView(self._ground, cfg.sites())
-        if cfg.gamma == 0.0:
-            if cfg.kind == "vacuum_only":  # stationary: the empty packet
-                return isotropic.SingleParticleState(
-                    start=0, amps=np.zeros(0, dtype=complex), time=t,
-                    lam=cfg.lam, sources=(), phi=0.0)
-            if cfg.kind == "phi_bell":
-                return isotropic.PhiState(cfg.i, cfg.j, cfg.seed_phase, t,
-                                          cfg.lam)
-            return isotropic.wavepacket(cfg.i, cfg.j, cfg.seed_phase, t,
-                                        cfg.lam)
+        if cfg.gamma == 0.0:  # vacuum_only is stationary: the empty packet
+            return isotropic.SingleParticleState(
+                start=0, amps=np.zeros(0, dtype=complex), time=t,
+                lam=cfg.lam, sources=(), phi=0.0)
         if cfg.kind == "vacuum_only":
             return _ContractionView(vacuum_contractions(self.params, t),
                                     cfg.sites())
         amp = 1.0 if abs(np.exp(1j * cfg.seed_phase) - 1.0) < 1e-9 else -1.0
         seed = bell_contractions(self.params, t, cfg.i, cfg.j, amp=amp)
         return _ContractionView(seed, cfg.sites(), baseline=seed.vacuum)
-
-    def rows_at(self, t):
-        return measure_rows(self.config, self._view(t), t)
 
 
 class _RingView:
@@ -425,26 +450,26 @@ class _RingView:
         self.vecs = vecs
         self._evolve_reference = reference
 
-    def one_tangle(self, x):
-        return self.ws.one_tangle(self.vecs, x)
+    def one_tangle(self, xs):
+        return [self.ws.one_tangle(self.vecs, x) for x in xs]
 
-    def concurrence(self, l, m):
-        return self.ws.concurrence(self.vecs, l, m)
+    def concurrence(self, ls, ms):
+        return [self.ws.concurrence(self.vecs, l, m) for l, m in zip(ls, ms)]
 
-    def rho2(self, l, m):
-        return self.ws.rho2(self.vecs, l, m)
+    def rho2(self, ls, ms):
+        return [self.ws.rho2(self.vecs, l, m) for l, m in zip(ls, ms)]
 
-    def partner_concurrences(self, x):
-        site = x % self.ws.n
-        return np.array([self.ws.concurrence(self.vecs, site, m)
-                         for m in range(self.ws.n) if m != site])
+    def partner_concurrences(self, xs):
+        n = self.ws.n
+        return [np.array([self.ws.concurrence(self.vecs, x % n, m)
+                          for m in range(n) if m != x % n]) for x in xs]
 
     @functools.cached_property
     def _reference(self):
         return self._evolve_reference()
 
-    def baseline_tangle(self, x):
-        return self.ws.one_tangle(self._reference, x)
+    def baseline_tangle(self, xs):
+        return [self.ws.one_tangle(self._reference, x) for x in xs]
 
 
 class OracleEngine:
@@ -481,11 +506,13 @@ class OracleEngine:
             return ws.knitted_singlet(cfg.i, cfg.j)
         raise ConfigError(f"unknown scenario kind {cfg.kind!r}")
 
-    def rows_at(self, t):
+    def views(self, times):
+        return map(self._view, times)
+
+    def _view(self, t):
         ws = self.ws
-        view = _RingView(ws, ws.evolve_components(self._base, t),
+        return _RingView(ws, ws.evolve_components(self._base, t),
                          lambda: ws.evolve_components(self._reference, t))
-        return measure_rows(self.config, view, t)
 
 
 def make_engine(config, engine_name=None):
@@ -500,17 +527,20 @@ def make_engine(config, engine_name=None):
 def run_scenario(config, engine_name=None):
     """Evaluate the full measurement grid; rows sorted deterministically."""
     engine = make_engine(config, engine_name)
-    rows = [row for t in config.times() for row in engine.rows_at(t)]
-    rows.sort(key=lambda row: (row[0], row[1], row[2]))
+    times = config.times()
+    rows = [row for t, view in zip(times, engine.views(times))
+            for row in measure_rows(config, view, t)]
+    # stable passes by t, x, then name order the rows by (name, x, t)
+    # without a key tuple per row
+    for k in (2, 1, 0):
+        rows.sort(key=operator.itemgetter(k))
     return rows
 
 
-def format_value(value):
-    """Shortest-ish float formatting capped at 12 significant digits."""
-    return f"{value:.12g}"
-
-
 def write_csv(rows, stream):
+    """Rows (name, x, t, value) as CSV, t and value to 12 significant
+    digits, written a block of CSV_BLOCK_ROWS lines at a time."""
     stream.write("measure,x,t,value\n")
-    for name, x, t, value in rows:
-        stream.write(f"{name},{x},{format_value(t)},{format_value(value)}\n")
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        stream.write("".join(["%s,%d,%.12g,%.12g\n" % row for row in
+                              rows[start:start + CSV_BLOCK_ROWS]]))

@@ -119,17 +119,19 @@ def run_case(gamma, lam, kind, fast=False):
     base = _oracle_state(ws, kind)
     lt_grid = LT_GRID[1::2] if fast else LT_GRID
     isotropic_route = gamma == 0.0
+    windows = [None] * len(lt_grid)
+    if isotropic_route and kind != "vacuum_only":
+        windows = isotropic.windows(SEED_I, SEED_J, np.pi,
+                                    [abs(lam) * (v / lam) for v in lt_grid])
 
-    for lam_t in lt_grid:
+    for lam_t, window in zip(lt_grid, windows):
         t = lam_t / lam
         vecs = ws.evolve_components(base, t)
         con = _analytic_contractions(params, t, kind)
         pair_cells = _pair_cells(kind, lam_t)
         site_cells = _site_cells(kind, lam_t)
-        if isotropic_route and kind != "vacuum_only":
-            state = isotropic.wavepacket(SEED_I, SEED_J, np.pi, t, lam)
-        else:
-            state = None
+        state = None if window is None else isotropic.wavepacket(
+            SEED_I, SEED_J, np.pi, t, lam, window=window)
 
         pair_bundles = bundles(con, [(l, m) for l, m, _ in pair_cells])
         for (l, m, _), bundle in zip(pair_cells, pair_bundles):

@@ -1,9 +1,13 @@
 """Shared test utilities: random physical two-site states in X form, and
 reference routines that more than one test module checks against."""
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from xychain import isotropic
+from xychain.bessel import bessel_rows
 from xychain.measures import CorrelatorBundle
 from xychain.model import LIGHT_CONE_PAD
 
@@ -45,16 +49,31 @@ def bell_fidelity(rho, family, phi):
     return diag + (np.exp(1j * phi) * np.conj(coh)).real
 
 
-def single_source_packet(i, t, lam, pad=LIGHT_CONE_PAD):
-    """Evolved single insertion c_i^dag |vac>, on a widening window."""
-    def build(radius):
-        g = isotropic._ladder(radius, abs(lam) * t)
-        state = isotropic.SingleParticleState(
-            start=int(i - radius), amps=g, time=float(t), lam=float(lam),
-            sources=(int(i),), phi=0.0)
-        return state, state.norm_defect
+def bessel_j(n, x):
+    """J_n(x) for integer n (either sign), 0 <= x <= 2000, read off one
+    ladder; negative orders use J_{-n}(x) = (-1)^n J_n(x)."""
+    sign = -1.0 if n < 0 and n % 2 else 1.0
+    return sign * bessel_rows([abs(n)], [x])[0, abs(n)]
 
-    return isotropic._widening(abs(lam) * t, 0, pad, build)
+
+def norm_defect(state):
+    """|1 - sum |w|^2| of a one-particle state."""
+    return abs(1.0 - float(np.sum(np.abs(state.amps) ** 2)))
+
+
+def single_source_packet(i, t, lam, pad=LIGHT_CONE_PAD):
+    """Evolved single insertion c_i^dag |vac>, its window widened by
+    PAD_STEP until the norm defect is within NORM_DEFECT_TOL."""
+    lam_t = abs(lam) * t
+    while True:
+        radius = math.ceil(lam_t) + pad
+        ladder = isotropic._ladder(bessel_rows([radius], [lam_t])[0])
+        state = isotropic.SingleParticleState(
+            start=int(i - radius), amps=ladder, time=float(t),
+            lam=float(lam), sources=(int(i),), phi=0.0)
+        if norm_defect(state) <= isotropic.NORM_DEFECT_TOL:
+            return state
+        pad += isotropic.PAD_STEP
 
 
 def orbital_states(phi_state):
@@ -62,3 +81,39 @@ def orbital_states(phi_state):
     its sites i and j."""
     return (single_source_packet(phi_state.i, phi_state.time, phi_state.lam),
             single_source_packet(phi_state.j, phi_state.time, phi_state.lam))
+
+
+@dataclass(frozen=True)
+class PhiCoefficients:
+    """X-matrix entries of a pair-seed reduced state on sites n < m."""
+
+    a: float
+    b: float
+    x: float
+    y: float
+    c: complex
+    z: complex
+
+    def branches(self):
+        """Competing concurrence branches 2(|c|-sqrt(xy)), 2(|z|-sqrt(ab))."""
+        b1, b2 = isotropic._branches(self.a, self.b, self.x, self.y, self.c,
+                                     self.z)
+        return float(b1), float(b2)
+
+    def concurrence(self):
+        b1, b2 = self.branches()
+        return max(0.0, b1, b2)
+
+    def active_branch(self):
+        """'pair' when the uu/dd coherence branch dominates, else
+        'exchange'."""
+        b1, b2 = self.branches()
+        return "pair" if b1 >= b2 else "exchange"
+
+
+def coefficients(phi_state, n, m):
+    """PhiCoefficients of the ordered pair n < m of a pair-seed state."""
+    a, b, x, y, c, z = phi_state.pair_entries(n, m)
+    return PhiCoefficients(a=float(a), b=float(b), x=float(x), y=float(y),
+                           c=complex(c), z=complex(z))
+

@@ -23,7 +23,7 @@ from xychain.model import ModelParams
 from xychain.pfaffian import bundles, pfaffians
 from xychain.selftest import run_selftest
 
-from helpers import orbital_states, random_x_bundle
+from helpers import coefficients, orbital_states, random_x_bundle
 
 
 def _verdict(num, label, ok, detail):
@@ -101,9 +101,10 @@ def test_criterion_04_propagation_velocity():
         tstars = []
         for x in xs:
             grid = np.arange(0.01 / lam, (x + 18) / lam + 1e-12, 0.01 / lam)
+            windows = isotropic.windows(0, 1, np.pi, abs(lam) * grid)
             vals = [
-                isotropic.wavepacket(0, 1, np.pi, t, lam).concurrence(0, x)
-                for t in grid
+                isotropic.wavepacket(0, 1, np.pi, t, lam, window=w)
+                .concurrence(0, x) for t, w in zip(grid, windows)
             ]
             tstars.append(grid[int(np.argmax(vals))])
         lam_eff = float(np.sum(xs * xs) / np.sum(xs * np.asarray(tstars)))
@@ -203,7 +204,7 @@ def test_criterion_09_branch_switch():
     concs = []
     for lt in grid:
         state = isotropic.PhiState(-5, 5, 0.0, lt / lam, lam)
-        coeff = state.coefficients(-1, 1)
+        coeff = coefficients(state, -1, 1)
         branches.append(coeff.active_branch())
         concs.append(coeff.concurrence())
     switches = [

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import bell_fidelity, orbital_states, single_source_packet
+from helpers import (PhiCoefficients, bell_fidelity, bessel_j, coefficients,
+                     norm_defect, orbital_states, single_source_packet)
 from xychain import isotropic, measures, model, oracle
-from xychain.bessel import bessel_j
 from xychain.errors import CutoffError
 
 
@@ -36,12 +36,12 @@ def self_concurrence(x, phi, t, lam):
 
 def optimal_phase_pair(ps, n, m):
     """Maximizer of the uu/dd Bell fidelity over the reference phase."""
-    return cmath.phase(ps.coefficients(n, m).c) % (2.0 * math.pi)
+    return cmath.phase(coefficients(ps, n, m).c) % (2.0 * math.pi)
 
 
 def optimal_phase_exchange(ps, n, m):
     """Maximizer of the ud/du Bell fidelity over the reference phase."""
-    return cmath.phase(ps.coefficients(n, m).z) % (2.0 * math.pi)
+    return cmath.phase(coefficients(ps, n, m).z) % (2.0 * math.pi)
 
 
 def optimal_phases(n, m, i, j, phi):
@@ -60,8 +60,8 @@ def optimal_phases(n, m, i, j, phi):
 
 def fold_on_ring(state, n):
     w = np.zeros(n, dtype=complex)
-    for k, site in enumerate(state.sites):
-        w[site % n] += state.amps[k]
+    for k, amp in enumerate(state.amps):
+        w[(state.start + k) % n] += amp
     return w
 
 
@@ -220,12 +220,12 @@ def test_total_concurrence_budget():
 
 def test_phi_coefficients_t0():
     # at the seed pair the state is (uu + exp(i phi) dd)/sqrt(2)
-    pc = isotropic.PhiState(-5, 5, 0.7, 0.0, 1.0).coefficients(-5, 5)
+    pc = coefficients(isotropic.PhiState(-5, 5, 0.7, 0.0, 1.0), -5, 5)
     assert np.isclose(pc.a, 0.5) and np.isclose(pc.b, 0.5)
     assert np.isclose(pc.c, 0.5 * cmath.exp(0.7j))
     assert pc.x == 0.0 and pc.y == 0.0
     # away from the seeds nothing has happened yet
-    pc = isotropic.PhiState(-5, 5, 0.7, 0.0, 1.0).coefficients(-1, 1)
+    pc = coefficients(isotropic.PhiState(-5, 5, 0.7, 0.0, 1.0), -1, 1)
     assert np.isclose(pc.a, 0.0, atol=1e-12) and np.isclose(pc.b, 1.0)
 
 
@@ -251,7 +251,7 @@ def reference_coefficients(state, n, m):
     signs[ni + 1:mi] = -1.0
     z = 0.5 * complex(np.sum(signs[mask] * t_n[mask] * np.conj(t_m[mask])))
     b = 1.0 - a - x - y
-    return isotropic.PhiCoefficients(a=a, b=b, x=x, y=y, c=c, z=z)
+    return PhiCoefficients(a=a, b=b, x=x, y=y, c=c, z=z)
 
 
 def assert_coefficients_close(got, want, tol=1e-14):
@@ -269,9 +269,9 @@ def test_phi_pair_entries_match_reference(i, j):
     entries = ps.pair_entries([n for n, _ in pairs], [m for _, m in pairs])
     for k, (n, m) in enumerate(pairs):
         want = reference_coefficients(ps, n, m)
-        got = isotropic.PhiCoefficients(*(v[k] for v in entries))
+        got = PhiCoefficients(*(v[k] for v in entries))
         assert_coefficients_close(got, want)
-        assert_coefficients_close(ps.coefficients(n, m), want)
+        assert_coefficients_close(coefficients(ps, n, m), want)
         assert ps.concurrence(n, m) == pytest.approx(want.concurrence(),
                                                      abs=1e-14)
 
@@ -286,7 +286,7 @@ def test_phi_pair_entries_property(i, gap, phi, lam_t, n, d):
     ps = isotropic.PhiState(i, i + gap, phi, lam_t, 1.0)
     n = int(np.clip(n, ps.start, ps.sites[-1] - 1))
     m = min(n + d, int(ps.sites[-1]))
-    assert_coefficients_close(ps.coefficients(n, m),
+    assert_coefficients_close(coefficients(ps, n, m),
                               reference_coefficients(ps, n, m))
 
 
@@ -304,18 +304,18 @@ def test_phi_partner_concurrences_match_reference_loop():
 def test_phi_pair_entries_refuse_bad_pairs():
     ps = isotropic.PhiState(0, 1, 0.3, 2.0, 1.0)
     with pytest.raises(ValueError):
-        ps.coefficients(2, 2)
+        ps.pair_entries(2, 2)
     with pytest.raises(ValueError):
         ps.pair_entries([0, 3], [1, 2])
     # sites outside the window are not refused: their orbitals are zero,
     # as a packet's amplitudes are, so they read the vacuum
     lo, hi = ps.start, int(ps.sites[-1])
-    vacuum = isotropic.PhiCoefficients(a=0.0, b=1.0, x=0.0, y=0.0, c=0j, z=0j)
-    assert ps.coefficients(lo - 2, lo - 1) == vacuum
-    assert ps.coefficients(hi + 1, hi + 5) == vacuum
-    assert ps.coefficients(lo - 1, hi + 1) == vacuum
+    vacuum = PhiCoefficients(a=0.0, b=1.0, x=0.0, y=0.0, c=0j, z=0j)
+    assert coefficients(ps, lo - 2, lo - 1) == vacuum
+    assert coefficients(ps, hi + 1, hi + 5) == vacuum
+    assert coefficients(ps, lo - 1, hi + 1) == vacuum
     # a pair with one site inside keeps only that site's population
-    pc = ps.coefficients(lo - 1, 0)
+    pc = coefficients(ps, lo - 1, 0)
     assert (pc.a, pc.x, pc.c, pc.z) == (0.0, 0.0, 0j, 0j)
     assert pc.y == 0.5 * ps.row_weight[0 - lo] and pc.b == 1.0 - pc.y
     assert ps.concurrence(0, hi + 1) == 0.0
@@ -328,13 +328,13 @@ def test_windows_widen_past_the_fixed_pad():
     # at lam*t = 400 a 30-site pad loses more than the tolerated weight
     lam, lam_t = 1.0, 400.0
     state = isotropic.wavepacket(0, 1, np.pi, lam_t / lam, lam)
-    assert state.norm_defect <= isotropic.NORM_DEFECT_TOL
+    assert norm_defect(state) <= isotropic.NORM_DEFECT_TOL
     assert state.start < 0 - math.ceil(lam_t) - model.LIGHT_CONE_PAD
     residual = measures.ckw_residual(state.one_tangle(0),
                                      state.partner_concurrences(0))
     assert abs(residual) <= 1e-9
     single = single_source_packet(3, lam_t / lam, lam)
-    assert single.norm_defect <= isotropic.NORM_DEFECT_TOL
+    assert norm_defect(single) <= isotropic.NORM_DEFECT_TOL
     ps = isotropic.PhiState(0, 2, 0.4, lam_t / lam, lam)
     weight = 0.5 * np.sum(np.abs(pair_matrix(ps)) ** 2)
     assert abs(1.0 - weight) <= isotropic.NORM_DEFECT_TOL
@@ -351,7 +351,7 @@ def test_phi_pair_entries_match_reference_on_long_windows(lam_t):
               for _ in range(24)]
     entries = ps.pair_entries([n for n, _ in pairs], [m for _, m in pairs])
     for k, (n, m) in enumerate(pairs):
-        got = isotropic.PhiCoefficients(*(v[k] for v in entries))
+        got = PhiCoefficients(*(v[k] for v in entries))
         assert_coefficients_close(got, reference_coefficients(ps, n, m))
 
 
@@ -375,8 +375,10 @@ def test_windows_keep_the_fixed_pad_when_it_suffices(lam, t):
 def test_window_past_the_bessel_ladder_is_a_cutoff():
     # at lam*t = 1965 the 30-site pad falls short and the next one would
     # need Bessel orders past 2000
-    with pytest.raises(CutoffError):
-        single_source_packet(0, 1965.0, 1.0)
+    with pytest.raises(CutoffError, match="window too small at lam"):
+        isotropic.wavepacket(0, 1, 0.0, 1965.0, 1.0)
+    with pytest.raises(CutoffError, match="window too small at lam"):
+        isotropic.PhiState(0, 1, 0.0, 1965.0, 1.0)
 
 
 def test_phi_rho2_is_physical():
@@ -388,7 +390,7 @@ def test_phi_rho2_is_physical():
 
 def test_phi_concurrence_is_winning_branch():
     ps = isotropic.PhiState(-5, 5, 0.7, 4.0, 1.0)
-    pc = ps.coefficients(-1, 1)
+    pc = coefficients(ps, -1, 1)
     b_pair, b_exchange = pc.branches()
     assert np.isclose(pc.concurrence(), max(0.0, b_pair, b_exchange))
     assert ps.concurrence(-1, 1) == pc.concurrence()

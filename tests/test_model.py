@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from helpers import bessel_j
 from xychain import correlators, model
-from xychain.bessel import bessel_j
 from xychain.errors import CutoffError, DegenerateMomentumError
 from xychain.model import ModelParams, THERMODYNAMIC_LIMIT
 

@@ -419,7 +419,8 @@ def test_singlet_time_step_batches_its_pairs(monkeypatch):
         return bundles(contractions, pairs)
 
     monkeypatch.setattr(scenarios, "bundles", counting_bundles)
-    rows = scenarios.AnalyticEngine(config).rows_at(2.0)
+    view, = scenarios.AnalyticEngine(config).views([2.0])
+    rows = scenarios.measure_rows(config, view, 2.0)
     assert len(rows) == 4 * 17
     assert len(calls) <= 2
     evaluated = [pair for call in calls for pair in call]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -11,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xychain import correlators, groundstate, scenarios
-from xychain.errors import CapabilityError, ConfigError
-from xychain.model import ModelParams
+from xychain import correlators, groundstate, isotropic, measures, scenarios
+from xychain.errors import (CapabilityError, ConfigError, CutoffError,
+                            OutOfRangeError)
+from xychain.model import LIGHT_CONE_PAD, ModelParams
 from xychain.scenarios import (MEASURES, parse_config_file, parse_config_text,
                                run_scenario, write_csv)
 from xychain.selftest import PFAFFIAN_TOL
@@ -142,8 +144,12 @@ def test_csv_format():
     name, x, t, v = lines[1].split(",")
     float(x), float(t), float(v)
     # 12 significant digits survive a round trip
-    assert float(scenarios.format_value(1.0 / 3.0)) == pytest.approx(
-        1.0 / 3.0, abs=1e-12)
+    buf = io.StringIO()
+    write_csv([("m", -2, 1.0 / 3.0, -1.0 / 3.0)], buf)
+    line = buf.getvalue().splitlines()[1]
+    assert line == "m,-2,0.333333333333,-0.333333333333"
+    assert float(line.split(",")[-1]) == pytest.approx(
+        -1.0 / 3.0, abs=1e-12)
 
 
 def test_equilibrium_scenario_matches_direct_call():
@@ -220,10 +226,10 @@ def test_shipped_config_runs(path):
 
 
 def test_shipped_configs_refused_at_engine_construction(monkeypatch):
-    def no_time_step(self, t):
+    def no_time_step(self, times):
         raise AssertionError("a time step ran before the refusal")
 
-    monkeypatch.setattr(scenarios.AnalyticEngine, "rows_at", no_time_step)
+    monkeypatch.setattr(scenarios.AnalyticEngine, "views", no_time_step)
     knitted = parse_config_file(SCRIPTS / "knitted.cfg")
     phi = parse_config_file(SCRIPTS / "phi_switch.cfg")
     psi = parse_config_file(SCRIPTS / "bell_oracle.cfg")
@@ -294,6 +300,119 @@ def test_contraction_view_evaluates_each_pair_concurrence_once(monkeypatch):
     run_scenario(parse_config_text(singlet))
     assert evaluated
     assert len({id(b) for b in evaluated}) == len(evaluated)
+
+
+ISOTROPIC = """
+model.lambda = {lam}
+model.gamma = 0.0
+scenario.kind = {kind}
+scenario.i = {i}
+scenario.j = {j}
+scenario.phi = {phi}
+grid.t_start = {t_start}
+grid.t_stop = {t_stop}
+grid.dt = {dt}
+grid.x_start = {x_start}
+grid.x_stop = {x_stop}
+measures.list = {measures}
+measures.concurrence_distance = 3
+"""
+
+
+def site_by_site_rows(cfg):
+    """The grid rows of a gamma = 0 scenario from views built per time on
+    their own windows, each measure read one site at a time."""
+    rows = []
+    for t in cfg.times():
+        if cfg.kind == "phi_bell":
+            view = isotropic.PhiState(cfg.i, cfg.j, cfg.phi, t, cfg.lam)
+        else:
+            view = isotropic.wavepacket(cfg.i, cfg.j, cfg.seed_phase, t,
+                                        cfg.lam)
+        for x in cfg.sites():
+            d = cfg.concurrence_distance
+            rho = view.rho2(x, x + 1)
+            tau = view.one_tangle(x)
+            dev = measures.tangle_deviation(tau, view.baseline_tangle(x))
+            values = {
+                "concurrence": view.concurrence(x, x + d),
+                "one_tangle": tau,
+                "entropy2": measures.entropy_vn(rho),
+                "tangle_deviation": dev[0],
+                "tangle_deviation_rel": dev[1],
+                "total_concurrence": view.partner_concurrences(x).sum(),
+            }
+            values.update(zip(scenarios._FIDELITY_NAMES,
+                              measures.bell_fidelities(rho)))
+            if cfg.kind != "phi_bell":
+                values["ckw_residual"] = measures.ckw_residual(
+                    tau, view.partner_concurrences(x))
+            rows += [(name, x, t, float(v)) for name, v in values.items()]
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("kind, i, j, lam", [
+    ("psi_bell", -1, 2, 0.8), ("singlet_on_vacuum", 0, 1, 1.0),
+    ("phi_bell", 0, 3, 1.1)])
+def test_grid_rows_equal_site_by_site_calls(kind, i, j, lam):
+    # at t = 0 the windows end 30 sites past the seeds, so the grid reaches
+    # sites outside them
+    measures_list = ("concurrence, one_tangle, entropy2, bell_fidelities, "
+                     "tangle_deviation, total_concurrence")
+    if kind != "phi_bell":
+        measures_list += ", ckw_residual"
+    cfg = parse_config_text(ISOTROPIC.format(
+        lam=lam, kind=kind, i=i, j=j, phi=0.7, t_start=0.0, t_stop=6.0,
+        dt=1.5, x_start=-40, x_stop=40, measures=measures_list))
+    assert run_scenario(cfg) == site_by_site_rows(cfg)
+
+
+@pytest.mark.parametrize("kind", ["psi_bell", "phi_bell"])
+def test_time_grid_raises_at_its_earliest_failing_time(kind):
+    # from lam*t = 1940 on a wider window would need Bessel orders past
+    # 2000; from 1970 on the first window already does
+    text = ISOTROPIC.format(lam=1.0, kind=kind, i=0, j=1, phi=0.4,
+                            t_start=1800.0, t_stop=2000.0, dt=10.0,
+                            x_start=0, x_stop=0, measures="one_tangle")
+    defect = "2.584e-10" if kind == "psi_bell" else "5.168e-10"
+    with pytest.raises(CutoffError) as err:
+        run_scenario(parse_config_text(text))
+    assert str(err.value) == (
+        f"window too small at lam*t=1940.0: defect {defect}, and a wider "
+        "one needs Bessel orders past 2000")
+    text = text.replace("grid.t_start = 1800.0", "grid.t_start = 1990.0")
+    with pytest.raises(OutOfRangeError, match=r"^order 2021 outside "):
+        run_scenario(parse_config_text(text))
+
+
+@pytest.mark.parametrize("kind", ["psi_bell", "phi_bell"])
+def test_cli_negative_time_grid_is_out_of_range(tmp_path, kind):
+    # at lam*t = -32 the window's ladder would end at order -32 + 30 + 1
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text(ISOTROPIC.format(
+        lam=1.0, kind=kind, i=0, j=1, phi=0.0, t_start=-32.0,
+        t_stop=-32.0, dt=1.0, x_start=0, x_stop=0, measures="one_tangle"))
+    code, _, err = run_cli("run", str(cfg))
+    assert code == 3
+    assert err.strip() == "error: order -1 outside [0, 2000]"
+
+
+def test_bessel_route_holds_one_block_of_ladders():
+    # the ladders of this grid take 9.4 MB; the engine holds one block of
+    # about 256 KB of them at a time
+    cfg = parse_config_text(ISOTROPIC.format(
+        lam=1.0, kind="psi_bell", i=0, j=1, phi=0.3, t_start=0.0,
+        t_stop=1500.0, dt=1.0, x_start=0, x_stop=0, measures="one_tangle"))
+    ladders = sum(8 * (math.ceil(t) + LIGHT_CONE_PAD + 2)
+                  for t in cfg.times())
+    tracemalloc.start()
+    try:
+        rows = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1501 and ladders > 9e6
+    assert peak < 2e6
 
 
 def test_oracle_engine_wraps_sites_on_the_ring():
