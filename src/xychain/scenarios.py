@@ -34,7 +34,8 @@ the one-particle packet (the gamma = 0 vacuum is the empty packet) and
 `isotropic.PhiState` at gamma = 0, and Pfaffian contractions otherwise or
 in equilibrium; the oracle's view is the evolved ring.  Views are built per
 time and hold only that time's state; at gamma = 0 the engine sizes the
-Bessel windows of its time grid a block at a time (`isotropic.windows`).
+Bessel windows of its time grid a block at a time (`isotropic.windows`),
+and the oracle steps its ring state from each time to the next.
 What the analytic engine cannot represent exactly (knitted scenarios,
 phi_bell and generic seed phases at gamma != 0, ckw_residual on phi_bell)
 raises CapabilityError when the engine is built; the oracle engine handles
@@ -442,13 +443,13 @@ class AnalyticEngine:
 
 
 class _RingView:
-    """Oracle view of one evolved ring state; site indices wrap.
-    ``reference`` evolves the unperturbed reference on first use."""
+    """Oracle view of one evolved ring state and of its unperturbed
+    reference (empty unless tangle_deviation asks); site indices wrap."""
 
     def __init__(self, ws, vecs, reference):
         self.ws = ws
         self.vecs = vecs
-        self._evolve_reference = reference
+        self.reference = reference
 
     def one_tangle(self, xs):
         return [self.ws.one_tangle(self.vecs, x) for x in xs]
@@ -464,12 +465,8 @@ class _RingView:
         return [np.array([self.ws.concurrence(self.vecs, x % n, m)
                           for m in range(n) if m != x % n]) for x in xs]
 
-    @functools.cached_property
-    def _reference(self):
-        return self._evolve_reference()
-
     def baseline_tangle(self, xs):
-        return [self.ws.one_tangle(self._reference, x) for x in xs]
+        return [self.ws.one_tangle(self.reference, x) for x in xs]
 
 
 class OracleEngine:
@@ -487,9 +484,12 @@ class OracleEngine:
                     "ring")
         self.ws = oracle.workspace(n, config.gamma, config.lam)
         self._base = self._prepare()
-        equilibrium = kind in ("ground_state_equilibrium", "singlet_knitted_gs")
-        self._reference = (self.ws.ground_state() if equilibrium
-                           else self.ws.vacuum())
+        self._reference = []
+        if "tangle_deviation" in config.measure_list:
+            equilibrium = kind in ("ground_state_equilibrium",
+                                   "singlet_knitted_gs")
+            self._reference = (self.ws.ground_state() if equilibrium
+                               else self.ws.vacuum())
 
     def _prepare(self):
         cfg = self.config
@@ -507,12 +507,11 @@ class OracleEngine:
         raise ConfigError(f"unknown scenario kind {cfg.kind!r}")
 
     def views(self, times):
-        return map(self._view, times)
-
-    def _view(self, t):
-        ws = self.ws
-        return _RingView(ws, ws.evolve_components(self._base, t),
-                         lambda: ws.evolve_components(self._reference, t))
+        """The view of each time, in order: the state and its reference
+        step along the grid together as the columns of one block."""
+        k = len(self._base)
+        for vecs in self.ws.evolve_grid(self._base + self._reference, times):
+            yield _RingView(self.ws, vecs[:k], vecs[k:])
 
 
 def make_engine(config, engine_name=None):

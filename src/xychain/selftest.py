@@ -99,12 +99,6 @@ def _site_cells(kind, lam_t):
             if min(abs(s - SEED_I), abs(s - SEED_J)) <= limit]
 
 
-def _oracle_state(ws, kind):
-    if kind == "vacuum_only":
-        return ws.vacuum()
-    return ws.psi_bell(SEED_I, SEED_J, np.pi)
-
-
 def _analytic_contractions(params, t, kind):
     if kind == "vacuum_only":
         return vacuum_contractions(params, t)
@@ -116,17 +110,18 @@ def run_case(gamma, lam, kind, fast=False):
     report = CaseReport(label=f"gamma={gamma} lam={lam} {kind}")
     params = ModelParams(lam=lam, gamma=gamma, size=THERMODYNAMIC_LIMIT)
     ws = oracle.workspace(RING, gamma, lam)
-    base = _oracle_state(ws, kind)
+    base = (ws.vacuum() if kind == "vacuum_only"
+            else ws.psi_bell(SEED_I, SEED_J, np.pi))
     lt_grid = LT_GRID[1::2] if fast else LT_GRID
     isotropic_route = gamma == 0.0
+    times = [lam_t / lam for lam_t in lt_grid]
     windows = [None] * len(lt_grid)
     if isotropic_route and kind != "vacuum_only":
         windows = isotropic.windows(SEED_I, SEED_J, np.pi,
-                                    [abs(lam) * (v / lam) for v in lt_grid])
+                                    [abs(lam) * t for t in times])
 
-    for lam_t, window in zip(lt_grid, windows):
-        t = lam_t / lam
-        vecs = ws.evolve_components(base, t)
+    for lam_t, t, window, vecs in zip(lt_grid, times, windows,
+                                      ws.evolve_grid(base, times)):
         con = _analytic_contractions(params, t, kind)
         pair_cells = _pair_cells(kind, lam_t)
         site_cells = _site_cells(kind, lam_t)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xychain import isotropic
+from xychain import isotropic, oracle
 from xychain.bessel import bessel_rows
 from xychain.measures import CorrelatorBundle
 from xychain.model import LIGHT_CONE_PAD
@@ -117,3 +117,14 @@ def coefficients(phi_state, n, m):
     return PhiCoefficients(a=float(a), b=float(b), x=float(x), y=float(y),
                            c=complex(c), z=complex(z))
 
+
+def majorana_pair(ws, vecs, kind_l, l, kind_m, m):
+    """<X_l Y_m> on an oracle state, X, Y in {A, B} with
+    A_l = c_l^dag + c_l and B_l = c_l^dag - c_l, from sparse operators."""
+    ops = []
+    for kind, site in ((kind_l, l), (kind_m, m)):
+        cdag = oracle._jw_raising(ws.n, site % ws.n)
+        c = cdag.conj().T.tocsr()
+        ops.append(cdag + c if kind == "A" else cdag - c)
+    op = ops[0] @ ops[1]
+    return complex(sum(np.vdot(v, op @ v) for v in vecs))

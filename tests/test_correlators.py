@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import majorana_pair
 from xychain import correlators, oracle
 from xychain.correlators import A, B
 from xychain.model import ModelParams
@@ -56,7 +57,7 @@ def test_vacuum_contractions_match_ring(gamma, lam):
     for l, m in ((0, 0), (0, 1), (0, 2), (1, 3)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
             ana = con.pair(KIND[kl], l, KIND[km], m)
-            ref = ws.majorana_pair(vecs, kl, l, km, m)
+            ref = majorana_pair(ws, vecs, kl, l, km, m)
             assert np.isclose(ana, ref, atol=2e-5), (kl, km, l, m, ana, ref)
 
 
@@ -69,7 +70,7 @@ def test_bell_contractions_match_ring():
     for l, m in ((1, 1), (1, 2), (0, 3), (2, 2)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
             ana = con.pair(KIND[kl], l, KIND[km], m)
-            ref = ws.majorana_pair(vecs, kl, l, km, m)
+            ref = majorana_pair(ws, vecs, kl, l, km, m)
             assert np.isclose(ana, ref, atol=2e-5), (kl, km, l, m, ana, ref)
 
 

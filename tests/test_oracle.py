@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from xychain import measures, oracle
 from xychain.errors import ConfigError
-from xychain.scenarios import parse_config_text, run_scenario
+from xychain.scenarios import OracleEngine, parse_config_text, run_scenario
 
 
 def dense_reference_hamiltonian(n, gamma, lam):
@@ -29,12 +29,90 @@ def dense_reference_hamiltonian(n, gamma, lam):
     return h
 
 
+def site_ops(n):
+    """Sparse (sx, sy, sz) of every site, built as Kronecker products."""
+    sx = sp.csr_matrix(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    sy = sp.csr_matrix(np.array([[0.0, -0.5j], [0.5j, 0.0]]))
+    sz = sp.csr_matrix(np.array([[0.5, 0.0], [0.0, -0.5]]))
+    ops = []
+    for l in range(n):
+        left = sp.identity(2 ** l, format="csr")
+        right = sp.identity(2 ** (n - l - 1), format="csr")
+        ops.append(tuple(sp.kron(sp.kron(left, s), right, format="csr")
+                         for s in (sx, sy, sz)))
+    return ops
+
+
+def kron_hamiltonian(n, gamma, lam):
+    ops = site_ops(n)
+    h = sp.csr_matrix((2 ** n, 2 ** n))
+    for l in range(n):
+        m = (l + 1) % n
+        h = h - lam * (1.0 + gamma) * (ops[l][0] @ ops[m][0]).real
+        h = h - lam * (1.0 - gamma) * (ops[l][1] @ ops[m][1]).real
+        h = h - ops[l][2]
+    return h.real.tocsr()
+
+
+def kron_raising(n, l):
+    ops = site_ops(n)
+    sx, sy, _ = ops[l]
+    cdag = (sx + 1j * sy).tocsr()
+    for s in range(l):
+        cdag = cdag @ (-2.0 * ops[s][2])
+    return cdag.tocsr()
+
+
 def test_hamiltonian_matches_reference():
     n, gamma, lam = 6, 0.6, 0.9
     built = oracle.build_hamiltonian(n, gamma, lam)
     built = built.toarray() if hasattr(built, "toarray") else np.asarray(built)
     ref = dense_reference_hamiltonian(n, gamma, lam)
     assert np.max(np.abs(built - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma,lam", [(0.6, 0.9), (0.0, 1.0), (1.0, 0.3),
+                                       (0.37, 1.7)])
+def test_hamiltonian_equals_the_spin_operator_build(gamma, lam):
+    built = oracle.build_hamiltonian(6, gamma, lam)
+    assert np.array_equal(built.toarray(),
+                          kron_hamiltonian(6, gamma, lam).toarray())
+
+
+def test_raising_operators_equal_the_spin_operator_build():
+    n = 6
+    for l in range(n):
+        built = oracle._jw_raising(n, l)
+        assert built.dtype == complex
+        assert np.array_equal(built.toarray(), kron_raising(n, l).toarray())
+
+
+def test_correlators_and_magnetization_match_the_spin_operators():
+    n = 6
+    ops = site_ops(n)
+    ws = oracle.workspace(n, 0.4, 0.8)
+    rng = np.random.default_rng(3)
+    vecs = [rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+            for _ in range(2)]
+    for v in vecs:
+        v /= np.linalg.norm(v) * np.sqrt(2)
+    axes = {"x": 0, "y": 1, "z": 2}
+
+    def expect(op):
+        return sum(np.vdot(v, op @ v) for v in vecs)
+
+    for l in range(n):
+        ref = expect(ops[l][2])
+        assert abs(ws.magnetization(vecs, l + n) - ref.real) < 1e-14
+        for m in range(n):
+            if m == l:
+                continue
+            for a in "xyz":
+                for b in "xyz":
+                    ref = expect(ops[l][axes[a]] @ ops[m][axes[b]])
+                    assert abs(ref.imag) < 1e-14
+                    got = ws.correlator(vecs, a, b, l, m - n)
+                    assert abs(got - ref.real) < 1e-14, (a, b, l, m)
 
 
 def test_workspace_bounds():
@@ -70,18 +148,107 @@ def test_evolve_matches_dense_diagonalization(t):
 
 def test_evolve_leaves_global_random_state_alone():
     # at t = 20 a single expm_multiply call would estimate norms with
-    # onenormest, which draws from np.random
+    # onenormest, which draws from np.random; so would a three-column
+    # block stepped over 6 -> 20 in substeps sized for one column (a
+    # block's exact-norm bound is a third of one column's)
     ws = oracle.workspace(8, 0.5, 1.0)
     (vec,) = ws.psi_bell(0, 1, np.pi)
+    block = ws.psi_bell(0, 1, np.pi) + ws.phi_bell(2, 5, 0.3) + ws.vacuum()
     outs = []
     for seed in (1, 2):
         np.random.seed(seed)
         before = np.random.get_state()
-        outs.append(ws.evolve(vec, 20.0))
+        outs.append([ws.evolve(vec, 20.0)]
+                    + [v for vecs in ws.evolve_grid(block, [3.0, 6.0, 20.0])
+                       for v in vecs])
         after = np.random.get_state()
         assert before[0] == after[0] and before[2:] == after[2:]
         assert np.array_equal(before[1], after[1])
-    assert np.array_equal(outs[0], outs[1])
+    assert all(np.array_equal(a, b) for a, b in zip(*outs))
+
+
+def _mixture(n, k, seed):
+    rng = np.random.default_rng(seed)
+    vecs = [rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+            for _ in range(k)]
+    return [v / np.linalg.norm(v) for v in vecs]
+
+
+def test_grid_walk_from_zero_matches_per_time_evolution():
+    ws = oracle.workspace(8, 0.7, 0.8)
+    base = _mixture(8, 3, 4)
+    times = [0.0, 0.25, 0.5, 0.75, 1.0, 1.3, 2.0, 2.0, 1.1]
+    walked = list(ws.evolve_grid(base, times))
+    assert len(walked) == len(times)
+    assert all(a is b for a, b in zip(walked[0], base))
+    for t, vecs in zip(times, walked):
+        for v, v0 in zip(vecs, base):
+            assert np.max(np.abs(v - ws.evolve(v0, t))) < 1e-12
+
+
+def test_grid_walk_from_a_late_start_matches_per_time_evolution():
+    # four columns keep each substep's 1-norm within 60 / 4 = 15: the first
+    # interval, 0 -> 9, takes several substeps
+    ws = oracle.workspace(8, 0.5, 1.0)
+    base = _mixture(8, 4, 5)
+    assert 9.0 * ws._norm1 * len(base) / oracle.EXACT_NORM_STEP > 3
+    times = [9.0 + 0.5 * k for k in range(5)]
+    for t, vecs in zip(times, ws.evolve_grid(base, times)):
+        assert len(vecs) == len(base)
+        for v, v0 in zip(vecs, base):
+            assert np.max(np.abs(v - ws.evolve(v0, t))) < 1e-12
+
+
+ORACLE_REFERENCE = """
+engine = oracle
+scenario.oracle_sites = 8
+model.lambda = 0.9
+model.gamma = 0.4
+scenario.kind = {kind}
+scenario.i = 2
+scenario.j = 3
+scenario.phi = 3.141592653589793
+grid.t_start = 0.0
+grid.t_stop = 1.5
+grid.dt = 0.5
+grid.x_start = 0
+grid.x_stop = 7
+measures.list = {measures}
+"""
+
+
+@pytest.mark.parametrize("kind", ["psi_bell", "ground_state_equilibrium"])
+def test_reference_rides_along_only_for_tangle_deviation(kind):
+    cfg = parse_config_text(ORACLE_REFERENCE.format(
+        kind=kind, measures="one_tangle, tangle_deviation"))
+    engine = OracleEngine(cfg)
+    ws = engine.ws
+    base = ws.ground_state() if kind != "psi_bell" else ws.psi_bell(
+        2, 3, np.pi)
+    reference = ws.ground_state() if kind != "psi_bell" else ws.vacuum()
+    times = cfg.times()
+    views = list(engine.views(times))
+    for t, view in zip(times, views):
+        for got, want in ((view.vecs, base), (view.reference, reference)):
+            assert len(got) == len(want)
+            for v, w in zip(got, ws.evolve_components(want, t)):
+                assert np.max(np.abs(v - w)) < 1e-12
+    rows = run_scenario(cfg)
+    by_hand = []
+    for t, view in zip(times, views):
+        for x in cfg.sites():
+            tau = ws.one_tangle(ws.evolve_components(base, t), x)
+            ref = ws.one_tangle(ws.evolve_components(reference, t), x)
+            delta, rel = measures.tangle_deviation(tau, ref)
+            by_hand += [("one_tangle", x, t, tau),
+                        ("tangle_deviation", x, t, delta),
+                        ("tangle_deviation_rel", x, t, rel)]
+    assert [r[:3] for r in rows] == [r[:3] for r in sorted(by_hand)]
+    for (_, _, _, got), (_, _, _, want) in zip(rows, sorted(by_hand)):
+        assert abs(got - want) <= 1e-12 or (np.isnan(got) and np.isnan(want))
+    plain = OracleEngine(parse_config_text(ORACLE_REFERENCE.format(
+        kind=kind, measures="one_tangle")))
+    assert all(view.reference == [] for view in plain.views(times))
 
 
 # the lower sector flips with the point: even (popcount of the basis index)
@@ -92,8 +259,8 @@ def test_ground_state_matches_dense_diagonalization(gamma, lam, parity):
     n = 8
     energies, modes = dense_spectrum(n, gamma, lam)
     ws = oracle.workspace(n, gamma, lam)
-    assert abs(ws.ground_energy - energies[0]) < 1e-12
     (gs,) = ws.ground_state()
+    assert abs(np.vdot(gs, ws.hamiltonian @ gs).real - energies[0]) < 1e-12
     ref = modes[:, 0]
     projector_diff = np.outer(gs, gs.conj()) - np.outer(ref, ref)
     assert np.max(np.abs(projector_diff)) < 1e-10
@@ -117,7 +284,8 @@ def _held_bytes(obj):
 def test_workspace_holds_no_dense_matrix():
     ws = oracle.OracleWorkspace(12, 0.5, 1.0)
     ws.evolve_components(ws.knitted_singlet(1, 2), 0.5)
-    assert ws.ground_energy < 0.0
+    (gs,) = ws.ground_state()
+    assert np.vdot(gs, ws.hamiltonian @ gs).real < 0.0
     assert _held_bytes(vars(ws)) < 5e6
 
 
