@@ -15,12 +15,11 @@ from .errors import (
     CapabilityError,
     ConfigError,
     CutoffError,
-    DegenerateMomentumError,
     NumericalHealthError,
     OutOfRangeError,
     XYChainError,
 )
-from .model import THERMODYNAMIC_LIMIT, ModelParams, bogoliubov, dispersion
+from .model import THERMODYNAMIC_LIMIT, ModelParams
 from .correlators import bell_contractions, vacuum_contractions
 from .pfaffian import magnetization
 from .measures import (
@@ -30,7 +29,7 @@ from .measures import (
     one_tangle,
     rho2_from_correlators,
 )
-from .groundstate import gs_concurrence, gs_contractions, ring_ground_energy
+from .groundstate import gs_concurrence, gs_contractions
 from .scenarios import (
     ScenarioConfig,
     parse_config_file,
@@ -45,7 +44,6 @@ __all__ = [
     "CapabilityError",
     "ConfigError",
     "CutoffError",
-    "DegenerateMomentumError",
     "ModelParams",
     "NumericalHealthError",
     "OutOfRangeError",
@@ -54,10 +52,8 @@ __all__ = [
     "XYChainError",
     "bell_contractions",
     "bell_fidelities",
-    "bogoliubov",
     "concurrence_closed",
     "concurrence_wootters",
-    "dispersion",
     "gs_concurrence",
     "gs_contractions",
     "magnetization",
@@ -65,7 +61,6 @@ __all__ = [
     "parse_config_file",
     "parse_config_text",
     "rho2_from_correlators",
-    "ring_ground_energy",
     "run_scenario",
     "vacuum_contractions",
     "write_csv",

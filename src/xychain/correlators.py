@@ -11,23 +11,25 @@ covered here:
   two-site Bell insertions with one shared excitation.  (The two-particle
   pair seed is handled at gamma = 0 by `isotropic`.)
 
-For the one-particle family the contraction splits into the vacuum part plus
-a modification assembled from one-particle matrix elements
-<vac| c_a X_l(t) |vac> (bra side, "left") and <vac| X_l(t) c_b^dag |vac>
-(ket side, "right"):
+A one-particle Bell seed is a one-orbital Slater determinant evolved by a
+quadratic H, so it is Gaussian: Wick's theorem holds with its own pair
+contractions, which are the vacuum's plus a rank-two modification.  It is
+assembled from one-particle matrix elements <vac| c_a X_l(t) |vac> (bra
+side, "left") and <vac| X_l(t) c_b^dag |vac> (ket side, "right"):
 
     left_A(x)  = V(x) - i (E(x) - O(x))        x = source - site
     left_B(x)  = V(x) - i (E(x) + O(x))
     right_A(x) = conj(left_A(x))
     right_B(x) = -conj(left_B(x))
 
-    <X_l Y_m>_state = <X_l Y_m>_vac
-      + (1/n2) sum_{a,b in sources} wbar_a w_b
-          [ left_X(l,a) right_Y(m,b) - left_Y(m,a) right_X(l,b) ]
+    bra_l = sum_a wbar_a left(l, a),    ket_l = sum_b w_b right(l, b)
 
-with n2 = sum |w|^2; the bra-side source always pairs with a left element.  The vacuum pair values have closed momentum-integral
-forms in terms of the kernels u^o = s*t*sinc(Lambda t),
-u^e = e*t*sinc(Lambda t), v = cos(Lambda t):
+    <X_l Y_m>_state = <X_l Y_m>_vac + (bra_l ket_m - bra_m ket_l) / n2
+
+with n2 = sum |w|^2, a and b running over both sources, and each left and
+right element taken at its operator's kind.  The vacuum pair values have
+closed momentum-integral forms in terms of the kernels
+u^o = s*t*sinc(Lambda t), u^e = e*t*sinc(Lambda t), v = cos(Lambda t):
 
     <A_l B_{l+r}> = delta_{r0} - (2/pi) int_0^pi [u_o^2 cos(kr)
                                                    + u_e u_o sin(kr)] dk
@@ -51,10 +53,10 @@ in k, so the sum converges exponentially (Trefethen & Weideman, SIAM Rev.
 Bell seed reads both from its vacuum, tabulated out to the seed span plus
 the seed's own radius.
 
-Every accessor (`pair`, and the Bell seed's `left`, `right` and `mod`)
-indexes the tables with arrays: kinds are the codes A and B, and kinds,
-sites and sources broadcast together, so the Pfaffian route assembles a
-whole stack of contraction matrices in one call.  A separation beyond a
+Every accessor (`pair`, and the Bell seed's `left`, `right`, `bra_ket`
+and `mod`) indexes the tables with arrays: kinds are the codes A and B,
+and kinds, sites and sources broadcast together, so the Pfaffian route
+assembles a whole stack of contraction matrices in one call.  A separation beyond a
 table's radius raises CutoffError.
 """
 
@@ -190,16 +192,19 @@ class BellContractions:
         ket = v + 1j * eo
         return np.where(is_a, ket, -ket)
 
+    def bra_ket(self, kind, site):
+        """(bra, ket) of X_site: sum_a conj(w_a) left(a) and
+        sum_b w_b right(b) over both sources; kind and site broadcast."""
+        kind, site = np.asarray(kind)[..., None], np.asarray(site)[..., None]
+        left = self.left(kind, site, self.sources)
+        right = self.right(kind, site, self.sources)
+        return left @ np.conj(self.weights), right @ np.array(self.weights)
+
     def mod(self, kind_l, l, kind_m, m):
         """Modification of <X_l Y_m> relative to the vacuum value."""
-        total = 0.0 + 0j
-        for a, wa in zip(self.sources, self.weights):
-            left_l, left_m = self.left(kind_l, l, a), self.left(kind_m, m, a)
-            for b, wb in zip(self.sources, self.weights):
-                term = (left_l * self.right(kind_m, m, b)
-                        - left_m * self.right(kind_l, l, b))
-                total = total + np.conj(wa) * wb * term
-        return total / self.n2
+        bra_l, ket_l = self.bra_ket(kind_l, l)
+        bra_m, ket_m = self.bra_ket(kind_m, m)
+        return (bra_l * ket_m - bra_m * ket_l) / self.n2
 
     def pair(self, kind_l, l, kind_m, m):
         return self.vacuum.pair(kind_l, l, kind_m, m) + self.mod(

@@ -14,12 +14,6 @@ class XYChainError(Exception):
 class ConfigError(XYChainError):
     """Invalid configuration: bad key, missing field, malformed value."""
 
-    def __init__(self, message, field=None):
-        self.field = field
-        if field is not None:
-            message = f"{field}: {message}"
-        super().__init__(message)
-
 
 class CapabilityError(ConfigError):
     """Requested scenario/engine combination is not supported.
@@ -38,7 +32,3 @@ class CutoffError(XYChainError):
 
 class OutOfRangeError(XYChainError, ValueError):
     """Argument outside the supported range of a special-function routine."""
-
-
-class DegenerateMomentumError(XYChainError):
-    """Bogoliubov angle undefined: the limit rule cannot resolve this point."""

@@ -1,4 +1,4 @@
-"""Equilibrium (ground-state) correlations and energies.
+"""Equilibrium (ground-state) correlations.
 
 The ground state of the chain is Gaussian in the Jordan-Wigner fermions, so
 the same Pfaffian machinery applies with the static contraction
@@ -11,13 +11,6 @@ together with <A_l A_m> = delta_lm and <B_l B_m> = -delta_lm.  At lam = 0
 this gives G(0) = 1: the fully polarized all-up state.  Above lam = 1 (and
 at gamma = 0 for lam > 1, where e_k changes sign inside the zone) the
 integrand steepens or jumps, so extra panels are spent there.
-
-Finite-ring ground energies come from the Bogoliubov spectrum per boundary
-sector.  In the even-parity (antiperiodic) sector the naive filling is the
-sector ground state.  In the odd-parity (periodic) sector the parity
-constraint costs one quasiparticle whenever lam <= 1, while for lam > 1 the
-naive filling already has odd parity; at lam = 1 the correction is gapless
-and both prescriptions agree.
 """
 
 import math
@@ -126,36 +119,3 @@ def gs_tangle_budget(params, window=7):
         total += 2.0 * c * c  # both directions along the chain
     return tau1, total
 
-
-def _sector_energy(n, gamma, lam, sector):
-    """Ground energy of one boundary sector from the quadratic form.
-
-    E = (1/2) sum_{eps<0} eps + (1/2) tr M + N/2 with the naive filling;
-    the periodic (odd-parity) sector pays the smallest positive
-    quasiparticle when lam <= 1.
-    """
-    bc = -1.0 if sector == "antiperiodic" else 1.0
-    m = np.zeros((n, n))
-    d = np.zeros((n, n))
-    for l in range(n):
-        m[l, l] = -1.0
-    for l in range(n - 1):
-        m[l, l + 1] = m[l + 1, l] = -lam / 2.0
-        d[l, l + 1] = -lam * gamma / 2.0
-        d[l + 1, l] = lam * gamma / 2.0
-    m[n - 1, 0] = m[0, n - 1] = bc * (-lam / 2.0)
-    d[n - 1, 0] = bc * (-lam * gamma / 2.0)
-    d[0, n - 1] = bc * (lam * gamma / 2.0)
-    gen = np.block([[m, d], [-d, -m]])
-    eps = np.linalg.eigvalsh(gen)
-    energy = 0.5 * eps[eps < 0.0].sum() + 0.5 * np.trace(m) + n / 2.0
-    if sector == "periodic" and lam <= 1.0:
-        energy += eps[eps > 0.0].min()
-    return energy
-
-
-def ring_ground_energy(n, gamma, lam):
-    """Exact ground energy of a ring of n sites."""
-    e_even = _sector_energy(n, gamma, lam, "antiperiodic")
-    e_odd = _sector_energy(n, gamma, lam, "periodic")
-    return min(e_even, e_odd)

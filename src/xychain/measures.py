@@ -25,7 +25,6 @@ import numpy as np
 from .errors import NumericalHealthError
 
 EIG_CLAMP = 1e-8
-RADICAND_SOFT = 1e-10
 RADICAND_HARD = 1e-6
 
 
@@ -140,16 +139,6 @@ def concurrence_wootters(rho):
 def one_tangle(mz):
     """tau1 = 1 - 4 <S^z>^2, the single-site tangle of an X-family state."""
     return 1.0 - 4.0 * mz * mz
-
-
-def binary_entropy(p):
-    """h(p) = -p log2 p - (1-p) log2 (1-p), with h(0) = h(1) = 0."""
-    if p < -1e-12 or p > 1.0 + 1e-12:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
 def entropy_vn(rho):

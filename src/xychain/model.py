@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMomentumError
-
 
 class _ThermodynamicLimit:
     """Sentinel for 'no finite ring': momentum sums become integrals."""
@@ -89,47 +87,6 @@ class ModelParams:
     @property
     def is_finite(self):
         return self.size is not THERMODYNAMIC_LIMIT
-
-
-def dispersion(params, k):
-    """Quasiparticle energy Lambda_k (vectorized in k)."""
-    k = np.asarray(k, dtype=float)
-    e = 1.0 + params.lam * np.cos(k)
-    s = params.lam * params.gamma * np.sin(k)
-    return np.hypot(e, s)
-
-
-def bogoliubov(params, k):
-    """Bogoliubov pair (alpha_k, beta_k) with alpha^2 + beta^2 = 1.
-
-    alpha = (Lambda - e)/D and beta = s/D with D = sqrt(2 Lambda (Lambda-e)),
-    e = 1 + lam cos k, s = lam gamma sin k.  For e > 0, Lambda - e =
-    s^2/(Lambda + e) is divided out by hand: the naive subtraction loses all
-    digits once gamma drops below ~1e-7, and s^2 underflows below ~1e-154.
-
-    Conventions at the undefined points: s = 0 with e > 0 returns (0, 0)
-    (the mode is already diagonal); Lambda = 0 (critical momentum at
-    lam = 1) raises DegenerateMomentumError.
-    """
-    k = np.asarray(k, dtype=float)
-    scalar = k.ndim == 0
-    k = np.atleast_1d(k)
-    e = 1.0 + params.lam * np.cos(k)
-    s = params.lam * params.gamma * np.sin(k)
-    lam_k = np.hypot(e, s)
-    if np.any(lam_k == 0.0):
-        raise DegenerateMomentumError(
-            "dispersion vanishes at a requested momentum")
-    pos = e > 0.0
-    plus = np.where(pos, lam_k + e, 1.0)
-    minus = np.where(pos, 1.0, lam_k - e)
-    alpha = np.where(pos, np.abs(s) / np.sqrt(2.0 * lam_k * plus),
-                     np.sqrt(minus / (2.0 * lam_k)))
-    beta = np.where(pos, np.sign(s) * np.sqrt(plus / (2.0 * lam_k)),
-                    s / np.sqrt(2.0 * lam_k * minus))
-    if scalar:
-        return float(alpha[0]), float(beta[0])
-    return alpha, beta
 
 
 def momentum_grid(n, sector):

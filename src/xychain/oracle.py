@@ -85,12 +85,6 @@ def _jw_raising(n, l):
     return sp.csr_matrix((sign, (src ^ bit, src)), shape=(2 ** n, 2 ** n))
 
 
-@functools.lru_cache(maxsize=8)
-def workspace(n, gamma, lam):
-    """Shared oracle for one parameter point."""
-    return OracleWorkspace(int(n), float(gamma), float(lam))
-
-
 def _sector_ground_state(h, sector):
     """Lowest (energy, vector) of H restricted to the basis indices given."""
     from scipy.sparse.linalg import eigsh

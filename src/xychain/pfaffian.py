@@ -13,28 +13,27 @@ factors (ascending site), are
     Sz_l      : A_l B_l,                        prefactor -1/2
 
 For a Gaussian state the string expectation is the Pfaffian of the matrix of
-pair contractions.  For the one-particle Bell seeds the state is vacuum plus
-a two-source excitation, and the expectation becomes a weighted sum of four
-enlarged Pfaffians: the contraction matrix is bordered with a bra row of
-"left" elements, a ket column of "right" elements, and a corner entry
-delta_ab that books the direct c_a - c_b^dag pairing.  The tests check this
-against an independent row-replacement expansion of the same expectation.
+pair contractions.  A one-particle Bell seed (w_i c_i^dag + w_j c_j^dag)|vac>
+is a one-orbital Slater determinant evolved by a quadratic H, so it is
+Gaussian too, and its matrix is the vacuum matrix plus a rank-two update,
+M_vac + (bra ket^T - ket bra^T) / n2, from the per-operator vectors of
+`BellContractions.bra_ket`.  (It is the Schur complement, on its corner n2,
+of the vacuum matrix bordered by a bra row and a ket column, so it needs no
+inverse of the vacuum block.)  The tests check this against an independent
+row-replacement expansion of the same expectation.
 
 Strings are evaluated in stacks.  `bundles` expands every requested site
 pair into its five strings (xx, yy, zz, xy, yx: sizes 2R, 2R, 4, 2R, 2R),
 groups the strings by size and cuts each size group into chunks of
 STACK_CHUNK strings.  A chunk's contraction matrices are assembled at once
-by indexing the state's pair tables with arrays of kind codes and sites
-(the vacuum or ground-state table; a Bell seed uses its vacuum).  For a
-Bell seed each string then becomes four matrices bordered at row 0 and
-column n + 1, one per (bra source, ket source) in the order (i, i),
-(i, j), (j, i), (j, j), and their Pfaffians are summed in that order with
-weights conj(w_a) w_b / n2.  Every stack goes through `pfaffians`, a
-batched Parlett-Reid tridiagonalization (Wimmer, ACM TOMS 38:30, 2012) with
-the pivot chosen per matrix; a matrix whose pivot column is exactly zero has
-Pfaffian 0, and dimensions up to 4 use the closed forms.  The tests check
-`pfaffians` against a one-matrix reference of the same steps, and
-`pfaffian_checked` adds the pf(M)^2 = det(M) health check.
+by indexing the state's pair tables with arrays of kind codes and sites,
+one n x n matrix per string (the vacuum or ground-state table; a Bell seed
+adds its rank-two update to its vacuum's).  Every stack goes through
+`pfaffians`, a batched Parlett-Reid tridiagonalization (Wimmer, ACM TOMS
+38:30, 2012) with the pivot chosen per matrix; a matrix whose pivot column
+is exactly zero has Pfaffian 0, and dimensions up to 4 use the closed
+forms.  The tests check `pfaffians` against a one-matrix reference of the
+same steps, and `pfaffian_checked` adds the pf(M)^2 = det(M) health check.
 """
 
 import numpy as np
@@ -146,32 +145,14 @@ def _expectations(contractions, kinds, sites):
     p, q = np.triu_indices(n, 1)
     vac = contractions.vacuum if contractions.is_modified else contractions
     upper = vac.pair(kinds[:, p], sites[:, p], kinds[:, q], sites[:, q])
-    if not contractions.is_modified:
-        mats = np.zeros((count, n, n), dtype=complex)
-        mats[:, p, q] = upper
-        mats[:, q, p] = -upper
-        return pfaffians(mats)
-    bra, ket = (0, 0, 1, 1), (0, 1, 0, 1)
-    sources = np.array(contractions.sources)[None, :, None]
-    left = contractions.left(kinds[:, None], sites[:, None], sources)[:, bra]
-    right = contractions.right(kinds[:, None], sites[:, None], sources)[:, ket]
-    inner = slice(1, n + 1)
-    big = np.zeros((count, 4, n + 2, n + 2), dtype=complex)
-    big[:, :, p + 1, q + 1] = upper[:, None]
-    big[:, :, q + 1, p + 1] = -upper[:, None]
-    big[:, :, 0, inner] = left
-    big[:, :, inner, 0] = -left
-    big[:, :, inner, n + 1] = right
-    big[:, :, n + 1, inner] = -right
-    corner = (np.array(bra) == np.array(ket)).astype(float)
-    big[:, :, 0, n + 1] = corner
-    big[:, :, n + 1, 0] = -corner
-    pf = pfaffians(big.reshape(4 * count, n + 2, n + 2)).reshape(count, 4)
-    total = 0.0 + 0.0j
-    for col, (a, b) in enumerate(zip(bra, ket)):
-        wa, wb = contractions.weights[a], contractions.weights[b]
-        total = total + np.conj(wa) * wb * pf[:, col]
-    return total / contractions.n2
+    mats = np.zeros((count, n, n), dtype=complex)
+    mats[:, p, q] = upper
+    mats[:, q, p] = -upper
+    if contractions.is_modified:
+        bra, ket = contractions.bra_ket(kinds, sites)
+        mats += (bra[:, :, None] * ket[:, None, :]
+                 - ket[:, :, None] * bra[:, None, :]) / contractions.n2
+    return pfaffians(mats)
 
 
 def _real(values, what):

@@ -482,7 +482,7 @@ class OracleEngine:
                 raise ConfigError(
                     f"scenario sites must lie in [0, {n - 1}] on the oracle "
                     "ring")
-        self.ws = oracle.workspace(n, config.gamma, config.lam)
+        self.ws = oracle.OracleWorkspace(n, config.gamma, config.lam)
         self._base = self._prepare()
         self._reference = []
         if "tangle_deviation" in config.measure_list:

@@ -109,7 +109,7 @@ def run_case(gamma, lam, kind, fast=False):
     """Compare analytic and oracle values for one parameter combination."""
     report = CaseReport(label=f"gamma={gamma} lam={lam} {kind}")
     params = ModelParams(lam=lam, gamma=gamma, size=THERMODYNAMIC_LIMIT)
-    ws = oracle.workspace(RING, gamma, lam)
+    ws = oracle.OracleWorkspace(RING, gamma, lam)
     base = (ws.vacuum() if kind == "vacuum_only"
             else ws.psi_bell(SEED_I, SEED_J, np.pi))
     lt_grid = LT_GRID[1::2] if fast else LT_GRID

@@ -56,6 +56,16 @@ def bessel_j(n, x):
     return sign * bessel_rows([abs(n)], [x])[0, abs(n)]
 
 
+def binary_entropy(p):
+    """h(p) = -p log2 p - (1-p) log2 (1-p), with h(0) = h(1) = 0."""
+    if p < -1e-12 or p > 1.0 + 1e-12:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    p = min(max(p, 0.0), 1.0)
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
 def norm_defect(state):
     """|1 - sum |w|^2| of a one-particle state."""
     return abs(1.0 - float(np.sum(np.abs(state.amps) ** 2)))

@@ -184,7 +184,7 @@ def test_criterion_08_monogamy_saturation_and_gap():
             residual = ckw_residual(state.one_tangle(site),
                                     state.partner_concurrences(site))
             worst = max(worst, abs(residual))
-    ws = oracle.workspace(12, 0.5, 1.0)
+    ws = oracle.OracleWorkspace(12, 0.5, 1.0)
     gs = ws.ground_state()
     gap = ws.one_tangle(gs, 0) - sum(ws.concurrence(gs, 0, m) ** 2
                                      for m in range(1, ws.n))
@@ -223,7 +223,7 @@ def test_criterion_09_branch_switch():
 
     # the analytic pair-state values must agree with the oracle where the
     # ring geometry can hold the state (frame-invariant quantities only)
-    ws = oracle.workspace(12, 0.0, 1.0)
+    ws = oracle.OracleWorkspace(12, 0.0, 1.0)
     worst = 0.0
     for lt in (1.0, 2.0):
         state = isotropic.PhiState(5, 7, 0.3, lt / lam, lam)
@@ -244,7 +244,7 @@ def test_criterion_10_knitted_singlet():
     # the chain exactly in its reduced ground state, and the background
     # pair entanglement far from the cut survives the quench
     n = 12
-    ws = oracle.workspace(n, 0.5, 1.0)
+    ws = oracle.OracleWorkspace(n, 0.5, 1.0)
     comps = ws.knitted_singlet(1, 2)
 
     c0 = ws.concurrence(comps, 1, 2)

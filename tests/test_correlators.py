@@ -52,7 +52,7 @@ def test_vacuum_contractions_match_ring(gamma, lam):
     t = 1.0
     p = ModelParams(lam=lam, gamma=gamma)
     con = correlators.vacuum_contractions(p, t)
-    ws = oracle.workspace(12, gamma, lam)
+    ws = oracle.OracleWorkspace(12, gamma, lam)
     vecs = ws.evolve_components(ws.vacuum(), t)
     for l, m in ((0, 0), (0, 1), (0, 2), (1, 3)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
@@ -65,7 +65,7 @@ def test_bell_contractions_match_ring():
     gamma, lam, t = 0.5, 0.5, 1.0
     p = ModelParams(lam=lam, gamma=gamma)
     con = correlators.bell_contractions(p, t, 1, 2)
-    ws = oracle.workspace(12, gamma, lam)
+    ws = oracle.OracleWorkspace(12, gamma, lam)
     vecs = ws.evolve_components(ws.psi_bell(1, 2, np.pi), t)
     for l, m in ((1, 1), (1, 2), (0, 3), (2, 2)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
@@ -82,6 +82,35 @@ def test_bell_occupation_at_t0():
     sites = np.array([0, 1, 5])
     assert np.allclose(con.pair(A, sites, B, sites), [0.0, 0.0, 1.0],
                        atol=1e-12)
+
+
+def mod_by_source_pairs(con, kind_l, l, kind_m, m):
+    """Reference Bell modification of <X_l Y_m>: the explicit sum over
+    (bra source a, ket source b) of conj(w_a) w_b [left_X(l, a)
+    right_Y(m, b) - left_Y(m, a) right_X(l, b)] / n2."""
+    total = 0.0 + 0j
+    for a, wa in zip(con.sources, con.weights):
+        for b, wb in zip(con.sources, con.weights):
+            total = total + np.conj(wa) * wb * (
+                con.left(kind_l, l, a) * con.right(kind_m, m, b)
+                - con.left(kind_m, m, a) * con.right(kind_l, l, b))
+    return total / con.n2
+
+
+@pytest.mark.parametrize("amp", [1.0, -1.0, 0.6 - 0.8j])
+def test_rank_two_mod_matches_source_pair_sum(amp):
+    # every kind pair on a block of sites around the seed (1, 3), the
+    # l = m entries A_l B_l that the magnetization reads included
+    p = ModelParams(lam=0.8, gamma=0.6)
+    con = correlators.bell_contractions(p, 1.7, 1, 3, amp=amp)
+    ls, ms = np.meshgrid(np.arange(-2, 7), np.arange(-2, 7), indexing="ij")
+    for kl in (A, B):
+        for km in (A, B):
+            got = con.mod(kl, ls, km, ms)
+            ref = mod_by_source_pairs(con, kl, ls, km, ms)
+            assert np.allclose(got, ref, rtol=0, atol=1e-15), (kl, km)
+    sites = np.arange(-2, 7)
+    assert np.abs(con.mod(A, sites, B, sites)).max() > 0.1
 
 
 def test_bell_reduces_to_vacuum_far_away():
@@ -134,7 +163,7 @@ def test_singlet_tilts_phi_weights_ahead_of_front():
     con = correlators.bell_contractions(p, 6.0, 0, 1)
     ana = bell_fidelities(rho2_from_correlators(
         bundles(con, [(5, 6)])[0]))
-    ws = oracle.workspace(12, 0.5, 0.5)
+    ws = oracle.OracleWorkspace(12, 0.5, 0.5)
     ring = bell_fidelities(
         ws.rho2(ws.evolve_components(ws.psi_bell(0, 1, np.pi), 6.0), 5, 6))
     assert np.allclose(ana, ring, atol=2e-3)

@@ -84,19 +84,40 @@ def test_bundle_is_uniform_and_x_diagonal():
     assert b.gxy == 0.0 and b.gyx == 0.0
 
 
+def ring_ground_energy(n, gamma, lam):
+    """Exact ground energy of an n-site ring from the Bogoliubov spectrum
+    of each boundary sector, E = (1/2) sum_{eps<0} eps + (1/2) tr M + n/2
+    with the naive filling.  That filling is the ground state of the even
+    (antiperiodic) sector; in the odd (periodic) sector the parity
+    constraint costs the smallest positive quasiparticle when lam <= 1,
+    while for lam > 1 the naive filling already has odd parity."""
+    energies = []
+    for bc in (-1.0, 1.0):  # antiperiodic, periodic
+        shift = np.eye(n, k=1)
+        shift[n - 1, 0] = bc
+        m = -np.eye(n) - lam / 2.0 * (shift + shift.T)
+        d = -lam * gamma / 2.0 * (shift - shift.T)
+        eps = np.linalg.eigvalsh(np.block([[m, d], [-d, -m]]))
+        energy = 0.5 * eps[eps < 0.0].sum() + 0.5 * np.trace(m) + n / 2.0
+        if bc > 0.0 and lam <= 1.0:
+            energy += eps[eps > 0.0].min()
+        energies.append(energy)
+    return min(energies)
+
+
 @pytest.mark.parametrize("n,gamma,lam", [(8, 1.0, 1.0), (8, 0.5, 0.7),
                                          (10, 0.3, 1.2)])
 def test_ring_energy_matches_exact_diagonalization(n, gamma, lam):
-    ws = oracle.workspace(n, gamma, lam)
+    ws = oracle.OracleWorkspace(n, gamma, lam)
     (gs,) = ws.ground_state()
-    assert np.isclose(groundstate.ring_ground_energy(n, gamma, lam),
+    assert np.isclose(ring_ground_energy(n, gamma, lam),
                       np.vdot(gs, ws.hamiltonian @ gs).real, atol=1e-10)
 
 
 def test_contractions_match_ring_when_gapped():
     gamma, lam = 1.0, 0.5
     con = groundstate.gs_contractions(ModelParams(lam=lam, gamma=gamma), 6)
-    ws = oracle.workspace(12, gamma, lam)
+    ws = oracle.OracleWorkspace(12, gamma, lam)
     gs = ws.ground_state()
     for l, m in ((0, 0), (0, 1), (0, 2), (1, 3), (2, 2)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
@@ -110,7 +131,7 @@ def test_contractions_near_critical_have_slow_convergence():
     # the expectation so a silent convention break shows up as a jump
     gamma, lam = 0.5, 1.0
     con = groundstate.gs_contractions(ModelParams(lam=lam, gamma=gamma), 6)
-    ws = oracle.workspace(12, gamma, lam)
+    ws = oracle.OracleWorkspace(12, gamma, lam)
     gs = ws.ground_state()
     worst = max(
         abs(con.pair(KIND[kl], l, KIND[km], m)

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import (PhiCoefficients, bell_fidelity, bessel_j, coefficients,
-                     norm_defect, orbital_states, single_source_packet)
+from helpers import (PhiCoefficients, bell_fidelity, bessel_j, binary_entropy,
+                     coefficients, norm_defect, orbital_states,
+                     single_source_packet)
 from xychain import isotropic, measures, model, oracle
 from xychain.errors import CutoffError
 
 
 def entropy_pair(state, n, m):
     """Von Neumann entropy of a one-particle pair state, in bits."""
-    return measures.binary_entropy(abs(state.w(n)) ** 2 + abs(state.w(m)) ** 2)
+    return binary_entropy(abs(state.w(n)) ** 2 + abs(state.w(m)) ** 2)
 
 
 def fidelity_pair(state, n, m, phi_ref):
@@ -90,7 +91,7 @@ def test_amplitudes_match_ring():
     # folding the infinite-chain packet onto N = 12 reproduces the ring
     # amplitudes (one fermion, periodic sector, method of images)
     lam, t = 1.0, 2.0
-    ws = oracle.workspace(12, 0.0, lam)
+    ws = oracle.OracleWorkspace(12, 0.0, lam)
     vec = ws.evolve_components(ws.psi_bell(0, 1, np.pi), t)[0]
     ring = ring_amplitudes(ws, vec)
     folded = fold_on_ring(isotropic.wavepacket(0, 1, np.pi, t, lam), 12)
@@ -109,7 +110,7 @@ def test_concurrence_t0_trivials():
 
 def test_concurrence_match_ring_short_time():
     lam = 1.0
-    ws = oracle.workspace(12, 0.0, lam)
+    ws = oracle.OracleWorkspace(12, 0.0, lam)
     vecs0 = ws.psi_bell(0, 1, np.pi)
     # inside the wrap-free window the match is at solver precision
     t = 2.0
@@ -402,7 +403,7 @@ def test_phi_matches_ring():
     # the analytic pair sector drops a global time phase, so compare
     # frame-invariant quantities only
     lam, phi, t = 1.0, 0.7, 2.0
-    ws = oracle.workspace(12, 0.0, lam)
+    ws = oracle.OracleWorkspace(12, 0.0, lam)
     vecs = ws.evolve_components(ws.phi_bell(5, 7, phi), t)
     ps = isotropic.PhiState(5, 7, phi, t, lam)
     rho_o = ws.rho2(vecs, 4, 8)

@@ -85,9 +85,6 @@ def test_fidelity_phase_sweep():
 
 def test_entropy_values():
     assert np.isclose(measures.entropy_vn(np.eye(4) / 4.0), 2.0)
-    assert np.isclose(measures.binary_entropy(0.5), 1.0)
-    assert measures.binary_entropy(0.0) == 0.0
-    assert measures.binary_entropy(1.0) == 0.0
 
 
 def test_pure_state_entropy_is_positive_zero():

@@ -1,58 +1,10 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
 
 from helpers import bessel_j
 from xychain import correlators, model
-from xychain.errors import CutoffError, DegenerateMomentumError
+from xychain.errors import CutoffError
 from xychain.model import ModelParams, THERMODYNAMIC_LIMIT
-
-
-def test_dispersion_closed_values():
-    p = ModelParams(lam=1.0, gamma=0.0)
-    assert np.isclose(model.dispersion(p, 0.0), 2.0)
-    assert np.isclose(model.dispersion(p, np.pi), 0.0)
-    p = ModelParams(lam=0.5, gamma=1.0)
-    k = 2.0
-    ref = math.hypot(1.0 + 0.5 * math.cos(k), 0.5 * math.sin(k))
-    assert np.isclose(model.dispersion(p, k), ref)
-
-
-@given(st.floats(min_value=0.05, max_value=3.0),
-       st.floats(min_value=0.0, max_value=1.0),
-       st.floats(min_value=-np.pi, max_value=np.pi))
-@example(lam=1.0, gamma=1.0, k=1.4118803741824836e-161)  # s^2 underflows
-def test_bogoliubov_normalized(lam, gamma, k):
-    p = ModelParams(lam=lam, gamma=gamma)
-    if model.dispersion(p, k) < 1e-12:
-        return
-    e = 1.0 + lam * math.cos(k)
-    s = lam * gamma * math.sin(k)
-    alpha, beta = model.bogoliubov(p, k)
-    if alpha == 0.0 and beta == 0.0:
-        # (0, 0) flags an already-diagonal mode; only legitimate when the
-        # off-diagonal term is negligible against a positive diagonal one
-        assert e > 0.0 and abs(s) < 1e-8
-    else:
-        assert np.isclose(alpha * alpha + beta * beta, 1.0, atol=1e-12)
-
-
-def test_bogoliubov_small_gamma_stable():
-    # at tiny anisotropy the pair tends to (0, sign(s)) smoothly instead of
-    # losing all digits in the Lambda - e subtraction
-    p = ModelParams(lam=0.5, gamma=1e-12)
-    alpha, beta = model.bogoliubov(p, 1.0)
-    assert np.isfinite(alpha) and np.isfinite(beta)
-    assert abs(alpha) < 1e-11
-    assert np.isclose(alpha * alpha + beta * beta, 1.0)
-
-
-def test_bogoliubov_degenerate_momentum():
-    p = ModelParams(lam=1.0, gamma=0.0)
-    with pytest.raises(DegenerateMomentumError):
-        model.bogoliubov(p, np.pi)
 
 
 def test_momentum_grids():

@@ -90,7 +90,7 @@ def test_raising_operators_equal_the_spin_operator_build():
 def test_correlators_and_magnetization_match_the_spin_operators():
     n = 6
     ops = site_ops(n)
-    ws = oracle.workspace(n, 0.4, 0.8)
+    ws = oracle.OracleWorkspace(n, 0.4, 0.8)
     rng = np.random.default_rng(3)
     vecs = [rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
             for _ in range(2)]
@@ -117,17 +117,9 @@ def test_correlators_and_magnetization_match_the_spin_operators():
 
 def test_workspace_bounds():
     with pytest.raises(ConfigError):
-        oracle.workspace(13, 0.5, 1.0)
+        oracle.OracleWorkspace(13, 0.5, 1.0)
     with pytest.raises(ConfigError):
-        oracle.workspace(2, 0.5, 1.0)
-
-
-def test_workspace_is_shared():
-    assert oracle.workspace(8, 0.5, 1.0) is oracle.workspace(8, 0.5, 1.0)
-
-
-def test_workspace_cache_is_bounded():
-    assert oracle.workspace.cache_info().maxsize is not None
+        oracle.OracleWorkspace(2, 0.5, 1.0)
 
 
 def dense_spectrum(n, gamma, lam):
@@ -142,7 +134,7 @@ def test_evolve_matches_dense_diagonalization(t):
     vec = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     vec /= np.linalg.norm(vec)
     ref = modes @ (np.exp(-1j * energies * t) * (modes.T @ vec))
-    out = oracle.workspace(n, gamma, lam).evolve(vec, t)
+    out = oracle.OracleWorkspace(n, gamma, lam).evolve(vec, t)
     assert np.max(np.abs(out - ref)) < 1e-12
 
 
@@ -151,7 +143,7 @@ def test_evolve_leaves_global_random_state_alone():
     # onenormest, which draws from np.random; so would a three-column
     # block stepped over 6 -> 20 in substeps sized for one column (a
     # block's exact-norm bound is a third of one column's)
-    ws = oracle.workspace(8, 0.5, 1.0)
+    ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     (vec,) = ws.psi_bell(0, 1, np.pi)
     block = ws.psi_bell(0, 1, np.pi) + ws.phi_bell(2, 5, 0.3) + ws.vacuum()
     outs = []
@@ -175,7 +167,7 @@ def _mixture(n, k, seed):
 
 
 def test_grid_walk_from_zero_matches_per_time_evolution():
-    ws = oracle.workspace(8, 0.7, 0.8)
+    ws = oracle.OracleWorkspace(8, 0.7, 0.8)
     base = _mixture(8, 3, 4)
     times = [0.0, 0.25, 0.5, 0.75, 1.0, 1.3, 2.0, 2.0, 1.1]
     walked = list(ws.evolve_grid(base, times))
@@ -189,7 +181,7 @@ def test_grid_walk_from_zero_matches_per_time_evolution():
 def test_grid_walk_from_a_late_start_matches_per_time_evolution():
     # four columns keep each substep's 1-norm within 60 / 4 = 15: the first
     # interval, 0 -> 9, takes several substeps
-    ws = oracle.workspace(8, 0.5, 1.0)
+    ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     base = _mixture(8, 4, 5)
     assert 9.0 * ws._norm1 * len(base) / oracle.EXACT_NORM_STEP > 3
     times = [9.0 + 0.5 * k for k in range(5)]
@@ -258,7 +250,7 @@ def test_reference_rides_along_only_for_tangle_deviation(kind):
 def test_ground_state_matches_dense_diagonalization(gamma, lam, parity):
     n = 8
     energies, modes = dense_spectrum(n, gamma, lam)
-    ws = oracle.workspace(n, gamma, lam)
+    ws = oracle.OracleWorkspace(n, gamma, lam)
     (gs,) = ws.ground_state()
     assert abs(np.vdot(gs, ws.hamiltonian @ gs).real - energies[0]) < 1e-12
     ref = modes[:, 0]
@@ -290,7 +282,7 @@ def test_workspace_holds_no_dense_matrix():
 
 
 def test_evolution_is_unitary():
-    ws = oracle.workspace(8, 0.7, 0.8)
+    ws = oracle.OracleWorkspace(8, 0.7, 0.8)
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(2 ** 8) + 1j * rng.standard_normal(2 ** 8)
     vec /= np.linalg.norm(vec)
@@ -299,7 +291,7 @@ def test_evolution_is_unitary():
 
 
 def test_magnetization_conserved_at_zero_gamma():
-    ws = oracle.workspace(8, 0.0, 1.0)
+    ws = oracle.OracleWorkspace(8, 0.0, 1.0)
     vecs = ws.psi_bell(0, 1, np.pi)
     total0 = sum(ws.magnetization(vecs, l) for l in range(8))
     vecs_t = ws.evolve_components(vecs, 3.0)
@@ -308,14 +300,14 @@ def test_magnetization_conserved_at_zero_gamma():
 
 
 def test_vacuum_is_polarized():
-    ws = oracle.workspace(8, 0.5, 1.0)
+    ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     vecs = ws.vacuum()
     assert np.isclose(ws.magnetization(vecs, 3), -0.5, atol=1e-12)
     assert np.isclose(ws.one_tangle(vecs, 3), 0.0, atol=1e-12)
 
 
 def test_psi_bell_t0_is_singlet():
-    ws = oracle.workspace(8, 0.5, 1.0)
+    ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     vecs = ws.psi_bell(2, 3, np.pi)
     rho = ws.rho2(vecs, 2, 3)
     # basis uu, ud, du, dd
@@ -327,7 +319,7 @@ def test_psi_bell_t0_is_singlet():
 
 
 def test_phi_bell_t0_pair_coherence():
-    ws = oracle.workspace(8, 0.5, 1.0)
+    ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     phi = 0.9
     vecs = ws.phi_bell(2, 5, phi)
     rho = ws.rho2(vecs, 2, 5)
@@ -337,14 +329,14 @@ def test_phi_bell_t0_pair_coherence():
 
 
 def test_fidelities_sum_to_one():
-    ws = oracle.workspace(8, 0.5, 0.5)
+    ws = oracle.OracleWorkspace(8, 0.5, 0.5)
     vecs = ws.evolve_components(ws.psi_bell(1, 2, np.pi), 1.7)
     assert np.isclose(sum(measures.bell_fidelities(ws.rho2(vecs, 3, 4))), 1.0,
                       atol=1e-10)
 
 
 def test_knitted_singlet_t0():
-    ws = oracle.workspace(8, 0.5, 1.0)
+    ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     comps = ws.knitted_singlet(1, 2)
     # unnormalized components of the post-measurement mixture
     total_weight = sum(np.vdot(c, c).real for c in comps)
@@ -371,7 +363,7 @@ grid.x_stop = 0
 measures.list = total_concurrence, ckw_residual
 """)
     rows = {name: value for name, _, _, value in run_scenario(cfg)}
-    ws = oracle.workspace(8, 0.0, 1.0)
+    ws = oracle.OracleWorkspace(8, 0.0, 1.0)
     vecs = ws.evolve_components(ws.psi_bell(0, 1, np.pi), 1.0)
     by_hand = sum(ws.concurrence(vecs, *sorted((0, q))) for q in range(1, 8))
     assert np.isclose(rows["total_concurrence"], by_hand, atol=1e-12)
@@ -382,7 +374,7 @@ measures.list = total_concurrence, ckw_residual
 
 
 def test_rho2_concurrence_consistent_with_measures():
-    ws = oracle.workspace(8, 1.0, 0.5)
+    ws = oracle.OracleWorkspace(8, 1.0, 0.5)
     vecs = ws.evolve_components(ws.vacuum(), 1.2)
     rho = ws.rho2(vecs, 0, 1)
     assert np.isclose(ws.concurrence(vecs, 0, 1),

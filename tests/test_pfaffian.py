@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xychain import correlators, groundstate, oracle, scenarios
+from xychain import pfaffian as pfaffian_module
 from xychain.correlators import A, B
 from xychain.errors import CutoffError, NumericalHealthError
 from xychain.model import ModelParams
@@ -60,8 +61,14 @@ def vacuum_matrix(contractions, kinds, sites):
 
 
 def string_expectation_rowrep(contractions, kinds, sites):
-    """Reference for the bordered-Pfaffian route: the row-replacement
-    expansion of the same string expectation."""
+    """Reference for a Bell seed's rank-two route: the row-replacement
+    expansion of the same string expectation.
+
+    The modification mmod has rank two, so pf(mvac + mmod) expands into
+    pf(mvac) plus one Pfaffian per row s: the vacuum matrix with the part
+    of row s right of the diagonal taken from mmod and the part of column
+    s above the diagonal set to zero.
+    """
     mvac = vacuum_matrix(contractions, kinds, sites)
     if not contractions.is_modified:
         return pfaffian(mvac)
@@ -269,7 +276,7 @@ def test_vacuum_correlators_match_ring(gamma, lam):
     t = 1.0
     p = ModelParams(lam=lam, gamma=gamma)
     con = correlators.vacuum_contractions(p, t)
-    ws = oracle.workspace(12, gamma, lam)
+    ws = oracle.OracleWorkspace(12, gamma, lam)
     vecs = ws.evolve_components(ws.vacuum(), t)
     for alpha, beta in (("x", "x"), ("y", "y"), ("z", "z")):
         for l, m in ((0, 1), (0, 2)):
@@ -284,7 +291,7 @@ def test_bell_correlators_match_ring():
     gamma, lam, t = 0.5, 1.0, 1.0
     p = ModelParams(lam=lam, gamma=gamma)
     con = correlators.bell_contractions(p, t, 1, 2)
-    ws = oracle.workspace(12, gamma, lam)
+    ws = oracle.OracleWorkspace(12, gamma, lam)
     vecs = ws.evolve_components(ws.psi_bell(1, 2, np.pi), t)
     for alpha, beta in (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y")):
         for l, m in ((1, 2), (0, 2), (2, 3)):
@@ -305,7 +312,7 @@ def test_finite_ring_route_matches_oracle_exactly(n, gamma, lam, kind):
     # pair l < m and every site agree to roundoff, also after the front
     # has wrapped around the ring (lam * t = 3.1 > n / 2 - 2 at n = 8)
     p = ModelParams(lam=lam, gamma=gamma, size=n)
-    ws = oracle.workspace(n, gamma, lam)
+    ws = oracle.OracleWorkspace(n, gamma, lam)
     pairs = [(l, m) for l in range(n) for m in range(l + 1, n)]
     for t in (0.7, 3.1 / lam):
         if kind == "vacuum":
@@ -323,6 +330,24 @@ def test_finite_ring_route_matches_oracle_exactly(n, gamma, lam, kind):
         mz = magnetization(con, np.arange(n))
         for l in range(n):
             assert abs(mz[l] - ws.magnetization(vecs, l)) <= 1e-10, (t, l)
+
+
+def test_bell_seed_evaluates_one_matrix_per_string(monkeypatch):
+    # a pair at separation 3 has four 6-operator strings and one 4-operator
+    # string (zz); a Bell seed evaluates exactly those, as a vacuum would
+    shapes = []
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return pfaffians(stack)
+
+    monkeypatch.setattr(pfaffian_module, "pfaffians", recording)
+    p = ModelParams(lam=0.8, gamma=0.6)
+    for con in (correlators.vacuum_contractions(p, 1.7),
+                correlators.bell_contractions(p, 1.7, 1, 3, amp=0.6 - 0.8j)):
+        shapes.clear()
+        bundles(con, [(0, 3)])
+        assert sorted(shapes) == [(1, 4, 4), (4, 6, 6)]
 
 
 def test_distinct_site_correlators_are_real():
