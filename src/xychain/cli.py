@@ -15,6 +15,7 @@ problems, 3 for numerical-health failures.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import ConfigError, NumericalHealthError, XYChainError
@@ -49,8 +50,10 @@ def main(argv=None):
             from .selftest import run_selftest
             return 0 if run_selftest(fast=args.fast) else 1
 
-        rows = run_scenario(parse_config_file(args.config),
-                            engine_name=args.engine)
+        config = parse_config_file(args.config)
+        if args.engine is not None:
+            config = dataclasses.replace(config, engine=args.engine)
+        rows = run_scenario(config)
         if args.out is None:
             write_csv(rows, sys.stdout)
         else:

@@ -164,9 +164,6 @@ class BellContractions:
             raise ValueError("Bell seed needs two distinct sites")
         self.params = params
         self.time = float(t)
-        self.i = int(i)
-        self.j = int(j)
-        self.amp = complex(amp)
         self.weights = (1.0 + 0j, complex(amp))
         self.n2 = 1.0 + abs(amp) ** 2
         self.sources = (int(i), int(j))

@@ -11,6 +11,12 @@ together with <A_l A_m> = delta_lm and <B_l B_m> = -delta_lm.  At lam = 0
 this gives G(0) = 1: the fully polarized all-up state.  Above lam = 1 (and
 at gamma = 0 for lam > 1, where e_k changes sign inside the zone) the
 integrand steepens or jumps, so extra panels are spent there.
+
+The dynamics sum their integrands over a ring of momenta (`correlators`):
+those are periodic and analytic in k.  G(r) is not analytic at a gapless
+point (lam = 1, or lam > 1 at gamma = 0), and there a ring sum converges
+only algebraically.  Composite Gauss-Legendre panels, split at the
+non-analytic point where it is known, keep the tables accurate.
 """
 
 import math
@@ -19,8 +25,21 @@ import numpy as np
 
 from .correlators import A, _table_index
 from .measures import concurrence_branches, one_tangle
+from .model import PAIR_WINDOW
 from .pfaffian import bundles
-from .quadrature import composite_grid
+
+NODES_PER_PANEL = 8
+
+
+def _composite_grid(n_panels, a=0.0, b=math.pi):
+    """Nodes and weights of n_panels equal Gauss-Legendre panels on [a, b]."""
+    xr, wr = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+    edges = np.linspace(a, b, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = (mid[:, None] + half * xr[None, :]).ravel()
+    weights = np.tile(half * wr, n_panels)
+    return nodes, weights
 
 
 def _gs_grid(params, reach):
@@ -29,7 +48,7 @@ def _gs_grid(params, reach):
         panels = max(panels, 384)
     elif params.lam >= 0.99:
         panels = max(panels, 128)
-    return composite_grid(panels)
+    return _composite_grid(panels)
 
 
 def gs_contractions(params, radius):
@@ -39,8 +58,8 @@ def gs_contractions(params, radius):
         # e_k changes sign at k_F; split the integral there.
         kf = math.acos(-1.0 / params.lam)
         panels = int(math.ceil(8.0 * (1.0 + radius)))
-        k1, w1 = composite_grid(panels, 0.0, kf)
-        k2, w2 = composite_grid(panels, kf, math.pi)
+        k1, w1 = _composite_grid(panels, 0.0, kf)
+        k2, w2 = _composite_grid(panels, kf, math.pi)
         k = np.concatenate([k1, k2])
         w = np.concatenate([w1, w2])
     else:
@@ -110,7 +129,7 @@ def gs_one_tangle(params):
     return one_tangle(gs_magnetization(params))
 
 
-def gs_tangle_budget(params, window=7):
+def gs_tangle_budget(params, window=PAIR_WINDOW):
     """(tau1, sum of squared pair concurrences up to the window distance)."""
     tau1 = gs_one_tangle(params)
     total = 0.0

@@ -240,10 +240,6 @@ class SingleParticleState:
         partners.reshape(len(idx), -1)[own, idx[own]] = 0.0
         return partners
 
-    def baseline_tangle(self, n):
-        """Tangle of the unperturbed state: the stationary vacuum, zero."""
-        return np.zeros(np.shape(n))
-
 
 def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD, window=None):
     """Evolved one-particle Bell seed (c_i + e^{i phi} c_j)^dag |vac>/sqrt(2)
@@ -342,7 +338,3 @@ class PhiState:
                                          np.maximum(ns, qs)),
                         np.cumsum(counts)[:-1])
         return rows if np.ndim(n) else rows[0]
-
-    def baseline_tangle(self, n):
-        """Tangle of the unperturbed state: the stationary vacuum, zero."""
-        return np.zeros(np.shape(n))

@@ -33,28 +33,14 @@ the Bessel route in `isotropic` builds on that closed form, and the
 equality is checked in the tests.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-
-class _ThermodynamicLimit:
-    """Sentinel for 'no finite ring': momentum sums become integrals."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "THERMODYNAMIC_LIMIT"
-
-
-THERMODYNAMIC_LIMIT = _ThermodynamicLimit()
+THERMODYNAMIC_LIMIT = None  # the size of the infinite chain
 
 LIGHT_CONE_PAD = 30
+PAIR_WINDOW = 7  # partner reach of pair sums on the Pfaffian route
 
 
 @dataclass(frozen=True)
@@ -67,26 +53,26 @@ class ModelParams:
         Overall exchange coupling (>= 0).
     gamma : float
         XY anisotropy; 0 is the isotropic point.
-    size : int or THERMODYNAMIC_LIMIT
-        Ring length, or the thermodynamic-limit sentinel.
+    size : int or None
+        Ring length; None (THERMODYNAMIC_LIMIT) is the infinite chain.
     """
 
     lam: float
     gamma: float = 0.0
-    size: object = field(default=THERMODYNAMIC_LIMIT)
+    size: int = None
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not np.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
-        if self.size is not THERMODYNAMIC_LIMIT:
+        if self.size is not None:
             if not isinstance(self.size, (int, np.integer)) or self.size < 2:
                 raise ValueError(f"size must be an int >= 2, got {self.size!r}")
 
     @property
     def is_finite(self):
-        return self.size is not THERMODYNAMIC_LIMIT
+        return self.size is not None
 
 
 def momentum_grid(n, sector):

@@ -149,12 +149,6 @@ class OracleWorkspace:
                 vecs, now = list(np.ascontiguousarray(block.T)), t
             yield list(vecs)
 
-    def evolve_components(self, vecs, t):
-        return next(self.evolve_grid(vecs, [t]))
-
-    def evolve(self, vec, t):
-        return self.evolve_components([vec], t)[0]
-
     # -- state preparation ------------------------------------------------
 
     def vacuum(self):

@@ -25,23 +25,26 @@ total_concurrence, ckw_residual.
 
 Each measure is defined once, in `measure_rows`, over a view of the state
 at one time, which it asks once per measure for the whole site grid.  A
-view offers one_tangle(xs), concurrence(ls, ms), rho2(ls, ms),
+view offers one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and
 partner_concurrences(xs) over the route's window (the light cone on the
 Bessel route, +-PAIR_WINDOW on the Pfaffian route, the whole ring on the
-oracle) and baseline_tangle(xs), the tangle of the unperturbed reference,
-each returning one entry per site or pair.  The analytic engine's views are
-the one-particle packet (the gamma = 0 vacuum is the empty packet) and
+oracle), each returning one entry per site or pair.  Engines yield each
+time's view with a baseline: the view of the unperturbed reference, whose
+one_tangle tangle_deviation reads.  The analytic engine's views are the
+one-particle packet (the gamma = 0 vacuum is the empty packet) and
 `isotropic.PhiState` at gamma = 0, and Pfaffian contractions otherwise or
-in equilibrium; the oracle's view is the evolved ring.  Views are built per
-time and hold only that time's state; at gamma = 0 the engine sizes the
-Bessel windows of its time grid a block at a time (`isotropic.windows`),
-and the oracle steps its ring state from each time to the next.
+in equilibrium; the oracle's view is the evolved ring.  A stationary state
+has one view for the whole grid, any other view only its time's state; at
+gamma = 0 the engine sizes the Bessel windows of its time grid a block at
+a time (`isotropic.windows`), and the oracle steps its ring from each time
+to the next.
 What the analytic engine cannot represent exactly (knitted scenarios,
 phi_bell and generic seed phases at gamma != 0, ckw_residual on phi_bell)
 raises CapabilityError when the engine is built; the oracle engine handles
 those on small rings.
 """
 
+import dataclasses
 import functools
 import math
 import operator
@@ -53,7 +56,7 @@ from . import groundstate, isotropic, measures, oracle
 from .pfaffian import bundles, magnetization
 from .correlators import bell_contractions, vacuum_contractions
 from .errors import CapabilityError, ConfigError
-from .model import LIGHT_CONE_PAD, THERMODYNAMIC_LIMIT, ModelParams
+from .model import LIGHT_CONE_PAD, PAIR_WINDOW, ModelParams
 
 SCENARIO_KINDS = (
     "vacuum_only",
@@ -63,6 +66,8 @@ SCENARIO_KINDS = (
     "ground_state_equilibrium",
     "singlet_knitted_gs",
 )
+PAIR_SEED_KINDS = ("singlet_on_vacuum", "psi_bell", "phi_bell",
+                   "singlet_knitted_gs")
 
 MEASURES = (
     "concurrence",
@@ -74,7 +79,6 @@ MEASURES = (
     "ckw_residual",
 )
 
-PAIR_WINDOW = 7  # partner reach of sums evaluated on the Pfaffian route
 WINDOW_BLOCK_BYTES = 1 << 18  # Bessel ladders held per block of times
 CSV_BLOCK_ROWS = 1 << 10  # CSV lines formatted per write
 
@@ -86,8 +90,11 @@ _FIDELITY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
+    """One scenario.  Each field is set by the config key that CONFIG_KEYS
+    maps onto it; a field without a default is a required key."""
+
     lam: float
     gamma: float
     kind: str
@@ -95,19 +102,18 @@ class ScenarioConfig:
     j: int = None
     phi: float = None
     oracle_sites: int = 12
-    t_start: float = 0.0
-    t_stop: float = 0.0
-    dt: float = 1.0
-    x_start: int = 0
-    x_stop: int = 0
-    measure_list: tuple = ()
+    t_start: float
+    t_stop: float
+    dt: float
+    x_start: int
+    x_stop: int
+    measure_list: tuple
     concurrence_distance: int = 1
     engine: str = "analytic"
 
     @property
     def params(self):
-        return ModelParams(lam=self.lam, gamma=self.gamma,
-                           size=THERMODYNAMIC_LIMIT)
+        return ModelParams(lam=self.lam, gamma=self.gamma)
 
     @property
     def seed_phase(self):
@@ -124,29 +130,33 @@ class ScenarioConfig:
         return list(range(self.x_start, self.x_stop + 1))
 
 
-_KEY_TYPES = {
-    "model.lambda": float,
-    "model.lam": float,
-    "model.gamma": float,
-    "scenario.kind": str,
-    "scenario.i": int,
-    "scenario.j": int,
-    "scenario.phi": float,
-    "scenario.oracle_sites": int,
-    "grid.t_start": float,
-    "grid.t_stop": float,
-    "grid.dt": float,
-    "grid.x_start": int,
-    "grid.x_stop": int,
-    "measures.list": str,
-    "measures.concurrence_distance": int,
-    "engine": str,
+def _comma_list(text):
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+# config key: (ScenarioConfig field, parser); missing keys named in this order
+CONFIG_KEYS = {
+    "model.lambda": ("lam", float),
+    "model.gamma": ("gamma", float),
+    "scenario.kind": ("kind", str),
+    "scenario.i": ("i", int),
+    "scenario.j": ("j", int),
+    "scenario.phi": ("phi", float),
+    "scenario.oracle_sites": ("oracle_sites", int),
+    "grid.dt": ("dt", float),
+    "grid.t_start": ("t_start", float),
+    "grid.t_stop": ("t_stop", float),
+    "grid.x_start": ("x_start", int),
+    "grid.x_stop": ("x_stop", int),
+    "measures.list": ("measure_list", _comma_list),
+    "measures.concurrence_distance": ("concurrence_distance", int),
+    "engine": ("engine", str),
 }
 
 
 def parse_config_text(text, source="<config>"):
     """Parse scenario text into a validated ScenarioConfig."""
-    raw = {}
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -156,18 +166,23 @@ def parse_config_text(text, source="<config>"):
                 f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _KEY_TYPES:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        name, parse = CONFIG_KEYS[key]
+        if name in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        caster = _KEY_TYPES[key]
         try:
-            raw[key] = caster(value) if caster is not str else value
+            values[name] = parse(value.strip())
         except ValueError as exc:
             raise ConfigError(
                 f"{source}:{lineno}: bad value for {key}: {exc}") from exc
-    return _validate(raw, source)
+    defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+    for key, (name, _) in CONFIG_KEYS.items():
+        if name not in values and defaults[name] is dataclasses.MISSING:
+            raise ConfigError(f"{source}: missing required key {key!r}")
+    config = ScenarioConfig(**values)
+    _validate(config, source)
+    return config
 
 
 def parse_config_file(path):
@@ -179,97 +194,46 @@ def parse_config_file(path):
     return parse_config_text(text, source=str(path))
 
 
-def _require(raw, key, source):
-    if key not in raw:
-        raise ConfigError(f"{source}: missing required key {key!r}")
-    return raw[key]
-
-
-def _validate(raw, source):
-    if "model.lambda" in raw and "model.lam" in raw:
-        raise ConfigError(f"{source}: give model.lambda or model.lam, not both")
-    lam = raw.get("model.lambda", raw.get("model.lam"))
-    if lam is None:
-        raise ConfigError(f"{source}: missing required key 'model.lambda'")
-    gamma = _require(raw, "model.gamma", source)
-    kind = _require(raw, "scenario.kind", source)
-    if kind not in SCENARIO_KINDS:
-        raise ConfigError(
-            f"{source}: unknown scenario.kind {kind!r}; expected one of "
-            f"{', '.join(SCENARIO_KINDS)}")
-    if lam < 0 or not math.isfinite(lam):
-        raise ConfigError(f"{source}: model.lambda must be finite and >= 0")
-    if not math.isfinite(gamma):
-        raise ConfigError(f"{source}: model.gamma must be finite")
-
-    needs_pair = kind in ("singlet_on_vacuum", "psi_bell", "phi_bell",
-                          "singlet_knitted_gs")
-    i = raw.get("scenario.i")
-    j = raw.get("scenario.j")
-    if needs_pair:
-        if i is None or j is None:
-            raise ConfigError(
-                f"{source}: scenario.kind {kind} needs scenario.i and "
-                "scenario.j")
-        if i == j:
-            raise ConfigError(f"{source}: scenario sites must differ")
-    phi = raw.get("scenario.phi")
-    if kind in ("psi_bell", "phi_bell") and phi is None:
-        raise ConfigError(
-            f"{source}: scenario.kind {kind} needs scenario.phi")
-
-    oracle_sites = raw.get("scenario.oracle_sites", 12)
-    if not 4 <= oracle_sites <= oracle.MAX_SITES:
-        raise ConfigError(
-            f"{source}: scenario.oracle_sites must be in "
-            f"[4, {oracle.MAX_SITES}]")
-
-    dt = _require(raw, "grid.dt", source)
-    t_start = _require(raw, "grid.t_start", source)
-    t_stop = _require(raw, "grid.t_stop", source)
-    x_start = _require(raw, "grid.x_start", source)
-    x_stop = _require(raw, "grid.x_stop", source)
-    if dt <= 0:
-        raise ConfigError(f"{source}: grid.dt must be > 0")
-    if t_stop < t_start:
-        raise ConfigError(f"{source}: grid.t_stop below grid.t_start")
-    if x_stop < x_start:
-        raise ConfigError(f"{source}: grid.x_stop below grid.x_start")
-
-    mtext = _require(raw, "measures.list", source)
-    mlist = tuple(m.strip() for m in mtext.split(",") if m.strip())
-    if not mlist:
-        raise ConfigError(f"{source}: measures.list is empty")
-    for m in mlist:
-        if m not in MEASURES:
-            raise ConfigError(
-                f"{source}: unknown measure {m!r}; expected one of "
-                f"{', '.join(MEASURES)}")
-    distance = raw.get("measures.concurrence_distance", 1)
-    if distance < 1:
-        raise ConfigError(
-            f"{source}: measures.concurrence_distance must be >= 1")
-
-    engine = raw.get("engine", "analytic")
-    if engine not in ("analytic", "oracle"):
-        raise ConfigError(f"{source}: engine must be 'analytic' or 'oracle'")
-
-    return ScenarioConfig(
-        lam=float(lam), gamma=float(gamma), kind=kind,
-        i=i, j=j, phi=phi, oracle_sites=int(oracle_sites),
-        t_start=float(t_start), t_stop=float(t_stop), dt=float(dt),
-        x_start=int(x_start), x_stop=int(x_stop),
-        measure_list=mlist, concurrence_distance=int(distance),
-        engine=engine,
+def _validate(cfg, source):
+    """Raise ConfigError for the first setting out of its range."""
+    pair_seed = cfg.kind in PAIR_SEED_KINDS
+    unknown = next((m for m in cfg.measure_list if m not in MEASURES), None)
+    checks = (
+        (cfg.kind not in SCENARIO_KINDS,
+         f"unknown scenario.kind {cfg.kind!r}; expected one of "
+         f"{', '.join(SCENARIO_KINDS)}"),
+        (cfg.lam < 0 or not math.isfinite(cfg.lam),
+         "model.lambda must be finite and >= 0"),
+        (not math.isfinite(cfg.gamma), "model.gamma must be finite"),
+        (pair_seed and None in (cfg.i, cfg.j),
+         f"scenario.kind {cfg.kind} needs scenario.i and scenario.j"),
+        (pair_seed and cfg.i == cfg.j, "scenario sites must differ"),
+        (cfg.kind in ("psi_bell", "phi_bell") and cfg.phi is None,
+         f"scenario.kind {cfg.kind} needs scenario.phi"),
+        (not 4 <= cfg.oracle_sites <= oracle.MAX_SITES,
+         f"scenario.oracle_sites must be in [4, {oracle.MAX_SITES}]"),
+        (cfg.dt <= 0, "grid.dt must be > 0"),
+        (cfg.t_stop < cfg.t_start, "grid.t_stop below grid.t_start"),
+        (cfg.x_stop < cfg.x_start, "grid.x_stop below grid.x_start"),
+        (not cfg.measure_list, "measures.list is empty"),
+        (unknown is not None, f"unknown measure {unknown!r}; expected one "
+         f"of {', '.join(MEASURES)}"),
+        (cfg.concurrence_distance < 1,
+         "measures.concurrence_distance must be >= 1"),
+        (cfg.engine not in ENGINES, "engine must be 'analytic' or 'oracle'"),
     )
+    for bad, message in checks:
+        if bad:
+            raise ConfigError(f"{source}: {message}")
 
 
 # ---------------------------------------------------------------------------
 
 
-def measure_rows(config, view, t):
+def measure_rows(config, view, baseline, t):
     """Rows (name, x, t, value) of every configured measure, read off the
-    view of the state at time t, one call per measure for the site grid."""
+    view of the state at time t and the view of its unperturbed reference,
+    one call per measure for the site grid."""
     xs = config.sites()
     right = [x + 1 for x in xs]
     rows = []
@@ -294,7 +258,7 @@ def measure_rows(config, view, t):
                 put(fid_name, [f[k] for f in fids])
         elif name == "tangle_deviation":
             devs = [measures.tangle_deviation(tau, base) for tau, base in
-                    zip(view.one_tangle(xs), view.baseline_tangle(xs))]
+                    zip(view.one_tangle(xs), baseline.one_tangle(xs))]
             put("tangle_deviation", [delta for delta, _ in devs])
             put("tangle_deviation_rel", [rel for _, rel in devs])
         elif name == "total_concurrence":
@@ -307,18 +271,16 @@ def measure_rows(config, view, t):
 
 
 class _ContractionView:
-    """Pfaffian-route view of one time's Majorana contractions on the
+    """Pfaffian-route view of a set of Majorana contractions on the
     config's site grid.  Bundles are memoized per (l, m) and evaluated in
     batches: each call fills every pair it is asked for that is not held
     yet, and a partner sum the +-PAIR_WINDOW windows of all its sites.
     Each pair's concurrence is memoized next to its bundle.  Magnetizations
-    of the grid sites come as one array.  ``baseline`` holds the reference
-    contractions (None: the state is its own reference)."""
+    of the grid sites come as one array."""
 
-    def __init__(self, contractions, sites, baseline=None):
+    def __init__(self, contractions, sites):
         self.con = contractions
         self.sites = sites
-        self._baseline = baseline
         self._bundles = {}
         self._concurrences = {}
 
@@ -333,19 +295,10 @@ class _ContractionView:
         return [(min(x, q), max(x, q))
                 for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1) if q != x]
 
-    def _tangles(self, contractions):
-        mz = magnetization(contractions, self.sites)
-        return dict(zip(self.sites, measures.one_tangle(mz).tolist()))
-
     @functools.cached_property
     def _tangle(self):
-        return self._tangles(self.con)
-
-    @functools.cached_property
-    def _baseline_tangle(self):
-        if self._baseline is None:
-            return self._tangle
-        return self._tangles(self._baseline)
+        mz = magnetization(self.con, self.sites)
+        return dict(zip(self.sites, measures.one_tangle(mz).tolist()))
 
     def one_tangle(self, xs):
         return [self._tangle[x] for x in xs]
@@ -368,9 +321,6 @@ class _ContractionView:
         self._fill([p for pairs in windows for p in pairs])
         return [np.array([self._concurrence(p) for p in pairs])
                 for pairs in windows]
-
-    def baseline_tangle(self, xs):
-        return [self._baseline_tangle[x] for x in xs]
 
 
 class AnalyticEngine:
@@ -405,13 +355,23 @@ class AnalyticEngine:
             self._ground = groundstate.gs_contractions(self.params, reach)
 
     def views(self, times):
-        """The view of each time, in order.  A Bell seed at gamma = 0 sizes
-        the Bessel windows of a block of times at once; a block holds about
+        """(view, baseline) of each time, in order: a Bell seed's baseline
+        is the vacuum it sits on, a stationary state is its own and has one
+        view for every time.  A Bell seed at gamma = 0 sizes the Bessel
+        windows of a block of times at once; a block holds about
         WINDOW_BLOCK_BYTES of the grid's longest ladders."""
         cfg = self.config
-        if cfg.gamma != 0.0 or cfg.kind in ("vacuum_only",
-                                            "ground_state_equilibrium"):
-            yield from map(self._view, times)
+        if self._ground is not None:
+            stationary = _ContractionView(self._ground, cfg.sites())
+        elif cfg.gamma != 0.0:
+            yield from map(self._contraction_views, times)
+            return
+        else:  # the gamma = 0 vacuum is stationary: the empty packet
+            stationary = isotropic.SingleParticleState(
+                start=0, amps=np.zeros(0, dtype=complex), time=0.0,
+                lam=cfg.lam, sources=(), phi=0.0)
+        if cfg.kind in ("vacuum_only", "ground_state_equilibrium"):
+            yield from [(stationary, stationary)] * len(times)
             return
         state = (isotropic.PhiState if cfg.kind == "phi_bell"
                  else isotropic.wavepacket)
@@ -424,32 +384,27 @@ class AnalyticEngine:
                     cfg.i, cfg.j, cfg.seed_phase, lam_ts[k:k + step],
                     pair=cfg.kind == "phi_bell")):
                 yield state(cfg.i, cfg.j, cfg.seed_phase, t, cfg.lam,
-                            window=window)
+                            window=window), stationary
 
-    def _view(self, t):
+    def _contraction_views(self, t):
         cfg = self.config
-        if self._ground is not None:
-            return _ContractionView(self._ground, cfg.sites())
-        if cfg.gamma == 0.0:  # vacuum_only is stationary: the empty packet
-            return isotropic.SingleParticleState(
-                start=0, amps=np.zeros(0, dtype=complex), time=t,
-                lam=cfg.lam, sources=(), phi=0.0)
         if cfg.kind == "vacuum_only":
-            return _ContractionView(vacuum_contractions(self.params, t),
+            view = _ContractionView(vacuum_contractions(self.params, t),
                                     cfg.sites())
+            return view, view
         amp = 1.0 if abs(np.exp(1j * cfg.seed_phase) - 1.0) < 1e-9 else -1.0
         seed = bell_contractions(self.params, t, cfg.i, cfg.j, amp=amp)
-        return _ContractionView(seed, cfg.sites(), baseline=seed.vacuum)
+        return (_ContractionView(seed, cfg.sites()),
+                _ContractionView(seed.vacuum, cfg.sites()))
 
 
 class _RingView:
-    """Oracle view of one evolved ring state and of its unperturbed
-    reference (empty unless tangle_deviation asks); site indices wrap."""
+    """Oracle view of one evolved ring state, the columns of a mixture;
+    site indices wrap."""
 
-    def __init__(self, ws, vecs, reference):
+    def __init__(self, ws, vecs):
         self.ws = ws
         self.vecs = vecs
-        self.reference = reference
 
     def one_tangle(self, xs):
         return [self.ws.one_tangle(self.vecs, x) for x in xs]
@@ -465,9 +420,6 @@ class _RingView:
         return [np.array([self.ws.concurrence(self.vecs, x % n, m)
                           for m in range(n) if m != x % n]) for x in xs]
 
-    def baseline_tangle(self, xs):
-        return [self.ws.one_tangle(self.reference, x) for x in xs]
-
 
 class OracleEngine:
     """Small-ring exact-diagonalization engine; site indices wrap."""
@@ -476,8 +428,7 @@ class OracleEngine:
         self.config = config
         n = config.oracle_sites
         kind = config.kind
-        if kind in ("singlet_on_vacuum", "psi_bell", "phi_bell",
-                    "singlet_knitted_gs"):
+        if kind in PAIR_SEED_KINDS:
             if not (0 <= config.i < n and 0 <= config.j < n):
                 raise ConfigError(
                     f"scenario sites must lie in [0, {n - 1}] on the oracle "
@@ -502,33 +453,32 @@ class OracleEngine:
             return ws.phi_bell(cfg.i, cfg.j, cfg.seed_phase)
         if cfg.kind == "ground_state_equilibrium":
             return ws.ground_state()
-        if cfg.kind == "singlet_knitted_gs":
-            return ws.knitted_singlet(cfg.i, cfg.j)
-        raise ConfigError(f"unknown scenario kind {cfg.kind!r}")
+        return ws.knitted_singlet(cfg.i, cfg.j)
 
     def views(self, times):
-        """The view of each time, in order: the state and its reference
-        step along the grid together as the columns of one block."""
+        """(view, baseline) of each time, in order: the state and its
+        reference (empty unless tangle_deviation asks) step along the grid
+        together as the columns of one block."""
         k = len(self._base)
         for vecs in self.ws.evolve_grid(self._base + self._reference, times):
-            yield _RingView(self.ws, vecs[:k], vecs[k:])
+            yield _RingView(self.ws, vecs[:k]), _RingView(self.ws, vecs[k:])
 
 
-def make_engine(config, engine_name=None):
-    name = engine_name or config.engine
-    if name == "analytic":
-        return AnalyticEngine(config)
-    if name == "oracle":
-        return OracleEngine(config)
-    raise ConfigError(f"unknown engine {name!r}")
+ENGINES = {"analytic": AnalyticEngine, "oracle": OracleEngine}
 
 
-def run_scenario(config, engine_name=None):
+def make_engine(config):
+    if config.engine not in ENGINES:
+        raise ConfigError(f"unknown engine {config.engine!r}")
+    return ENGINES[config.engine](config)
+
+
+def run_scenario(config):
     """Evaluate the full measurement grid; rows sorted deterministically."""
-    engine = make_engine(config, engine_name)
+    engine = make_engine(config)
     times = config.times()
-    rows = [row for t, view in zip(times, engine.views(times))
-            for row in measure_rows(config, view, t)]
+    rows = [row for t, (view, baseline) in zip(times, engine.views(times))
+            for row in measure_rows(config, view, baseline, t)]
     # stable passes by t, x, then name order the rows by (name, x, t)
     # without a key tuple per row
     for k in (2, 1, 0):

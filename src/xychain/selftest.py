@@ -21,7 +21,7 @@ import numpy as np
 from . import isotropic, measures, oracle
 from .correlators import bell_contractions, vacuum_contractions
 from .measures import rho2_from_correlators
-from .model import THERMODYNAMIC_LIMIT, ModelParams
+from .model import ModelParams
 from .pfaffian import bundles, magnetization
 
 RING = 12
@@ -108,7 +108,7 @@ def _analytic_contractions(params, t, kind):
 def run_case(gamma, lam, kind, fast=False):
     """Compare analytic and oracle values for one parameter combination."""
     report = CaseReport(label=f"gamma={gamma} lam={lam} {kind}")
-    params = ModelParams(lam=lam, gamma=gamma, size=THERMODYNAMIC_LIMIT)
+    params = ModelParams(lam=lam, gamma=gamma)
     ws = oracle.OracleWorkspace(RING, gamma, lam)
     base = (ws.vacuum() if kind == "vacuum_only"
             else ws.psi_bell(SEED_I, SEED_J, np.pi))

@@ -12,6 +12,11 @@ from xychain.measures import CorrelatorBundle
 from xychain.model import LIGHT_CONE_PAD
 
 
+def evolve(ws, vecs, t):
+    """The components ``vecs`` of an oracle state evolved to time t."""
+    return next(ws.evolve_grid(vecs, [t]))
+
+
 def random_x_bundle(rng, edge=False):
     """Random physical X-structured two-site state as a correlator bundle.
 

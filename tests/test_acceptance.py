@@ -23,7 +23,7 @@ from xychain.model import ModelParams
 from xychain.pfaffian import bundles, pfaffians
 from xychain.selftest import run_selftest
 
-from helpers import coefficients, orbital_states, random_x_bundle
+from helpers import coefficients, evolve, orbital_states, random_x_bundle
 
 
 def _verdict(num, label, ok, detail):
@@ -227,7 +227,7 @@ def test_criterion_09_branch_switch():
     worst = 0.0
     for lt in (1.0, 2.0):
         state = isotropic.PhiState(5, 7, 0.3, lt / lam, lam)
-        ring = ws.evolve_components(ws.phi_bell(5, 7, 0.3), lt / lam)
+        ring = evolve(ws, ws.phi_bell(5, 7, 0.3), lt / lam)
         for n, m in ((4, 8), (5, 7)):
             worst = max(worst, abs(state.concurrence(n, m)
                                    - ws.concurrence(ring, n, m)))
@@ -263,7 +263,7 @@ def test_criterion_10_knitted_singlet():
     background = ws.concurrence(ws.ground_state(), 7, 8)
     drift = 0.0
     for t in (0.5, 1.0, 2.0):
-        evolved = ws.evolve_components(comps, t)
+        evolved = evolve(ws, comps, t)
         drift = max(drift, abs(ws.concurrence(evolved, 7, 8) - background))
 
     ok = abs(c0 - 1.0) < 1e-10 and leak < 1e-10 and drift < 0.02

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import majorana_pair
+from helpers import evolve, majorana_pair
 from xychain import correlators, oracle
 from xychain.correlators import A, B
 from xychain.model import ModelParams
@@ -53,7 +53,7 @@ def test_vacuum_contractions_match_ring(gamma, lam):
     p = ModelParams(lam=lam, gamma=gamma)
     con = correlators.vacuum_contractions(p, t)
     ws = oracle.OracleWorkspace(12, gamma, lam)
-    vecs = ws.evolve_components(ws.vacuum(), t)
+    vecs = evolve(ws, ws.vacuum(), t)
     for l, m in ((0, 0), (0, 1), (0, 2), (1, 3)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
             ana = con.pair(KIND[kl], l, KIND[km], m)
@@ -66,7 +66,7 @@ def test_bell_contractions_match_ring():
     p = ModelParams(lam=lam, gamma=gamma)
     con = correlators.bell_contractions(p, t, 1, 2)
     ws = oracle.OracleWorkspace(12, gamma, lam)
-    vecs = ws.evolve_components(ws.psi_bell(1, 2, np.pi), t)
+    vecs = evolve(ws, ws.psi_bell(1, 2, np.pi), t)
     for l, m in ((1, 1), (1, 2), (0, 3), (2, 2)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
             ana = con.pair(KIND[kl], l, KIND[km], m)
@@ -165,5 +165,5 @@ def test_singlet_tilts_phi_weights_ahead_of_front():
         bundles(con, [(5, 6)])[0]))
     ws = oracle.OracleWorkspace(12, 0.5, 0.5)
     ring = bell_fidelities(
-        ws.rho2(ws.evolve_components(ws.psi_bell(0, 1, np.pi), 6.0), 5, 6))
+        ws.rho2(evolve(ws, ws.psi_bell(0, 1, np.pi), 6.0), 5, 6))
     assert np.allclose(ana, ring, atol=2e-3)

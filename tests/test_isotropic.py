@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (PhiCoefficients, bell_fidelity, bessel_j, binary_entropy,
-                     coefficients, norm_defect, orbital_states,
+                     coefficients, evolve, norm_defect, orbital_states,
                      single_source_packet)
 from xychain import isotropic, measures, model, oracle
 from xychain.errors import CutoffError
@@ -92,7 +92,7 @@ def test_amplitudes_match_ring():
     # amplitudes (one fermion, periodic sector, method of images)
     lam, t = 1.0, 2.0
     ws = oracle.OracleWorkspace(12, 0.0, lam)
-    vec = ws.evolve_components(ws.psi_bell(0, 1, np.pi), t)[0]
+    vec = evolve(ws, ws.psi_bell(0, 1, np.pi), t)[0]
     ring = ring_amplitudes(ws, vec)
     folded = fold_on_ring(isotropic.wavepacket(0, 1, np.pi, t, lam), 12)
     # align the global phase on the largest amplitude
@@ -115,13 +115,13 @@ def test_concurrence_match_ring_short_time():
     # inside the wrap-free window the match is at solver precision
     t = 2.0
     st2 = isotropic.wavepacket(0, 1, np.pi, t, lam)
-    ref = ws.concurrence(ws.evolve_components(vecs0, t), 0, 3)
+    ref = ws.concurrence(evolve(ws, vecs0, t), 0, 3)
     assert abs(st2.concurrence(0, 3) - ref) < 1e-6
     # by lam*t = 3 the N = 12 images contribute at the 1e-5 level, so the
     # comparison only makes sense at a wrap-limited tolerance
     t = 3.0
     st3 = isotropic.wavepacket(0, 1, np.pi, t, lam)
-    ref = ws.concurrence(ws.evolve_components(vecs0, t), 0, 3)
+    ref = ws.concurrence(evolve(ws, vecs0, t), 0, 3)
     assert abs(st3.concurrence(0, 3) - ref) < 1e-4
 
 
@@ -404,7 +404,7 @@ def test_phi_matches_ring():
     # frame-invariant quantities only
     lam, phi, t = 1.0, 0.7, 2.0
     ws = oracle.OracleWorkspace(12, 0.0, lam)
-    vecs = ws.evolve_components(ws.phi_bell(5, 7, phi), t)
+    vecs = evolve(ws, ws.phi_bell(5, 7, phi), t)
     ps = isotropic.PhiState(5, 7, phi, t, lam)
     rho_o = ws.rho2(vecs, 4, 8)
     rho_a = ps.rho2(4, 8)

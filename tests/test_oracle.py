@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import evolve
 from xychain import measures, oracle
 from xychain.errors import ConfigError
 from xychain.scenarios import OracleEngine, parse_config_text, run_scenario
@@ -134,7 +135,7 @@ def test_evolve_matches_dense_diagonalization(t):
     vec = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     vec /= np.linalg.norm(vec)
     ref = modes @ (np.exp(-1j * energies * t) * (modes.T @ vec))
-    out = oracle.OracleWorkspace(n, gamma, lam).evolve(vec, t)
+    out = evolve(oracle.OracleWorkspace(n, gamma, lam), [vec], t)[0]
     assert np.max(np.abs(out - ref)) < 1e-12
 
 
@@ -150,7 +151,7 @@ def test_evolve_leaves_global_random_state_alone():
     for seed in (1, 2):
         np.random.seed(seed)
         before = np.random.get_state()
-        outs.append([ws.evolve(vec, 20.0)]
+        outs.append([evolve(ws, [vec], 20.0)[0]]
                     + [v for vecs in ws.evolve_grid(block, [3.0, 6.0, 20.0])
                        for v in vecs])
         after = np.random.get_state()
@@ -175,7 +176,7 @@ def test_grid_walk_from_zero_matches_per_time_evolution():
     assert all(a is b for a, b in zip(walked[0], base))
     for t, vecs in zip(times, walked):
         for v, v0 in zip(vecs, base):
-            assert np.max(np.abs(v - ws.evolve(v0, t))) < 1e-12
+            assert np.max(np.abs(v - evolve(ws, [v0], t)[0])) < 1e-12
 
 
 def test_grid_walk_from_a_late_start_matches_per_time_evolution():
@@ -188,7 +189,7 @@ def test_grid_walk_from_a_late_start_matches_per_time_evolution():
     for t, vecs in zip(times, ws.evolve_grid(base, times)):
         assert len(vecs) == len(base)
         for v, v0 in zip(vecs, base):
-            assert np.max(np.abs(v - ws.evolve(v0, t))) < 1e-12
+            assert np.max(np.abs(v - evolve(ws, [v0], t)[0])) < 1e-12
 
 
 ORACLE_REFERENCE = """
@@ -220,17 +221,17 @@ def test_reference_rides_along_only_for_tangle_deviation(kind):
     reference = ws.ground_state() if kind != "psi_bell" else ws.vacuum()
     times = cfg.times()
     views = list(engine.views(times))
-    for t, view in zip(times, views):
-        for got, want in ((view.vecs, base), (view.reference, reference)):
+    for t, (view, baseline) in zip(times, views):
+        for got, want in ((view.vecs, base), (baseline.vecs, reference)):
             assert len(got) == len(want)
-            for v, w in zip(got, ws.evolve_components(want, t)):
+            for v, w in zip(got, evolve(ws, want, t)):
                 assert np.max(np.abs(v - w)) < 1e-12
     rows = run_scenario(cfg)
     by_hand = []
-    for t, view in zip(times, views):
+    for t in times:
         for x in cfg.sites():
-            tau = ws.one_tangle(ws.evolve_components(base, t), x)
-            ref = ws.one_tangle(ws.evolve_components(reference, t), x)
+            tau = ws.one_tangle(evolve(ws, base, t), x)
+            ref = ws.one_tangle(evolve(ws, reference, t), x)
             delta, rel = measures.tangle_deviation(tau, ref)
             by_hand += [("one_tangle", x, t, tau),
                         ("tangle_deviation", x, t, delta),
@@ -240,7 +241,7 @@ def test_reference_rides_along_only_for_tangle_deviation(kind):
         assert abs(got - want) <= 1e-12 or (np.isnan(got) and np.isnan(want))
     plain = OracleEngine(parse_config_text(ORACLE_REFERENCE.format(
         kind=kind, measures="one_tangle")))
-    assert all(view.reference == [] for view in plain.views(times))
+    assert all(baseline.vecs == [] for _, baseline in plain.views(times))
 
 
 # the lower sector flips with the point: even (popcount of the basis index)
@@ -275,7 +276,7 @@ def _held_bytes(obj):
 
 def test_workspace_holds_no_dense_matrix():
     ws = oracle.OracleWorkspace(12, 0.5, 1.0)
-    ws.evolve_components(ws.knitted_singlet(1, 2), 0.5)
+    evolve(ws, ws.knitted_singlet(1, 2), 0.5)
     (gs,) = ws.ground_state()
     assert np.vdot(gs, ws.hamiltonian @ gs).real < 0.0
     assert _held_bytes(vars(ws)) < 5e6
@@ -286,7 +287,7 @@ def test_evolution_is_unitary():
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(2 ** 8) + 1j * rng.standard_normal(2 ** 8)
     vec /= np.linalg.norm(vec)
-    out = ws.evolve(vec, 2.3)
+    out = evolve(ws, [vec], 2.3)[0]
     assert np.isclose(np.linalg.norm(out), 1.0, atol=1e-10)
 
 
@@ -294,7 +295,7 @@ def test_magnetization_conserved_at_zero_gamma():
     ws = oracle.OracleWorkspace(8, 0.0, 1.0)
     vecs = ws.psi_bell(0, 1, np.pi)
     total0 = sum(ws.magnetization(vecs, l) for l in range(8))
-    vecs_t = ws.evolve_components(vecs, 3.0)
+    vecs_t = evolve(ws, vecs, 3.0)
     total_t = sum(ws.magnetization(vecs_t, l) for l in range(8))
     assert np.isclose(total0, total_t, atol=1e-10)
 
@@ -330,7 +331,7 @@ def test_phi_bell_t0_pair_coherence():
 
 def test_fidelities_sum_to_one():
     ws = oracle.OracleWorkspace(8, 0.5, 0.5)
-    vecs = ws.evolve_components(ws.psi_bell(1, 2, np.pi), 1.7)
+    vecs = evolve(ws, ws.psi_bell(1, 2, np.pi), 1.7)
     assert np.isclose(sum(measures.bell_fidelities(ws.rho2(vecs, 3, 4))), 1.0,
                       atol=1e-10)
 
@@ -364,7 +365,7 @@ measures.list = total_concurrence, ckw_residual
 """)
     rows = {name: value for name, _, _, value in run_scenario(cfg)}
     ws = oracle.OracleWorkspace(8, 0.0, 1.0)
-    vecs = ws.evolve_components(ws.psi_bell(0, 1, np.pi), 1.0)
+    vecs = evolve(ws, ws.psi_bell(0, 1, np.pi), 1.0)
     by_hand = sum(ws.concurrence(vecs, *sorted((0, q))) for q in range(1, 8))
     assert np.isclose(rows["total_concurrence"], by_hand, atol=1e-12)
     tau1 = ws.one_tangle(vecs, 0)
@@ -375,7 +376,7 @@ measures.list = total_concurrence, ckw_residual
 
 def test_rho2_concurrence_consistent_with_measures():
     ws = oracle.OracleWorkspace(8, 1.0, 0.5)
-    vecs = ws.evolve_components(ws.vacuum(), 1.2)
+    vecs = evolve(ws, ws.vacuum(), 1.2)
     rho = ws.rho2(vecs, 0, 1)
     assert np.isclose(ws.concurrence(vecs, 0, 1),
                       measures.concurrence_wootters(rho), atol=1e-12)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import evolve
 from xychain import correlators, groundstate, oracle, scenarios
 from xychain import pfaffian as pfaffian_module
 from xychain.correlators import A, B
@@ -277,7 +278,7 @@ def test_vacuum_correlators_match_ring(gamma, lam):
     p = ModelParams(lam=lam, gamma=gamma)
     con = correlators.vacuum_contractions(p, t)
     ws = oracle.OracleWorkspace(12, gamma, lam)
-    vecs = ws.evolve_components(ws.vacuum(), t)
+    vecs = evolve(ws, ws.vacuum(), t)
     for alpha, beta in (("x", "x"), ("y", "y"), ("z", "z")):
         for l, m in ((0, 1), (0, 2)):
             ana = spin_correlator(con, alpha, beta, l, m)
@@ -292,7 +293,7 @@ def test_bell_correlators_match_ring():
     p = ModelParams(lam=lam, gamma=gamma)
     con = correlators.bell_contractions(p, t, 1, 2)
     ws = oracle.OracleWorkspace(12, gamma, lam)
-    vecs = ws.evolve_components(ws.psi_bell(1, 2, np.pi), t)
+    vecs = evolve(ws, ws.psi_bell(1, 2, np.pi), t)
     for alpha, beta in (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y")):
         for l, m in ((1, 2), (0, 2), (2, 3)):
             ana = spin_correlator(con, alpha, beta, l, m)
@@ -320,7 +321,7 @@ def test_finite_ring_route_matches_oracle_exactly(n, gamma, lam, kind):
         else:
             con = correlators.bell_contractions(p, t, 1, 2, amp=-1.0)
             state = ws.psi_bell(1, 2, np.pi)
-        vecs = ws.evolve_components(state, t)
+        vecs = evolve(ws, state, t)
         for (l, m), bundle in zip(pairs, bundles(con, pairs)):
             for alpha, beta in (("x", "x"), ("y", "y"), ("z", "z"),
                                 ("x", "y"), ("y", "x")):
@@ -444,8 +445,8 @@ def test_singlet_time_step_batches_its_pairs(monkeypatch):
         return bundles(contractions, pairs)
 
     monkeypatch.setattr(scenarios, "bundles", counting_bundles)
-    view, = scenarios.AnalyticEngine(config).views([2.0])
-    rows = scenarios.measure_rows(config, view, 2.0)
+    (view, baseline), = scenarios.AnalyticEngine(config).views([2.0])
+    rows = scenarios.measure_rows(config, view, baseline, 2.0)
     assert len(rows) == 4 * 17
     assert len(calls) <= 2
     evaluated = [pair for call in calls for pair in call]

@@ -85,12 +85,39 @@ def test_parse_requires_grid_and_measures():
         parse_config_text(BASE.replace("one_tangle", "entanglement"))
 
 
-def test_parse_rejects_lambda_alias_conflict():
-    with pytest.raises(ConfigError):
-        parse_config_text(BASE + "model.lam = 2.0\n")
-    # but the short spelling alone is fine
-    cfg = parse_config_text(BASE.replace("model.lambda", "model.lam"))
-    assert cfg.lam == 1.0
+def test_parse_rejects_lambda_alias_conflict(tmp_path):
+    # model.lam is no second spelling of model.lambda: alone or beside it,
+    # it is an unknown key, exit code 2 through the CLI
+    for text in (BASE + "model.lam = 2.0\n",
+                 BASE.replace("model.lambda", "model.lam")):
+        with pytest.raises(ConfigError, match="unknown key 'model.lam'"):
+            parse_config_text(text)
+        cfg = tmp_path / "lam.cfg"
+        cfg.write_text(text)
+        code, _, err = run_cli("run", str(cfg))
+        assert code == 2 and "unknown key 'model.lam'" in err
+
+
+def test_every_config_field_is_set_by_one_key():
+    fields = dataclasses.fields(scenarios.ScenarioConfig)
+    mapped = [name for name, _ in scenarios.CONFIG_KEYS.values()]
+    assert sorted(mapped) == sorted(f.name for f in fields)
+
+
+def test_missing_required_key_is_named():
+    required = {f.name for f in dataclasses.fields(scenarios.ScenarioConfig)
+                if f.default is dataclasses.MISSING}
+    keys = [key for key, (name, _) in scenarios.CONFIG_KEYS.items()
+            if name in required]
+    assert keys == ["model.lambda", "model.gamma", "scenario.kind",
+                    "grid.dt", "grid.t_start", "grid.t_stop", "grid.x_start",
+                    "grid.x_stop", "measures.list"]
+    for key in keys:
+        text = "\n".join(line for line in BASE.splitlines()
+                         if not line.startswith(key + " "))
+        with pytest.raises(ConfigError,
+                           match=f"missing required key '{key}'"):
+            parse_config_text(text)
 
 
 def test_parse_validates_scenario_shape():
@@ -206,7 +233,7 @@ def test_oracle_engine_agrees_with_analytic():
     for text, tol in ((bessel, 1e-4), (pfaffian, PFAFFIAN_TOL)):
         cfg = parse_config_text(text)
         ana = run_scenario(cfg)
-        orc = run_scenario(cfg, engine_name="oracle")
+        orc = run_scenario(dataclasses.replace(cfg, engine="oracle"))
         assert len(ana) == len(orc) == 4 * 4 * 11  # sites, times, rows
         for (n1, x1, t1, v1), (n2, x2, t2, v2) in zip(ana, orc):
             assert (n1, x1, t1) == (n2, x2, t2)
@@ -241,10 +268,11 @@ def test_shipped_configs_refused_at_engine_construction(monkeypatch):
             phi, measure_list=phi.measure_list + ("ckw_residual",)),
     )
     for cfg in refused:
+        cfg = dataclasses.replace(cfg, engine="analytic")
         with pytest.raises(CapabilityError):
-            scenarios.make_engine(cfg, "analytic")
+            scenarios.make_engine(cfg)
         with pytest.raises(CapabilityError):
-            run_scenario(cfg, engine_name="analytic")
+            run_scenario(cfg)
 
 
 def test_analytic_engine_builds_each_table_once(monkeypatch):
@@ -283,6 +311,33 @@ measures.list = concurrence, ckw_residual, tangle_deviation
 """
     run_scenario(parse_config_text(ground))
     assert built == {"ground": 1}
+
+
+def test_ground_state_view_serves_every_time(monkeypatch):
+    # the ground state is stationary: a grid of 5 times evaluates the
+    # bundles of a grid of 1 time
+    calls = []
+    bundles = scenarios.bundles
+
+    def counting(contractions, pairs):
+        calls.append(len(pairs))
+        return bundles(contractions, pairs)
+
+    monkeypatch.setattr(scenarios, "bundles", counting)
+    ground = BASE.replace("singlet_on_vacuum", "ground_state_equilibrium")
+    ground = ground.replace("model.gamma = 0.0", "model.gamma = 0.5").replace(
+        "concurrence, one_tangle",
+        "concurrence, entropy2, total_concurrence, tangle_deviation")
+    counts = []
+    for t_stop in ("0.0", "2.0"):
+        calls.clear()
+        cfg = parse_config_text(ground.replace("grid.t_stop = 1.0",
+                                               f"grid.t_stop = {t_stop}"))
+        rows = run_scenario(cfg)
+        assert len({t for _, _, t, _ in rows}) == len(cfg.times())
+        counts.append(list(calls))
+    assert len(cfg.times()) == 5
+    assert counts[0] == counts[1] and counts[0]
 
 
 def test_contraction_view_evaluates_each_pair_concurrence_once(monkeypatch):
@@ -333,7 +388,8 @@ def site_by_site_rows(cfg):
             d = cfg.concurrence_distance
             rho = view.rho2(x, x + 1)
             tau = view.one_tangle(x)
-            dev = measures.tangle_deviation(tau, view.baseline_tangle(x))
+            # the baseline is the stationary vacuum, of zero tangle
+            dev = measures.tangle_deviation(tau, 0.0)
             values = {
                 "concurrence": view.concurrence(x, x + d),
                 "one_tangle": tau,
@@ -419,10 +475,10 @@ def test_oracle_engine_wraps_sites_on_the_ring():
     # ring geometry: site labels act modulo oracle_sites
     text = BASE.replace("grid.x_start = -1", "grid.x_start = 13")
     text = text.replace("grid.x_stop = 2", "grid.x_stop = 13")
-    wrapped = run_scenario(parse_config_text(text), engine_name="oracle")
+    wrapped = run_scenario(parse_config_text(text + "engine = oracle\n"))
     text = BASE.replace("grid.x_start = -1", "grid.x_start = 1")
     text = text.replace("grid.x_stop = 2", "grid.x_stop = 1")
-    direct = run_scenario(parse_config_text(text), engine_name="oracle")
+    direct = run_scenario(parse_config_text(text + "engine = oracle\n"))
     assert [(n, t, v) for n, _, t, v in wrapped] == \
         [(n, t, v) for n, _, t, v in direct]
 
@@ -454,6 +510,19 @@ def test_cli_exit_codes(tmp_path):
     code, _, err = run_cli("run", str(knit))
     assert code == 2
     assert "oracle" in err
+
+
+def test_cli_engine_flag_overrides_the_config(tmp_path):
+    knit = tmp_path / "knit.cfg"
+    knit.write_text(BASE.replace("singlet_on_vacuum", "singlet_knitted_gs")
+                    + "scenario.oracle_sites = 6\n")
+    code, out, err = run_cli("run", str(knit), "--engine", "oracle")
+    assert code == 0, err
+    rows = run_scenario(dataclasses.replace(
+        parse_config_file(knit), engine="oracle"))
+    buf = io.StringIO()
+    write_csv(rows, buf)
+    assert out == buf.getvalue()
 
 
 def test_cli_phi_bell_outside_the_window_reads_the_vacuum(tmp_path):
@@ -498,3 +567,10 @@ def test_worked_example_scripts_run(argv, header):
     code, out, err = run_python(str(SCRIPTS / argv[0]), *argv[1:])
     assert code == 0, err
     assert out.startswith(header)
+
+
+def test_gs_table_prints_its_golden_table():
+    code, out, err = run_python(str(SCRIPTS / "gs_table.py"))
+    assert code == 0, err
+    assert out == (SCRIPTS.parent / "tests" / "golden" /
+                   "gs_table.txt").read_text()
