@@ -48,9 +48,10 @@ by PAD_STEP sites until the weight it holds is within NORM_DEFECT_TOL of one
 (the norm of a packet, the pair-sector weight of a pair seed); a window
 whose Bessel ladder would pass bessel.MAX_ORDER raises CutoffError.
 `windows` sizes a batch of times at once, one batch of Miller sweeps per
-widening round; `wavepacket` and `PhiState` take their time's window or
-size their own.  The states are measurement views (`scenarios`) whose
-methods take sites or pairs as scalars or arrays.
+widening round.  `wavepacket` and `PhiState` take their time's window or
+size their own; a packet also takes a block of times whose windows share a
+radius.  The states are measurement views (`scenarios`) whose methods take
+sites or pairs as scalars or arrays, a packet's times first.
 """
 
 import functools
@@ -70,13 +71,11 @@ PAD_STEP = 10  # sites a window widens by when its weight defect is too large
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^n by n mod 4, exact for any n
 
 
-def _ladder(row):
-    """g_n = i^n J_n for n = -nmax..nmax, indexed by n + nmax, from the
-    ladder J_0..J_nmax and J_{-n} = (-1)^n J_n."""
-    nmax = len(row) - 1
-    signs = np.where(np.arange(nmax, 0, -1) % 2 == 1, -1.0, 1.0)
-    js = np.concatenate((signs * row[:0:-1], row))
-    return _I_POWERS[np.arange(-nmax, nmax + 1) % 4] * js
+def _ladder(rows):
+    """g_n = i^n J_n for n = -nmax..nmax, indexed by n + nmax along the last
+    axis, from ladders J_0..J_nmax; J_{-n} = (-1)^n J_n makes g_{-n} = g_n."""
+    g = _I_POWERS[np.arange(rows.shape[-1]) % 4] * rows
+    return np.concatenate((g[..., :0:-1], g), axis=-1)
 
 
 def _window_sums(rows, radius, span):
@@ -136,13 +135,13 @@ def windows(i, j, phi, lam_ts, pair=False, pad=LIGHT_CONE_PAD):
 
 def _orbitals(i, j, window):
     """Window sites i - radius .. j + radius (i < j) and g_{site-i},
-    g_{site-j}; an error in place of the window is raised."""
+    g_{site-j} (last axis); an error in place of the window is raised."""
     if isinstance(window, Exception):
         raise window
-    radius, row = window
-    g = _ladder(row)
+    radius, rows = window
+    g = _ladder(rows)
     span = j - i
-    return np.arange(i - radius, j + radius + 1), g[span:], g[:len(g) - span]
+    return np.arange(i - radius, j + radius + 1), g[..., span:], g[..., :-span]
 
 
 def _modulus(v):
@@ -182,28 +181,25 @@ def _branches(a, b, x, y, c, z):
 class SingleParticleState:
     """One conserved excitation on the vacuum, gamma = 0.
 
-    Amplitudes are stored on the window [start, start + len - 1]; sites
+    Amplitudes are stored on the window [start, start + len - 1] of the
+    last axis, one row per time of a block that shares the window; sites
     outside carry weight below the normalization tolerance.  With no
-    amplitudes it is the stationary vacuum.  |w|^2 is rounded as the
-    scalar abs(w) ** 2 (libm pow), so a site grid gives the values of
-    site-by-site calls bit for bit.
+    amplitudes it is the stationary vacuum.  |w|^2 is rounded as the scalar
+    abs(w) ** 2 (libm pow), so grids give site-by-site values bit for bit.
     """
 
     start: int
     amps: np.ndarray
-    time: float
-    lam: float
-    sources: tuple
-    phi: float
 
     @functools.cached_property
     def _padded(self):
-        return np.concatenate(([0.0], self.amps, [0.0]))
+        edge = np.zeros(self.amps.shape[:-1] + (1,), dtype=complex)
+        return np.concatenate((edge, self.amps, edge), axis=-1)
 
     def w(self, sites):
-        """Amplitudes at the sites (any shape); zero outside the window,
-        where the clipped index lands on a padding zero."""
-        return self._padded.take(np.subtract(sites, self.start - 1),
+        """Amplitudes at the sites (any shape), after the times; zero outside
+        the window, where the clipped index lands on a padding zero."""
+        return self._padded.take(np.subtract(sites, self.start - 1), axis=-1,
                                  mode="clip")
 
     def _population(self, sites):
@@ -225,25 +221,25 @@ class SingleParticleState:
         """C_{nm} = 2 |w_n wbar_m| for a one-particle state."""
         return 2.0 * np.hypot(*_times_conj(self.w(n), self.w(m)))
 
-    @functools.cached_property
-    def _magnitudes(self):
-        return np.abs(self.amps)
-
     def partner_concurrences(self, n):
-        """C_{nq} = 2|w_n w_q| over the window, one row per site n; the
-        entry of n itself is 0 (cheaper than cutting it out, and neutral in
-        every partner sum)."""
+        """C_{nq} = 2|w_n w_q| over the window, one row per time and site n;
+        the entry of n itself is 0 (cheaper than cutting it out, and neutral
+        in every partner sum)."""
         n = np.asarray(n)
         idx = np.atleast_1d(n) - self.start
-        partners = (2.0 * _modulus(self.w(n)))[..., None] * self._magnitudes
-        own = np.nonzero((idx >= 0) & (idx < len(self.amps)))[0]
-        partners.reshape(len(idx), -1)[own, idx[own]] = 0.0
+        *lead, width = self.amps.shape
+        magnitudes = np.abs(self.amps).reshape(*lead, *[1] * n.ndim, width)
+        partners = (2.0 * _modulus(self.w(n)))[..., None] * magnitudes
+        own = np.nonzero((idx >= 0) & (idx < width))[0]
+        partners.reshape(*lead, len(idx), width)[..., own, idx[own]] = 0.0
         return partners
 
 
 def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD, window=None):
     """Evolved one-particle Bell seed (c_i + e^{i phi} c_j)^dag |vac>/sqrt(2)
-    on its entry of `windows` (sized here when None)."""
+    on its entry of `windows` (sized here when None), or one packet on a
+    (radius, (times, ladder)) block of times that share the radius; t is
+    read only to size a window."""
     if i == j:
         raise ValueError("seed sites must differ")
     i, j = (i, j) if i < j else (j, i)
@@ -251,9 +247,7 @@ def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD, window=None):
         window, = windows(i, j, phi, [abs(lam) * t], pad=pad)
     sites, gi, gj = _orbitals(i, j, window)
     amps = (gi + np.exp(1j * phi) * gj) / math.sqrt(2.0)
-    return SingleParticleState(start=int(sites[0]), amps=amps, time=float(t),
-                               lam=float(lam), sources=(i, j),
-                               phi=float(phi))
+    return SingleParticleState(start=int(sites[0]), amps=amps)
 
 
 class PhiState:
@@ -269,10 +263,7 @@ class PhiState:
         if i == j:
             raise ValueError("seed sites must differ")
         i, j = (i, j) if i < j else (j, i)
-        self.i, self.j = int(i), int(j)
         self.phi = float(phi)
-        self.time = float(t)
-        self.lam = float(lam)
         if window is None:
             window, = windows(i, j, phi, [abs(lam) * t], pair=True, pad=pad)
         sites, gi, gj = _orbitals(i, j, window)

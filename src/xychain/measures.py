@@ -150,7 +150,8 @@ def entropy_vn(rho):
 
 
 def bell_fidelities(rho):
-    """Overlaps with the four Bell states, as (psi-, psi+, phi-, phi+).
+    """Overlaps of rho, or of each of a stack, with the four Bell states, as
+    (psi-, psi+, phi-, phi+).
 
     psi^phi = (ud + e^{i phi} du)/sqrt(2), phi^phi = (uu + e^{i phi} dd)/sqrt(2);
     the minus/plus labels are phi = pi and phi = 0.  The four values sum to
@@ -158,17 +159,17 @@ def bell_fidelities(rho):
     state family handled by this package.
     """
     rho = np.asarray(rho, dtype=complex)
-    mid = 0.5 * (rho[1, 1].real + rho[2, 2].real)
-    outer = 0.5 * (rho[0, 0].real + rho[3, 3].real)
-    z_re = rho[1, 2].real
-    c_re = rho[0, 3].real
+    mid = 0.5 * (rho[..., 1, 1].real + rho[..., 2, 2].real)
+    outer = 0.5 * (rho[..., 0, 0].real + rho[..., 3, 3].real)
+    z_re = rho[..., 1, 2].real
+    c_re = rho[..., 0, 3].real
     return (mid - z_re, mid + z_re, outer - c_re, outer + c_re)
 
 
 def ckw_residual(tau1, concurrences):
-    """tau1 minus the sum of squared pair concurrences."""
+    """tau1 minus the sum of squared pair concurrences (the last axis)."""
     concs = np.asarray(concurrences, dtype=float)
-    return float(tau1 - np.sum(concs * concs))
+    return tau1 - np.sum(concs * concs, axis=-1)
 
 
 def tangle_deviation(tau_state, tau_baseline):

@@ -24,20 +24,19 @@ against the evolved unperturbed reference of the scenario family),
 total_concurrence, ckw_residual.
 
 Each measure is defined once, in `measure_rows`, over a view of the state
-at one time, which it asks once per measure for the whole site grid.  A
-view offers one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and
+at a block of times, which it asks once per measure for the whole site
+grid.  A view offers one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and
 partner_concurrences(xs) over the route's window (the light cone on the
 Bessel route, +-PAIR_WINDOW on the Pfaffian route, the whole ring on the
-oracle), each returning one entry per site or pair.  Engines yield each
-time's view with a baseline: the view of the unperturbed reference, whose
-one_tangle tangle_deviation reads.  The analytic engine's views are the
-one-particle packet (the gamma = 0 vacuum is the empty packet) and
-`isotropic.PhiState` at gamma = 0, and Pfaffian contractions otherwise or
-in equilibrium; the oracle's view is the evolved ring.  A stationary state
-has one view for the whole grid, any other view only its time's state; at
-gamma = 0 the engine sizes the Bessel windows of its time grid a block at
-a time (`isotropic.windows`), and the oracle steps its ring from each time
-to the next.
+oracle), each returning one entry per site or pair (per time and site or
+pair on a block).  Engines yield each block's times and view with a
+baseline: the view of the unperturbed reference, whose one_tangle
+tangle_deviation reads.  The analytic engine's views are the one-particle
+packet (the gamma = 0 vacuum is the empty packet) and `isotropic.PhiState`
+at gamma = 0, and Pfaffian contractions otherwise or in equilibrium; the
+oracle's view is the evolved ring.  A stationary view serves the whole
+grid, a packet a run of times whose Bessel windows (`isotropic.windows`,
+sized a block at a time) share a radius, any other view one time.
 What the analytic engine cannot represent exactly (knitted scenarios,
 phi_bell and generic seed phases at gamma != 0, ckw_residual on phi_bell)
 raises CapabilityError when the engine is built; the oracle engine handles
@@ -45,7 +44,7 @@ those on small rings.
 """
 
 import dataclasses
-import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -230,17 +229,21 @@ def _validate(cfg, source):
 # ---------------------------------------------------------------------------
 
 
-def measure_rows(config, view, baseline, t):
+def measure_rows(config, view, baseline, times):
     """Rows (name, x, t, value) of every configured measure, read off the
-    view of the state at time t and the view of its unperturbed reference,
-    one call per measure for the site grid."""
+    view of the state at a block of times and the view of its unperturbed
+    reference, one call per measure for the block and the site grid."""
     xs = config.sites()
     right = [x + 1 for x in xs]
+    at_x, at_t = xs * len(times), [t for t in times for _ in xs]
     rows = []
 
+    def grid(values):  # one value per site serves every time
+        values = np.asarray(values, dtype=float).ravel().tolist()
+        return values if len(values) == len(at_x) else values * len(times)
+
     def put(name, values):
-        rows.extend(zip([name] * len(xs), xs, [t] * len(xs),
-                        np.asarray(values, dtype=float).tolist()))
+        rows.extend(zip([name] * len(at_x), at_x, at_t, grid(values)))
 
     for name in config.measure_list:
         if name == "concurrence":
@@ -249,20 +252,19 @@ def measure_rows(config, view, baseline, t):
         elif name == "one_tangle":
             put(name, view.one_tangle(xs))
         elif name == "entropy2":
-            put(name, [measures.entropy_vn(rho)
-                       for rho in view.rho2(xs, right)])
+            rhos = np.reshape(view.rho2(xs, right), (-1, 4, 4))
+            put(name, [measures.entropy_vn(rho) for rho in rhos])
         elif name == "bell_fidelities":
-            fids = [measures.bell_fidelities(rho)
-                    for rho in view.rho2(xs, right)]
-            for k, fid_name in enumerate(_FIDELITY_NAMES):
-                put(fid_name, [f[k] for f in fids])
+            fids = measures.bell_fidelities(view.rho2(xs, right))
+            for fid_name, fid in zip(_FIDELITY_NAMES, fids):
+                put(fid_name, fid)
         elif name == "tangle_deviation":
-            devs = [measures.tangle_deviation(tau, base) for tau, base in
-                    zip(view.one_tangle(xs), baseline.one_tangle(xs))]
+            taus = grid(view.one_tangle(xs)), grid(baseline.one_tangle(xs))
+            devs = [measures.tangle_deviation(*both) for both in zip(*taus)]
             put("tangle_deviation", [delta for delta, _ in devs])
             put("tangle_deviation_rel", [rel for _, rel in devs])
         elif name == "total_concurrence":
-            put(name, [p.sum() for p in view.partner_concurrences(xs)])
+            put(name, [p.sum(-1) for p in view.partner_concurrences(xs)])
         else:  # ckw_residual
             put(name, [measures.ckw_residual(tau, p) for tau, p in
                        zip(view.one_tangle(xs),
@@ -271,16 +273,15 @@ def measure_rows(config, view, baseline, t):
 
 
 class _ContractionView:
-    """Pfaffian-route view of a set of Majorana contractions on the
-    config's site grid.  Bundles are memoized per (l, m) and evaluated in
-    batches: each call fills every pair it is asked for that is not held
-    yet, and a partner sum the +-PAIR_WINDOW windows of all its sites.
-    Each pair's concurrence is memoized next to its bundle.  Magnetizations
-    of the grid sites come as one array."""
+    """Pfaffian-route view of a set of Majorana contractions.  Bundles are
+    memoized per (l, m) and evaluated in batches: each call fills every
+    pair it is asked for that is not held yet, and a partner sum the
+    +-PAIR_WINDOW windows of all its sites.  Each pair's concurrence is
+    memoized next to its bundle.  Magnetizations of the sites come as one
+    array."""
 
-    def __init__(self, contractions, sites):
+    def __init__(self, contractions):
         self.con = contractions
-        self.sites = sites
         self._bundles = {}
         self._concurrences = {}
 
@@ -295,13 +296,8 @@ class _ContractionView:
         return [(min(x, q), max(x, q))
                 for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1) if q != x]
 
-    @functools.cached_property
-    def _tangle(self):
-        mz = magnetization(self.con, self.sites)
-        return dict(zip(self.sites, measures.one_tangle(mz).tolist()))
-
     def one_tangle(self, xs):
-        return [self._tangle[x] for x in xs]
+        return measures.one_tangle(magnetization(self.con, xs))
 
     def _concurrence(self, pair):
         if pair not in self._concurrences:
@@ -321,6 +317,11 @@ class _ContractionView:
         self._fill([p for pairs in windows for p in pairs])
         return [np.array([self._concurrence(p) for p in pairs])
                 for pairs in windows]
+
+
+def _radius(entry):
+    """The radius of a (t, window) entry, or the error in its place."""
+    return entry[1] if isinstance(entry[1], Exception) else entry[1][0]
 
 
 class AnalyticEngine:
@@ -355,47 +356,52 @@ class AnalyticEngine:
             self._ground = groundstate.gs_contractions(self.params, reach)
 
     def views(self, times):
-        """(view, baseline) of each time, in order: a Bell seed's baseline
-        is the vacuum it sits on, a stationary state is its own and has one
-        view for every time.  A Bell seed at gamma = 0 sizes the Bessel
-        windows of a block of times at once; a block holds about
-        WINDOW_BLOCK_BYTES of the grid's longest ladders."""
+        """(times, view, baseline) of each block, in order: a Bell seed's
+        baseline is the vacuum it sits on, a stationary state is its own and
+        one view for the whole grid.  At gamma = 0 a block of windows holds
+        about WINDOW_BLOCK_BYTES of the grid's longest ladders, and a packet
+        a run of them that share a radius, its partner concurrences cut to
+        at most WINDOW_BLOCK_BYTES; a pair seed has a view per time."""
         cfg = self.config
         if self._ground is not None:
-            stationary = _ContractionView(self._ground, cfg.sites())
+            stationary = _ContractionView(self._ground)
         elif cfg.gamma != 0.0:
-            yield from map(self._contraction_views, times)
+            yield from (([t], *self._contraction_views(t)) for t in times)
             return
         else:  # the gamma = 0 vacuum is stationary: the empty packet
-            stationary = isotropic.SingleParticleState(
-                start=0, amps=np.zeros(0, dtype=complex), time=0.0,
-                lam=cfg.lam, sources=(), phi=0.0)
+            stationary = isotropic.SingleParticleState(0, np.zeros(0, complex))
         if cfg.kind in ("vacuum_only", "ground_state_equilibrium"):
-            yield from [(stationary, stationary)] * len(times)
+            yield times, stationary, stationary
             return
-        state = (isotropic.PhiState if cfg.kind == "phi_bell"
-                 else isotropic.wavepacket)
+        pair = cfg.kind == "phi_bell"
+        state = isotropic.PhiState if pair else isotropic.wavepacket
         lam_ts = [abs(cfg.lam) * t for t in times]
-        longest = (math.ceil(max(lam_ts, default=0.0)) + LIGHT_CONE_PAD
-                   + abs(cfg.j - cfg.i) + 1)
-        step = max(1, WINDOW_BLOCK_BYTES // (8 * max(1, longest)))
+        span = abs(cfg.j - cfg.i)
+        longest = math.ceil(max(lam_ts, default=0.0)) + LIGHT_CONE_PAD + span
+        step = max(1, WINDOW_BLOCK_BYTES // (8 * max(1, longest + 1)))
         for k in range(0, len(times), step):
-            for t, window in zip(times[k:k + step], isotropic.windows(
-                    cfg.i, cfg.j, cfg.seed_phase, lam_ts[k:k + step],
-                    pair=cfg.kind == "phi_bell")):
-                yield state(cfg.i, cfg.j, cfg.seed_phase, t, cfg.lam,
-                            window=window), stationary
+            block = zip(times[k:k + step], isotropic.windows(
+                cfg.i, cfg.j, cfg.seed_phase, lam_ts[k:k + step], pair=pair))
+            for radius, run in itertools.groupby(block, key=_radius):
+                if isinstance(radius, Exception):
+                    raise radius
+                ts, rows = zip(*[(t, row) for t, (_, row) in run])
+                width = 1 if pair else max(1, WINDOW_BLOCK_BYTES // (
+                    8 * len(cfg.sites()) * (2 * radius + span + 1)))
+                for s in range(0, len(ts), width):
+                    ladders = rows[s] if pair else np.stack(rows[s:s + width])
+                    view = state(cfg.i, cfg.j, cfg.seed_phase, ts[s], cfg.lam,
+                                 window=(radius, ladders))
+                    yield list(ts[s:s + width]), view, stationary
 
     def _contraction_views(self, t):
         cfg = self.config
         if cfg.kind == "vacuum_only":
-            view = _ContractionView(vacuum_contractions(self.params, t),
-                                    cfg.sites())
+            view = _ContractionView(vacuum_contractions(self.params, t))
             return view, view
         amp = 1.0 if abs(np.exp(1j * cfg.seed_phase) - 1.0) < 1e-9 else -1.0
         seed = bell_contractions(self.params, t, cfg.i, cfg.j, amp=amp)
-        return (_ContractionView(seed, cfg.sites()),
-                _ContractionView(seed.vacuum, cfg.sites()))
+        return _ContractionView(seed), _ContractionView(seed.vacuum)
 
 
 class _RingView:
@@ -456,12 +462,13 @@ class OracleEngine:
         return ws.knitted_singlet(cfg.i, cfg.j)
 
     def views(self, times):
-        """(view, baseline) of each time, in order: the state and its
+        """([t], view, baseline) of each time, in order: the state and its
         reference (empty unless tangle_deviation asks) step along the grid
         together as the columns of one block."""
-        k = len(self._base)
-        for vecs in self.ws.evolve_grid(self._base + self._reference, times):
-            yield _RingView(self.ws, vecs[:k]), _RingView(self.ws, vecs[k:])
+        k, ws = len(self._base), self.ws
+        blocks = ws.evolve_grid(self._base + self._reference, times)
+        for t, vecs in zip(times, blocks):
+            yield [t], _RingView(ws, vecs[:k]), _RingView(ws, vecs[k:])
 
 
 ENGINES = {"analytic": AnalyticEngine, "oracle": OracleEngine}
@@ -476,9 +483,8 @@ def make_engine(config):
 def run_scenario(config):
     """Evaluate the full measurement grid; rows sorted deterministically."""
     engine = make_engine(config)
-    times = config.times()
-    rows = [row for t, (view, baseline) in zip(times, engine.views(times))
-            for row in measure_rows(config, view, baseline, t)]
+    rows = [row for times, view, baseline in engine.views(config.times())
+            for row in measure_rows(config, view, baseline, times)]
     # stable passes by t, x, then name order the rows by (name, x, t)
     # without a key tuple per row
     for k in (2, 1, 0):

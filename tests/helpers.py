@@ -83,19 +83,17 @@ def single_source_packet(i, t, lam, pad=LIGHT_CONE_PAD):
     while True:
         radius = math.ceil(lam_t) + pad
         ladder = isotropic._ladder(bessel_rows([radius], [lam_t])[0])
-        state = isotropic.SingleParticleState(
-            start=int(i - radius), amps=ladder, time=float(t),
-            lam=float(lam), sources=(int(i),), phi=0.0)
+        state = isotropic.SingleParticleState(start=int(i - radius),
+                                              amps=ladder)
         if norm_defect(state) <= isotropic.NORM_DEFECT_TOL:
             return state
         pad += isotropic.PAD_STEP
 
 
-def orbital_states(phi_state):
-    """The two one-particle orbitals a pair seed is built from, seeded at
-    its sites i and j."""
-    return (single_source_packet(phi_state.i, phi_state.time, phi_state.lam),
-            single_source_packet(phi_state.j, phi_state.time, phi_state.lam))
+def orbital_states(i, j, t, lam):
+    """The two one-particle orbitals the pair seed on sites i, j at time t
+    is built from, seeded at i and at j."""
+    return single_source_packet(i, t, lam), single_source_packet(j, t, lam)
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ def test_criterion_08_monogamy_saturation_and_gap():
     for lt in (1.0, 5.0, 20.0):
         packet = isotropic.wavepacket(0, 1, np.pi, lt / lam, lam)
         states = [(packet, 0), (packet, 1)] + list(zip(
-            orbital_states(isotropic.PhiState(-5, 5, 0.3, lt / lam, lam)),
+            orbital_states(-5, 5, lt / lam, lam),
             (-5, 5)))
         for state, site in states:
             residual = ckw_residual(state.one_tangle(site),

@@ -179,8 +179,7 @@ def test_entropy_pair_against_rho2():
 def test_global_phase_invariance():
     base = isotropic.wavepacket(0, 1, np.pi, 2.0, 1.0)
     rotated = isotropic.SingleParticleState(
-        start=base.start, amps=base.amps * cmath.exp(0.9j), time=base.time,
-        lam=base.lam, sources=base.sources, phi=base.phi)
+        start=base.start, amps=base.amps * cmath.exp(0.9j))
     assert np.isclose(base.concurrence(0, 2),
                       rotated.concurrence(0, 2), atol=1e-14)
     assert np.isclose(base.one_tangle(1),
@@ -444,8 +443,7 @@ def test_phi_static_phase_formulas():
 
 
 def test_phi_orbital_states():
-    ps = isotropic.PhiState(-5, 5, 0.7, 1.5, 1.0)
-    orb = orbital_states(ps)
+    orb = orbital_states(-5, 5, 1.5, 1.0)
     assert len(orb) == 2
     for o in orb:
         assert np.isclose(np.sum(np.abs(o.amps) ** 2), 1.0, atol=1e-10)

@@ -221,7 +221,8 @@ def test_reference_rides_along_only_for_tangle_deviation(kind):
     reference = ws.ground_state() if kind != "psi_bell" else ws.vacuum()
     times = cfg.times()
     views = list(engine.views(times))
-    for t, (view, baseline) in zip(times, views):
+    for t, (ts, view, baseline) in zip(times, views):
+        assert ts == [t]
         for got, want in ((view.vecs, base), (baseline.vecs, reference)):
             assert len(got) == len(want)
             for v, w in zip(got, evolve(ws, want, t)):
@@ -241,7 +242,7 @@ def test_reference_rides_along_only_for_tangle_deviation(kind):
         assert abs(got - want) <= 1e-12 or (np.isnan(got) and np.isnan(want))
     plain = OracleEngine(parse_config_text(ORACLE_REFERENCE.format(
         kind=kind, measures="one_tangle")))
-    assert all(baseline.vecs == [] for _, baseline in plain.views(times))
+    assert all(baseline.vecs == [] for _, _, baseline in plain.views(times))
 
 
 # the lower sector flips with the point: even (popcount of the basis index)

@@ -445,8 +445,8 @@ def test_singlet_time_step_batches_its_pairs(monkeypatch):
         return bundles(contractions, pairs)
 
     monkeypatch.setattr(scenarios, "bundles", counting_bundles)
-    (view, baseline), = scenarios.AnalyticEngine(config).views([2.0])
-    rows = scenarios.measure_rows(config, view, baseline, 2.0)
+    (times, view, baseline), = scenarios.AnalyticEngine(config).views([2.0])
+    rows = scenarios.measure_rows(config, view, baseline, times)
     assert len(rows) == 4 * 17
     assert len(calls) <= 2
     evaluated = [pair for call in calls for pair in call]

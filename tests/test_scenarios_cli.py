@@ -407,10 +407,16 @@ def site_by_site_rows(cfg):
     return sorted(rows)
 
 
-@pytest.mark.parametrize("kind, i, j, lam", [
-    ("psi_bell", -1, 2, 0.8), ("singlet_on_vacuum", 0, 1, 1.0),
-    ("phi_bell", 0, 3, 1.1)])
-def test_grid_rows_equal_site_by_site_calls(kind, i, j, lam):
+@pytest.mark.parametrize("kind, i, j, lam, dt", [
+    pytest.param("psi_bell", -1, 2, 0.8, 1.5, id="psi_bell--1-2-0.8"),
+    pytest.param("singlet_on_vacuum", 0, 1, 1.0, 1.5,
+                 id="singlet_on_vacuum-0-1-1.0"),
+    pytest.param("phi_bell", 0, 3, 1.1, 1.5, id="phi_bell-0-3-1.1"),
+    # lam*dt = 0.08: up to 13 times in a row share a window radius, one
+    # block of windows holds the grid, and each run of them is cut into
+    # packet views of at most 5 or 6 times
+    pytest.param("psi_bell", -1, 2, 0.8, 0.1, id="psi_bell--1-2-0.8-fine")])
+def test_grid_rows_equal_site_by_site_calls(kind, i, j, lam, dt):
     # at t = 0 the windows end 30 sites past the seeds, so the grid reaches
     # sites outside them
     measures_list = ("concurrence, one_tangle, entropy2, bell_fidelities, "
@@ -419,7 +425,7 @@ def test_grid_rows_equal_site_by_site_calls(kind, i, j, lam):
         measures_list += ", ckw_residual"
     cfg = parse_config_text(ISOTROPIC.format(
         lam=lam, kind=kind, i=i, j=j, phi=0.7, t_start=0.0, t_stop=6.0,
-        dt=1.5, x_start=-40, x_stop=40, measures=measures_list))
+        dt=dt, x_start=-40, x_stop=40, measures=measures_list))
     assert run_scenario(cfg) == site_by_site_rows(cfg)
 
 
@@ -469,6 +475,48 @@ def test_bessel_route_holds_one_block_of_ladders():
         tracemalloc.stop()
     assert len(rows) == 1501 and ladders > 9e6
     assert peak < 2e6
+
+
+def test_bessel_route_builds_one_packet_per_run_of_equal_radius(monkeypatch):
+    # lam*t steps by 0.1, so about ten times in a row share the window
+    # radius ceil(lam*t) + LIGHT_CONE_PAD
+    cfg = parse_config_text(ISOTROPIC.format(
+        lam=1.0, kind="psi_bell", i=0, j=1, phi=0.3, t_start=0.0,
+        t_stop=300.0, dt=0.1, x_start=0, x_stop=0, measures="one_tangle"))
+    times = cfg.times()
+    radii = [radius for radius, _ in isotropic.windows(0, 1, 0.3, times)]
+    runs = sum(1 for k, r in enumerate(radii) if k == 0 or r != radii[k - 1])
+    blocks = []
+
+    def counting_windows(*args, **kwargs):
+        blocks.append(args)
+        return windows(*args, **kwargs)
+
+    windows = isotropic.windows
+    monkeypatch.setattr(isotropic, "windows", counting_windows)
+    views = list(scenarios.AnalyticEngine(cfg).views(times))
+    assert len(times) == 3001 and runs < 400
+    # each block of windows after the first may cut one run in two
+    assert runs <= len(views) <= runs + len(blocks) - 1
+
+
+def test_bessel_route_bounds_the_partner_concurrences_of_a_view():
+    # over 81 sites a run of ten times on a window of 182 sites would hold
+    # 1.2 MB of partner concurrences; a view holds at most
+    # WINDOW_BLOCK_BYTES of them, beside the block of ladders it comes from
+    cfg = parse_config_text(ISOTROPIC.format(
+        lam=1.0, kind="psi_bell", i=0, j=1, phi=0.3, t_start=0.0,
+        t_stop=60.0, dt=0.1, x_start=-40, x_stop=40,
+        measures="total_concurrence, ckw_residual"))
+    engine = scenarios.AnalyticEngine(cfg)
+    tracemalloc.start()
+    try:
+        for times, view, baseline in engine.views(cfg.times()):
+            scenarios.measure_rows(cfg, view, baseline, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 def test_oracle_engine_wraps_sites_on_the_ring():
