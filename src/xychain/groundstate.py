@@ -28,12 +28,20 @@ from .measures import concurrence_branches, one_tangle
 from .model import PAIR_WINDOW
 from .pfaffian import bundles
 
-NODES_PER_PANEL = 8
+# The 8-point Gauss-Legendre rule on [-1, 1], bit for bit as
+# numpy.polynomial.legendre.leggauss(8) gives it; held here so that a run
+# never imports numpy.polynomial.
+_HALF = np.array([0.18343464249564978, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975362])
+_HALF_WEIGHTS = np.array([0.36268378337836166, 0.3137066458778869,
+                          0.22238103445337443, 0.10122853629037706])
+LEGENDRE_NODES = np.concatenate([-_HALF[::-1], _HALF])
+LEGENDRE_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 
 
 def _composite_grid(n_panels, a=0.0, b=math.pi):
     """Nodes and weights of n_panels equal Gauss-Legendre panels on [a, b]."""
-    xr, wr = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+    xr, wr = LEGENDRE_NODES, LEGENDRE_WEIGHTS
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])

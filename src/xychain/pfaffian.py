@@ -176,7 +176,7 @@ def bundles(contractions, pairs):
         raise ValueError("bundles needs two distinct sites per pair")
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     blocks = {}  # string size -> [(rows, columns, kinds, sites, prefactors)]
-    for r in np.unique(hi - lo).tolist():
+    for r in sorted(set((hi - lo).tolist())):
         rows = np.flatnonzero(hi - lo == r)
         for col, (alpha, beta) in enumerate(COMPONENTS):
             kinds, offsets, pref = operator_string(alpha, beta, 0, r)

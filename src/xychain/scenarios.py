@@ -405,7 +405,7 @@ class AnalyticEngine:
 
 
 class _RingView:
-    """Oracle view of one evolved ring state, the columns of a mixture;
+    """Oracle view of one evolved ring state, the components of a mixture;
     site indices wrap."""
 
     def __init__(self, ws, vecs):
@@ -464,7 +464,7 @@ class OracleEngine:
     def views(self, times):
         """([t], view, baseline) of each time, in order: the state and its
         reference (empty unless tangle_deviation asks) step along the grid
-        together as the columns of one block."""
+        together as the rows of one block."""
         k, ws = len(self._base), self.ws
         blocks = ws.evolve_grid(self._base + self._reference, times)
         for t, vecs in zip(times, blocks):

@@ -133,11 +133,13 @@ def coefficients(phi_state, n, m):
 
 def majorana_pair(ws, vecs, kind_l, l, kind_m, m):
     """<X_l Y_m> on an oracle state, X, Y in {A, B} with
-    A_l = c_l^dag + c_l and B_l = c_l^dag - c_l, from sparse operators."""
-    ops = []
-    for kind, site in ((kind_l, l), (kind_m, m)):
-        cdag = oracle._jw_raising(ws.n, site % ws.n)
-        c = cdag.conj().T.tocsr()
-        ops.append(cdag + c if kind == "A" else cdag - c)
-    op = ops[0] @ ops[1]
-    return complex(sum(np.vdot(v, op @ v) for v in vecs))
+    A_l = c_l^dag + c_l and B_l = c_l^dag - c_l, from the signed index
+    permutation of c_l^dag (its transpose is c_l)."""
+
+    def apply(kind, site, v):
+        perm, sign = oracle._jw_raising(ws.n, site % ws.n)
+        raised, lowered = sign * v[perm], (sign * v)[perm]
+        return raised + lowered if kind == "A" else raised - lowered
+
+    return complex(sum(np.vdot(v, apply(kind_l, l, apply(kind_m, m, v)))
+                       for v in vecs))

@@ -166,3 +166,9 @@ def test_separation_beyond_the_table_is_a_cutoff():
     con = groundstate.gs_contractions(ModelParams(1.0, gamma=0.5), 3)
     with pytest.raises(CutoffError):
         con.pair(A, 0, B, 5)
+
+
+def test_legendre_rule_is_numpys_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(groundstate.LEGENDRE_NODES, nodes)
+    assert np.array_equal(groundstate.LEGENDRE_WEIGHTS, weights)

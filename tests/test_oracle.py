@@ -1,11 +1,17 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.special
 
 from helpers import evolve
-from xychain import measures, oracle
-from xychain.errors import ConfigError
+from xychain import cli, measures, oracle
+from xychain.errors import ConfigError, NumericalHealthError
 from xychain.scenarios import OracleEngine, parse_config_text, run_scenario
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def dense_reference_hamiltonian(n, gamma, lam):
@@ -64,10 +70,14 @@ def kron_raising(n, l):
     return cdag.tocsr()
 
 
+def columns(h, n, dtype=float):
+    """The matrix of ``h`` read off its action on each basis vector."""
+    return (h @ np.eye(2 ** n, dtype=dtype)).T
+
+
 def test_hamiltonian_matches_reference():
     n, gamma, lam = 6, 0.6, 0.9
-    built = oracle.build_hamiltonian(n, gamma, lam)
-    built = built.toarray() if hasattr(built, "toarray") else np.asarray(built)
+    built = columns(oracle.build_hamiltonian(n, gamma, lam), n)
     ref = dense_reference_hamiltonian(n, gamma, lam)
     assert np.max(np.abs(built - ref)) < 1e-12
 
@@ -76,16 +86,20 @@ def test_hamiltonian_matches_reference():
                                        (0.37, 1.7)])
 def test_hamiltonian_equals_the_spin_operator_build(gamma, lam):
     built = oracle.build_hamiltonian(6, gamma, lam)
-    assert np.array_equal(built.toarray(),
-                          kron_hamiltonian(6, gamma, lam).toarray())
+    for dtype in (float, complex):
+        acted = columns(built, 6, dtype)
+        assert acted.dtype == dtype
+        assert np.array_equal(acted,
+                              kron_hamiltonian(6, gamma, lam).toarray())
 
 
 def test_raising_operators_equal_the_spin_operator_build():
     n = 6
     for l in range(n):
-        built = oracle._jw_raising(n, l)
-        assert built.dtype == complex
-        assert np.array_equal(built.toarray(), kron_raising(n, l).toarray())
+        basis = np.eye(2 ** n, dtype=complex)
+        acted = np.stack([oracle._raise(n, l, e) for e in basis], axis=1)
+        assert acted.dtype == complex
+        assert np.array_equal(acted, kron_raising(n, l).toarray())
 
 
 def test_correlators_and_magnetization_match_the_spin_operators():
@@ -124,7 +138,7 @@ def test_workspace_bounds():
 
 
 def dense_spectrum(n, gamma, lam):
-    return np.linalg.eigh(oracle.build_hamiltonian(n, gamma, lam).toarray())
+    return np.linalg.eigh(kron_hamiltonian(n, gamma, lam).toarray())
 
 
 @pytest.mark.parametrize("t", [0.0, 0.7, 2.3, 5.0, 20.0])
@@ -140,10 +154,8 @@ def test_evolve_matches_dense_diagonalization(t):
 
 
 def test_evolve_leaves_global_random_state_alone():
-    # at t = 20 a single expm_multiply call would estimate norms with
-    # onenormest, which draws from np.random; so would a three-column
-    # block stepped over 6 -> 20 in substeps sized for one column (a
-    # block's exact-norm bound is a third of one column's)
+    # long intervals, a single vector and a three-row block: neither the
+    # series nor the start of a ground-state search may draw from np.random
     ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     (vec,) = ws.psi_bell(0, 1, np.pi)
     block = ws.psi_bell(0, 1, np.pi) + ws.phi_bell(2, 5, 0.3) + ws.vacuum()
@@ -153,7 +165,8 @@ def test_evolve_leaves_global_random_state_alone():
         before = np.random.get_state()
         outs.append([evolve(ws, [vec], 20.0)[0]]
                     + [v for vecs in ws.evolve_grid(block, [3.0, 6.0, 20.0])
-                       for v in vecs])
+                       for v in vecs]
+                    + oracle.OracleWorkspace(8, 0.5, 1.0).ground_state())
         after = np.random.get_state()
         assert before[0] == after[0] and before[2:] == after[2:]
         assert np.array_equal(before[1], after[1])
@@ -167,24 +180,29 @@ def _mixture(n, k, seed):
     return [v / np.linalg.norm(v) for v in vecs]
 
 
-def test_grid_walk_from_zero_matches_per_time_evolution():
+def test_grid_walk_from_zero_matches_per_time_evolution(monkeypatch):
     ws = oracle.OracleWorkspace(8, 0.7, 0.8)
     base = _mixture(8, 3, 4)
     times = [0.0, 0.25, 0.5, 0.75, 1.0, 1.3, 2.0, 2.0, 1.1]
-    walked = list(ws.evolve_grid(base, times))
-    assert len(walked) == len(times)
-    assert all(a is b for a, b in zip(walked[0], base))
-    for t, vecs in zip(times, walked):
-        for v, v0 in zip(vecs, base):
-            assert np.max(np.abs(v - evolve(ws, [v0], t)[0])) < 1e-12
+    # the whole grid as one series, then series of two times each: the
+    # last two start at 2.0, stay there and step back
+    for block_bytes in (oracle.EVOLVE_BLOCK_BYTES, 2 * 16 * 3 * 2 ** 8):
+        monkeypatch.setattr(oracle, "EVOLVE_BLOCK_BYTES", block_bytes)
+        walked = list(ws.evolve_grid(base, times))
+        assert len(walked) == len(times)
+        assert all(a is b for a, b in zip(walked[0], base))
+        for t, vecs in zip(times, walked):
+            for v, v0 in zip(vecs, base):
+                assert np.max(np.abs(v - evolve(ws, [v0], t)[0])) < 1e-12
 
 
 def test_grid_walk_from_a_late_start_matches_per_time_evolution():
-    # four columns keep each substep's 1-norm within 60 / 4 = 15: the first
-    # interval, 0 -> 9, takes several substeps
+    # the first interval, 0 -> 9, is eighteen times the later ones and takes
+    # a series of many terms
     ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     base = _mixture(8, 4, 5)
-    assert 9.0 * ws._norm1 * len(base) / oracle.EXACT_NORM_STEP > 3
+    _, _, radius = ws._chebyshev
+    assert oracle._chebyshev_coefficients(9.0 * radius).shape[1] > 60
     times = [9.0 + 0.5 * k for k in range(5)]
     for t, vecs in zip(times, ws.evolve_grid(base, times)):
         assert len(vecs) == len(base)
@@ -265,13 +283,12 @@ def test_ground_state_matches_dense_diagonalization(gamma, lam, parity):
 def _held_bytes(obj):
     if isinstance(obj, np.ndarray):
         return obj.nbytes
-    if sp.issparse(obj):
-        csr = obj.tocsr()
-        return csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
     if isinstance(obj, (tuple, list)):
         return sum(_held_bytes(x) for x in obj)
     if isinstance(obj, dict):
         return sum(_held_bytes(x) for x in obj.values())
+    if hasattr(obj, "__dict__"):
+        return _held_bytes(vars(obj))
     return 0
 
 
@@ -381,3 +398,63 @@ def test_rho2_concurrence_consistent_with_measures():
     rho = ws.rho2(vecs, 0, 1)
     assert np.isclose(ws.concurrence(vecs, 0, 1),
                       measures.concurrence_wootters(rho), atol=1e-12)
+
+
+def test_evolution_and_ground_state_match_scipy_at_twelve_sites():
+    from scipy.sparse.linalg import eigsh, expm_multiply
+
+    n, gamma, lam = 12, 0.5, 1.0
+    ws = oracle.OracleWorkspace(n, gamma, lam)
+    h = kron_hamiltonian(n, gamma, lam)
+    vecs = ws.psi_bell(1, 2, np.pi) + ws.phi_bell(4, 7, 0.3)
+    times = [0.5, 1.0, 2.5]
+    for t, got in zip(times, ws.evolve_grid(vecs, times)):
+        for v, v0 in zip(got, vecs):
+            ref = expm_multiply(-1j * t * h, v0)
+            assert np.max(np.abs(v - ref)) < 1e-12
+    vals, modes = eigsh(h, k=1, which="SA", tol=0,
+                        v0=np.random.default_rng(0).standard_normal(2 ** n))
+    (gs,) = ws.ground_state()
+    assert abs(np.vdot(gs, h @ gs).real - vals[0]) < 1e-12
+    ref = modes[:, 0]
+    assert np.max(np.abs(np.outer(gs, gs.conj()) - np.outer(ref, ref))) < 1e-12
+
+
+def test_chebyshev_coefficients_are_bessel_values():
+    amounts = [0.0, 0.5, -3.0, 9.0, 40.0, 250.0]
+    rows = oracle._chebyshev_coefficients(amounts)
+    for a, row in zip(amounts, rows):
+        # one argument alone gives the same row, up to the nodes its size
+        # sets, and ends where the row of the batch does
+        (alone,) = oracle._chebyshev_coefficients([a])
+        k = np.arange(len(alone))
+        scale = max(1.0, abs(a))
+        assert np.max(np.abs(row[:len(alone)] - alone)) < 1e-14 * scale
+        assert not np.any(row[len(alone):])
+        ref = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * scipy.special.jv(k, a)
+        assert np.max(np.abs(alone - ref)) < 1e-14 * scale
+        assert len(alone) > abs(a)
+        assert abs(2.0 * scipy.special.jv(len(alone), a)) < oracle.SERIES_TOL
+        # J_0^2 + 2 sum_k J_k^2 = 1
+        assert math.isclose(
+            abs(alone[0]) ** 2 + np.sum(np.abs(alone[1:]) ** 2) / 2, 1.0,
+            abs_tol=1e-13)
+
+
+def test_lanczos_residual_failure_is_a_health_error(monkeypatch, capsys):
+    # ten Krylov steps cannot resolve the N = 12 ground state
+    monkeypatch.setattr(oracle, "LANCZOS_STEPS", 10)
+    with pytest.raises(NumericalHealthError, match="Lanczos residual"):
+        oracle.OracleWorkspace(12, 0.5, 1.0).ground_state()
+    assert cli.main(["run", str(SCRIPTS / "knitted.cfg")]) == 3
+    assert "Lanczos residual" in capsys.readouterr().err
+
+
+def test_evolution_norm_failure_is_a_health_error(monkeypatch, capsys):
+    # a series cut at 1e-3 loses norm far beyond NORM_TOL
+    monkeypatch.setattr(oracle, "SERIES_TOL", 1e-3)
+    ws = oracle.OracleWorkspace(8, 0.5, 1.0)
+    with pytest.raises(NumericalHealthError, match="squared norm"):
+        evolve(ws, ws.psi_bell(0, 1, np.pi), 1.0)
+    assert cli.main(["run", str(SCRIPTS / "bell_oracle.cfg")]) == 3
+    assert "squared norm" in capsys.readouterr().err

@@ -622,3 +622,38 @@ def test_gs_table_prints_its_golden_table():
     assert code == 0, err
     assert out == (SCRIPTS.parent / "tests" / "golden" /
                    "gs_table.txt").read_text()
+
+
+IMPORT_FREE_RUNS = """
+import sys
+import xychain, xychain.selftest
+loaded = set(sys.modules)
+base = '''
+model.lambda = 1.0
+model.gamma = 0.5
+grid.t_start = 0.0
+grid.t_stop = 1.0
+grid.dt = 0.5
+grid.x_start = 0
+grid.x_stop = 2
+measures.list = concurrence, one_tangle
+'''
+xychain.run_scenario(xychain.parse_config_text(
+    base + "scenario.kind = ground_state_equilibrium\\n"
+    "measures.concurrence_distance = 2\\n"))
+xychain.run_scenario(xychain.parse_config_text(
+    base + "engine = oracle\\nscenario.oracle_sites = 6\\n"
+    "scenario.kind = singlet_knitted_gs\\nscenario.i = 1\\nscenario.j = 2\\n"))
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+print(sorted(m for m in set(sys.modules) - loaded
+             if m.startswith('numpy.')))
+"""
+
+
+def test_runs_import_no_scipy_and_no_numpy_submodule():
+    # an analytic ground-state run (Legendre panels, Pfaffian bundles) and an
+    # oracle run (Lanczos ground state, Chebyshev steps) on numpy alone,
+    # with every numpy module they use loaded by the import of xychain
+    code, out, err = run_python("-c", IMPORT_FREE_RUNS)
+    assert code == 0, err
+    assert out.splitlines() == ["[]", "[]"]
