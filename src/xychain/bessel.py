@@ -55,9 +55,9 @@ def _miller(nmax, x):
     """Miller sweeps of the lanes (nmax, x), x >= _SMALL_X, as the
     transpose of one order-major array.  A lane holds zero until the sweep
     reaches its own start order, where it takes the arbitrary seed;
-    0 * (2m/x) - 0 keeps it exactly zero before that.  Each lane keeps only
-    its orders up to nmax and rescales, in place, at the step where its own
-    |J_m| passes 1e250."""
+    0 * (2m/x) - 0 keeps it exactly zero before that.  Each lane rescales,
+    in place, at the step where its own |J_m| passes 1e250; its orders past
+    nmax are swept like the others and zeroed at the end."""
     nmax, x = np.array(nmax), np.array(x)
     # Start each sweep far enough above both the order and the turning
     # point that the minimal solution dominates by > 1e18.
@@ -66,24 +66,26 @@ def _miller(nmax, x):
     start += start % 2
     seeds = set(start.tolist())
     rows = np.zeros((nmax.max() + 1, len(x)))  # order-major while sweeping
-    jp = np.zeros(len(x))        # J_{m+1}
-    j = np.zeros(len(x))         # J_m
+    jp, j, jm = np.zeros((3, len(x)))  # J_{m+1}, J_m, J_{m-1}
     even_sum = np.zeros(len(x))  # J_0 + 2*sum_{k>=1} J_{2k}
+    work, big = np.empty(len(x)), np.empty(len(x), dtype=bool)
     for m in range(max(seeds), 0, -1):
         if m in seeds:
             j[start == m] = 1e-290
-        jm = (2.0 * m / x) * j - jp
-        jp = j
-        j = jm
+        np.divide(2.0 * m, x, out=jm)
+        jm *= j
+        jm -= jp
+        jp, j, jm = j, jm, jp
         n = m - 1
         if n < len(rows):
-            np.copyto(rows[n], jm, where=nmax >= n)
+            rows[n] = j
         if n % 2 == 0:
-            even_sum += jm if n == 0 else 2.0 * jm
-        big = np.abs(j) > 1e250
+            even_sum += j if n == 0 else np.multiply(2.0, j, out=work)
+        np.greater(np.abs(j, out=work), 1e250, out=big)
         if big.any():
             for v in (j, jp, even_sum, rows[n:]):
                 np.multiply(v, 1e-250, out=v, where=big)
+    rows[np.arange(len(rows))[:, None] > nmax] = 0.0
     rows /= even_sum
     return rows.T
 

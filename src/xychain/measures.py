@@ -26,6 +26,8 @@ from .errors import NumericalHealthError
 
 EIG_CLAMP = 1e-8
 RADICAND_HARD = 1e-6
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_YY = np.kron(_SY, _SY)  # sigma_y x sigma_y, the spin flip of two qubits
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,7 @@ def concurrence_closed(bundle):
 def concurrence_wootters(rho):
     """Wootters concurrence of an arbitrary two-qubit density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    yy = np.kron(sy, sy)
-    r = rho @ yy @ rho.conj() @ yy
+    r = rho @ _YY @ rho.conj() @ _YY
     evals = np.linalg.eigvals(r)
     if np.max(np.abs(evals.imag)) > 1e-8:
         raise NumericalHealthError(

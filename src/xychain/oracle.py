@@ -13,11 +13,14 @@ grid: one series reaches a chunk of consecutive times from the last time
 before them.  The ground state comes from Lanczos with full
 reorthogonalization in each of the two fermion-parity sectors, which H never
 mixes (Lieb, Schultz & Mattis 1961); the lower of the two wins, since on a
-finite ring either sector can hold it.  Reduced density matrices are partial
-traces.  This module deliberately shares no formulas with the
-analytic path beyond the Hamiltonian itself (the series coefficients are
-quadratures, not Bessel ladders); agreement between the two is the main
-correctness argument of the package.
+finite ring either sector can hold it.  Each energy lies within LANCZOS_TOL
+of an eigenvalue of H, so energies within SECTOR_TIE = 2 * LANCZOS_TOL tie
+(as both do at gamma = 0, lam = 1 on 12 sites), and a tie keeps the even
+sector, the vacuum's.  Reduced density matrices are partial traces.  This
+module deliberately shares no formulas with the analytic path beyond the
+Hamiltonian itself (the series coefficients are quadratures, not Bessel
+ladders); agreement between the two is the main correctness argument of the
+package.
 
 Conventions: site 0 is the most significant bit of a basis index, a clear
 bit is spin up, so the all-down vacuum is the last basis vector.  The
@@ -40,6 +43,7 @@ MAX_SITES = 12
 # explicit |H v - E v| must then be within LANCZOS_TOL.  LANCZOS_STEPS caps
 # the Krylov dimension of a sector.
 LANCZOS_TOL = 1e-12
+SECTOR_TIE = 2 * LANCZOS_TOL
 LANCZOS_STEPS = 300
 RITZ_EVERY = 8
 # A Chebyshev series ends at its first coefficient past order |a| below
@@ -208,14 +212,13 @@ class OracleWorkspace:
 
     @functools.cached_property
     def _ground(self):
-        """Real vector of the lower parity-sector ground state, found on
-        first use."""
+        """Real vector of the lower parity-sector ground state, the even
+        one on a tie, found on first use."""
         index = self._index
-        odd = _popcount(index, self.n) % 2 == 1
-        _, vec, sector = min(
-            (_lanczos_ground_state(self.hamiltonian.sector(sector))
-             + (sector,) for sector in (index[~odd], index[odd])),
-            key=lambda found: found[0])
+        odd = _popcount(index, self.n) % 2 != self.n % 2  # vacuum: even
+        even, odd = (_lanczos_ground_state(self.hamiltonian.sector(sector))
+                     + (sector,) for sector in (index[~odd], index[odd]))
+        _, vec, sector = odd if odd[0] < even[0] - SECTOR_TIE else even
         full = np.zeros(2 ** self.n)
         full[sector] = vec
         return full
@@ -365,21 +368,23 @@ class OracleWorkspace:
         return self._real(val, f"mz({l})")
 
     def rho1(self, vecs, site):
+        a = site % self.n
         rho = np.zeros((2, 2), dtype=complex)
         for v in vecs:
-            t = np.moveaxis(v.reshape((2,) * self.n), site % self.n, 0)
-            t = t.reshape(2, -1)
+            t = v.reshape(2 ** a, 2, -1).transpose(1, 0, 2).reshape(2, -1)
             rho += t @ t.conj().T
         return rho
 
     def rho2(self, vecs, p, q):
-        if p % self.n == q % self.n:
+        p, q = p % self.n, q % self.n
+        if p == q:
             raise ValueError("rho2 needs two distinct sites")
+        a, b = sorted((p, q))
+        order = (1, 3, 0, 2, 4) if p < q else (3, 1, 0, 2, 4)  # p, q first
         rho = np.zeros((4, 4), dtype=complex)
         for v in vecs:
-            t = np.moveaxis(v.reshape((2,) * self.n),
-                            (p % self.n, q % self.n), (0, 1))
-            t = t.reshape(4, -1)
+            t = v.reshape(2 ** a, 2, 2 ** (b - a - 1), 2, -1)
+            t = t.transpose(order).reshape(4, -1)
             rho += t @ t.conj().T
         return rho
 

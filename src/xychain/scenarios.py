@@ -21,11 +21,14 @@ ground_state_equilibrium, singlet_knitted_gs.  Measures: concurrence (pair
 (x, x+d)), one_tangle, entropy2 (pair (x, x+1)), bell_fidelities (pair
 (x, x+1), four rows), tangle_deviation (two rows: absolute and relative,
 against the evolved unperturbed reference of the scenario family),
-total_concurrence, ckw_residual.
+total_concurrence, ckw_residual; each at most once per list.
 
 Each measure is defined once, in `measure_rows`, over a view of the state
 at a block of times, which it asks once per measure for the whole site
-grid.  A view offers one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and
+grid, as a (name, values) column of shape (times, sites) per output name.
+`run_scenario` joins the blocks along time into the grid (times, sites,
+{name: values}); `write_csv` prints it a (name, x) column at a time.  A view
+offers one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and
 partner_concurrences(xs) over the route's window (the light cone on the
 Bessel route, +-PAIR_WINDOW on the Pfaffian route, the whole ring on the
 oracle), each returning one entry per site or pair (per time and site or
@@ -34,19 +37,18 @@ baseline: the view of the unperturbed reference, whose one_tangle
 tangle_deviation reads.  The analytic engine's views are the one-particle
 packet (the gamma = 0 vacuum is the empty packet) and `isotropic.PhiState`
 at gamma = 0, and Pfaffian contractions otherwise or in equilibrium; the
-oracle's view is the evolved ring.  A stationary view serves the whole
-grid, a packet a run of times whose Bessel windows (`isotropic.windows`,
-sized a block at a time) share a radius, any other view one time.
-What the analytic engine cannot represent exactly (knitted scenarios,
-phi_bell and generic seed phases at gamma != 0, ckw_residual on phi_bell)
-raises CapabilityError when the engine is built; the oracle engine handles
-those on small rings.
+oracle's view is the evolved ring.  A stationary view serves the whole grid,
+a packet a run of times whose Bessel windows (`isotropic.windows`, sized a
+block at a time, each block within WINDOW_BLOCK_BYTES by its own longest
+ladder) share a radius, any other view one time.  What the analytic engine
+cannot represent exactly (knitted scenarios, phi_bell and generic seed
+phases at gamma != 0, ckw_residual on phi_bell) raises CapabilityError when
+the engine is built; the oracle engine handles those on small rings.
 """
 
 import dataclasses
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +81,6 @@ MEASURES = (
 )
 
 WINDOW_BLOCK_BYTES = 1 << 18  # Bessel ladders held per block of times
-CSV_BLOCK_ROWS = 1 << 10  # CSV lines formatted per write
 
 _FIDELITY_NAMES = (
     "bell_fidelity_psi_minus",
@@ -197,6 +198,7 @@ def _validate(cfg, source):
     """Raise ConfigError for the first setting out of its range."""
     pair_seed = cfg.kind in PAIR_SEED_KINDS
     unknown = next((m for m in cfg.measure_list if m not in MEASURES), None)
+    twice = [m for m in MEASURES if cfg.measure_list.count(m) > 1]
     checks = (
         (cfg.kind not in SCENARIO_KINDS,
          f"unknown scenario.kind {cfg.kind!r}; expected one of "
@@ -217,6 +219,7 @@ def _validate(cfg, source):
         (not cfg.measure_list, "measures.list is empty"),
         (unknown is not None, f"unknown measure {unknown!r}; expected one "
          f"of {', '.join(MEASURES)}"),
+        (twice, f"measures.list repeats {', '.join(twice)}"),
         (cfg.concurrence_distance < 1,
          "measures.concurrence_distance must be >= 1"),
         (cfg.engine not in ENGINES, "engine must be 'analytic' or 'oracle'"),
@@ -230,46 +233,43 @@ def _validate(cfg, source):
 
 
 def measure_rows(config, view, baseline, times):
-    """Rows (name, x, t, value) of every configured measure, read off the
-    view of the state at a block of times and the view of its unperturbed
-    reference, one call per measure for the block and the site grid."""
+    """(name, values) of every configured measure, values (times, sites)
+    read off the view of the state at a block of times and the view of its
+    unperturbed reference, one call per measure for the block and grid."""
     xs = config.sites()
     right = [x + 1 for x in xs]
-    at_x, at_t = xs * len(times), [t for t in times for _ in xs]
-    rows = []
+    out = {}
 
     def grid(values):  # one value per site serves every time
-        values = np.asarray(values, dtype=float).ravel().tolist()
-        return values if len(values) == len(at_x) else values * len(times)
-
-    def put(name, values):
-        rows.extend(zip([name] * len(at_x), at_x, at_t, grid(values)))
+        values = np.asarray(values, dtype=float).reshape(-1, len(xs))
+        return (values if len(values) == len(times) else
+                np.broadcast_to(values, (len(times), len(xs))))
 
     for name in config.measure_list:
         if name == "concurrence":
             d = config.concurrence_distance
-            put(name, view.concurrence(xs, [x + d for x in xs]))
+            out[name] = view.concurrence(xs, [x + d for x in xs])
         elif name == "one_tangle":
-            put(name, view.one_tangle(xs))
+            out[name] = view.one_tangle(xs)
         elif name == "entropy2":
             rhos = np.reshape(view.rho2(xs, right), (-1, 4, 4))
-            put(name, [measures.entropy_vn(rho) for rho in rhos])
+            out[name] = [measures.entropy_vn(rho) for rho in rhos]
         elif name == "bell_fidelities":
-            fids = measures.bell_fidelities(view.rho2(xs, right))
-            for fid_name, fid in zip(_FIDELITY_NAMES, fids):
-                put(fid_name, fid)
+            out.update(zip(_FIDELITY_NAMES,
+                           measures.bell_fidelities(view.rho2(xs, right))))
         elif name == "tangle_deviation":
-            taus = grid(view.one_tangle(xs)), grid(baseline.one_tangle(xs))
+            taus = [grid(v.one_tangle(xs)).ravel().tolist()
+                    for v in (view, baseline)]
             devs = [measures.tangle_deviation(*both) for both in zip(*taus)]
-            put("tangle_deviation", [delta for delta, _ in devs])
-            put("tangle_deviation_rel", [rel for _, rel in devs])
+            out["tangle_deviation"] = [delta for delta, _ in devs]
+            out["tangle_deviation_rel"] = [rel for _, rel in devs]
         elif name == "total_concurrence":
-            put(name, [p.sum(-1) for p in view.partner_concurrences(xs)])
+            out[name] = [p.sum(-1) for p in view.partner_concurrences(xs)]
         else:  # ckw_residual
-            put(name, [measures.ckw_residual(tau, p) for tau, p in
-                       zip(view.one_tangle(xs),
-                           view.partner_concurrences(xs))])
-    return rows
+            out[name] = [measures.ckw_residual(tau, p) for tau, p in
+                         zip(view.one_tangle(xs),
+                             view.partner_concurrences(xs))]
+    return [(name, grid(values)) for name, values in out.items()]
 
 
 class _ContractionView:
@@ -324,6 +324,17 @@ def _radius(entry):
     return entry[1] if isinstance(entry[1], Exception) else entry[1][0]
 
 
+def _ladder_blocks(lengths):
+    """Slices of ladders, each within WINDOW_BLOCK_BYTES by its longest."""
+    start = longest = 0
+    for k, n in enumerate(lengths):
+        longest = max(longest, n, 1)
+        if k > start and 8 * (k + 1 - start) * longest > WINDOW_BLOCK_BYTES:
+            yield slice(start, k)
+            start, longest = k, max(n, 1)
+    yield slice(start, len(lengths))
+
+
 class AnalyticEngine:
     """Thermodynamic-limit engine: Bessel route at gamma = 0, Pfaffian
     route otherwise.  Everything it cannot represent is refused here."""
@@ -359,7 +370,7 @@ class AnalyticEngine:
         """(times, view, baseline) of each block, in order: a Bell seed's
         baseline is the vacuum it sits on, a stationary state is its own and
         one view for the whole grid.  At gamma = 0 a block of windows holds
-        about WINDOW_BLOCK_BYTES of the grid's longest ladders, and a packet
+        at most WINDOW_BLOCK_BYTES by its own longest ladder, and a packet
         a run of them that share a radius, its partner concurrences cut to
         at most WINDOW_BLOCK_BYTES; a pair seed has a view per time."""
         cfg = self.config
@@ -377,11 +388,10 @@ class AnalyticEngine:
         state = isotropic.PhiState if pair else isotropic.wavepacket
         lam_ts = [abs(cfg.lam) * t for t in times]
         span = abs(cfg.j - cfg.i)
-        longest = math.ceil(max(lam_ts, default=0.0)) + LIGHT_CONE_PAD + span
-        step = max(1, WINDOW_BLOCK_BYTES // (8 * max(1, longest + 1)))
-        for k in range(0, len(times), step):
-            block = zip(times[k:k + step], isotropic.windows(
-                cfg.i, cfg.j, cfg.seed_phase, lam_ts[k:k + step], pair=pair))
+        for k in _ladder_blocks([math.ceil(v) + LIGHT_CONE_PAD + span + 1
+                                 for v in lam_ts]):
+            block = zip(times[k], isotropic.windows(
+                cfg.i, cfg.j, cfg.seed_phase, lam_ts[k], pair=pair))
             for radius, run in itertools.groupby(block, key=_radius):
                 if isinstance(radius, Exception):
                     raise radius
@@ -481,21 +491,24 @@ def make_engine(config):
 
 
 def run_scenario(config):
-    """Evaluate the full measurement grid; rows sorted deterministically."""
-    engine = make_engine(config)
-    rows = [row for times, view, baseline in engine.views(config.times())
-            for row in measure_rows(config, view, baseline, times)]
-    # stable passes by t, x, then name order the rows by (name, x, t)
-    # without a key tuple per row
-    for k in (2, 1, 0):
-        rows.sort(key=operator.itemgetter(k))
-    return rows
+    """The measurement grid (times, sites, {name: values}), each values
+    array (times, sites) joined along time from the engine's blocks."""
+    engine, times, blocks = make_engine(config), config.times(), {}
+    for block, view, baseline in engine.views(times):
+        for name, values in measure_rows(config, view, baseline, block):
+            blocks.setdefault(name, []).append(values)
+    return (times, config.sites(),
+            {name: np.concatenate(parts) for name, parts in blocks.items()})
 
 
-def write_csv(rows, stream):
-    """Rows (name, x, t, value) as CSV, t and value to 12 significant
-    digits, written a block of CSV_BLOCK_ROWS lines at a time."""
+def write_csv(grid, stream):
+    """A grid as CSV rows measure,x,t,value by name, x, then t, t and value
+    to 12 significant digits: one format call per (name, x) column, on t
+    fields formatted once and a %.12g left for each value."""
+    times, sites, columns = grid
+    tails = [",%.12g,%%.12g\n" % t for t in times]
     stream.write("measure,x,t,value\n")
-    for start in range(0, len(rows), CSV_BLOCK_ROWS):
-        stream.write("".join(["%s,%d,%.12g,%.12g\n" % row for row in
-                              rows[start:start + CSV_BLOCK_ROWS]]))
+    for name in sorted(columns):
+        for x, column in zip(sites, columns[name].T.tolist()):
+            head = "%s,%d" % (name, x)
+            stream.write((head + head.join(tails)) % tuple(column))

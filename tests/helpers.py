@@ -12,6 +12,15 @@ from xychain.measures import CorrelatorBundle
 from xychain.model import LIGHT_CONE_PAD
 
 
+def grid_rows(grid):
+    """The rows (name, x, t, value) of a ``run_scenario`` grid, sorted by
+    name, x, then t: the rows ``write_csv`` prints."""
+    times, sites, columns = grid
+    return [(name, x, t, value) for name in sorted(columns)
+            for x, column in zip(sites, columns[name].T.tolist())
+            for t, value in zip(times, column)]
+
+
 def evolve(ws, vecs, t):
     """The components ``vecs`` of an oracle state evolved to time t."""
     return next(ws.evolve_grid(vecs, [t]))

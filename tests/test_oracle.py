@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.special
 
-from helpers import evolve
+from helpers import evolve, grid_rows
 from xychain import cli, measures, oracle
 from xychain.errors import ConfigError, NumericalHealthError
 from xychain.scenarios import OracleEngine, parse_config_text, run_scenario
@@ -245,7 +245,7 @@ def test_reference_rides_along_only_for_tangle_deviation(kind):
             assert len(got) == len(want)
             for v, w in zip(got, evolve(ws, want, t)):
                 assert np.max(np.abs(v - w)) < 1e-12
-    rows = run_scenario(cfg)
+    rows = grid_rows(run_scenario(cfg))
     by_hand = []
     for t in times:
         for x in cfg.sites():
@@ -278,6 +278,21 @@ def test_ground_state_matches_dense_diagonalization(gamma, lam, parity):
     assert np.max(np.abs(projector_diff)) < 1e-10
     support = np.flatnonzero(gs)
     assert all(bin(i).count("1") % 2 == parity for i in support)
+
+
+def test_ground_state_sector_tie_keeps_the_even_sector():
+    # at gamma = 0, lam = 1 both sectors of the 12-site ring hold energy -6;
+    # Lanczos puts them a few 1e-15 apart, which must not pick the state
+    n = 12
+    ws = oracle.OracleWorkspace(n, 0.0, 1.0)
+    odd = np.array([bin(i).count("1") % 2 == 1 for i in range(2 ** n)])
+    energies = [oracle._lanczos_ground_state(ws.hamiltonian.sector(
+        np.flatnonzero(mask)))[0] for mask in (~odd, odd)]
+    assert np.allclose(energies, -6.0, rtol=0, atol=1e-12)
+    assert abs(energies[0] - energies[1]) <= oracle.SECTOR_TIE
+    (gs,) = ws.ground_state()
+    assert not np.any(gs[odd])
+    assert abs(np.vdot(gs, ws.hamiltonian @ gs).real + 6.0) < 1e-12
 
 
 def _held_bytes(obj):
@@ -381,7 +396,8 @@ grid.x_start = 0
 grid.x_stop = 0
 measures.list = total_concurrence, ckw_residual
 """)
-    rows = {name: value for name, _, _, value in run_scenario(cfg)}
+    rows = {name: value
+            for name, _, _, value in grid_rows(run_scenario(cfg))}
     ws = oracle.OracleWorkspace(8, 0.0, 1.0)
     vecs = evolve(ws, ws.psi_bell(0, 1, np.pi), 1.0)
     by_hand = sum(ws.concurrence(vecs, *sorted((0, q))) for q in range(1, 8))

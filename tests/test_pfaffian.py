@@ -446,14 +446,14 @@ def test_singlet_time_step_batches_its_pairs(monkeypatch):
 
     monkeypatch.setattr(scenarios, "bundles", counting_bundles)
     (times, view, baseline), = scenarios.AnalyticEngine(config).views([2.0])
-    rows = scenarios.measure_rows(config, view, baseline, times)
-    assert len(rows) == 4 * 17
+    columns = dict(scenarios.measure_rows(config, view, baseline, times))
+    assert len(columns) == 4
+    assert all(np.shape(values) == (1, 17) for values in columns.values())
     assert len(calls) <= 2
     evaluated = [pair for call in calls for pair in call]
     assert len(evaluated) == len(set(evaluated))
     con = correlators.bell_contractions(config.params, 2.0, 0, 1)
-    for name, x, _, value in rows:
-        if name == "concurrence":
-            ref = bundles(con, [(x, x + 3)])[0]
-            assert np.isclose(scenarios.measures.concurrence_closed(ref),
-                              value, rtol=0, atol=1e-14)
+    for x, value in zip(config.sites(), columns["concurrence"][0]):
+        ref = bundles(con, [(x, x + 3)])[0]
+        assert np.isclose(scenarios.measures.concurrence_closed(ref),
+                          value, rtol=0, atol=1e-14)

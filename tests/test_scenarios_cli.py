@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import grid_rows
 from xychain import correlators, groundstate, isotropic, measures, scenarios
 from xychain.errors import (CapabilityError, ConfigError, CutoffError,
                             OutOfRangeError)
@@ -85,6 +86,20 @@ def test_parse_requires_grid_and_measures():
         parse_config_text(BASE.replace("one_tangle", "entanglement"))
 
 
+def test_measure_listed_twice_is_a_config_error(tmp_path):
+    # the grid holds one column per measure name, so a repeat is refused
+    # rather than printed twice
+    text = BASE.replace("concurrence, one_tangle",
+                        "one_tangle, concurrence, one_tangle")
+    with pytest.raises(ConfigError, match="measures.list repeats one_tangle$"):
+        parse_config_text(text)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli("run", str(cfg))
+    assert code == 2 and out == ""
+    assert "repeats one_tangle" in err
+
+
 def test_parse_rejects_lambda_alias_conflict(tmp_path):
     # model.lam is no second spelling of model.lambda: alone or beside it,
     # it is an unknown key, exit code 2 through the CLI
@@ -142,7 +157,7 @@ def test_vacuum_scenario_is_trivial_at_zero_gamma():
     text = text.replace("scenario.i = 0\n", "").replace("scenario.j = 1\n", "")
     text = text.replace("measures.list = concurrence, one_tangle",
                         "measures.list = concurrence, bell_fidelities")
-    rows = run_scenario(parse_config_text(text))
+    rows = grid_rows(run_scenario(parse_config_text(text)))
     by_name = {}
     for name, x, t, v in rows:
         by_name.setdefault(name, []).append(v)
@@ -153,11 +168,12 @@ def test_vacuum_scenario_is_trivial_at_zero_gamma():
 
 def test_rows_are_deterministic_and_thread_safe():
     cfg = parse_config_text(BASE)
-    rows1 = run_scenario(cfg)
-    rows2 = run_scenario(cfg)
+    rows1 = grid_rows(run_scenario(cfg))
+    rows2 = grid_rows(run_scenario(cfg))
     # runs share no mutable state, so concurrent callers get the same rows
     with ThreadPoolExecutor(max_workers=3) as pool:
-        concurrent = list(pool.map(run_scenario, [cfg] * 3))
+        concurrent = [grid_rows(grid)
+                      for grid in pool.map(run_scenario, [cfg] * 3)]
     assert rows1 == rows2
     assert all(rows == rows1 for rows in concurrent)
 
@@ -170,9 +186,9 @@ def test_csv_format():
     assert lines[0] == "measure,x,t,value"
     name, x, t, v = lines[1].split(",")
     float(x), float(t), float(v)
-    # 12 significant digits survive a round trip
+    # 12 significant digits survive a round trip; a grid of one cell
     buf = io.StringIO()
-    write_csv([("m", -2, 1.0 / 3.0, -1.0 / 3.0)], buf)
+    write_csv(([1.0 / 3.0], [-2], {"m": np.array([[-1.0 / 3.0]])}), buf)
     line = buf.getvalue().splitlines()[1]
     assert line == "m,-2,0.333333333333,-0.333333333333"
     assert float(line.split(",")[-1]) == pytest.approx(
@@ -191,7 +207,7 @@ grid.x_start = 0
 grid.x_stop = 0
 measures.list = concurrence, tangle_deviation
 """
-    rows = run_scenario(parse_config_text(text))
+    rows = grid_rows(run_scenario(parse_config_text(text)))
     con_rows = [r for r in rows if r[0] == "concurrence"]
     ref, _ = groundstate.gs_concurrence(ModelParams(lam=1.0, gamma=0.5), 1)
     assert len(con_rows) == 2  # static state, one row per time
@@ -232,8 +248,9 @@ def test_oracle_engine_agrees_with_analytic():
     window_tol = {"total_concurrence": 1e-3, "ckw_residual": 1e-6}
     for text, tol in ((bessel, 1e-4), (pfaffian, PFAFFIAN_TOL)):
         cfg = parse_config_text(text)
-        ana = run_scenario(cfg)
-        orc = run_scenario(dataclasses.replace(cfg, engine="oracle"))
+        ana = grid_rows(run_scenario(cfg))
+        orc = grid_rows(run_scenario(dataclasses.replace(cfg,
+                                                         engine="oracle")))
         assert len(ana) == len(orc) == 4 * 4 * 11  # sites, times, rows
         for (n1, x1, t1, v1), (n2, x2, t2, v2) in zip(ana, orc):
             assert (n1, x1, t1) == (n2, x2, t2)
@@ -244,7 +261,7 @@ def test_oracle_engine_agrees_with_analytic():
                          ids=lambda path: path.name)
 def test_shipped_config_runs(path):
     cfg = parse_config_file(path)
-    rows = run_scenario(cfg)
+    rows = grid_rows(run_scenario(cfg))
     per_cell = {"bell_fidelities": 4, "tangle_deviation": 2}
     cells = len(cfg.sites()) * len(cfg.times())
     assert len(rows) == cells * sum(per_cell.get(m, 1)
@@ -333,7 +350,7 @@ def test_ground_state_view_serves_every_time(monkeypatch):
         calls.clear()
         cfg = parse_config_text(ground.replace("grid.t_stop = 1.0",
                                                f"grid.t_stop = {t_stop}"))
-        rows = run_scenario(cfg)
+        rows = grid_rows(run_scenario(cfg))
         assert len({t for _, _, t, _ in rows}) == len(cfg.times())
         counts.append(list(calls))
     assert len(cfg.times()) == 5
@@ -426,7 +443,7 @@ def test_grid_rows_equal_site_by_site_calls(kind, i, j, lam, dt):
     cfg = parse_config_text(ISOTROPIC.format(
         lam=lam, kind=kind, i=i, j=j, phi=0.7, t_start=0.0, t_stop=6.0,
         dt=dt, x_start=-40, x_stop=40, measures=measures_list))
-    assert run_scenario(cfg) == site_by_site_rows(cfg)
+    assert grid_rows(run_scenario(cfg)) == site_by_site_rows(cfg)
 
 
 @pytest.mark.parametrize("kind", ["psi_bell", "phi_bell"])
@@ -469,11 +486,11 @@ def test_bessel_route_holds_one_block_of_ladders():
                   for t in cfg.times())
     tracemalloc.start()
     try:
-        rows = run_scenario(cfg)
+        grid = run_scenario(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(rows) == 1501 and ladders > 9e6
+    assert len(grid_rows(grid)) == 1501 and ladders > 9e6
     assert peak < 2e6
 
 
@@ -498,6 +515,13 @@ def test_bessel_route_builds_one_packet_per_run_of_equal_radius(monkeypatch):
     assert len(times) == 3001 and runs < 400
     # each block of windows after the first may cut one run in two
     assert runs <= len(views) <= runs + len(blocks) - 1
+    # a block holds WINDOW_BLOCK_BYTES by its own longest ladder, so the
+    # short ladders of early times share a few long blocks
+    for *_, lam_ts in blocks:
+        longest = math.ceil(max(lam_ts)) + LIGHT_CONE_PAD + 2
+        assert 8 * len(lam_ts) * longest <= scenarios.WINDOW_BLOCK_BYTES
+    assert sum(len(lam_ts) for *_, lam_ts in blocks) == 3001
+    assert len(blocks) <= 20
 
 
 def test_bessel_route_bounds_the_partner_concurrences_of_a_view():
@@ -523,10 +547,12 @@ def test_oracle_engine_wraps_sites_on_the_ring():
     # ring geometry: site labels act modulo oracle_sites
     text = BASE.replace("grid.x_start = -1", "grid.x_start = 13")
     text = text.replace("grid.x_stop = 2", "grid.x_stop = 13")
-    wrapped = run_scenario(parse_config_text(text + "engine = oracle\n"))
+    wrapped = grid_rows(
+        run_scenario(parse_config_text(text + "engine = oracle\n")))
     text = BASE.replace("grid.x_start = -1", "grid.x_start = 1")
     text = text.replace("grid.x_stop = 2", "grid.x_stop = 1")
-    direct = run_scenario(parse_config_text(text + "engine = oracle\n"))
+    direct = grid_rows(
+        run_scenario(parse_config_text(text + "engine = oracle\n")))
     assert [(n, t, v) for n, _, t, v in wrapped] == \
         [(n, t, v) for n, _, t, v in direct]
 
