@@ -17,8 +17,8 @@ from xychain.pfaffian import bundles
 
 
 def pair_concurrence(params, t):
-    bundle = bundles(vacuum_contractions(params, t), [(0, 1)])[0]
-    return concurrence_closed(bundle)
+    columns = bundles(vacuum_contractions(params, t), [(0, 1)])
+    return float(concurrence_closed(columns)[0, 0])
 
 
 def main():

@@ -53,11 +53,13 @@ in k, so the sum converges exponentially (Trefethen & Weideman, SIAM Rev.
 Bell seed reads both from its vacuum, tabulated out to the seed span plus
 the seed's own radius.
 
-Every accessor (`pair`, and the Bell seed's `left`, `right`, `bra_ket`
-and `mod`) indexes the tables with arrays: kinds are the codes A and B,
-and kinds, sites and sources broadcast together, so the Pfaffian route
-assembles a whole stack of contraction matrices in one call.  A separation beyond a
-table's radius raises CutoffError.
+Both hold a block of times: each time has its own ring sum, radius and
+ring size, and the tables stack on a leading time axis, zero-padded to the
+block's largest radius.  Every accessor (`pair`, and the Bell seed's
+`left`, `right`, `bra_ket` and `mod`) answers for every time of the block
+and indexes the tables with arrays: kinds are the codes A and B, and
+kinds, sites and sources broadcast together.  A separation beyond the
+radius of any time of the block raises CutoffError naming that time.
 """
 
 import math
@@ -86,60 +88,73 @@ def ring_size(params, t, radius):
     return 2 * (int(radius) + reach + RING_MARGIN)
 
 
-def _table_index(x, radius, what):
-    """Table positions x + radius of the separations x (any shape).
-
-    A separation beyond the tabulated radius raises CutoffError.
-    """
+def _table_index(x, radii, what, times=(None,)):
+    """Positions x + max(radii) of the separations x (any shape) in tables
+    of a block of times padded to its largest radius.  A separation beyond
+    any time's own radius raises CutoffError naming the first such time."""
     x = np.asarray(x)
-    if x.size and np.abs(x).max() > radius:
-        worst = int(x.flat[np.argmax(np.abs(x))])
+    short = np.flatnonzero(np.asarray(radii) < np.abs(x).max(initial=0))
+    if short.size:
+        k, worst = short[0], int(x.flat[np.argmax(np.abs(x))])
+        when = "" if times[k] is None else f" at t={times[k]:.12g}"
         raise CutoffError(
-            f"{what} radius {radius} exceeded at separation {worst}")
-    return x + radius
+            f"{what} radius {radii[k]} exceeded at separation {worst}{when}")
+    return x + max(radii)
+
+
+def _ring_tables(params, t, radius, sector):
+    """V, E, O and the pair tables of |x| <= radius at one time t."""
+    rs = np.arange(-radius, radius + 1)
+    n = params.size if params.is_finite else ring_size(params, t, radius)
+    k = momentum_grid(n, sector)
+    w = np.full(n, np.pi / n)
+    e = 1.0 + params.lam * np.cos(k)
+    s = params.lam * params.gamma * np.sin(k)
+    lam_k = np.hypot(e, s)
+    sinc_t = t * np.sinc(lam_k * t / np.pi)
+    v = np.cos(lam_k * t)
+    ue = e * sinc_t
+    uo = s * sinc_t
+    ckr = np.cos(np.outer(rs, k))
+    skr = np.sin(np.outer(rs, k))
+    inv_pi = 1.0 / np.pi
+    delta = (rs == 0).astype(float)
+    ab = delta - 2.0 / np.pi * (ckr @ (w * uo * uo) + skr @ (w * ue * uo))
+    aa = delta.astype(complex) - 2j / np.pi * (skr @ (w * v * uo))
+    # rows by kind pair 2 * kind_l + kind_m: AA, AB, BA, BB, where
+    # <B_l A_{l+r}> = -<A_{l+r} B_l> = -ab(-r) and bb = -conj(aa)
+    return (inv_pi * ckr @ (w * v), inv_pi * ckr @ (w * ue),
+            inv_pi * skr @ (w * uo),
+            np.stack([aa, ab, -ab[::-1], -np.conj(aa)]))
 
 
 class VacuumContractions:
-    """Pair expectations of the time-evolved vacuum, and the kernel tables
-    V, E, O they are built from, indexed by separation: entry x + radius
-    of a table holds separation x.  sector is the ring's boundary sector,
-    antiperiodic for the (even-parity) vacuum itself."""
+    """Pair expectations of the time-evolved vacuum at a block of times (a
+    scalar t is a block of one), and the kernel tables V, E, O they are
+    built from: entry x + radius of a row holds separation x.  sector is
+    the ring's boundary sector, antiperiodic for the vacuum itself."""
 
     is_modified = False
 
-    def __init__(self, params, t, radius, sector="antiperiodic"):
+    def __init__(self, params, times, radii, sector="antiperiodic"):
         self.params = params
-        self.time = float(t)
-        self.radius = int(radius)
-        rs = np.arange(-radius, radius + 1)
-        n = params.size if params.is_finite else ring_size(params, t, radius)
-        k = momentum_grid(n, sector)
-        w = np.full(n, np.pi / n)
-        e = 1.0 + params.lam * np.cos(k)
-        s = params.lam * params.gamma * np.sin(k)
-        lam_k = np.hypot(e, s)
-        sinc_t = t * np.sinc(lam_k * t / np.pi)
-        v = np.cos(lam_k * t)
-        ue = e * sinc_t
-        uo = s * sinc_t
-        ckr = np.cos(np.outer(rs, k))
-        skr = np.sin(np.outer(rs, k))
-        inv_pi = 1.0 / np.pi
-        self.v_table = inv_pi * ckr @ (w * v)
-        self.e_table = inv_pi * ckr @ (w * ue)
-        self.o_table = inv_pi * skr @ (w * uo)
-        delta = (rs == 0).astype(float)
-        two_pi = 2.0 / np.pi
-        ab = delta - two_pi * (ckr @ (w * uo * uo) + skr @ (w * ue * uo))
-        aa = delta.astype(complex) - 2j / np.pi * (skr @ (w * v * uo))
-        # rows by kind pair 2 * kind_l + kind_m: AA, AB, BA, BB, where
-        # <B_l A_{l+r}> = -<A_{l+r} B_l> = -ab(-r) and bb = -conj(aa)
-        self._tables = np.stack([aa, ab, -ab[::-1], -np.conj(aa)])
+        self.times = np.atleast_1d(np.asarray(times, dtype=float))
+        self.radii = np.broadcast_to(radii, self.times.shape).astype(int)
+        self.radius = int(self.radii.max())
+        shape = (len(self.times), 2 * self.radius + 1)
+        self.v_table, self.e_table, self.o_table = np.zeros((3, *shape))
+        self._tables = np.zeros((shape[0], 4, shape[1]), dtype=complex)
+        for k, (t, r) in enumerate(zip(self.times, self.radii)):
+            span = slice(self.radius - r, self.radius + r + 1)
+            (self.v_table[k, span], self.e_table[k, span],
+             self.o_table[k, span], self._tables[k, :, span]) = _ring_tables(
+                 params, t, int(r), sector)
 
     def pair(self, kind_l, l, kind_m, m):
         """<X_l Y_m> for kind codes X, Y in {A, B}; arguments broadcast."""
-        idx = _table_index(np.subtract(m, l), self.radius, "contraction")
-        return self._tables[2 * np.asarray(kind_l) + kind_m, idx]
+        idx = _table_index(np.subtract(m, l), self.radii, "contraction",
+                           self.times)
+        return self._tables[:, 2 * np.asarray(kind_l) + kind_m, idx]
 
 
 class BellContractions:
@@ -159,24 +174,25 @@ class BellContractions:
     is_modified = True
     sector = "periodic"
 
-    def __init__(self, params, t, radius, i, j, amp=-1.0):
+    def __init__(self, params, times, radii, i, j, amp=-1.0):
         if i == j:
             raise ValueError("Bell seed needs two distinct sites")
         self.params = params
-        self.time = float(t)
         self.weights = (1.0 + 0j, complex(amp))
         self.n2 = 1.0 + abs(amp) ** 2
         self.sources = (int(i), int(j))
-        self.vacuum = VacuumContractions(params, t, abs(j - i) + radius,
-                                         self.sector)
+        self.vacuum = VacuumContractions(
+            params, times, abs(j - i) + np.asarray(radii), self.sector)
+        self.times = self.vacuum.times
 
     def _kernels_at(self, kind, site, source):
         """V(x) and E(x) -+ O(x) (minus for kind A) at x = source - site."""
         vac = self.vacuum
-        idx = _table_index(np.subtract(source, site), vac.radius, "kernel")
-        e, o = vac.e_table[idx], vac.o_table[idx]
+        idx = _table_index(np.subtract(source, site), vac.radii, "kernel",
+                           vac.times)
+        e, o = vac.e_table[:, idx], vac.o_table[:, idx]
         is_a = np.asarray(kind) == A
-        return vac.v_table[idx], np.where(is_a, e - o, e + o), is_a
+        return vac.v_table[:, idx], np.where(is_a, e - o, e + o), is_a
 
     def left(self, kind, site, source):
         """<vac| c_source X_site(t) |vac> (source index as bra-side mode)."""
@@ -208,13 +224,13 @@ class BellContractions:
             kind_l, l, kind_m, m)
 
 
-def vacuum_contractions(params, t, radius=None):
+def vacuum_contractions(params, times, radius=None):
     if radius is None:
-        radius = light_cone_radius(params, t)
-    return VacuumContractions(params, t, radius)
+        radius = light_cone_radius(params, np.asarray(times))
+    return VacuumContractions(params, times, radius)
 
 
-def bell_contractions(params, t, i, j, amp=-1.0, radius=None):
+def bell_contractions(params, times, i, j, amp=-1.0, radius=None):
     if radius is None:
-        radius = light_cone_radius(params, t)
-    return BellContractions(params, t, radius, i, j, amp=amp)
+        radius = light_cone_radius(params, np.asarray(times))
+    return BellContractions(params, times, radius, i, j, amp=amp)

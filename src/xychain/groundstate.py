@@ -84,9 +84,10 @@ def gs_contractions(params, radius):
 
 
 class GroundStateContractions:
-    """Static Majorana contractions of the ground state."""
+    """Static Majorana contractions of the ground state: one time for all."""
 
     is_modified = False
+    times = (None,)
 
     def __init__(self, params, radius, g_table):
         self.params = params
@@ -96,10 +97,10 @@ class GroundStateContractions:
     def g(self, r):
         """G(r) at the separations r (any shape); CutoffError beyond the
         tabulated radius."""
-        return self._g[_table_index(r, self.radius, "ground-state table")]
+        return self._g[_table_index(r, [self.radius], "ground-state table")]
 
     def pair(self, kind_l, l, kind_m, m):
-        """<X_l Y_m> for kind codes X, Y in {A, B}; arguments broadcast.
+        """<X_l Y_m> (1, *shape) for kind codes X, Y in {A, B}.
 
         <A_l B_m> = -G(m - l) and <B_l A_m> = G(l - m); same-kind pairs
         vanish except for the operator identities A_l^2 = 1, B_l^2 = -1.
@@ -107,7 +108,7 @@ class GroundStateContractions:
         is_a = np.asarray(kind_l) == A
         same = is_a == (np.asarray(kind_m) == A)
         r = np.subtract(m, l)
-        g = self.g(np.where(same, 0, np.where(is_a, r, -r)))
+        g = self.g(np.where(same, 0, np.where(is_a, r, -r)))[None]
         square = np.where(r == 0, np.where(is_a, 1.0, -1.0), 0.0)
         return np.where(same, square, np.where(is_a, -g, g)).astype(complex)
 
@@ -118,16 +119,15 @@ def gs_magnetization(params):
 
 
 def gs_bundle(params, d):
-    """Correlators of a ground-state site pair at distance d >= 1."""
+    """Correlator column of a ground-state site pair at distance d >= 1."""
     if d < 1:
         raise ValueError("distance must be >= 1")
-    return bundles(gs_contractions(params, d + 1), [(0, d)])[0]
+    return bundles(gs_contractions(params, d + 1), [(0, d)])[0, 0]
 
 
 def gs_concurrence(params, d):
     """Ground-state concurrence at distance d, with the winning branch."""
-    bundle = gs_bundle(params, d)
-    branch_c, branch_z = concurrence_branches(bundle)
+    branch_c, branch_z = map(float, concurrence_branches(gs_bundle(params, d)))
     value = max(0.0, branch_c, branch_z)
     label = "parallel" if branch_c >= branch_z else "antiparallel"
     return value, label

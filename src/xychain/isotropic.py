@@ -62,6 +62,7 @@ import numpy as np
 
 from .bessel import MAX_ORDER, bessel_rows, range_error
 from .errors import CutoffError
+from .measures import x_matrices
 from .model import LIGHT_CONE_PAD
 
 NORM_DEFECT_TOL = 1e-10
@@ -156,20 +157,6 @@ def _times_conj(u, v):
     return u.real * v.real + u.imag * v.imag, u.imag * v.real - u.real * v.imag
 
 
-def _x_matrices(a, b, x, y, c, z):
-    """X-form density matrices in the basis (uu, ud, du, dd), shape
-    (..., 4, 4), from entries that broadcast together."""
-    rho = np.zeros(np.broadcast(a, b, x, y, c, z).shape + (4, 4),
-                   dtype=complex)
-    for k, v in enumerate((a, x, y, b)):
-        rho[..., k, k] = v
-    rho[..., 0, 3] = c
-    rho[..., 3, 0] = np.conj(c)
-    rho[..., 1, 2] = z
-    rho[..., 2, 1] = np.conj(z)
-    return rho
-
-
 def _branches(a, b, x, y, c, z):
     """Competing concurrence branches 2(|c|-sqrt(xy)), 2(|z|-sqrt(ab)) of
     X-matrix entries (scalars or arrays)."""
@@ -211,7 +198,7 @@ class SingleParticleState:
         re, im = _times_conj(self.w(n), self.w(m))
         z = np.empty(np.shape(re), dtype=complex)
         z.real, z.imag = re, im
-        return _x_matrices(0.0, 1.0 - x - y, x, y, 0.0, z)
+        return x_matrices(0.0, 1.0 - x - y, x, y, 0.0, z)
 
     def one_tangle(self, n):
         p = self._population(n)
@@ -308,7 +295,7 @@ class PhiState:
                      (a, 1.0 - a - x - y, x, y, 0.5 * t_nm, 0.5 * z))
 
     def rho2(self, n, m):
-        return _x_matrices(*self.pair_entries(n, m))
+        return x_matrices(*self.pair_entries(n, m))
 
     def concurrence(self, n, m):
         b1, b2 = _branches(*self.pair_entries(n, m))

@@ -11,14 +11,13 @@ matrix into X form in the basis (uu, ud, du, dd):
 
 with c = gxx - gyy - i(gxy + gyx), z = gxx + gyy + i(gxy - gyx),
 Mz = (mz_l + mz_m)/2, dSz = (mz_l - mz_m)/2 and spin-1/2 correlators
-g_{ab} = <S^a_l S^b_m>.  The closed concurrence formula evaluates Wootters'
-concurrence directly on that structure; the generic eigenvalue route is kept
-alongside and the two are required to agree to 1e-10 on random physical
-states.
+g_{ab} = <S^a_l S^b_m>, which come as columns (..., 7) laid out as COLUMNS.
+The closed concurrence formula evaluates Wootters' concurrence directly on
+that structure; the generic eigenvalue route is kept alongside and the two
+are required to agree to 1e-10 on random physical states.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,90 +27,98 @@ EIG_CLAMP = 1e-8
 RADICAND_HARD = 1e-6
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SY, _SY)  # sigma_y x sigma_y, the spin flip of two qubits
+_hypot = np.frompyfunc(math.hypot, 2, 1)  # numpy's hypot rounds otherwise
 
 
-@dataclass(frozen=True)
-class CorrelatorBundle:
-    """Spin correlators of one site pair, enough to assemble rho2."""
-
-    gxx: float
-    gyy: float
-    gzz: float
-    gxy: float
-    gyx: float
-    mz_l: float
-    mz_m: float
-
-    @property
-    def mz_mean(self):
-        return 0.5 * (self.mz_l + self.mz_m)
-
-    @property
-    def mz_diff(self):
-        return 0.5 * (self.mz_l - self.mz_m)
+COLUMNS = ("gxx", "gyy", "gzz", "gxy", "gyx", "mz_l", "mz_m")
 
 
-def rho2_from_correlators(bundle):
-    """Two-site density matrix in the basis (uu, ud, du, dd)."""
-    b = bundle
-    c = b.gxx - b.gyy - 1j * (b.gxy + b.gyx)
-    z = b.gxx + b.gyy + 1j * (b.gxy - b.gyx)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 0.25 + b.mz_mean + b.gzz
-    rho[1, 1] = 0.25 - b.gzz + b.mz_diff
-    rho[2, 2] = 0.25 - b.gzz - b.mz_diff
-    rho[3, 3] = 0.25 - b.mz_mean + b.gzz
-    rho[0, 3] = c
-    rho[3, 0] = np.conj(c)
-    rho[1, 2] = z
-    rho[2, 1] = np.conj(z)
+def _unpack(columns):
+    """gxx, gyy, gzz, gxy, gyx, Mz, dSz of columns (..., 7), each (...)."""
+    gxx, gyy, gzz, gxy, gyx, mz_l, mz_m = np.moveaxis(
+        np.asarray(columns, dtype=float), -1, 0)
+    return gxx, gyy, gzz, gxy, gyx, 0.5 * (mz_l + mz_m), 0.5 * (mz_l - mz_m)
+
+
+def x_matrices(a, b, x, y, c, z):
+    """X-form density matrices in the basis (uu, ud, du, dd), shape
+    (..., 4, 4), from entries that broadcast together."""
+    rho = np.zeros(np.broadcast(a, b, x, y, c, z).shape + (4, 4),
+                   dtype=complex)
+    for k, v in enumerate((a, x, y, b)):
+        rho[..., k, k] = v
+    rho[..., 0, 3] = c
+    rho[..., 3, 0] = np.conj(c)
+    rho[..., 1, 2] = z
+    rho[..., 2, 1] = np.conj(z)
+    return rho
+
+
+def rho2_from_correlators(columns):
+    """Two-site density matrices (..., 4, 4) of columns (..., 7), each
+    checked by validate_density."""
+    gxx, gyy, gzz, gxy, gyx, mz_mean, mz_diff = _unpack(columns)
+    rho = x_matrices(0.25 + mz_mean + gzz, 0.25 - mz_mean + gzz,
+                     0.25 - gzz + mz_diff, 0.25 - gzz - mz_diff,
+                     gxx - gyy - 1j * (gxy + gyx),
+                     gxx + gyy + 1j * (gxy - gyx))
     validate_density(rho)
     return rho
 
 
 def validate_density(rho, clamp=EIG_CLAMP):
-    """Check trace, hermiticity and positivity of a density matrix.
+    """Check trace, hermiticity and positivity of a density matrix or a
+    stack (..., n, n) of them; returns the clamped eigenvalues.
 
     Eigenvalues in [-clamp, 0) count as roundoff; anything more negative is
     a genuine inconsistency and raises NumericalHealthError.
     """
     rho = np.asarray(rho)
-    if abs(np.trace(rho) - 1.0) > 1e-8:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    off = np.abs(trace - 1.0) > 1e-8
+    if off.any():
         raise NumericalHealthError(
-            f"density matrix trace {np.trace(rho):.12g} != 1")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+            f"density matrix trace {trace[off].flat[0]:.12g} != 1")
+    skew = np.abs(rho - np.swapaxes(rho, -1, -2).conj())
+    if np.max(skew, initial=0.0) > 1e-10:
         raise NumericalHealthError("density matrix is not hermitian")
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -clamp:
+    low = np.min(evals, initial=0.0)
+    if low < -clamp:
         raise NumericalHealthError(
-            f"density matrix eigenvalue {evals.min():.3e} below -{clamp:.1e}")
+            f"density matrix eigenvalue {low:.3e} below -{clamp:.1e}")
     return np.clip(evals, 0.0, None)
 
 
-def _safe_sqrt(value, what):
-    """sqrt of a radicand that is nonnegative up to roundoff."""
-    if value < -RADICAND_HARD:
-        raise NumericalHealthError(
-            f"{what}: radicand {value:.3e} is negative beyond tolerance")
-    return math.sqrt(max(value, 0.0))
+def _safe_sqrt(values, what):
+    """sqrt of radicands that are nonnegative up to roundoff."""
+    bad = values < -RADICAND_HARD
+    if bad.any():
+        raise NumericalHealthError(f"{what}: radicand {values[bad][0]:.3e} "
+                                   "is negative beyond tolerance")
+    return np.sqrt(np.maximum(values, 0.0))
 
 
-def concurrence_branches(bundle):
-    """The two competing branch values of the closed concurrence formula."""
-    b = bundle
-    c_abs = math.hypot(b.gxx - b.gyy, b.gxy + b.gyx)
-    z_abs = math.hypot(b.gxx + b.gyy, b.gxy - b.gyx)
-    root_c = _safe_sqrt((0.25 - b.gzz) ** 2 - b.mz_diff ** 2,
+def concurrence_branches(columns):
+    """The two competing branch values (...) of the closed concurrence
+    formula on columns (..., 7).  Moduli round as math.hypot and squares as
+    x ** 2 (libm pow), as the formula on Python floats does."""
+    gxx, gyy, gzz, gxy, gyx, mz_mean, mz_diff = _unpack(columns)
+    c_abs = np.asarray(_hypot(gxx - gyy, gxy + gyx), dtype=float)
+    z_abs = np.asarray(_hypot(gxx + gyy, gxy - gyx), dtype=float)
+    root_c = _safe_sqrt(np.float_power(0.25 - gzz, 2)
+                        - np.float_power(mz_diff, 2),
                         "concurrence parallel branch")
-    root_z = _safe_sqrt((0.25 + b.gzz) ** 2 - b.mz_mean ** 2,
+    root_z = _safe_sqrt(np.float_power(0.25 + gzz, 2)
+                        - np.float_power(mz_mean, 2),
                         "concurrence antiparallel branch")
     return 2.0 * (c_abs - root_c), 2.0 * (z_abs - root_z)
 
 
-def concurrence_closed(bundle):
-    """Wootters concurrence from the closed X-state formula."""
-    branch_c, branch_z = concurrence_branches(bundle)
-    return max(0.0, branch_c, branch_z)
+def concurrence_closed(columns):
+    """Wootters concurrences (...) of columns (..., 7), closed X form."""
+    branch_c, branch_z = concurrence_branches(columns)
+    return np.maximum(0.0, np.maximum(branch_c, branch_z))
 
 
 def concurrence_wootters(rho):

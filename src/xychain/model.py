@@ -90,5 +90,5 @@ def momentum_grid(n, sector):
 
 
 def light_cone_radius(params, t):
-    """Site cutoff beyond which evolved-mode weight is negligible."""
-    return int(np.ceil(abs(params.lam) * abs(t))) + LIGHT_CONE_PAD
+    """Site cutoff beyond which evolved-mode weight is negligible at t."""
+    return LIGHT_CONE_PAD + np.ceil(np.abs(params.lam * t)).astype(int)

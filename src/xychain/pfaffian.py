@@ -22,28 +22,28 @@ of the vacuum matrix bordered by a bra row and a ket column, so it needs no
 inverse of the vacuum block.)  The tests check this against an independent
 row-replacement expansion of the same expectation.
 
-Strings are evaluated in stacks.  `bundles` expands every requested site
-pair into its five strings (xx, yy, zz, xy, yx: sizes 2R, 2R, 4, 2R, 2R),
-groups the strings by size and cuts each size group into chunks of
-STACK_CHUNK strings.  A chunk's contraction matrices are assembled at once
-by indexing the state's pair tables with arrays of kind codes and sites,
-one n x n matrix per string (the vacuum or ground-state table; a Bell seed
-adds its rank-two update to its vacuum's).  Every stack goes through
-`pfaffians`, a batched Parlett-Reid tridiagonalization (Wimmer, ACM TOMS
-38:30, 2012) with the pivot chosen per matrix; a matrix whose pivot column
-is exactly zero has Pfaffian 0, and dimensions up to 4 use the closed
+Strings are evaluated in stacks that span the times of the contractions'
+block and the strings.  `bundles` expands every requested site pair into
+its five strings (xx, yy, zz, xy, yx: sizes 2R, 2R, 4, 2R, 2R), groups the
+strings by size and cuts each size group into chunks of at most
+STACK_CHUNK matrices (times x strings, one string at least).  A chunk's
+contraction matrices are assembled at once by indexing the state's pair
+tables with arrays of kind codes and sites (a Bell seed adds its rank-two
+update to its vacuum's), and go through `pfaffians`, a batched
+Parlett-Reid tridiagonalization (Wimmer, ACM TOMS 38:30, 2012) with the
+pivot chosen per matrix, so a time's values do not depend on its block; a
+zero pivot column gives Pfaffian 0, and dimensions up to 4 use the closed
 forms.  The tests check `pfaffians` against a one-matrix reference of the
-same steps, and `pfaffian_checked` adds the pf(M)^2 = det(M) health check.
+same steps and against pf(M)^2 = det(M).
 """
 
 import numpy as np
 
 from .correlators import A, B
 from .errors import NumericalHealthError
-from .measures import CorrelatorBundle
 
 IMAG_RESIDUE_TOL = 1e-10
-STACK_CHUNK = 128  # strings per evaluated stack; bounds the working set
+STACK_CHUNK = 128  # matrices per evaluated stack; bounds the working set
 COMPONENTS = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "x"))
 _SWAPPED = (0, 1, 2, 4, 3)  # component columns of (m, l) from those of (l, m)
 
@@ -87,24 +87,6 @@ def pfaffians(a):
     return val * a[:, n - 2, n - 1]
 
 
-def pfaffian_checked(a, rtol=1e-9):
-    """`pfaffians` of the stack a (count, n, n), left intact, with the
-    pf^2 = det consistency check on every member.
-
-    Raises NumericalHealthError when a relative residual exceeds rtol.
-    """
-    a = np.asarray(a, dtype=complex)
-    pf = pfaffians(a.copy())
-    det = np.linalg.det(a)
-    scale = np.maximum(np.maximum(np.abs(det), np.abs(pf) ** 2), 1e-300)
-    residual = np.abs(pf * pf - det) / scale
-    if np.any(residual > rtol):
-        raise NumericalHealthError(
-            f"pfaffian^2 vs det residual {residual.max():.3e} exceeds "
-            f"{rtol:.1e}")
-    return pf
-
-
 def operator_string(alpha, beta, l, m):
     """Majorana string for S^alpha_l S^beta_m with l < m.
 
@@ -139,41 +121,44 @@ def operator_string(alpha, beta, l, m):
 
 
 def _expectations(contractions, kinds, sites):
-    """<string> for equal-size strings given as (count, n) arrays of kind
-    codes and sites, in the state of the contractions."""
-    count, n = kinds.shape
+    """<string> (times, count) of equal-size strings given as (count, n)
+    arrays of kind codes and sites, as one stack of times x count."""
+    n = kinds.shape[1]
     p, q = np.triu_indices(n, 1)
     vac = contractions.vacuum if contractions.is_modified else contractions
     upper = vac.pair(kinds[:, p], sites[:, p], kinds[:, q], sites[:, q])
-    mats = np.zeros((count, n, n), dtype=complex)
-    mats[:, p, q] = upper
-    mats[:, q, p] = -upper
+    mats = np.zeros(upper.shape[:2] + (n, n), dtype=complex)
+    mats[..., p, q] = upper
+    mats[..., q, p] = -upper
     if contractions.is_modified:
         bra, ket = contractions.bra_ket(kinds, sites)
-        mats += (bra[:, :, None] * ket[:, None, :]
-                 - ket[:, :, None] * bra[:, None, :]) / contractions.n2
-    return pfaffians(mats)
+        mats += (bra[..., :, None] * ket[..., None, :]
+                 - ket[..., :, None] * bra[..., None, :]) / contractions.n2
+    return pfaffians(mats.reshape(-1, n, n)).reshape(upper.shape[:2])
 
 
-def _real(values, what):
-    """Real parts of values; an imaginary residue above IMAG_RESIDUE_TOL
-    raises NumericalHealthError naming what(k) of the first offender k."""
-    values = np.asarray(values)
+def _real(values, what, times):
+    """Real parts of values (times, ...); an imaginary residue above
+    IMAG_RESIDUE_TOL raises NumericalHealthError naming the first offender
+    k after its time: what(k) at that time."""
     bad = np.abs(values.imag) > IMAG_RESIDUE_TOL * np.maximum(
         1.0, np.abs(values))
     if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise NumericalHealthError(
-            f"{what(k)} has imaginary residue {values.imag.flat[k]:.3e}")
+        first = tuple(np.argwhere(bad)[0])
+        t = times[first[0]]
+        when = "" if t is None else f" at t={t:.12g}"
+        raise NumericalHealthError(f"{what(first[1:])}{when} has imaginary "
+                                   f"residue {values.imag[first]:.3e}")
     return values.real
 
 
 def bundles(contractions, pairs):
-    """CorrelatorBundle of every site pair (l, m), l != m, in the state of
-    the contractions, evaluated as stacked Pfaffians."""
+    """Correlator columns (times, pairs, 7) (`measures.COLUMNS`) of every
+    site pair (l, m), l != m, in the state of the contractions."""
     pairs = np.array(pairs, dtype=int).reshape(-1, 2)
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise ValueError("bundles needs two distinct sites per pair")
+    times = contractions.times
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     blocks = {}  # string size -> [(rows, columns, kinds, sites, prefactors)]
     for r in sorted(set((hi - lo).tolist())):
@@ -186,26 +171,25 @@ def bundles(contractions, pairs):
                 np.broadcast_to(codes, (len(rows), len(kinds))),
                 lo[rows, None] + np.array(offsets, dtype=int),
                 np.full(len(rows), pref)))
-    values = np.empty((len(pairs), len(COMPONENTS)))
+    values = np.empty((len(times), len(pairs), len(COMPONENTS) + 2))
+    step = max(1, STACK_CHUNK // len(times))  # strings per stack
     for group in blocks.values():
         rows, cols, kinds, sites, prefs = map(np.concatenate, zip(*group))
         raw = prefs * np.concatenate([
-            _expectations(contractions, kinds[s:s + STACK_CHUNK],
-                          sites[s:s + STACK_CHUNK])
-            for s in range(0, len(rows), STACK_CHUNK)])
-        values[rows, cols] = _real(raw, lambda k: "g_{}{}({},{})".format(
-            *COMPONENTS[cols[k]], lo[rows[k]], hi[rows[k]]))
+            _expectations(contractions, kinds[s:s + step], sites[s:s + step])
+            for s in range(0, len(rows), step)], axis=1)
+        values[:, rows, cols] = _real(
+            raw, lambda k: "g_{}{}({},{})".format(
+                *COMPONENTS[cols[k]], lo[rows[k]], hi[rows[k]]), times)
     swapped = pairs[:, 0] > pairs[:, 1]
-    values[swapped] = values[swapped][:, _SWAPPED]
-    mz = magnetization(contractions, pairs)
-    return [CorrelatorBundle(*row)
-            for row in np.column_stack([values, mz]).tolist()]
+    values[:, swapped, :5] = values[:, swapped][..., _SWAPPED]
+    values[..., 5:] = magnetization(contractions, pairs)
+    return values
 
 
 def magnetization(contractions, sites):
-    """<S^z_l> = -(1/2) <A_l B_l> at every site l of sites (any shape); a
-    single site gives a float."""
+    """<S^z_l> = -(1/2) <A_l B_l>, (times, *shape), at the sites (any
+    shape)."""
     sites = np.asarray(sites, dtype=int)
-    mz = _real(-0.5 * contractions.pair(A, sites, B, sites),
-               lambda k: f"mz({sites.flat[k]})")
-    return float(mz) if sites.ndim == 0 else mz
+    return _real(-0.5 * contractions.pair(A, sites, B, sites),
+                 lambda k: f"mz({sites[k]})", contractions.times)

@@ -25,7 +25,8 @@ total_concurrence, ckw_residual; each at most once per list.
 
 Each measure is defined once, in `measure_rows`, over a view of the state
 at a block of times, which it asks once per measure for the whole site
-grid, as a (name, values) column of shape (times, sites) per output name.
+grid (measures that read the same request share its answer), as a (name,
+values) column of shape (times, sites) per output name.
 `run_scenario` joins the blocks along time into the grid (times, sites,
 {name: values}); `write_csv` prints it a (name, x) column at a time.  A view
 offers one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and
@@ -40,7 +41,8 @@ at gamma = 0, and Pfaffian contractions otherwise or in equilibrium; the
 oracle's view is the evolved ring.  A stationary view serves the whole grid,
 a packet a run of times whose Bessel windows (`isotropic.windows`, sized a
 block at a time, each block within WINDOW_BLOCK_BYTES by its own longest
-ladder) share a radius, any other view one time.  What the analytic engine
+ladder) share a radius, Pfaffian contractions such a block (bounded by its
+partner concurrences too), any other view one time.  What the analytic engine
 cannot represent exactly (knitted scenarios, phi_bell and generic seed
 phases at gamma != 0, ckw_residual on phi_bell) raises CapabilityError when
 the engine is built; the oracle engine handles those on small rings.
@@ -57,7 +59,7 @@ from . import groundstate, isotropic, measures, oracle
 from .pfaffian import bundles, magnetization
 from .correlators import bell_contractions, vacuum_contractions
 from .errors import CapabilityError, ConfigError
-from .model import LIGHT_CONE_PAD, PAIR_WINDOW, ModelParams
+from .model import LIGHT_CONE_PAD, PAIR_WINDOW, ModelParams, light_cone_radius
 
 SCENARIO_KINDS = (
     "vacuum_only",
@@ -80,7 +82,7 @@ MEASURES = (
     "ckw_residual",
 )
 
-WINDOW_BLOCK_BYTES = 1 << 18  # Bessel ladders held per block of times
+WINDOW_BLOCK_BYTES = 1 << 18  # ladders or tables held per block of times
 
 _FIDELITY_NAMES = (
     "bell_fidelity_psi_minus",
@@ -235,10 +237,16 @@ def _validate(cfg, source):
 def measure_rows(config, view, baseline, times):
     """(name, values) of every configured measure, values (times, sites)
     read off the view of the state at a block of times and the view of its
-    unperturbed reference, one call per measure for the block and grid."""
+    unperturbed reference, one call per request for the block and grid."""
     xs = config.sites()
     right = [x + 1 for x in xs]
-    out = {}
+    out, asked = {}, {}
+
+    def ask(v, method):  # a request of a view, shared by the measures
+        key = (id(v), method)
+        if key not in asked:
+            asked[key] = getattr(v, method)(xs)
+        return asked[key]
 
     def grid(values):  # one value per site serves every time
         values = np.asarray(values, dtype=float).reshape(-1, len(xs))
@@ -250,7 +258,7 @@ def measure_rows(config, view, baseline, times):
             d = config.concurrence_distance
             out[name] = view.concurrence(xs, [x + d for x in xs])
         elif name == "one_tangle":
-            out[name] = view.one_tangle(xs)
+            out[name] = ask(view, "one_tangle")
         elif name == "entropy2":
             rhos = np.reshape(view.rho2(xs, right), (-1, 4, 4))
             out[name] = [measures.entropy_vn(rho) for rho in rhos]
@@ -258,65 +266,60 @@ def measure_rows(config, view, baseline, times):
             out.update(zip(_FIDELITY_NAMES,
                            measures.bell_fidelities(view.rho2(xs, right))))
         elif name == "tangle_deviation":
-            taus = [grid(v.one_tangle(xs)).ravel().tolist()
+            taus = [grid(ask(v, "one_tangle")).ravel().tolist()
                     for v in (view, baseline)]
             devs = [measures.tangle_deviation(*both) for both in zip(*taus)]
             out["tangle_deviation"] = [delta for delta, _ in devs]
             out["tangle_deviation_rel"] = [rel for _, rel in devs]
         elif name == "total_concurrence":
-            out[name] = [p.sum(-1) for p in view.partner_concurrences(xs)]
+            out[name] = [p.sum(-1) for p in ask(view, "partner_concurrences")]
         else:  # ckw_residual
             out[name] = [measures.ckw_residual(tau, p) for tau, p in
-                         zip(view.one_tangle(xs),
-                             view.partner_concurrences(xs))]
+                         zip(ask(view, "one_tangle"),
+                             ask(view, "partner_concurrences"))]
     return [(name, grid(values)) for name, values in out.items()]
 
 
 class _ContractionView:
-    """Pfaffian-route view of a set of Majorana contractions.  Bundles are
-    memoized per (l, m) and evaluated in batches: each call fills every
-    pair it is asked for that is not held yet, and a partner sum the
-    +-PAIR_WINDOW windows of all its sites.  Each pair's concurrence is
-    memoized next to its bundle.  Magnetizations of the sites come as one
-    array."""
+    """Pfaffian-route view of the contractions of a block of times, whose
+    answers are arrays with the times first (one row, which broadcasts, for
+    the ground state).  Correlator columns are held per (l, m): each call
+    evaluates the pairs it needs that are not held yet in one `bundles`
+    call, and a measure acts on the columns of all its pairs at once."""
 
     def __init__(self, contractions):
         self.con = contractions
-        self._bundles = {}
-        self._concurrences = {}
+        self._slots = {}
+        self._columns = np.empty((len(contractions.times), 0, 7))
 
     def _fill(self, pairs):
-        todo = list(dict.fromkeys(p for p in pairs if p not in self._bundles))
+        """Correlator columns (times, len(pairs), 7) of the pairs."""
+        todo = [p for p in dict.fromkeys(pairs) if p not in self._slots]
         if todo:
-            self._bundles.update(zip(todo, bundles(self.con, todo)))
-        return pairs
-
-    @staticmethod
-    def _window(x):
-        return [(min(x, q), max(x, q))
-                for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1) if q != x]
+            self._slots.update(zip(todo, itertools.count(len(self._slots))))
+            self._columns = np.concatenate(
+                [self._columns, bundles(self.con, todo)], axis=1)
+        return self._columns[:, [self._slots[p] for p in pairs]]
 
     def one_tangle(self, xs):
         return measures.one_tangle(magnetization(self.con, xs))
 
-    def _concurrence(self, pair):
-        if pair not in self._concurrences:
-            self._concurrences[pair] = measures.concurrence_closed(
-                self._bundles[pair])
-        return self._concurrences[pair]
-
     def concurrence(self, ls, ms):
-        return [self._concurrence(p) for p in self._fill(list(zip(ls, ms)))]
+        return measures.concurrence_closed(self._fill(list(zip(ls, ms))))
 
     def rho2(self, ls, ms):
-        return [measures.rho2_from_correlators(self._bundles[p])
-                for p in self._fill(list(zip(ls, ms)))]
+        return measures.rho2_from_correlators(self._fill(list(zip(ls, ms))))
 
     def partner_concurrences(self, xs):
-        windows = [self._window(x) for x in xs]
-        self._fill([p for pairs in windows for p in pairs])
-        return [np.array([self._concurrence(p) for p in pairs])
-                for pairs in windows]
+        """(times, sites, 2 * PAIR_WINDOW): each site with its window, read
+        off the concurrences of the distinct pairs of all windows."""
+        pairs = [(min(x, q), max(x, q)) for x in xs
+                 for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1)
+                 if q != x]
+        distinct = dict(zip(dict.fromkeys(pairs), itertools.count()))
+        values = self.concurrence(*zip(*distinct))
+        return values[:, [distinct[p] for p in pairs]].reshape(
+            len(values), len(xs), 2 * PAIR_WINDOW)
 
 
 def _radius(entry):
@@ -372,12 +375,18 @@ class AnalyticEngine:
         one view for the whole grid.  At gamma = 0 a block of windows holds
         at most WINDOW_BLOCK_BYTES by its own longest ladder, and a packet
         a run of them that share a radius, its partner concurrences cut to
-        at most WINDOW_BLOCK_BYTES; a pair seed has a view per time."""
+        at most WINDOW_BLOCK_BYTES; a pair seed has a view per time.  At
+        gamma != 0 a view holds a block cut the same way by each time's
+        tables and partner concurrences."""
         cfg = self.config
         if self._ground is not None:
             stationary = _ContractionView(self._ground)
         elif cfg.gamma != 0.0:
-            yield from (([t], *self._contraction_views(t)) for t in times)
+            span = 0 if cfg.kind == "vacuum_only" else abs(cfg.j - cfg.i)
+            radii = light_cone_radius(self.params, np.array(times)) + span
+            partners = len(cfg.sites()) * (2 * PAIR_WINDOW + 1)
+            for k in _ladder_blocks((2 * radii + 1 + partners).tolist()):
+                yield (times[k], *self._contraction_views(times[k]))
             return
         else:  # the gamma = 0 vacuum is stationary: the empty packet
             stationary = isotropic.SingleParticleState(0, np.zeros(0, complex))
@@ -404,13 +413,13 @@ class AnalyticEngine:
                                  window=(radius, ladders))
                     yield list(ts[s:s + width]), view, stationary
 
-    def _contraction_views(self, t):
+    def _contraction_views(self, times):
         cfg = self.config
         if cfg.kind == "vacuum_only":
-            view = _ContractionView(vacuum_contractions(self.params, t))
+            view = _ContractionView(vacuum_contractions(self.params, times))
             return view, view
         amp = 1.0 if abs(np.exp(1j * cfg.seed_phase) - 1.0) < 1e-9 else -1.0
-        seed = bell_contractions(self.params, t, cfg.i, cfg.j, amp=amp)
+        seed = bell_contractions(self.params, times, cfg.i, cfg.j, amp=amp)
         return _ContractionView(seed), _ContractionView(seed.vacuum)
 
 

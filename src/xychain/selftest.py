@@ -22,7 +22,7 @@ from . import isotropic, measures, oracle
 from .correlators import bell_contractions, vacuum_contractions
 from .measures import rho2_from_correlators
 from .model import ModelParams
-from .pfaffian import bundles, magnetization
+from .pfaffian import COMPONENTS, bundles, magnetization
 
 RING = 12
 SEED_I, SEED_J = 1, 2
@@ -128,19 +128,17 @@ def run_case(gamma, lam, kind, fast=False):
         state = None if window is None else isotropic.wavepacket(
             SEED_I, SEED_J, np.pi, t, lam, window=window)
 
-        pair_bundles = bundles(con, [(l, m) for l, m, _ in pair_cells])
-        for (l, m, _), bundle in zip(pair_cells, pair_bundles):
-            for comp, value in (("xx", bundle.gxx), ("yy", bundle.gyy),
-                                ("zz", bundle.gzz), ("xy", bundle.gxy),
-                                ("yx", bundle.gyx)):
-                ref = ws.correlator(vecs, comp[0], comp[1], l, m)
+        columns = bundles(con, [(l, m) for l, m, _ in pair_cells])[0]
+        for (l, m, _), values, rho, conc in zip(
+                pair_cells, columns, rho2_from_correlators(columns),
+                measures.concurrence_closed(columns)):
+            for (alpha, beta), value in zip(COMPONENTS, values):
+                ref = ws.correlator(vecs, alpha, beta, l, m)
                 report.record("correlators", abs(value - ref))
-            rho = rho2_from_correlators(bundle)
             rho_ref = ws.rho2(vecs, l % RING, m % RING)
             report.record("rho2", float(np.max(np.abs(rho - rho_ref))))
             c_ref = ws.concurrence(vecs, l, m)
-            report.record("concurrence",
-                          abs(measures.concurrence_closed(bundle) - c_ref))
+            report.record("concurrence", abs(conc - c_ref))
             if state is not None:
                 report.record(
                     "concurrence(bessel)",
@@ -148,9 +146,9 @@ def run_case(gamma, lam, kind, fast=False):
             report.cells += 1
 
         fid_sites = site_cells[:-1]  # the sites s with s + 1 in the window
-        fid_bundles = dict(zip(
-            fid_sites, bundles(con, [(s, s + 1) for s in fid_sites])))
-        for s, mz in zip(site_cells, magnetization(con, site_cells)):
+        fid_rhos = dict(zip(fid_sites, rho2_from_correlators(
+            bundles(con, [(s, s + 1) for s in fid_sites])[0])))
+        for s, mz in zip(site_cells, magnetization(con, site_cells)[0]):
             report.record("correlators",
                           abs(mz - ws.magnetization(vecs, s)))
             tau_ref = ws.one_tangle(vecs, s)
@@ -159,9 +157,8 @@ def run_case(gamma, lam, kind, fast=False):
             if state is not None:
                 report.record("one_tangle(bessel)",
                               abs(state.one_tangle(s) - tau_ref))
-            if s in fid_bundles:
-                fids = measures.bell_fidelities(
-                    rho2_from_correlators(fid_bundles[s]))
+            if s in fid_rhos:
+                fids = measures.bell_fidelities(fid_rhos[s])
                 fids_ref = measures.bell_fidelities(ws.rho2(vecs, s, s + 1))
                 diff = max(abs(a - b) for a, b in zip(fids, fids_ref))
                 report.record("fidelities", diff)

@@ -8,7 +8,6 @@ import numpy as np
 
 from xychain import isotropic, oracle
 from xychain.bessel import bessel_rows
-from xychain.measures import CorrelatorBundle
 from xychain.model import LIGHT_CONE_PAD
 
 
@@ -27,7 +26,8 @@ def evolve(ws, vecs, t):
 
 
 def random_x_bundle(rng, edge=False):
-    """Random physical X-structured two-site state as a correlator bundle.
+    """Random physical X-structured two-site state as a correlator column
+    (`measures.COLUMNS`).
 
     Populations come from a Dirichlet draw; the two coherences are placed
     inside their positivity disks |c| <= sqrt(uu*dd), |z| <= sqrt(ud*du).
@@ -45,8 +45,8 @@ def random_x_bundle(rng, edge=False):
     gyx = -(c + z).imag / 2.0
     gyy = (z - c).real / 2.0
     gxy = (z - c).imag / 2.0
-    return CorrelatorBundle(gxx=gxx, gyy=gyy, gzz=gzz, gxy=gxy, gyx=gyx,
-                            mz_l=mz_mean + mz_diff, mz_m=mz_mean - mz_diff)
+    return np.array([gxx, gyy, gzz, gxy, gyx, mz_mean + mz_diff,
+                     mz_mean - mz_diff])
 
 
 def bell_fidelity(rho, family, phi):

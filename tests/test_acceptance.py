@@ -78,14 +78,14 @@ def test_criterion_03_vacuum_pair_creation():
     # the maximally entangled ceiling
     params = ModelParams(0.5, gamma=0.5)
 
-    def pair_concurrence(t):
-        bundle = bundles(vacuum_contractions(params, t), [(0, 1)])[0]
-        return concurrence_closed(bundle)
+    def pair_concurrence(ts):  # one block of times
+        columns = bundles(vacuum_contractions(params, ts), [(0, 1)])
+        return concurrence_closed(columns)[:, 0]
 
     ts = np.linspace(0.0, 0.1, 11)
-    slope = np.polyfit(ts, [pair_concurrence(t) for t in ts], 1)[0]
+    slope = np.polyfit(ts, pair_concurrence(ts), 1)[0]
     scan = np.arange(0.05, 6.0 + 1e-9, 0.05)
-    peak = max(pair_concurrence(t) for t in scan)
+    peak = pair_concurrence(scan).max()
     ok = abs(slope - 0.25) <= 0.05 * 0.25 and 0.15 < peak < 0.5
     _verdict(3, "vacuum creation rate and ceiling",
              ok, f"slope = {slope:.4f} vs 0.25, peak = {peak:.4f}")

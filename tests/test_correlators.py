@@ -154,7 +154,7 @@ def test_singlet_tilts_phi_weights_ahead_of_front():
     p = ModelParams(lam=0.5, gamma=0.5)
     con = correlators.bell_contractions(p, 8.0, 0, 1)
     fid = bell_fidelities(rho2_from_correlators(
-        bundles(con, [(5, 6)])[0]))
+        bundles(con, [(5, 6)])[0, 0]))
     assert fid[2] > 0.0 and fid[3] > 0.0
     assert fid[2] >= fid[3]
 
@@ -162,7 +162,7 @@ def test_singlet_tilts_phi_weights_ahead_of_front():
     # front without wrap-around (t = 8 leaks a few 1e-3 through the wrap)
     con = correlators.bell_contractions(p, 6.0, 0, 1)
     ana = bell_fidelities(rho2_from_correlators(
-        bundles(con, [(5, 6)])[0]))
+        bundles(con, [(5, 6)])[0, 0]))
     ws = oracle.OracleWorkspace(12, 0.5, 0.5)
     ring = bell_fidelities(
         ws.rho2(evolve(ws, ws.psi_bell(0, 1, np.pi), 6.0), 5, 6))

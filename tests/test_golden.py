@@ -22,7 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "scripts").glob("*.cfg"))
 RTOL, ATOL = 1e-11, 1e-13
 BYTE_EXACT = ("bell_oracle", "gs_background", "knitted", "phi_switch",
-              "psi_bell_gamma", "singlet_spread", "vacuum_creation")
+              "psi_bell_gamma", "singlet_gamma", "singlet_spread",
+              "vacuum_creation")
 
 
 def _rows(text):
@@ -33,7 +34,7 @@ def _rows(text):
 
 def test_every_config_is_pinned():
     pinned = sorted(p.stem for p in (ROOT / "tests" / "golden").glob("*.csv"))
-    assert pinned == [p.stem for p in CONFIGS] and len(pinned) == 8
+    assert pinned == [p.stem for p in CONFIGS] and len(pinned) == 9
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)

@@ -74,14 +74,15 @@ def test_determinant_route_equals_pfaffian_route():
         p = ModelParams(lam=lam, gamma=gamma)
         for d in (1, 2, 3, 4):
             det_val = gs_gxx_determinant(p, d)
-            assert np.isclose(det_val, groundstate.gs_bundle(p, d).gxx,
+            assert np.isclose(det_val, groundstate.gs_bundle(p, d)[0],
                               atol=1e-12), (gamma, lam, d)
 
 
 def test_bundle_is_uniform_and_x_diagonal():
-    b = groundstate.gs_bundle(ModelParams(lam=0.8, gamma=0.6), 2)
-    assert b.mz_l == b.mz_m
-    assert b.gxy == 0.0 and b.gyx == 0.0
+    gxx, gyy, gzz, gxy, gyx, mz_l, mz_m = groundstate.gs_bundle(
+        ModelParams(lam=0.8, gamma=0.6), 2)
+    assert mz_l == mz_m
+    assert gxy == 0.0 and gyx == 0.0
 
 
 def ring_ground_energy(n, gamma, lam):

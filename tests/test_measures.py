@@ -6,12 +6,17 @@ import pytest
 from helpers import bell_fidelity, random_x_bundle
 from xychain import measures
 from xychain.errors import NumericalHealthError
-from xychain.measures import CorrelatorBundle
+from xychain.measures import COLUMNS
+
+
+def column(**values):
+    """A correlator column (`measures.COLUMNS`) from its named values."""
+    return np.array([values[name] for name in COLUMNS])
 
 
 def singlet_bundle():
-    return CorrelatorBundle(gxx=-0.25, gyy=-0.25, gzz=-0.25,
-                            gxy=0.0, gyx=0.0, mz_l=0.0, mz_m=0.0)
+    return column(gxx=-0.25, gyy=-0.25, gzz=-0.25, gxy=0.0, gyx=0.0,
+                  mz_l=0.0, mz_m=0.0)
 
 
 def werner_rho(p):
@@ -48,16 +53,61 @@ def test_closed_equals_wootters_on_random_states():
     assert worst < 1e-10
 
 
+def scalar_concurrence(column):
+    """The closed concurrence of one column in Python floats: the formula
+    with math.hypot, ** 2 and max, one pair at a time."""
+    gxx, gyy, gzz, gxy, gyx, mz_l, mz_m = map(float, column)
+    mz_mean, mz_diff = 0.5 * (mz_l + mz_m), 0.5 * (mz_l - mz_m)
+    root_c = math.sqrt(max((0.25 - gzz) ** 2 - mz_diff ** 2, 0.0))
+    root_z = math.sqrt(max((0.25 + gzz) ** 2 - mz_mean ** 2, 0.0))
+    return max(0.0, 2.0 * (math.hypot(gxx - gyy, gxy + gyx) - root_c),
+               2.0 * (math.hypot(gxx + gyy, gxy - gyx) - root_z))
+
+
+def test_stacks_equal_their_columns_bit_for_bit():
+    # a (times, pairs) stack of columns gives every member's scalar value
+    rng = np.random.default_rng(17)
+    stack = np.array([[random_x_bundle(rng, edge=(k % 4 == 0))
+                       for k in range(40)] for _ in range(3)])
+    closed = measures.concurrence_closed(stack)
+    rhos = measures.rho2_from_correlators(stack)
+    assert closed.shape == (3, 40) and rhos.shape == (3, 40, 4, 4)
+    for t in range(3):
+        for k in range(40):
+            assert closed[t, k] == scalar_concurrence(stack[t, k])
+            assert np.array_equal(
+                rhos[t, k], measures.rho2_from_correlators(stack[t, k]))
+
+
+def test_stack_checks_guard_every_member():
+    rng = np.random.default_rng(19)
+    stack = np.array([random_x_bundle(rng) for _ in range(6)])
+    bad = stack.copy()
+    bad[4] = column(gxx=0.0, gyy=0.0, gzz=0.25, gxy=0.0, gyx=0.0,
+                    mz_l=0.1, mz_m=-0.1)
+    with pytest.raises(NumericalHealthError, match="parallel branch"):
+        measures.concurrence_closed(bad)
+    rhos = measures.rho2_from_correlators(stack)
+    for k, broken in ((2, np.diag([0.6, 0.5, -0.05, -0.05])),
+                      (5, np.eye(4)), (3, np.eye(4) / 4.0 + 0.2 * np.eye(
+                          4, k=1))):
+        garbage = rhos.copy()
+        garbage[k] = broken
+        with pytest.raises(NumericalHealthError):
+            measures.validate_density(garbage)
+    assert measures.validate_density(rhos).shape == (6, 4)
+
+
 def test_rho2_roundtrip():
     # populations and coherences land where the X-state layout says
     rng = np.random.default_rng(7)
-    b = random_x_bundle(rng)
+    gxx, gyy, gzz, gxy, gyx, mz_l, mz_m = b = random_x_bundle(rng)
     rho = measures.rho2_from_correlators(b)
     assert np.isclose(np.trace(rho).real, 1.0)
-    assert np.isclose(rho[0, 0] - rho[3, 3], b.mz_l + b.mz_m)
-    assert np.isclose(rho[1, 1] - rho[2, 2], b.mz_l - b.mz_m)
-    assert np.isclose(rho[0, 3], b.gxx - b.gyy - 1j * (b.gxy + b.gyx))
-    assert np.isclose(rho[1, 2], b.gxx + b.gyy + 1j * (b.gxy - b.gyx))
+    assert np.isclose(rho[0, 0] - rho[3, 3], mz_l + mz_m)
+    assert np.isclose(rho[1, 1] - rho[2, 2], mz_l - mz_m)
+    assert np.isclose(rho[0, 3], gxx - gyy - 1j * (gxy + gyx))
+    assert np.isclose(rho[1, 2], gxx + gyy + 1j * (gxy - gyx))
     assert rho[0, 1] == 0.0 and rho[0, 2] == 0.0
 
 
@@ -89,8 +139,8 @@ def test_entropy_values():
 
 def test_pure_state_entropy_is_positive_zero():
     # the all-down pair is pure; its entropy must print as 0, not -0
-    down = CorrelatorBundle(gxx=0.0, gyy=0.0, gzz=0.25, gxy=0.0, gyx=0.0,
-                            mz_l=-0.5, mz_m=-0.5)
+    down = column(gxx=0.0, gyy=0.0, gzz=0.25, gxy=0.0, gyx=0.0,
+                  mz_l=-0.5, mz_m=-0.5)
     value = measures.entropy_vn(measures.rho2_from_correlators(down))
     assert value == 0.0
     assert math.copysign(1.0, value) == 1.0
@@ -117,12 +167,12 @@ def test_ckw_residual():
 
 def test_radicand_clamp_and_hard_failure():
     # slightly negative radicand from roundoff is clamped to zero
-    b = CorrelatorBundle(gxx=0.0, gyy=0.0, gzz=0.25, gxy=0.0, gyx=0.0,
-                         mz_l=1e-9, mz_m=-1e-9)
+    b = column(gxx=0.0, gyy=0.0, gzz=0.25, gxy=0.0, gyx=0.0,
+               mz_l=1e-9, mz_m=-1e-9)
     assert measures.concurrence_closed(b) == 0.0
     # a radicand negative beyond tolerance is a real inconsistency
-    bad = CorrelatorBundle(gxx=0.0, gyy=0.0, gzz=0.25, gxy=0.0, gyx=0.0,
-                           mz_l=0.1, mz_m=-0.1)
+    bad = column(gxx=0.0, gyy=0.0, gzz=0.25, gxy=0.0, gyx=0.0,
+                 mz_l=0.1, mz_m=-0.1)
     with pytest.raises(NumericalHealthError):
         measures.concurrence_closed(bad)
 

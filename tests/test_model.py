@@ -23,7 +23,7 @@ def test_momentum_grids():
 def kernel_tables(params, t, radius=None):
     """V, E, O on |x| <= radius, entry x + radius at separation x."""
     vac = correlators.vacuum_contractions(params, t, radius)
-    return vac.v_table, vac.e_table, vac.o_table
+    return vac.v_table[0], vac.e_table[0], vac.o_table[0]
 
 
 def test_evolution_identity_at_t0():

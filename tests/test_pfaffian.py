@@ -9,8 +9,8 @@ from xychain import pfaffian as pfaffian_module
 from xychain.correlators import A, B
 from xychain.errors import CutoffError, NumericalHealthError
 from xychain.model import ModelParams
-from xychain.pfaffian import (bundles, magnetization, operator_string,
-                              pfaffian_checked, pfaffians)
+from xychain.pfaffian import (COMPONENTS, bundles, magnetization,
+                              operator_string, pfaffians)
 
 KIND = {"A": A, "B": B}
 
@@ -44,9 +44,28 @@ def pf(mat):
     return pfaffians(np.array(mat, dtype=complex)[None])[0]
 
 
+def pfaffian_checked(a, rtol=1e-9):
+    """`pfaffians` of the stack a (count, n, n), left intact, with the
+    pf^2 = det consistency check on every member.
+
+    Raises NumericalHealthError when a relative residual exceeds rtol.
+    """
+    a = np.asarray(a, dtype=complex)
+    pf = pfaffians(a.copy())
+    det = np.linalg.det(a)
+    scale = np.maximum(np.maximum(np.abs(det), np.abs(pf) ** 2), 1e-300)
+    residual = np.abs(pf * pf - det) / scale
+    if np.any(residual > rtol):
+        raise NumericalHealthError(
+            f"pfaffian^2 vs det residual {residual.max():.3e} exceeds "
+            f"{rtol:.1e}")
+    return pf
+
+
 def spin_correlator(contractions, alpha, beta, l, m):
-    """g^{alpha beta}_{lm} read off the pair's bundle."""
-    return getattr(bundles(contractions, [(l, m)])[0], f"g{alpha}{beta}")
+    """g^{alpha beta}_{lm} read off the pair's column at a one-time block."""
+    column = bundles(contractions, [(l, m)])[0, 0]
+    return column[COMPONENTS.index((alpha, beta))]
 
 
 def vacuum_matrix(contractions, kinds, sites):
@@ -57,7 +76,7 @@ def vacuum_matrix(contractions, kinds, sites):
     for p in range(n):
         for q in range(p + 1, n):
             mat[p, q] = vac.pair(KIND[kinds[p]], sites[p],
-                                 KIND[kinds[q]], sites[q])
+                                 KIND[kinds[q]], sites[q])[0]
     return mat - mat.T
 
 
@@ -78,7 +97,7 @@ def string_expectation_rowrep(contractions, kinds, sites):
     for p in range(n):
         for q in range(p + 1, n):
             mmod[p, q] = contractions.mod(KIND[kinds[p]], sites[p],
-                                          KIND[kinds[q]], sites[q])
+                                          KIND[kinds[q]], sites[q])[0]
     total = pfaffian(mvac)
     for s in range(n - 1):
         ms = np.triu(mvac).copy()
@@ -322,13 +341,11 @@ def test_finite_ring_route_matches_oracle_exactly(n, gamma, lam, kind):
             con = correlators.bell_contractions(p, t, 1, 2, amp=-1.0)
             state = ws.psi_bell(1, 2, np.pi)
         vecs = evolve(ws, state, t)
-        for (l, m), bundle in zip(pairs, bundles(con, pairs)):
-            for alpha, beta in (("x", "x"), ("y", "y"), ("z", "z"),
-                                ("x", "y"), ("y", "x")):
-                ana = getattr(bundle, f"g{alpha}{beta}")
+        for (l, m), column in zip(pairs, bundles(con, pairs)[0]):
+            for (alpha, beta), ana in zip(COMPONENTS, column):
                 ref = ws.correlator(vecs, alpha, beta, l, m)
                 assert abs(ana - ref) <= 1e-10, (t, alpha, beta, l, m)
-        mz = magnetization(con, np.arange(n))
+        mz, = magnetization(con, np.arange(n))
         for l in range(n):
             assert abs(mz[l] - ws.magnetization(vecs, l)) <= 1e-10, (t, l)
 
@@ -365,7 +382,7 @@ def bundle_reference(con, l, m):
               if l < m else spin_correlator_rowrep(con, beta, alpha, m, l)
               for alpha, beta in (("x", "x"), ("y", "y"), ("z", "z"),
                                   ("x", "y"), ("y", "x"))]
-    mz = [-0.5 * complex(con.pair(A, s, B, s)).real for s in (l, m)]
+    mz = [-0.5 * con.pair(A, s, B, s)[0].real for s in (l, m)]
     return values + mz
 
 
@@ -384,18 +401,16 @@ def test_bundles_match_rowrep_reference(state):
     }[state]()
     pairs = [(0, 1), (1, 3), (3, 1), (-1, 3), (2, 3), (4, 0), (-2, 2)]
     got = bundles(con, pairs)
-    for (l, m), bundle in zip(pairs, got):
-        fields = [bundle.gxx, bundle.gyy, bundle.gzz, bundle.gxy, bundle.gyx,
-                  bundle.mz_l, bundle.mz_m]
-        assert all(isinstance(v, float) for v in fields)
-        assert np.allclose(fields, bundle_reference(con, l, m), rtol=0,
+    assert got.shape == (1, len(pairs), 7) and got.dtype == np.float64
+    for (l, m), column in zip(pairs, got[0]):
+        assert np.allclose(column, bundle_reference(con, l, m), rtol=0,
                            atol=1e-13), (state, l, m)
 
 
 def test_bundles_empty_and_invalid():
     con = correlators.vacuum_contractions(ModelParams(lam=1.0, gamma=0.5), 1.0)
-    assert bundles(con, []) == []
-    assert magnetization(con, []).shape == (0,)
+    assert bundles(con, []).shape == (1, 0, 7)
+    assert magnetization(con, []).shape == (1, 0)
     with pytest.raises(ValueError):
         bundles(con, [(0, 1), (2, 2)])
 
@@ -445,15 +460,109 @@ def test_singlet_time_step_batches_its_pairs(monkeypatch):
         return bundles(contractions, pairs)
 
     monkeypatch.setattr(scenarios, "bundles", counting_bundles)
-    (times, view, baseline), = scenarios.AnalyticEngine(config).views([2.0])
+    blocks = list(scenarios.AnalyticEngine(config).views(config.times()))
+    assert [times for times, _, _ in blocks] == [[0.0, 1.0, 2.0]]
+    (times, view, baseline), = blocks
     columns = dict(scenarios.measure_rows(config, view, baseline, times))
     assert len(columns) == 4
-    assert all(np.shape(values) == (1, 17) for values in columns.values())
+    assert all(np.shape(values) == (3, 17) for values in columns.values())
+    # per block: at most two bundles calls, and no pair evaluated twice
     assert len(calls) <= 2
     evaluated = [pair for call in calls for pair in call]
     assert len(evaluated) == len(set(evaluated))
-    con = correlators.bell_contractions(config.params, 2.0, 0, 1)
-    for x, value in zip(config.sites(), columns["concurrence"][0]):
-        ref = bundles(con, [(x, x + 3)])[0]
-        assert np.isclose(scenarios.measures.concurrence_closed(ref),
-                          value, rtol=0, atol=1e-14)
+    for k, t in enumerate(times):
+        con = correlators.bell_contractions(config.params, t, 0, 1)
+        ref = scenarios.measures.concurrence_closed(bundles(
+            con, [(x, x + 3) for x in config.sites()]))
+        assert np.array_equal(ref[0], columns["concurrence"][k])
+
+
+BLOCK_PAIRS = [(0, 1), (1, 3), (3, 1), (-1, 3), (2, 3), (4, 0), (-2, 5),
+               (6, -1)]
+
+
+@pytest.mark.parametrize("state", ["vacuum", "bell+1", "bell-1"])
+@pytest.mark.parametrize("chunk", [3, 128])
+def test_block_columns_equal_one_time_blocks(monkeypatch, state, chunk):
+    # every time of a block, its own ring sum padded to the block's widest
+    # table, gives the columns of a block of that time alone bit for bit,
+    # also when a stack holds one string at every time (chunk 3 < 5 times)
+    monkeypatch.setattr(pfaffian_module, "STACK_CHUNK", chunk)
+    p = ModelParams(lam=0.8, gamma=0.6)
+    make = {
+        "vacuum": lambda ts: correlators.vacuum_contractions(p, ts),
+        "bell+1": lambda ts: correlators.bell_contractions(p, ts, 1, 2,
+                                                           amp=1.0),
+        "bell-1": lambda ts: correlators.bell_contractions(p, ts, 0, 3,
+                                                           amp=-1.0),
+    }[state]
+    times = [0.0, 0.4, 1.7, 5.0, 31.0]
+    block = make(times)
+    radii = correlators.vacuum_contractions(p, times).radii
+    assert len(set(radii)) == len(times)
+    got = bundles(block, BLOCK_PAIRS)
+    assert got.shape == (len(times), len(BLOCK_PAIRS), 7)
+    for k, t in enumerate(times):
+        alone = make(t)
+        assert np.array_equal(got[k], bundles(alone, BLOCK_PAIRS)[0]), t
+        sites = np.arange(-3, 6)
+        assert np.array_equal(magnetization(block, sites)[k],
+                              magnetization(alone, sites)[0])
+
+
+def test_ground_state_block_broadcasts_over_every_time():
+    # the ground state is one stationary time: its columns have one row,
+    # and a run over a grid repeats the values of a one-time grid exactly
+    p = ModelParams(lam=0.8, gamma=0.6)
+    ground = groundstate.gs_contractions(p, 8)
+    assert bundles(ground, BLOCK_PAIRS).shape == (1, len(BLOCK_PAIRS), 7)
+    text = """
+    model.lambda = 0.8
+    model.gamma = 0.6
+    scenario.kind = ground_state_equilibrium
+    grid.t_start = 0.0
+    grid.t_stop = {stop}
+    grid.dt = 0.5
+    grid.x_start = 0
+    grid.x_stop = 3
+    measures.list = concurrence, one_tangle, entropy2, ckw_residual
+    """
+    one = scenarios.run_scenario(scenarios.parse_config_text(
+        text.format(stop=0.0)))
+    many = scenarios.run_scenario(scenarios.parse_config_text(
+        text.format(stop=2.0)))
+    for name, values in many[2].items():
+        assert values.shape == (5, 4)
+        assert np.array_equal(values, np.repeat(one[2][name], 5, axis=0))
+
+
+@pytest.mark.parametrize("kind", ["vacuum", "bell"])
+def test_block_cutoff_names_the_earliest_short_time(kind):
+    # radii 3 then 6: a separation of 5 lies past the earlier time's own
+    # radius, and the padding of its table never answers for it
+    p = ModelParams(lam=1.0, gamma=0.5)
+    if kind == "vacuum":
+        block = correlators.vacuum_contractions(p, [1.0, 2.0], radius=[3, 6])
+        bundles(block, [(0, 3)])
+    else:
+        block = correlators.bell_contractions(p, [1.0, 2.0], 0, 1,
+                                              radius=[3, 6])
+        bundles(block, [(-1, 1), (0, 3)])
+    with pytest.raises(CutoffError, match="radius [34] exceeded at "
+                       "separation -?5 at t=1$"):
+        bundles(block, [(0, 1), (0, 5)])
+    later = correlators.vacuum_contractions(p, [2.0], radius=[6])
+    bundles(later, [(0, 5)])
+
+
+def test_block_imaginary_residue_names_pair_and_time():
+    p = ModelParams(lam=0.8, gamma=0.6)
+    block = correlators.vacuum_contractions(p, [1.0, 2.0])
+    bundles(block, [(0, 1), (0, 3)])
+    block._tables[1] += 1e-6j  # noise at t = 2 only
+    with pytest.raises(NumericalHealthError,
+                       match=r"^g_xx\(0,1\) at t=2 has imaginary residue"):
+        bundles(block, [(0, 1), (0, 3)])
+    with pytest.raises(NumericalHealthError,
+                       match=r"^mz\(4\) at t=2 has imaginary residue"):
+        magnetization(block, [4, 5])

@@ -304,6 +304,8 @@ def test_analytic_engine_builds_each_table_once(monkeypatch):
     monkeypatch.setattr(
         correlators.VacuumContractions, "__init__",
         counting("vacuum", correlators.VacuumContractions.__init__))
+    monkeypatch.setattr(correlators, "_ring_tables",
+                        counting("ring sum", correlators._ring_tables))
     monkeypatch.setattr(groundstate, "gs_contractions",
                         counting("ground", groundstate.gs_contractions))
     times = 3
@@ -311,9 +313,10 @@ def test_analytic_engine_builds_each_table_once(monkeypatch):
         "concurrence, one_tangle",
         "concurrence, tangle_deviation, total_concurrence")
     run_scenario(parse_config_text(singlet))
-    # per time: the seed's own vacuum part, which also holds its kernel
-    # tables and is the baseline
-    assert built == {"vacuum": times}
+    # one block holds the grid: the seed's own vacuum part, which also
+    # holds its kernel tables and is the baseline, with one ring sum per
+    # time
+    assert built == {"vacuum": 1, "ring sum": times}
     built.clear()
     ground = """
 model.lambda = 1.0
@@ -358,20 +361,54 @@ def test_ground_state_view_serves_every_time(monkeypatch):
 
 
 def test_contraction_view_evaluates_each_pair_concurrence_once(monkeypatch):
+    # one closed-form call per request on the columns of its distinct
+    # pairs: the concurrence measure's pairs, and the partner windows that
+    # total_concurrence and ckw_residual share
     evaluated = []
 
-    def recording(bundle):
-        evaluated.append(bundle)  # kept alive, so ids stay distinct
-        return closed(bundle)
+    def recording(columns):
+        evaluated.append(np.shape(columns))
+        return closed(columns)
 
     closed = scenarios.measures.concurrence_closed
     monkeypatch.setattr(scenarios.measures, "concurrence_closed", recording)
     singlet = BASE.replace("model.gamma = 0.0", "model.gamma = 0.5").replace(
         "concurrence, one_tangle",
         "concurrence, total_concurrence, ckw_residual")
-    run_scenario(parse_config_text(singlet))
-    assert evaluated
-    assert len({id(b) for b in evaluated}) == len(evaluated)
+    cfg = parse_config_text(singlet)
+    run_scenario(cfg)
+    xs, w = cfg.sites(), scenarios.PAIR_WINDOW
+    windows = {(min(x, q), max(x, q)) for x in xs
+               for q in range(x - w, x + w + 1) if q != x}
+    assert evaluated == [(3, len(xs), 7), (3, len(windows), 7)]
+
+
+def counting_methods(monkeypatch, cls, names):
+    """A Counter of the calls of the methods names of cls."""
+    calls = Counter()
+    for name in names:
+        def counted(self, *args, _name=name, _method=getattr(cls, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_measure_rows_asks_a_view_once_per_request(monkeypatch):
+    # one_tangle, total_concurrence and ckw_residual share the answers of
+    # each of the 13 packet views of the singlet spread
+    asked = ("one_tangle", "partner_concurrences")
+    calls = counting_methods(monkeypatch, isotropic.SingleParticleState,
+                             asked)
+    run_scenario(parse_config_file(SCRIPTS / "singlet_spread.cfg"))
+    assert calls == {"one_tangle": 13, "partner_concurrences": 13}
+    # a vacuum at gamma != 0 is its own baseline: one_tangle and
+    # tangle_deviation share one answer per block of times
+    calls = counting_methods(monkeypatch, scenarios._ContractionView, asked)
+    cfg = parse_config_file(SCRIPTS / "vacuum_creation.cfg")
+    blocks = list(scenarios.make_engine(cfg).views(cfg.times()))
+    run_scenario(cfg)
+    assert len(blocks) == 1 and calls == {"one_tangle": 1}
 
 
 ISOTROPIC = """
@@ -541,6 +578,26 @@ def test_bessel_route_bounds_the_partner_concurrences_of_a_view():
     finally:
         tracemalloc.stop()
     assert peak < 1.2e6
+
+
+def test_pfaffian_route_bounds_the_partner_concurrences_of_a_block():
+    # over 121 sites the 33 times of this grid would hold 479 KB of partner
+    # concurrences (times x sites x window); a block of contraction tables
+    # holds at most WINDOW_BLOCK_BYTES of them
+    cfg = parse_config_text(BASE.replace("model.gamma = 0.0",
+                                         "model.gamma = 0.5").replace(
+        "singlet_on_vacuum", "vacuum_only").replace(
+        "grid.t_stop = 1.0", "grid.t_stop = 4.0").replace(
+        "grid.dt = 0.5", "grid.dt = 0.125").replace(
+        "grid.x_start = -1", "grid.x_start = -60").replace(
+        "grid.x_stop = 2", "grid.x_stop = 60"))
+    engine = scenarios.AnalyticEngine(cfg)
+    blocks = [times for times, _, _ in engine.views(cfg.times())]
+    width = len(cfg.sites()) * (2 * scenarios.PAIR_WINDOW + 1)
+    assert len(blocks) > 1 and sum(blocks, []) == cfg.times()
+    assert 8 * len(cfg.times()) * width > 479e3
+    assert all(8 * len(b) * width <= scenarios.WINDOW_BLOCK_BYTES
+               for b in blocks)
 
 
 def test_oracle_engine_wraps_sites_on_the_ring():
