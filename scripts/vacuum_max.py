@@ -11,14 +11,14 @@ import sys
 import numpy as np
 
 from xychain.correlators import vacuum_contractions
-from xychain.measures import concurrence_closed
+from xychain.measures import concurrence_closed, x_entries
 from xychain.model import ModelParams
 from xychain.pfaffian import bundles
 
 
 def pair_concurrence(params, t):
     columns = bundles(vacuum_contractions(params, t), [(0, 1)])
-    return float(concurrence_closed(columns)[0, 0])
+    return float(concurrence_closed(x_entries(columns))[0, 0])
 
 
 def main():

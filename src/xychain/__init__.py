@@ -27,7 +27,8 @@ from .measures import (
     concurrence_closed,
     concurrence_wootters,
     one_tangle,
-    rho2_from_correlators,
+    rho2,
+    x_entries,
 )
 from .groundstate import gs_concurrence, gs_contractions
 from .scenarios import (
@@ -60,8 +61,9 @@ __all__ = [
     "one_tangle",
     "parse_config_file",
     "parse_config_text",
-    "rho2_from_correlators",
+    "rho2",
     "run_scenario",
     "vacuum_contractions",
     "write_csv",
+    "x_entries",
 ]

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .correlators import A, _table_index
-from .measures import concurrence_branches, one_tangle
+from .measures import concurrence_branches, one_tangle, x_entries
 from .model import PAIR_WINDOW
 from .pfaffian import bundles
 
@@ -127,7 +127,8 @@ def gs_bundle(params, d):
 
 def gs_concurrence(params, d):
     """Ground-state concurrence at distance d, with the winning branch."""
-    branch_c, branch_z = map(float, concurrence_branches(gs_bundle(params, d)))
+    branch_c, branch_z = map(float, concurrence_branches(
+        x_entries(gs_bundle(params, d))))
     value = max(0.0, branch_c, branch_z)
     label = "parallel" if branch_c >= branch_z else "antiparallel"
     return value, label

@@ -50,8 +50,9 @@ whose Bessel ladder would pass bessel.MAX_ORDER raises CutoffError.
 `windows` sizes a batch of times at once, one batch of Miller sweeps per
 widening round.  `wavepacket` and `PhiState` take their time's window or
 size their own; a packet also takes a block of times whose windows share a
-radius.  The states are measurement views (`scenarios`) whose methods take
-sites or pairs as scalars or arrays, a packet's times first.
+radius.  The states are X views (`measures.XView`) for `scenarios`: each
+gives the X entries of pairs, sites and pairs as scalars or arrays and a
+packet's times first, and a packet its partner sums in closed form.
 """
 
 import functools
@@ -62,7 +63,7 @@ import numpy as np
 
 from .bessel import MAX_ORDER, bessel_rows, range_error
 from .errors import CutoffError
-from .measures import x_matrices
+from .measures import XView, _modulus
 from .model import LIGHT_CONE_PAD
 
 NORM_DEFECT_TOL = 1e-10
@@ -145,27 +146,14 @@ def _orbitals(i, j, window):
     return np.arange(i - radius, j + radius + 1), g[..., span:], g[..., :-span]
 
 
-def _modulus(v):
-    """|v| of complex scalars or arrays.  np.abs rounds complex arrays
-    differently from scalars; hypot rounds both like Python's abs()."""
-    return np.hypot(v.real, v.imag)
-
-
 def _times_conj(u, v):
     """Real and imaginary parts of u conj(v), in real arithmetic that
     rounds like a scalar product (complex arrays may round differently)."""
     return u.real * v.real + u.imag * v.imag, u.imag * v.real - u.real * v.imag
 
 
-def _branches(a, b, x, y, c, z):
-    """Competing concurrence branches 2(|c|-sqrt(xy)), 2(|z|-sqrt(ab)) of
-    X-matrix entries (scalars or arrays)."""
-    return (2.0 * (_modulus(c) - np.sqrt(np.maximum(x * y, 0.0))),
-            2.0 * (_modulus(z) - np.sqrt(np.maximum(a * b, 0.0))))
-
-
 @dataclass(frozen=True)
-class SingleParticleState:
+class SingleParticleState(XView):
     """One conserved excitation on the vacuum, gamma = 0.
 
     Amplitudes are stored on the window [start, start + len - 1] of the
@@ -192,34 +180,29 @@ class SingleParticleState:
     def _population(self, sites):
         return np.float_power(_modulus(self.w(sites)), 2)
 
-    def rho2(self, n, m):
-        """Reduced pair states in the basis (uu, ud, du, dd)."""
+    def pair_entries(self, n, m):
+        """X entries: a = c = 0, x, y the populations, z = w_n wbar_m."""
         x, y = self._population(n), self._population(m)
         re, im = _times_conj(self.w(n), self.w(m))
         z = np.empty(np.shape(re), dtype=complex)
         z.real, z.imag = re, im
-        return x_matrices(0.0, 1.0 - x - y, x, y, 0.0, z)
+        return 0.0, 1.0 - x - y, x, y, 0.0, z
 
     def one_tangle(self, n):
         p = self._population(n)
         return 4.0 * p * (1.0 - p)
 
-    def concurrence(self, n, m):
-        """C_{nm} = 2 |w_n wbar_m| for a one-particle state."""
-        return 2.0 * np.hypot(*_times_conj(self.w(n), self.w(m)))
-
-    def partner_concurrences(self, n):
-        """C_{nq} = 2|w_n w_q| over the window, one row per time and site n;
-        the entry of n itself is 0 (cheaper than cutting it out, and neutral
-        in every partner sum)."""
-        n = np.asarray(n)
-        idx = np.atleast_1d(n) - self.start
-        *lead, width = self.amps.shape
-        magnitudes = np.abs(self.amps).reshape(*lead, *[1] * n.ndim, width)
-        partners = (2.0 * _modulus(self.w(n)))[..., None] * magnitudes
-        own = np.nonzero((idx >= 0) & (idx < width))[0]
-        partners.reshape(*lead, len(idx), width)[..., own, idx[own]] = 0.0
-        return partners
+    def partner_sums(self, n):
+        """Closed forms over the window, O(1) per site after one window sum
+        per time: sum_q C_nq = 2|w_n| (sum_q |w_q| - |w_n|) and
+        sum_q C_nq^2 = 4|w_n|^2 (sum_q |w_q|^2 - |w_n|^2)."""
+        modulus, population = _modulus(self.w(n)), self._population(n)
+        lead = np.shape(self.amps)[:-1] + (1,) * np.ndim(n)
+        window = _modulus(self.amps)
+        total = window.sum(-1).reshape(lead)
+        square = np.square(window, out=window).sum(-1).reshape(lead)
+        return (2.0 * modulus * (total - modulus),
+                4.0 * population * (square - population))
 
 
 def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD, window=None):
@@ -237,7 +220,7 @@ def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD, window=None):
     return SingleParticleState(start=int(sites[0]), amps=amps)
 
 
-class PhiState:
+class PhiState(XView):
     """Evolved two-particle Bell seed (|vac> + e^{i phi} c_i^dag c_j^dag)/sqrt(2).
 
     Works in the rotating frame described in the module docstring, on its
@@ -294,25 +277,10 @@ class PhiState:
         return tuple(np.reshape(v, shape) for v in
                      (a, 1.0 - a - x - y, x, y, 0.5 * t_nm, 0.5 * z))
 
-    def rho2(self, n, m):
-        return x_matrices(*self.pair_entries(n, m))
-
-    def concurrence(self, n, m):
-        b1, b2 = _branches(*self.pair_entries(n, m))
-        return np.maximum(0.0, np.maximum(b1, b2))
-
     def one_tangle(self, n):
         p = 0.5 * self._at(n)[2]
         return 4.0 * p * (1.0 - p)
 
-    def partner_concurrences(self, n):
-        """Concurrences of site n with every other site of the window; for
-        an array of sites, one such array per site, from one batch."""
-        sites = np.atleast_1d(n)
-        partners = [self.sites[self.sites != s] for s in sites]
-        counts = [len(q) for q in partners]
-        ns, qs = np.repeat(sites, counts), np.concatenate(partners)
-        rows = np.split(self.concurrence(np.minimum(ns, qs),
-                                         np.maximum(ns, qs)),
-                        np.cumsum(counts)[:-1])
-        return rows if np.ndim(n) else rows[0]
+    def partners(self, n):
+        """Every other site of the window."""
+        return self.sites[self.sites != n]

@@ -1,20 +1,19 @@
-"""Entanglement measures built from spin correlators or density matrices.
+"""Entanglement measures of X states, and the views that serve them.
 
 The parity structure of all states handled here (eigenstates of the spin
 parity, or number-conserving sectors) forces the two-site reduced density
-matrix into X form in the basis (uu, ud, du, dd):
-
-    rho2 = [[1/4 + Mz + gzz, 0,               0,               c     ],
-            [0,              1/4 - gzz + dSz, z,               0     ],
-            [0,              zbar,            1/4 - gzz - dSz, 0     ],
-            [cbar,           0,               0,               1/4 - Mz + gzz]]
-
-with c = gxx - gyy - i(gxy + gyx), z = gxx + gyy + i(gxy - gyx),
-Mz = (mz_l + mz_m)/2, dSz = (mz_l - mz_m)/2 and spin-1/2 correlators
-g_{ab} = <S^a_l S^b_m>, which come as columns (..., 7) laid out as COLUMNS.
-The closed concurrence formula evaluates Wootters' concurrence directly on
-that structure; the generic eigenvalue route is kept alongside and the two
-are required to agree to 1e-10 on random physical states.
+matrix into X form in the basis (uu, ud, du, dd): populations a, x, y, b on
+the diagonal, coherences c = rho[uu, dd] and z = rho[ud, du].  These X
+entries (a, b, x, y, c, z) are the currency between states and measures:
+`rho2` builds and checks the matrices, and the closed concurrence is
+max(0, 2(|c| - sqrt(xy)), 2(|z| - sqrt(ab))) (Wootters, PRL 80:2245, 1998;
+Yu & Eberly, QIC 7:459, 2007).  `x_entries` reads them off correlator
+columns (..., 7) laid out as COLUMNS, g_{ab} = <S^a_l S^b_m>:
+a, b = 1/4 +- Mz + gzz, x, y = 1/4 - gzz +- dSz, c = gxx - gyy - i(gxy + gyx)
+and z = gxx + gyy + i(gxy - gyx), with Mz, dSz = (mz_l +- mz_m)/2.  An
+analytic view (`XView`) gives the entries of its pairs and derives
+concurrence, rho2 and partner sums.  The generic Wootters route is the
+oracle's reference; the two agree to 1e-10 on random physical states.
 """
 
 import math
@@ -27,41 +26,36 @@ EIG_CLAMP = 1e-8
 RADICAND_HARD = 1e-6
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SY, _SY)  # sigma_y x sigma_y, the spin flip of two qubits
-_hypot = np.frompyfunc(math.hypot, 2, 1)  # numpy's hypot rounds otherwise
 
 
 COLUMNS = ("gxx", "gyy", "gzz", "gxy", "gyx", "mz_l", "mz_m")
 
 
-def _unpack(columns):
-    """gxx, gyy, gzz, gxy, gyx, Mz, dSz of columns (..., 7), each (...)."""
+def _modulus(v):
+    """|v| of complex scalars or arrays.  np.abs rounds complex arrays
+    differently from scalars; hypot rounds both like Python's abs()."""
+    return np.hypot(np.real(v), np.imag(v))
+
+
+def x_entries(columns):
+    """X entries (a, b, x, y, c, z), each (...), of columns (..., 7)."""
     gxx, gyy, gzz, gxy, gyx, mz_l, mz_m = np.moveaxis(
         np.asarray(columns, dtype=float), -1, 0)
-    return gxx, gyy, gzz, gxy, gyx, 0.5 * (mz_l + mz_m), 0.5 * (mz_l - mz_m)
+    mz_mean, mz_diff = 0.5 * (mz_l + mz_m), 0.5 * (mz_l - mz_m)
+    return (0.25 + mz_mean + gzz, 0.25 - mz_mean + gzz,
+            0.25 - gzz + mz_diff, 0.25 - gzz - mz_diff,
+            gxx - gyy - 1j * (gxy + gyx), gxx + gyy + 1j * (gxy - gyx))
 
 
-def x_matrices(a, b, x, y, c, z):
-    """X-form density matrices in the basis (uu, ud, du, dd), shape
-    (..., 4, 4), from entries that broadcast together."""
+def rho2(entries):
+    """X-form density matrices (..., 4, 4) of entries that broadcast
+    together, each checked by validate_density."""
+    a, b, x, y, c, z = entries
     rho = np.zeros(np.broadcast(a, b, x, y, c, z).shape + (4, 4),
                    dtype=complex)
-    for k, v in enumerate((a, x, y, b)):
-        rho[..., k, k] = v
-    rho[..., 0, 3] = c
-    rho[..., 3, 0] = np.conj(c)
-    rho[..., 1, 2] = z
-    rho[..., 2, 1] = np.conj(z)
-    return rho
-
-
-def rho2_from_correlators(columns):
-    """Two-site density matrices (..., 4, 4) of columns (..., 7), each
-    checked by validate_density."""
-    gxx, gyy, gzz, gxy, gyx, mz_mean, mz_diff = _unpack(columns)
-    rho = x_matrices(0.25 + mz_mean + gzz, 0.25 - mz_mean + gzz,
-                     0.25 - gzz + mz_diff, 0.25 - gzz - mz_diff,
-                     gxx - gyy - 1j * (gxy + gyx),
-                     gxx + gyy + 1j * (gxy - gyx))
+    for k, m, v in ((0, 0, a), (1, 1, x), (2, 2, y), (3, 3, b), (0, 3, c),
+                    (1, 2, z)):
+        rho[..., k, m], rho[..., m, k] = v, np.conj(v)
     validate_density(rho)
     return rho
 
@@ -92,6 +86,7 @@ def validate_density(rho, clamp=EIG_CLAMP):
 
 def _safe_sqrt(values, what):
     """sqrt of radicands that are nonnegative up to roundoff."""
+    values = np.asarray(values)
     bad = values < -RADICAND_HARD
     if bad.any():
         raise NumericalHealthError(f"{what}: radicand {values[bad][0]:.3e} "
@@ -99,25 +94,18 @@ def _safe_sqrt(values, what):
     return np.sqrt(np.maximum(values, 0.0))
 
 
-def concurrence_branches(columns):
-    """The two competing branch values (...) of the closed concurrence
-    formula on columns (..., 7).  Moduli round as math.hypot and squares as
-    x ** 2 (libm pow), as the formula on Python floats does."""
-    gxx, gyy, gzz, gxy, gyx, mz_mean, mz_diff = _unpack(columns)
-    c_abs = np.asarray(_hypot(gxx - gyy, gxy + gyx), dtype=float)
-    z_abs = np.asarray(_hypot(gxx + gyy, gxy - gyx), dtype=float)
-    root_c = _safe_sqrt(np.float_power(0.25 - gzz, 2)
-                        - np.float_power(mz_diff, 2),
-                        "concurrence parallel branch")
-    root_z = _safe_sqrt(np.float_power(0.25 + gzz, 2)
-                        - np.float_power(mz_mean, 2),
-                        "concurrence antiparallel branch")
-    return 2.0 * (c_abs - root_c), 2.0 * (z_abs - root_z)
+def concurrence_branches(entries):
+    """The two competing branch values 2(|c| - sqrt(xy)) and
+    2(|z| - sqrt(ab)) of the closed concurrence formula on X entries."""
+    a, b, x, y, c, z = entries
+    root_c = _safe_sqrt(x * y, "concurrence parallel branch")
+    root_z = _safe_sqrt(a * b, "concurrence antiparallel branch")
+    return 2.0 * (_modulus(c) - root_c), 2.0 * (_modulus(z) - root_z)
 
 
-def concurrence_closed(columns):
-    """Wootters concurrences (...) of columns (..., 7), closed X form."""
-    branch_c, branch_z = concurrence_branches(columns)
+def concurrence_closed(entries):
+    """Wootters concurrences of X entries, closed form."""
+    branch_c, branch_z = concurrence_branches(entries)
     return np.maximum(0.0, np.maximum(branch_c, branch_z))
 
 
@@ -149,11 +137,12 @@ def one_tangle(mz):
 
 
 def entropy_vn(rho):
-    """Von Neumann entropy in bits of a density matrix."""
+    """Von Neumann entropies in bits of a density matrix or a stack
+    (..., n, n) of them, from the eigenvalues validate_density returns."""
     evals = validate_density(np.asarray(rho, dtype=complex))
-    evals = evals[evals > 0.0]
+    terms = evals * np.log2(np.where(evals > 0.0, evals, 1.0))
     # 0 - sum rather than -sum: a pure state gives +0.0, not -0.0
-    return float(0.0 - np.sum(evals * np.log2(evals)))
+    return 0.0 - np.sum(terms, axis=-1)
 
 
 def bell_fidelities(rho):
@@ -173,10 +162,9 @@ def bell_fidelities(rho):
     return (mid - z_re, mid + z_re, outer - c_re, outer + c_re)
 
 
-def ckw_residual(tau1, concurrences):
-    """tau1 minus the sum of squared pair concurrences (the last axis)."""
-    concs = np.asarray(concurrences, dtype=float)
-    return tau1 - np.sum(concs * concs, axis=-1)
+def ckw_residual(tau1, square_sums):
+    """tau1 minus the summed squared pair concurrences of a site."""
+    return np.subtract(tau1, square_sums)
 
 
 def tangle_deviation(tau_state, tau_baseline):
@@ -191,3 +179,29 @@ def tangle_deviation(tau_state, tau_baseline):
     else:
         rel = 1.0 - tau_baseline / tau_state
     return delta, rel
+
+
+class XView:
+    """A measurement view whose pair states are X matrices.
+
+    A subclass gives pair_entries(ls, ms), the X entries of the pairs with
+    the times first, and partners(x), the sites a partner sum of site x
+    runs over; concurrence, rho2 and partner_sums follow from them."""
+
+    def concurrence(self, ls, ms):
+        return concurrence_closed(self.pair_entries(ls, ms))
+
+    def rho2(self, ls, ms):
+        return rho2(self.pair_entries(ls, ms))
+
+    def partner_sums(self, xs):
+        """(sum_q C_xq, sum_q C_xq^2) over the partners q of each site x,
+        each shaped like xs after the times."""
+        rows = [np.asarray(self.partners(x)) for x in np.ravel(xs)]
+        counts = [len(q) for q in rows]
+        ns, qs = np.repeat(np.ravel(xs), counts), np.concatenate(rows)
+        concs = self.concurrence(np.minimum(ns, qs), np.maximum(ns, qs))
+        parts = np.split(concs, np.cumsum(counts)[:-1], axis=-1)
+        sums = [(c.sum(-1), (c * c).sum(-1)) for c in parts]
+        return tuple(np.reshape(np.stack(v, -1), concs.shape[:-1]
+                                + np.shape(xs)) for v in zip(*sums))

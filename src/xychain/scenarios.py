@@ -27,18 +27,21 @@ Each measure is defined once, in `measure_rows`, over a view of the state
 at a block of times, which it asks once per measure for the whole site
 grid (measures that read the same request share its answer), as a (name,
 values) column of shape (times, sites) per output name.
-`run_scenario` joins the blocks along time into the grid (times, sites,
-{name: values}); `write_csv` prints it a (name, x) column at a time.  A view
-offers one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and
-partner_concurrences(xs) over the route's window (the light cone on the
-Bessel route, +-PAIR_WINDOW on the Pfaffian route, the whole ring on the
-oracle), each returning one entry per site or pair (per time and site or
-pair on a block).  Engines yield each block's times and view with a
-baseline: the view of the unperturbed reference, whose one_tangle
-tangle_deviation reads.  The analytic engine's views are the one-particle
-packet (the gamma = 0 vacuum is the empty packet) and `isotropic.PhiState`
-at gamma = 0, and Pfaffian contractions otherwise or in equilibrium; the
-oracle's view is the evolved ring.  A stationary view serves the whole grid,
+`run_scenario` fills the grid (times, sites, {name: values}) a block at a
+time; `write_csv` prints it a (name, x) column at a time.  A view offers
+one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and partner_sums(xs), the
+sums of C and C^2 over each site's partners in the route's window (the
+light cone on the Bessel route, +-PAIR_WINDOW on the Pfaffian route, the
+whole ring on the oracle), each one entry per site or pair (per time and
+site or pair on a block).  The analytic views are `measures.XView`s, which
+give only the X entries of pairs and derive the rest.  Engines yield each
+block's times and view with a baseline: the view of the unperturbed
+reference, whose one_tangle tangle_deviation reads.  The analytic engine's
+views are the one-particle packet (the gamma = 0 vacuum is the empty
+packet) and `isotropic.PhiState` at gamma = 0, and Pfaffian contractions
+otherwise or in equilibrium; the oracle's view is the evolved ring, whose
+rho2 is a partial trace and whose concurrence is Wootters' on it.  A
+stationary view serves the whole grid,
 a packet a run of times whose Bessel windows (`isotropic.windows`, sized a
 block at a time, each block within WINDOW_BLOCK_BYTES by its own longest
 ladder) share a radius, Pfaffian contractions such a block (bounded by its
@@ -260,8 +263,7 @@ def measure_rows(config, view, baseline, times):
         elif name == "one_tangle":
             out[name] = ask(view, "one_tangle")
         elif name == "entropy2":
-            rhos = np.reshape(view.rho2(xs, right), (-1, 4, 4))
-            out[name] = [measures.entropy_vn(rho) for rho in rhos]
+            out[name] = measures.entropy_vn(view.rho2(xs, right))
         elif name == "bell_fidelities":
             out.update(zip(_FIDELITY_NAMES,
                            measures.bell_fidelities(view.rho2(xs, right))))
@@ -272,20 +274,19 @@ def measure_rows(config, view, baseline, times):
             out["tangle_deviation"] = [delta for delta, _ in devs]
             out["tangle_deviation_rel"] = [rel for _, rel in devs]
         elif name == "total_concurrence":
-            out[name] = [p.sum(-1) for p in ask(view, "partner_concurrences")]
+            out[name] = ask(view, "partner_sums")[0]
         else:  # ckw_residual
-            out[name] = [measures.ckw_residual(tau, p) for tau, p in
-                         zip(ask(view, "one_tangle"),
-                             ask(view, "partner_concurrences"))]
+            out[name] = measures.ckw_residual(ask(view, "one_tangle"),
+                                              ask(view, "partner_sums")[1])
     return [(name, grid(values)) for name, values in out.items()]
 
 
-class _ContractionView:
+class _ContractionView(measures.XView):
     """Pfaffian-route view of the contractions of a block of times, whose
     answers are arrays with the times first (one row, which broadcasts, for
     the ground state).  Correlator columns are held per (l, m): each call
     evaluates the pairs it needs that are not held yet in one `bundles`
-    call, and a measure acts on the columns of all its pairs at once."""
+    call, and a measure acts on the entries of all its pairs at once."""
 
     def __init__(self, contractions):
         self.con = contractions
@@ -301,25 +302,17 @@ class _ContractionView:
                 [self._columns, bundles(self.con, todo)], axis=1)
         return self._columns[:, [self._slots[p] for p in pairs]]
 
+    def pair_entries(self, ls, ms):
+        pairs = zip(np.ravel(ls).tolist(), np.ravel(ms).tolist())
+        return measures.x_entries(self._fill(list(pairs)))
+
     def one_tangle(self, xs):
         return measures.one_tangle(magnetization(self.con, xs))
 
-    def concurrence(self, ls, ms):
-        return measures.concurrence_closed(self._fill(list(zip(ls, ms))))
-
-    def rho2(self, ls, ms):
-        return measures.rho2_from_correlators(self._fill(list(zip(ls, ms))))
-
-    def partner_concurrences(self, xs):
-        """(times, sites, 2 * PAIR_WINDOW): each site with its window, read
-        off the concurrences of the distinct pairs of all windows."""
-        pairs = [(min(x, q), max(x, q)) for x in xs
-                 for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1)
-                 if q != x]
-        distinct = dict(zip(dict.fromkeys(pairs), itertools.count()))
-        values = self.concurrence(*zip(*distinct))
-        return values[:, [distinct[p] for p in pairs]].reshape(
-            len(values), len(xs), 2 * PAIR_WINDOW)
+    def partners(self, x):
+        """The sites within PAIR_WINDOW of x."""
+        return [q for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1)
+                if q != x]
 
 
 def _radius(entry):
@@ -374,9 +367,8 @@ class AnalyticEngine:
         baseline is the vacuum it sits on, a stationary state is its own and
         one view for the whole grid.  At gamma = 0 a block of windows holds
         at most WINDOW_BLOCK_BYTES by its own longest ladder, and a packet
-        a run of them that share a radius, its partner concurrences cut to
-        at most WINDOW_BLOCK_BYTES; a pair seed has a view per time.  At
-        gamma != 0 a view holds a block cut the same way by each time's
+        a run of them that share a radius; a pair seed has a view per time.
+        At gamma != 0 a view holds a block cut the same way by each time's
         tables and partner concurrences."""
         cfg = self.config
         if self._ground is not None:
@@ -405,8 +397,7 @@ class AnalyticEngine:
                 if isinstance(radius, Exception):
                     raise radius
                 ts, rows = zip(*[(t, row) for t, (_, row) in run])
-                width = 1 if pair else max(1, WINDOW_BLOCK_BYTES // (
-                    8 * len(cfg.sites()) * (2 * radius + span + 1)))
+                width = 1 if pair else len(ts)  # a packet takes the run
                 for s in range(0, len(ts), width):
                     ladders = rows[s] if pair else np.stack(rows[s:s + width])
                     view = state(cfg.i, cfg.j, cfg.seed_phase, ts[s], cfg.lam,
@@ -440,10 +431,11 @@ class _RingView:
     def rho2(self, ls, ms):
         return [self.ws.rho2(self.vecs, l, m) for l, m in zip(ls, ms)]
 
-    def partner_concurrences(self, xs):
+    def partner_sums(self, xs):
         n = self.ws.n
-        return [np.array([self.ws.concurrence(self.vecs, x % n, m)
-                          for m in range(n) if m != x % n]) for x in xs]
+        concs = np.array([[self.ws.concurrence(self.vecs, x % n, m)
+                           for m in range(n) if m != x % n] for x in xs])
+        return concs.sum(-1), (concs * concs).sum(-1)
 
 
 class OracleEngine:
@@ -500,14 +492,17 @@ def make_engine(config):
 
 
 def run_scenario(config):
-    """The measurement grid (times, sites, {name: values}), each values
-    array (times, sites) joined along time from the engine's blocks."""
-    engine, times, blocks = make_engine(config), config.times(), {}
+    """The measurement grid (times, sites, {name: values}): each values
+    array (times, sites) is allocated once and filled a block at a time."""
+    engine, times, sites = make_engine(config), config.times(), config.sites()
+    columns, k = {}, 0
     for block, view, baseline in engine.views(times):
         for name, values in measure_rows(config, view, baseline, block):
-            blocks.setdefault(name, []).append(values)
-    return (times, config.sites(),
-            {name: np.concatenate(parts) for name, parts in blocks.items()})
+            if name not in columns:
+                columns[name] = np.empty((len(times), len(sites)))
+            columns[name][k:k + len(block)] = values
+        k += len(block)
+    return times, sites, columns
 
 
 def write_csv(grid, stream):

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import isotropic, measures, oracle
 from .correlators import bell_contractions, vacuum_contractions
-from .measures import rho2_from_correlators
 from .model import ModelParams
 from .pfaffian import COMPONENTS, bundles, magnetization
 
@@ -129,9 +128,10 @@ def run_case(gamma, lam, kind, fast=False):
             SEED_I, SEED_J, np.pi, t, lam, window=window)
 
         columns = bundles(con, [(l, m) for l, m, _ in pair_cells])[0]
+        entries = measures.x_entries(columns)
         for (l, m, _), values, rho, conc in zip(
-                pair_cells, columns, rho2_from_correlators(columns),
-                measures.concurrence_closed(columns)):
+                pair_cells, columns, measures.rho2(entries),
+                measures.concurrence_closed(entries)):
             for (alpha, beta), value in zip(COMPONENTS, values):
                 ref = ws.correlator(vecs, alpha, beta, l, m)
                 report.record("correlators", abs(value - ref))
@@ -146,8 +146,8 @@ def run_case(gamma, lam, kind, fast=False):
             report.cells += 1
 
         fid_sites = site_cells[:-1]  # the sites s with s + 1 in the window
-        fid_rhos = dict(zip(fid_sites, rho2_from_correlators(
-            bundles(con, [(s, s + 1) for s in fid_sites])[0])))
+        fid_rhos = dict(zip(fid_sites, measures.rho2(measures.x_entries(
+            bundles(con, [(s, s + 1) for s in fid_sites])[0]))))
         for s, mz in zip(site_cells, magnetization(con, site_cells)[0]):
             report.record("correlators",
                           abs(mz - ws.magnetization(vecs, s)))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xychain import isotropic, oracle
+from xychain import isotropic, measures, oracle
 from xychain.bessel import bessel_rows
 from xychain.model import LIGHT_CONE_PAD
 
@@ -25,12 +25,12 @@ def evolve(ws, vecs, t):
     return next(ws.evolve_grid(vecs, [t]))
 
 
-def random_x_bundle(rng, edge=False):
-    """Random physical X-structured two-site state as a correlator column
-    (`measures.COLUMNS`).
+def random_x_entries(rng, edge=False):
+    """Random physical X-state entries (a, b, x, y, c, z): the populations
+    of uu, dd, ud, du and the uu/dd and ud/du coherences.
 
     Populations come from a Dirichlet draw; the two coherences are placed
-    inside their positivity disks |c| <= sqrt(uu*dd), |z| <= sqrt(ud*du).
+    inside their positivity disks |c| <= sqrt(ab), |z| <= sqrt(xy).
     With edge=True they sit exactly on the boundary (rank-deficient state).
     """
     uu, ud, du, dd = rng.dirichlet(np.ones(4))
@@ -38,6 +38,13 @@ def random_x_bundle(rng, edge=False):
     r_z = 1.0 if edge else rng.uniform(0.0, 1.0)
     c = r_c * np.sqrt(uu * dd) * np.exp(2j * np.pi * rng.uniform())
     z = r_z * np.sqrt(ud * du) * np.exp(2j * np.pi * rng.uniform())
+    return uu, dd, ud, du, c, z
+
+
+def random_x_bundle(rng, edge=False):
+    """Random physical X-structured two-site state (`random_x_entries`) as
+    a correlator column (`measures.COLUMNS`)."""
+    uu, dd, ud, du, c, z = random_x_entries(rng, edge)
     gzz = (uu + dd - ud - du) / 4.0
     mz_mean = (uu - dd) / 2.0
     mz_diff = (ud - du) / 2.0
@@ -118,8 +125,8 @@ class PhiCoefficients:
 
     def branches(self):
         """Competing concurrence branches 2(|c|-sqrt(xy)), 2(|z|-sqrt(ab))."""
-        b1, b2 = isotropic._branches(self.a, self.b, self.x, self.y, self.c,
-                                     self.z)
+        b1, b2 = measures.concurrence_branches(
+            (self.a, self.b, self.x, self.y, self.c, self.z))
         return float(b1), float(b2)
 
     def concurrence(self):

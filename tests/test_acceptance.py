@@ -17,7 +17,8 @@ from xychain.measures import (
     ckw_residual,
     concurrence_closed,
     concurrence_wootters,
-    rho2_from_correlators,
+    rho2,
+    x_entries,
 )
 from xychain.model import ModelParams
 from xychain.pfaffian import bundles, pfaffians
@@ -62,7 +63,7 @@ def test_criterion_02_total_concurrence_plateau():
     grid = np.arange(20.0, 40.0 + 1e-4, 0.1)
     vals = [
         isotropic.wavepacket(0, 1, np.pi, lt / lam, lam)
-        .partner_concurrences(0).sum()
+        .partner_sums(0)[0]
         for lt in grid
     ]
     avg = float(np.mean(vals))
@@ -80,7 +81,7 @@ def test_criterion_03_vacuum_pair_creation():
 
     def pair_concurrence(ts):  # one block of times
         columns = bundles(vacuum_contractions(params, ts), [(0, 1)])
-        return concurrence_closed(columns)[:, 0]
+        return concurrence_closed(x_entries(columns))[:, 0]
 
     ts = np.linspace(0.0, 0.1, 11)
     slope = np.polyfit(ts, pair_concurrence(ts), 1)[0]
@@ -132,9 +133,9 @@ def test_criterion_06_closed_form_concurrence():
     rng = np.random.default_rng(20260818)
     worst = 0.0
     for trial in range(1000):
-        bundle = random_x_bundle(rng, edge=(trial % 5 == 0))
-        closed = concurrence_closed(bundle)
-        generic = concurrence_wootters(rho2_from_correlators(bundle))
+        entries = x_entries(random_x_bundle(rng, edge=(trial % 5 == 0)))
+        closed = concurrence_closed(entries)
+        generic = concurrence_wootters(rho2(entries))
         worst = max(worst, abs(closed - generic))
     ok = worst < 1e-10
     _verdict(6, "closed-form vs generic concurrence",
@@ -182,7 +183,7 @@ def test_criterion_08_monogamy_saturation_and_gap():
             (-5, 5)))
         for state, site in states:
             residual = ckw_residual(state.one_tangle(site),
-                                    state.partner_concurrences(site))
+                                    state.partner_sums(site)[1])
             worst = max(worst, abs(residual))
     ws = oracle.OracleWorkspace(12, 0.5, 1.0)
     gs = ws.ground_state()

@@ -156,7 +156,7 @@ def test_ckw_identity_one_particle(t, lam, phi, x):
     # for one-particle states the one-tangle equals the concurrence budget
     state = isotropic.wavepacket(0, x, phi, t, lam)
     tau1 = state.one_tangle(0)
-    residual = measures.ckw_residual(tau1, state.partner_concurrences(0))
+    residual = measures.ckw_residual(tau1, state.partner_sums(0)[1])
     assert tau1 >= -1e-12
     assert abs(residual) < 1e-9
 
@@ -210,12 +210,21 @@ def test_fidelity_pair_phase_structure():
 
 
 def test_total_concurrence_budget():
-    # sum of C over partners of site n is 2|w_n| (sum|w| - |w_n|)
+    # the closed-form partner sums of a packet, 2|w_n| (sum|w| - |w_n|) and
+    # 4|w_n|^2 (sum|w|^2 - |w_n|^2), are the window sums of its pair
+    # concurrences, at the window's edges and outside it too
     state = isotropic.wavepacket(0, 1, np.pi, 3.0, 1.0)
-    n = 0
-    wn = abs(state.w(n))
-    ref = 2.0 * wn * (np.sum(np.abs(state.amps)) - wn)
-    assert np.isclose(state.partner_concurrences(n).sum(), ref, atol=1e-10)
+    window = np.arange(state.start, state.start + len(state.amps))
+    sites = [window[0] - 3, window[0], -1, 0, 1, 4, window[-1],
+             window[-1] + 1]
+    totals, squares = state.partner_sums(sites)
+    for n, total, square in zip(sites, totals, squares):
+        concs = np.array([state.concurrence(n, q) for q in window if q != n])
+        assert abs(total - concs.sum()) <= 1e-14
+        assert abs(square - np.sum(concs ** 2)) <= 1e-14
+        assert state.partner_sums(n) == (total, square)
+    assert totals[0] == squares[0] == totals[-1] == squares[-1] == 0.0
+    assert totals[3] > 0.1
 
 
 def test_phi_coefficients_t0():
@@ -290,15 +299,18 @@ def test_phi_pair_entries_property(i, gap, phi, lam_t, n, d):
                               reference_coefficients(ps, n, m))
 
 
-def test_phi_partner_concurrences_match_reference_loop():
+def test_phi_partner_sums_match_reference_loop():
     ps = isotropic.PhiState(-1, 2, 1.3, 6.0, 0.9)
     assert len(ps.sites) == 76
-    for n in (ps.start, -1, 0, 5, int(ps.sites[-1])):
-        want = [reference_coefficients(ps, min(n, q), max(n, q)).concurrence()
-                for q in ps.sites if q != n]
-        got = ps.partner_concurrences(n)
-        assert got.shape == (len(ps.sites) - 1,)
-        assert np.max(np.abs(got - want)) <= 1e-14
+    sites = (ps.start, -1, 0, 5, int(ps.sites[-1]))
+    totals, squares = ps.partner_sums(sites)
+    for n, total, square in zip(sites, totals, squares):
+        want = np.array([
+            reference_coefficients(ps, min(n, q), max(n, q)).concurrence()
+            for q in ps.sites if q != n])
+        assert abs(total - want.sum()) <= 1e-13
+        assert abs(square - np.sum(want ** 2)) <= 1e-13
+        assert ps.partner_sums(n) == (total, square)
 
 
 def test_phi_pair_entries_refuse_bad_pairs():
@@ -320,8 +332,7 @@ def test_phi_pair_entries_refuse_bad_pairs():
     assert pc.y == 0.5 * ps.row_weight[0 - lo] and pc.b == 1.0 - pc.y
     assert ps.concurrence(0, hi + 1) == 0.0
     assert ps.one_tangle(hi + 1) == 0.0
-    partners = ps.partner_concurrences(hi + 1)
-    assert partners.shape == (len(ps.sites),) and not partners.any()
+    assert ps.partner_sums(hi + 1) == (0.0, 0.0)
 
 
 def test_windows_widen_past_the_fixed_pad():
@@ -331,7 +342,7 @@ def test_windows_widen_past_the_fixed_pad():
     assert norm_defect(state) <= isotropic.NORM_DEFECT_TOL
     assert state.start < 0 - math.ceil(lam_t) - model.LIGHT_CONE_PAD
     residual = measures.ckw_residual(state.one_tangle(0),
-                                     state.partner_concurrences(0))
+                                     state.partner_sums(0)[1])
     assert abs(residual) <= 1e-9
     single = single_source_packet(3, lam_t / lam, lam)
     assert norm_defect(single) <= isotropic.NORM_DEFECT_TOL

@@ -472,8 +472,9 @@ def test_singlet_time_step_batches_its_pairs(monkeypatch):
     assert len(evaluated) == len(set(evaluated))
     for k, t in enumerate(times):
         con = correlators.bell_contractions(config.params, t, 0, 1)
-        ref = scenarios.measures.concurrence_closed(bundles(
-            con, [(x, x + 3) for x in config.sites()]))
+        pairs = bundles(con, [(x, x + 3) for x in config.sites()])
+        ref = scenarios.measures.concurrence_closed(
+            scenarios.measures.x_entries(pairs))
         assert np.array_equal(ref[0], columns["concurrence"][k])
 
 

@@ -361,17 +361,17 @@ def test_ground_state_view_serves_every_time(monkeypatch):
 
 
 def test_contraction_view_evaluates_each_pair_concurrence_once(monkeypatch):
-    # one closed-form call per request on the columns of its distinct
-    # pairs: the concurrence measure's pairs, and the partner windows that
-    # total_concurrence and ckw_residual share
+    # each distinct pair reaches `bundles` once: the concurrence measure's
+    # pairs, and those of the partner windows that total_concurrence and
+    # ckw_residual share, which repeat every pair of two sites in reach
     evaluated = []
 
-    def recording(columns):
-        evaluated.append(np.shape(columns))
-        return closed(columns)
+    def recording(contractions, pairs):
+        evaluated.extend(pairs)
+        return bundles(contractions, pairs)
 
-    closed = scenarios.measures.concurrence_closed
-    monkeypatch.setattr(scenarios.measures, "concurrence_closed", recording)
+    bundles = scenarios.bundles
+    monkeypatch.setattr(scenarios, "bundles", recording)
     singlet = BASE.replace("model.gamma = 0.0", "model.gamma = 0.5").replace(
         "concurrence, one_tangle",
         "concurrence, total_concurrence, ckw_residual")
@@ -380,7 +380,8 @@ def test_contraction_view_evaluates_each_pair_concurrence_once(monkeypatch):
     xs, w = cfg.sites(), scenarios.PAIR_WINDOW
     windows = {(min(x, q), max(x, q)) for x in xs
                for q in range(x - w, x + w + 1) if q != x}
-    assert evaluated == [(3, len(xs), 7), (3, len(windows), 7)]
+    assert len(evaluated) == len(set(evaluated))
+    assert set(evaluated) == windows | {(x, x + 1) for x in xs}
 
 
 def counting_methods(monkeypatch, cls, names):
@@ -397,11 +398,11 @@ def counting_methods(monkeypatch, cls, names):
 def test_measure_rows_asks_a_view_once_per_request(monkeypatch):
     # one_tangle, total_concurrence and ckw_residual share the answers of
     # each of the 13 packet views of the singlet spread
-    asked = ("one_tangle", "partner_concurrences")
+    asked = ("one_tangle", "partner_sums")
     calls = counting_methods(monkeypatch, isotropic.SingleParticleState,
                              asked)
     run_scenario(parse_config_file(SCRIPTS / "singlet_spread.cfg"))
-    assert calls == {"one_tangle": 13, "partner_concurrences": 13}
+    assert calls == {"one_tangle": 13, "partner_sums": 13}
     # a vacuum at gamma != 0 is its own baseline: one_tangle and
     # tangle_deviation share one answer per block of times
     calls = counting_methods(monkeypatch, scenarios._ContractionView, asked)
@@ -450,13 +451,13 @@ def site_by_site_rows(cfg):
                 "entropy2": measures.entropy_vn(rho),
                 "tangle_deviation": dev[0],
                 "tangle_deviation_rel": dev[1],
-                "total_concurrence": view.partner_concurrences(x).sum(),
+                "total_concurrence": view.partner_sums(x)[0],
             }
             values.update(zip(scenarios._FIDELITY_NAMES,
                               measures.bell_fidelities(rho)))
             if cfg.kind != "phi_bell":
                 values["ckw_residual"] = measures.ckw_residual(
-                    tau, view.partner_concurrences(x))
+                    tau, view.partner_sums(x)[1])
             rows += [(name, x, t, float(v)) for name, v in values.items()]
     return sorted(rows)
 
@@ -467,8 +468,8 @@ def site_by_site_rows(cfg):
                  id="singlet_on_vacuum-0-1-1.0"),
     pytest.param("phi_bell", 0, 3, 1.1, 1.5, id="phi_bell-0-3-1.1"),
     # lam*dt = 0.08: up to 13 times in a row share a window radius, one
-    # block of windows holds the grid, and each run of them is cut into
-    # packet views of at most 5 or 6 times
+    # block of windows holds the grid, and each run of them is one packet
+    # view
     pytest.param("psi_bell", -1, 2, 0.8, 0.1, id="psi_bell--1-2-0.8-fine")])
 def test_grid_rows_equal_site_by_site_calls(kind, i, j, lam, dt):
     # at t = 0 the windows end 30 sites past the seeds, so the grid reaches
@@ -561,10 +562,11 @@ def test_bessel_route_builds_one_packet_per_run_of_equal_radius(monkeypatch):
     assert len(blocks) <= 20
 
 
-def test_bessel_route_bounds_the_partner_concurrences_of_a_view():
+def test_bessel_route_bounds_the_partner_sums_of_a_view():
     # over 81 sites a run of ten times on a window of 182 sites would hold
-    # 1.2 MB of partner concurrences; a view holds at most
-    # WINDOW_BLOCK_BYTES of them, beside the block of ladders it comes from
+    # 1.2 MB of partner concurrences (times x sites x window); a packet
+    # view takes its closed-form partner sums from one window sum per time
+    # and holds none of them, beside the block of ladders it comes from
     cfg = parse_config_text(ISOTROPIC.format(
         lam=1.0, kind="psi_bell", i=0, j=1, phi=0.3, t_start=0.0,
         t_stop=60.0, dt=0.1, x_start=-40, x_stop=40,
