@@ -10,10 +10,10 @@ max(0, 2(|c| - sqrt(xy)), 2(|z| - sqrt(ab))) (Wootters, PRL 80:2245, 1998;
 Yu & Eberly, QIC 7:459, 2007).  `x_entries` reads them off correlator
 columns (..., 7) laid out as COLUMNS, g_{ab} = <S^a_l S^b_m>:
 a, b = 1/4 +- Mz + gzz, x, y = 1/4 - gzz +- dSz, c = gxx - gyy - i(gxy + gyx)
-and z = gxx + gyy + i(gxy - gyx), with Mz, dSz = (mz_l +- mz_m)/2.  An
-analytic view (`XView`) gives the entries of its pairs and derives
-concurrence, rho2 and partner sums.  The generic Wootters route is the
-oracle's reference; the two agree to 1e-10 on random physical states.
+and z = gxx + gyy + i(gxy - gyx), with Mz, dSz = (mz_l +- mz_m)/2.  A view
+(`XView`) gives the entries of its pairs and derives concurrence, rho2 and
+partner sums.  The generic Wootters route is the oracle's concurrence; the
+two agree to 1e-10 on random physical states.
 """
 
 import math
@@ -110,7 +110,8 @@ def concurrence_closed(entries):
 
 
 def concurrence_wootters(rho):
-    """Wootters concurrence of an arbitrary two-qubit density matrix."""
+    """Wootters concurrence of an arbitrary two-qubit density matrix, or of
+    each of a nonempty stack (..., 4, 4) of them."""
     rho = np.asarray(rho, dtype=complex)
     r = rho @ _YY @ rho.conj() @ _YY
     evals = np.linalg.eigvals(r)
@@ -125,10 +126,9 @@ def concurrence_wootters(rho):
     # rho rho~ can pick up a non-semisimple zero block, whose eigenvalue
     # noise scales like sqrt(eps); without a relative floor that noise
     # passes through the square root at the 1e-8 level
-    vals[vals < 1e-12 * vals.max()] = 0.0
-    roots = np.sqrt(vals)
-    roots.sort()
-    return max(0.0, 2.0 * roots[-1] - roots.sum())
+    vals[vals < 1e-12 * vals.max(axis=-1, keepdims=True)] = 0.0
+    roots = np.sort(np.sqrt(vals), axis=-1)
+    return np.maximum(0.0, 2.0 * roots[..., -1] - roots.sum(axis=-1))
 
 
 def one_tangle(mz):

@@ -6,21 +6,22 @@ Hamiltonian is a diagonal and one array of flip coefficients per bond, both
 from bit operations on basis indices (Sandvik, arXiv:1101.3281 section 4);
 it acts on a block of vectors by gathering each bond's flipped indices and
 is never formed densely.  Correlators read a state through the same bit
-flips and signs.  The components of a state ride as the rows of one block,
-which a Chebyshev series of the propagator over the Gershgorin interval of
-H (Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984) carries along a time
-grid: one series reaches a chunk of consecutive times from the last time
-before them.  The ground state comes from Lanczos with full
-reorthogonalization in each of the two fermion-parity sectors, which H never
-mixes (Lieb, Schultz & Mattis 1961); the lower of the two wins, since on a
-finite ring either sector can hold it.  Each energy lies within LANCZOS_TOL
-of an eigenvalue of H, so energies within SECTOR_TIE = 2 * LANCZOS_TOL tie
-(as both do at gamma = 0, lam = 1 on 12 sites), and a tie keeps the even
-sector, the vacuum's.  Reduced density matrices are partial traces.  This
-module deliberately shares no formulas with the analytic path beyond the
-Hamiltonian itself (the series coefficients are quadratures, not Bessel
-ladders); agreement between the two is the main correctness argument of the
-package.
+flips and signs.  H never mixes the two fermion-parity sectors (Lieb,
+Schultz & Mattis 1961).  The ground state is the lower of the Lanczos ground
+states of the two sectors (on a finite ring either can hold it), the even
+one, the vacuum's, on a tie.  The nonzero parity parts of a state's
+components ride as the rows of one block per sector, which a Chebyshev
+series of the propagator in H restricted to the sector, over the Gershgorin
+interval of the full H (Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984),
+carries along a time grid; a part gets the bits its full-length row would.
+Every reduction reads one pass over a state (`RingState`), which requires
+each component's weight outside its sector to be exactly 0: then each
+pair's reduced state is an X matrix whose populations are sums of the
+weights |v|^2, whose two coherences are overlaps of the components, and
+whose concurrence is Wootters'.  This module deliberately shares no
+formulas with the analytic path beyond the Hamiltonian itself (the series
+coefficients are quadratures, not Bessel ladders); agreement between the two
+is the main correctness argument of the package.
 
 Conventions: site 0 is the most significant bit of a basis index, a clear
 bit is spin up, so the all-down vacuum is the last basis vector.  The
@@ -43,6 +44,8 @@ MAX_SITES = 12
 # explicit |H v - E v| must then be within LANCZOS_TOL.  LANCZOS_STEPS caps
 # the Krylov dimension of a sector.
 LANCZOS_TOL = 1e-12
+# each sector energy lies within LANCZOS_TOL of an eigenvalue of H, so two
+# within SECTOR_TIE tie (as at gamma = 0, lam = 1 on 12 sites)
 SECTOR_TIE = 2 * LANCZOS_TOL
 LANCZOS_STEPS = 300
 RITZ_EVERY = 8
@@ -198,6 +201,23 @@ def _chebyshev_coefficients(a):
     return c[:, :ends.max()]
 
 
+def _series(twice, block, coeffs):
+    """sum_k coeffs[j, k] T_k(twice / 2) block for each row j of ``coeffs``,
+    the terms from the three-term recurrence."""
+    coeffs = coeffs.T[:, :, None, None]
+    outs = coeffs[0] * block
+    prev, cur = None, block
+    for c in coeffs[1:]:
+        nxt = twice @ cur
+        if prev is None:
+            nxt *= 0.5
+        else:
+            nxt -= prev
+        outs += c * nxt
+        prev, cur = cur, nxt
+    return outs
+
+
 class OracleWorkspace:
     """Ring Hamiltonian as bit flips: exact states, evolution, and
     reductions."""
@@ -209,15 +229,16 @@ class OracleWorkspace:
         self.n = n
         self.hamiltonian = build_hamiltonian(n, gamma, lam)
         self._index = np.arange(2 ** n)
+        # basis indices of the vacuum's parity sector, then of the other
+        odd = _popcount(self._index, n) % 2 != n % 2
+        self._parity = self._index[~odd], self._index[odd]
 
     @functools.cached_property
     def _ground(self):
         """Real vector of the lower parity-sector ground state, the even
         one on a tie, found on first use."""
-        index = self._index
-        odd = _popcount(index, self.n) % 2 != self.n % 2  # vacuum: even
         even, odd = (_lanczos_ground_state(self.hamiltonian.sector(sector))
-                     + (sector,) for sector in (index[~odd], index[odd]))
+                     + (sector,) for sector in self._parity)
         _, vec, sector = odd if odd[0] < even[0] - SECTOR_TIE else even
         full = np.zeros(2 ** self.n)
         full[sector] = vec
@@ -225,8 +246,8 @@ class OracleWorkspace:
 
     @functools.cached_property
     def _chebyshev(self):
-        """(2 (H - center) / radius, center, radius) over the Gershgorin
-        interval of H, whose spectrum it maps into [-2, 2]."""
+        """(sectors, center, radius): 2 (H - center) / radius, whose spectrum
+        lies in [-2, 2] by Gershgorin, restricted to each parity sector."""
         h = self.hamiltonian
         radii = np.abs(h.flips).sum(axis=0)
         lo = float(np.min(h.diagonal - radii))
@@ -235,48 +256,17 @@ class OracleWorkspace:
         scale = 2.0 / radius
         twice = Hamiltonian(scale * (h.diagonal - center), h.targets,
                             scale * h.flips)
-        return twice, center, radius
-
-    def _series(self, block, dts):
-        """exp(-i H dt) applied to each row of ``block``, for each dt.
-
-        One Chebyshev series in (H - center) / radius serves every dt: its
-        terms T_k block come from the three-term recurrence, and each dt
-        sums them with its own coefficients, which are zero past its own
-        order.  Raises NumericalHealthError when a row's squared norm moves
-        by more than NORM_TOL of the block's weight.
-        """
-        twice, center, radius = self._chebyshev
-        dts = np.asarray(dts, dtype=float)
-        coeffs = (np.exp(-1j * center * dts)[:, None]
-                  * _chebyshev_coefficients(radius * dts))
-        coeffs = coeffs.T[:, :, None, None]
-        outs = coeffs[0] * block
-        prev, cur = None, block
-        for c in coeffs[1:]:
-            nxt = twice @ cur
-            if prev is None:
-                nxt *= 0.5
-            else:
-                nxt -= prev
-            outs += c * nxt
-            prev, cur = cur, nxt
-        before = np.einsum("ij,ij->i", block.conj(), block).real
-        after = np.einsum("tij,tij->ti", outs.conj(), outs).real
-        defect = float(np.max(np.abs(after - before)))
-        if not defect <= NORM_TOL * float(before.sum()):
-            raise measures.NumericalHealthError(
-                f"oracle evolution changed a squared norm by {defect:.3e}")
-        return outs
+        return tuple(twice.sector(s) for s in self._parity), center, radius
 
     def evolve_grid(self, vecs, times):
         """The components ``vecs`` evolved to each of ``times``, in order.
 
-        The components ride as the rows of one block.  Consecutive times,
-        as many as keep their blocks within EVOLVE_BLOCK_BYTES, are reached
-        from the last time before them by one Chebyshev series; only the
-        blocks of one such chunk are held.  Until time moves the
-        components come back as given.
+        Consecutive times, as many as keep full-length blocks within
+        EVOLVE_BLOCK_BYTES, share one series per sector from the last time
+        before them, and only one such chunk is held.  Raises
+        NumericalHealthError when the squared norms of a component's parts
+        move by more than NORM_TOL of the block's weight in all.  Until time
+        moves the components come back as given.
         """
         times = list(times)
         block_bytes = 16 * max(1, len(vecs)) * 2 ** self.n
@@ -285,11 +275,36 @@ class OracleWorkspace:
         while start < len(times) and times[start] == now:
             yield list(vecs)
             start += 1
+        twices, center, radius = self._chebyshev
+        sectors = []  # (H of the sector, its indices, rows, their parts)
+        for twice, index in zip(twices, self._parity):
+            rows = [r for r, v in enumerate(vecs) if v[index].any()]
+            if rows:
+                sectors.append((twice, index, rows,
+                                np.stack([vecs[r][index] for r in rows])))
         for s in range(start, len(times), per_chunk):
             chunk = times[s:s + per_chunk]
-            outs = self._series(np.stack(vecs), [t - now for t in chunk])
-            for vecs in outs:
-                yield list(vecs)
+            dts = np.asarray([t - now for t in chunk])
+            coeffs = (np.exp(-1j * center * dts)[:, None]
+                      * _chebyshev_coefficients(radius * dts))
+            outs, defect, weight = [], np.zeros((len(chunk), len(vecs))), 0.0
+            for twice, _, rows, block in sectors:
+                outs.append(_series(twice, block, coeffs))
+                before = np.einsum("ij,ij->i", block.conj(), block).real
+                after = np.einsum("tij,tij->ti", outs[-1].conj(), outs[-1])
+                defect[:, rows] += np.abs(after.real - before)
+                weight += float(before.sum())
+            worst = float(np.max(defect, initial=0.0))
+            if not worst <= NORM_TOL * weight:
+                raise measures.NumericalHealthError(
+                    f"oracle evolution changed a squared norm by {worst:.3e}")
+            for j in range(len(chunk)):
+                full = np.zeros((len(vecs), 2 ** self.n), dtype=complex)
+                for (_, index, rows, _), out in zip(sectors, outs):
+                    full[np.ix_(rows, index)] = out[j]
+                yield list(full)
+            sectors = [sector[:3] + (out[-1],)
+                       for sector, out in zip(sectors, outs)]
             now = chunk[-1]
 
     # -- state preparation ------------------------------------------------
@@ -368,29 +383,71 @@ class OracleWorkspace:
         return self._real(val, f"mz({l})")
 
     def rho1(self, vecs, site):
-        a = site % self.n
-        rho = np.zeros((2, 2), dtype=complex)
-        for v in vecs:
-            t = v.reshape(2 ** a, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-            rho += t @ t.conj().T
-        return rho
+        return np.diag(RingState(self, vecs).site_populations([site])[0]
+                       ).astype(complex)
 
     def rho2(self, vecs, p, q):
-        p, q = p % self.n, q % self.n
-        if p == q:
-            raise ValueError("rho2 needs two distinct sites")
-        a, b = sorted((p, q))
-        order = (1, 3, 0, 2, 4) if p < q else (3, 1, 0, 2, 4)  # p, q first
-        rho = np.zeros((4, 4), dtype=complex)
-        for v in vecs:
-            t = v.reshape(2 ** a, 2, 2 ** (b - a - 1), 2, -1)
-            t = t.transpose(order).reshape(4, -1)
-            rho += t @ t.conj().T
-        return rho
+        return RingState(self, vecs).rho2([p], [q])[0]
 
     def concurrence(self, vecs, p, q):
-        return measures.concurrence_wootters(self.rho2(vecs, p, q))
+        return float(RingState(self, vecs).concurrence([p], [q])[0])
 
     def one_tangle(self, vecs, site):
-        rho = self.rho1(vecs, site)
-        return float(4.0 * np.linalg.det(rho).real)
+        return float(RingState(self, vecs).one_tangle([site])[0])
+
+
+class RingState(measures.XView):
+    """The reductions of the ring state with components ``vecs``, all read
+    from one parity-checked pass over them; site indices wrap."""
+
+    def __init__(self, ws, vecs):
+        self.ws, self.vecs = ws, vecs
+
+    @functools.cached_property
+    def _pass(self):
+        """The components stacked (k, 2^n) and their summed weights."""
+        stack = np.stack(self.vecs)
+        weights = stack.real ** 2 + stack.imag ** 2
+        outside = np.minimum(*(weights[:, index].sum(axis=1)
+                               for index in self.ws._parity))
+        if outside.any():
+            raise measures.NumericalHealthError(
+                f"oracle state has weight {outside.max():.3e} outside its "
+                "parity sector")
+        return stack, weights.sum(axis=0)
+
+    def site_populations(self, xs):
+        """(up, down) populations of each site, (len(xs), 2)."""
+        n, (_, weights) = self.ws.n, self._pass
+        return np.reshape([weights.reshape(2 ** (x % n), 2, -1).sum(
+            axis=(0, 2)) for x in xs], (-1, 2))
+
+    def one_tangle(self, xs):
+        up, down = self.site_populations(xs).T
+        return 4.0 * (up * down)
+
+    def pair_entries(self, ls, ms):
+        """X entries (a, b, x, y, c, z) of the pairs (l, m), each an array
+        over the pairs, in the basis (uu, ud, du, dd) with l first."""
+        n, (stack, weights) = self.ws.n, self._pass
+        pops, coherences = [], []
+        for l, m in zip(ls, ms):
+            lo, hi = sorted((l % n, m % n))
+            if lo == hi:
+                raise ValueError("rho2 needs two distinct sites")
+            shape = (2 ** lo, 2, 2 ** (hi - lo - 1), 2, 2 ** (n - hi - 1))
+            (a, x), (y, b) = weights.reshape(shape).sum(axis=(0, 2, 4))
+            t = stack.reshape((-1,) + shape)
+            c = np.vdot(t[:, :, 1, :, 1], t[:, :, 0, :, 0])  # rho[uu, dd]
+            z = np.vdot(t[:, :, 1, :, 0], t[:, :, 0, :, 1])  # rho[ud, du]
+            swap = l % n > m % n
+            pops.append((a, b, y, x) if swap else (a, b, x, y))
+            coherences.append((c, z.conjugate() if swap else z))
+        return (*np.reshape(pops, (-1, 4)).T,
+                *np.reshape(coherences, (-1, 2)).T)
+
+    def partners(self, x):
+        return [m for m in range(self.ws.n) if m != x % self.ws.n]
+
+    def concurrence(self, ls, ms):
+        return measures.concurrence_wootters(self.rho2(ls, ms))

@@ -33,14 +33,15 @@ one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and partner_sums(xs), the
 sums of C and C^2 over each site's partners in the route's window (the
 light cone on the Bessel route, +-PAIR_WINDOW on the Pfaffian route, the
 whole ring on the oracle), each one entry per site or pair (per time and
-site or pair on a block).  The analytic views are `measures.XView`s, which
-give only the X entries of pairs and derive the rest.  Engines yield each
+site or pair on a block).  Every view is a `measures.XView`, which gives
+only the X entries of pairs and derives the rest.  Engines yield each
 block's times and view with a baseline: the view of the unperturbed
 reference, whose one_tangle tangle_deviation reads.  The analytic engine's
 views are the one-particle packet (the gamma = 0 vacuum is the empty
 packet) and `isotropic.PhiState` at gamma = 0, and Pfaffian contractions
-otherwise or in equilibrium; the oracle's view is the evolved ring, whose
-rho2 is a partial trace and whose concurrence is Wootters' on it.  A
+otherwise or in equilibrium; the oracle's view is the evolved ring
+(`oracle.RingState`), whose X entries come from one pass over the state and
+whose concurrence is Wootters' on them.  A
 stationary view serves the whole grid,
 a packet a run of times whose Bessel windows (`isotropic.windows`, sized a
 block at a time, each block within WINDOW_BLOCK_BYTES by its own longest
@@ -414,30 +415,6 @@ class AnalyticEngine:
         return _ContractionView(seed), _ContractionView(seed.vacuum)
 
 
-class _RingView:
-    """Oracle view of one evolved ring state, the components of a mixture;
-    site indices wrap."""
-
-    def __init__(self, ws, vecs):
-        self.ws = ws
-        self.vecs = vecs
-
-    def one_tangle(self, xs):
-        return [self.ws.one_tangle(self.vecs, x) for x in xs]
-
-    def concurrence(self, ls, ms):
-        return [self.ws.concurrence(self.vecs, l, m) for l, m in zip(ls, ms)]
-
-    def rho2(self, ls, ms):
-        return [self.ws.rho2(self.vecs, l, m) for l, m in zip(ls, ms)]
-
-    def partner_sums(self, xs):
-        n = self.ws.n
-        concs = np.array([[self.ws.concurrence(self.vecs, x % n, m)
-                           for m in range(n) if m != x % n] for x in xs])
-        return concs.sum(-1), (concs * concs).sum(-1)
-
-
 class OracleEngine:
     """Small-ring exact-diagonalization engine; site indices wrap."""
 
@@ -479,7 +456,8 @@ class OracleEngine:
         k, ws = len(self._base), self.ws
         blocks = ws.evolve_grid(self._base + self._reference, times)
         for t, vecs in zip(times, blocks):
-            yield [t], _RingView(ws, vecs[:k]), _RingView(ws, vecs[k:])
+            yield ([t], oracle.RingState(ws, vecs[:k]),
+                   oracle.RingState(ws, vecs[k:]))
 
 
 ENGINES = {"analytic": AnalyticEngine, "oracle": OracleEngine}

@@ -126,18 +126,19 @@ def run_case(gamma, lam, kind, fast=False):
         site_cells = _site_cells(kind, lam_t)
         state = None if window is None else isotropic.wavepacket(
             SEED_I, SEED_J, np.pi, t, lam, window=window)
+        ring = oracle.RingState(ws, vecs)
 
-        columns = bundles(con, [(l, m) for l, m, _ in pair_cells])[0]
-        entries = measures.x_entries(columns)
-        for (l, m, _), values, rho, conc in zip(
-                pair_cells, columns, measures.rho2(entries),
-                measures.concurrence_closed(entries)):
+        ls, ms = [l for l, _, _ in pair_cells], [m for _, m, _ in pair_cells]
+        columns = bundles(con, list(zip(ls, ms)))[0]
+        entries, rho_refs = measures.x_entries(columns), ring.rho2(ls, ms)
+        for (l, m), values, rho, conc, rho_ref, c_ref in zip(
+                zip(ls, ms), columns, measures.rho2(entries),
+                measures.concurrence_closed(entries), rho_refs,
+                measures.concurrence_wootters(rho_refs)):
             for (alpha, beta), value in zip(COMPONENTS, values):
                 ref = ws.correlator(vecs, alpha, beta, l, m)
                 report.record("correlators", abs(value - ref))
-            rho_ref = ws.rho2(vecs, l % RING, m % RING)
             report.record("rho2", float(np.max(np.abs(rho - rho_ref))))
-            c_ref = ws.concurrence(vecs, l, m)
             report.record("concurrence", abs(conc - c_ref))
             if state is not None:
                 report.record(
@@ -146,20 +147,23 @@ def run_case(gamma, lam, kind, fast=False):
             report.cells += 1
 
         fid_sites = site_cells[:-1]  # the sites s with s + 1 in the window
-        fid_rhos = dict(zip(fid_sites, measures.rho2(measures.x_entries(
-            bundles(con, [(s, s + 1) for s in fid_sites])[0]))))
-        for s, mz in zip(site_cells, magnetization(con, site_cells)[0]):
+        fid_right = [s + 1 for s in fid_sites]
+        fid_rhos = dict(zip(fid_sites, zip(measures.rho2(measures.x_entries(
+            bundles(con, list(zip(fid_sites, fid_right)))[0])),
+            ring.rho2(fid_sites, fid_right))))
+        for s, mz, tau_ref in zip(site_cells,
+                                  magnetization(con, site_cells)[0],
+                                  ring.one_tangle(site_cells)):
             report.record("correlators",
                           abs(mz - ws.magnetization(vecs, s)))
-            tau_ref = ws.one_tangle(vecs, s)
             report.record("one_tangle",
                           abs(measures.one_tangle(mz) - tau_ref))
             if state is not None:
                 report.record("one_tangle(bessel)",
                               abs(state.one_tangle(s) - tau_ref))
             if s in fid_rhos:
-                fids = measures.bell_fidelities(fid_rhos[s])
-                fids_ref = measures.bell_fidelities(ws.rho2(vecs, s, s + 1))
+                fids, fids_ref = (measures.bell_fidelities(rho)
+                                  for rho in fid_rhos[s])
                 diff = max(abs(a - b) for a, b in zip(fids, fids_ref))
                 report.record("fidelities", diff)
                 if state is not None:
@@ -170,9 +174,8 @@ def run_case(gamma, lam, kind, fast=False):
             report.cells += 1
         if state is None and isotropic_route:
             # stationary vacuum: the Bessel route asserts exact zeros
-            for s in site_cells:
-                report.record("one_tangle(bessel)",
-                              abs(ws.one_tangle(vecs, s)))
+            for tau_ref in ring.one_tangle(site_cells):
+                report.record("one_tangle(bessel)", abs(tau_ref))
     return report
 
 

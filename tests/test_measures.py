@@ -72,10 +72,13 @@ def test_stacks_equal_their_columns_bit_for_bit():
                        for k in range(40)] for _ in range(3)])
     closed = measures.concurrence_closed(measures.x_entries(stack))
     rhos = measures.rho2(measures.x_entries(stack))
-    assert closed.shape == (3, 40) and rhos.shape == (3, 40, 4, 4)
+    wootters = measures.concurrence_wootters(rhos)
+    assert closed.shape == wootters.shape == (3, 40)
+    assert rhos.shape == (3, 40, 4, 4)
     for t in range(3):
         for k in range(40):
             assert closed[t, k] == scalar_concurrence(stack[t, k])
+            assert wootters[t, k] == measures.concurrence_wootters(rhos[t, k])
             assert np.array_equal(
                 rhos[t, k], measures.rho2(measures.x_entries(stack[t, k])))
 
@@ -96,6 +99,10 @@ def test_stack_checks_guard_every_member():
         garbage[k] = broken
         with pytest.raises(NumericalHealthError):
             measures.validate_density(garbage)
+    unphysical = rhos.copy()
+    unphysical[2] = np.diag([0.7, 0.5, -0.1, -0.1])
+    with pytest.raises(NumericalHealthError, match="spin-flip"):
+        measures.concurrence_wootters(unphysical)
     assert measures.validate_density(rhos).shape == (6, 4)
 
 

@@ -416,6 +416,128 @@ def test_rho2_concurrence_consistent_with_measures():
                       measures.concurrence_wootters(rho), atol=1e-12)
 
 
+def full_space_walk(ws, vecs, times):
+    """evolve_grid's walk with full-length rows and the full scaled H: the
+    same interval, coefficients and chunks, one series per chunk from the
+    last time before it."""
+    h = ws.hamiltonian
+    _, center, radius = ws._chebyshev
+    scale = 2.0 / radius
+    twice = oracle.Hamiltonian(scale * (h.diagonal - center), h.targets,
+                               scale * h.flips)
+    block_bytes = 16 * len(vecs) * 2 ** ws.n
+    per_chunk = max(1, oracle.EVOLVE_BLOCK_BYTES // block_bytes)
+    block, now, walked = np.stack(vecs), 0.0, []
+    for s in range(0, len(times), per_chunk):
+        chunk = times[s:s + per_chunk]
+        dts = np.asarray([t - now for t in chunk])
+        coeffs = (np.exp(-1j * center * dts)[:, None]
+                  * oracle._chebyshev_coefficients(radius * dts))
+        outs = oracle._series(twice, block, coeffs)
+        walked.extend(outs)
+        block, now = outs[-1], chunk[-1]
+    return walked
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+def test_sector_evolution_equals_the_full_space_series_bit_for_bit(
+        monkeypatch, chunked):
+    n = 8
+    ws = oracle.OracleWorkspace(n, 0.7, 0.8)
+    rng = np.random.default_rng(6)
+    mixed = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    blocks = {
+        # components of both parities, each of one
+        "knitted": ws.knitted_singlet(2, 3),
+        # a row with weight in both sectors beside an odd and an even one
+        "mixed": [mixed / np.linalg.norm(mixed)] + ws.psi_bell(0, 1, 0.4)
+        + ws.phi_bell(2, 5, 0.3),
+    }
+    times = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 9.0]
+    shapes = []
+    series = oracle._series
+
+    def recording(twice, block, coeffs):
+        shapes.append(block.shape)
+        return series(twice, block, coeffs)
+
+    monkeypatch.setattr(oracle, "_series", recording)
+    for name, vecs in blocks.items():
+        if chunked:  # two times per series
+            monkeypatch.setattr(oracle, "EVOLVE_BLOCK_BYTES",
+                                2 * 16 * len(vecs) * 2 ** n)
+        shapes.clear()
+        walked = list(ws.evolve_grid(vecs, times))
+        # only nonzero parts ride, each of half the basis
+        assert all(cols == 2 ** (n - 1) for _, cols in shapes)
+        parts = sum(bool(v[index].any()) for v in vecs for index in ws._parity)
+        assert sum(rows for rows, _ in shapes) == parts * (4 if chunked else 1)
+        reference = full_space_walk(ws, vecs, times)
+        assert len(walked) == len(reference) == len(times)
+        for got, want in zip(walked, reference):
+            assert np.array_equal(np.stack(got), want), name
+
+
+def dense_rho(vecs, n, sites):
+    """The reduced density matrix of ``sites``, in that order with site 0's
+    bit most significant, by an einsum over each component's (2,)*n
+    tensor."""
+    letters = "abcdefghijklmnop"[:n]
+    ket, bra = list(letters), list(letters)
+    for k, s in enumerate(sites):
+        ket[s], bra[s] = "wx"[k], "yz"[k]
+    out = "wx"[:len(sites)] + "yz"[:len(sites)]
+    dim = 2 ** len(sites)
+    return sum(np.einsum(f"{''.join(ket)},{''.join(bra)}->{out}",
+                         v.reshape((2,) * n), v.conj().reshape((2,) * n))
+               for v in vecs).reshape(dim, dim)
+
+
+OFF_X = [(k, m) for k in range(4) for m in range(4)
+         if k != m and {k, m} not in ({0, 3}, {1, 2})]
+
+
+def test_one_pass_reductions_equal_a_dense_partial_trace():
+    n = 8
+    ws = oracle.OracleWorkspace(n, 0.5, 1.0)
+    states = {"knitted": ws.knitted_singlet(1, 2),
+              "psi_bell": evolve(ws, ws.psi_bell(2, 3, 0.7), 1.3)}
+    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
+    for name, vecs in states.items():
+        state = oracle.RingState(ws, vecs)
+        a, b, x, y, c, z = state.pair_entries(*zip(*pairs))
+        rhos = state.rho2(*zip(*pairs))
+        for k, (p, q) in enumerate(pairs):
+            ref = dense_rho(vecs, n, (p, q))
+            assert all(ref[i, j] == 0.0 for i, j in OFF_X), (name, p, q)
+            got = (ref[0, 0], ref[3, 3], ref[1, 1], ref[2, 2], ref[0, 3],
+                   ref[1, 2])
+            assert np.max(np.abs(np.array([a[k], b[k], x[k], y[k], c[k],
+                                           z[k]]) - got)) < 1e-15
+            assert np.max(np.abs(rhos[k] - ref)) < 1e-15
+            assert np.array_equal(ws.rho2(vecs, p, q), rhos[k])
+        for site in range(n):
+            ref = dense_rho(vecs, n, (site,))
+            assert ref[0, 1] == ref[1, 0] == 0.0
+            assert np.max(np.abs(ws.rho1(vecs, site) - ref)) < 1e-15
+
+
+def test_reducing_a_component_of_both_parities_is_a_health_error():
+    n = 8
+    ws = oracle.OracleWorkspace(n, 0.5, 1.0)
+    (odd,), (even,) = ws.psi_bell(0, 1, 0.2), ws.phi_bell(0, 1, 0.2)
+    assert ws.rho2([odd / np.sqrt(2), even / np.sqrt(2)], 0, 1).shape == (4, 4)
+    both = (odd + even) / np.sqrt(2)
+    for reduce in (lambda: ws.rho2([both], 0, 1),
+                   lambda: ws.concurrence([both], 0, 1),
+                   lambda: ws.one_tangle([both], 3),
+                   lambda: ws.rho1([both], 3),
+                   lambda: oracle.RingState(ws, [odd, both]).partner_sums(
+                       [0])):
+        with pytest.raises(NumericalHealthError, match="parity sector"):
+            reduce()
+
+
 def test_evolution_and_ground_state_match_scipy_at_twelve_sites():
     from scipy.sparse.linalg import eigsh, expm_multiply
 
