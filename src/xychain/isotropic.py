@@ -97,22 +97,23 @@ def _window_sums(rows, radius, span):
     return a, (1 + (-1) ** span) * lagged + between
 
 
-def windows(i, j, phi, lam_ts, pair=False, pad=LIGHT_CONE_PAD):
+def windows(i, j, phi, lam_ts, pair=False):
     """Window of the Bell seed on sites i, j at each lam*t of a batch.
 
     Entry k is (radius, ladder): the sites min(i, j) - radius .. max(i, j)
     + radius and J_0..J_{radius + |j - i|}(lam_ts[k]), or the CutoffError
     or OutOfRangeError of that lam*t.  The radius starts at ceil(lam*t) +
-    pad and widens by PAD_STEP until the weight the window holds is within
-    NORM_DEFECT_TOL of one.  With A = sum |g_{p-i}|^2 = sum |g_{p-j}|^2 and
-    X = sum J_{p-i} J_{p-j} over the window, that weight is the packet norm
-    A + Re(e^{i phi} i^{i-j}) X, or with pair=True the pair-sector weight
-    A^2 - X^2 (the Gram determinant of the orbitals).
+    LIGHT_CONE_PAD and widens by PAD_STEP until the weight the window holds
+    is within NORM_DEFECT_TOL of one.  With A = sum |g_{p-i}|^2 =
+    sum |g_{p-j}|^2 and X = sum J_{p-i} J_{p-j} over the window, that
+    weight is the packet norm A + Re(e^{i phi} i^{i-j}) X, or with
+    pair=True the pair-sector weight A^2 - X^2 (the Gram determinant of the
+    orbitals).
     """
     i, j = (i, j) if i < j else (j, i)
     span = j - i
     coupling = (np.exp(1j * phi) * _I_POWERS[(i - j) % 4]).real
-    radii = [int(math.ceil(v)) + pad for v in lam_ts]
+    radii = [int(math.ceil(v)) + LIGHT_CONE_PAD for v in lam_ts]
     out = [range_error(r + span, v) for r, v in zip(radii, lam_ts)]
     todo = [k for k, error in enumerate(out) if error is None]
     while todo:
@@ -135,9 +136,16 @@ def windows(i, j, phi, lam_ts, pair=False, pad=LIGHT_CONE_PAD):
     return out
 
 
-def _orbitals(i, j, window):
-    """Window sites i - radius .. j + radius (i < j) and g_{site-i},
-    g_{site-j} (last axis); an error in place of the window is raised."""
+def _orbitals(i, j, phi, lam_t, window, pair=False):
+    """Window sites i - radius .. j + radius and g_{site-i}, g_{site-j} (last
+    axis) of the seed on sites i < j (swapped if need be), on its window or,
+    when None, the one `windows` sizes for lam_t; an error in place of the
+    window is raised."""
+    if i == j:
+        raise ValueError("seed sites must differ")
+    i, j = (i, j) if i < j else (j, i)
+    if window is None:
+        window, = windows(i, j, phi, [lam_t], pair=pair)
     if isinstance(window, Exception):
         raise window
     radius, rows = window
@@ -205,17 +213,12 @@ class SingleParticleState(XView):
                 4.0 * population * (square - population))
 
 
-def wavepacket(i, j, phi, t, lam, pad=LIGHT_CONE_PAD, window=None):
+def wavepacket(i, j, phi, t, lam, window=None):
     """Evolved one-particle Bell seed (c_i + e^{i phi} c_j)^dag |vac>/sqrt(2)
     on its entry of `windows` (sized here when None), or one packet on a
     (radius, (times, ladder)) block of times that share the radius; t is
     read only to size a window."""
-    if i == j:
-        raise ValueError("seed sites must differ")
-    i, j = (i, j) if i < j else (j, i)
-    if window is None:
-        window, = windows(i, j, phi, [abs(lam) * t], pad=pad)
-    sites, gi, gj = _orbitals(i, j, window)
+    sites, gi, gj = _orbitals(i, j, phi, abs(lam) * t, window)
     amps = (gi + np.exp(1j * phi) * gj) / math.sqrt(2.0)
     return SingleParticleState(start=int(sites[0]), amps=amps)
 
@@ -229,14 +232,9 @@ class PhiState(XView):
     is O(window): the orbitals gi, gj, prefix sums and row weights.
     """
 
-    def __init__(self, i, j, phi, t, lam, pad=LIGHT_CONE_PAD, window=None):
-        if i == j:
-            raise ValueError("seed sites must differ")
-        i, j = (i, j) if i < j else (j, i)
+    def __init__(self, i, j, phi, t, lam, window=None):
         self.phi = float(phi)
-        if window is None:
-            window, = windows(i, j, phi, [abs(lam) * t], pair=True, pad=pad)
-        sites, gi, gj = _orbitals(i, j, window)
+        sites, gi, gj = _orbitals(i, j, phi, abs(lam) * t, window, pair=True)
         self.start, self.sites, self.gi, self.gj = int(sites[0]), sites, gi, gj
         # prefix[:, k]: sums of |gi|^2, |gj|^2, gi conj(gj) over positions < k
         terms = [np.abs(gi) ** 2, np.abs(gj) ** 2, gi * np.conj(gj)]

@@ -12,8 +12,8 @@ columns (..., 7) laid out as COLUMNS, g_{ab} = <S^a_l S^b_m>:
 a, b = 1/4 +- Mz + gzz, x, y = 1/4 - gzz +- dSz, c = gxx - gyy - i(gxy + gyx)
 and z = gxx + gyy + i(gxy - gyx), with Mz, dSz = (mz_l +- mz_m)/2.  A view
 (`XView`) gives the entries of its pairs and derives concurrence, rho2 and
-partner sums.  The generic Wootters route is the oracle's concurrence; the
-two agree to 1e-10 on random physical states.
+partner sums, evaluating each pair set once.  The generic Wootters route is
+the oracle's concurrence; the two agree to 1e-10 on random physical states.
 """
 
 import math
@@ -188,11 +188,21 @@ class XView:
     the times first, and partners(x), the sites a partner sum of site x
     runs over; concurrence, rho2 and partner_sums follow from them."""
 
+    def _once(self, what, ls, ms):
+        """The entries or checked rho2 of a pair set, made once per view."""
+        held = vars(self).setdefault("_held", {})
+        key = (what, np.shape(ls), tuple(np.ravel(ls).tolist()),
+               np.shape(ms), tuple(np.ravel(ms).tolist()))
+        if key not in held:
+            held[key] = (rho2(self._once("entries", ls, ms)) if what == "rho2"
+                         else self.pair_entries(ls, ms))
+        return held[key]
+
     def concurrence(self, ls, ms):
-        return concurrence_closed(self.pair_entries(ls, ms))
+        return concurrence_closed(self._once("entries", ls, ms))
 
     def rho2(self, ls, ms):
-        return rho2(self.pair_entries(ls, ms))
+        return self._once("rho2", ls, ms)
 
     def partner_sums(self, xs):
         """(sum_q C_xq, sum_q C_xq^2) over the partners q of each site x,

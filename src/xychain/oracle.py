@@ -5,23 +5,23 @@ by brute force on rings of up to 12 sites, with numpy alone.  The spin
 Hamiltonian is a diagonal and one array of flip coefficients per bond, both
 from bit operations on basis indices (Sandvik, arXiv:1101.3281 section 4);
 it acts on a block of vectors by gathering each bond's flipped indices and
-is never formed densely.  Correlators read a state through the same bit
-flips and signs.  H never mixes the two fermion-parity sectors (Lieb,
-Schultz & Mattis 1961).  The ground state is the lower of the Lanczos ground
-states of the two sectors (on a finite ring either can hold it), the even
-one, the vacuum's, on a tie.  The nonzero parity parts of a state's
+is never formed densely.  H never mixes the two fermion-parity sectors
+(Lieb, Schultz & Mattis 1961).  The ground state is the lower of the Lanczos
+ground states of the two sectors (on a finite ring either can hold it), the
+even one, the vacuum's, on a tie.  The nonzero parity parts of a state's
 components ride as the rows of one block per sector, which a Chebyshev
 series of the propagator in H restricted to the sector, over the Gershgorin
 interval of the full H (Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984),
 carries along a time grid; a part gets the bits its full-length row would.
-Every reduction reads one pass over a state (`RingState`), which requires
-each component's weight outside its sector to be exactly 0: then each
-pair's reduced state is an X matrix whose populations are sums of the
-weights |v|^2, whose two coherences are overlaps of the components, and
-whose concurrence is Wootters'.  This module deliberately shares no
-formulas with the analytic path beyond the Hamiltonian itself (the series
-coefficients are quadratures, not Bessel ladders); agreement between the two
-is the main correctness argument of the package.
+The workspace prepares and evolves states; every reduction is a `RingState`,
+which reads one pass over a state and requires each component's weight
+outside its sector to be exactly 0: then each pair's reduced state is an X
+matrix whose populations are sums of the weights |v|^2, whose two
+coherences are overlaps of the components, and whose concurrence is
+Wootters'.  This module deliberately shares no formulas with the analytic
+path beyond the Hamiltonian itself (the series coefficients are quadratures,
+not Bessel ladders); agreement between the two is the main correctness
+argument of the package.
 
 Conventions: site 0 is the most significant bit of a basis index, a clear
 bit is spin up, so the all-down vacuum is the last basis vector.  The
@@ -219,8 +219,8 @@ def _series(twice, block, coeffs):
 
 
 class OracleWorkspace:
-    """Ring Hamiltonian as bit flips: exact states, evolution, and
-    reductions."""
+    """Ring Hamiltonian as bit flips: exact states and their evolution;
+    `RingState` reduces them."""
 
     def __init__(self, n, gamma, lam):
         if n < 4 or n > MAX_SITES:
@@ -228,10 +228,10 @@ class OracleWorkspace:
                 f"oracle ring size {n} outside [4, {MAX_SITES}]")
         self.n = n
         self.hamiltonian = build_hamiltonian(n, gamma, lam)
-        self._index = np.arange(2 ** n)
+        index = np.arange(2 ** n)
         # basis indices of the vacuum's parity sector, then of the other
-        odd = _popcount(self._index, n) % 2 != n % 2
-        self._parity = self._index[~odd], self._index[odd]
+        odd = _popcount(index, n) % 2 != n % 2
+        self._parity = index[~odd], index[odd]
 
     @functools.cached_property
     def _ground(self):
@@ -352,48 +352,6 @@ class OracleWorkspace:
                 new[1, 0] = -inv * block
                 comps.append(np.moveaxis(new, (0, 1), (i, j)).reshape(-1))
         return comps
-
-    # -- measurement ------------------------------------------------------
-
-    @staticmethod
-    def _real(val, what):
-        if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
-            raise measures.NumericalHealthError(
-                f"oracle {what} has imaginary residue {val.imag:.3e}")
-        return val.real
-
-    def _spin(self, v, axis, l):
-        """S^axis_l v, read through the bit of site l."""
-        bit = _site_bit(self.n, l % self.n)
-        up = (self._index & bit) == 0
-        if axis == "z":
-            return np.where(up, 0.5, -0.5) * v
-        on_up, on_down = {"x": (0.5, 0.5), "y": (-0.5j, 0.5j)}[axis]
-        return np.where(up, on_up, on_down) * v[self._index ^ bit]
-
-    def correlator(self, vecs, alpha, beta, l, m):
-        # <v|S^a_l S^b_m|v> = (S^a_l v) . (S^b_m v): spin operators are
-        # Hermitian
-        val = sum(complex(np.vdot(self._spin(v, alpha, l),
-                                  self._spin(v, beta, m))) for v in vecs)
-        return self._real(val, f"g_{alpha}{beta}({l},{m})")
-
-    def magnetization(self, vecs, l):
-        val = sum(complex(np.vdot(v, self._spin(v, "z", l))) for v in vecs)
-        return self._real(val, f"mz({l})")
-
-    def rho1(self, vecs, site):
-        return np.diag(RingState(self, vecs).site_populations([site])[0]
-                       ).astype(complex)
-
-    def rho2(self, vecs, p, q):
-        return RingState(self, vecs).rho2([p], [q])[0]
-
-    def concurrence(self, vecs, p, q):
-        return float(RingState(self, vecs).concurrence([p], [q])[0])
-
-    def one_tangle(self, vecs, site):
-        return float(RingState(self, vecs).one_tangle([site])[0])
 
 
 class RingState(measures.XView):

@@ -25,8 +25,9 @@ total_concurrence, ckw_residual; each at most once per list.
 
 Each measure is defined once, in `measure_rows`, over a view of the state
 at a block of times, which it asks once per measure for the whole site
-grid (measures that read the same request share its answer), as a (name,
-values) column of shape (times, sites) per output name.
+grid (measures that read the same request share its answer, and a view
+each pair set), as a (name, values) column of shape (times, sites) per
+output name.
 `run_scenario` fills the grid (times, sites, {name: values}) a block at a
 time; `write_csv` prints it a (name, x) column at a time.  A view offers
 one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and partner_sums(xs), the

@@ -7,6 +7,8 @@ Ring wraparound limits how far in time and distance a thermodynamic-limit
 calculation can be compared against a 12-site ring: each cell must satisfy
 lam*t + offset <= n/2 - 2, with the offset measured from the insertion
 sites (or the pair separation for the translation-invariant vacuum).
+The two sides meet as arrays of X entries: one `bundles` and one
+`RingState.pair_entries` call per time, differences taken array by array.
 
 This suite doubles as the `xychain selftest` CLI command and as one of the
 acceptance tests.
@@ -25,6 +27,8 @@ from .pfaffian import COMPONENTS, bundles, magnetization
 
 RING = 12
 SEED_I, SEED_J = 1, 2
+SITES = range(SEED_I - 3, SEED_J + 4)  # the sites a Bell seed's cells use
+MASK_LIMIT = RING / 2 - 2
 LT_GRID = (0.5, 1.0, 1.5, 2.0, 2.5)
 PFAFFIAN_TOL = 2e-3
 BESSEL_TOL = 1e-4
@@ -39,15 +43,17 @@ class CaseReport:
     worst: dict = field(default_factory=dict)
     cells: int = 0
 
-    def record(self, category, diff):
-        self.worst[category] = max(self.worst.get(category, 0.0), diff)
-
-    def tolerance(self, category):
-        return BESSEL_TOL if category.endswith("(bessel)") else PFAFFIAN_TOL
+    def record(self, category, got, want):
+        """Keep the largest |got - want|; empty arrays record nothing."""
+        diffs = np.abs(np.subtract(got, want))
+        if diffs.size:
+            self.worst[category] = max(self.worst.get(category, 0.0),
+                                       float(diffs.max()))
 
     @property
     def ok(self):
-        return all(diff <= self.tolerance(cat)
+        return all(diff <= (BESSEL_TOL if cat.endswith("(bessel)")
+                            else PFAFFIAN_TOL)
                    for cat, diff in self.worst.items())
 
     def line(self):
@@ -57,51 +63,46 @@ class CaseReport:
         return f"[{status}] {self.label}: {self.cells} cells; {parts}"
 
 
-def _mask_limit():
-    return RING / 2 - 2
+def _offset(s):
+    """Distance of site s from the nearer insertion site."""
+    return min(abs(s - SEED_I), abs(s - SEED_J))
 
 
 def _pair_cells(kind, lam_t):
-    """(l, m, max offset) pairs inside the ring-wraparound window.
+    """(l, m) pairs inside the ring-wraparound window.
 
     The operator string of a pair at separation d spans d+1 sites, so the
     cell weight counts the extra width d-1 on top of the site offset; the
     N=8/10/12 convergence of the excluded cells confirms the cut tracks
     pure finite-size error.
     """
-    limit = _mask_limit() - lam_t + 1e-9
-    cells = []
+    limit = MASK_LIMIT - lam_t + 1e-9
     if kind == "vacuum_only":
-        for d in (1, 2, 3):
-            if d + (d - 1) <= limit:
-                cells.append((0, d, d))
-    else:
-        sites = range(SEED_I - 3, SEED_J + 4)
-        for d in (1, 2, 3):
-            for l in sites:
-                m = l + d
-                if m > max(sites):
-                    continue
-                off = max(min(abs(l - SEED_I), abs(l - SEED_J)),
-                          min(abs(m - SEED_I), abs(m - SEED_J)))
-                if off + (d - 1) <= limit:
-                    cells.append((l, m, off))
-    return cells
+        return [(0, d) for d in (1, 2, 3) if d + (d - 1) <= limit]
+    return [(l, l + d) for d in (1, 2, 3) for l in SITES
+            if l + d <= SITES[-1]
+            and max(_offset(l), _offset(l + d)) + (d - 1) <= limit]
 
 
 def _site_cells(kind, lam_t):
-    limit = _mask_limit() - lam_t + 1e-9
+    limit = MASK_LIMIT - lam_t + 1e-9
     if kind == "vacuum_only":
         return [0] if 0 <= limit else []
-    sites = range(SEED_I - 3, SEED_J + 4)
-    return [s for s in sites
-            if min(abs(s - SEED_I), abs(s - SEED_J)) <= limit]
+    return [s for s in SITES if _offset(s) <= limit]
 
 
-def _analytic_contractions(params, t, kind):
-    if kind == "vacuum_only":
-        return vacuum_contractions(params, t)
-    return bell_contractions(params, t, SEED_I, SEED_J, amp=-1.0)
+def ring_columns(entries):
+    """Correlator columns (..., 5), ordered as COMPONENTS, of X entries: the
+    inverse of `measures.x_entries`."""
+    a, b, _, _, c, z = entries
+    return np.stack([(c + z).real / 2, (z - c).real / 2, (a + b) / 2 - 0.25,
+                     (z.imag - c.imag) / 2, -(c.imag + z.imag) / 2], axis=-1)
+
+
+def ring_magnetizations(ring, sites):
+    """<S^z> of each site of an `oracle.RingState`, (up - down)/2."""
+    up, down = ring.site_populations(sites).T
+    return (up - down) / 2
 
 
 def run_case(gamma, lam, kind, fast=False):
@@ -121,61 +122,42 @@ def run_case(gamma, lam, kind, fast=False):
 
     for lam_t, t, window, vecs in zip(lt_grid, times, windows,
                                       ws.evolve_grid(base, times)):
-        con = _analytic_contractions(params, t, kind)
-        pair_cells = _pair_cells(kind, lam_t)
-        site_cells = _site_cells(kind, lam_t)
-        state = None if window is None else isotropic.wavepacket(
-            SEED_I, SEED_J, np.pi, t, lam, window=window)
+        con = (vacuum_contractions(params, t) if kind == "vacuum_only" else
+               bell_contractions(params, t, SEED_I, SEED_J, amp=-1.0))
         ring = oracle.RingState(ws, vecs)
-
-        ls, ms = [l for l, _, _ in pair_cells], [m for _, m, _ in pair_cells]
-        columns = bundles(con, list(zip(ls, ms)))[0]
-        entries, rho_refs = measures.x_entries(columns), ring.rho2(ls, ms)
-        for (l, m), values, rho, conc, rho_ref, c_ref in zip(
-                zip(ls, ms), columns, measures.rho2(entries),
-                measures.concurrence_closed(entries), rho_refs,
-                measures.concurrence_wootters(rho_refs)):
-            for (alpha, beta), value in zip(COMPONENTS, values):
-                ref = ws.correlator(vecs, alpha, beta, l, m)
-                report.record("correlators", abs(value - ref))
-            report.record("rho2", float(np.max(np.abs(rho - rho_ref))))
-            report.record("concurrence", abs(conc - c_ref))
-            if state is not None:
-                report.record(
-                    "concurrence(bessel)",
-                    abs(state.concurrence(l, m) - c_ref))
-            report.cells += 1
-
-        fid_sites = site_cells[:-1]  # the sites s with s + 1 in the window
-        fid_right = [s + 1 for s in fid_sites]
-        fid_rhos = dict(zip(fid_sites, zip(measures.rho2(measures.x_entries(
-            bundles(con, list(zip(fid_sites, fid_right)))[0])),
-            ring.rho2(fid_sites, fid_right))))
-        for s, mz, tau_ref in zip(site_cells,
-                                  magnetization(con, site_cells)[0],
-                                  ring.one_tangle(site_cells)):
-            report.record("correlators",
-                          abs(mz - ws.magnetization(vecs, s)))
-            report.record("one_tangle",
-                          abs(measures.one_tangle(mz) - tau_ref))
-            if state is not None:
-                report.record("one_tangle(bessel)",
-                              abs(state.one_tangle(s) - tau_ref))
-            if s in fid_rhos:
-                fids, fids_ref = (measures.bell_fidelities(rho)
-                                  for rho in fid_rhos[s])
-                diff = max(abs(a - b) for a, b in zip(fids, fids_ref))
-                report.record("fidelities", diff)
-                if state is not None:
-                    fids_b = measures.bell_fidelities(state.rho2(s, s + 1))
-                    diff_b = max(abs(a - b)
-                                 for a, b in zip(fids_b, fids_ref))
-                    report.record("fidelities(bessel)", diff_b)
-            report.cells += 1
-        if state is None and isotropic_route:
+        sites, pairs = _site_cells(kind, lam_t), _pair_cells(kind, lam_t)
+        # the pair cells, then the fidelity pairs (s, s + 1) in the window
+        cell, fid = slice(len(pairs)), slice(len(pairs), None)
+        report.cells += len(pairs) + len(sites)
+        pairs += [(s, s + 1) for s in sites[:-1]]
+        ls, ms = zip(*pairs)
+        columns = bundles(con, pairs)[0]
+        entries, ref = measures.x_entries(columns), ring.pair_entries(ls, ms)
+        rhos, rho_refs = measures.rho2(entries), measures.rho2(ref)
+        c_refs = measures.concurrence_wootters(rho_refs[cell])
+        fids_ref = measures.bell_fidelities(rho_refs[fid])
+        mz, tau_refs = magnetization(con, sites)[0], ring.one_tangle(sites)
+        report.record("correlators", columns[cell, :len(COMPONENTS)],
+                      ring_columns(ref)[cell])
+        report.record("correlators", mz, ring_magnetizations(ring, sites))
+        report.record("rho2", rhos[cell], rho_refs[cell])
+        report.record("concurrence",
+                      measures.concurrence_closed(entries)[cell], c_refs)
+        report.record("one_tangle", measures.one_tangle(mz), tau_refs)
+        report.record("fidelities", measures.bell_fidelities(rhos[fid]),
+                      fids_ref)
+        if window is not None:
+            state = isotropic.wavepacket(SEED_I, SEED_J, np.pi, t, lam,
+                                         window=window)
+            report.record("concurrence(bessel)",
+                          state.concurrence(ls[cell], ms[cell]), c_refs)
+            report.record("one_tangle(bessel)", state.one_tangle(sites),
+                          tau_refs)
+            report.record("fidelities(bessel)", measures.bell_fidelities(
+                state.rho2(ls[fid], ms[fid])), fids_ref)
+        elif isotropic_route:
             # stationary vacuum: the Bessel route asserts exact zeros
-            for tau_ref in ring.one_tangle(site_cells):
-                report.record("one_tangle(bessel)", abs(tau_ref))
+            report.record("one_tangle(bessel)", tau_refs, 0.0)
     return report
 
 

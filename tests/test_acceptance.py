@@ -6,6 +6,8 @@ user of the package would, and each prints a single [PASS]/[FAIL] line
 before asserting so a scan of the output gives the full scorecard.
 """
 
+import io
+import re
 import time
 
 import numpy as np
@@ -117,12 +119,35 @@ def test_criterion_04_propagation_velocity():
                  f"{elapsed:.1f}s")
 
 
+# cells and deviation categories of each selftest case by kind; the Bessel
+# route adds its own categories at gamma = 0
+CASE_CELLS = {"vacuum_only": 12, "singlet_on_vacuum": 73}
+CASE_CATEGORIES = {"vacuum_only": "concurrence correlators one_tangle rho2",
+                   "singlet_on_vacuum": "concurrence correlators fidelities "
+                                        "one_tangle rho2"}
+BESSEL_CATEGORIES = {"vacuum_only": "one_tangle",
+                     "singlet_on_vacuum": "concurrence fidelities one_tangle"}
+
+
 def test_criterion_05_selftest_full():
     # every scenario the analytic engines cover must agree with the
-    # exact-diagonalization oracle on a small ring
+    # exact-diagonalization oracle on a small ring, each case on its
+    # fixed cells and deviation categories
+    stream = io.StringIO()
     start = time.monotonic()
-    ok = run_selftest(fast=False)
+    ok = run_selftest(fast=False, stream=stream)
     elapsed = time.monotonic() - start
+    print(stream.getvalue(), end="")
+    cases = re.findall(r"gamma=(\S+) lam=\S+ (\w+): (\d+) cells; (.*)",
+                       stream.getvalue())
+    assert len(cases) == 12
+    for gamma, kind, cells, parts in cases:
+        categories = set(CASE_CATEGORIES[kind].split())
+        if gamma == "0.0":
+            categories |= {f"{c}(bessel)"
+                           for c in BESSEL_CATEGORIES[kind].split()}
+        assert int(cells) == CASE_CELLS[kind], (gamma, kind)
+        assert set(re.findall(r"([\w()]+)=", parts)) == categories
     ok = ok and elapsed < 600.0
     _verdict(5, "full oracle cross-check", ok, f"{elapsed:.1f}s")
 
@@ -186,9 +211,10 @@ def test_criterion_08_monogamy_saturation_and_gap():
                                     state.partner_sums(site)[1])
             worst = max(worst, abs(residual))
     ws = oracle.OracleWorkspace(12, 0.5, 1.0)
-    gs = ws.ground_state()
-    gap = ws.one_tangle(gs, 0) - sum(ws.concurrence(gs, 0, m) ** 2
-                                     for m in range(1, ws.n))
+    gs = oracle.RingState(ws, ws.ground_state())
+    partners = list(range(1, ws.n))
+    gap = gs.one_tangle([0])[0] - sum(
+        gs.concurrence([0] * len(partners), partners) ** 2)
     ok = worst < 1e-9 and gap > 0.0
     _verdict(8, "monogamy saturation and ground-state gap",
              ok, f"max one-particle residual = {worst:.2e}, "
@@ -228,12 +254,13 @@ def test_criterion_09_branch_switch():
     worst = 0.0
     for lt in (1.0, 2.0):
         state = isotropic.PhiState(5, 7, 0.3, lt / lam, lam)
-        ring = evolve(ws, ws.phi_bell(5, 7, 0.3), lt / lam)
+        ring = oracle.RingState(ws, evolve(ws, ws.phi_bell(5, 7, 0.3),
+                                           lt / lam))
         for n, m in ((4, 8), (5, 7)):
             worst = max(worst, abs(state.concurrence(n, m)
-                                   - ws.concurrence(ring, n, m)))
+                                   - ring.concurrence([n], [m])[0]))
             worst = max(worst, abs(state.one_tangle(n)
-                                   - ws.one_tangle(ring, n)))
+                                   - ring.one_tangle([n])[0]))
     ok = ok and worst < 1e-4
     _verdict(9, "pair-to-exchange branch handover",
              ok, f"switches at {switches}, revival at {revival}, "
@@ -248,7 +275,7 @@ def test_criterion_10_knitted_singlet():
     ws = oracle.OracleWorkspace(n, 0.5, 1.0)
     comps = ws.knitted_singlet(1, 2)
 
-    c0 = ws.concurrence(comps, 1, 2)
+    c0 = oracle.RingState(ws, comps).concurrence([1], [2])[0]
 
     def reduced_complement(vecs):
         rho = np.zeros((2 ** (n - 2), 2 ** (n - 2)), dtype=complex)
@@ -261,11 +288,12 @@ def test_criterion_10_knitted_singlet():
     leak = np.max(np.abs(reduced_complement(comps)
                          - reduced_complement(ws.ground_state())))
 
-    background = ws.concurrence(ws.ground_state(), 7, 8)
+    ground = oracle.RingState(ws, ws.ground_state())
+    background = ground.concurrence([7], [8])[0]
     drift = 0.0
     for t in (0.5, 1.0, 2.0):
-        evolved = evolve(ws, comps, t)
-        drift = max(drift, abs(ws.concurrence(evolved, 7, 8) - background))
+        evolved = oracle.RingState(ws, evolve(ws, comps, t))
+        drift = max(drift, abs(evolved.concurrence([7], [8])[0] - background))
 
     ok = abs(c0 - 1.0) < 1e-10 and leak < 1e-10 and drift < 0.02
     _verdict(10, "knitted singlet locality",

@@ -162,6 +162,6 @@ def test_singlet_tilts_phi_weights_ahead_of_front():
     con = correlators.bell_contractions(p, 6.0, 0, 1)
     ana = bell_fidelities(rho2(x_entries(bundles(con, [(5, 6)])[0, 0])))
     ws = oracle.OracleWorkspace(12, 0.5, 0.5)
-    ring = bell_fidelities(
-        ws.rho2(evolve(ws, ws.psi_bell(0, 1, np.pi), 6.0), 5, 6))
+    ring = bell_fidelities(oracle.RingState(
+        ws, evolve(ws, ws.psi_bell(0, 1, np.pi), 6.0)).rho2([5], [6])[0])
     assert np.allclose(ana, ring, atol=2e-3)

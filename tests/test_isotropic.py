@@ -115,13 +115,13 @@ def test_concurrence_match_ring_short_time():
     # inside the wrap-free window the match is at solver precision
     t = 2.0
     st2 = isotropic.wavepacket(0, 1, np.pi, t, lam)
-    ref = ws.concurrence(evolve(ws, vecs0, t), 0, 3)
+    ref = oracle.RingState(ws, evolve(ws, vecs0, t)).concurrence([0], [3])[0]
     assert abs(st2.concurrence(0, 3) - ref) < 1e-6
     # by lam*t = 3 the N = 12 images contribute at the 1e-5 level, so the
     # comparison only makes sense at a wrap-limited tolerance
     t = 3.0
     st3 = isotropic.wavepacket(0, 1, np.pi, t, lam)
-    ref = ws.concurrence(evolve(ws, vecs0, t), 0, 3)
+    ref = oracle.RingState(ws, evolve(ws, vecs0, t)).concurrence([0], [3])[0]
     assert abs(st3.concurrence(0, 3) - ref) < 1e-4
 
 
@@ -414,13 +414,13 @@ def test_phi_matches_ring():
     # frame-invariant quantities only
     lam, phi, t = 1.0, 0.7, 2.0
     ws = oracle.OracleWorkspace(12, 0.0, lam)
-    vecs = evolve(ws, ws.phi_bell(5, 7, phi), t)
+    ring = oracle.RingState(ws, evolve(ws, ws.phi_bell(5, 7, phi), t))
     ps = isotropic.PhiState(5, 7, phi, t, lam)
-    rho_o = ws.rho2(vecs, 4, 8)
+    rho_o = ring.rho2([4], [8])[0]
     rho_a = ps.rho2(4, 8)
     assert np.max(np.abs(np.abs(rho_o) - np.abs(rho_a))) < 1e-4
-    assert abs(ws.concurrence(vecs, 4, 8) - ps.concurrence(4, 8)) < 1e-4
-    assert abs(ws.one_tangle(vecs, 4) - ps.one_tangle(4)) < 1e-4
+    assert abs(ring.concurrence([4], [8])[0] - ps.concurrence(4, 8)) < 1e-4
+    assert abs(ring.one_tangle([4])[0] - ps.one_tangle(4)) < 1e-4
 
 
 def test_phi_optimal_phase_maximizes_fidelity():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import scipy.sparse as sp
 import scipy.special
 
 from helpers import evolve, grid_rows
-from xychain import cli, measures, oracle
+from xychain import cli, measures, oracle, selftest
 from xychain.errors import ConfigError, NumericalHealthError
+from xychain.pfaffian import COMPONENTS
 from xychain.scenarios import OracleEngine, parse_config_text, run_scenario
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -102,32 +104,32 @@ def test_raising_operators_equal_the_spin_operator_build():
         assert np.array_equal(acted, kron_raising(n, l).toarray())
 
 
-def test_correlators_and_magnetization_match_the_spin_operators():
+def test_entry_derived_correlators_match_the_spin_operators():
+    # the selftest reads the oracle's correlators and magnetizations off
+    # its X entries and site populations; every ordered pair, plain and
+    # with wrapped indices, of an evolved pure state and a knitted mixture
     n = 6
     ops = site_ops(n)
     ws = oracle.OracleWorkspace(n, 0.4, 0.8)
-    rng = np.random.default_rng(3)
-    vecs = [rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-            for _ in range(2)]
-    for v in vecs:
-        v /= np.linalg.norm(v) * np.sqrt(2)
-    axes = {"x": 0, "y": 1, "z": 2}
+    pairs = [(l, m) for l in range(n) for m in range(n) if m != l]
+    ls = [l for l, _ in pairs] + [l + n for l, _ in pairs]
+    ms = [m for _, m in pairs] + [m - n for _, m in pairs]
+    for vecs in (evolve(ws, ws.psi_bell(1, 3, 0.6), 0.9),
+                 evolve(ws, ws.knitted_singlet(2, 3), 0.7)):
+        def expect(op):
+            return sum(np.vdot(v, op @ v) for v in vecs)
 
-    def expect(op):
-        return sum(np.vdot(v, op @ v) for v in vecs)
-
-    for l in range(n):
-        ref = expect(ops[l][2])
-        assert abs(ws.magnetization(vecs, l + n) - ref.real) < 1e-14
-        for m in range(n):
-            if m == l:
-                continue
-            for a in "xyz":
-                for b in "xyz":
-                    ref = expect(ops[l][axes[a]] @ ops[m][axes[b]])
-                    assert abs(ref.imag) < 1e-14
-                    got = ws.correlator(vecs, a, b, l, m - n)
-                    assert abs(got - ref.real) < 1e-14, (a, b, l, m)
+        ring = oracle.RingState(ws, vecs)
+        got = selftest.ring_columns(ring.pair_entries(ls, ms))
+        for l, m, row in zip(ls, ms, got):
+            for (a, b), value in zip(COMPONENTS, row):
+                ref = expect(ops[l % n]["xyz".index(a)]
+                             @ ops[m % n]["xyz".index(b)])
+                assert abs(ref.imag) < 1e-14
+                assert abs(value - ref.real) < 1e-14, (a, b, l, m)
+        mz = selftest.ring_magnetizations(ring, list(range(2 * n)))
+        for l in range(2 * n):
+            assert abs(mz[l] - expect(ops[l % n][2]).real) < 1e-14
 
 
 def test_workspace_bounds():
@@ -248,9 +250,9 @@ def test_reference_rides_along_only_for_tangle_deviation(kind):
     rows = grid_rows(run_scenario(cfg))
     by_hand = []
     for t in times:
-        for x in cfg.sites():
-            tau = ws.one_tangle(evolve(ws, base, t), x)
-            ref = ws.one_tangle(evolve(ws, reference, t), x)
+        taus, refs = (oracle.RingState(ws, evolve(ws, vecs, t)).one_tangle(
+            cfg.sites()).tolist() for vecs in (base, reference))
+        for x, tau, ref in zip(cfg.sites(), taus, refs):
             delta, rel = measures.tangle_deviation(tau, ref)
             by_hand += [("one_tangle", x, t, tau),
                         ("tangle_deviation", x, t, delta),
@@ -327,46 +329,47 @@ def test_evolution_is_unitary():
 def test_magnetization_conserved_at_zero_gamma():
     ws = oracle.OracleWorkspace(8, 0.0, 1.0)
     vecs = ws.psi_bell(0, 1, np.pi)
-    total0 = sum(ws.magnetization(vecs, l) for l in range(8))
-    vecs_t = evolve(ws, vecs, 3.0)
-    total_t = sum(ws.magnetization(vecs_t, l) for l in range(8))
+    total0, total_t = (selftest.ring_magnetizations(
+        oracle.RingState(ws, v), range(8)).sum()
+        for v in (vecs, evolve(ws, vecs, 3.0)))
     assert np.isclose(total0, total_t, atol=1e-10)
 
 
 def test_vacuum_is_polarized():
     ws = oracle.OracleWorkspace(8, 0.5, 1.0)
-    vecs = ws.vacuum()
-    assert np.isclose(ws.magnetization(vecs, 3), -0.5, atol=1e-12)
-    assert np.isclose(ws.one_tangle(vecs, 3), 0.0, atol=1e-12)
+    ring = oracle.RingState(ws, ws.vacuum())
+    assert np.isclose(selftest.ring_magnetizations(ring, [3])[0], -0.5,
+                      atol=1e-12)
+    assert np.isclose(ring.one_tangle([3])[0], 0.0, atol=1e-12)
 
 
 def test_psi_bell_t0_is_singlet():
     ws = oracle.OracleWorkspace(8, 0.5, 1.0)
-    vecs = ws.psi_bell(2, 3, np.pi)
-    rho = ws.rho2(vecs, 2, 3)
+    ring = oracle.RingState(ws, ws.psi_bell(2, 3, np.pi))
+    rho = ring.rho2([2], [3])[0]
     # basis uu, ud, du, dd
     assert np.isclose(rho[1, 1], 0.5) and np.isclose(rho[2, 2], 0.5)
     assert np.isclose(rho[1, 2], -0.5)
-    assert np.isclose(ws.concurrence(vecs, 2, 3), 1.0, atol=1e-10)
-    assert np.allclose(measures.bell_fidelities(ws.rho2(vecs, 2, 3)),
-                       (1, 0, 0, 0), atol=1e-12)
+    assert np.isclose(ring.concurrence([2], [3])[0], 1.0, atol=1e-10)
+    assert np.allclose(measures.bell_fidelities(rho), (1, 0, 0, 0),
+                       atol=1e-12)
 
 
 def test_phi_bell_t0_pair_coherence():
     ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     phi = 0.9
-    vecs = ws.phi_bell(2, 5, phi)
-    rho = ws.rho2(vecs, 2, 5)
+    ring = oracle.RingState(ws, ws.phi_bell(2, 5, phi))
+    rho = ring.rho2([2], [5])[0]
     assert np.isclose(rho[0, 0], 0.5) and np.isclose(rho[3, 3], 0.5)
     assert np.isclose(rho[0, 3], 0.5 * np.exp(1j * phi))
-    assert np.isclose(ws.concurrence(vecs, 2, 5), 1.0, atol=1e-10)
+    assert np.isclose(ring.concurrence([2], [5])[0], 1.0, atol=1e-10)
 
 
 def test_fidelities_sum_to_one():
     ws = oracle.OracleWorkspace(8, 0.5, 0.5)
-    vecs = evolve(ws, ws.psi_bell(1, 2, np.pi), 1.7)
-    assert np.isclose(sum(measures.bell_fidelities(ws.rho2(vecs, 3, 4))), 1.0,
-                      atol=1e-10)
+    ring = oracle.RingState(ws, evolve(ws, ws.psi_bell(1, 2, np.pi), 1.7))
+    assert np.isclose(sum(measures.bell_fidelities(ring.rho2([3], [4])[0])),
+                      1.0, atol=1e-10)
 
 
 def test_knitted_singlet_t0():
@@ -375,7 +378,8 @@ def test_knitted_singlet_t0():
     # unnormalized components of the post-measurement mixture
     total_weight = sum(np.vdot(c, c).real for c in comps)
     assert np.isclose(total_weight, 1.0, atol=1e-10)
-    assert np.isclose(ws.concurrence(comps, 1, 2), 1.0, atol=1e-10)
+    assert np.isclose(oracle.RingState(ws, comps).concurrence([1], [2])[0],
+                      1.0, atol=1e-10)
 
 
 def test_total_concurrence_and_ckw():
@@ -399,21 +403,41 @@ measures.list = total_concurrence, ckw_residual
     rows = {name: value
             for name, _, _, value in grid_rows(run_scenario(cfg))}
     ws = oracle.OracleWorkspace(8, 0.0, 1.0)
-    vecs = evolve(ws, ws.psi_bell(0, 1, np.pi), 1.0)
-    by_hand = sum(ws.concurrence(vecs, *sorted((0, q))) for q in range(1, 8))
-    assert np.isclose(rows["total_concurrence"], by_hand, atol=1e-12)
-    tau1 = ws.one_tangle(vecs, 0)
-    by_hand_res = tau1 - sum(
-        ws.concurrence(vecs, *sorted((0, q))) ** 2 for q in range(1, 8))
+    ring = oracle.RingState(ws, evolve(ws, ws.psi_bell(0, 1, np.pi), 1.0))
+    concs = [ring.concurrence([0], [q])[0] for q in range(1, 8)]
+    assert np.isclose(rows["total_concurrence"], sum(concs), atol=1e-12)
+    by_hand_res = ring.one_tangle([0])[0] - sum(c ** 2 for c in concs)
     assert np.isclose(rows["ckw_residual"], by_hand_res, atol=1e-12)
 
 
 def test_rho2_concurrence_consistent_with_measures():
     ws = oracle.OracleWorkspace(8, 1.0, 0.5)
-    vecs = evolve(ws, ws.vacuum(), 1.2)
-    rho = ws.rho2(vecs, 0, 1)
-    assert np.isclose(ws.concurrence(vecs, 0, 1),
+    ring = oracle.RingState(ws, evolve(ws, ws.vacuum(), 1.2))
+    rho = ring.rho2([0], [1])
+    assert np.isclose(ring.concurrence([0], [1]),
                       measures.concurrence_wootters(rho), atol=1e-12)
+
+
+@pytest.mark.parametrize("extra", [(), ("entropy2",)])
+def test_each_pair_set_is_evaluated_and_checked_once_per_time(monkeypatch,
+                                                              extra):
+    # concurrence at distance 1, bell_fidelities and entropy2 all read the
+    # pairs (x, x + 1): one pair_entries call and one checked rho2 per time
+    cfg = parse_config_text((SCRIPTS / "bell_oracle.cfg").read_text())
+    cfg = dataclasses.replace(cfg, measure_list=cfg.measure_list + extra)
+    calls = {"pair_entries": 0, "rho2": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(oracle.RingState, "pair_entries", counting(
+        "pair_entries", oracle.RingState.pair_entries))
+    monkeypatch.setattr(measures, "rho2", counting("rho2", measures.rho2))
+    run_scenario(cfg)
+    assert calls == dict.fromkeys(calls, len(cfg.times()))
 
 
 def full_space_walk(ws, vecs, times):
@@ -515,27 +539,29 @@ def test_one_pass_reductions_equal_a_dense_partial_trace():
             assert np.max(np.abs(np.array([a[k], b[k], x[k], y[k], c[k],
                                            z[k]]) - got)) < 1e-15
             assert np.max(np.abs(rhos[k] - ref)) < 1e-15
-            assert np.array_equal(ws.rho2(vecs, p, q), rhos[k])
+            assert np.array_equal(
+                oracle.RingState(ws, vecs).rho2([p], [q])[0], rhos[k])
         for site in range(n):
             ref = dense_rho(vecs, n, (site,))
             assert ref[0, 1] == ref[1, 0] == 0.0
-            assert np.max(np.abs(ws.rho1(vecs, site) - ref)) < 1e-15
+            assert np.max(np.abs(np.diag(state.site_populations([site])[0])
+                                 - ref)) < 1e-15
 
 
 def test_reducing_a_component_of_both_parities_is_a_health_error():
     n = 8
     ws = oracle.OracleWorkspace(n, 0.5, 1.0)
     (odd,), (even,) = ws.psi_bell(0, 1, 0.2), ws.phi_bell(0, 1, 0.2)
-    assert ws.rho2([odd / np.sqrt(2), even / np.sqrt(2)], 0, 1).shape == (4, 4)
+    mixed = oracle.RingState(ws, [odd / np.sqrt(2), even / np.sqrt(2)])
+    assert mixed.rho2([0], [1]).shape == (1, 4, 4)
     both = (odd + even) / np.sqrt(2)
-    for reduce in (lambda: ws.rho2([both], 0, 1),
-                   lambda: ws.concurrence([both], 0, 1),
-                   lambda: ws.one_tangle([both], 3),
-                   lambda: ws.rho1([both], 3),
-                   lambda: oracle.RingState(ws, [odd, both]).partner_sums(
-                       [0])):
+    for reduce in (lambda ring: ring.rho2([0], [1]),
+                   lambda ring: ring.concurrence([0], [1]),
+                   lambda ring: ring.one_tangle([3]),
+                   lambda ring: ring.site_populations([3]),
+                   lambda ring: ring.partner_sums([0])):
         with pytest.raises(NumericalHealthError, match="parity sector"):
-            reduce()
+            reduce(oracle.RingState(ws, [odd, both]))
 
 
 def test_evolution_and_ground_state_match_scipy_at_twelve_sites():

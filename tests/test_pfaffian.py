@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import evolve
-from xychain import correlators, groundstate, oracle, scenarios
+from xychain import correlators, groundstate, oracle, scenarios, selftest
 from xychain import pfaffian as pfaffian_module
 from xychain.correlators import A, B
 from xychain.errors import CutoffError, NumericalHealthError
@@ -279,32 +279,21 @@ def test_swap_rule():
                       spin_correlator(con, "x", "x", 2, 4), atol=1e-13)
 
 
-def spin_ops(ws, alpha, l):
-    import scipy.sparse as sp
-
-    half = {"x": np.array([[0, 0.5], [0.5, 0]]),
-            "y": np.array([[0, -0.5j], [0.5j, 0]]),
-            "z": np.array([[0.5, 0], [0, -0.5]])}[alpha]
-    op = sp.identity(1, format="csr")
-    for s in range(ws.n):
-        op = sp.kron(op, half if s == l else sp.identity(2), format="csr")
-    return op
-
-
 @pytest.mark.parametrize("gamma,lam", [(0.5, 1.0), (1.0, 0.5)])
 def test_vacuum_correlators_match_ring(gamma, lam):
     t = 1.0
     p = ModelParams(lam=lam, gamma=gamma)
     con = correlators.vacuum_contractions(p, t)
     ws = oracle.OracleWorkspace(12, gamma, lam)
-    vecs = evolve(ws, ws.vacuum(), t)
-    for alpha, beta in (("x", "x"), ("y", "y"), ("z", "z")):
-        for l, m in ((0, 1), (0, 2)):
+    ring = oracle.RingState(ws, evolve(ws, ws.vacuum(), t))
+    pairs = ((0, 1), (0, 2))
+    refs = selftest.ring_columns(ring.pair_entries(*zip(*pairs)))
+    for (alpha, beta), col in zip(COMPONENTS[:3], refs.T):
+        for (l, m), ref in zip(pairs, col):
             ana = spin_correlator(con, alpha, beta, l, m)
-            ref = ws.correlator(vecs, alpha, beta, l, m)
             assert np.isclose(ana, ref, atol=2e-4), (alpha, beta, l, m)
-    assert np.isclose(magnetization(con, 0), ws.magnetization(vecs, 0),
-                      atol=2e-4)
+    assert np.isclose(magnetization(con, 0),
+                      selftest.ring_magnetizations(ring, [0])[0], atol=2e-4)
 
 
 def test_bell_correlators_match_ring():
@@ -312,15 +301,15 @@ def test_bell_correlators_match_ring():
     p = ModelParams(lam=lam, gamma=gamma)
     con = correlators.bell_contractions(p, t, 1, 2)
     ws = oracle.OracleWorkspace(12, gamma, lam)
-    vecs = evolve(ws, ws.psi_bell(1, 2, np.pi), t)
-    for alpha, beta in (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y")):
-        for l, m in ((1, 2), (0, 2), (2, 3)):
+    ring = oracle.RingState(ws, evolve(ws, ws.psi_bell(1, 2, np.pi), t))
+    pairs = ((1, 2), (0, 2), (2, 3))
+    refs = selftest.ring_columns(ring.pair_entries(*zip(*pairs)))
+    for (alpha, beta), col in zip(COMPONENTS[:4], refs.T):
+        for (l, m), ref in zip(pairs, col):
             ana = spin_correlator(con, alpha, beta, l, m)
-            ref = ws.correlator(vecs, alpha, beta, l, m)
             assert np.isclose(ana, ref, atol=2e-4), (alpha, beta, l, m)
-    for l in (0, 1, 2):
-        assert np.isclose(magnetization(con, l), ws.magnetization(vecs, l),
-                          atol=2e-4)
+    for l, ref in enumerate(selftest.ring_magnetizations(ring, [0, 1, 2])):
+        assert np.isclose(magnetization(con, l), ref, atol=2e-4)
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -340,14 +329,14 @@ def test_finite_ring_route_matches_oracle_exactly(n, gamma, lam, kind):
         else:
             con = correlators.bell_contractions(p, t, 1, 2, amp=-1.0)
             state = ws.psi_bell(1, 2, np.pi)
-        vecs = evolve(ws, state, t)
-        for (l, m), column in zip(pairs, bundles(con, pairs)[0]):
-            for (alpha, beta), ana in zip(COMPONENTS, column):
-                ref = ws.correlator(vecs, alpha, beta, l, m)
-                assert abs(ana - ref) <= 1e-10, (t, alpha, beta, l, m)
+        ring = oracle.RingState(ws, evolve(ws, state, t))
+        refs = selftest.ring_columns(ring.pair_entries(*zip(*pairs)))
+        diff = np.abs(bundles(con, pairs)[0, :, :len(COMPONENTS)] - refs)
+        assert np.max(diff) <= 1e-10, (t, np.unravel_index(diff.argmax(),
+                                                           diff.shape))
         mz, = magnetization(con, np.arange(n))
-        for l in range(n):
-            assert abs(mz[l] - ws.magnetization(vecs, l)) <= 1e-10, (t, l)
+        diff = np.abs(mz - selftest.ring_magnetizations(ring, range(n)))
+        assert np.max(diff) <= 1e-10, (t, diff.argmax())
 
 
 def test_bell_seed_evaluates_one_matrix_per_string(monkeypatch):
