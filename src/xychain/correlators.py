@@ -53,13 +53,17 @@ in k, so the sum converges exponentially (Trefethen & Weideman, SIAM Rev.
 Bell seed reads both from its vacuum, tabulated out to the seed span plus
 the seed's own radius.
 
-Both hold a block of times: each time has its own ring sum, radius and
-ring size, and the tables stack on a leading time axis, zero-padded to the
-block's largest radius.  Every accessor (`pair`, and the Bell seed's
-`left`, `right`, `bra_ket` and `mod`) answers for every time of the block
-and indexes the tables with arrays: kinds are the codes A and B, and
-kinds, sites and sources broadcast together.  A separation beyond the
-radius of any time of the block raises CutoffError naming that time.
+Every translation-invariant Gaussian state is a `PairTables`: rows AA,
+AB, BA, BB of <X_l Y_{l+r}> over |r| <= radius, read by one `pair`.  The
+vacuum fills them by ring sums, the ground state (`groundstate`) by
+quadrature, and a Bell seed is its vacuum's tables plus the rank-two
+update of `BellContractions.bra_ket`.  The tables hold a block of times:
+each time has its own ring sum, radius and ring size, and the tables
+stack on a leading time axis, zero-padded to the block's largest radius.
+Every accessor answers for every time of the block and indexes the tables
+with arrays: kinds are the codes A and B, and kinds and sites broadcast
+together.  A separation beyond the radius of any time of the block raises
+CutoffError naming that time.
 """
 
 import math
@@ -67,7 +71,7 @@ import math
 import numpy as np
 
 from .errors import CutoffError
-from .model import light_cone_radius, momentum_grid
+from .model import dispersion, light_cone_radius, momentum_grid
 
 
 A, B = 0, 1  # Majorana kind codes of A_l and B_l
@@ -88,7 +92,7 @@ def ring_size(params, t, radius):
     return 2 * (int(radius) + reach + RING_MARGIN)
 
 
-def _table_index(x, radii, what, times=(None,)):
+def _table_index(x, radii, what, times):
     """Positions x + max(radii) of the separations x (any shape) in tables
     of a block of times padded to its largest radius.  A separation beyond
     any time's own radius raises CutoffError naming the first such time."""
@@ -106,17 +110,12 @@ def _ring_tables(params, t, radius, sector):
     """V, E, O and the pair tables of |x| <= radius at one time t."""
     rs = np.arange(-radius, radius + 1)
     n = params.size if params.is_finite else ring_size(params, t, radius)
-    k = momentum_grid(n, sector)
     w = np.full(n, np.pi / n)
-    e = 1.0 + params.lam * np.cos(k)
-    s = params.lam * params.gamma * np.sin(k)
-    lam_k = np.hypot(e, s)
+    e, s, lam_k, ckr, skr = dispersion(params, momentum_grid(n, sector), rs)
     sinc_t = t * np.sinc(lam_k * t / np.pi)
     v = np.cos(lam_k * t)
     ue = e * sinc_t
     uo = s * sinc_t
-    ckr = np.cos(np.outer(rs, k))
-    skr = np.sin(np.outer(rs, k))
     inv_pi = 1.0 / np.pi
     delta = (rs == 0).astype(float)
     ab = delta - 2.0 / np.pi * (ckr @ (w * uo * uo) + skr @ (w * ue * uo))
@@ -128,33 +127,45 @@ def _ring_tables(params, t, radius, sector):
             np.stack([aa, ab, -ab[::-1], -np.conj(aa)]))
 
 
-class VacuumContractions:
-    """Pair expectations of the time-evolved vacuum at a block of times (a
-    scalar t is a block of one), and the kernel tables V, E, O they are
-    built from: entry x + radius of a row holds separation x.  sector is
-    the ring's boundary sector, antiperiodic for the vacuum itself."""
+class PairTables:
+    """Pair expectations <X_l Y_m> of a translation-invariant Gaussian
+    state at a block of times: tables (times, 4, 2 * radius + 1) with rows
+    AA, AB, BA, BB by kind pair 2 * kind_l + kind_m, entry r + radius of a
+    row at separation r = m - l, and radii the times' own radii.  what
+    names the table in a CutoffError."""
 
     is_modified = False
 
-    def __init__(self, params, times, radii, sector="antiperiodic"):
-        self.params = params
-        self.times = np.atleast_1d(np.asarray(times, dtype=float))
-        self.radii = np.broadcast_to(radii, self.times.shape).astype(int)
-        self.radius = int(self.radii.max())
-        shape = (len(self.times), 2 * self.radius + 1)
-        self.v_table, self.e_table, self.o_table = np.zeros((3, *shape))
-        self._tables = np.zeros((shape[0], 4, shape[1]), dtype=complex)
-        for k, (t, r) in enumerate(zip(self.times, self.radii)):
-            span = slice(self.radius - r, self.radius + r + 1)
-            (self.v_table[k, span], self.e_table[k, span],
-             self.o_table[k, span], self._tables[k, :, span]) = _ring_tables(
-                 params, t, int(r), sector)
+    def __init__(self, times, radii, tables, what):
+        self.times, self.radii, self._tables = times, radii, tables
+        self.radius, self._what = int(max(radii)), what
 
     def pair(self, kind_l, l, kind_m, m):
         """<X_l Y_m> for kind codes X, Y in {A, B}; arguments broadcast."""
-        idx = _table_index(np.subtract(m, l), self.radii, "contraction",
+        idx = _table_index(np.subtract(m, l), self.radii, self._what,
                            self.times)
         return self._tables[:, 2 * np.asarray(kind_l) + kind_m, idx]
+
+
+class VacuumContractions(PairTables):
+    """Pair tables of the time-evolved vacuum at a block of times (a scalar
+    t is a block of one), and the kernel tables V, E, O they are built
+    from: entry x + radius of a row holds separation x.  sector is the
+    ring's boundary sector, antiperiodic for the vacuum itself."""
+
+    def __init__(self, params, times, radii, sector="antiperiodic"):
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        radii = np.broadcast_to(radii, times.shape).astype(int)
+        radius = int(radii.max())
+        shape = (len(times), 2 * radius + 1)
+        self.v_table, self.e_table, self.o_table = np.zeros((3, *shape))
+        tables = np.zeros((shape[0], 4, shape[1]), dtype=complex)
+        for k, (t, r) in enumerate(zip(times, radii)):
+            span = slice(radius - r, radius + r + 1)
+            (self.v_table[k, span], self.e_table[k, span],
+             self.o_table[k, span], tables[k, :, span]) = _ring_tables(
+                 params, t, int(r), sector)
+        super().__init__(times, radii, tables, "contraction")
 
 
 class BellContractions:
@@ -163,7 +174,7 @@ class BellContractions:
     The state is (w_i c_i^dag + w_j c_j^dag)|vac> / sqrt(n2) with weights
     (1, amp).  Real amp = +/-1 covers the Bell pair insertions used by the
     scenario engine; the machinery itself accepts any complex amp.  Every
-    accessor takes kind codes, sites and sources as broadcasting arrays.
+    accessor takes kind codes and sites as broadcasting arrays.
 
     The state has odd fermion parity, so every table, the vacuum part
     included, is a periodic-sector ring sum.  On a finite ring `vacuum` is
@@ -177,7 +188,6 @@ class BellContractions:
     def __init__(self, params, times, radii, i, j, amp=-1.0):
         if i == j:
             raise ValueError("Bell seed needs two distinct sites")
-        self.params = params
         self.weights = (1.0 + 0j, complex(amp))
         self.n2 = 1.0 + abs(amp) ** 2
         self.sources = (int(i), int(j))
@@ -185,52 +195,34 @@ class BellContractions:
             params, times, abs(j - i) + np.asarray(radii), self.sector)
         self.times = self.vacuum.times
 
-    def _kernels_at(self, kind, site, source):
-        """V(x) and E(x) -+ O(x) (minus for kind A) at x = source - site."""
-        vac = self.vacuum
-        idx = _table_index(np.subtract(source, site), vac.radii, "kernel",
-                           vac.times)
-        e, o = vac.e_table[:, idx], vac.o_table[:, idx]
-        is_a = np.asarray(kind) == A
-        return vac.v_table[:, idx], np.where(is_a, e - o, e + o), is_a
-
-    def left(self, kind, site, source):
-        """<vac| c_source X_site(t) |vac> (source index as bra-side mode)."""
-        v, eo, _ = self._kernels_at(kind, site, source)
-        return v - 1j * eo
-
-    def right(self, kind, site, source):
-        """<vac| X_site(t) c_source^dag |vac>."""
-        v, eo, is_a = self._kernels_at(kind, site, source)
-        ket = v + 1j * eo
-        return np.where(is_a, ket, -ket)
-
     def bra_ket(self, kind, site):
         """(bra, ket) of X_site: sum_a conj(w_a) left(a) and
         sum_b w_b right(b) over both sources; kind and site broadcast."""
+        vac = self.vacuum
         kind, site = np.asarray(kind)[..., None], np.asarray(site)[..., None]
-        left = self.left(kind, site, self.sources)
-        right = self.right(kind, site, self.sources)
-        return left @ np.conj(self.weights), right @ np.array(self.weights)
-
-    def mod(self, kind_l, l, kind_m, m):
-        """Modification of <X_l Y_m> relative to the vacuum value."""
-        bra_l, ket_l = self.bra_ket(kind_l, l)
-        bra_m, ket_m = self.bra_ket(kind_m, m)
-        return (bra_l * ket_m - bra_m * ket_l) / self.n2
+        idx = _table_index(np.subtract(self.sources, site), vac.radii,
+                           "kernel", vac.times)
+        v, e, o = vac.v_table[:, idx], vac.e_table[:, idx], vac.o_table[:, idx]
+        is_a = kind == A
+        eo = np.where(is_a, e - o, e + o)
+        ket = v + 1j * eo
+        return ((v - 1j * eo) @ np.conj(self.weights),
+                np.where(is_a, ket, -ket) @ np.array(self.weights))
 
     def pair(self, kind_l, l, kind_m, m):
-        return self.vacuum.pair(kind_l, l, kind_m, m) + self.mod(
-            kind_l, l, kind_m, m)
+        """<X_l Y_m>: the vacuum's plus (bra_l ket_m - bra_m ket_l) / n2."""
+        bra_l, ket_l = self.bra_ket(kind_l, l)
+        bra_m, ket_m = self.bra_ket(kind_m, m)
+        return self.vacuum.pair(kind_l, l, kind_m, m) + (
+            bra_l * ket_m - bra_m * ket_l) / self.n2
 
 
-def vacuum_contractions(params, times, radius=None):
-    if radius is None:
-        radius = light_cone_radius(params, np.asarray(times))
-    return VacuumContractions(params, times, radius)
+def vacuum_contractions(params, times):
+    return VacuumContractions(params, times,
+                              light_cone_radius(params, np.asarray(times)))
 
 
-def bell_contractions(params, times, i, j, amp=-1.0, radius=None):
-    if radius is None:
-        radius = light_cone_radius(params, np.asarray(times))
-    return BellContractions(params, times, radius, i, j, amp=amp)
+def bell_contractions(params, times, i, j, amp=-1.0):
+    return BellContractions(params, times,
+                            light_cone_radius(params, np.asarray(times)), i,
+                            j, amp=amp)

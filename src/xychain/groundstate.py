@@ -7,8 +7,11 @@ the same Pfaffian machinery applies with the static contraction
          = (1/pi) int_0^pi [ (e_k / Lambda_k) cos(kr)
                              - (lam gamma sin k / Lambda_k) sin(kr) ] dk
 
-together with <A_l A_m> = delta_lm and <B_l B_m> = -delta_lm.  At lam = 0
-this gives G(0) = 1: the fully polarized all-up state.  Above lam = 1 (and
+together with <A_l A_m> = delta_lm and <B_l B_m> = -delta_lm: the pair
+tables of `correlators.PairTables` at one stationary time (times =
+(None,)), rows [delta, -G(r), G(-r), -delta], which the Pfaffian route
+reads like any other Gaussian state's.  At lam = 0 this gives G(0) = 1:
+the fully polarized all-up state.  Above lam = 1 (and
 at gamma = 0 for lam > 1, where e_k changes sign inside the zone) the
 integrand steepens or jumps, so extra panels are spent there.
 
@@ -23,10 +26,10 @@ import math
 
 import numpy as np
 
-from .correlators import A, _table_index
+from .correlators import PairTables
 from .measures import concurrence_branches, one_tangle, x_entries
-from .model import PAIR_WINDOW
-from .pfaffian import bundles
+from .model import PAIR_WINDOW, dispersion
+from .pfaffian import bundles, magnetization
 
 # The 8-point Gauss-Legendre rule on [-1, 1], bit for bit as
 # numpy.polynomial.legendre.leggauss(8) gives it; held here so that a run
@@ -59,8 +62,17 @@ def _gs_grid(params, reach):
     return _composite_grid(panels)
 
 
+def pair_tables(g):
+    """The ground state's pair tables from G(r) on |r| <= radius."""
+    radius = len(g) // 2
+    same = np.arange(-radius, radius + 1) == 0
+    rows = [np.where(same, 1.0, 0.0), -g, g[::-1], np.where(same, -1.0, 0.0)]
+    return PairTables((None,), [radius], np.stack(rows)[None].astype(complex),
+                      "ground-state table")
+
+
 def gs_contractions(params, radius):
-    """GroundStateContractions with G(r) tabulated on |r| <= radius."""
+    """The ground state's pair tables, G(r) tabulated on |r| <= radius."""
     rs = np.arange(-radius, radius + 1)
     if params.gamma == 0.0 and params.lam > 1.0:
         # e_k changes sign at k_F; split the integral there.
@@ -72,78 +84,30 @@ def gs_contractions(params, radius):
         w = np.concatenate([w1, w2])
     else:
         k, w = _gs_grid(params, radius)
-    e = 1.0 + params.lam * np.cos(k)
-    s = params.lam * params.gamma * np.sin(k)
-    lam_k = np.hypot(e, s)
+    e, s, lam_k, ckr, skr = dispersion(params, k, rs)
     if np.any(lam_k == 0.0):
         lam_k = np.where(lam_k == 0.0, 1e-300, lam_k)
-    ckr = np.cos(np.outer(rs, k))
-    skr = np.sin(np.outer(rs, k))
-    g = (ckr @ (w * e / lam_k) - skr @ (w * s / lam_k)) / np.pi
-    return GroundStateContractions(params, int(radius), g)
-
-
-class GroundStateContractions:
-    """Static Majorana contractions of the ground state: one time for all."""
-
-    is_modified = False
-    times = (None,)
-
-    def __init__(self, params, radius, g_table):
-        self.params = params
-        self.radius = radius
-        self._g = g_table
-
-    def g(self, r):
-        """G(r) at the separations r (any shape); CutoffError beyond the
-        tabulated radius."""
-        return self._g[_table_index(r, [self.radius], "ground-state table")]
-
-    def pair(self, kind_l, l, kind_m, m):
-        """<X_l Y_m> (1, *shape) for kind codes X, Y in {A, B}.
-
-        <A_l B_m> = -G(m - l) and <B_l A_m> = G(l - m); same-kind pairs
-        vanish except for the operator identities A_l^2 = 1, B_l^2 = -1.
-        """
-        is_a = np.asarray(kind_l) == A
-        same = is_a == (np.asarray(kind_m) == A)
-        r = np.subtract(m, l)
-        g = self.g(np.where(same, 0, np.where(is_a, r, -r)))[None]
-        square = np.where(r == 0, np.where(is_a, 1.0, -1.0), 0.0)
-        return np.where(same, square, np.where(is_a, -g, g)).astype(complex)
-
-
-def gs_magnetization(params):
-    """<S^z> in the ground state."""
-    return 0.5 * gs_contractions(params, 0).g(0)
-
-
-def gs_bundle(params, d):
-    """Correlator column of a ground-state site pair at distance d >= 1."""
-    if d < 1:
-        raise ValueError("distance must be >= 1")
-    return bundles(gs_contractions(params, d + 1), [(0, d)])[0, 0]
+    return pair_tables(
+        (ckr @ (w * e / lam_k) - skr @ (w * s / lam_k)) / np.pi)
 
 
 def gs_concurrence(params, d):
-    """Ground-state concurrence at distance d, with the winning branch."""
-    branch_c, branch_z = map(float, concurrence_branches(
-        x_entries(gs_bundle(params, d))))
+    """Ground-state concurrence at distance d >= 1, with the winning
+    branch."""
+    if d < 1:
+        raise ValueError("distance must be >= 1")
+    columns = bundles(gs_contractions(params, d + 1), [(0, d)])[0, 0]
+    branch_c, branch_z = map(float, concurrence_branches(x_entries(columns)))
     value = max(0.0, branch_c, branch_z)
     label = "parallel" if branch_c >= branch_z else "antiparallel"
     return value, label
 
 
-def gs_one_tangle(params):
-    return one_tangle(gs_magnetization(params))
-
-
 def gs_tangle_budget(params, window=PAIR_WINDOW):
     """(tau1, sum of squared pair concurrences up to the window distance)."""
-    tau1 = gs_one_tangle(params)
+    tau1 = one_tangle(magnetization(gs_contractions(params, 0), 0)[0])
     total = 0.0
     for d in range(1, window + 1):
         c, _ = gs_concurrence(params, d)
         total += 2.0 * c * c  # both directions along the chain
     return tau1, total
-

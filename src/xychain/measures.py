@@ -168,17 +168,18 @@ def ckw_residual(tau1, square_sums):
 
 
 def tangle_deviation(tau_state, tau_baseline):
-    """Absolute and relative one-tangle deviation from a baseline state.
+    """Absolute and relative one-tangle deviations from a baseline state,
+    elementwise over arrays that broadcast together.
 
     Returns (tau_state - tau_baseline, 1 - tau_baseline/tau_state); the
-    relative form is 0 when both tangles vanish.
+    relative form is 0 where both tangles vanish and inf where only the
+    state's does.
     """
-    delta = tau_state - tau_baseline
-    if tau_state == 0.0:
-        rel = 0.0 if tau_baseline == 0.0 else math.inf
-    else:
-        rel = 1.0 - tau_baseline / tau_state
-    return delta, rel
+    tau_state, tau_baseline = np.asarray(tau_state), np.asarray(tau_baseline)
+    zero = tau_state == 0.0
+    rel = 1.0 - tau_baseline / np.where(zero, 1.0, tau_state)
+    return tau_state - tau_baseline, np.where(
+        zero, np.where(tau_baseline == 0.0, 0.0, math.inf), rel)
 
 
 class XView:
@@ -186,23 +187,27 @@ class XView:
 
     A subclass gives pair_entries(ls, ms), the X entries of the pairs with
     the times first, and partners(x), the sites a partner sum of site x
-    runs over; concurrence, rho2 and partner_sums follow from them."""
+    runs over; concurrence, rho2 and partner_sums follow from them.
+    `ask` answers each request once per view."""
 
-    def _once(self, what, ls, ms):
-        """The entries or checked rho2 of a pair set, made once per view."""
+    def ask(self, method, *args):
+        """method(*args), made once per view and shared by every caller
+        that asks for the same method and argument values."""
         held = vars(self).setdefault("_held", {})
-        key = (what, np.shape(ls), tuple(np.ravel(ls).tolist()),
-               np.shape(ms), tuple(np.ravel(ms).tolist()))
+        key = (method, *((a.shape, a.dtype.char, a.tobytes())
+                         for a in map(np.asarray, args)))
         if key not in held:
-            held[key] = (rho2(self._once("entries", ls, ms)) if what == "rho2"
-                         else self.pair_entries(ls, ms))
+            held[key] = getattr(self, method)(*args)
         return held[key]
 
     def concurrence(self, ls, ms):
-        return concurrence_closed(self._once("entries", ls, ms))
+        return concurrence_closed(self.ask("pair_entries", ls, ms))
 
     def rho2(self, ls, ms):
-        return self._once("rho2", ls, ms)
+        return self.ask("_checked_rho2", ls, ms)
+
+    def _checked_rho2(self, ls, ms):
+        return rho2(self.ask("pair_entries", ls, ms))
 
     def partner_sums(self, xs):
         """(sum_q C_xq, sum_q C_xq^2) over the partners q of each site x,

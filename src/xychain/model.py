@@ -26,7 +26,10 @@ multiples of pi/N (antiperiodic) for even parity, such as the vacuum, and
 even multiples (periodic) for odd parity, such as a one-particle Bell seed.
 The thermodynamic limit is the same sum on a ring too large to wrap.
 
-The kernels are tabulated by `correlators.VacuumContractions`, on the same
+`dispersion` gives e_k = 1 + lam cos k, s_k = lam gamma sin k, Lambda_k and
+the cos(kr), sin(kr) tables on a set of momenta; the ring sums of the
+dynamics and the ground state's panel quadrature both start from it.  The
+kernels are tabulated by `correlators.VacuumContractions`, on the same
 ring of momenta as the vacuum contractions they feed.  At gamma = 0 the
 anomalous kernel O vanishes identically and a(x) = exp(i t) i^x J_x(lam t);
 the Bessel route in `isotropic` builds on that closed form, and the
@@ -92,3 +95,12 @@ def momentum_grid(n, sector):
 def light_cone_radius(params, t):
     """Site cutoff beyond which evolved-mode weight is negligible at t."""
     return LIGHT_CONE_PAD + np.ceil(np.abs(params.lam * t)).astype(int)
+
+
+def dispersion(params, k, rs):
+    """e_k, s_k and Lambda_k on the momenta k, and the tables cos(k r) and
+    sin(k r), (len(rs), len(k)), of the separations rs."""
+    e = 1.0 + params.lam * np.cos(k)
+    s = params.lam * params.gamma * np.sin(k)
+    kr = np.outer(rs, k)
+    return e, s, np.hypot(e, s), np.cos(kr), np.sin(kr)

@@ -25,9 +25,9 @@ total_concurrence, ckw_residual; each at most once per list.
 
 Each measure is defined once, in `measure_rows`, over a view of the state
 at a block of times, which it asks once per measure for the whole site
-grid (measures that read the same request share its answer, and a view
-each pair set), as a (name, values) column of shape (times, sites) per
-output name.
+grid, as a (name, values) column of shape (times, sites) per output name.
+Measures that read the same request share its answer through the view's
+one memo (`measures.XView.ask`).
 `run_scenario` fills the grid (times, sites, {name: values}) a block at a
 time; `write_csv` prints it a (name, x) column at a time.  A view offers
 one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and partner_sums(xs), the
@@ -245,13 +245,7 @@ def measure_rows(config, view, baseline, times):
     unperturbed reference, one call per request for the block and grid."""
     xs = config.sites()
     right = [x + 1 for x in xs]
-    out, asked = {}, {}
-
-    def ask(v, method):  # a request of a view, shared by the measures
-        key = (id(v), method)
-        if key not in asked:
-            asked[key] = getattr(v, method)(xs)
-        return asked[key]
+    out = {}
 
     def grid(values):  # one value per site serves every time
         values = np.asarray(values, dtype=float).reshape(-1, len(xs))
@@ -263,23 +257,21 @@ def measure_rows(config, view, baseline, times):
             d = config.concurrence_distance
             out[name] = view.concurrence(xs, [x + d for x in xs])
         elif name == "one_tangle":
-            out[name] = ask(view, "one_tangle")
+            out[name] = view.ask("one_tangle", xs)
         elif name == "entropy2":
             out[name] = measures.entropy_vn(view.rho2(xs, right))
         elif name == "bell_fidelities":
             out.update(zip(_FIDELITY_NAMES,
                            measures.bell_fidelities(view.rho2(xs, right))))
         elif name == "tangle_deviation":
-            taus = [grid(ask(v, "one_tangle")).ravel().tolist()
-                    for v in (view, baseline)]
-            devs = [measures.tangle_deviation(*both) for both in zip(*taus)]
-            out["tangle_deviation"] = [delta for delta, _ in devs]
-            out["tangle_deviation_rel"] = [rel for _, rel in devs]
+            (out["tangle_deviation"],
+             out["tangle_deviation_rel"]) = measures.tangle_deviation(
+                 *(grid(v.ask("one_tangle", xs)) for v in (view, baseline)))
         elif name == "total_concurrence":
-            out[name] = ask(view, "partner_sums")[0]
+            out[name] = view.ask("partner_sums", xs)[0]
         else:  # ckw_residual
-            out[name] = measures.ckw_residual(ask(view, "one_tangle"),
-                                              ask(view, "partner_sums")[1])
+            out[name] = measures.ckw_residual(view.ask("one_tangle", xs),
+                                              view.ask("partner_sums", xs)[1])
     return [(name, grid(values)) for name, values in out.items()]
 
 

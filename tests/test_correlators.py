@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import evolve, majorana_pair
-from xychain import correlators, oracle
+from xychain import correlators, groundstate, oracle
 from xychain.correlators import A, B
 from xychain.model import ModelParams
 
@@ -84,6 +84,16 @@ def test_bell_occupation_at_t0():
                        atol=1e-12)
 
 
+def left_right(con, kind, site, source):
+    """The one-particle elements left_X(x) and right_X(x), x = source -
+    site, of the `correlators` docstring, from the vacuum's V, E, O."""
+    vac = con.vacuum
+    at = source - np.asarray(site) + vac.radius
+    v, e, o = vac.v_table[:, at], vac.e_table[:, at], vac.o_table[:, at]
+    left = v - 1j * (e - o if kind == A else e + o)
+    return left, np.conj(left) if kind == A else -np.conj(left)
+
+
 def mod_by_source_pairs(con, kind_l, l, kind_m, m):
     """Reference Bell modification of <X_l Y_m>: the explicit sum over
     (bra source a, ket source b) of conj(w_a) w_b [left_X(l, a)
@@ -91,9 +101,12 @@ def mod_by_source_pairs(con, kind_l, l, kind_m, m):
     total = 0.0 + 0j
     for a, wa in zip(con.sources, con.weights):
         for b, wb in zip(con.sources, con.weights):
-            total = total + np.conj(wa) * wb * (
-                con.left(kind_l, l, a) * con.right(kind_m, m, b)
-                - con.left(kind_m, m, a) * con.right(kind_l, l, b))
+            left_l, _ = left_right(con, kind_l, l, a)
+            left_m, _ = left_right(con, kind_m, m, a)
+            _, right_l = left_right(con, kind_l, l, b)
+            _, right_m = left_right(con, kind_m, m, b)
+            total = total + np.conj(wa) * wb * (left_l * right_m
+                                                - left_m * right_l)
     return total / con.n2
 
 
@@ -106,11 +119,12 @@ def test_rank_two_mod_matches_source_pair_sum(amp):
     ls, ms = np.meshgrid(np.arange(-2, 7), np.arange(-2, 7), indexing="ij")
     for kl in (A, B):
         for km in (A, B):
-            got = con.mod(kl, ls, km, ms)
+            got = con.pair(kl, ls, km, ms) - con.vacuum.pair(kl, ls, km, ms)
             ref = mod_by_source_pairs(con, kl, ls, km, ms)
             assert np.allclose(got, ref, rtol=0, atol=1e-15), (kl, km)
     sites = np.arange(-2, 7)
-    assert np.abs(con.mod(A, sites, B, sites)).max() > 0.1
+    assert np.abs(con.pair(A, sites, B, sites)
+                  - con.vacuum.pair(A, sites, B, sites)).max() > 0.1
 
 
 def test_bell_reduces_to_vacuum_far_away():
@@ -136,12 +150,17 @@ def test_separation_outside_table_raises():
         vac.pair(A, np.zeros(3, dtype=int), B, [0, 1, -vac.radius - 1])
     bell = correlators.bell_contractions(p, 1.0, 0, 1)
     far = bell.vacuum.radius + 1
-    bell.left(A, far - 1, 0)  # inside the kernel table
-    for accessor in (bell.left, bell.right):
-        with pytest.raises(CutoffError):
-            accessor(A, [0, far], 0)
+    bell.bra_ket(A, far - 1)  # both sources inside the kernel table
+    with pytest.raises(CutoffError):
+        bell.bra_ket(A, [0, far])
     with pytest.raises(CutoffError):
         bell.pair(A, far, B, far)
+    # a same-kind ground-state pair is a table entry like any other
+    gs = groundstate.gs_contractions(p, 3)
+    gs.pair(A, 0, A, 3)
+    for kind in (A, B):
+        with pytest.raises(CutoffError):
+            gs.pair(kind, 0, kind, 4)
 
 
 def test_singlet_tilts_phi_weights_ahead_of_front():

@@ -5,7 +5,9 @@ from helpers import majorana_pair
 from xychain import groundstate, oracle
 from xychain.correlators import A, B
 from xychain.errors import CutoffError
+from xychain.measures import one_tangle
 from xychain.model import ModelParams
+from xychain.pfaffian import bundles, magnetization
 
 KIND = {"A": A, "B": B}
 
@@ -22,6 +24,16 @@ TABLE = (
 )
 
 
+def gs_magnetization(params):
+    """<S^z> of the ground state, read off its pair tables."""
+    return magnetization(groundstate.gs_contractions(params, 0), [0])[0, 0]
+
+
+def gs_bundle(params, d):
+    """Correlator column of the ground-state site pair (0, d)."""
+    return bundles(groundstate.gs_contractions(params, d + 1), [(0, d)])[0, 0]
+
+
 @pytest.mark.parametrize("gamma,lam,table,pin", TABLE)
 def test_nn_concurrence_table(gamma, lam, table, pin):
     value, branch = groundstate.gs_concurrence(
@@ -34,7 +46,7 @@ def test_nn_concurrence_table(gamma, lam, table, pin):
 def test_polarized_phase():
     # gamma = 0, lam < 1: fully polarized product ground state
     p = ModelParams(lam=0.5, gamma=0.0)
-    assert np.isclose(groundstate.gs_magnetization(p), 0.5, atol=1e-12)
+    assert np.isclose(gs_magnetization(p), 0.5, atol=1e-12)
     value, _ = groundstate.gs_concurrence(p, 1)
     assert abs(value) < 1e-12
 
@@ -45,7 +57,7 @@ def test_xx_magnetization_above_threshold():
     for lam in (1.5, 2.0, 5.0):
         p = ModelParams(lam=lam, gamma=0.0)
         ref = (2.0 * np.arccos(-1.0 / lam) - np.pi) / (2.0 * np.pi)
-        assert np.isclose(groundstate.gs_magnetization(p), ref, atol=1e-7)
+        assert np.isclose(gs_magnetization(p), ref, atol=1e-7)
 
 
 def test_antiparallel_branch_wins_at_large_lam():
@@ -65,7 +77,7 @@ def gs_gxx_determinant(params, d):
     k = np.empty((d, d))
     for p in range(d):
         for q in range(d):
-            k[p, q] = -con.g(q - 1 - p)
+            k[p, q] = con.pair(A, 0, B, q - 1 - p)[0].real  # -G(q - 1 - p)
     return 0.25 * (-1.0) ** d * np.linalg.det(k)
 
 
@@ -74,12 +86,12 @@ def test_determinant_route_equals_pfaffian_route():
         p = ModelParams(lam=lam, gamma=gamma)
         for d in (1, 2, 3, 4):
             det_val = gs_gxx_determinant(p, d)
-            assert np.isclose(det_val, groundstate.gs_bundle(p, d)[0],
+            assert np.isclose(det_val, gs_bundle(p, d)[0],
                               atol=1e-12), (gamma, lam, d)
 
 
 def test_bundle_is_uniform_and_x_diagonal():
-    gxx, gyy, gzz, gxy, gyx, mz_l, mz_m = groundstate.gs_bundle(
+    gxx, gyy, gzz, gxy, gyx, mz_l, mz_m = gs_bundle(
         ModelParams(lam=0.8, gamma=0.6), 2)
     assert mz_l == mz_m
     assert gxy == 0.0 and gyx == 0.0
@@ -144,7 +156,7 @@ def test_contractions_near_critical_have_slow_convergence():
 
 def test_one_tangle_and_budget():
     p = ModelParams(lam=1.0, gamma=0.5)
-    tau1 = groundstate.gs_one_tangle(p)
+    tau1 = one_tangle(gs_magnetization(p))
     assert 0.0 < tau1 < 1.0
     budget_tau, budget_sum = groundstate.gs_tangle_budget(p)
     assert np.isclose(budget_tau, tau1, atol=1e-12)

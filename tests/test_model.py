@@ -21,8 +21,11 @@ def test_momentum_grids():
 
 
 def kernel_tables(params, t, radius=None):
-    """V, E, O on |x| <= radius, entry x + radius at separation x."""
-    vac = correlators.vacuum_contractions(params, t, radius)
+    """V, E, O on |x| <= radius (the light cone's by default), entry
+    x + radius at separation x."""
+    if radius is None:
+        radius = model.light_cone_radius(params, t)
+    vac = correlators.VacuumContractions(params, t, radius)
     return vac.v_table[0], vac.e_table[0], vac.o_table[0]
 
 
@@ -88,7 +91,7 @@ def test_window_too_small_raises():
     # at t = 40 the light cone outruns a radius-5 table: it holds only a
     # fraction of the unit weight, and separations past it are refused
     p = ModelParams(lam=1.0, gamma=0.3)
-    vac = correlators.vacuum_contractions(p, 40.0, radius=5)
+    vac = correlators.VacuumContractions(p, 40.0, 5)
     weight = np.sum(vac.v_table ** 2 + vac.e_table ** 2 + vac.o_table ** 2)
     assert weight < 0.5
     with pytest.raises(CutoffError):

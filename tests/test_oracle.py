@@ -8,9 +8,10 @@ import scipy.sparse as sp
 import scipy.special
 
 from helpers import evolve, grid_rows
-from xychain import cli, measures, oracle, selftest
+from xychain import cli, correlators, measures, oracle, selftest
 from xychain.errors import ConfigError, NumericalHealthError
-from xychain.pfaffian import COMPONENTS
+from xychain.model import ModelParams
+from xychain.pfaffian import COMPONENTS, bundles
 from xychain.scenarios import OracleEngine, parse_config_text, run_scenario
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -410,12 +411,29 @@ measures.list = total_concurrence, ckw_residual
     assert np.isclose(rows["ckw_residual"], by_hand_res, atol=1e-12)
 
 
-def test_rho2_concurrence_consistent_with_measures():
-    ws = oracle.OracleWorkspace(8, 1.0, 0.5)
-    ring = oracle.RingState(ws, evolve(ws, ws.vacuum(), 1.2))
-    rho = ring.rho2([0], [1])
-    assert np.isclose(ring.concurrence([0], [1]),
-                      measures.concurrence_wootters(rho), atol=1e-12)
+def test_ring_pairs_match_the_finite_ring_pfaffian_route():
+    # bell_oracle.cfg's singlet at (gamma, lam) = (0.5, 0.5) on N = 12:
+    # every pair of the ring, on the oracle and on the Pfaffian route over
+    # the same ring's momenta.  The entries agree to roundoff; the
+    # concurrence bound is the scale of the Wootters eigenvalue floor the
+    # oracle's concurrence still passes through, and tightens to the
+    # entries' once that floor is dropped (ROADMAP item 1).
+    n, times = 12, [0.25 * k for k in range(1, 7)]
+    ls, ms = map(list, zip(*[(l, m) for l in range(n)
+                             for m in range(l + 1, n)]))
+    con = correlators.bell_contractions(
+        ModelParams(0.5, gamma=0.5, size=n), times, 0, 1, amp=-1.0)
+    pfaffian_entries = measures.x_entries(bundles(con, list(zip(ls, ms))))
+    ws = oracle.OracleWorkspace(n, 0.5, 0.5)
+    for k, vecs in enumerate(ws.evolve_grid(ws.psi_bell(0, 1, np.pi),
+                                            times)):
+        ring = oracle.RingState(ws, vecs)
+        want = [entry[k] for entry in pfaffian_entries]
+        assert np.allclose(ring.pair_entries(ls, ms), want, rtol=0,
+                           atol=1e-12)
+        assert np.allclose(ring.concurrence(ls, ms),
+                           measures.concurrence_closed(want), rtol=0,
+                           atol=1e-6)
 
 
 @pytest.mark.parametrize("extra", [(), ("entropy2",)])

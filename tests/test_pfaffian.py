@@ -93,11 +93,12 @@ def string_expectation_rowrep(contractions, kinds, sites):
     if not contractions.is_modified:
         return pfaffian(mvac)
     n = len(kinds)
+    bra, ket = contractions.bra_ket([KIND[k] for k in kinds], sites)
     mmod = np.zeros((n, n), dtype=complex)
     for p in range(n):
         for q in range(p + 1, n):
-            mmod[p, q] = contractions.mod(KIND[kinds[p]], sites[p],
-                                          KIND[kinds[q]], sites[q])[0]
+            mmod[p, q] = (bra[0, p] * ket[0, q]
+                          - bra[0, q] * ket[0, p]) / contractions.n2
     total = pfaffian(mvac)
     for s in range(n - 1):
         ms = np.triu(mvac).copy()
@@ -406,7 +407,7 @@ def test_bundles_empty_and_invalid():
 
 def test_bundles_raise_past_table_radius():
     p = ModelParams(lam=1.0, gamma=0.5)
-    vac = correlators.vacuum_contractions(p, 1.0, radius=3)
+    vac = correlators.VacuumContractions(p, 1.0, 3)
     bundles(vac, [(0, 3)])
     with pytest.raises(CutoffError):
         bundles(vac, [(0, 1), (0, 4)])
@@ -419,10 +420,10 @@ def test_bundles_raise_past_table_radius():
 def test_bundles_raise_on_imaginary_residue():
     p = ModelParams(lam=0.8, gamma=0.6)
     clean = groundstate.gs_contractions(p, 6)
-    table = clean.g(np.arange(-6, 7))
-    quiet = groundstate.GroundStateContractions(p, 6, table + 1e-13j)
+    table = -clean.pair(A, 0, B, np.arange(-6, 7))[0].real  # G(r)
+    quiet = groundstate.pair_tables(table + 1e-13j)
     bundles(quiet, [(0, 1), (0, 3)])
-    noisy = groundstate.GroundStateContractions(p, 6, table + 1e-6j)
+    noisy = groundstate.pair_tables(table + 1e-6j)
     with pytest.raises(NumericalHealthError, match="imaginary residue"):
         bundles(noisy, [(0, 1), (0, 3)])
 
@@ -532,16 +533,15 @@ def test_block_cutoff_names_the_earliest_short_time(kind):
     # radius, and the padding of its table never answers for it
     p = ModelParams(lam=1.0, gamma=0.5)
     if kind == "vacuum":
-        block = correlators.vacuum_contractions(p, [1.0, 2.0], radius=[3, 6])
+        block = correlators.VacuumContractions(p, [1.0, 2.0], [3, 6])
         bundles(block, [(0, 3)])
     else:
-        block = correlators.bell_contractions(p, [1.0, 2.0], 0, 1,
-                                              radius=[3, 6])
+        block = correlators.BellContractions(p, [1.0, 2.0], [3, 6], 0, 1)
         bundles(block, [(-1, 1), (0, 3)])
     with pytest.raises(CutoffError, match="radius [34] exceeded at "
                        "separation -?5 at t=1$"):
         bundles(block, [(0, 1), (0, 5)])
-    later = correlators.vacuum_contractions(p, [2.0], radius=[6])
+    later = correlators.VacuumContractions(p, [2.0], [6])
     bundles(later, [(0, 5)])
 
 
