@@ -25,9 +25,7 @@ from .pfaffian import magnetization
 from .measures import (
     bell_fidelities,
     concurrence_closed,
-    concurrence_wootters,
     one_tangle,
-    rho2,
     x_entries,
 )
 from .groundstate import gs_concurrence, gs_contractions
@@ -54,14 +52,12 @@ __all__ = [
     "bell_contractions",
     "bell_fidelities",
     "concurrence_closed",
-    "concurrence_wootters",
     "gs_concurrence",
     "gs_contractions",
     "magnetization",
     "one_tangle",
     "parse_config_file",
     "parse_config_text",
-    "rho2",
     "run_scenario",
     "vacuum_contractions",
     "write_csv",

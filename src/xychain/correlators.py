@@ -210,11 +210,12 @@ class BellContractions:
                 np.where(is_a, ket, -ket) @ np.array(self.weights))
 
     def pair(self, kind_l, l, kind_m, m):
-        """<X_l Y_m>: the vacuum's plus (bra_l ket_m - bra_m ket_l) / n2."""
-        bra_l, ket_l = self.bra_ket(kind_l, l)
-        bra_m, ket_m = self.bra_ket(kind_m, m)
+        """<X_l Y_m>: the vacuum's plus (bra_l ket_m - bra_m ket_l) / n2,
+        the bras and kets of both operators from one kernel gather."""
+        kind_l, l, kind_m, m = np.broadcast_arrays(kind_l, l, kind_m, m)
+        bra, ket = self.bra_ket(np.stack([kind_l, kind_m]), np.stack([l, m]))
         return self.vacuum.pair(kind_l, l, kind_m, m) + (
-            bra_l * ket_m - bra_m * ket_l) / self.n2
+            bra[:, 0] * ket[:, 1] - bra[:, 1] * ket[:, 0]) / self.n2
 
 
 def vacuum_contractions(params, times):

@@ -27,7 +27,8 @@ import math
 import numpy as np
 
 from .correlators import PairTables
-from .measures import concurrence_branches, one_tangle, x_entries
+from .measures import (concurrence_branches, concurrence_closed, one_tangle,
+                       x_entries)
 from .model import PAIR_WINDOW, dispersion
 from .pfaffian import bundles, magnetization
 
@@ -104,10 +105,10 @@ def gs_concurrence(params, d):
 
 
 def gs_tangle_budget(params, window=PAIR_WINDOW):
-    """(tau1, sum of squared pair concurrences up to the window distance)."""
-    tau1 = one_tangle(magnetization(gs_contractions(params, 0), 0)[0])
-    total = 0.0
-    for d in range(1, window + 1):
-        c, _ = gs_concurrence(params, d)
-        total += 2.0 * c * c  # both directions along the chain
-    return tau1, total
+    """(tau1, sum of squared pair concurrences up to the window distance),
+    both read off one table of radius window + 1."""
+    con = gs_contractions(params, window + 1)
+    tau1 = one_tangle(magnetization(con, 0)[0])
+    columns = bundles(con, [(0, d) for d in range(1, window + 1)])[0]
+    concs = concurrence_closed(x_entries(columns)).tolist()
+    return tau1, sum(2.0 * c * c for c in concs)  # both chain directions

@@ -18,8 +18,9 @@ which reads one pass over a state and requires each component's weight
 outside its sector to be exactly 0: then each pair's reduced state is an X
 matrix whose populations are sums of the weights |v|^2, whose two
 coherences are overlaps of the components, and whose concurrence is
-Wootters'.  This module deliberately shares no formulas with the analytic
-path beyond the Hamiltonian itself (the series coefficients are quadratures,
+Wootters' on the closed-form spin-flip roots of those entries, with an
+eigenvalue floor (`measures.concurrence_wootters`).  This module
+deliberately shares no formulas with the analytic path beyond the Hamiltonian itself (the series coefficients are quadratures,
 not Bessel ladders); agreement between the two is the main correctness
 argument of the package.
 
@@ -392,7 +393,7 @@ class RingState(measures.XView):
         for l, m in zip(ls, ms):
             lo, hi = sorted((l % n, m % n))
             if lo == hi:
-                raise ValueError("rho2 needs two distinct sites")
+                raise ValueError("a pair needs two distinct sites")
             shape = (2 ** lo, 2, 2 ** (hi - lo - 1), 2, 2 ** (n - hi - 1))
             (a, x), (y, b) = weights.reshape(shape).sum(axis=(0, 2, 4))
             t = stack.reshape((-1,) + shape)
@@ -408,4 +409,5 @@ class RingState(measures.XView):
         return [m for m in range(self.ws.n) if m != x % self.ws.n]
 
     def concurrence(self, ls, ms):
-        return measures.concurrence_wootters(self.rho2(ls, ms))
+        self.ask("spectrum", ls, ms)  # the pairs' one check
+        return measures.concurrence_wootters(self.ask("pair_entries", ls, ms))

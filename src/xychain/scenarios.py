@@ -30,27 +30,27 @@ Measures that read the same request share its answer through the view's
 one memo (`measures.XView.ask`).
 `run_scenario` fills the grid (times, sites, {name: values}) a block at a
 time; `write_csv` prints it a (name, x) column at a time.  A view offers
-one_tangle(xs), concurrence(ls, ms), rho2(ls, ms) and partner_sums(xs), the
-sums of C and C^2 over each site's partners in the route's window (the
-light cone on the Bessel route, +-PAIR_WINDOW on the Pfaffian route, the
-whole ring on the oracle), each one entry per site or pair (per time and
-site or pair on a block).  Every view is a `measures.XView`, which gives
-only the X entries of pairs and derives the rest.  Engines yield each
-block's times and view with a baseline: the view of the unperturbed
-reference, whose one_tangle tangle_deviation reads.  The analytic engine's
-views are the one-particle packet (the gamma = 0 vacuum is the empty
-packet) and `isotropic.PhiState` at gamma = 0, and Pfaffian contractions
-otherwise or in equilibrium; the oracle's view is the evolved ring
-(`oracle.RingState`), whose X entries come from one pass over the state and
-whose concurrence is Wootters' on them.  A
-stationary view serves the whole grid,
-a packet a run of times whose Bessel windows (`isotropic.windows`, sized a
-block at a time, each block within WINDOW_BLOCK_BYTES by its own longest
-ladder) share a radius, Pfaffian contractions such a block (bounded by its
-partner concurrences too), any other view one time.  What the analytic engine
-cannot represent exactly (knitted scenarios, phi_bell and generic seed
-phases at gamma != 0, ckw_residual on phi_bell) raises CapabilityError when
-the engine is built; the oracle engine handles those on small rings.
+one_tangle(xs), concurrence(ls, ms), pair_entries(ls, ms), spectrum(ls, ms)
+(the pairs' checked spectra) and partner_sums(xs), the sums of C and C^2 over
+each site's partners in the route's window (the light cone on the Bessel
+route, +-PAIR_WINDOW on the Pfaffian route, the whole ring on the oracle),
+each one entry per site or pair (per time and site or pair on a block).
+Every view is a `measures.XView`, which gives only the X entries of pairs
+and derives the rest.  Engines yield each block's times and view with a
+baseline: the view of the unperturbed reference, whose one_tangle
+tangle_deviation reads.  The analytic engine's views are the one-particle
+packet (the gamma = 0 vacuum is the empty packet) and `isotropic.PhiState`
+at gamma = 0, and Pfaffian contractions otherwise or in equilibrium; the
+oracle's view is the evolved ring (`oracle.RingState`), whose X entries
+come from one pass over the state and whose concurrence is Wootters' on
+them.  A stationary view serves the whole grid, a packet a run of times
+whose Bessel windows (`isotropic.windows`, sized a block at a time, each
+block within WINDOW_BLOCK_BYTES by its own longest ladder) share a radius,
+Pfaffian contractions such a block (bounded by its partner concurrences
+too), any other view one time.  What the analytic engine cannot represent
+exactly (knitted scenarios, phi_bell and generic seed phases at gamma != 0,
+ckw_residual on phi_bell) raises CapabilityError when the engine is built;
+the oracle engine handles those on small rings.
 """
 
 import dataclasses
@@ -259,10 +259,11 @@ def measure_rows(config, view, baseline, times):
         elif name == "one_tangle":
             out[name] = view.ask("one_tangle", xs)
         elif name == "entropy2":
-            out[name] = measures.entropy_vn(view.rho2(xs, right))
+            out[name] = measures.entropy_vn(view.ask("spectrum", xs, right))
         elif name == "bell_fidelities":
-            out.update(zip(_FIDELITY_NAMES,
-                           measures.bell_fidelities(view.rho2(xs, right))))
+            view.ask("spectrum", xs, right)  # the pairs' one check
+            out.update(zip(_FIDELITY_NAMES, measures.bell_fidelities(
+                view.ask("pair_entries", xs, right))))
         elif name == "tangle_deviation":
             (out["tangle_deviation"],
              out["tangle_deviation_rel"]) = measures.tangle_deviation(

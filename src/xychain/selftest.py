@@ -1,8 +1,10 @@
 """Oracle-equivalence selftest.
 
 Runs the analytic machinery and the exact-diagonalization oracle over a
-matrix of parameter combinations and compares correlators, two-site density
-matrices, concurrences, one-tangles and Bell fidelities on a 12-site ring.
+matrix of parameter combinations and compares magnetizations (category
+`correlators`), the X entries of two-site reduced states (`rho2`, checked
+by `measures.x_spectrum` on both sides), concurrences, one-tangles and
+Bell fidelities on a 12-site ring.
 Ring wraparound limits how far in time and distance a thermodynamic-limit
 calculation can be compared against a 12-site ring: each cell must satisfy
 lam*t + offset <= n/2 - 2, with the offset measured from the insertion
@@ -23,7 +25,7 @@ import numpy as np
 from . import isotropic, measures, oracle
 from .correlators import bell_contractions, vacuum_contractions
 from .model import ModelParams
-from .pfaffian import COMPONENTS, bundles, magnetization
+from .pfaffian import bundles, magnetization
 
 RING = 12
 SEED_I, SEED_J = 1, 2
@@ -91,14 +93,6 @@ def _site_cells(kind, lam_t):
     return [s for s in SITES if _offset(s) <= limit]
 
 
-def ring_columns(entries):
-    """Correlator columns (..., 5), ordered as COMPONENTS, of X entries: the
-    inverse of `measures.x_entries`."""
-    a, b, _, _, c, z = entries
-    return np.stack([(c + z).real / 2, (z - c).real / 2, (a + b) / 2 - 0.25,
-                     (z.imag - c.imag) / 2, -(c.imag + z.imag) / 2], axis=-1)
-
-
 def ring_magnetizations(ring, sites):
     """<S^z> of each site of an `oracle.RingState`, (up - down)/2."""
     up, down = ring.site_populations(sites).T
@@ -131,21 +125,20 @@ def run_case(gamma, lam, kind, fast=False):
         report.cells += len(pairs) + len(sites)
         pairs += [(s, s + 1) for s in sites[:-1]]
         ls, ms = zip(*pairs)
-        columns = bundles(con, pairs)[0]
-        entries, ref = measures.x_entries(columns), ring.pair_entries(ls, ms)
-        rhos, rho_refs = measures.rho2(entries), measures.rho2(ref)
-        c_refs = measures.concurrence_wootters(rho_refs[cell])
-        fids_ref = measures.bell_fidelities(rho_refs[fid])
+        entries = measures.x_entries(bundles(con, pairs)[0])
+        ref = ring.pair_entries(ls, ms)
+        measures.x_spectrum(entries), measures.x_spectrum(ref)  # both sides
+        c_refs = measures.concurrence_wootters(ref)[cell]
+        fids_ref = np.asarray(measures.bell_fidelities(ref))[:, fid]
         mz, tau_refs = magnetization(con, sites)[0], ring.one_tangle(sites)
-        report.record("correlators", columns[cell, :len(COMPONENTS)],
-                      ring_columns(ref)[cell])
         report.record("correlators", mz, ring_magnetizations(ring, sites))
-        report.record("rho2", rhos[cell], rho_refs[cell])
+        report.record("rho2", np.asarray(entries)[:, cell],
+                      np.asarray(ref)[:, cell])
         report.record("concurrence",
                       measures.concurrence_closed(entries)[cell], c_refs)
         report.record("one_tangle", measures.one_tangle(mz), tau_refs)
-        report.record("fidelities", measures.bell_fidelities(rhos[fid]),
-                      fids_ref)
+        report.record("fidelities", np.asarray(
+            measures.bell_fidelities(entries))[:, fid], fids_ref)
         if window is not None:
             state = isotropic.wavepacket(SEED_I, SEED_J, np.pi, t, lam,
                                          window=window)
@@ -153,8 +146,10 @@ def run_case(gamma, lam, kind, fast=False):
                           state.concurrence(ls[cell], ms[cell]), c_refs)
             report.record("one_tangle(bessel)", state.one_tangle(sites),
                           tau_refs)
-            report.record("fidelities(bessel)", measures.bell_fidelities(
-                state.rho2(ls[fid], ms[fid])), fids_ref)
+            bessel = state.pair_entries(ls[fid], ms[fid])
+            measures.x_spectrum(bessel)
+            report.record("fidelities(bessel)",
+                          measures.bell_fidelities(bessel), fids_ref)
         elif isotropic_route:
             # stationary vacuum: the Bessel route asserts exact zeros
             report.record("one_tangle(bessel)", tau_refs, 0.0)

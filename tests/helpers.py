@@ -56,6 +56,44 @@ def random_x_bundle(rng, edge=False):
                      mz_mean - mz_diff])
 
 
+def x_matrix(entries):
+    """The X-form density matrices (..., 4, 4), basis (uu, ud, du, dd), of
+    entries (a, b, x, y, c, z) that broadcast together."""
+    a, b, x, y, c, z = entries
+    rho = np.zeros(np.broadcast(a, b, x, y, c, z).shape + (4, 4),
+                   dtype=complex)
+    for k, m, v in ((0, 0, a), (1, 1, x), (2, 2, y), (3, 3, b), (0, 3, c),
+                    (1, 2, z)):
+        rho[..., k, m], rho[..., m, k] = v, np.conj(v)
+    return rho
+
+
+_YY = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def wootters_reference(rho):
+    """Wootters' concurrence of any two-qubit density matrix, or of each of
+    a stack (..., 4, 4), from the eigenvalues of rho (sigma_y x sigma_y)
+    rho* (sigma_y x sigma_y) by a general eigensolver.  Eigenvalues below
+    1e-12 of the largest count as 0: a non-semisimple zero block puts
+    sqrt(eps) noise on them."""
+    rho = np.asarray(rho, dtype=complex)
+    evals = np.linalg.eigvals(rho @ _YY @ rho.conj() @ _YY)
+    assert np.max(np.abs(evals.imag), initial=0.0) < 1e-8
+    vals = np.clip(evals.real, 0.0, None)
+    vals[vals < 1e-12 * vals.max(axis=-1, keepdims=True)] = 0.0
+    roots = np.sort(np.sqrt(vals), axis=-1)
+    return np.maximum(0.0, 2.0 * roots[..., -1] - roots.sum(axis=-1))
+
+
+def ring_columns(entries):
+    """Correlator columns (..., 5), ordered as `pfaffian.COMPONENTS`, of X
+    entries: the inverse of `measures.x_entries`."""
+    a, b, _, _, c, z = entries
+    return np.stack([(c + z).real / 2, (z - c).real / 2, (a + b) / 2 - 0.25,
+                     (z.imag - c.imag) / 2, -(c.imag + z.imag) / 2], axis=-1)
+
+
 def bell_fidelity(rho, family, phi):
     """Overlap with (first + e^{i phi} second)/sqrt(2) of the given family."""
     rho = np.asarray(rho, dtype=complex)

@@ -18,15 +18,14 @@ from xychain.groundstate import gs_concurrence
 from xychain.measures import (
     ckw_residual,
     concurrence_closed,
-    concurrence_wootters,
-    rho2,
     x_entries,
 )
 from xychain.model import ModelParams
 from xychain.pfaffian import bundles, pfaffians
 from xychain.selftest import run_selftest
 
-from helpers import coefficients, evolve, orbital_states, random_x_bundle
+from helpers import (coefficients, evolve, orbital_states, random_x_bundle,
+                     wootters_reference, x_matrix)
 
 
 def _verdict(num, label, ok, detail):
@@ -160,7 +159,7 @@ def test_criterion_06_closed_form_concurrence():
     for trial in range(1000):
         entries = x_entries(random_x_bundle(rng, edge=(trial % 5 == 0)))
         closed = concurrence_closed(entries)
-        generic = concurrence_wootters(rho2(entries))
+        generic = wootters_reference(x_matrix(entries))
         worst = max(worst, abs(closed - generic))
     ok = worst < 1e-10
     _verdict(6, "closed-form vs generic concurrence",

@@ -167,20 +167,20 @@ def test_singlet_tilts_phi_weights_ahead_of_front():
     # a singlet seeded at (0, 1) reshapes the pair-creation background at
     # sites ahead of the front: both phi-family weights stay nonzero and
     # the flip-antisymmetric combination dominates
-    from xychain.measures import bell_fidelities, rho2, x_entries
+    from xychain.measures import bell_fidelities, x_entries
     from xychain.pfaffian import bundles
 
     p = ModelParams(lam=0.5, gamma=0.5)
     con = correlators.bell_contractions(p, 8.0, 0, 1)
-    fid = bell_fidelities(rho2(x_entries(bundles(con, [(5, 6)])[0, 0])))
+    fid = bell_fidelities(x_entries(bundles(con, [(5, 6)])[0, 0]))
     assert fid[2] > 0.0 and fid[3] > 0.0
     assert fid[2] >= fid[3]
 
     # quantitative ring check at a time the N = 12 ring still holds the
     # front without wrap-around (t = 8 leaks a few 1e-3 through the wrap)
     con = correlators.bell_contractions(p, 6.0, 0, 1)
-    ana = bell_fidelities(rho2(x_entries(bundles(con, [(5, 6)])[0, 0])))
+    ana = bell_fidelities(x_entries(bundles(con, [(5, 6)])[0, 0]))
     ws = oracle.OracleWorkspace(12, 0.5, 0.5)
-    ring = bell_fidelities(oracle.RingState(
-        ws, evolve(ws, ws.psi_bell(0, 1, np.pi), 6.0)).rho2([5], [6])[0])
-    assert np.allclose(ana, ring, atol=2e-3)
+    ring = oracle.RingState(ws, evolve(ws, ws.psi_bell(0, 1, np.pi), 6.0))
+    assert np.allclose(ana, np.ravel(bell_fidelities(ring.pair_entries(
+        [5], [6]))), atol=2e-3)

@@ -174,6 +174,21 @@ def test_budget_gap_grows_with_anisotropy():
     assert gaps[0] < gaps[1] < gaps[2]
 
 
+def test_budget_reads_one_table(monkeypatch):
+    # the magnetization and every pair concurrence of a budget read one
+    # ground-state table of radius window + 1
+    radii = []
+
+    def counted(params, radius):
+        radii.append(radius)
+        return build(params, radius)
+
+    build = groundstate.gs_contractions
+    monkeypatch.setattr(groundstate, "gs_contractions", counted)
+    groundstate.gs_tangle_budget(ModelParams(1.0, gamma=0.5), window=5)
+    assert radii == [6]
+
+
 def test_separation_beyond_the_table_is_a_cutoff():
     # the same error as the vacuum and Bell-seed tables
     con = groundstate.gs_contractions(ModelParams(1.0, gamma=0.5), 3)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from helpers import (PhiCoefficients, bell_fidelity, bessel_j, binary_entropy,
                      coefficients, evolve, norm_defect, orbital_states,
-                     single_source_packet)
+                     single_source_packet, x_matrix)
 from xychain import isotropic, measures, model, oracle
 from xychain.errors import CutoffError
 
@@ -171,9 +171,8 @@ def test_one_tangle_is_occupation_parabola():
 
 def test_entropy_pair_against_rho2():
     state = isotropic.wavepacket(0, 1, np.pi, 1.7, 1.0)
-    rho = state.rho2(0, 2)
     assert np.isclose(entropy_pair(state, 0, 2),
-                      measures.entropy_vn(rho), atol=1e-12)
+                      measures.entropy_vn(state.spectrum(0, 2)), atol=1e-12)
 
 
 def test_global_phase_invariance():
@@ -184,12 +183,13 @@ def test_global_phase_invariance():
                       rotated.concurrence(0, 2), atol=1e-14)
     assert np.isclose(base.one_tangle(1),
                       rotated.one_tangle(1), atol=1e-14)
-    assert base.rho2(0, 1) == pytest.approx(rotated.rho2(0, 1))
+    assert x_matrix(base.pair_entries(0, 1)) == pytest.approx(
+        x_matrix(rotated.pair_entries(0, 1)))
 
 
 def test_bell_fidelities_pair_t0():
     st0 = isotropic.wavepacket(0, 1, np.pi, 0.0, 1.0)
-    vals = measures.bell_fidelities(st0.rho2(0, 1))
+    vals = measures.bell_fidelities(st0.pair_entries(0, 1))
     assert np.allclose(vals, (1.0, 0.0, 0.0, 0.0), atol=1e-12)
 
 
@@ -395,8 +395,8 @@ def test_window_past_the_bessel_ladder_is_a_cutoff():
 def test_phi_rho2_is_physical():
     ps = isotropic.PhiState(-5, 5, 0.7, 3.0, 1.0)
     for n, m in ((-1, 1), (-5, 5), (0, 4)):
-        rho = ps.rho2(n, m)
-        measures.validate_density(rho)
+        spectrum = ps.spectrum(n, m)
+        assert spectrum.shape == (4,) and np.isclose(spectrum.sum(), 1.0)
 
 
 def test_phi_concurrence_is_winning_branch():
@@ -416,8 +416,8 @@ def test_phi_matches_ring():
     ws = oracle.OracleWorkspace(12, 0.0, lam)
     ring = oracle.RingState(ws, evolve(ws, ws.phi_bell(5, 7, phi), t))
     ps = isotropic.PhiState(5, 7, phi, t, lam)
-    rho_o = ring.rho2([4], [8])[0]
-    rho_a = ps.rho2(4, 8)
+    rho_o = x_matrix(ring.pair_entries([4], [8]))[0]
+    rho_a = x_matrix(ps.pair_entries(4, 8))
     assert np.max(np.abs(np.abs(rho_o) - np.abs(rho_a))) < 1e-4
     assert abs(ring.concurrence([4], [8])[0] - ps.concurrence(4, 8)) < 1e-4
     assert abs(ring.one_tangle([4])[0] - ps.one_tangle(4)) < 1e-4
@@ -426,7 +426,7 @@ def test_phi_matches_ring():
 def test_phi_optimal_phase_maximizes_fidelity():
     ps = isotropic.PhiState(-5, 5, 0.7, 4.0, 1.0)
     n, m = -1, 1
-    rho = ps.rho2(n, m)
+    rho = x_matrix(ps.pair_entries(n, m))
     best_phi = optimal_phase_pair(ps, n, m)
     best_val = bell_fidelity(rho, "phi", best_phi)
     grid_vals = [bell_fidelity(rho, "phi", p)

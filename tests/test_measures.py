@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bell_fidelity, random_x_bundle, random_x_entries
+from helpers import (bell_fidelity, random_x_bundle, random_x_entries,
+                     wootters_reference, x_matrix)
 from xychain import measures
 from xychain.errors import NumericalHealthError
 from xychain.measures import COLUMNS
@@ -19,6 +20,12 @@ def singlet_bundle():
                   mz_l=0.0, mz_m=0.0)
 
 
+def werner_entries(p):
+    """X entries of p |psi-><psi-| + (1 - p) I/4."""
+    return ((1.0 - p) / 4, (1.0 - p) / 4, (1.0 + p) / 4, (1.0 + p) / 4, 0.0,
+            -p / 2)
+
+
 def werner_rho(p):
     psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     return p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0
@@ -27,29 +34,51 @@ def werner_rho(p):
 def test_singlet_is_maximally_entangled():
     entries = measures.x_entries(singlet_bundle())
     assert np.isclose(measures.concurrence_closed(entries), 1.0)
-    rho = measures.rho2(entries)
-    assert np.isclose(measures.concurrence_wootters(rho), 1.0)
-    assert np.isclose(measures.entropy_vn(rho), 0.0, atol=1e-12)
-    assert measures.bell_fidelities(rho) == pytest.approx((1.0, 0.0, 0.0, 0.0))
+    assert np.isclose(measures.concurrence_wootters(entries), 1.0)
+    assert np.isclose(measures.entropy_vn(measures.x_spectrum(entries)), 0.0,
+                      atol=1e-12)
+    assert measures.bell_fidelities(entries) == pytest.approx(
+        (1.0, 0.0, 0.0, 0.0))
 
 
 def test_werner_concurrence():
     for p in (0.0, 0.2, 1.0 / 3.0, 0.6, 0.95):
         ref = max(0.0, (3.0 * p - 1.0) / 2.0)
-        assert np.isclose(measures.concurrence_wootters(werner_rho(p)), ref,
-                          atol=1e-12)
+        assert np.allclose(x_matrix(werner_entries(p)), werner_rho(p),
+                           rtol=0, atol=1e-15)
+        assert np.isclose(wootters_reference(werner_rho(p)), ref, atol=1e-12)
+        assert np.isclose(measures.concurrence_wootters(werner_entries(p)),
+                          ref, atol=1e-12)
 
 
 def test_closed_equals_wootters_on_random_states():
+    # closed form, Wootters' closed-form roots and the general eigensolver
+    # route agree; the floored roots hold the eigensolver to 1e-12
     rng = np.random.default_rng(42)
-    worst = 0.0
-    for k in range(300):
+    worst_closed = worst_roots = 0.0
+    for k in range(2000):
         entries = random_x_entries(rng, edge=(k % 10 == 0))
-        rho = measures.rho2(entries)
-        diff = abs(measures.concurrence_closed(entries)
-                   - measures.concurrence_wootters(rho))
-        worst = max(worst, diff)
-    assert worst < 1e-10
+        roots = measures.concurrence_wootters(entries)
+        worst_closed = max(worst_closed, abs(
+            measures.concurrence_closed(entries) - roots))
+        worst_roots = max(worst_roots, abs(
+            roots - wootters_reference(x_matrix(entries))))
+    assert worst_closed < 1e-10
+    assert worst_roots < 1e-12
+
+
+def test_x_spectrum_is_the_eigenvalues_of_the_x_matrix():
+    rng = np.random.default_rng(11)
+    edges = [(0.25, 0.25, 0.25, 0.25, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0,
+                                                  0.0),
+             (0.5, 0.5, 0.0, 0.0, 0.5j, 0.0), (0.0, 0.0, 0.5, 0.5, 0.0, -0.5),
+             werner_entries(1.0), werner_entries(1.0 / 3.0)]
+    samples = edges + [random_x_entries(rng, edge=(k % 3 == 0))
+                       for k in range(600)]
+    for entries in samples:
+        got = np.sort(measures.x_spectrum(entries))
+        want = np.clip(np.linalg.eigvalsh(x_matrix(entries)), 0.0, None)
+        assert np.max(np.abs(got - want)) <= 1e-14, entries
 
 
 def scalar_concurrence(column):
@@ -70,17 +99,36 @@ def test_stacks_equal_their_columns_bit_for_bit():
     rng = np.random.default_rng(17)
     stack = np.array([[random_x_bundle(rng, edge=(k % 4 == 0))
                        for k in range(40)] for _ in range(3)])
-    closed = measures.concurrence_closed(measures.x_entries(stack))
-    rhos = measures.rho2(measures.x_entries(stack))
-    wootters = measures.concurrence_wootters(rhos)
+    entries = measures.x_entries(stack)
+    closed = measures.concurrence_closed(entries)
+    wootters = measures.concurrence_wootters(entries)
+    spectra = measures.x_spectrum(entries)
     assert closed.shape == wootters.shape == (3, 40)
-    assert rhos.shape == (3, 40, 4, 4)
+    assert spectra.shape == (3, 40, 4)
     for t in range(3):
         for k in range(40):
+            member = measures.x_entries(stack[t, k])
             assert closed[t, k] == scalar_concurrence(stack[t, k])
-            assert wootters[t, k] == measures.concurrence_wootters(rhos[t, k])
-            assert np.array_equal(
-                rhos[t, k], measures.rho2(measures.x_entries(stack[t, k])))
+            assert wootters[t, k] == measures.concurrence_wootters(member)
+            assert np.array_equal(spectra[t, k], measures.x_spectrum(member))
+
+
+def replaced(entries, k, member):
+    """entries with member k of each entry array replaced by member."""
+    out = [np.array(e, dtype=complex) for e in entries]
+    for e, v in zip(out, member):
+        e[k] = v
+    return tuple(out)
+
+
+# a member that fails each check of x_spectrum, and the message it raises
+GARBAGE = (((1.0, 1.0, 1.0, 1.0, 0.0, 0.0), "trace 4 != 1"),
+           ((0.25 + 1e-9j, 0.25 - 1e-9j, 0.25, 0.25, 0.0, 0.0),
+            "not hermitian"),
+           ((0.6, 0.5, -0.05, -0.05, 0.0, 0.0),
+            r"eigenvalue -5\.000e-02 below -1\.0e-08"),
+           ((0.25, 0.25, 0.25, 0.25, 0.3, 0.0),
+            r"eigenvalue -5\.000e-02 below -1\.0e-08"))
 
 
 def test_stack_checks_guard_every_member():
@@ -91,45 +139,43 @@ def test_stack_checks_guard_every_member():
                     mz_l=0.1, mz_m=-0.1)
     with pytest.raises(NumericalHealthError, match="parallel branch"):
         measures.concurrence_closed(measures.x_entries(bad))
-    rhos = measures.rho2(measures.x_entries(stack))
-    for k, broken in ((2, np.diag([0.6, 0.5, -0.05, -0.05])),
-                      (5, np.eye(4)), (3, np.eye(4) / 4.0 + 0.2 * np.eye(
-                          4, k=1))):
-        garbage = rhos.copy()
-        garbage[k] = broken
-        with pytest.raises(NumericalHealthError):
-            measures.validate_density(garbage)
-    unphysical = rhos.copy()
-    unphysical[2] = np.diag([0.7, 0.5, -0.1, -0.1])
-    with pytest.raises(NumericalHealthError, match="spin-flip"):
-        measures.concurrence_wootters(unphysical)
-    assert measures.validate_density(rhos).shape == (6, 4)
+    entries = measures.x_entries(stack)
+    for k, (member, message) in zip((2, 5, 3, 0), GARBAGE):
+        with pytest.raises(NumericalHealthError, match=message):
+            measures.x_spectrum(replaced(entries, k, member))
+    unphysical = replaced(entries, 2, (0.7, -0.1, 0.5, -0.1, 0.0, 0.0))
+    with pytest.raises(NumericalHealthError, match="spin-flip spectrum"):
+        measures.concurrence_wootters(tuple(np.real(e) for e in unphysical))
+    assert measures.x_spectrum(entries).shape == (6, 4)
 
 
 def test_rho2_roundtrip():
-    # populations and coherences land where the X-state layout says
+    # the X entries of a column land where the X-state layout says
     rng = np.random.default_rng(7)
     gxx, gyy, gzz, gxy, gyx, mz_l, mz_m = b = random_x_bundle(rng)
-    rho = measures.rho2(measures.x_entries(b))
-    assert np.isclose(np.trace(rho).real, 1.0)
-    assert np.isclose(rho[0, 0] - rho[3, 3], mz_l + mz_m)
-    assert np.isclose(rho[1, 1] - rho[2, 2], mz_l - mz_m)
-    assert np.isclose(rho[0, 3], gxx - gyy - 1j * (gxy + gyx))
-    assert np.isclose(rho[1, 2], gxx + gyy + 1j * (gxy - gyx))
-    assert rho[0, 1] == 0.0 and rho[0, 2] == 0.0
+    a, b, x, y, c, z = measures.x_entries(b)
+    assert np.isclose(a + b + x + y, 1.0)
+    assert np.isclose(a - b, mz_l + mz_m)
+    assert np.isclose(x - y, mz_l - mz_m)
+    assert np.isclose(c, gxx - gyy - 1j * (gxy + gyx))
+    assert np.isclose(z, gxx + gyy + 1j * (gxy - gyx))
 
 
 def test_fidelities_sum_to_one():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        rho = measures.rho2(random_x_entries(rng))
-        assert np.isclose(sum(measures.bell_fidelities(rho)), 1.0, atol=1e-12)
+        entries = random_x_entries(rng)
+        assert np.isclose(sum(measures.bell_fidelities(entries)), 1.0,
+                          atol=1e-12)
 
 
 def test_fidelity_phase_sweep():
     # the four named fidelities are the phase-family values at 0 and pi
-    rho = werner_rho(0.8)
-    psi_minus, psi_plus, phi_minus, phi_plus = measures.bell_fidelities(rho)
+    rng = np.random.default_rng(5)
+    entries = random_x_entries(rng)
+    rho = x_matrix(entries)
+    psi_minus, psi_plus, phi_minus, phi_plus = measures.bell_fidelities(
+        entries)
     assert np.isclose(bell_fidelity(rho, "psi", np.pi), psi_minus)
     assert np.isclose(bell_fidelity(rho, "psi", 0.0), psi_plus)
     assert np.isclose(bell_fidelity(rho, "phi", np.pi), phi_minus)
@@ -142,21 +188,30 @@ def test_fidelity_phase_sweep():
 
 
 def test_entropy_values():
-    assert np.isclose(measures.entropy_vn(np.eye(4) / 4.0), 2.0)
+    mixed = measures.x_spectrum((0.25, 0.25, 0.25, 0.25, 0.0, 0.0))
+    assert np.isclose(measures.entropy_vn(mixed), 2.0)
+    # p |psi-><psi-| + (1 - p) I/4 has eigenvalues (1 + 3p)/4 and 3 x (1 - p)/4
+    p = 0.6
+    evals = np.array([(1 + 3 * p) / 4] + [(1 - p) / 4] * 3)
+    assert np.isclose(
+        measures.entropy_vn(measures.x_spectrum(werner_entries(p))),
+        -np.sum(evals * np.log2(evals)), rtol=0, atol=1e-14)
 
 
 def test_stacked_entropy_equals_per_matrix_calls_bit_for_bit():
-    # one diagonalization of a (times, pairs) stack, pure and rank-deficient
+    # one spectrum of a (times, pairs) stack, pure and rank-deficient
     # members included, gives each member's own value
     rng = np.random.default_rng(23)
-    rhos = measures.rho2(np.array([[random_x_entries(rng, edge=(k % 3 == 0))
-                                    for k in range(30)] for _ in range(2)],
-                                  dtype=complex).transpose(2, 0, 1))
-    stacked = measures.entropy_vn(rhos)
+    entries = np.array([[random_x_entries(rng, edge=(k % 3 == 0))
+                         for k in range(30)] for _ in range(2)],
+                       dtype=complex).transpose(2, 0, 1)
+    entries = (*entries[:4].real, *entries[4:])
+    stacked = measures.entropy_vn(measures.x_spectrum(entries))
     assert stacked.shape == (2, 30)
     for t in range(2):
         for k in range(30):
-            value = measures.entropy_vn(rhos[t, k])
+            value = measures.entropy_vn(measures.x_spectrum(
+                tuple(e[t, k] for e in entries)))
             assert stacked[t, k] == value
             assert math.copysign(1.0, stacked[t, k]) == math.copysign(
                 1.0, value)
@@ -166,7 +221,7 @@ def test_pure_state_entropy_is_positive_zero():
     # the all-down pair is pure; its entropy must print as 0, not -0
     down = column(gxx=0.0, gyy=0.0, gzz=0.25, gxy=0.0, gyx=0.0,
                   mz_l=-0.5, mz_m=-0.5)
-    value = measures.entropy_vn(measures.rho2(measures.x_entries(down)))
+    value = measures.entropy_vn(measures.x_spectrum(measures.x_entries(down)))
     assert value == 0.0
     assert math.copysign(1.0, value) == 1.0
 
@@ -205,19 +260,16 @@ def test_radicand_clamp_and_hard_failure():
         measures.concurrence_closed(measures.x_entries(bad))
 
 
-def test_validate_density_rejects_garbage():
-    with pytest.raises(NumericalHealthError):
-        measures.validate_density(np.eye(4))  # trace 4
-    rho = np.eye(4) / 4.0
-    rho[0, 1] = 0.2
-    with pytest.raises(NumericalHealthError):
-        measures.validate_density(rho)  # not hermitian
-    rho = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
-    with pytest.raises(NumericalHealthError):
-        measures.validate_density(rho)  # negative weight
+def test_x_spectrum_rejects_garbage():
+    for member, message in GARBAGE:
+        with pytest.raises(NumericalHealthError, match=message):
+            measures.x_spectrum(member)
+    # roundoff below EIG_CLAMP is clamped to 0
+    spectrum = measures.x_spectrum((0.5 - 1e-9, 0.5 + 1e-9, 0.0, 0.0,
+                                    0.5, 0.0))
+    assert spectrum.min() == 0.0
 
 
 def test_wootters_rejects_unphysical_input():
-    rho = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
-    with pytest.raises(NumericalHealthError):
-        measures.concurrence_wootters(rho)
+    with pytest.raises(NumericalHealthError, match="spin-flip spectrum"):
+        measures.concurrence_wootters((0.7, -0.1, 0.5, -0.1, 0.0, 0.0))

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.special
 
-from helpers import evolve, grid_rows
+from helpers import evolve, grid_rows, ring_columns, x_matrix
 from xychain import cli, correlators, measures, oracle, selftest
 from xychain.errors import ConfigError, NumericalHealthError
 from xychain.model import ModelParams
@@ -121,7 +121,7 @@ def test_entry_derived_correlators_match_the_spin_operators():
             return sum(np.vdot(v, op @ v) for v in vecs)
 
         ring = oracle.RingState(ws, vecs)
-        got = selftest.ring_columns(ring.pair_entries(ls, ms))
+        got = ring_columns(ring.pair_entries(ls, ms))
         for l, m, row in zip(ls, ms, got):
             for (a, b), value in zip(COMPONENTS, row):
                 ref = expect(ops[l % n]["xyz".index(a)]
@@ -347,12 +347,13 @@ def test_vacuum_is_polarized():
 def test_psi_bell_t0_is_singlet():
     ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     ring = oracle.RingState(ws, ws.psi_bell(2, 3, np.pi))
-    rho = ring.rho2([2], [3])[0]
+    entries = ring.pair_entries([2], [3])
+    rho = x_matrix(entries)[0]
     # basis uu, ud, du, dd
     assert np.isclose(rho[1, 1], 0.5) and np.isclose(rho[2, 2], 0.5)
     assert np.isclose(rho[1, 2], -0.5)
     assert np.isclose(ring.concurrence([2], [3])[0], 1.0, atol=1e-10)
-    assert np.allclose(measures.bell_fidelities(rho), (1, 0, 0, 0),
+    assert np.allclose(measures.bell_fidelities(entries), [[1], [0], [0], [0]],
                        atol=1e-12)
 
 
@@ -360,7 +361,7 @@ def test_phi_bell_t0_pair_coherence():
     ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     phi = 0.9
     ring = oracle.RingState(ws, ws.phi_bell(2, 5, phi))
-    rho = ring.rho2([2], [5])[0]
+    rho = x_matrix(ring.pair_entries([2], [5]))[0]
     assert np.isclose(rho[0, 0], 0.5) and np.isclose(rho[3, 3], 0.5)
     assert np.isclose(rho[0, 3], 0.5 * np.exp(1j * phi))
     assert np.isclose(ring.concurrence([2], [5])[0], 1.0, atol=1e-10)
@@ -369,8 +370,8 @@ def test_phi_bell_t0_pair_coherence():
 def test_fidelities_sum_to_one():
     ws = oracle.OracleWorkspace(8, 0.5, 0.5)
     ring = oracle.RingState(ws, evolve(ws, ws.psi_bell(1, 2, np.pi), 1.7))
-    assert np.isclose(sum(measures.bell_fidelities(ring.rho2([3], [4])[0])),
-                      1.0, atol=1e-10)
+    fidelities = measures.bell_fidelities(ring.pair_entries([3], [4]))
+    assert np.isclose(sum(fidelities), 1.0, atol=1e-10)
 
 
 def test_knitted_singlet_t0():
@@ -440,10 +441,10 @@ def test_ring_pairs_match_the_finite_ring_pfaffian_route():
 def test_each_pair_set_is_evaluated_and_checked_once_per_time(monkeypatch,
                                                               extra):
     # concurrence at distance 1, bell_fidelities and entropy2 all read the
-    # pairs (x, x + 1): one pair_entries call and one checked rho2 per time
+    # pairs (x, x + 1): one pair_entries and one x_spectrum call per time
     cfg = parse_config_text((SCRIPTS / "bell_oracle.cfg").read_text())
     cfg = dataclasses.replace(cfg, measure_list=cfg.measure_list + extra)
-    calls = {"pair_entries": 0, "rho2": 0}
+    calls = {"pair_entries": 0, "x_spectrum": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -453,7 +454,8 @@ def test_each_pair_set_is_evaluated_and_checked_once_per_time(monkeypatch,
 
     monkeypatch.setattr(oracle.RingState, "pair_entries", counting(
         "pair_entries", oracle.RingState.pair_entries))
-    monkeypatch.setattr(measures, "rho2", counting("rho2", measures.rho2))
+    monkeypatch.setattr(measures, "x_spectrum", counting(
+        "x_spectrum", measures.x_spectrum))
     run_scenario(cfg)
     assert calls == dict.fromkeys(calls, len(cfg.times()))
 
@@ -547,8 +549,9 @@ def test_one_pass_reductions_equal_a_dense_partial_trace():
     pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
     for name, vecs in states.items():
         state = oracle.RingState(ws, vecs)
-        a, b, x, y, c, z = state.pair_entries(*zip(*pairs))
-        rhos = state.rho2(*zip(*pairs))
+        entries = state.pair_entries(*zip(*pairs))
+        a, b, x, y, c, z = entries
+        rhos = x_matrix(entries)
         for k, (p, q) in enumerate(pairs):
             ref = dense_rho(vecs, n, (p, q))
             assert all(ref[i, j] == 0.0 for i, j in OFF_X), (name, p, q)
@@ -558,7 +561,8 @@ def test_one_pass_reductions_equal_a_dense_partial_trace():
                                            z[k]]) - got)) < 1e-15
             assert np.max(np.abs(rhos[k] - ref)) < 1e-15
             assert np.array_equal(
-                oracle.RingState(ws, vecs).rho2([p], [q])[0], rhos[k])
+                oracle.RingState(ws, vecs).pair_entries([p], [q]),
+                [[e[k]] for e in entries])
         for site in range(n):
             ref = dense_rho(vecs, n, (site,))
             assert ref[0, 1] == ref[1, 0] == 0.0
@@ -571,9 +575,9 @@ def test_reducing_a_component_of_both_parities_is_a_health_error():
     ws = oracle.OracleWorkspace(n, 0.5, 1.0)
     (odd,), (even,) = ws.psi_bell(0, 1, 0.2), ws.phi_bell(0, 1, 0.2)
     mixed = oracle.RingState(ws, [odd / np.sqrt(2), even / np.sqrt(2)])
-    assert mixed.rho2([0], [1]).shape == (1, 4, 4)
+    assert mixed.spectrum([0], [1]).shape == (1, 4)
     both = (odd + even) / np.sqrt(2)
-    for reduce in (lambda ring: ring.rho2([0], [1]),
+    for reduce in (lambda ring: ring.spectrum([0], [1]),
                    lambda ring: ring.concurrence([0], [1]),
                    lambda ring: ring.one_tangle([3]),
                    lambda ring: ring.site_populations([3]),

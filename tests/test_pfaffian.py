@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import evolve
+from helpers import evolve, ring_columns
 from xychain import correlators, groundstate, oracle, scenarios, selftest
 from xychain import pfaffian as pfaffian_module
 from xychain.correlators import A, B
@@ -288,7 +288,7 @@ def test_vacuum_correlators_match_ring(gamma, lam):
     ws = oracle.OracleWorkspace(12, gamma, lam)
     ring = oracle.RingState(ws, evolve(ws, ws.vacuum(), t))
     pairs = ((0, 1), (0, 2))
-    refs = selftest.ring_columns(ring.pair_entries(*zip(*pairs)))
+    refs = ring_columns(ring.pair_entries(*zip(*pairs)))
     for (alpha, beta), col in zip(COMPONENTS[:3], refs.T):
         for (l, m), ref in zip(pairs, col):
             ana = spin_correlator(con, alpha, beta, l, m)
@@ -304,7 +304,7 @@ def test_bell_correlators_match_ring():
     ws = oracle.OracleWorkspace(12, gamma, lam)
     ring = oracle.RingState(ws, evolve(ws, ws.psi_bell(1, 2, np.pi), t))
     pairs = ((1, 2), (0, 2), (2, 3))
-    refs = selftest.ring_columns(ring.pair_entries(*zip(*pairs)))
+    refs = ring_columns(ring.pair_entries(*zip(*pairs)))
     for (alpha, beta), col in zip(COMPONENTS[:4], refs.T):
         for (l, m), ref in zip(pairs, col):
             ana = spin_correlator(con, alpha, beta, l, m)
@@ -331,7 +331,7 @@ def test_finite_ring_route_matches_oracle_exactly(n, gamma, lam, kind):
             con = correlators.bell_contractions(p, t, 1, 2, amp=-1.0)
             state = ws.psi_bell(1, 2, np.pi)
         ring = oracle.RingState(ws, evolve(ws, state, t))
-        refs = selftest.ring_columns(ring.pair_entries(*zip(*pairs)))
+        refs = ring_columns(ring.pair_entries(*zip(*pairs)))
         diff = np.abs(bundles(con, pairs)[0, :, :len(COMPONENTS)] - refs)
         assert np.max(diff) <= 1e-10, (t, np.unravel_index(diff.argmax(),
                                                            diff.shape))

@@ -441,20 +441,20 @@ def site_by_site_rows(cfg):
                                         cfg.lam)
         for x in cfg.sites():
             d = cfg.concurrence_distance
-            rho = view.rho2(x, x + 1)
+            entries = view.pair_entries(x, x + 1)
             tau = view.one_tangle(x)
             # the baseline is the stationary vacuum, of zero tangle
             dev = measures.tangle_deviation(tau, 0.0)
             values = {
                 "concurrence": view.concurrence(x, x + d),
                 "one_tangle": tau,
-                "entropy2": measures.entropy_vn(rho),
+                "entropy2": measures.entropy_vn(measures.x_spectrum(entries)),
                 "tangle_deviation": dev[0],
                 "tangle_deviation_rel": dev[1],
                 "total_concurrence": view.partner_sums(x)[0],
             }
             values.update(zip(scenarios._FIDELITY_NAMES,
-                              measures.bell_fidelities(rho)))
+                              measures.bell_fidelities(entries)))
             if cfg.kind != "phi_bell":
                 values["ckw_residual"] = measures.ckw_residual(
                     tau, view.partner_sums(x)[1])
