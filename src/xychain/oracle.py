@@ -5,14 +5,17 @@ by brute force on rings of up to 12 sites, with numpy alone.  The spin
 Hamiltonian is a diagonal and one array of flip coefficients per bond, both
 from bit operations on basis indices (Sandvik, arXiv:1101.3281 section 4);
 it acts on a block of vectors by gathering each bond's flipped indices and
-is never formed densely.  H never mixes the two fermion-parity sectors
-(Lieb, Schultz & Mattis 1961).  The ground state is the lower of the Lanczos
-ground states of the two sectors (on a finite ring either can hold it), the
-even one, the vacuum's, on a tie.  The nonzero parity parts of a state's
-components ride as the rows of one block per sector, which a Chebyshev
-series of the propagator in H restricted to the sector, over the Gershgorin
-interval of the full H (Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984),
-carries along a time grid; a part gets the bits its full-length row would.
+is never formed densely.  H never mixes the two fermion-parity sectors,
+and at gamma = 0, where no bond flips parallel spins, it conserves the
+particle number too (Lieb, Schultz & Mattis 1961).  The ground state is the
+lower of the Lanczos ground states of the two parity sectors (on a finite
+ring either can hold it), the even one, the vacuum's, on a tie.  The
+nonzero parts of a state's components in each block of the conserved charge
+(the particle-number classes at gamma = 0, else the parity sectors) ride as
+the rows of that block, which a Chebyshev series of the propagator in H
+restricted to the block, over the Gershgorin interval of the full H
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984), carries along a time
+grid; a part gets the bits its full-length row would.
 The workspace prepares and evolves states; every reduction is a `RingState`,
 which reads one pass over a state and requires each component's weight
 outside its sector to be exactly 0: then each pair's reduced state is an X
@@ -61,12 +64,9 @@ EVOLVE_BLOCK_BYTES = 4 * 2 ** 20
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def _popcount(index, width):
-    """Set bits among the low ``width`` bits of each entry of ``index``."""
-    count = np.zeros_like(index)
-    for b in range(width):
-        count += (index >> b) & 1
-    return count
+def _bits(index, width):
+    """(width, len) table of the low bits of ``index``, highest in row 0."""
+    return (index >> np.arange(width - 1, -1, -1)[:, None]) & 1
 
 
 def _site_bit(n, l):
@@ -90,13 +90,17 @@ class Hamiltonian:
         return out
 
     def sector(self, indices):
-        """H restricted to the basis indices given, which it must map among
-        themselves."""
-        position = np.empty(len(self.diagonal), dtype=self.targets.dtype)
+        """H restricted to the basis indices given, which every nonzero flip
+        must map among themselves; a zero flip that leaves them reads its
+        own index instead.  Raises ValueError for a set that is not closed."""
+        position = np.full(len(self.diagonal), -1, dtype=self.targets.dtype)
         position[indices] = np.arange(len(indices))
-        return Hamiltonian(self.diagonal[indices],
-                           position[self.targets[:, indices]],
-                           self.flips[:, indices])
+        targets = position[self.targets[:, indices]]
+        flips, outside = self.flips[:, indices], targets < 0
+        if np.any(flips[outside]):
+            raise ValueError("a nonzero flip leaves the basis set")
+        targets[outside] = np.nonzero(outside)[1]
+        return Hamiltonian(self.diagonal[indices], targets, flips)
 
 
 def build_hamiltonian(n, gamma, lam):
@@ -106,13 +110,15 @@ def build_hamiltonian(n, gamma, lam):
     pair, by -lam/2 on antiparallel and -lam*gamma/2 on parallel spins,
     summed from the Sx Sx and Sy Sy terms as a spin-operator build sums
     them, so its action on a basis vector agrees with one bit for bit.
+    Both are read off one bit table.
     """
     index = np.arange(2 ** n)
+    bits = _bits(index, n)  # row l: site l
     xx, yy = lam * (1.0 + gamma) / 4, lam * (1.0 - gamma) / 4
     pairs = np.array([_site_bit(n, l) | _site_bit(n, (l + 1) % n)
                       for l in range(n)])[:, None]
-    flips = np.where(_popcount(index & pairs, n) == 1, -(xx + yy), yy - xx)
-    return Hamiltonian(_popcount(index, n) - n / 2, index ^ pairs, flips)
+    flips = np.where(bits != np.roll(bits, -1, axis=0), -(xx + yy), yy - xx)
+    return Hamiltonian(bits.sum(axis=0) - n / 2, index ^ pairs, flips)
 
 
 def _jw_raising(n, l):
@@ -121,7 +127,7 @@ def _jw_raising(n, l):
     (-1)^(up spins at sites s < l), and sign is 0 where site l is up."""
     bit = _site_bit(n, l)
     index = np.arange(2 ** n)
-    ups_above = l - _popcount(index >> (n - l), l)
+    ups_above = l - _bits(index >> (n - l), l).sum(axis=0)
     sign = np.where(ups_above % 2 == 0, 1.0, -1.0)
     sign[(index & bit) != 0] = 0.0
     return index ^ bit, sign
@@ -204,10 +210,12 @@ def _chebyshev_coefficients(a):
 
 def _series(twice, block, coeffs):
     """sum_k coeffs[j, k] T_k(twice / 2) block for each row j of ``coeffs``,
-    the terms from the three-term recurrence."""
+    the terms from the three-term recurrence.  They carry a leading axis:
+    numpy multiplies one complex entry by one of another rank in a scalar
+    loop whose last bit can differ from its vector loop's."""
     coeffs = coeffs.T[:, :, None, None]
-    outs = coeffs[0] * block
-    prev, cur = None, block
+    prev, cur = None, block[None]
+    outs = coeffs[0] * cur
     for c in coeffs[1:]:
         nxt = twice @ cur
         if prev is None:
@@ -230,9 +238,14 @@ class OracleWorkspace:
         self.n = n
         self.hamiltonian = build_hamiltonian(n, gamma, lam)
         index = np.arange(2 ** n)
+        popcount = self.hamiltonian.diagonal + n / 2
         # basis indices of the vacuum's parity sector, then of the other
-        odd = _popcount(index, n) % 2 != n % 2
+        odd = popcount % 2 != n % 2
         self._parity = index[~odd], index[odd]
+        # the blocks of the charge H conserves: the particle number where no
+        # bond flips parallel spins (as the vacuum's bonds read), else parity
+        self._blocks = (self._parity if self.hamiltonian.flips[0, -1] else
+                        [index[popcount == q] for q in range(n, -1, -1)])
 
     @functools.cached_property
     def _ground(self):
@@ -247,8 +260,9 @@ class OracleWorkspace:
 
     @functools.cached_property
     def _chebyshev(self):
-        """(sectors, center, radius): 2 (H - center) / radius, whose spectrum
-        lies in [-2, 2] by Gershgorin, restricted to each parity sector."""
+        """(blocks, center, radius): 2 (H - center) / radius, whose spectrum
+        lies in [-2, 2] by Gershgorin, restricted to each block of the
+        conserved charge."""
         h = self.hamiltonian
         radii = np.abs(h.flips).sum(axis=0)
         lo = float(np.min(h.diagonal - radii))
@@ -257,17 +271,18 @@ class OracleWorkspace:
         scale = 2.0 / radius
         twice = Hamiltonian(scale * (h.diagonal - center), h.targets,
                             scale * h.flips)
-        return tuple(twice.sector(s) for s in self._parity), center, radius
+        return tuple(twice.sector(b) for b in self._blocks), center, radius
 
     def evolve_grid(self, vecs, times):
         """The components ``vecs`` evolved to each of ``times``, in order.
 
-        Consecutive times, as many as keep full-length blocks within
-        EVOLVE_BLOCK_BYTES, share one series per sector from the last time
-        before them, and only one such chunk is held.  Raises
-        NumericalHealthError when the squared norms of a component's parts
-        move by more than NORM_TOL of the block's weight in all.  Until time
-        moves the components come back as given.
+        Each component's nonzero part in each block of the conserved charge
+        rides as a row of that block.  Consecutive times, as many as keep
+        full-length rows within EVOLVE_BLOCK_BYTES, share one series per
+        block from the last time before them, and only one such chunk is
+        held.  Raises NumericalHealthError when the squared norms of a
+        component's parts move by more than NORM_TOL of the weight of all
+        rows.  Until time moves the components come back as given.
         """
         times = list(times)
         block_bytes = 16 * max(1, len(vecs)) * 2 ** self.n
@@ -277,19 +292,19 @@ class OracleWorkspace:
             yield list(vecs)
             start += 1
         twices, center, radius = self._chebyshev
-        sectors = []  # (H of the sector, its indices, rows, their parts)
-        for twice, index in zip(twices, self._parity):
+        parts = []  # (H of a block, its indices, rows, their parts there)
+        for twice, index in zip(twices, self._blocks):
             rows = [r for r, v in enumerate(vecs) if v[index].any()]
             if rows:
-                sectors.append((twice, index, rows,
-                                np.stack([vecs[r][index] for r in rows])))
+                parts.append((twice, index, rows,
+                              np.stack([vecs[r][index] for r in rows])))
         for s in range(start, len(times), per_chunk):
             chunk = times[s:s + per_chunk]
             dts = np.asarray([t - now for t in chunk])
             coeffs = (np.exp(-1j * center * dts)[:, None]
                       * _chebyshev_coefficients(radius * dts))
             outs, defect, weight = [], np.zeros((len(chunk), len(vecs))), 0.0
-            for twice, _, rows, block in sectors:
+            for twice, _, rows, block in parts:
                 outs.append(_series(twice, block, coeffs))
                 before = np.einsum("ij,ij->i", block.conj(), block).real
                 after = np.einsum("tij,tij->ti", outs[-1].conj(), outs[-1])
@@ -301,11 +316,10 @@ class OracleWorkspace:
                     f"oracle evolution changed a squared norm by {worst:.3e}")
             for j in range(len(chunk)):
                 full = np.zeros((len(vecs), 2 ** self.n), dtype=complex)
-                for (_, index, rows, _), out in zip(sectors, outs):
+                for (_, index, rows, _), out in zip(parts, outs):
                     full[np.ix_(rows, index)] = out[j]
                 yield list(full)
-            sectors = [sector[:3] + (out[-1],)
-                       for sector, out in zip(sectors, outs)]
+            parts = [part[:3] + (out[-1],) for part, out in zip(parts, outs)]
             now = chunk[-1]
 
     # -- state preparation ------------------------------------------------

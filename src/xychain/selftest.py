@@ -169,7 +169,7 @@ def run_selftest(fast=False, stream=None):
             all_ok = all_ok and report.ok
     elapsed = time.monotonic() - t0
     verdict = "PASS" if all_ok else "FAIL"
-    stream.write(f"selftest {verdict} in {elapsed:.1f}s "
+    stream.write(f"selftest {verdict} in {elapsed:.3f}s "
                  f"(tolerances: pfaffian {PFAFFIAN_TOL:g}, "
                  f"bessel {BESSEL_TOL:g})\n")
     return all_ok

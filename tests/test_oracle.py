@@ -85,15 +85,23 @@ def test_hamiltonian_matches_reference():
     assert np.max(np.abs(built - ref)) < 1e-12
 
 
-@pytest.mark.parametrize("gamma,lam", [(0.6, 0.9), (0.0, 1.0), (1.0, 0.3),
-                                       (0.37, 1.7)])
-def test_hamiltonian_equals_the_spin_operator_build(gamma, lam):
-    built = oracle.build_hamiltonian(6, gamma, lam)
+# an odd n closes an odd ring, whose vacuum has an odd popcount; n = 6, the
+# first size tested, keeps the plain (gamma, lam) ids
+@pytest.mark.parametrize("n,gamma,lam", [
+    pytest.param(n, gamma, lam, id=f"{gamma}-{lam}" + (n != 6) * f"-{n}")
+    for n in (4, 5, 6, 7)
+    for gamma, lam in ((0.6, 0.9), (0.0, 1.0), (1.0, 0.3), (0.37, 1.7))])
+def test_hamiltonian_equals_the_spin_operator_build(n, gamma, lam):
+    built = oracle.build_hamiltonian(n, gamma, lam)
     for dtype in (float, complex):
-        acted = columns(built, 6, dtype)
+        acted = columns(built, n, dtype)
         assert acted.dtype == dtype
         assert np.array_equal(acted,
-                              kron_hamiltonian(6, gamma, lam).toarray())
+                              kron_hamiltonian(n, gamma, lam).toarray())
+    vacuum_sector = oracle.OracleWorkspace(n, gamma, lam)._parity[0]
+    assert len(vacuum_sector) == 2 ** (n - 1)
+    assert 2 ** n - 1 in vacuum_sector
+    assert all(bin(i).count("1") % 2 == n % 2 for i in vacuum_sector)
 
 
 def test_raising_operators_equal_the_spin_operator_build():
@@ -311,11 +319,13 @@ def _held_bytes(obj):
 
 
 def test_workspace_holds_no_dense_matrix():
-    ws = oracle.OracleWorkspace(12, 0.5, 1.0)
-    evolve(ws, ws.knitted_singlet(1, 2), 0.5)
-    (gs,) = ws.ground_state()
-    assert np.vdot(gs, ws.hamiltonian @ gs).real < 0.0
-    assert _held_bytes(vars(ws)) < 5e6
+    # parity halves, then the particle-number blocks of gamma = 0
+    for gamma in (0.5, 0.0):
+        ws = oracle.OracleWorkspace(12, gamma, 1.0)
+        evolve(ws, ws.knitted_singlet(1, 2), 0.5)
+        (gs,) = ws.ground_state()
+        assert np.vdot(gs, ws.hamiltonian @ gs).real < 0.0
+        assert _held_bytes(vars(ws)) < 5e6
 
 
 def test_evolution_is_unitary():
@@ -460,6 +470,56 @@ def test_each_pair_set_is_evaluated_and_checked_once_per_time(monkeypatch,
     assert calls == dict.fromkeys(calls, len(cfg.times()))
 
 
+def test_sector_requires_a_set_closed_under_the_nonzero_flips():
+    # a particle-number class is closed under every nonzero flip only at
+    # gamma = 0, where the parallel-spin flips vanish
+    n = 6
+    index = np.arange(2 ** n)
+    two = index[[bin(i).count("1") == 2 for i in index]]
+    vec = np.zeros(2 ** n)
+    vec[two] = np.random.default_rng(2).standard_normal(len(two))
+    isotropic = oracle.build_hamiltonian(n, 0.0, 1.0)
+    assert np.array_equal(isotropic.sector(two) @ vec[two],
+                          (isotropic @ vec)[two])
+    with pytest.raises(ValueError, match="nonzero flip"):
+        oracle.build_hamiltonian(n, 0.5, 1.0).sector(two)
+
+
+def recorded_shapes(monkeypatch):
+    """The block shape of each `_series` call from now on, in order."""
+    shapes, series = [], oracle._series
+
+    def recording(twice, block, coeffs):
+        shapes.append(block.shape)
+        return series(twice, block, coeffs)
+
+    monkeypatch.setattr(oracle, "_series", recording)
+    return shapes
+
+
+def test_blocks_follow_the_conserved_charge(monkeypatch):
+    # at gamma = 0 the blocks are the n + 1 particle-number classes, the
+    # vacuum's first, and a seed rides only in the classes it occupies;
+    # any anisotropy leaves the two parity halves
+    n = 8
+    ws = oracle.OracleWorkspace(n, 0.0, 1.0)
+    assert [len(block) for block in ws._blocks] == [
+        math.comb(n, q) for q in range(n + 1)]
+    for q, block in zip(range(n, -1, -1), ws._blocks):
+        assert all(bin(i).count("1") == q for i in block)
+    shapes = recorded_shapes(monkeypatch)
+    for vecs, want in ((ws.vacuum(), [(1, 1)]),
+                       (ws.psi_bell(0, 3, 0.4), [(1, n)]),
+                       (ws.phi_bell(2, 5, 0.3),
+                        [(1, 1), (1, math.comb(n, 2))])):
+        shapes.clear()
+        list(ws.evolve_grid(vecs, [0.5, 1.0]))
+        assert shapes == want
+    skewed = oracle.OracleWorkspace(n, 1e-3, 1.0)
+    assert skewed._blocks is skewed._parity
+    assert [len(block) for block in skewed._blocks] == [2 ** (n - 1)] * 2
+
+
 def full_space_walk(ws, vecs, times):
     """evolve_grid's walk with full-length rows and the full scaled H: the
     same interval, coefficients and chunks, one series per chunk from the
@@ -483,11 +543,15 @@ def full_space_walk(ws, vecs, times):
     return walked
 
 
-@pytest.mark.parametrize("chunked", [False, True])
+# the parity halves at gamma = 0.7, which keeps the plain ids, and the
+# particle-number blocks at gamma = 0
+@pytest.mark.parametrize("chunked,gamma", [
+    pytest.param(chunked, gamma, id=f"{chunked}" + (gamma == 0) * "-0.0")
+    for gamma in (0.7, 0.0) for chunked in (False, True)])
 def test_sector_evolution_equals_the_full_space_series_bit_for_bit(
-        monkeypatch, chunked):
+        monkeypatch, chunked, gamma):
     n = 8
-    ws = oracle.OracleWorkspace(n, 0.7, 0.8)
+    ws = oracle.OracleWorkspace(n, gamma, 0.8)
     rng = np.random.default_rng(6)
     mixed = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     blocks = {
@@ -498,24 +562,18 @@ def test_sector_evolution_equals_the_full_space_series_bit_for_bit(
         + ws.phi_bell(2, 5, 0.3),
     }
     times = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 9.0]
-    shapes = []
-    series = oracle._series
-
-    def recording(twice, block, coeffs):
-        shapes.append(block.shape)
-        return series(twice, block, coeffs)
-
-    monkeypatch.setattr(oracle, "_series", recording)
+    shapes = recorded_shapes(monkeypatch)
     for name, vecs in blocks.items():
         if chunked:  # two times per series
             monkeypatch.setattr(oracle, "EVOLVE_BLOCK_BYTES",
                                 2 * 16 * len(vecs) * 2 ** n)
         shapes.clear()
         walked = list(ws.evolve_grid(vecs, times))
-        # only nonzero parts ride, each of half the basis
-        assert all(cols == 2 ** (n - 1) for _, cols in shapes)
-        parts = sum(bool(v[index].any()) for v in vecs for index in ws._parity)
-        assert sum(rows for rows, _ in shapes) == parts * (4 if chunked else 1)
+        # only nonzero parts ride: one row per part, one block per charge
+        rows = [(sum(bool(v[index].any()) for v in vecs), len(index))
+                for index in ws._blocks]
+        assert shapes == [shape for shape in rows
+                          if shape[0]] * (4 if chunked else 1)
         reference = full_space_walk(ws, vecs, times)
         assert len(walked) == len(reference) == len(times)
         for got, want in zip(walked, reference):

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -681,6 +682,19 @@ def test_cli_selftest_failure_exits_1(monkeypatch):
 
     monkeypatch.setattr(selftest, "run_selftest", lambda fast=False: False)
     assert cli.main(["selftest", "--fast"]) == 1
+
+
+def test_selftest_reports_its_time_to_the_millisecond(monkeypatch):
+    from xychain import selftest
+
+    monkeypatch.setattr(selftest, "run_case",
+                        lambda gamma, lam, kind, fast=False:
+                        selftest.CaseReport(f"gamma={gamma} lam={lam} {kind}"))
+    stream = io.StringIO()
+    assert selftest.run_selftest(fast=True, stream=stream)
+    assert re.fullmatch(r"selftest PASS in \d+\.\d{3}s \(tolerances: "
+                        r"pfaffian 0\.002, bessel 0\.0001\)\n",
+                        stream.getvalue().splitlines(keepends=True)[-1])
 
 
 def test_selftest_single_case_passes():
