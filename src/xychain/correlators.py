@@ -172,9 +172,9 @@ class BellContractions:
     """Contractions of a one-particle Bell seed on the vacuum.
 
     The state is (w_i c_i^dag + w_j c_j^dag)|vac> / sqrt(n2) with weights
-    (1, amp).  Real amp = +/-1 covers the Bell pair insertions used by the
-    scenario engine; the machinery itself accepts any complex amp.  Every
-    accessor takes kind codes and sites as broadcasting arrays.
+    (1, amp).  The scenario engine's psi_bell seed at phase phi is amp =
+    exp(i phi), exactly +/-1 at phi = 0 and pi.  Every accessor takes kind
+    codes and sites as broadcasting arrays.
 
     The state has odd fermion parity, so every table, the vacuum part
     included, is a periodic-sector ring sum.  On a finite ring `vacuum` is

@@ -192,12 +192,13 @@ def _chebyshev_coefficients(a):
     m = orders + 32
     odd = 2 * np.arange(m) + 1                  # theta_j = pi odd_j / (2m)
     ks = np.arange(orders)
-    f = np.exp(-1j * np.outer(a, np.cos((np.pi / (2 * m)) * odd))) * (2 / m)
+    cos = np.cos((np.pi / (2 * m)) * np.arange(4 * m))  # cos(pi j / (2m))
+    f = np.exp(-1j * np.outer(a, cos[odd])) * (2 / m)
     # cos(k theta_j) from k * odd_j mod 4m, exact in integers; a few hundred
-    # orders at a time bound the table
-    c = np.concatenate([
-        f @ np.cos((np.pi / (2 * m)) * (np.outer(odd, part) % (4 * m)))
-        for part in np.split(ks, range(256, orders, 256))], axis=1)
+    # orders at a time bound the gathered table
+    c = np.concatenate([f @ cos[np.outer(odd, part) % (4 * m)]
+                        for part in np.split(ks, range(256, orders, 256))],
+                       axis=1)
     c[:, 0] /= 2
     small = (ks > np.abs(a)[:, None]) & (np.abs(c) < SERIES_TOL)
     if not small.any(axis=1).all():
@@ -260,9 +261,9 @@ class OracleWorkspace:
 
     @functools.cached_property
     def _chebyshev(self):
-        """(blocks, center, radius): 2 (H - center) / radius, whose spectrum
-        lies in [-2, 2] by Gershgorin, restricted to each block of the
-        conserved charge."""
+        """(twice, center, radius): twice = 2 (H - center) / radius, whose
+        spectrum lies in [-2, 2] by the Gershgorin interval of the full H;
+        `evolve_grid` restricts it to the blocks a state occupies."""
         h = self.hamiltonian
         radii = np.abs(h.flips).sum(axis=0)
         lo = float(np.min(h.diagonal - radii))
@@ -271,13 +272,14 @@ class OracleWorkspace:
         scale = 2.0 / radius
         twice = Hamiltonian(scale * (h.diagonal - center), h.targets,
                             scale * h.flips)
-        return tuple(twice.sector(b) for b in self._blocks), center, radius
+        return twice, center, radius
 
     def evolve_grid(self, vecs, times):
         """The components ``vecs`` evolved to each of ``times``, in order.
 
         Each component's nonzero part in each block of the conserved charge
-        rides as a row of that block.  Consecutive times, as many as keep
+        rides as a row of that block, and only the blocks that hold a part
+        get their restriction of H.  Consecutive times, as many as keep
         full-length rows within EVOLVE_BLOCK_BYTES, share one series per
         block from the last time before them, and only one such chunk is
         held.  Raises NumericalHealthError when the squared norms of a
@@ -291,12 +293,12 @@ class OracleWorkspace:
         while start < len(times) and times[start] == now:
             yield list(vecs)
             start += 1
-        twices, center, radius = self._chebyshev
+        twice, center, radius = self._chebyshev
         parts = []  # (H of a block, its indices, rows, their parts there)
-        for twice, index in zip(twices, self._blocks):
+        for index in self._blocks:
             rows = [r for r, v in enumerate(vecs) if v[index].any()]
             if rows:
-                parts.append((twice, index, rows,
+                parts.append((twice.sector(index), index, rows,
                               np.stack([vecs[r][index] for r in rows])))
         for s in range(start, len(times), per_chunk):
             chunk = times[s:s + per_chunk]

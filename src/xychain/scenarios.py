@@ -48,8 +48,8 @@ whose Bessel windows (`isotropic.windows`, sized a block at a time, each
 block within WINDOW_BLOCK_BYTES by its own longest ladder) share a radius,
 Pfaffian contractions such a block (bounded by its partner concurrences
 too), any other view one time.  What the analytic engine cannot represent
-exactly (knitted scenarios, phi_bell and generic seed phases at gamma != 0,
-ckw_residual on phi_bell) raises CapabilityError when the engine is built;
+exactly (knitted scenarios, phi_bell at gamma != 0, ckw_residual on
+phi_bell) raises CapabilityError when the engine is built;
 the oracle engine handles those on small rings.
 """
 
@@ -341,12 +341,6 @@ class AnalyticEngine:
             raise CapabilityError(
                 "phi_bell with gamma != 0 has no analytic route; use the "
                 "oracle engine")
-        if config.gamma != 0.0 and kind == "psi_bell":
-            phase = config.seed_phase % (2.0 * math.pi)
-            if min(abs(phase), abs(phase - math.pi),
-                   abs(phase - 2.0 * math.pi)) > 1e-12:
-                raise CapabilityError(
-                    "psi_bell with gamma != 0 supports only phi in {0, pi}")
         if kind == "phi_bell" and "ckw_residual" in config.measure_list:
             raise CapabilityError(
                 "ckw_residual of the pair seed refers to its one-particle "
@@ -404,7 +398,9 @@ class AnalyticEngine:
         if cfg.kind == "vacuum_only":
             view = _ContractionView(vacuum_contractions(self.params, times))
             return view, view
-        amp = 1.0 if abs(np.exp(1j * cfg.seed_phase) - 1.0) < 1e-9 else -1.0
+        amp = np.exp(1j * cfg.seed_phase)  # exactly +-1 at phases 0 and pi
+        amp = next((sign for sign in (1.0, -1.0) if abs(amp - sign) < 1e-9),
+                   amp)
         seed = bell_contractions(self.params, times, cfg.i, cfg.j, amp=amp)
         return _ContractionView(seed), _ContractionView(seed.vacuum)
 

@@ -9,8 +9,11 @@ Ring wraparound limits how far in time and distance a thermodynamic-limit
 calculation can be compared against a 12-site ring: each cell must satisfy
 lam*t + offset <= n/2 - 2, with the offset measured from the insertion
 sites (or the pair separation for the translation-invariant vacuum).
-The two sides meet as arrays of X entries: one `bundles` and one
-`RingState.pair_entries` call per time, differences taken array by array.
+The two sides meet as arrays of X entries.  A case builds one contraction
+block over all its times and makes one `bundles` and one `magnetization`
+call over the union of the times' cells; each time reads its own rows of
+those and one `RingState.pair_entries` call, and differences are taken
+array by array.
 
 This suite doubles as the `xychain selftest` CLI command and as one of the
 acceptance tests.
@@ -93,45 +96,52 @@ def _site_cells(kind, lam_t):
     return [s for s in SITES if _offset(s) <= limit]
 
 
-def ring_magnetizations(ring, sites):
-    """<S^z> of each site of an `oracle.RingState`, (up - down)/2."""
-    up, down = ring.site_populations(sites).T
-    return (up - down) / 2
-
-
 def run_case(gamma, lam, kind, fast=False):
     """Compare analytic and oracle values for one parameter combination."""
     report = CaseReport(label=f"gamma={gamma} lam={lam} {kind}")
     params = ModelParams(lam=lam, gamma=gamma)
     ws = oracle.OracleWorkspace(RING, gamma, lam)
-    base = (ws.vacuum() if kind == "vacuum_only"
-            else ws.psi_bell(SEED_I, SEED_J, np.pi))
+    vacuum = kind == "vacuum_only"
+    base = ws.vacuum() if vacuum else ws.psi_bell(SEED_I, SEED_J, np.pi)
     lt_grid = LT_GRID[1::2] if fast else LT_GRID
     isotropic_route = gamma == 0.0
     times = [lam_t / lam for lam_t in lt_grid]
     windows = [None] * len(lt_grid)
-    if isotropic_route and kind != "vacuum_only":
+    if isotropic_route and not vacuum:
         windows = isotropic.windows(SEED_I, SEED_J, np.pi,
                                     [abs(lam) * t for t in times])
+    # each time's sites, and its pair cells then the fidelity pairs
+    # (s, s + 1) in the window; one contraction block over all times reads
+    # the union of their cells, and each time picks its own rows
+    cells = [(_site_cells(kind, lam_t), _pair_cells(kind, lam_t))
+             for lam_t in lt_grid]
+    cells = [(sites, pairs + [(s, s + 1) for s in sites[:-1]], len(pairs))
+             for sites, pairs in cells]
+    site_at = {s: k for k, s in enumerate(
+        dict.fromkeys(s for sites, _, _ in cells for s in sites))}
+    pair_at = {p: k for k, p in enumerate(
+        dict.fromkeys(p for _, pairs, _ in cells for p in pairs))}
+    con = (vacuum_contractions(params, times) if vacuum else
+           bell_contractions(params, times, SEED_I, SEED_J, amp=-1.0))
+    columns = bundles(con, list(pair_at))
+    mzs = magnetization(con, list(site_at))
 
-    for lam_t, t, window, vecs in zip(lt_grid, times, windows,
-                                      ws.evolve_grid(base, times)):
-        con = (vacuum_contractions(params, t) if kind == "vacuum_only" else
-               bell_contractions(params, t, SEED_I, SEED_J, amp=-1.0))
+    for k, (t, window, vecs) in enumerate(zip(times, windows,
+                                              ws.evolve_grid(base, times))):
         ring = oracle.RingState(ws, vecs)
-        sites, pairs = _site_cells(kind, lam_t), _pair_cells(kind, lam_t)
-        # the pair cells, then the fidelity pairs (s, s + 1) in the window
-        cell, fid = slice(len(pairs)), slice(len(pairs), None)
-        report.cells += len(pairs) + len(sites)
-        pairs += [(s, s + 1) for s in sites[:-1]]
+        sites, pairs, n_cells = cells[k]
+        cell, fid = slice(n_cells), slice(n_cells, None)
+        report.cells += n_cells + len(sites)
         ls, ms = zip(*pairs)
-        entries = measures.x_entries(bundles(con, pairs)[0])
+        entries = measures.x_entries(columns[k, [pair_at[p] for p in pairs]])
         ref = ring.pair_entries(ls, ms)
         measures.x_spectrum(entries), measures.x_spectrum(ref)  # both sides
         c_refs = measures.concurrence_wootters(ref)[cell]
         fids_ref = np.asarray(measures.bell_fidelities(ref))[:, fid]
-        mz, tau_refs = magnetization(con, sites)[0], ring.one_tangle(sites)
-        report.record("correlators", mz, ring_magnetizations(ring, sites))
+        mz = mzs[k, [site_at[s] for s in sites]]
+        up, down = ring.site_populations(sites).T
+        tau_refs = 4.0 * (up * down)  # `RingState.one_tangle`
+        report.record("correlators", mz, (up - down) / 2)
         report.record("rho2", np.asarray(entries)[:, cell],
                       np.asarray(ref)[:, cell])
         report.record("concurrence",

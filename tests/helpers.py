@@ -94,6 +94,12 @@ def ring_columns(entries):
                      (z.imag - c.imag) / 2, -(c.imag + z.imag) / 2], axis=-1)
 
 
+def ring_magnetizations(ring, sites):
+    """<S^z> of each site of an `oracle.RingState`, (up - down)/2."""
+    up, down = ring.site_populations(sites).T
+    return (up - down) / 2
+
+
 def bell_fidelity(rho, family, phi):
     """Overlap with (first + e^{i phi} second)/sqrt(2) of the given family."""
     rho = np.asarray(rho, dtype=complex)

@@ -7,8 +7,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.special
 
-from helpers import evolve, grid_rows, ring_columns, x_matrix
-from xychain import cli, correlators, measures, oracle, selftest
+from helpers import (evolve, grid_rows, ring_columns, ring_magnetizations,
+                     x_matrix)
+from xychain import cli, correlators, measures, oracle
 from xychain.errors import ConfigError, NumericalHealthError
 from xychain.model import ModelParams
 from xychain.pfaffian import COMPONENTS, bundles
@@ -136,7 +137,7 @@ def test_entry_derived_correlators_match_the_spin_operators():
                              @ ops[m % n]["xyz".index(b)])
                 assert abs(ref.imag) < 1e-14
                 assert abs(value - ref.real) < 1e-14, (a, b, l, m)
-        mz = selftest.ring_magnetizations(ring, list(range(2 * n)))
+        mz = ring_magnetizations(ring, list(range(2 * n)))
         for l in range(2 * n):
             assert abs(mz[l] - expect(ops[l % n][2]).real) < 1e-14
 
@@ -340,17 +341,16 @@ def test_evolution_is_unitary():
 def test_magnetization_conserved_at_zero_gamma():
     ws = oracle.OracleWorkspace(8, 0.0, 1.0)
     vecs = ws.psi_bell(0, 1, np.pi)
-    total0, total_t = (selftest.ring_magnetizations(
-        oracle.RingState(ws, v), range(8)).sum()
-        for v in (vecs, evolve(ws, vecs, 3.0)))
+    total0, total_t = (ring_magnetizations(oracle.RingState(ws, v),
+                                           range(8)).sum()
+                       for v in (vecs, evolve(ws, vecs, 3.0)))
     assert np.isclose(total0, total_t, atol=1e-10)
 
 
 def test_vacuum_is_polarized():
     ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     ring = oracle.RingState(ws, ws.vacuum())
-    assert np.isclose(selftest.ring_magnetizations(ring, [3])[0], -0.5,
-                      atol=1e-12)
+    assert np.isclose(ring_magnetizations(ring, [3])[0], -0.5, atol=1e-12)
     assert np.isclose(ring.one_tangle([3])[0], 0.0, atol=1e-12)
 
 
@@ -447,6 +447,26 @@ def test_ring_pairs_match_the_finite_ring_pfaffian_route():
                            atol=1e-6)
 
 
+@pytest.mark.parametrize("gamma,lam,i,j,phi", [
+    (0.5, 0.5, 0, 1, 0.7), (1.0, 1.0, 0, 3, 0.7), (0.3, 0.8, 2, 7, 2.5)])
+def test_psi_bell_at_any_phase_matches_the_finite_ring_pfaffian_route(
+        gamma, lam, i, j, phi):
+    # the seed (c_i^dag + e^{i phi} c_j^dag)|vac> / sqrt(2) on the Pfaffian
+    # route takes amp = e^{i phi}: every pair of the N = 12 ring, t <= 2
+    n, times = 12, [0.0, 0.5, 1.0, 1.5, 2.0]
+    ls, ms = map(list, zip(*[(l, m) for l in range(n)
+                             for m in range(l + 1, n)]))
+    con = correlators.bell_contractions(
+        ModelParams(lam, gamma=gamma, size=n), times, i, j,
+        amp=np.exp(1j * phi))
+    pfaffian_entries = measures.x_entries(bundles(con, list(zip(ls, ms))))
+    ws = oracle.OracleWorkspace(n, gamma, lam)
+    for k, vecs in enumerate(ws.evolve_grid(ws.psi_bell(i, j, phi), times)):
+        want = [entry[k] for entry in pfaffian_entries]
+        assert np.allclose(oracle.RingState(ws, vecs).pair_entries(ls, ms),
+                           want, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("extra", [(), ("entropy2",)])
 def test_each_pair_set_is_evaluated_and_checked_once_per_time(monkeypatch,
                                                               extra):
@@ -518,6 +538,33 @@ def test_blocks_follow_the_conserved_charge(monkeypatch):
     skewed = oracle.OracleWorkspace(n, 1e-3, 1.0)
     assert skewed._blocks is skewed._parity
     assert [len(block) for block in skewed._blocks] == [2 ** (n - 1)] * 2
+
+
+def test_only_occupied_blocks_get_a_sector_hamiltonian(monkeypatch):
+    # evolve_grid restricts H to the blocks a state has weight in: one
+    # particle-number class for a gamma = 0 vacuum, one parity half for a
+    # gamma = 0.5 one-particle seed, two classes for a gamma = 0 pair seed
+    n, built = 8, []
+    sector = oracle.Hamiltonian.sector
+
+    def recording(self, indices):
+        built.append(indices)
+        return sector(self, indices)
+
+    monkeypatch.setattr(oracle.Hamiltonian, "sector", recording)
+    isotropic = oracle.OracleWorkspace(n, 0.0, 1.0)
+    anisotropic = oracle.OracleWorkspace(n, 0.5, 1.0)
+    for ws, vecs, want in (
+            (isotropic, isotropic.vacuum(), [isotropic._blocks[0]]),
+            (anisotropic, anisotropic.psi_bell(0, 3, 0.4),
+             [anisotropic._parity[1]]),
+            (isotropic, isotropic.phi_bell(2, 5, 0.3),
+             [isotropic._blocks[0], isotropic._blocks[2]])):
+        built.clear()
+        list(ws.evolve_grid(vecs, [0.5, 1.0]))
+        assert len(built) == len(want)
+        for got, block in zip(built, want):
+            assert np.array_equal(got, block)
 
 
 def full_space_walk(ws, vecs, times):
@@ -683,6 +730,37 @@ def test_chebyshev_coefficients_are_bessel_values():
         assert math.isclose(
             abs(alone[0]) ** 2 + np.sum(np.abs(alone[1:]) ** 2) / 2, 1.0,
             abs_tol=1e-13)
+
+
+def direct_cosine_coefficients(a):
+    """`oracle._chebyshev_coefficients` with every cosine its own np.cos
+    call, the reference of its one cosine table."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    top = float(np.max(np.abs(a)))
+    orders = math.ceil(top + 16.0 * max(1.0, top) ** (1.0 / 3.0)) + 16
+    m = orders + 32
+    odd = 2 * np.arange(m) + 1
+    ks = np.arange(orders)
+    f = np.exp(-1j * np.outer(a, np.cos((np.pi / (2 * m)) * odd))) * (2 / m)
+    c = np.concatenate([
+        f @ np.cos((np.pi / (2 * m)) * (np.outer(odd, part) % (4 * m)))
+        for part in np.split(ks, range(256, orders, 256))], axis=1)
+    c[:, 0] /= 2
+    small = (ks > np.abs(a)[:, None]) & (np.abs(c) < oracle.SERIES_TOL)
+    ends = small.argmax(axis=1)
+    c[ks >= ends[:, None]] = 0.0
+    return c[:, :ends.max()]
+
+
+@pytest.mark.parametrize("amounts", [
+    [0.0], [0.5], [-3.0], [9.0, 2.0], [40.0], [120.0, -7.5, 0.25],
+    [255.0], [263.5], [300.0, 12.0], [611.0, -600.0, 1.0]])
+def test_chebyshev_cosine_table_equals_direct_cosines_bit_for_bit(amounts):
+    # above |a| ~ 250 the orders span more than one 256-order chunk
+    got = oracle._chebyshev_coefficients(amounts)
+    want = direct_cosine_coefficients(amounts)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 def test_lanczos_residual_failure_is_a_health_error(monkeypatch, capsys):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import evolve, ring_columns
-from xychain import correlators, groundstate, oracle, scenarios, selftest
+from helpers import evolve, ring_columns, ring_magnetizations
+from xychain import correlators, groundstate, oracle, scenarios
 from xychain import pfaffian as pfaffian_module
 from xychain.correlators import A, B
 from xychain.errors import CutoffError, NumericalHealthError
@@ -294,7 +294,7 @@ def test_vacuum_correlators_match_ring(gamma, lam):
             ana = spin_correlator(con, alpha, beta, l, m)
             assert np.isclose(ana, ref, atol=2e-4), (alpha, beta, l, m)
     assert np.isclose(magnetization(con, 0),
-                      selftest.ring_magnetizations(ring, [0])[0], atol=2e-4)
+                      ring_magnetizations(ring, [0])[0], atol=2e-4)
 
 
 def test_bell_correlators_match_ring():
@@ -309,7 +309,7 @@ def test_bell_correlators_match_ring():
         for (l, m), ref in zip(pairs, col):
             ana = spin_correlator(con, alpha, beta, l, m)
             assert np.isclose(ana, ref, atol=2e-4), (alpha, beta, l, m)
-    for l, ref in enumerate(selftest.ring_magnetizations(ring, [0, 1, 2])):
+    for l, ref in enumerate(ring_magnetizations(ring, [0, 1, 2])):
         assert np.isclose(magnetization(con, l), ref, atol=2e-4)
 
 
@@ -336,7 +336,7 @@ def test_finite_ring_route_matches_oracle_exactly(n, gamma, lam, kind):
         assert np.max(diff) <= 1e-10, (t, np.unravel_index(diff.argmax(),
                                                            diff.shape))
         mz, = magnetization(con, np.arange(n))
-        diff = np.abs(mz - selftest.ring_magnetizations(ring, range(n)))
+        diff = np.abs(mz - ring_magnetizations(ring, range(n)))
         assert np.max(diff) <= 1e-10, (t, diff.argmax())
 
 

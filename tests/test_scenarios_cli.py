@@ -224,12 +224,25 @@ def test_analytic_engine_rejects_what_it_cannot_do():
     text = BASE.replace("singlet_on_vacuum", "singlet_knitted_gs")
     with pytest.raises(CapabilityError, match="oracle"):
         run_scenario(parse_config_text(text))
-    # generic seed phase at gamma != 0 has no free-fermion reduction here
+    # the pair seed at gamma != 0 has no analytic route yet
     text = BASE.replace("model.gamma = 0.0", "model.gamma = 0.5")
     text = text.replace("scenario.kind = singlet_on_vacuum",
-                        "scenario.kind = psi_bell\nscenario.phi = 0.7")
-    with pytest.raises(CapabilityError):
+                        "scenario.kind = phi_bell\nscenario.phi = 0.7")
+    with pytest.raises(CapabilityError, match="phi_bell"):
         run_scenario(parse_config_text(text))
+
+
+def test_psi_bell_at_gamma_nonzero_runs_at_any_phase():
+    # amp = e^{i phi}, rounded to exactly -1 within 1e-9 of pi
+    text = BASE.replace("model.gamma = 0.0", "model.gamma = 0.5").replace(
+        "scenario.kind = singlet_on_vacuum",
+        "scenario.kind = psi_bell\nscenario.phi = {}")
+    outputs = []
+    for phi in (0.7, math.pi, math.pi + 1e-10):
+        buf = io.StringIO()
+        write_csv(run_scenario(parse_config_text(text.format(phi))), buf)
+        outputs.append(buf.getvalue())
+    assert outputs[0] != outputs[1] and outputs[1] == outputs[2]
 
 
 def test_oracle_engine_agrees_with_analytic():
@@ -277,11 +290,9 @@ def test_shipped_configs_refused_at_engine_construction(monkeypatch):
     monkeypatch.setattr(scenarios.AnalyticEngine, "views", no_time_step)
     knitted = parse_config_file(SCRIPTS / "knitted.cfg")
     phi = parse_config_file(SCRIPTS / "phi_switch.cfg")
-    psi = parse_config_file(SCRIPTS / "bell_oracle.cfg")
     refused = (
         knitted,
         dataclasses.replace(phi, gamma=0.5),
-        dataclasses.replace(psi, phi=0.7),
         dataclasses.replace(
             phi, measure_list=phi.measure_list + ("ckw_residual",)),
     )
