@@ -41,7 +41,8 @@ before being frozen into the test suite.
 
 `VacuumContractions` evaluates these integrals and the kernels V, E, O of
 `model` as one ring sum per (t, radius): the mean over M equally spaced
-momenta of the k-even integrands (weight pi/M against the 1/pi above).
+momenta of the k-even integrands (weight pi/M against the 1/pi above),
+all six from one inverse FFT, O(M log M) per time.
 This is the only place the grid is built for the dynamics.  The boundary
 sector of the ring follows the state's fermion parity (Lieb, Schultz &
 Mattis, Ann. Phys. 16:407, 1961): antiperiodic for the vacuum, periodic
@@ -51,7 +52,8 @@ large to wrap, M = `ring_size`: the integrands are periodic and analytic
 in k, so the sum converges exponentially (Trefethen & Weideman, SIAM Rev.
 56:385, 2014), and the only error is aliasing from separations M away.  A
 Bell seed reads both from its vacuum, tabulated out to the seed span plus
-the seed's own radius.
+the seed's own radius, which the scenario engine sizes by its grid: the
+light cone or the farthest grid site from a source, plus a string's reach.
 
 Every translation-invariant Gaussian state is a `PairTables`: rows AA,
 AB, BA, BB of <X_l Y_{l+r}> over |r| <= radius, read by one `pair`.  The
@@ -107,23 +109,23 @@ def _table_index(x, radii, what, times):
 
 
 def _ring_tables(params, t, radius, sector):
-    """V, E, O and the pair tables of |x| <= radius at one time t."""
+    """V, E, O and the pair tables of |x| <= radius at one time t, from one
+    inverse FFT over k_m = k_0 + 2 pi m / M read at x mod M and turned by
+    e^{i k_0 x}: cosine sums are real parts, sine sums imaginary parts."""
     rs = np.arange(-radius, radius + 1)
     n = params.size if params.is_finite else ring_size(params, t, radius)
-    w = np.full(n, np.pi / n)
-    e, s, lam_k, ckr, skr = dispersion(params, momentum_grid(n, sector), rs)
+    k = momentum_grid(n, sector)
+    e, s, lam_k = dispersion(params, k)
     sinc_t = t * np.sinc(lam_k * t / np.pi)
-    v = np.cos(lam_k * t)
-    ue = e * sinc_t
-    uo = s * sinc_t
-    inv_pi = 1.0 / np.pi
+    v, ue, uo = np.cos(lam_k * t), e * sinc_t, s * sinc_t
+    sums = np.fft.ifft([v, ue, uo, uo * uo, ue * uo, v * uo])[:, rs % n]
+    sums *= np.exp(1j * k[0] * rs)
     delta = (rs == 0).astype(float)
-    ab = delta - 2.0 / np.pi * (ckr @ (w * uo * uo) + skr @ (w * ue * uo))
-    aa = delta.astype(complex) - 2j / np.pi * (skr @ (w * v * uo))
+    ab = delta - 2.0 * (sums[3].real + sums[4].imag)
+    aa = delta - 2j * sums[5].imag
     # rows by kind pair 2 * kind_l + kind_m: AA, AB, BA, BB, where
     # <B_l A_{l+r}> = -<A_{l+r} B_l> = -ab(-r) and bb = -conj(aa)
-    return (inv_pi * ckr @ (w * v), inv_pi * ckr @ (w * ue),
-            inv_pi * skr @ (w * uo),
+    return (sums[0].real, sums[1].real, sums[2].imag,
             np.stack([aa, ab, -ab[::-1], -np.conj(aa)]))
 
 
@@ -172,9 +174,8 @@ class BellContractions:
     """Contractions of a one-particle Bell seed on the vacuum.
 
     The state is (w_i c_i^dag + w_j c_j^dag)|vac> / sqrt(n2) with weights
-    (1, amp).  The scenario engine's psi_bell seed at phase phi is amp =
-    exp(i phi), exactly +/-1 at phi = 0 and pi.  Every accessor takes kind
-    codes and sites as broadcasting arrays.
+    (1, amp), amp = `model.seed_amp(phi)` for a psi_bell seed at phase phi.
+    Every accessor takes kind codes and sites as broadcasting arrays.
 
     The state has odd fermion parity, so every table, the vacuum part
     included, is a periodic-sector ring sum.  On a finite ring `vacuum` is

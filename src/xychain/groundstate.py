@@ -85,11 +85,11 @@ def gs_contractions(params, radius):
         w = np.concatenate([w1, w2])
     else:
         k, w = _gs_grid(params, radius)
-    e, s, lam_k, ckr, skr = dispersion(params, k, rs)
-    if np.any(lam_k == 0.0):
-        lam_k = np.where(lam_k == 0.0, 1e-300, lam_k)
-    return pair_tables(
-        (ckr @ (w * e / lam_k) - skr @ (w * s / lam_k)) / np.pi)
+    e, s, lam_k = dispersion(params, k)
+    kr = np.outer(rs, k)
+    lam_k = np.where(lam_k == 0.0, 1e-300, lam_k)
+    return pair_tables((np.cos(kr) @ (w * e / lam_k)
+                        - np.sin(kr) @ (w * s / lam_k)) / np.pi)
 
 
 def gs_concurrence(params, d):

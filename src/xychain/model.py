@@ -26,11 +26,11 @@ multiples of pi/N (antiperiodic) for even parity, such as the vacuum, and
 even multiples (periodic) for odd parity, such as a one-particle Bell seed.
 The thermodynamic limit is the same sum on a ring too large to wrap.
 
-`dispersion` gives e_k = 1 + lam cos k, s_k = lam gamma sin k, Lambda_k and
-the cos(kr), sin(kr) tables on a set of momenta; the ring sums of the
-dynamics and the ground state's panel quadrature both start from it.  The
-kernels are tabulated by `correlators.VacuumContractions`, on the same
-ring of momenta as the vacuum contractions they feed.  At gamma = 0 the
+`dispersion` gives e_k = 1 + lam cos k, s_k = lam gamma sin k and Lambda_k
+on a set of momenta; the ring sums of the dynamics, one FFT per time, and
+the ground state's panel quadrature both start from it.  The kernels are
+tabulated by `correlators.VacuumContractions`, on the same ring of
+momenta as the vacuum contractions they feed.  At gamma = 0 the
 anomalous kernel O vanishes identically and a(x) = exp(i t) i^x J_x(lam t);
 the Bessel route in `isotropic` builds on that closed form, and the
 equality is checked in the tests.
@@ -97,10 +97,14 @@ def light_cone_radius(params, t):
     return LIGHT_CONE_PAD + np.ceil(np.abs(params.lam * t)).astype(int)
 
 
-def dispersion(params, k, rs):
-    """e_k, s_k and Lambda_k on the momenta k, and the tables cos(k r) and
-    sin(k r), (len(rs), len(k)), of the separations rs."""
+def seed_amp(phi):
+    """e^{i phi}, exactly +-1 within 1e-9 of the phases 0 and pi."""
+    amp = complex(np.exp(1j * phi))
+    return next((s for s in (1.0, -1.0) if abs(amp - s) < 1e-9), amp)
+
+
+def dispersion(params, k):
+    """e_k, s_k and Lambda_k on the momenta k."""
     e = 1.0 + params.lam * np.cos(k)
     s = params.lam * params.gamma * np.sin(k)
-    kr = np.outer(rs, k)
-    return e, s, np.hypot(e, s), np.cos(kr), np.sin(kr)
+    return e, s, np.hypot(e, s)

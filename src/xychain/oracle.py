@@ -15,7 +15,8 @@ nonzero parts of a state's components in each block of the conserved charge
 the rows of that block, which a Chebyshev series of the propagator in H
 restricted to the block, over the Gershgorin interval of the full H
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984), carries along a time
-grid; a part gets the bits its full-length row would.
+grid; a part gets the bits its full-length row would.  H is real, so a
+block with no imaginary part recurs in real arithmetic, to the same bits.
 The workspace prepares and evolves states; every reduction is a `RingState`,
 which reads one pass over a state and requires each component's weight
 outside its sector to be exactly 0: then each pair's reduced state is an X
@@ -23,9 +24,10 @@ matrix whose populations are sums of the weights |v|^2, whose two
 coherences are overlaps of the components, and whose concurrence is
 Wootters' on the closed-form spin-flip roots of those entries, with an
 eigenvalue floor (`measures.concurrence_wootters`).  This module
-deliberately shares no formulas with the analytic path beyond the Hamiltonian itself (the series coefficients are quadratures,
-not Bessel ladders); agreement between the two is the main correctness
-argument of the package.
+deliberately shares no formulas with the analytic path beyond the
+Hamiltonian itself and the seed phase rule (`model.seed_amp`): the series
+coefficients are quadratures, not Bessel ladders.  Agreement between the
+two is the main correctness argument of the package.
 
 Conventions: site 0 is the most significant bit of a basis index, a clear
 bit is spin up, so the all-down vacuum is the last basis vector.  The
@@ -41,6 +43,7 @@ import numpy as np
 
 from .errors import ConfigError
 from . import measures
+from .model import seed_amp
 
 MAX_SITES = 12
 # Lanczos reads the Ritz residual estimate of its lowest pair every
@@ -78,12 +81,12 @@ class Hamiltonian:
     flips[b] * v[targets[b]]``, applied along the last axis of ``v``."""
 
     def __init__(self, diagonal, targets, flips):
-        self.diagonal = diagonal
-        self.targets = targets
-        self.flips = flips
+        self.diagonal, self.targets, self.flips = diagonal, targets, flips
+        self._gather = targets.ravel()  # a view: builders make it C-order
 
     def __matmul__(self, vecs):
-        flipped = np.take(vecs, self.targets, axis=-1)
+        flipped = np.take(vecs, self._gather, axis=-1).reshape(
+            vecs.shape[:-1] + self.targets.shape)
         flipped *= self.flips
         out = flipped.sum(axis=-2)
         out += self.diagonal * vecs
@@ -95,8 +98,8 @@ class Hamiltonian:
         own index instead.  Raises ValueError for a set that is not closed."""
         position = np.full(len(self.diagonal), -1, dtype=self.targets.dtype)
         position[indices] = np.arange(len(indices))
-        targets = position[self.targets[:, indices]]
-        flips, outside = self.flips[:, indices], targets < 0
+        targets = position[np.take(self.targets, indices, axis=1)]
+        flips, outside = np.take(self.flips, indices, axis=1), targets < 0
         if np.any(flips[outside]):
             raise ValueError("a nonzero flip leaves the basis set")
         targets[outside] = np.nonzero(outside)[1]
@@ -213,9 +216,10 @@ def _series(twice, block, coeffs):
     """sum_k coeffs[j, k] T_k(twice / 2) block for each row j of ``coeffs``,
     the terms from the three-term recurrence.  They carry a leading axis:
     numpy multiplies one complex entry by one of another rank in a scalar
-    loop whose last bit can differ from its vector loop's."""
+    loop whose last bit can differ from its vector loop's.  H is real, so
+    a block without an imaginary part keeps none: it recurs as real."""
     coeffs = coeffs.T[:, :, None, None]
-    prev, cur = None, block[None]
+    prev, cur = None, (block if block.imag.any() else block.real)[None]
     outs = coeffs[0] * cur
     for c in coeffs[1:]:
         nxt = twice @ cur
@@ -333,14 +337,13 @@ class OracleWorkspace:
 
     def psi_bell(self, i, j, phi):
         (v,) = self.vacuum()
-        up_i = _raise(self.n, i, v)
-        up_j = _raise(self.n, j, v)
-        return [(up_i + np.exp(1j * phi) * up_j) / math.sqrt(2)]
+        up_i, up_j = _raise(self.n, i, v), _raise(self.n, j, v)
+        return [(up_i + seed_amp(phi) * up_j) / math.sqrt(2)]
 
     def phi_bell(self, i, j, phi):
         (v,) = self.vacuum()
         pair = _raise(self.n, i, _raise(self.n, j, v))
-        return [(v + np.exp(1j * phi) * pair) / math.sqrt(2)]
+        return [(v + seed_amp(phi) * pair) / math.sqrt(2)]
 
     def ground_state(self):
         return [self._ground.astype(complex)]

@@ -62,9 +62,10 @@ import numpy as np
 
 from . import groundstate, isotropic, measures, oracle
 from .pfaffian import bundles, magnetization
-from .correlators import bell_contractions, vacuum_contractions
+from .correlators import BellContractions, VacuumContractions
 from .errors import CapabilityError, ConfigError
-from .model import LIGHT_CONE_PAD, PAIR_WINDOW, ModelParams, light_cone_radius
+from .model import (LIGHT_CONE_PAD, PAIR_WINDOW, ModelParams,
+                    light_cone_radius, seed_amp)
 
 SCENARIO_KINDS = (
     "vacuum_only",
@@ -364,10 +365,22 @@ class AnalyticEngine:
             stationary = _ContractionView(self._ground)
         elif cfg.gamma != 0.0:
             span = 0 if cfg.kind == "vacuum_only" else abs(cfg.j - cfg.i)
-            radii = light_cone_radius(self.params, np.array(times)) + span
+            radii = light_cone_radius(self.params, np.array(times))
+            if span:  # a seed's tables reach every site and string read
+                far = max(cfg.x_stop - min(cfg.i, cfg.j),
+                          max(cfg.i, cfg.j) - cfg.x_start)
+                radii = np.maximum(radii, far) + max(
+                    cfg.concurrence_distance, PAIR_WINDOW)
             partners = len(cfg.sites()) * (2 * PAIR_WINDOW + 1)
-            for k in _ladder_blocks((2 * radii + 1 + partners).tolist()):
-                yield (times[k], *self._contraction_views(times[k]))
+            for k in _ladder_blocks(
+                    (2 * (radii + span) + 1 + partners).tolist()):
+                con = (BellContractions(self.params, times[k], radii[k], cfg.i,
+                                        cfg.j, seed_amp(cfg.seed_phase))
+                       if span else
+                       VacuumContractions(self.params, times[k], radii[k]))
+                view = _ContractionView(con)
+                yield times[k], view, (
+                    _ContractionView(con.vacuum) if span else view)
             return
         else:  # the gamma = 0 vacuum is stationary: the empty packet
             stationary = isotropic.SingleParticleState(0, np.zeros(0, complex))
@@ -392,17 +405,6 @@ class AnalyticEngine:
                     view = state(cfg.i, cfg.j, cfg.seed_phase, ts[s], cfg.lam,
                                  window=(radius, ladders))
                     yield list(ts[s:s + width]), view, stationary
-
-    def _contraction_views(self, times):
-        cfg = self.config
-        if cfg.kind == "vacuum_only":
-            view = _ContractionView(vacuum_contractions(self.params, times))
-            return view, view
-        amp = np.exp(1j * cfg.seed_phase)  # exactly +-1 at phases 0 and pi
-        amp = next((sign for sign in (1.0, -1.0) if abs(amp - sign) < 1e-9),
-                   amp)
-        seed = bell_contractions(self.params, times, cfg.i, cfg.j, amp=amp)
-        return _ContractionView(seed), _ContractionView(seed.vacuum)
 
 
 class OracleEngine:

@@ -6,9 +6,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xychain import isotropic, measures, oracle
+from xychain import correlators, isotropic, measures, oracle
 from xychain.bessel import bessel_rows
-from xychain.model import LIGHT_CONE_PAD
+from xychain.model import LIGHT_CONE_PAD, momentum_grid
+
+
+def ring_tables_reference(params, t, radius, sector):
+    """V, E, O, <A_0 B_r> and <A_0 A_r> on |r| <= radius as direct cosine
+    and sine sums over the ring momenta k_m = pi q_m / M of the sector,
+    each angle k_m r reduced exactly as the integer q_m r mod 2M.  The
+    integrands are evaluated as the engine evaluates them, so that only
+    the summation differs."""
+    rs = np.arange(-radius, radius + 1)
+    n = (params.size if params.is_finite
+         else correlators.ring_size(params, t, radius))
+    k = momentum_grid(n, sector)
+    angle = np.pi / n * (np.outer(rs, np.rint(k * n / np.pi)) % (2 * n))
+    cos, sin = np.cos(angle), np.sin(angle)
+    e = 1.0 + params.lam * np.cos(k)
+    s = params.lam * params.gamma * np.sin(k)
+    lam_k = np.hypot(e, s)
+    sinc_t = t * np.sinc(lam_k * t / np.pi)
+    v, ue, uo = np.cos(lam_k * t), e * sinc_t, s * sinc_t
+    delta = (rs == 0).astype(float)
+    return (cos @ v / n, cos @ ue / n, sin @ uo / n,
+            delta - 2.0 / n * (cos @ (uo * uo) + sin @ (ue * uo)),
+            delta - 2j / n * (sin @ (v * uo)))
 
 
 def grid_rows(grid):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import evolve, majorana_pair
+from helpers import evolve, majorana_pair, ring_tables_reference
 from xychain import correlators, groundstate, oracle
 from xychain.correlators import A, B
-from xychain.model import ModelParams
+from xychain.model import ModelParams, light_cone_radius
 
 KIND = {"A": A, "B": B}
 
@@ -59,6 +59,25 @@ def test_vacuum_contractions_match_ring(gamma, lam):
             ana = con.pair(KIND[kl], l, KIND[km], m)
             ref = majorana_pair(ws, vecs, kl, l, km, m)
             assert np.isclose(ana, ref, atol=2e-5), (kl, km, l, m, ana, ref)
+
+
+@pytest.mark.parametrize("gamma,lam", [(0.5, 1.0), (1.0, 0.5), (1.5, 1.25)])
+def test_fft_tables_equal_direct_ring_sums(gamma, lam):
+    # both sectors, on the infinite chain's ring and on a 12-site ring,
+    # whose tables wrap many times at late times
+    for size in (None, 12):
+        p = ModelParams(lam=lam, gamma=gamma, size=size)
+        for t in (0.0, 0.5, 3.0, 20.0, 200.0):
+            radius = int(light_cone_radius(p, t))
+            rs = np.arange(-radius, radius + 1)
+            for sector in ("antiperiodic", "periodic"):
+                vac = correlators.VacuumContractions(p, t, radius, sector)
+                got = (vac.v_table[0], vac.e_table[0], vac.o_table[0],
+                       vac.pair(A, 0, B, rs)[0], vac.pair(A, 0, A, rs)[0])
+                ref = ring_tables_reference(p, t, radius, sector)
+                for name, g, r in zip(("V", "E", "O", "AB", "AA"), got, ref):
+                    assert np.abs(g - r).max() <= 1e-14, (name, size, t,
+                                                          sector)
 
 
 def test_bell_contractions_match_ring():

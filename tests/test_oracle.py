@@ -11,7 +11,7 @@ from helpers import (evolve, grid_rows, ring_columns, ring_magnetizations,
                      x_matrix)
 from xychain import cli, correlators, measures, oracle
 from xychain.errors import ConfigError, NumericalHealthError
-from xychain.model import ModelParams
+from xychain.model import ModelParams, seed_amp
 from xychain.pfaffian import COMPONENTS, bundles
 from xychain.scenarios import OracleEngine, parse_config_text, run_scenario
 
@@ -377,6 +377,20 @@ def test_phi_bell_t0_pair_coherence():
     assert np.isclose(ring.concurrence([2], [5])[0], 1.0, atol=1e-10)
 
 
+def test_oracle_seeds_by_the_analytic_engines_phase_rule():
+    # e^{i phi}, exactly +-1 within 1e-9 of the phases 0 and pi, so the
+    # oracle's seeds at those phases are real, like the analytic engine's
+    phases = (0.0, 1e-10, np.pi, np.pi + 1e-10, -np.pi, 2 * np.pi)
+    assert [seed_amp(phi) for phi in phases] == [1, 1, -1, -1, -1, 1]
+    assert seed_amp(0.7) == np.exp(0.7j)
+    ws = oracle.OracleWorkspace(8, 0.5, 1.0)
+    for phi in (0.0, np.pi):
+        for (vec,) in (ws.psi_bell(2, 3, phi), ws.phi_bell(2, 5, phi)):
+            assert not vec.imag.any()
+    (psi,) = ws.psi_bell(2, 3, 0.7)
+    assert np.imag(psi).any()
+
+
 def test_fidelities_sum_to_one():
     ws = oracle.OracleWorkspace(8, 0.5, 0.5)
     ring = oracle.RingState(ws, evolve(ws, ws.psi_bell(1, 2, np.pi), 1.7))
@@ -567,10 +581,26 @@ def test_only_occupied_blocks_get_a_sector_hamiltonian(monkeypatch):
             assert np.array_equal(got, block)
 
 
+def complex_series(twice, block, coeffs):
+    """`oracle._series` with every term complex, also for a real block."""
+    coeffs = coeffs.T[:, :, None, None]
+    prev, cur = None, block.astype(complex)[None]
+    outs = coeffs[0] * cur
+    for c in coeffs[1:]:
+        nxt = twice @ cur
+        if prev is None:
+            nxt *= 0.5
+        else:
+            nxt -= prev
+        outs += c * nxt
+        prev, cur = cur, nxt
+    return outs
+
+
 def full_space_walk(ws, vecs, times):
-    """evolve_grid's walk with full-length rows and the full scaled H: the
-    same interval, coefficients and chunks, one series per chunk from the
-    last time before it."""
+    """evolve_grid's walk with full-length rows, the full scaled H and
+    complex terms throughout: the same interval, coefficients and chunks,
+    one series per chunk from the last time before it."""
     h = ws.hamiltonian
     _, center, radius = ws._chebyshev
     scale = 2.0 / radius
@@ -584,7 +614,7 @@ def full_space_walk(ws, vecs, times):
         dts = np.asarray([t - now for t in chunk])
         coeffs = (np.exp(-1j * center * dts)[:, None]
                   * oracle._chebyshev_coefficients(radius * dts))
-        outs = oracle._series(twice, block, coeffs)
+        outs = complex_series(twice, block, coeffs)
         walked.extend(outs)
         block, now = outs[-1], chunk[-1]
     return walked
@@ -604,10 +634,16 @@ def test_sector_evolution_equals_the_full_space_series_bit_for_bit(
     blocks = {
         # components of both parities, each of one
         "knitted": ws.knitted_singlet(2, 3),
+        # real blocks of both parities: a singlet seed is real
+        "real": ws.psi_bell(0, 1, np.pi) + ws.phi_bell(2, 5, 0.0),
         # a row with weight in both sectors beside an odd and an even one
         "mixed": [mixed / np.linalg.norm(mixed)] + ws.psi_bell(0, 1, 0.4)
         + ws.phi_bell(2, 5, 0.3),
     }
+    # the real series serves the first two from their first time on; a
+    # later chunk starts from complex blocks
+    assert [bool(np.imag(vecs).any()) for vecs in blocks.values()] == [
+        False, False, True]
     times = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 9.0]
     shapes = recorded_shapes(monkeypatch)
     for name, vecs in blocks.items():

@@ -8,7 +8,7 @@ from xychain import correlators, groundstate, oracle, scenarios
 from xychain import pfaffian as pfaffian_module
 from xychain.correlators import A, B
 from xychain.errors import CutoffError, NumericalHealthError
-from xychain.model import ModelParams
+from xychain.model import PAIR_WINDOW, ModelParams, light_cone_radius
 from xychain.pfaffian import (COMPONENTS, bundles, magnetization,
                               operator_string, pfaffians)
 
@@ -461,7 +461,10 @@ def test_singlet_time_step_batches_its_pairs(monkeypatch):
     evaluated = [pair for call in calls for pair in call]
     assert len(evaluated) == len(set(evaluated))
     for k, t in enumerate(times):
-        con = correlators.bell_contractions(config.params, t, 0, 1)
+        # the engine's radius: the light cone or the grid's farthest site
+        # from a seed (site -8 from seed 1), plus the pair window's reach
+        radius = max(light_cone_radius(config.params, t), 9) + PAIR_WINDOW
+        con = correlators.BellContractions(config.params, t, radius, 0, 1)
         pairs = bundles(con, [(x, x + 3) for x in config.sites()])
         ref = scenarios.measures.concurrence_closed(
             scenarios.measures.x_entries(pairs))

@@ -245,6 +245,28 @@ def test_psi_bell_at_gamma_nonzero_runs_at_any_phase():
     assert outputs[0] != outputs[1] and outputs[1] == outputs[2]
 
 
+def test_seed_tables_reach_every_grid_site():
+    # a gamma != 0 singlet's tables cover the whole grid: at sites beyond
+    # the light cone of both seeds its rows are the vacuum's
+    text = BASE.replace("model.gamma = 0.0", "model.gamma = 0.5").replace(
+        "grid.x_start = -1\ngrid.x_stop = 2", "grid.x_start = -300\n"
+        "grid.x_stop = 300").replace(
+            "grid.t_stop = 1.0", "grid.t_stop = 2.0").replace(
+            "concurrence, one_tangle",
+            "concurrence, one_tangle, entropy2, total_concurrence")
+    times, sites, seeded = run_scenario(parse_config_text(text))
+    _, _, vacuum = run_scenario(parse_config_text(text.replace(
+        "singlet_on_vacuum", "vacuum_only")))
+    xs, lam = np.array(sites), 1.0
+    for k, t in enumerate(times):
+        far = np.minimum(np.abs(xs - 0), np.abs(xs - 1)) > (
+            lam * t + LIGHT_CONE_PAD)
+        assert far.sum() > 500
+        for name, values in seeded.items():
+            assert np.abs(values[k, far] - vacuum[name][k, far]).max() <= (
+                1e-12), (name, t)
+
+
 def test_oracle_engine_agrees_with_analytic():
     # every measure on the gamma = 0 singlet (Bessel route) and on a
     # gamma = 0.5 psi_bell at phi = pi (Pfaffian route)
