@@ -52,8 +52,8 @@ large to wrap, M = `ring_size`: the integrands are periodic and analytic
 in k, so the sum converges exponentially (Trefethen & Weideman, SIAM Rev.
 56:385, 2014), and the only error is aliasing from separations M away.  A
 Bell seed reads both from its vacuum, tabulated out to the seed span plus
-the seed's own radius, which the scenario engine sizes by its grid: the
-light cone or the farthest grid site from a source, plus a string's reach.
+the seed's own radius; the scenario engine sizes radii by what its grid
+reads, the wrappers below by the light cone.
 
 Every translation-invariant Gaussian state is a `PairTables`: rows AA,
 AB, BA, BB of <X_l Y_{l+r}> over |r| <= radius, read by one `pair`.  The
@@ -221,10 +221,9 @@ class BellContractions:
 
 def vacuum_contractions(params, times):
     return VacuumContractions(params, times,
-                              light_cone_radius(params, np.asarray(times)))
+                              light_cone_radius(params, np.abs(times)))
 
 
 def bell_contractions(params, times, i, j, amp=-1.0):
-    return BellContractions(params, times,
-                            light_cone_radius(params, np.asarray(times)), i,
-                            j, amp=amp)
+    radii = light_cone_radius(params, np.abs(times))
+    return BellContractions(params, times, radii, i, j, amp=amp)

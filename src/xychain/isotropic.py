@@ -11,6 +11,7 @@ up to one global phase that no exposed quantity depends on and that is
 dropped throughout this module.  All pair measures then reduce to closed
 forms in the amplitudes: C_{nm} = 2|w_n wbar_m|, tau1 = 4|w|^2(1-|w|^2),
 S2 = h(|w_n|^2 + |w_m|^2), F_psi(phi') = |w_n + e^{-i phi'} w_m|^2 / 2.
+Every seed's e^{i phi} is `model.seed_amp(phi)`, as on the other routes.
 
 A two-particle seed (|vac> + e^{i phi} c_i^dag c_j^dag |vac>)/sqrt(2) mixes
 the vacuum with a fermion pair whose ordered amplitudes form the
@@ -43,7 +44,7 @@ where each signed sum s is the window sum minus twice the sum over n < q < m,
 read off prefix sums; the terms q = n, m cancel exactly.  Sites outside the
 window have zero orbitals.
 
-Every window starts at the light cone plus LIGHT_CONE_PAD sites and widens
+Every window starts at the light cone (`model.light_cone_radius`) and widens
 by PAD_STEP sites until the weight it holds is within NORM_DEFECT_TOL of one
 (the norm of a packet, the pair-sector weight of a pair seed); a window
 whose Bessel ladder would pass bessel.MAX_ORDER raises CutoffError.
@@ -64,7 +65,7 @@ import numpy as np
 from .bessel import MAX_ORDER, bessel_rows, range_error
 from .errors import CutoffError
 from .measures import XView, _modulus
-from .model import LIGHT_CONE_PAD
+from .model import ModelParams, light_cone_radius, seed_amp
 
 NORM_DEFECT_TOL = 1e-10
 PAD_STEP = 10  # sites a window widens by when its weight defect is too large
@@ -102,18 +103,18 @@ def windows(i, j, phi, lam_ts, pair=False):
 
     Entry k is (radius, ladder): the sites min(i, j) - radius .. max(i, j)
     + radius and J_0..J_{radius + |j - i|}(lam_ts[k]), or the CutoffError
-    or OutOfRangeError of that lam*t.  The radius starts at ceil(lam*t) +
-    LIGHT_CONE_PAD and widens by PAD_STEP until the weight the window holds
-    is within NORM_DEFECT_TOL of one.  With A = sum |g_{p-i}|^2 =
-    sum |g_{p-j}|^2 and X = sum J_{p-i} J_{p-j} over the window, that
-    weight is the packet norm A + Re(e^{i phi} i^{i-j}) X, or with
-    pair=True the pair-sector weight A^2 - X^2 (the Gram determinant of the
-    orbitals).
+    or OutOfRangeError of that lam*t.  The radius starts at the light cone
+    of time lam*t at unit coupling and widens by PAD_STEP until the weight
+    the window holds is within NORM_DEFECT_TOL of one.  With A =
+    sum |g_{p-i}|^2 = sum |g_{p-j}|^2 and X = sum J_{p-i} J_{p-j} over the
+    window, that weight is the packet norm A + Re(e^{i phi} i^{i-j}) X, or
+    with pair=True the pair-sector weight A^2 - X^2 (the Gram determinant
+    of the orbitals).
     """
     i, j = (i, j) if i < j else (j, i)
     span = j - i
-    coupling = (np.exp(1j * phi) * _I_POWERS[(i - j) % 4]).real
-    radii = [int(math.ceil(v)) + LIGHT_CONE_PAD for v in lam_ts]
+    coupling = (seed_amp(phi) * _I_POWERS[(i - j) % 4]).real
+    radii = light_cone_radius(ModelParams(1.0), lam_ts).tolist()
     out = [range_error(r + span, v) for r, v in zip(radii, lam_ts)]
     todo = [k for k, error in enumerate(out) if error is None]
     while todo:
@@ -219,7 +220,7 @@ def wavepacket(i, j, phi, t, lam, window=None):
     (radius, (times, ladder)) block of times that share the radius; t is
     read only to size a window."""
     sites, gi, gj = _orbitals(i, j, phi, abs(lam) * t, window)
-    amps = (gi + np.exp(1j * phi) * gj) / math.sqrt(2.0)
+    amps = (gi + seed_amp(phi) * gj) / math.sqrt(2.0)
     return SingleParticleState(start=int(sites[0]), amps=amps)
 
 
@@ -262,7 +263,7 @@ class PhiState(XView):
             raise ValueError("coefficients need ordered sites n < m")
         un, vn, rn = self._at(ns)
         um, vm, rm = self._at(ms)
-        t_nm = np.exp(1j * self.phi) * (un * vm - vn * um)
+        t_nm = seed_amp(self.phi) * (un * vm - vn * um)
         t2 = _modulus(t_nm) ** 2
         # signed sums: the total minus twice the interior n < q < m
         lo = np.clip(ns - self.start + 1, 0, len(self.sites))

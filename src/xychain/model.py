@@ -79,22 +79,22 @@ class ModelParams:
 
 
 def momentum_grid(n, sector):
-    """Ring momenta in (-pi, pi] for the given boundary sector.
-
-    'antiperiodic' gives odd multiples of pi/n (even fermion parity),
-    'periodic' gives even multiples (odd parity).
+    """Ring momenta of the given boundary sector, ascending: the n odd
+    multiples of pi/n in (-pi, pi] for 'antiperiodic' (even fermion
+    parity), the n even ones in [-pi, pi) for 'periodic' (odd parity).  At
+    odd n that puts pi in the antiperiodic grid and k = 0 in the periodic.
     """
     m = np.arange(n)
     if sector == "antiperiodic":
-        return np.pi * (2.0 * m + 1.0 - n) / n
+        return np.pi * (2.0 * m + 1.0 - n + n % 2) / n
     if sector == "periodic":
-        return 2.0 * np.pi * m / n - np.pi
+        return 2.0 * np.pi * m / n - np.pi * (1.0 - (n % 2) / n)
     raise ValueError(f"unknown sector {sector!r}")
 
 
 def light_cone_radius(params, t):
-    """Site cutoff beyond which evolved-mode weight is negligible at t."""
-    return LIGHT_CONE_PAD + np.ceil(np.abs(params.lam * t)).astype(int)
+    """Site cutoff beyond which evolved-mode weight is negligible at t >= 0."""
+    return LIGHT_CONE_PAD + np.ceil(params.lam * np.asarray(t)).astype(int)
 
 
 def seed_amp(phi):

@@ -76,11 +76,11 @@ def pfaffians(a):
             a[swap, k + 1], a[swap, p] = a[swap, p], a[swap, k + 1]
             a[swap, :, k + 1], a[swap, :, p] = a[swap, :, p], a[swap, :, k + 1]
             val[swap] = -val[swap]
-        # a zero pivot means a zero column k, so a[k, k + 1] = 0 zeroes
-        # val; dividing by 1 there keeps the stack finite
+        # a pivot below 1e-300 leaves a column k of underflow: val goes to
+        # 0, and dividing by 1 keeps the stack finite where 1 / pivot is not
         pivot = a[:, k + 1, k]
         val *= a[:, k, k + 1]
-        w = a[:, k + 2:, k] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        w = a[:, k + 2:, k] / np.where(abs(pivot) < 1e-300, 1, pivot)[:, None]
         v = a[:, k + 1, k + 2:]
         a[:, k + 2:, k + 2:] += (v[:, :, None] * w[:, None, :]
                                  - w[:, :, None] * v[:, None, :])

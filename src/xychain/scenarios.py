@@ -47,10 +47,12 @@ them.  A stationary view serves the whole grid, a packet a run of times
 whose Bessel windows (`isotropic.windows`, sized a block at a time, each
 block within WINDOW_BLOCK_BYTES by its own longest ladder) share a radius,
 Pfaffian contractions such a block (bounded by its partner concurrences
-too), any other view one time.  What the analytic engine cannot represent
-exactly (knitted scenarios, phi_bell at gamma != 0, ckw_residual on
-phi_bell) raises CapabilityError when the engine is built;
-the oracle engine handles those on small rings.
+too), any other view one time.  Pfaffian tables reach what the grid reads
+(`AnalyticEngine.views`), Bessel windows start at the light cone, and
+every seed's phase is `model.seed_amp`.  What the analytic engine cannot
+represent exactly (knitted scenarios, phi_bell at gamma != 0, ckw_residual
+on phi_bell) raises CapabilityError when the engine is built; the oracle
+engine handles those on small rings.
 """
 
 import dataclasses
@@ -64,8 +66,7 @@ from . import groundstate, isotropic, measures, oracle
 from .pfaffian import bundles, magnetization
 from .correlators import BellContractions, VacuumContractions
 from .errors import CapabilityError, ConfigError
-from .model import (LIGHT_CONE_PAD, PAIR_WINDOW, ModelParams,
-                    light_cone_radius, seed_amp)
+from .model import PAIR_WINDOW, ModelParams, light_cone_radius, seed_amp
 
 SCENARIO_KINDS = (
     "vacuum_only",
@@ -346,11 +347,10 @@ class AnalyticEngine:
             raise CapabilityError(
                 "ckw_residual of the pair seed refers to its one-particle "
                 "orbitals; evaluate it on a psi seed or the oracle engine")
-        self._ground = None
-        if kind == "ground_state_equilibrium":
-            reach = (abs(config.x_stop - config.x_start)
-                     + max(config.concurrence_distance, PAIR_WINDOW) + 2)
-            self._ground = groundstate.gs_contractions(self.params, reach)
+        # the farthest separation any string or partner sum of the grid reads
+        self.reach = max(config.concurrence_distance, PAIR_WINDOW)
+        self._ground = (groundstate.gs_contractions(self.params, self.reach)
+                        if kind == "ground_state_equilibrium" else None)
 
     def views(self, times):
         """(times, view, baseline) of each block, in order: a Bell seed's
@@ -358,26 +358,24 @@ class AnalyticEngine:
         one view for the whole grid.  At gamma = 0 a block of windows holds
         at most WINDOW_BLOCK_BYTES by its own longest ladder, and a packet
         a run of them that share a radius; a pair seed has a view per time.
-        At gamma != 0 a view holds a block cut the same way by each time's
-        tables and partner concurrences."""
+        At gamma != 0 a block is cut the same way by its tables, of radius
+        `reach` plus a Bell seed's farthest grid site, and partners."""
         cfg = self.config
         if self._ground is not None:
             stationary = _ContractionView(self._ground)
         elif cfg.gamma != 0.0:
             span = 0 if cfg.kind == "vacuum_only" else abs(cfg.j - cfg.i)
-            radii = light_cone_radius(self.params, np.array(times))
-            if span:  # a seed's tables reach every site and string read
-                far = max(cfg.x_stop - min(cfg.i, cfg.j),
-                          max(cfg.i, cfg.j) - cfg.x_start)
-                radii = np.maximum(radii, far) + max(
-                    cfg.concurrence_distance, PAIR_WINDOW)
+            radius = self.reach
+            if span:  # a seed's kernels reach from either seed to every read
+                radius += max(cfg.x_stop - min(cfg.i, cfg.j),
+                              max(cfg.i, cfg.j) - cfg.x_start)
             partners = len(cfg.sites()) * (2 * PAIR_WINDOW + 1)
             for k in _ladder_blocks(
-                    (2 * (radii + span) + 1 + partners).tolist()):
-                con = (BellContractions(self.params, times[k], radii[k], cfg.i,
+                    [2 * (radius + span) + 1 + partners] * len(times)):
+                con = (BellContractions(self.params, times[k], radius, cfg.i,
                                         cfg.j, seed_amp(cfg.seed_phase))
                        if span else
-                       VacuumContractions(self.params, times[k], radii[k]))
+                       VacuumContractions(self.params, times[k], radius))
                 view = _ContractionView(con)
                 yield times[k], view, (
                     _ContractionView(con.vacuum) if span else view)
@@ -391,8 +389,8 @@ class AnalyticEngine:
         state = isotropic.PhiState if pair else isotropic.wavepacket
         lam_ts = [abs(cfg.lam) * t for t in times]
         span = abs(cfg.j - cfg.i)
-        for k in _ladder_blocks([math.ceil(v) + LIGHT_CONE_PAD + span + 1
-                                 for v in lam_ts]):
+        for k in _ladder_blocks(
+                (light_cone_radius(self.params, times) + span + 1).tolist()):
             block = zip(times[k], isotropic.windows(
                 cfg.i, cfg.j, cfg.seed_phase, lam_ts[k], pair=pair))
             for radius, run in itertools.groupby(block, key=_radius):

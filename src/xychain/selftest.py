@@ -27,7 +27,7 @@ import numpy as np
 
 from . import isotropic, measures, oracle
 from .correlators import bell_contractions, vacuum_contractions
-from .model import ModelParams
+from .model import ModelParams, seed_amp
 from .pfaffian import bundles, magnetization
 
 RING = 12
@@ -121,8 +121,8 @@ def run_case(gamma, lam, kind, fast=False):
         dict.fromkeys(s for sites, _, _ in cells for s in sites))}
     pair_at = {p: k for k, p in enumerate(
         dict.fromkeys(p for _, pairs, _ in cells for p in pairs))}
-    con = (vacuum_contractions(params, times) if vacuum else
-           bell_contractions(params, times, SEED_I, SEED_J, amp=-1.0))
+    con = (vacuum_contractions(params, times) if vacuum else bell_contractions(
+        params, times, SEED_I, SEED_J, amp=seed_amp(np.pi)))
     columns = bundles(con, list(pair_at))
     mzs = magnetization(con, list(site_at))
 

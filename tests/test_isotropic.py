@@ -464,3 +464,16 @@ def test_single_source_packet_is_bessel():
     st1 = single_source_packet(0, 2.0, 1.0)
     for x in (-3, 0, 2):
         assert np.isclose(abs(st1.w(x)), abs(bessel_j(x, 2.0)), atol=1e-12)
+
+
+def test_seeds_at_phase_pi_take_an_amplitude_of_exactly_minus_one():
+    # at t = 0 a packet is its seed, and a pair seed's uu/dd coherence on
+    # its sites is half its amplitude: both seed by model.seed_amp, which
+    # is exactly -1 at pi, as the oracle and the Pfaffian route seed
+    assert model.seed_amp(np.pi) == -1.0
+    packet = isotropic.wavepacket(0, 1, np.pi, 0.0, 1.0)
+    assert np.array_equal(packet.w([0, 1]),
+                          np.array([1.0, -1.0]) / math.sqrt(2.0))
+    assert np.array_equal(packet.w([0, 1]).imag, [0.0, 0.0])
+    c = isotropic.PhiState(0, 1, np.pi, 0.0, 1.0).pair_entries(0, 1)[4]
+    assert c == -0.5 and c.imag == 0.0

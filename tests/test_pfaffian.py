@@ -8,7 +8,7 @@ from xychain import correlators, groundstate, oracle, scenarios
 from xychain import pfaffian as pfaffian_module
 from xychain.correlators import A, B
 from xychain.errors import CutoffError, NumericalHealthError
-from xychain.model import PAIR_WINDOW, ModelParams, light_cone_radius
+from xychain.model import PAIR_WINDOW, ModelParams
 from xychain.pfaffian import (COMPONENTS, bundles, magnetization,
                               operator_string, pfaffians)
 
@@ -169,6 +169,18 @@ def test_batched_matches_scalar(n):
     assert_matches_scalar(stack)
     if n >= 4:
         assert np.all(pfaffians(stack)[2:4] == 0.0)
+
+
+def test_strings_at_an_underflowing_time_equal_those_at_zero():
+    # at t = 1e-300 a string's pivots are of order t or its underflow, and
+    # 1 / pivot overflows; below 1e-300 a pivot column adds only roundoff,
+    # so the columns equal those at t = 0
+    p = ModelParams(lam=1.0, gamma=0.3, size=5)
+    con = correlators.bell_contractions(p, [0.0, 1e-300, 1e-160], 1, 3,
+                                        amp=1.0)
+    columns = bundles(con, [(l, m) for l in range(5) for m in range(l + 1, 5)])
+    assert np.all(np.isfinite(columns))
+    assert np.allclose(columns, columns[:1], rtol=0, atol=1e-15)
 
 
 @given(st.integers(0, 8), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
@@ -461,9 +473,9 @@ def test_singlet_time_step_batches_its_pairs(monkeypatch):
     evaluated = [pair for call in calls for pair in call]
     assert len(evaluated) == len(set(evaluated))
     for k, t in enumerate(times):
-        # the engine's radius: the light cone or the grid's farthest site
-        # from a seed (site -8 from seed 1), plus the pair window's reach
-        radius = max(light_cone_radius(config.params, t), 9) + PAIR_WINDOW
+        # the engine's radius at every time: the grid's farthest site from
+        # a seed (site -8 from seed 1) plus the pair window's reach
+        radius = 9 + PAIR_WINDOW
         con = correlators.BellContractions(config.params, t, radius, 0, 1)
         pairs = bundles(con, [(x, x + 3) for x in config.sites()])
         ref = scenarios.measures.concurrence_closed(

@@ -267,6 +267,47 @@ def test_seed_tables_reach_every_grid_site():
                 1e-12), (name, t)
 
 
+def test_vacuum_tables_reach_every_string_the_grid_reads(tmp_path):
+    # a gamma != 0 vacuum's tables reach the farthest separation a string
+    # or partner sum reads, here 40 sites past the light cone's 30 at t = 0:
+    # the run exits 0, and by translation invariance every site reads the
+    # same values
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(BASE.replace("model.gamma = 0.0", "model.gamma = 0.5")
+                   .replace("singlet_on_vacuum", "vacuum_only")
+                   .replace("grid.t_stop = 1.0", "grid.t_stop = 2.0")
+                   .replace("grid.dt = 0.5", "grid.dt = 1.0")
+                   .replace("grid.x_start = -1\ngrid.x_stop = 2",
+                            "grid.x_start = -60\ngrid.x_stop = 60")
+                   .replace("concurrence, one_tangle",
+                            "concurrence, one_tangle, total_concurrence")
+                   + "measures.concurrence_distance = 40\n")
+    code, out, err = run_cli("run", str(cfg))
+    assert code == 0, err
+    columns = {}
+    for line in out.splitlines()[1:]:
+        name, _, t, value = line.split(",")
+        columns.setdefault((name, t), []).append(float(value))
+    assert len(columns) == 9
+    assert all(len(values) == 121 and np.ptp(values) <= 1e-12
+               for values in columns.values())
+
+
+def test_ground_state_table_reaches_the_reads_alone():
+    # the ground state is translation invariant: its table reaches the
+    # farthest separation a string or partner sum reads, however wide the
+    # grid
+    ground = BASE.replace("singlet_on_vacuum", "ground_state_equilibrium"
+                          ).replace("model.gamma = 0.0", "model.gamma = 0.5"
+                          ).replace("grid.x_start = -1\ngrid.x_stop = 2",
+                                    "grid.x_start = -20\ngrid.x_stop = 20")
+    for distance, radius in ((3, scenarios.PAIR_WINDOW), (12, 12)):
+        cfg = parse_config_text(
+            ground + f"measures.concurrence_distance = {distance}\n")
+        (_, view, _), = scenarios.AnalyticEngine(cfg).views(cfg.times())
+        assert view.con.radius == radius
+
+
 def test_oracle_engine_agrees_with_analytic():
     # every measure on the gamma = 0 singlet (Bessel route) and on a
     # gamma = 0.5 psi_bell at phi = pi (Pfaffian route)
