@@ -12,19 +12,20 @@ lower of the Lanczos ground states of the two parity sectors (on a finite
 ring either can hold it), the even one, the vacuum's, on a tie.  The
 nonzero parts of a state's components in each block of the conserved charge
 (the particle-number classes at gamma = 0, else the parity sectors) ride as
-the rows of that block, which a Chebyshev series of the propagator in H
-restricted to the block, over the Gershgorin interval of the full H
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984), carries along a time
-grid; a part gets the bits its full-length row would.  H is real, so a
-block with no imaginary part recurs in real arithmetic, to the same bits.
-The workspace prepares and evolves states; every reduction is a `RingState`,
-which reads one pass over a state and requires each component's weight
-outside its sector to be exactly 0: then each pair's reduced state is an X
-matrix whose populations are sums of the weights |v|^2, whose two
-coherences are overlaps of the components, and whose concurrence is
-Wootters' on the closed-form spin-flip roots of those entries, with an
-eigenvalue floor (`measures.concurrence_wootters`).  This module
-deliberately shares no formulas with the analytic path beyond the
+the rows of that block, which a Chebyshev series of the propagator in the
+block's H, over the block's own Gershgorin interval (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81:3967, 1984), carries along a time grid; a part gets the
+bits its full-length row would under that interval.  The workspace builds
+H on each block's basis indices once, when first used, and never on the
+whole space.  H is real, so a block with no imaginary part recurs in real
+arithmetic, to the same bits.  The workspace prepares and evolves states;
+every reduction is a `RingState`, which reads one pass over a state and
+requires each component's weight outside its sector to be exactly 0: then
+each pair's reduced state is an X matrix whose populations are sums of the
+weights |v|^2, whose two coherences are overlaps of the components, and
+whose concurrence is Wootters' on the closed-form spin-flip roots of those
+entries, with an eigenvalue floor (`measures.concurrence_wootters`).  This
+module deliberately shares no formulas with the analytic path beyond the
 Hamiltonian itself and the seed phase rule (`model.seed_amp`): the series
 coefficients are quadratures, not Bessel ladders.  Agreement between the
 two is the main correctness argument of the package.
@@ -92,36 +93,39 @@ class Hamiltonian:
         out += self.diagonal * vecs
         return out
 
-    def sector(self, indices):
-        """H restricted to the basis indices given, which every nonzero flip
-        must map among themselves; a zero flip that leaves them reads its
-        own index instead.  Raises ValueError for a set that is not closed."""
-        position = np.full(len(self.diagonal), -1, dtype=self.targets.dtype)
-        position[indices] = np.arange(len(indices))
-        targets = position[np.take(self.targets, indices, axis=1)]
-        flips, outside = np.take(self.flips, indices, axis=1), targets < 0
-        if np.any(flips[outside]):
-            raise ValueError("a nonzero flip leaves the basis set")
-        targets[outside] = np.nonzero(outside)[1]
-        return Hamiltonian(self.diagonal[indices], targets, flips)
+
+def _bond_flips(gamma, lam):
+    """A bond's flip coefficients (antiparallel, parallel): -lam/2 and
+    -lam*gamma/2, summed from the Sx Sx and Sy Sy terms."""
+    xx, yy = lam * (1.0 + gamma) / 4, lam * (1.0 - gamma) / 4
+    return -(xx + yy), yy - xx
 
 
-def build_hamiltonian(n, gamma, lam):
-    """Spin Hamiltonian of the periodic n-site ring.
+def build_hamiltonian(n, gamma, lam, index=None):
+    """Spin Hamiltonian of the periodic n-site ring on the basis indices
+    ``index``, all 2^n by default.
 
     The diagonal is -sum_l Sz_l = popcount - n/2.  A bond flips its bit
-    pair, by -lam/2 on antiparallel and -lam*gamma/2 on parallel spins,
-    summed from the Sx Sx and Sy Sy terms as a spin-operator build sums
-    them, so its action on a basis vector agrees with one bit for bit.
-    Both are read off one bit table.
+    pair by `_bond_flips`, summed as a spin-operator build sums them, so
+    its action on a basis vector agrees with one bit for bit.  Both are
+    read off one bit table.  Every nonzero flip must map ``index`` among
+    itself, else ValueError; a zero flip that leaves it reads its own
+    index instead.
     """
-    index = np.arange(2 ** n)
+    index = np.arange(2 ** n) if index is None else index
     bits = _bits(index, n)  # row l: site l
-    xx, yy = lam * (1.0 + gamma) / 4, lam * (1.0 - gamma) / 4
     pairs = np.array([_site_bit(n, l) | _site_bit(n, (l + 1) % n)
                       for l in range(n)])[:, None]
-    flips = np.where(bits != np.roll(bits, -1, axis=0), -(xx + yy), yy - xx)
-    return Hamiltonian(bits.sum(axis=0) - n / 2, index ^ pairs, flips)
+    flips = np.where(bits != np.roll(bits, -1, axis=0), *_bond_flips(
+        gamma, lam))
+    position = np.full(2 ** n, -1)
+    position[index] = np.arange(len(index))
+    targets = position[index ^ pairs]
+    outside = targets < 0
+    if np.any(flips[outside]):
+        raise ValueError("a nonzero flip leaves the basis set")
+    targets[outside] = np.nonzero(outside)[1]
+    return Hamiltonian(bits.sum(axis=0) - n / 2, targets, flips)
 
 
 def _jw_raising(n, l):
@@ -240,55 +244,54 @@ class OracleWorkspace:
         if n < 4 or n > MAX_SITES:
             raise ConfigError(
                 f"oracle ring size {n} outside [4, {MAX_SITES}]")
-        self.n = n
-        self.hamiltonian = build_hamiltonian(n, gamma, lam)
+        self.n, self._couplings, self._built = n, (gamma, lam), {}
         index = np.arange(2 ** n)
-        popcount = self.hamiltonian.diagonal + n / 2
+        popcount = np.bitwise_count(index)
         # basis indices of the vacuum's parity sector, then of the other
         odd = popcount % 2 != n % 2
         self._parity = index[~odd], index[odd]
         # the blocks of the charge H conserves: the particle number where no
-        # bond flips parallel spins (as the vacuum's bonds read), else parity
-        self._blocks = (self._parity if self.hamiltonian.flips[0, -1] else
+        # bond flips parallel spins, else parity
+        self._blocks = (self._parity if _bond_flips(gamma, lam)[1] else
                         [index[popcount == q] for q in range(n, -1, -1)])
+
+    def _sector(self, index):
+        """(H, center, radius) on ``index``, one of `_parity` or `_blocks`
+        (its id names it), built on first use: H on those basis indices
+        and its Gershgorin interval [center - radius, center + radius]."""
+        if id(index) not in self._built:
+            h = build_hamiltonian(self.n, *self._couplings, index)
+            radii = np.abs(h.flips).sum(axis=0)
+            lo = float(np.min(h.diagonal - radii))
+            hi = float(np.max(h.diagonal + radii))
+            self._built[id(index)] = h, (hi + lo) / 2, (hi - lo) / 2
+        return self._built[id(index)]
 
     @functools.cached_property
     def _ground(self):
         """Real vector of the lower parity-sector ground state, the even
         one on a tie, found on first use."""
-        even, odd = (_lanczos_ground_state(self.hamiltonian.sector(sector))
+        even, odd = (_lanczos_ground_state(self._sector(sector)[0])
                      + (sector,) for sector in self._parity)
         _, vec, sector = odd if odd[0] < even[0] - SECTOR_TIE else even
         full = np.zeros(2 ** self.n)
         full[sector] = vec
         return full
 
-    @functools.cached_property
-    def _chebyshev(self):
-        """(twice, center, radius): twice = 2 (H - center) / radius, whose
-        spectrum lies in [-2, 2] by the Gershgorin interval of the full H;
-        `evolve_grid` restricts it to the blocks a state occupies."""
-        h = self.hamiltonian
-        radii = np.abs(h.flips).sum(axis=0)
-        lo = float(np.min(h.diagonal - radii))
-        hi = float(np.max(h.diagonal + radii))
-        center, radius = (hi + lo) / 2, (hi - lo) / 2
-        scale = 2.0 / radius
-        twice = Hamiltonian(scale * (h.diagonal - center), h.targets,
-                            scale * h.flips)
-        return twice, center, radius
-
     def evolve_grid(self, vecs, times):
         """The components ``vecs`` evolved to each of ``times``, in order.
 
         Each component's nonzero part in each block of the conserved charge
-        rides as a row of that block, and only the blocks that hold a part
-        get their restriction of H.  Consecutive times, as many as keep
-        full-length rows within EVOLVE_BLOCK_BYTES, share one series per
-        block from the last time before them, and only one such chunk is
-        held.  Raises NumericalHealthError when the squared norms of a
-        component's parts move by more than NORM_TOL of the weight of all
-        rows.  Until time moves the components come back as given.
+        rides as a row of that block.  A block that holds a part takes H on
+        its own indices and a series over its own Gershgorin interval; one
+        of radius 0, a constant diagonal (the gamma = 0 vacuum, any block
+        at lam = 0), takes the one term e^(-i center dt).  Consecutive
+        times, as many as keep full-length rows within EVOLVE_BLOCK_BYTES,
+        share one series per block from the last time before them, and
+        only one such chunk is held.  Raises NumericalHealthError when the
+        squared norms of a component's parts move by more than NORM_TOL of
+        the weight of all rows.  Until time moves the components come back
+        as given.
         """
         times = list(times)
         block_bytes = 16 * max(1, len(vecs)) * 2 ** self.n
@@ -297,20 +300,25 @@ class OracleWorkspace:
         while start < len(times) and times[start] == now:
             yield list(vecs)
             start += 1
-        twice, center, radius = self._chebyshev
-        parts = []  # (H of a block, its indices, rows, their parts there)
+        # per block that holds a part: (2 (H - center) / radius of the
+        # block, center, radius, its indices, rows), and the rows' parts
+        parts, blocks = [], []
         for index in self._blocks:
             rows = [r for r, v in enumerate(vecs) if v[index].any()]
             if rows:
-                parts.append((twice.sector(index), index, rows,
-                              np.stack([vecs[r][index] for r in rows])))
+                h, center, radius = self._sector(index)
+                scale = 2.0 / radius if radius else 0.0  # a one-term series
+                parts.append((Hamiltonian(scale * (h.diagonal - center),
+                                          h.targets, scale * h.flips),
+                              center, radius, index, rows))
+                blocks.append(np.stack([vecs[r][index] for r in rows]))
         for s in range(start, len(times), per_chunk):
             chunk = times[s:s + per_chunk]
             dts = np.asarray([t - now for t in chunk])
-            coeffs = (np.exp(-1j * center * dts)[:, None]
-                      * _chebyshev_coefficients(radius * dts))
             outs, defect, weight = [], np.zeros((len(chunk), len(vecs))), 0.0
-            for twice, _, rows, block in parts:
+            for (twice, center, radius, _, rows), block in zip(parts, blocks):
+                coeffs = (np.exp(-1j * center * dts)[:, None]
+                          * _chebyshev_coefficients(radius * dts))
                 outs.append(_series(twice, block, coeffs))
                 before = np.einsum("ij,ij->i", block.conj(), block).real
                 after = np.einsum("tij,tij->ti", outs[-1].conj(), outs[-1])
@@ -322,10 +330,10 @@ class OracleWorkspace:
                     f"oracle evolution changed a squared norm by {worst:.3e}")
             for j in range(len(chunk)):
                 full = np.zeros((len(vecs), 2 ** self.n), dtype=complex)
-                for (_, index, rows, _), out in zip(parts, outs):
+                for (*_, index, rows), out in zip(parts, outs):
                     full[np.ix_(rows, index)] = out[j]
                 yield list(full)
-            parts = [part[:3] + (out[-1],) for part, out in zip(parts, outs)]
+            blocks = [out[-1] for out in outs]
             now = chunk[-1]
 
     # -- state preparation ------------------------------------------------

@@ -223,6 +223,7 @@ def _validate(cfg, source):
         (not 4 <= cfg.oracle_sites <= oracle.MAX_SITES,
          f"scenario.oracle_sites must be in [4, {oracle.MAX_SITES}]"),
         (cfg.dt <= 0, "grid.dt must be > 0"),
+        (cfg.t_start < 0, "grid.t_start must be >= 0"),
         (cfg.t_stop < cfg.t_start, "grid.t_stop below grid.t_start"),
         (cfg.x_stop < cfg.x_start, "grid.x_stop below grid.x_start"),
         (not cfg.measure_list, "measures.list is empty"),

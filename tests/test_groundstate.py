@@ -123,8 +123,9 @@ def ring_ground_energy(n, gamma, lam):
 def test_ring_energy_matches_exact_diagonalization(n, gamma, lam):
     ws = oracle.OracleWorkspace(n, gamma, lam)
     (gs,) = ws.ground_state()
+    h = oracle.build_hamiltonian(n, gamma, lam)
     assert np.isclose(ring_ground_energy(n, gamma, lam),
-                      np.vdot(gs, ws.hamiltonian @ gs).real, atol=1e-10)
+                      np.vdot(gs, h @ gs).real, atol=1e-10)
 
 
 def test_contractions_match_ring_when_gapped():

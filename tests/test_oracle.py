@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (evolve, grid_rows, ring_columns, ring_magnetizations,
                      x_matrix)
-from xychain import cli, correlators, measures, oracle
+from xychain import cli, correlators, measures, oracle, selftest
 from xychain.errors import ConfigError, NumericalHealthError
 from xychain.model import ModelParams, seed_amp
 from xychain.pfaffian import COMPONENTS, bundles, magnetization
@@ -166,6 +166,26 @@ def test_evolve_matches_dense_diagonalization(t):
     assert np.max(np.abs(out - ref)) < 1e-12
 
 
+# gamma = 0: the one-state vacuum block, the one-particle block and a pair
+# seed in the vacuum's and the two-particle blocks; gamma = 0.7: both parity
+# halves; lam = 0: particle-number blocks of radius 0
+@pytest.mark.parametrize("gamma,lam,kind", [
+    (0.0, 0.8, "vacuum"), (0.0, 0.8, "psi_bell"), (0.0, 0.8, "phi_bell"),
+    (0.7, 0.8, "vacuum"), (0.7, 0.8, "psi_bell"), (0.7, 0.8, "knitted"),
+    (0.7, 0.0, "phi_bell")])
+def test_block_series_match_a_dense_propagator(gamma, lam, kind):
+    n, times = 8, [0.5, 2.0, 7.0]
+    energies, modes = dense_spectrum(n, gamma, lam)
+    ws = oracle.OracleWorkspace(n, gamma, lam)
+    vecs = {"vacuum": ws.vacuum, "psi_bell": lambda: ws.psi_bell(0, 3, 0.4),
+            "phi_bell": lambda: ws.phi_bell(2, 5, 0.3),
+            "knitted": lambda: ws.knitted_singlet(1, 2)}[kind]()
+    for t, got in zip(times, ws.evolve_grid(vecs, times)):
+        for v, v0 in zip(got, vecs):
+            ref = modes @ (np.exp(-1j * energies * t) * (modes.T @ v0))
+            assert np.max(np.abs(v - ref)) <= 1e-13, t
+
+
 def test_evolve_leaves_global_random_state_alone():
     # long intervals, a single vector and a three-row block: neither the
     # series nor the start of a ground-state search may draw from np.random
@@ -214,8 +234,9 @@ def test_grid_walk_from_a_late_start_matches_per_time_evolution():
     # a series of many terms
     ws = oracle.OracleWorkspace(8, 0.5, 1.0)
     base = _mixture(8, 4, 5)
-    _, _, radius = ws._chebyshev
-    assert oracle._chebyshev_coefficients(9.0 * radius).shape[1] > 60
+    for index in ws._blocks:
+        _, _, radius = ws._sector(index)
+        assert oracle._chebyshev_coefficients(9.0 * radius).shape[1] > 60
     times = [9.0 + 0.5 * k for k in range(5)]
     for t, vecs in zip(times, ws.evolve_grid(base, times)):
         assert len(vecs) == len(base)
@@ -285,7 +306,8 @@ def test_ground_state_matches_dense_diagonalization(gamma, lam, parity):
     energies, modes = dense_spectrum(n, gamma, lam)
     ws = oracle.OracleWorkspace(n, gamma, lam)
     (gs,) = ws.ground_state()
-    assert abs(np.vdot(gs, ws.hamiltonian @ gs).real - energies[0]) < 1e-12
+    h = oracle.build_hamiltonian(n, gamma, lam)
+    assert abs(np.vdot(gs, h @ gs).real - energies[0]) < 1e-12
     ref = modes[:, 0]
     projector_diff = np.outer(gs, gs.conj()) - np.outer(ref, ref)
     assert np.max(np.abs(projector_diff)) < 1e-10
@@ -299,13 +321,14 @@ def test_ground_state_sector_tie_keeps_the_even_sector():
     n = 12
     ws = oracle.OracleWorkspace(n, 0.0, 1.0)
     odd = np.array([bin(i).count("1") % 2 == 1 for i in range(2 ** n)])
-    energies = [oracle._lanczos_ground_state(ws.hamiltonian.sector(
-        np.flatnonzero(mask)))[0] for mask in (~odd, odd)]
+    energies = [oracle._lanczos_ground_state(oracle.build_hamiltonian(
+        n, 0.0, 1.0, np.flatnonzero(mask)))[0] for mask in (~odd, odd)]
     assert np.allclose(energies, -6.0, rtol=0, atol=1e-12)
     assert abs(energies[0] - energies[1]) <= oracle.SECTOR_TIE
     (gs,) = ws.ground_state()
     assert not np.any(gs[odd])
-    assert abs(np.vdot(gs, ws.hamiltonian @ gs).real + 6.0) < 1e-12
+    h = oracle.build_hamiltonian(n, 0.0, 1.0)
+    assert abs(np.vdot(gs, h @ gs).real + 6.0) < 1e-12
 
 
 def _held_bytes(obj):
@@ -326,7 +349,8 @@ def test_workspace_holds_no_dense_matrix():
         ws = oracle.OracleWorkspace(12, gamma, 1.0)
         evolve(ws, ws.knitted_singlet(1, 2), 0.5)
         (gs,) = ws.ground_state()
-        assert np.vdot(gs, ws.hamiltonian @ gs).real < 0.0
+        h = oracle.build_hamiltonian(12, gamma, 1.0)
+        assert np.vdot(gs, h @ gs).real < 0.0
         assert _held_bytes(vars(ws)) < 5e6
 
 
@@ -565,10 +589,30 @@ def test_sector_requires_a_set_closed_under_the_nonzero_flips():
     vec = np.zeros(2 ** n)
     vec[two] = np.random.default_rng(2).standard_normal(len(two))
     isotropic = oracle.build_hamiltonian(n, 0.0, 1.0)
-    assert np.array_equal(isotropic.sector(two) @ vec[two],
-                          (isotropic @ vec)[two])
+    assert np.array_equal(oracle.build_hamiltonian(n, 0.0, 1.0, two)
+                          @ vec[two], (isotropic @ vec)[two])
     with pytest.raises(ValueError, match="nonzero flip"):
-        oracle.build_hamiltonian(n, 0.5, 1.0).sector(two)
+        oracle.build_hamiltonian(n, 0.5, 1.0, two)
+
+
+@pytest.mark.parametrize("n,gamma,lam", [(6, 0.0, 1.0), (6, 0.5, 0.9),
+                                         (7, -0.4, 1.3), (6, 0.3, 0.0)])
+def test_a_block_build_equals_the_full_build_on_its_indices(n, gamma, lam):
+    # the diagonal, the flips and the targets, with a zero flip that leaves
+    # the block reading its own index, bit for bit
+    ws = oracle.OracleWorkspace(n, gamma, lam)
+    full = oracle.build_hamiltonian(n, gamma, lam)
+    for index in list(ws._parity) + list(ws._blocks):
+        block = oracle.build_hamiltonian(n, gamma, lam, index)
+        position = np.full(2 ** n, -1)
+        position[index] = np.arange(len(index))
+        targets = position[full.targets[:, index]]
+        flips = full.flips[:, index]
+        assert not flips[targets < 0].any()
+        targets[targets < 0] = np.nonzero(targets < 0)[1]
+        assert np.array_equal(block.diagonal, full.diagonal[index])
+        assert np.array_equal(block.flips, flips)
+        assert np.array_equal(block.targets, targets)
 
 
 def recorded_shapes(monkeypatch):
@@ -606,31 +650,58 @@ def test_blocks_follow_the_conserved_charge(monkeypatch):
     assert [len(block) for block in skewed._blocks] == [2 ** (n - 1)] * 2
 
 
-def test_only_occupied_blocks_get_a_sector_hamiltonian(monkeypatch):
-    # evolve_grid restricts H to the blocks a state has weight in: one
-    # particle-number class for a gamma = 0 vacuum, one parity half for a
-    # gamma = 0.5 one-particle seed, two classes for a gamma = 0 pair seed
-    n, built = 8, []
-    sector = oracle.Hamiltonian.sector
+def recorded_builds(monkeypatch):
+    """The basis indices of each `build_hamiltonian` call from now on, in
+    order; all 2^n for a full-space build."""
+    built, build = [], oracle.build_hamiltonian
 
-    def recording(self, indices):
-        built.append(indices)
-        return sector(self, indices)
+    def recording(n, gamma, lam, *index):
+        built.append(index[0] if index else np.arange(2 ** n))
+        return build(n, gamma, lam, *index)
 
-    monkeypatch.setattr(oracle.Hamiltonian, "sector", recording)
-    isotropic = oracle.OracleWorkspace(n, 0.0, 1.0)
+    monkeypatch.setattr(oracle, "build_hamiltonian", recording)
+    return built
+
+
+def test_each_block_is_built_once_on_first_use(monkeypatch):
+    # the ground state builds the two parity halves and a gamma = 0.5
+    # evolution reuses them; at gamma = 0 the evolutions build only the
+    # particle-number classes a state occupies, each once
+    n = 8
+    built = recorded_builds(monkeypatch)
     anisotropic = oracle.OracleWorkspace(n, 0.5, 1.0)
-    for ws, vecs, want in (
-            (isotropic, isotropic.vacuum(), [isotropic._blocks[0]]),
-            (anisotropic, anisotropic.psi_bell(0, 3, 0.4),
-             [anisotropic._parity[1]]),
-            (isotropic, isotropic.phi_bell(2, 5, 0.3),
-             [isotropic._blocks[0], isotropic._blocks[2]])):
+    isotropic = oracle.OracleWorkspace(n, 0.0, 1.0)
+    assert built == []
+    for ws, states, want in (
+            (anisotropic, (anisotropic.ground_state,
+                           lambda: anisotropic.psi_bell(0, 3, 0.4),
+                           lambda: anisotropic.phi_bell(2, 5, 0.3)),
+             list(anisotropic._parity)),
+            (isotropic, (isotropic.vacuum,
+                         lambda: isotropic.phi_bell(2, 5, 0.3),
+                         lambda: isotropic.psi_bell(0, 3, 0.4)),
+             [isotropic._blocks[q] for q in (0, 2, 1)])):
         built.clear()
-        list(ws.evolve_grid(vecs, [0.5, 1.0]))
+        for prepare in states:
+            vecs = prepare()
+            for _ in range(2):
+                list(ws.evolve_grid(vecs, [0.5, 1.0]))
         assert len(built) == len(want)
         for got, block in zip(built, want):
-            assert np.array_equal(got, block)
+            assert got is block
+    built.clear()
+    isotropic.ground_state()
+    assert [len(index) for index in built] == [2 ** (n - 1)] * 2
+
+
+def test_selftest_cases_build_no_full_space_hamiltonian(monkeypatch):
+    built = recorded_builds(monkeypatch)
+    for gamma, lam in selftest.FAST_COMBOS:
+        for kind in ("vacuum_only", "singlet_on_vacuum"):
+            built.clear()
+            selftest.run_case(gamma, lam, kind, fast=True)
+            sizes = [len(index) for index in built]
+            assert sizes and max(sizes) < 2 ** selftest.RING, sizes
 
 
 def complex_series(twice, block, coeffs):
@@ -650,25 +721,29 @@ def complex_series(twice, block, coeffs):
 
 
 def full_space_walk(ws, vecs, times):
-    """evolve_grid's walk with full-length rows, the full scaled H and
-    complex terms throughout: the same interval, coefficients and chunks,
+    """evolve_grid's walk with full-length rows, the full H and complex
+    terms throughout: per block, its part of each row alone, scaled by the
+    block's own center and radius, with the same coefficients and chunks,
     one series per chunk from the last time before it."""
-    h = ws.hamiltonian
-    _, center, radius = ws._chebyshev
-    scale = 2.0 / radius
-    twice = oracle.Hamiltonian(scale * (h.diagonal - center), h.targets,
-                               scale * h.flips)
+    h = oracle.build_hamiltonian(ws.n, *ws._couplings)
     block_bytes = 16 * len(vecs) * 2 ** ws.n
     per_chunk = max(1, oracle.EVOLVE_BLOCK_BYTES // block_bytes)
-    block, now, walked = np.stack(vecs), 0.0, []
-    for s in range(0, len(times), per_chunk):
-        chunk = times[s:s + per_chunk]
-        dts = np.asarray([t - now for t in chunk])
-        coeffs = (np.exp(-1j * center * dts)[:, None]
-                  * oracle._chebyshev_coefficients(radius * dts))
-        outs = complex_series(twice, block, coeffs)
-        walked.extend(outs)
-        block, now = outs[-1], chunk[-1]
+    walked = np.zeros((len(times), len(vecs), 2 ** ws.n), dtype=complex)
+    for index in ws._blocks:
+        _, center, radius = ws._sector(index)
+        scale = 2.0 / radius if radius else 0.0  # one term reads no H
+        twice = oracle.Hamiltonian(scale * (h.diagonal - center), h.targets,
+                                   scale * h.flips)
+        block, now = np.zeros((len(vecs), 2 ** ws.n), dtype=complex), 0.0
+        block[:, index] = np.stack(vecs)[:, index]
+        for s in range(0, len(times), per_chunk):
+            chunk = times[s:s + per_chunk]
+            dts = np.asarray([t - now for t in chunk])
+            coeffs = (np.exp(-1j * center * dts)[:, None]
+                      * oracle._chebyshev_coefficients(radius * dts))
+            outs = complex_series(twice, block, coeffs)
+            walked[s:s + per_chunk, :, index] = outs[:, :, index]
+            block, now = outs[-1], chunk[-1]
     return walked
 
 

@@ -579,14 +579,18 @@ def test_time_grid_raises_at_its_earliest_failing_time(kind):
 
 @pytest.mark.parametrize("kind", ["psi_bell", "phi_bell"])
 def test_cli_negative_time_grid_is_out_of_range(tmp_path, kind):
-    # at lam*t = -32 the window's ladder would end at order -32 + 30 + 1
-    cfg = tmp_path / "negative.cfg"
-    cfg.write_text(ISOTROPIC.format(
+    # refused at configuration time on every route: the Bessel route at
+    # gamma = 0, the Pfaffian route at gamma = 0.5 and the oracle
+    text = ISOTROPIC.format(
         lam=1.0, kind=kind, i=0, j=1, phi=0.0, t_start=-32.0,
-        t_stop=-32.0, dt=1.0, x_start=0, x_stop=0, measures="one_tangle"))
-    code, _, err = run_cli("run", str(cfg))
-    assert code == 3
-    assert err.strip() == "error: order -1 outside [0, 2000]"
+        t_stop=-32.0, dt=1.0, x_start=0, x_stop=0, measures="one_tangle")
+    cfg = tmp_path / "negative.cfg"
+    for variant in (text, text.replace("gamma = 0.0", "gamma = 0.5"),
+                    "engine = oracle\n" + text):
+        cfg.write_text(variant)
+        code, out, err = run_cli("run", str(cfg))
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: {cfg}: grid.t_start must be >= 0"
 
 
 def test_bessel_route_holds_one_block_of_ladders():
