@@ -22,19 +22,18 @@ of the vacuum matrix bordered by a bra row and a ket column, so it needs no
 inverse of the vacuum block.)  The tests check this against an independent
 row-replacement expansion of the same expectation.
 
-Strings are evaluated in stacks that span the times of the contractions'
-block and the strings.  `bundles` expands every requested site pair into
-its five strings (xx, yy, zz, xy, yx: sizes 2R, 2R, 4, 2R, 2R), groups the
-strings by size and cuts each size group into chunks of at most
-STACK_CHUNK matrices (times x strings, one string at least).  A chunk's
-contraction matrices are assembled at once by indexing the state's pair
-tables with arrays of kind codes and sites (a Bell seed adds its rank-two
-update to its vacuum's), and go through `pfaffians`, a batched
-Parlett-Reid tridiagonalization (Wimmer, ACM TOMS 38:30, 2012) with the
-pivot chosen per matrix, so a time's values do not depend on its block; a
-zero pivot column gives Pfaffian 0, and dimensions up to 4 use the closed
-forms.  The tests check `pfaffians` against a one-matrix reference of the
-same steps and against pf(M)^2 = det(M).
+`bundles` expands every requested site pair into its five strings (xx,
+yy, zz, xy, yx: sizes 2R, 2R, 4, 2R, 2R), groups them by size n and cuts
+each group into stacks of at most STACK_CHUNK entries (times x strings x
+n^2, one string at least), so short strings share a few large stacks.  A
+stack is assembled stack last, (n, n, times x strings), by indexing the
+state's pair tables with arrays of kind codes and sites (a Bell seed adds
+its rank-two update to each triangle), and goes through `pfaffians`, a
+batched Parlett-Reid tridiagonalization (Wimmer, ACM TOMS 38:30, 2012)
+over contiguous stack vectors with the pivot chosen per matrix, so a
+time's values do not depend on its block; a zero pivot column gives
+Pfaffian 0.  The tests check `pfaffians` bit for bit against the
+row-major elimination, and against pf(M)^2 = det(M).
 """
 
 import numpy as np
@@ -43,48 +42,45 @@ from .correlators import A, B
 from .errors import NumericalHealthError
 
 IMAG_RESIDUE_TOL = 1e-10
-STACK_CHUNK = 128  # matrices per evaluated stack; bounds the working set
+STACK_CHUNK = 128 * 14 ** 2  # entries per stack (times x strings x n^2)
 COMPONENTS = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "x"))
 _SWAPPED = (0, 1, 2, 4, 3)  # component columns of (m, l) from those of (l, m)
 
 
 def pfaffians(a):
-    """Pfaffians of a stack a (count, n, n) of complex antisymmetric
-    matrices; a is overwritten.
-
-    Parlett-Reid tridiagonalization with partial pivoting, the pivot chosen
-    per matrix.  Dimensions 0, 2 and 4 short-circuit to the closed forms
-    (the four-operator strings keep this path hot).  Odd n raises
-    ValueError.
-    """
-    count, n = a.shape[0], a.shape[2]
+    """Pfaffians of a stack a (n, n, count) of complex antisymmetric
+    matrices, overwritten; each step's v w^T - w v^T goes through two
+    buffers made once per stack.  Dimensions 0, 2 and 4 use the closed
+    forms (four-operator strings keep them hot); odd n raises ValueError."""
+    n, count = a.shape[1], a.shape[2]
     if n % 2:
         raise ValueError("pfaffian needs even dimension")
     if n == 0:
         return np.ones(count, dtype=complex)
     if n == 2:
-        return a[:, 0, 1].copy()
+        return a[0, 1].copy()
     if n == 4:
-        return (a[:, 0, 1] * a[:, 2, 3] - a[:, 0, 2] * a[:, 1, 3]
-                + a[:, 0, 3] * a[:, 1, 2])
+        return a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
     val = np.ones(count, dtype=complex)
+    buffers = np.empty((2, n - 2, n - 2, count), dtype=complex)
     for k in range(0, n - 2, 2):
-        piv = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
-        swap = np.flatnonzero(piv != k + 1)
-        if swap.size:
-            p = piv[swap]
-            a[swap, k + 1], a[swap, p] = a[swap, p], a[swap, k + 1]
-            a[swap, :, k + 1], a[swap, :, p] = a[swap, :, p], a[swap, :, k + 1]
-            val[swap] = -val[swap]
+        piv = k + 1 + np.argmax(np.abs(a[k + 1:, k]), axis=0)
+        s = np.flatnonzero(piv != k + 1)
+        p = piv[s]  # swaps start at k: rows, columns before it stay unread
+        a[k + 1, k:, s], a[p, k:, s] = a[p, k:, s], a[k + 1, k:, s]
+        a[k:, k + 1, s], a[k:, p, s] = a[k:, p, s], a[k:, k + 1, s]
+        val[s] = -val[s]
         # a pivot below 1e-300 leaves a column k of underflow: val goes to
         # 0, and dividing by 1 keeps the stack finite where 1 / pivot is not
-        pivot = a[:, k + 1, k]
-        val *= a[:, k, k + 1]
-        w = a[:, k + 2:, k] / np.where(abs(pivot) < 1e-300, 1, pivot)[:, None]
-        v = a[:, k + 1, k + 2:]
-        a[:, k + 2:, k + 2:] += (v[:, :, None] * w[:, None, :]
-                                 - w[:, :, None] * v[:, None, :])
-    return val * a[:, n - 2, n - 1]
+        pivot = a[k + 1, k]
+        val *= a[k, k + 1]
+        w = a[k + 2:, k] / np.where(abs(pivot) < 1e-300, 1, pivot)
+        v = a[k + 1, k + 2:]
+        vw, wv = buffers[:, k:, k:]
+        np.multiply(v[:, None], w, out=vw)
+        np.multiply(w[:, None], v, out=wv)
+        a[k + 2:, k + 2:] += np.subtract(vw, wv, out=vw)
+    return val * a[n - 2, n - 1]
 
 
 def operator_string(alpha, beta, l, m):
@@ -127,14 +123,18 @@ def _expectations(contractions, kinds, sites):
     p, q = np.triu_indices(n, 1)
     vac = contractions.vacuum if contractions.is_modified else contractions
     upper = vac.pair(kinds[:, p], sites[:, p], kinds[:, q], sites[:, q])
-    mats = np.zeros(upper.shape[:2] + (n, n), dtype=complex)
-    mats[..., p, q] = upper
-    mats[..., q, p] = -upper
+    lower, shape = -upper, upper.shape[:2]
     if contractions.is_modified:
+        # one update per triangle: a fused complex product need not commute
         bra, ket = contractions.bra_ket(kinds, sites)
-        mats += (bra[..., :, None] * ket[..., None, :]
-                 - ket[..., :, None] * bra[..., None, :]) / contractions.n2
-    return pfaffians(mats.reshape(-1, n, n)).reshape(upper.shape[:2])
+        for tri, r, c in ((upper, p, q), (lower, q, p)):
+            tri += (bra[..., r] * ket[..., c]
+                    - ket[..., r] * bra[..., c]) / contractions.n2
+    mats = np.zeros((n, n) + shape, dtype=complex)
+    mats[p, q] = upper.transpose(2, 0, 1)
+    mats[q, p] = lower.transpose(2, 0, 1)
+    del upper, lower  # the elimination's buffers take their place
+    return pfaffians(mats.reshape(n, n, -1)).reshape(shape)
 
 
 def _real(values, what, times):
@@ -172,8 +172,8 @@ def bundles(contractions, pairs):
                 lo[rows, None] + np.array(offsets, dtype=int),
                 np.full(len(rows), pref)))
     values = np.empty((len(times), len(pairs), len(COMPONENTS) + 2))
-    step = max(1, STACK_CHUNK // len(times))  # strings per stack
-    for group in blocks.values():
+    for n, group in blocks.items():
+        step = max(1, STACK_CHUNK // (len(times) * n * n))  # strings a stack
         rows, cols, kinds, sites, prefs = map(np.concatenate, zip(*group))
         raw = prefs * np.concatenate([
             _expectations(contractions, kinds[s:s + step], sites[s:s + step])

@@ -226,3 +226,62 @@ def majorana_pair(ws, vecs, kind_l, l, kind_m, m):
 
     return complex(sum(np.vdot(v, apply(kind_l, l, apply(kind_m, m, v)))
                        for v in vecs))
+
+
+def pfaffians_row_major(a):
+    """Pfaffians of a stack a (count, n, n), overwritten: the batched
+    Parlett-Reid elimination laid out row-major, one matrix per leading
+    index, with whole-row and whole-column swaps and the update
+    v w^T - w v^T formed in fresh stack-sized temporaries.  The stack-last
+    `pfaffian.pfaffians` runs the same scalar operations in the same
+    order, so it must give these bits."""
+    count, n = a.shape[0], a.shape[2]
+    if n == 0:
+        return np.ones(count, dtype=complex)
+    if n == 2:
+        return a[:, 0, 1].copy()
+    if n == 4:
+        return (a[:, 0, 1] * a[:, 2, 3] - a[:, 0, 2] * a[:, 1, 3]
+                + a[:, 0, 3] * a[:, 1, 2])
+    val = np.ones(count, dtype=complex)
+    for k in range(0, n - 2, 2):
+        piv = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
+        swap = np.flatnonzero(piv != k + 1)
+        if swap.size:
+            p = piv[swap]
+            a[swap, k + 1], a[swap, p] = a[swap, p], a[swap, k + 1]
+            a[swap, :, k + 1], a[swap, :, p] = a[swap, :, p], a[swap, :, k + 1]
+            val[swap] = -val[swap]
+        pivot = a[:, k + 1, k]
+        val *= a[:, k, k + 1]
+        w = a[:, k + 2:, k] / np.where(abs(pivot) < 1e-300, 1, pivot)[:, None]
+        v = a[:, k + 1, k + 2:]
+        a[:, k + 2:, k + 2:] += (v[:, :, None] * w[:, None, :]
+                                 - w[:, :, None] * v[:, None, :])
+    return val * a[:, n - 2, n - 1]
+
+
+def expectations_row_major(contractions, kinds, sites):
+    """`pfaffian._expectations` on full (times, count, n, n) stacks: both
+    triangles filled from the vacuum's upper one, a Bell seed's rank-two
+    update added to every entry, and `pfaffians_row_major`."""
+    n = kinds.shape[1]
+    p, q = np.triu_indices(n, 1)
+    vac = contractions.vacuum if contractions.is_modified else contractions
+    upper = vac.pair(kinds[:, p], sites[:, p], kinds[:, q], sites[:, q])
+    mats = np.zeros(upper.shape[:2] + (n, n), dtype=complex)
+    mats[..., p, q] = upper
+    mats[..., q, p] = -upper
+    if contractions.is_modified:
+        bra, ket = contractions.bra_ket(kinds, sites)
+        mats += (bra[..., :, None] * ket[..., None, :]
+                 - ket[..., :, None] * bra[..., None, :]) / contractions.n2
+    return pfaffians_row_major(mats.reshape(-1, n, n)).reshape(upper.shape[:2])
+
+
+def same_bits(x, y):
+    """x and y hold the same float64 or complex128 bits, signed zeros
+    included (== would take -0.0 for 0.0)."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.shape == y.shape and x.dtype == y.dtype
+            and x.tobytes() == y.tobytes())

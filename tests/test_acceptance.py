@@ -176,7 +176,7 @@ def test_criterion_07_pfaffian_identities():
         im = rng.normal(size=(20, n, n))
         a = (re - re.transpose(0, 2, 1)) + 1j * (im - im.transpose(0, 2, 1))
         det = np.linalg.det(a)
-        pf = pfaffians(a)
+        pf = pfaffians(np.moveaxis(a, 0, -1).copy())
         worst = max(worst, float(np.max(
             np.abs(pf * pf - det) / np.maximum(np.abs(det), 1e-300))))
     two = np.array([[0, 3], [-3, 0]], dtype=float)
@@ -186,7 +186,7 @@ def test_criterion_07_pfaffian_identities():
         [-2, -4, 0, 6],
         [-3, -5, -6, 0],
     ], dtype=float)
-    pf_two, pf_four = (pfaffians(m.astype(complex)[None])[0]
+    pf_two, pf_four = (pfaffians(m.astype(complex)[..., None])[0]
                        for m in (two, four))
     exact = pf_two == 3.0 and pf_four == 1.0 * 6 - 2 * 5 + 3 * 4
     ok = worst < 1e-9 and exact

@@ -1,9 +1,13 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import evolve, ring_columns, ring_magnetizations
+from helpers import (evolve, expectations_row_major, pfaffians_row_major,
+                     ring_columns, ring_magnetizations, same_bits)
 from xychain import correlators, groundstate, oracle, scenarios
 from xychain import pfaffian as pfaffian_module
 from xychain.correlators import A, B
@@ -13,6 +17,22 @@ from xychain.pfaffian import (COMPONENTS, bundles, magnetization,
                               operator_string, pfaffians)
 
 KIND = {"A": A, "B": B}
+SINGLET_GAMMA = (Path(__file__).resolve().parent.parent / "scripts"
+                 / "singlet_gamma.cfg")
+PSI_BELL_GENERIC = """
+model.lambda = 1.0
+model.gamma = 0.5
+scenario.kind = psi_bell
+scenario.i = 0
+scenario.j = 2
+scenario.phi = 2.1
+grid.t_start = 0.0
+grid.t_stop = 4.0
+grid.dt = 0.5
+grid.x_start = -4
+grid.x_stop = 4
+measures.list = concurrence, entropy2, bell_fidelities, tangle_deviation
+"""
 
 
 def pfaffian(mat):
@@ -41,7 +61,12 @@ def pfaffian(mat):
 
 def pf(mat):
     """`pfaffians` of the single matrix mat."""
-    return pfaffians(np.array(mat, dtype=complex)[None])[0]
+    return pfaffians(np.array(mat, dtype=complex)[..., None])[0]
+
+
+def pfaffians_of(stack):
+    """`pfaffians` of a stack (count, n, n), left intact."""
+    return pfaffians(np.moveaxis(stack, 0, -1).copy())
 
 
 def pfaffian_checked(a, rtol=1e-9):
@@ -51,7 +76,7 @@ def pfaffian_checked(a, rtol=1e-9):
     Raises NumericalHealthError when a relative residual exceeds rtol.
     """
     a = np.asarray(a, dtype=complex)
-    pf = pfaffians(a.copy())
+    pf = pfaffians_of(a)
     det = np.linalg.det(a)
     scale = np.maximum(np.maximum(np.abs(det), np.abs(pf) ** 2), 1e-300)
     residual = np.abs(pf * pf - det) / scale
@@ -125,10 +150,10 @@ def random_antisymmetric(n, rng, complex_entries=False):
 
 def test_empty_and_odd():
     assert pfaffian(np.zeros((0, 0))) == 1.0
-    assert np.array_equal(pfaffians(np.zeros((2, 0, 0), dtype=complex)),
+    assert np.array_equal(pfaffians(np.zeros((0, 0, 2), dtype=complex)),
                           [1.0, 1.0])
     with pytest.raises(ValueError):
-        pfaffians(np.zeros((2, 3, 3), dtype=complex))
+        pfaffians(np.zeros((3, 3, 2), dtype=complex))
 
 
 def hadamard_scale(stack):
@@ -140,7 +165,7 @@ def assert_matches_scalar(stack):
     # same steps as the scalar routine, but numpy's complex products in
     # stacked loops may round differently, so agreement is to roundoff on
     # the scale of the matrix entries, not bit for bit
-    batched = pfaffians(stack.copy())
+    batched = pfaffians_of(stack)
     scalar = np.array([pfaffian(m) for m in stack])
     assert batched.shape == (len(stack),)
     assert np.all(np.abs(batched - scalar)
@@ -168,7 +193,7 @@ def test_batched_matches_scalar(n):
         stack[3, :, 2] = stack[3, 2, :] = 0.0
     assert_matches_scalar(stack)
     if n >= 4:
-        assert np.all(pfaffians(stack)[2:4] == 0.0)
+        assert np.all(pfaffians_of(stack)[2:4] == 0.0)
 
 
 def test_strings_at_an_underflowing_time_equal_those_at_zero():
@@ -251,7 +276,7 @@ def test_checked_passes_on_clean_input():
     stack = np.array([random_antisymmetric(10, rng, complex_entries=True)
                       for _ in range(3)])
     kept = stack.copy()
-    assert np.array_equal(pfaffian_checked(stack), pfaffians(kept.copy()))
+    assert np.array_equal(pfaffian_checked(stack), pfaffians_of(kept))
     assert np.array_equal(stack, kept)
     broken = stack.copy()
     broken[1, 0, 1] += 1.0  # no longer antisymmetric: pf^2 != det
@@ -367,7 +392,100 @@ def test_bell_seed_evaluates_one_matrix_per_string(monkeypatch):
                 correlators.bell_contractions(p, 1.7, 1, 3, amp=0.6 - 0.8j)):
         shapes.clear()
         bundles(con, [(0, 3)])
-        assert sorted(shapes) == [(1, 4, 4), (4, 6, 6)]
+        assert sorted(shapes) == [(4, 4, 1), (6, 6, 4)]
+
+
+def test_stacks_are_sized_by_entries(monkeypatch):
+    # a stack holds at most STACK_CHUNK entries (times x strings x n^2), or
+    # one string at every time when one string's matrices exceed it
+    stacks = []
+
+    def recording(stack):
+        stacks.append(stack.shape)
+        return pfaffians(stack)
+
+    monkeypatch.setattr(pfaffian_module, "pfaffians", recording)
+    times = np.arange(0.0, 8.5, 0.5)
+    con = correlators.vacuum_contractions(ModelParams(lam=1.0, gamma=0.5),
+                                          times)
+    pairs = [(x, x + r) for x in range(-8, 9) for r in range(1, 8)]
+    bundles(con, pairs)
+    for size in (2, 4, 6, 14):
+        counts = [count for n, _, count in stacks if n == size]
+        strings = sum(counts) // len(times)
+        per_stack = max(1, pfaffian_module.STACK_CHUNK
+                        // (len(times) * size * size))
+        assert counts == [len(times) * min(per_stack, strings - s)
+                          for s in range(0, strings, per_stack)], size
+    assert max(n * n * count for n, _, count in stacks) <= (
+        pfaffian_module.STACK_CHUNK)
+
+
+@pytest.mark.parametrize("n", range(0, 17, 2))
+def test_stack_last_kernel_equals_row_major_bit_for_bit(n):
+    # the same scalar operations in the same order as the row-major
+    # elimination (`helpers.pfaffians_row_major`): on random members, most
+    # of whose steps swap rows; on member 1, whose largest entries sit in
+    # the last row, so its first pivot is swapped in from there; and on
+    # members with a zero pivot column (2) or pivots below 1e-300 (3, 4)
+    rng = np.random.default_rng(200 + n)
+    stack = random_stack(40, n, rng)
+    if n >= 4:
+        for k in range(0, n - 2, 2):
+            stack[1, n - 1, k], stack[1, k, n - 1] = 1e3, -1e3
+        stack[2, :, 2] = stack[2, 2, :] = 0.0
+        stack[3] *= 1e-305
+        stack[4, :, 0] *= 1e-302
+        stack[4, 0, :] *= 1e-302
+    want = pfaffians_row_major(stack.copy())
+    assert same_bits(pfaffians_of(stack), want)
+    if n >= 4:
+        assert np.all(np.isfinite(want)) and want[2] == 0.0
+
+
+def bundle_columns(monkeypatch, config):
+    """Every `bundles` result of a run of config, in call order."""
+    columns = []
+
+    def recording(contractions, pairs):
+        columns.append(bundles(contractions, pairs))
+        return columns[-1]
+
+    monkeypatch.setattr(scenarios, "bundles", recording)
+    scenarios.run_scenario(config)
+    return columns
+
+
+@pytest.mark.parametrize("text", [SINGLET_GAMMA.read_text(),
+                                  PSI_BELL_GENERIC],
+                         ids=["singlet_gamma", "psi_bell_generic_phase"])
+def test_bundles_equal_the_row_major_path_bit_for_bit(monkeypatch, text):
+    # the roadmap singlet's block and a psi_bell block at a generic phase:
+    # each triangle's Bell update, the stack-last layout and the stacks
+    # sized by entries give the columns of full row-major stacks
+    # (`helpers.expectations_row_major`) to the bit
+    config = scenarios.parse_config_text(text)
+    got = bundle_columns(monkeypatch, config)
+    monkeypatch.setattr(pfaffian_module, "_expectations",
+                        expectations_row_major)
+    want = bundle_columns(monkeypatch, config)
+    assert len(got) == len(want) > 0
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_singlet_gamma_memory_peak():
+    # the largest stacks and the kernel's buffers set the peak allocation
+    # of a warm run of the roadmap singlet (2.02 MB measured), so this
+    # bound keeps STACK_CHUNK from raising the process's memory unseen
+    config = scenarios.parse_config_text(SINGLET_GAMMA.read_text())
+    scenarios.run_scenario(config)
+    tracemalloc.start()
+    try:
+        scenarios.run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1e6
 
 
 def test_distinct_site_correlators_are_real():
@@ -488,11 +606,14 @@ BLOCK_PAIRS = [(0, 1), (1, 3), (3, 1), (-1, 3), (2, 3), (4, 0), (-2, 5),
 
 
 @pytest.mark.parametrize("state", ["vacuum", "bell+1", "bell-1"])
-@pytest.mark.parametrize("chunk", [3, 128])
+@pytest.mark.parametrize("chunk", [3, 128, 128 * 14 ** 2])
 def test_block_columns_equal_one_time_blocks(monkeypatch, state, chunk):
     # every time of a block, its own ring sum padded to the block's widest
     # table, gives the columns of a block of that time alone bit for bit,
-    # also when a stack holds one string at every time (chunk 3 < 5 times)
+    # whatever the stacks: one string at every time (a budget of 3 entries,
+    # below the 5 x 2^2 of one two-operator string's matrices), six
+    # two-operator strings or one longer string a stack (128 entries), or
+    # one stack per string size (the default budget)
     monkeypatch.setattr(pfaffian_module, "STACK_CHUNK", chunk)
     p = ModelParams(lam=0.8, gamma=0.6)
     make = {
