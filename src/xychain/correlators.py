@@ -11,33 +11,35 @@ covered here:
   two-site Bell insertions with one shared excitation.  (The two-particle
   pair seed is handled at gamma = 0 by `isotropic`.)
 
-A one-particle Bell seed is a one-orbital Slater determinant evolved by a
-quadratic H, so it is Gaussian: Wick's theorem holds with its own pair
-contractions, which are the vacuum's plus a rank-two modification.  It is
-assembled from one-particle matrix elements <vac| c_a X_l(t) |vac> (bra
-side, "left") and <vac| X_l(t) c_b^dag |vac> (ket side, "right"):
+Distinct Majoranas anticommute, A is Hermitian and B anti-Hermitian, so
+with S = diag(1 on A, -i on B) the matrix M of <X_p Y_q> over a string's
+operators is S M S = i K with K real antisymmetric: <A_l A_m> = i K,
+<A_l B_m> = <B_l A_m> = -K and <B_l B_m> = -i K for distinct operators.
+Every state is stored and read as K.  The vacuum's has closed
+momentum-integral forms in terms of the kernels u^o = s*t*sinc(Lambda t),
+u^e = e*t*sinc(Lambda t), v = cos(Lambda t), at separation r = m - l:
 
-    left_A(x)  = V(x) - i (E(x) - O(x))        x = source - site
-    left_B(x)  = V(x) - i (E(x) + O(x))
-    right_A(x) = conj(left_A(x))
-    right_B(x) = -conj(left_B(x))
+    K_AB(r) = -delta_{r0} + (2/pi) int_0^pi [u_o^2 cos(kr)
+                                             + u_e u_o sin(kr)] dk
+    K_AA(r) = -(2/pi) int_0^pi v u_o sin(kr) dk = -K_BB(r)
 
-    bra_l = sum_a wbar_a left(l, a),    ket_l = sum_b w_b right(l, b)
+(The diagonals of AA and BB, A_l^2 = 1 and B_l^2 = -1, are never read by
+a string.)  A one-particle Bell seed is a one-orbital Slater determinant
+evolved by a quadratic H, so it is Gaussian: Wick's theorem holds with
+its own contractions, the vacuum's plus a rank-two update.  Through S,
+each operator's one-particle elements <vac| X_l(t) c_b^dag |vac> at both
+sources b, x = b - l, give one complex number
 
-    <X_l Y_m>_state = <X_l Y_m>_vac + (bra_l ket_m - bra_m ket_l) / n2
+    u_A(x) = V(x) + i (E(x) - O(x)),    u_B(x) = i V(x) - (E(x) + O(x)),
+    u_l = w_i u(l, i) + w_j u(l, j);
 
-with n2 = sum |w|^2, a and b running over both sources, and each left and
-right element taken at its operator's kind.  The vacuum pair values have
-closed momentum-integral forms in terms of the kernels
-u^o = s*t*sinc(Lambda t), u^e = e*t*sinc(Lambda t), v = cos(Lambda t):
+its bra side, <vac| c_a X_l(t) |vac> summed with conj(w_a), is conj(u_l),
+and the update is real:
 
-    <A_l B_{l+r}> = delta_{r0} - (2/pi) int_0^pi [u_o^2 cos(kr)
-                                                   + u_e u_o sin(kr)] dk
-    <A_l A_{l+r}> = delta_{r0} - (2i/pi) int_0^pi v u_o sin(kr) dk
-    <B_l B_{l+r}> = -conj(<A_l A_{l+r}>)
+    K_state(p, q) = K_vac(p, q) + 2 Im(conj(u_p) u_q) / n2,  n2 = sum |w|^2.
 
-All of these were cross-checked against exact diagonalization on small rings
-before being frozen into the test suite.
+All of these were cross-checked against exact diagonalization on small
+rings before being frozen into the test suite.
 
 `VacuumContractions` evaluates these integrals and the kernels V, E, O of
 `model` as one ring sum per (t, radius): the mean over M equally spaced
@@ -56,15 +58,15 @@ the seed's own radius; the scenario engine sizes radii by what its grid
 reads, the wrappers below by the light cone.
 
 Every translation-invariant Gaussian state is a `PairTables`: rows AA,
-AB, BA, BB of <X_l Y_{l+r}> over |r| <= radius, read by one `pair`.  The
-vacuum fills them by ring sums, the ground state (`groundstate`) by
-quadrature, and a Bell seed is its vacuum's tables plus the rank-two
-update of `BellContractions.bra_ket`.  The tables hold a block of times:
-each time has its own ring sum, radius and ring size, and the tables
-stack on a leading time axis, zero-padded to the block's largest radius.
-Every accessor answers for every time of the block and indexes the tables
-with arrays: kinds are the codes A and B, and kinds and sites broadcast
-together.  A separation beyond the radius of any time of the block raises
+AB, BA, BB of K(l, l + r) over |r| <= radius, read by one `entries`,
+which gives the upper triangle of K for whole arrays of strings.  The
+vacuum fills the rows by ring sums, the ground state (`groundstate`) by
+quadrature, and a Bell seed's `entries` are its vacuum's plus the update.
+The tables hold a block of times: each time has its own ring sum, radius
+and ring size, and the tables stack on a leading time axis, zero-padded
+to the block's largest radius.  Every accessor answers for every time of
+the block and indexes the tables with arrays: kinds are the codes A and
+B.  A separation beyond the radius of any time of the block raises
 CutoffError naming that time.
 """
 
@@ -109,7 +111,7 @@ def _table_index(x, radii, what, times):
 
 
 def _ring_tables(params, t, radius, sector):
-    """V, E, O and the pair tables of |x| <= radius at one time t, from one
+    """V, E, O and the K tables of |x| <= radius at one time t, from one
     inverse FFT over k_m = k_0 + 2 pi m / M read at x mod M and turned by
     e^{i k_0 x}: cosine sums are real parts, sine sums imaginary parts."""
     rs = np.arange(-radius, radius + 1)
@@ -121,32 +123,34 @@ def _ring_tables(params, t, radius, sector):
     sums = np.fft.ifft([v, ue, uo, uo * uo, ue * uo, v * uo])[:, rs % n]
     sums *= np.exp(1j * k[0] * rs)
     delta = (rs == 0).astype(float)
-    ab = delta - 2.0 * (sums[3].real + sums[4].imag)
-    aa = delta - 2j * sums[5].imag
+    ab = delta - 2.0 * (sums[3].real + sums[4].imag)  # <A_l B_{l+r}>
+    aa = -2.0 * sums[5].imag
     # rows by kind pair 2 * kind_l + kind_m: AA, AB, BA, BB, where
-    # <B_l A_{l+r}> = -<A_{l+r} B_l> = -ab(-r) and bb = -conj(aa)
+    # K_BA(r) = -K_AB(-r) and K_BB = -K_AA
     return (sums[0].real, sums[1].real, sums[2].imag,
-            np.stack([aa, ab, -ab[::-1], -np.conj(aa)]))
+            np.stack([aa, -ab, ab[::-1], -aa]))
 
 
 class PairTables:
-    """Pair expectations <X_l Y_m> of a translation-invariant Gaussian
-    state at a block of times: tables (times, 4, 2 * radius + 1) with rows
-    AA, AB, BA, BB by kind pair 2 * kind_l + kind_m, entry r + radius of a
-    row at separation r = m - l, and radii the times' own radii.  what
-    names the table in a CutoffError."""
-
-    is_modified = False
+    """The real antisymmetric K of a translation-invariant Gaussian state
+    at a block of times: tables (times, 4, 2 * radius + 1) with rows AA,
+    AB, BA, BB by kind pair 2 * kind_l + kind_m, entry r + radius of a row
+    at separation r = m - l, and radii the times' own radii.  what names
+    the table in a CutoffError."""
 
     def __init__(self, times, radii, tables, what):
         self.times, self.radii, self._tables = times, radii, tables
         self.radius, self._what = int(max(radii)), what
 
-    def pair(self, kind_l, l, kind_m, m):
-        """<X_l Y_m> for kind codes X, Y in {A, B}; arguments broadcast."""
-        idx = _table_index(np.subtract(m, l), self.radii, self._what,
-                           self.times)
-        return self._tables[:, 2 * np.asarray(kind_l) + kind_m, idx]
+    def entries(self, kinds, sites):
+        """K(p, q), (times, ..., n (n - 1) / 2) in `numpy.triu_indices`
+        order, of strings given by kind codes and sites (..., n), which
+        broadcast."""
+        kinds, sites = np.asarray(kinds), np.asarray(sites)
+        p, q = np.triu_indices(kinds.shape[-1], 1)
+        idx = _table_index(sites[..., q] - sites[..., p], self.radii,
+                           self._what, self.times)
+        return self._tables[:, 2 * kinds[..., p] + kinds[..., q], idx]
 
 
 class VacuumContractions(PairTables):
@@ -161,7 +165,7 @@ class VacuumContractions(PairTables):
         radius = int(radii.max())
         shape = (len(times), 2 * radius + 1)
         self.v_table, self.e_table, self.o_table = np.zeros((3, *shape))
-        tables = np.zeros((shape[0], 4, shape[1]), dtype=complex)
+        tables = np.zeros((shape[0], 4, shape[1]))
         for k, (t, r) in enumerate(zip(times, radii)):
             span = slice(radius - r, radius + r + 1)
             (self.v_table[k, span], self.e_table[k, span],
@@ -183,7 +187,6 @@ class BellContractions:
     thermodynamic limit the two sectors agree to roundoff.
     """
 
-    is_modified = True
     sector = "periodic"
 
     def __init__(self, params, times, radii, i, j, amp=-1.0):
@@ -196,27 +199,21 @@ class BellContractions:
             params, times, abs(j - i) + np.asarray(radii), self.sector)
         self.times = self.vacuum.times
 
-    def bra_ket(self, kind, site):
-        """(bra, ket) of X_site: sum_a conj(w_a) left(a) and
-        sum_b w_b right(b) over both sources; kind and site broadcast."""
+    def entries(self, kinds, sites):
+        """K(p, q) of strings as `PairTables.entries`: the vacuum's plus
+        2 Im(conj(u_p) u_q) / n2, u of every operator from one gather of
+        the kernels V, E, O at both sources."""
+        kinds, sites = np.asarray(kinds), np.asarray(sites)
         vac = self.vacuum
-        kind, site = np.asarray(kind)[..., None], np.asarray(site)[..., None]
-        idx = _table_index(np.subtract(self.sources, site), vac.radii,
-                           "kernel", vac.times)
+        upper = vac.entries(kinds, sites)
+        idx = _table_index(np.subtract(self.sources, sites[..., None]),
+                           vac.radii, "kernel", vac.times)
         v, e, o = vac.v_table[:, idx], vac.e_table[:, idx], vac.o_table[:, idx]
-        is_a = kind == A
-        eo = np.where(is_a, e - o, e + o)
-        ket = v + 1j * eo
-        return ((v - 1j * eo) @ np.conj(self.weights),
-                np.where(is_a, ket, -ket) @ np.array(self.weights))
-
-    def pair(self, kind_l, l, kind_m, m):
-        """<X_l Y_m>: the vacuum's plus (bra_l ket_m - bra_m ket_l) / n2,
-        the bras and kets of both operators from one kernel gather."""
-        kind_l, l, kind_m, m = np.broadcast_arrays(kind_l, l, kind_m, m)
-        bra, ket = self.bra_ket(np.stack([kind_l, kind_m]), np.stack([l, m]))
-        return self.vacuum.pair(kind_l, l, kind_m, m) + (
-            bra[:, 0] * ket[:, 1] - bra[:, 1] * ket[:, 0]) / self.n2
+        x = np.where(kinds[..., None] == A, v + 1j * (e - o), 1j * v - (e + o))
+        u = self.weights[0] * x[..., 0] + self.weights[1] * x[..., 1]
+        p, q = np.triu_indices(kinds.shape[-1], 1)
+        up, uq = u[..., p], u[..., q]
+        return upper + 2.0 * (up.real * uq.imag - up.imag * uq.real) / self.n2
 
 
 def vacuum_contractions(params, times):

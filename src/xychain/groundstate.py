@@ -7,10 +7,11 @@ the same Pfaffian machinery applies with the static contraction
          = (1/pi) int_0^pi [ (e_k / Lambda_k) cos(kr)
                              - (lam gamma sin k / Lambda_k) sin(kr) ] dk
 
-together with <A_l A_m> = delta_lm and <B_l B_m> = -delta_lm: the pair
-tables of `correlators.PairTables` at one stationary time (times =
-(None,)), rows [delta, -G(r), G(-r), -delta], which the Pfaffian route
-reads like any other Gaussian state's.  At lam = 0 this gives G(0) = 1:
+together with <A_l A_m> = delta_lm and <B_l B_m> = -delta_lm: the real
+K tables of `correlators.PairTables` at one stationary time (times =
+(None,)), rows [0, G(r), -G(-r), 0] (K_AB = -<A B>; no string reads the
+diagonals of AA and BB), which the Pfaffian route reads like any other
+Gaussian state's.  At lam = 0 this gives G(0) = 1:
 the fully polarized all-up state.  Above lam = 1 (and
 at gamma = 0 for lam > 1, where e_k changes sign inside the zone) the
 integrand steepens or jumps, so extra panels are spent there.
@@ -64,16 +65,15 @@ def _gs_grid(params, reach):
 
 
 def pair_tables(g):
-    """The ground state's pair tables from G(r) on |r| <= radius."""
-    radius = len(g) // 2
-    same = np.arange(-radius, radius + 1) == 0
-    rows = [np.where(same, 1.0, 0.0), -g, g[::-1], np.where(same, -1.0, 0.0)]
-    return PairTables((None,), [radius], np.stack(rows)[None].astype(complex),
+    """The ground state's K tables from G(r) on |r| <= radius."""
+    zero = np.zeros_like(g)
+    return PairTables((None,), [len(g) // 2],
+                      np.stack([zero, g, -g[::-1], zero])[None],
                       "ground-state table")
 
 
 def gs_contractions(params, radius):
-    """The ground state's pair tables, G(r) tabulated on |r| <= radius."""
+    """The ground state's K tables, G(r) tabulated on |r| <= radius."""
     rs = np.arange(-radius, radius + 1)
     if params.gamma == 0.0 and params.lam > 1.0:
         # e_k changes sign at k_F; split the integral there.

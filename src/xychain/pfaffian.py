@@ -12,57 +12,62 @@ factors (ascending site), are
     Sz_l Sz_m : A_l B_l A_m B_m in that order,  prefactor 1/4
     Sz_l      : A_l B_l,                        prefactor -1/2
 
-For a Gaussian state the string expectation is the Pfaffian of the matrix of
-pair contractions.  A one-particle Bell seed (w_i c_i^dag + w_j c_j^dag)|vac>
-is a one-orbital Slater determinant evolved by a quadratic H, so it is
-Gaussian too, and its matrix is the vacuum matrix plus a rank-two update,
-M_vac + (bra ket^T - ket bra^T) / n2, from the per-operator vectors of
-`BellContractions.bra_ket`.  (It is the Schur complement, on its corner n2,
-of the vacuum matrix bordered by a bra row and a ket column, so it needs no
-inverse of the vacuum block.)  The tests check this against an independent
-row-replacement expansion of the same expectation.
+For a Gaussian state the string expectation is the Pfaffian of the matrix M
+of pair contractions, and `correlators` holds every state as the real
+antisymmetric K with S M S = i K, S = diag(1 on A, -i on B).  So
+
+    pf(M) = i^(n/2 + n_B) pf(K)
+
+for a string of n operators, n_B of them B, and every string's phase
+times its prefactor is real.  A one-particle Bell seed
+(w_i c_i^dag + w_j c_j^dag)|vac> is a one-orbital Slater determinant
+evolved by a quadratic H, so it is Gaussian too, and its K is the
+vacuum's plus the real rank-two update 2 Im(conj(u_p) u_q) / n2 of
+`BellContractions.entries`.  (It is the Schur complement, on its corner
+n2, of the vacuum matrix bordered by a bra row and a ket column, so it
+needs no inverse of the vacuum block.)  The tests check this against an
+independent row-replacement expansion of the same expectation.
 
 `bundles` expands every requested site pair into its five strings (xx,
 yy, zz, xy, yx: sizes 2R, 2R, 4, 2R, 2R), groups them by size n and cuts
 each group into stacks of at most STACK_CHUNK entries (times x strings x
 n^2, one string at least), so short strings share a few large stacks.  A
-stack is assembled stack last, (n, n, times x strings), by indexing the
-state's pair tables with arrays of kind codes and sites (a Bell seed adds
-its rank-two update to each triangle), and goes through `pfaffians`, a
-batched Parlett-Reid tridiagonalization (Wimmer, ACM TOMS 38:30, 2012)
-over contiguous stack vectors with the pivot chosen per matrix, so a
-time's values do not depend on its block; a zero pivot column gives
-Pfaffian 0.  The tests check `pfaffians` bit for bit against the
-row-major elimination, and against pf(M)^2 = det(M).
+stack is assembled stack last, (n, n, times x strings), from the upper
+triangle the state's `entries` gives, the lower one its negative, and
+goes through `pfaffians`, a batched Parlett-Reid tridiagonalization
+(Wimmer, ACM TOMS 38:30, 2012) over contiguous stack vectors with the
+pivot chosen per matrix.  Its stacks are real, and real products round
+the same in a stack of any size, so a time's values do not depend on its
+block; a zero pivot column gives Pfaffian 0.  The tests check `pfaffians`
+bit for bit against the row-major elimination, and against
+pf(M)^2 = det(M).
 """
 
 import numpy as np
 
 from .correlators import A, B
-from .errors import NumericalHealthError
 
-IMAG_RESIDUE_TOL = 1e-10
 STACK_CHUNK = 128 * 14 ** 2  # entries per stack (times x strings x n^2)
 COMPONENTS = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "x"))
 _SWAPPED = (0, 1, 2, 4, 3)  # component columns of (m, l) from those of (l, m)
 
 
 def pfaffians(a):
-    """Pfaffians of a stack a (n, n, count) of complex antisymmetric
-    matrices, overwritten; each step's v w^T - w v^T goes through two
+    """Pfaffians of a stack a (n, n, count) of antisymmetric matrices, of
+    a's dtype, overwritten; each step's v w^T - w v^T goes through two
     buffers made once per stack.  Dimensions 0, 2 and 4 use the closed
     forms (four-operator strings keep them hot); odd n raises ValueError."""
     n, count = a.shape[1], a.shape[2]
     if n % 2:
         raise ValueError("pfaffian needs even dimension")
     if n == 0:
-        return np.ones(count, dtype=complex)
+        return np.ones(count, dtype=a.dtype)
     if n == 2:
         return a[0, 1].copy()
     if n == 4:
         return a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
-    val = np.ones(count, dtype=complex)
-    buffers = np.empty((2, n - 2, n - 2, count), dtype=complex)
+    val = np.ones(count, dtype=a.dtype)
+    buffers = np.empty((2, n - 2, n - 2, count), dtype=a.dtype)
     for k in range(0, n - 2, 2):
         piv = k + 1 + np.argmax(np.abs(a[k + 1:, k]), axis=0)
         s = np.flatnonzero(piv != k + 1)
@@ -117,39 +122,17 @@ def operator_string(alpha, beta, l, m):
 
 
 def _expectations(contractions, kinds, sites):
-    """<string> (times, count) of equal-size strings given as (count, n)
-    arrays of kind codes and sites, as one stack of times x count."""
+    """pf(K) (times, count) of equal-size strings given as (count, n)
+    arrays of kind codes and sites, as one real stack of times x count."""
     n = kinds.shape[1]
     p, q = np.triu_indices(n, 1)
-    vac = contractions.vacuum if contractions.is_modified else contractions
-    upper = vac.pair(kinds[:, p], sites[:, p], kinds[:, q], sites[:, q])
-    lower, shape = -upper, upper.shape[:2]
-    if contractions.is_modified:
-        # one update per triangle: a fused complex product need not commute
-        bra, ket = contractions.bra_ket(kinds, sites)
-        for tri, r, c in ((upper, p, q), (lower, q, p)):
-            tri += (bra[..., r] * ket[..., c]
-                    - ket[..., r] * bra[..., c]) / contractions.n2
-    mats = np.zeros((n, n) + shape, dtype=complex)
+    upper = contractions.entries(kinds, sites)
+    shape = upper.shape[:2]
+    mats = np.zeros((n, n) + shape)
     mats[p, q] = upper.transpose(2, 0, 1)
-    mats[q, p] = lower.transpose(2, 0, 1)
-    del upper, lower  # the elimination's buffers take their place
+    mats[q, p] = -mats[p, q]
+    del upper  # the elimination's buffers take their place
     return pfaffians(mats.reshape(n, n, -1)).reshape(shape)
-
-
-def _real(values, what, times):
-    """Real parts of values (times, ...); an imaginary residue above
-    IMAG_RESIDUE_TOL raises NumericalHealthError naming the first offender
-    k after its time: what(k) at that time."""
-    bad = np.abs(values.imag) > IMAG_RESIDUE_TOL * np.maximum(
-        1.0, np.abs(values))
-    if bad.any():
-        first = tuple(np.argwhere(bad)[0])
-        t = times[first[0]]
-        when = "" if t is None else f" at t={t:.12g}"
-        raise NumericalHealthError(f"{what(first[1:])}{when} has imaginary "
-                                   f"residue {values.imag[first]:.3e}")
-    return values.real
 
 
 def bundles(contractions, pairs):
@@ -166,21 +149,19 @@ def bundles(contractions, pairs):
         for col, (alpha, beta) in enumerate(COMPONENTS):
             kinds, offsets, pref = operator_string(alpha, beta, 0, r)
             codes = [A if kind == "A" else B for kind in kinds]
+            phase = 1j ** (len(codes) // 2 + sum(codes))  # n/2 + n_B
             blocks.setdefault(len(kinds), []).append((
                 rows, np.full(len(rows), col),
                 np.broadcast_to(codes, (len(rows), len(kinds))),
                 lo[rows, None] + np.array(offsets, dtype=int),
-                np.full(len(rows), pref)))
+                np.full(len(rows), (pref * phase).real)))
     values = np.empty((len(times), len(pairs), len(COMPONENTS) + 2))
     for n, group in blocks.items():
         step = max(1, STACK_CHUNK // (len(times) * n * n))  # strings a stack
         rows, cols, kinds, sites, prefs = map(np.concatenate, zip(*group))
-        raw = prefs * np.concatenate([
+        values[:, rows, cols] = prefs * np.concatenate([
             _expectations(contractions, kinds[s:s + step], sites[s:s + step])
             for s in range(0, len(rows), step)], axis=1)
-        values[:, rows, cols] = _real(
-            raw, lambda k: "g_{}{}({},{})".format(
-                *COMPONENTS[cols[k]], lo[rows[k]], hi[rows[k]]), times)
     swapped = pairs[:, 0] > pairs[:, 1]
     values[:, swapped, :5] = values[:, swapped][..., _SWAPPED]
     values[..., 5:] = magnetization(contractions, pairs)
@@ -188,8 +169,8 @@ def bundles(contractions, pairs):
 
 
 def magnetization(contractions, sites):
-    """<S^z_l> = -(1/2) <A_l B_l>, (times, *shape), at the sites (any
-    shape)."""
-    sites = np.asarray(sites, dtype=int)
-    return _real(-0.5 * contractions.pair(A, sites, B, sites),
-                 lambda k: f"mz({sites[k]})", contractions.times)
+    """<S^z_l> = -(1/2) <A_l B_l> = K_AB(l, l) / 2, (times, *shape), at
+    the sites (any shape): the entry of the string (A_l, B_l)."""
+    sites = np.asarray(sites, dtype=int)[..., None]
+    return 0.5 * contractions.entries(
+        [A, B], np.concatenate([sites, sites], axis=-1))[..., 0]

@@ -8,6 +8,7 @@ import numpy as np
 
 from xychain import correlators, isotropic, measures, oracle
 from xychain.bessel import bessel_rows
+from xychain.correlators import A, B
 from xychain.model import LIGHT_CONE_PAD, momentum_grid
 
 
@@ -228,6 +229,35 @@ def majorana_pair(ws, vecs, kind_l, l, kind_m, m):
                        for v in vecs))
 
 
+def expectation(con, kind_l, l, kind_m, m):
+    """<X_l Y_m>, (times, ...), of a state from its real K (`correlators`):
+    i^(1 + X + Y) K(l, m) for kind codes X, Y, plus A_l^2 = 1 or
+    B_l^2 = -1 when it is the same operator on the same site.  The
+    arguments broadcast."""
+    kind_l, l, kind_m, m = np.broadcast_arrays(kind_l, l, kind_m, m)
+    k = con.entries(np.stack([kind_l, kind_m], axis=-1),
+                    np.stack([l, m], axis=-1))[..., 0]
+    same = (l == m) & (kind_l == kind_m)
+    return 1j ** (1 + kind_l + kind_m) * k + np.where(same, 1 - 2 * kind_l, 0)
+
+
+def bra_ket(con, kind, site):
+    """(bra, ket), (times, ...), of each operator X_site of a Bell seed, as
+    the complex route formed them: sum_a conj(w_a) left_X(a) and
+    sum_b w_b right_X(b) over both sources, with left_A = V - i (E - O),
+    left_B = V - i (E + O), right_A = conj(left_A) and
+    right_B = -conj(left_B) at x = source - site."""
+    vac = con.vacuum
+    kind, site = np.asarray(kind)[..., None], np.asarray(site)[..., None]
+    at = np.subtract(con.sources, site) + vac.radius
+    v, e, o = vac.v_table[:, at], vac.e_table[:, at], vac.o_table[:, at]
+    is_a = kind == A
+    eo = np.where(is_a, e - o, e + o)
+    ket = v + 1j * eo
+    return ((v - 1j * eo) @ np.conj(con.weights),
+            np.where(is_a, ket, -ket) @ np.array(con.weights))
+
+
 def pfaffians_row_major(a):
     """Pfaffians of a stack a (count, n, n), overwritten: the batched
     Parlett-Reid elimination laid out row-major, one matrix per leading
@@ -237,13 +267,13 @@ def pfaffians_row_major(a):
     order, so it must give these bits."""
     count, n = a.shape[0], a.shape[2]
     if n == 0:
-        return np.ones(count, dtype=complex)
+        return np.ones(count, dtype=a.dtype)
     if n == 2:
         return a[:, 0, 1].copy()
     if n == 4:
         return (a[:, 0, 1] * a[:, 2, 3] - a[:, 0, 2] * a[:, 1, 3]
                 + a[:, 0, 3] * a[:, 1, 2])
-    val = np.ones(count, dtype=complex)
+    val = np.ones(count, dtype=a.dtype)
     for k in range(0, n - 2, 2):
         piv = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
         swap = np.flatnonzero(piv != k + 1)
@@ -262,21 +292,53 @@ def pfaffians_row_major(a):
 
 
 def expectations_row_major(contractions, kinds, sites):
-    """`pfaffian._expectations` on full (times, count, n, n) stacks: both
-    triangles filled from the vacuum's upper one, a Bell seed's rank-two
-    update added to every entry, and `pfaffians_row_major`."""
+    """`pfaffian._expectations` on full (times, count, n, n) real stacks:
+    the upper triangle from the state's `entries`, the lower one its
+    negative, and `pfaffians_row_major`."""
     n = kinds.shape[1]
     p, q = np.triu_indices(n, 1)
-    vac = contractions.vacuum if contractions.is_modified else contractions
-    upper = vac.pair(kinds[:, p], sites[:, p], kinds[:, q], sites[:, q])
-    mats = np.zeros(upper.shape[:2] + (n, n), dtype=complex)
+    upper = contractions.entries(kinds, sites)
+    mats = np.zeros(upper.shape[:2] + (n, n))
     mats[..., p, q] = upper
     mats[..., q, p] = -upper
-    if contractions.is_modified:
-        bra, ket = contractions.bra_ket(kinds, sites)
-        mats += (bra[..., :, None] * ket[..., None, :]
-                 - ket[..., :, None] * bra[..., None, :]) / contractions.n2
     return pfaffians_row_major(mats.reshape(-1, n, n)).reshape(upper.shape[:2])
+
+
+def expectations_complex(contractions, kinds, sites):
+    """The complex route's `pfaffian._expectations`, kept as a reference:
+    the vacuum's complex pair matrix M (`expectation`), a Bell seed's
+    update (bra_p ket_q - bra_q ket_p) / n2 (`bra_ket`) added to each
+    triangle in its own operand order, and complex row-major Pfaffians
+    pf(M), returned as the real part of pf(M) / i^(n/2 + n_B) = pf(K)."""
+    n = kinds.shape[1]
+    p, q = np.triu_indices(n, 1)
+    vac = getattr(contractions, "vacuum", contractions)
+    upper = expectation(vac, kinds[:, p], sites[:, p], kinds[:, q],
+                        sites[:, q])
+    lower = -upper
+    if vac is not contractions:
+        bra, ket = bra_ket(contractions, kinds, sites)
+        for tri, r, c in ((upper, p, q), (lower, q, p)):
+            tri += (bra[..., r] * ket[..., c]
+                    - ket[..., r] * bra[..., c]) / contractions.n2
+    mats = np.zeros(upper.shape[:2] + (n, n), dtype=complex)
+    mats[..., p, q], mats[..., q, p] = upper, lower
+    pf = pfaffians_row_major(mats.reshape(-1, n, n)).reshape(upper.shape[:2])
+    return (pf / 1j ** (n // 2 + kinds.sum(axis=1))).real
+
+
+def magnetization_complex(contractions, sites):
+    """The complex route's `pfaffian.magnetization`: -(1/2) Re <A_l B_l>,
+    a Bell seed's update from its `bra_ket`."""
+    sites = np.asarray(sites, dtype=int)
+    vac = getattr(contractions, "vacuum", contractions)
+    pair = expectation(vac, A, sites, B, sites)
+    if vac is not contractions:
+        kinds = np.stack([np.full(sites.shape, A), np.full(sites.shape, B)])
+        bra, ket = bra_ket(contractions, kinds, np.stack([sites, sites]))
+        pair = pair + (bra[:, 0] * ket[:, 1] - bra[:, 1] * ket[:, 0]) / (
+            contractions.n2)
+    return -0.5 * pair.real
 
 
 def same_bits(x, y):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import evolve, majorana_pair, ring_tables_reference
+from helpers import evolve, expectation, majorana_pair, ring_tables_reference
 from xychain import correlators, groundstate, oracle
 from xychain.correlators import A, B
 from xychain.model import ModelParams, light_cone_radius
@@ -12,11 +12,11 @@ KIND = {"A": A, "B": B}
 def test_vacuum_t0_deltas():
     p = ModelParams(lam=1.0, gamma=0.5)
     con = correlators.vacuum_contractions(p, 0.0)
-    assert np.isclose(con.pair(A, 0, B, 0), 1.0)
-    assert np.isclose(con.pair(A, 0, B, 3), 0.0, atol=1e-12)
-    assert np.isclose(con.pair(A, 0, A, 0), 1.0)
-    assert np.isclose(con.pair(A, 0, A, 2), 0.0, atol=1e-12)
-    assert np.isclose(con.pair(B, 0, B, 0), -1.0)
+    assert np.isclose(expectation(con, A, 0, B, 0), 1.0)
+    assert np.isclose(expectation(con, A, 0, B, 3), 0.0, atol=1e-12)
+    assert np.isclose(expectation(con, A, 0, A, 0), 1.0)
+    assert np.isclose(expectation(con, A, 0, A, 2), 0.0, atol=1e-12)
+    assert np.isclose(expectation(con, B, 0, B, 0), -1.0)
 
 
 def test_vacuum_stationary_at_zero_gamma():
@@ -25,25 +25,28 @@ def test_vacuum_stationary_at_zero_gamma():
     con = correlators.vacuum_contractions(p, 7.3)
     rs = np.arange(5)
     expected = np.where(rs == 0, 1.0, 0.0)
-    assert np.allclose(con.pair(A, 0, B, rs), expected, atol=1e-12)
-    assert np.allclose(con.pair(A, 0, A, rs), expected, atol=1e-12)
+    assert np.allclose(expectation(con, A, 0, B, rs), expected, atol=1e-12)
+    assert np.allclose(expectation(con, A, 0, A, rs), expected, atol=1e-12)
 
 
 def test_bb_is_minus_conjugate_aa():
     p = ModelParams(lam=0.8, gamma=0.6)
     con = correlators.vacuum_contractions(p, 2.0)
     rs = np.array([0, 1, 3, -2])
-    assert np.allclose(con.pair(B, 0, B, rs), -np.conj(con.pair(A, 0, A, rs)),
-                       atol=1e-12)
+    assert np.allclose(expectation(con, B, 0, B, rs),
+                       -np.conj(expectation(con, A, 0, A, rs)), atol=1e-12)
 
 
 def test_pair_interface_antisymmetry():
-    # <B_l A_m> = -<A_m B_l>, exact by construction
+    # <B_l A_m> = -<A_m B_l>, exact by construction: the tables hold
+    # K_BA(r) = -K_AB(-r), and a Bell seed's update is antisymmetric in
+    # its operands bit for bit
     p = ModelParams(lam=0.5, gamma=1.0)
     for con in (correlators.vacuum_contractions(p, 1.5),
                 correlators.bell_contractions(p, 1.5, 0, 1)):
         for l, m in ((0, 2), (3, 1), (1, 1)):
-            assert con.pair(B, l, A, m) == -con.pair(A, m, B, l)
+            assert (expectation(con, B, l, A, m)
+                    == -expectation(con, A, m, B, l))
 
 
 @pytest.mark.parametrize("gamma,lam", [(0.5, 1.0), (1.0, 0.5)])
@@ -56,7 +59,7 @@ def test_vacuum_contractions_match_ring(gamma, lam):
     vecs = evolve(ws, ws.vacuum(), t)
     for l, m in ((0, 0), (0, 1), (0, 2), (1, 3)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
-            ana = con.pair(KIND[kl], l, KIND[km], m)
+            ana = expectation(con, KIND[kl], l, KIND[km], m)
             ref = majorana_pair(ws, vecs, kl, l, km, m)
             assert np.isclose(ana, ref, atol=2e-5), (kl, km, l, m, ana, ref)
 
@@ -73,7 +76,8 @@ def test_fft_tables_equal_direct_ring_sums(gamma, lam):
             for sector in ("antiperiodic", "periodic"):
                 vac = correlators.VacuumContractions(p, t, radius, sector)
                 got = (vac.v_table[0], vac.e_table[0], vac.o_table[0],
-                       vac.pair(A, 0, B, rs)[0], vac.pair(A, 0, A, rs)[0])
+                       expectation(vac, A, 0, B, rs)[0],
+                       expectation(vac, A, 0, A, rs)[0])
                 ref = ring_tables_reference(p, t, radius, sector)
                 for name, g, r in zip(("V", "E", "O", "AB", "AA"), got, ref):
                     assert np.abs(g - r).max() <= 1e-14, (name, size, t,
@@ -88,7 +92,7 @@ def test_bell_contractions_match_ring():
     vecs = evolve(ws, ws.psi_bell(1, 2, np.pi), t)
     for l, m in ((1, 1), (1, 2), (0, 3), (2, 2)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
-            ana = con.pair(KIND[kl], l, KIND[km], m)
+            ana = expectation(con, KIND[kl], l, KIND[km], m)
             ref = majorana_pair(ws, vecs, kl, l, km, m)
             assert np.isclose(ana, ref, atol=2e-5), (kl, km, l, m, ana, ref)
 
@@ -99,7 +103,7 @@ def test_bell_occupation_at_t0():
     p = ModelParams(lam=1.0, gamma=0.5)
     con = correlators.bell_contractions(p, 0.0, 0, 1)
     sites = np.array([0, 1, 5])
-    assert np.allclose(con.pair(A, sites, B, sites), [0.0, 0.0, 1.0],
+    assert np.allclose(expectation(con, A, sites, B, sites), [0.0, 0.0, 1.0],
                        atol=1e-12)
 
 
@@ -138,12 +142,13 @@ def test_rank_two_mod_matches_source_pair_sum(amp):
     ls, ms = np.meshgrid(np.arange(-2, 7), np.arange(-2, 7), indexing="ij")
     for kl in (A, B):
         for km in (A, B):
-            got = con.pair(kl, ls, km, ms) - con.vacuum.pair(kl, ls, km, ms)
+            got = (expectation(con, kl, ls, km, ms)
+                   - expectation(con.vacuum, kl, ls, km, ms))
             ref = mod_by_source_pairs(con, kl, ls, km, ms)
             assert np.allclose(got, ref, rtol=0, atol=1e-15), (kl, km)
     sites = np.arange(-2, 7)
-    assert np.abs(con.pair(A, sites, B, sites)
-                  - con.vacuum.pair(A, sites, B, sites)).max() > 0.1
+    assert np.abs(expectation(con, A, sites, B, sites)
+                  - expectation(con.vacuum, A, sites, B, sites)).max() > 0.1
 
 
 def test_bell_reduces_to_vacuum_far_away():
@@ -152,10 +157,10 @@ def test_bell_reduces_to_vacuum_far_away():
     bell = correlators.bell_contractions(p, t, 0, 1)
     vac = correlators.vacuum_contractions(p, t)
     # 20 sites out at t = 1 nothing has arrived
-    assert np.isclose(bell.pair(A, 20, B, 21), vac.pair(A, 20, B, 21),
-                      atol=1e-12)
-    assert np.isclose(bell.pair(A, 20, A, 22), vac.pair(A, 20, A, 22),
-                      atol=1e-12)
+    assert np.isclose(expectation(bell, A, 20, B, 21),
+                      expectation(vac, A, 20, B, 21), atol=1e-12)
+    assert np.isclose(expectation(bell, A, 20, A, 22),
+                      expectation(vac, A, 20, A, 22), atol=1e-12)
 
 
 def test_separation_outside_table_raises():
@@ -164,22 +169,24 @@ def test_separation_outside_table_raises():
     p = ModelParams(lam=1.0, gamma=0.5)
     vac = correlators.vacuum_contractions(p, 1.0)
     with pytest.raises(CutoffError):
-        vac.pair(A, 0, B, vac.radius + 1)
+        expectation(vac, A, 0, B, vac.radius + 1)
     with pytest.raises(CutoffError):
-        vac.pair(A, np.zeros(3, dtype=int), B, [0, 1, -vac.radius - 1])
+        expectation(vac, A, np.zeros(3, dtype=int), B,
+                    [0, 1, -vac.radius - 1])
     bell = correlators.bell_contractions(p, 1.0, 0, 1)
     far = bell.vacuum.radius + 1
-    bell.bra_ket(A, far - 1)  # both sources inside the kernel table
+    # both sources inside the kernel table at far - 1, not at far
+    expectation(bell, A, far - 1, B, far - 1)
     with pytest.raises(CutoffError):
-        bell.bra_ket(A, [0, far])
+        expectation(bell, A, [0, far], B, [0, far])
     with pytest.raises(CutoffError):
-        bell.pair(A, far, B, far)
+        expectation(bell, A, far, B, far)
     # a same-kind ground-state pair is a table entry like any other
     gs = groundstate.gs_contractions(p, 3)
-    gs.pair(A, 0, A, 3)
+    expectation(gs, A, 0, A, 3)
     for kind in (A, B):
         with pytest.raises(CutoffError):
-            gs.pair(kind, 0, kind, 4)
+            expectation(gs, kind, 0, kind, 4)
 
 
 def test_singlet_tilts_phi_weights_ahead_of_front():

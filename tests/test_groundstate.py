@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import majorana_pair
+from helpers import expectation, majorana_pair
 from xychain import groundstate, oracle
 from xychain.correlators import A, B
 from xychain.errors import CutoffError
@@ -77,7 +77,8 @@ def gs_gxx_determinant(params, d):
     k = np.empty((d, d))
     for p in range(d):
         for q in range(d):
-            k[p, q] = con.pair(A, 0, B, q - 1 - p)[0].real  # -G(q - 1 - p)
+            # -G(q - 1 - p)
+            k[p, q] = expectation(con, A, 0, B, q - 1 - p)[0].real
     return 0.25 * (-1.0) ** d * np.linalg.det(k)
 
 
@@ -135,7 +136,7 @@ def test_contractions_match_ring_when_gapped():
     gs = ws.ground_state()
     for l, m in ((0, 0), (0, 1), (0, 2), (1, 3), (2, 2)):
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")):
-            ana = con.pair(KIND[kl], l, KIND[km], m)
+            ana = expectation(con, KIND[kl], l, KIND[km], m)
             ref = majorana_pair(ws, gs, kl, l, km, m)
             assert np.isclose(ana, ref, atol=1e-4), (kl, km, l, m)
 
@@ -148,7 +149,7 @@ def test_contractions_near_critical_have_slow_convergence():
     ws = oracle.OracleWorkspace(12, gamma, lam)
     gs = ws.ground_state()
     worst = max(
-        abs(con.pair(KIND[kl], l, KIND[km], m)
+        abs(expectation(con, KIND[kl], l, KIND[km], m)
             - majorana_pair(ws, gs, kl, l, km, m))
         for l, m in ((0, 1), (0, 2), (1, 3))
         for kl, km in (("A", "B"), ("A", "A"), ("B", "B")))
@@ -194,7 +195,7 @@ def test_separation_beyond_the_table_is_a_cutoff():
     # the same error as the vacuum and Bell-seed tables
     con = groundstate.gs_contractions(ModelParams(1.0, gamma=0.5), 3)
     with pytest.raises(CutoffError):
-        con.pair(A, 0, B, 5)
+        expectation(con, A, 0, B, 5)
 
 
 def test_legendre_rule_is_numpys_bit_for_bit():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import bessel_j
+from helpers import bessel_j, expectation
 from xychain import correlators, model
 from xychain.errors import CutoffError
 from xychain.model import ModelParams, THERMODYNAMIC_LIMIT
@@ -95,7 +95,7 @@ def test_window_too_small_raises():
     weight = np.sum(vac.v_table ** 2 + vac.e_table ** 2 + vac.o_table ** 2)
     assert weight < 0.5
     with pytest.raises(CutoffError):
-        vac.pair(correlators.A, 0, correlators.B, 6)
+        expectation(vac, correlators.A, 0, correlators.B, 6)
 
 
 def test_kernel_parity():
