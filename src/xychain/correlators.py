@@ -54,20 +54,17 @@ large to wrap, M = `ring_size`: the integrands are periodic and analytic
 in k, so the sum converges exponentially (Trefethen & Weideman, SIAM Rev.
 56:385, 2014), and the only error is aliasing from separations M away.  A
 Bell seed reads both from its vacuum, tabulated out to the seed span plus
-the seed's own radius; the scenario engine sizes radii by what its grid
-reads, the wrappers below by the light cone.
+the seed's own radius; the scenario engine sizes a block's radius by what
+its grid reads, the wrappers below by the light cone of its latest time.
 
 Every translation-invariant Gaussian state is a `PairTables`: rows AA,
-AB, BA, BB of K(l, l + r) over |r| <= radius, read by one `entries`,
-which gives the upper triangle of K for whole arrays of strings.  The
-vacuum fills the rows by ring sums, the ground state (`groundstate`) by
+AB, BA, BB of K(l, l + r) over |r| <= radius at a block of times, read by
+one `entries`, which gives the upper triangle of K for whole arrays of
+strings (kinds are the codes A and B) at every time of the block.  The
+vacuum fills the rows by one ring sum per time, so a time's values depend
+only on (t, radius); the ground state (`groundstate`) fills them by
 quadrature, and a Bell seed's `entries` are its vacuum's plus the update.
-The tables hold a block of times: each time has its own ring sum, radius
-and ring size, and the tables stack on a leading time axis, zero-padded
-to the block's largest radius.  Every accessor answers for every time of
-the block and indexes the tables with arrays: kinds are the codes A and
-B.  A separation beyond the radius of any time of the block raises
-CutoffError naming that time.
+A separation beyond the radius raises CutoffError.
 """
 
 import math
@@ -96,18 +93,15 @@ def ring_size(params, t, radius):
     return 2 * (int(radius) + reach + RING_MARGIN)
 
 
-def _table_index(x, radii, what, times):
-    """Positions x + max(radii) of the separations x (any shape) in tables
-    of a block of times padded to its largest radius.  A separation beyond
-    any time's own radius raises CutoffError naming the first such time."""
+def _table_index(x, radius, what):
+    """Positions x + radius of the separations x (any shape) in tables of
+    that radius; a separation beyond it raises CutoffError."""
     x = np.asarray(x)
-    short = np.flatnonzero(np.asarray(radii) < np.abs(x).max(initial=0))
-    if short.size:
-        k, worst = short[0], int(x.flat[np.argmax(np.abs(x))])
-        when = "" if times[k] is None else f" at t={times[k]:.12g}"
+    if np.abs(x).max(initial=0) > radius:
+        worst = int(x.flat[np.argmax(np.abs(x))])
         raise CutoffError(
-            f"{what} radius {radii[k]} exceeded at separation {worst}{when}")
-    return x + max(radii)
+            f"{what} radius {radius} exceeded at separation {worst}")
+    return x + radius
 
 
 def _ring_tables(params, t, radius, sector):
@@ -134,13 +128,12 @@ def _ring_tables(params, t, radius, sector):
 class PairTables:
     """The real antisymmetric K of a translation-invariant Gaussian state
     at a block of times: tables (times, 4, 2 * radius + 1) with rows AA,
-    AB, BA, BB by kind pair 2 * kind_l + kind_m, entry r + radius of a row
-    at separation r = m - l, and radii the times' own radii.  what names
-    the table in a CutoffError."""
+    AB, BA, BB by kind pair 2 * kind_l + kind_m, and entry r + radius of a
+    row at separation r = m - l.  what names the table in a CutoffError."""
 
-    def __init__(self, times, radii, tables, what):
-        self.times, self.radii, self._tables = times, radii, tables
-        self.radius, self._what = int(max(radii)), what
+    def __init__(self, times, radius, tables, what):
+        self.times, self.radius, self._tables = times, int(radius), tables
+        self._what = what
 
     def entries(self, kinds, sites):
         """K(p, q), (times, ..., n (n - 1) / 2) in `numpy.triu_indices`
@@ -148,8 +141,8 @@ class PairTables:
         broadcast."""
         kinds, sites = np.asarray(kinds), np.asarray(sites)
         p, q = np.triu_indices(kinds.shape[-1], 1)
-        idx = _table_index(sites[..., q] - sites[..., p], self.radii,
-                           self._what, self.times)
+        idx = _table_index(sites[..., q] - sites[..., p], self.radius,
+                           self._what)
         return self._tables[:, 2 * kinds[..., p] + kinds[..., q], idx]
 
 
@@ -159,19 +152,12 @@ class VacuumContractions(PairTables):
     from: entry x + radius of a row holds separation x.  sector is the
     ring's boundary sector, antiperiodic for the vacuum itself."""
 
-    def __init__(self, params, times, radii, sector="antiperiodic"):
+    def __init__(self, params, times, radius, sector="antiperiodic"):
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        radii = np.broadcast_to(radii, times.shape).astype(int)
-        radius = int(radii.max())
-        shape = (len(times), 2 * radius + 1)
-        self.v_table, self.e_table, self.o_table = np.zeros((3, *shape))
-        tables = np.zeros((shape[0], 4, shape[1]))
-        for k, (t, r) in enumerate(zip(times, radii)):
-            span = slice(radius - r, radius + r + 1)
-            (self.v_table[k, span], self.e_table[k, span],
-             self.o_table[k, span], tables[k, :, span]) = _ring_tables(
-                 params, t, int(r), sector)
-        super().__init__(times, radii, tables, "contraction")
+        rows = [_ring_tables(params, t, radius, sector) for t in times]
+        self.v_table, self.e_table, self.o_table, tables = map(
+            np.stack, zip(*rows))
+        super().__init__(times, radius, tables, "contraction")
 
 
 class BellContractions:
@@ -189,14 +175,14 @@ class BellContractions:
 
     sector = "periodic"
 
-    def __init__(self, params, times, radii, i, j, amp=-1.0):
+    def __init__(self, params, times, radius, i, j, amp=-1.0):
         if i == j:
             raise ValueError("Bell seed needs two distinct sites")
         self.weights = (1.0 + 0j, complex(amp))
         self.n2 = 1.0 + abs(amp) ** 2
         self.sources = (int(i), int(j))
         self.vacuum = VacuumContractions(
-            params, times, abs(j - i) + np.asarray(radii), self.sector)
+            params, times, abs(j - i) + radius, self.sector)
         self.times = self.vacuum.times
 
     def entries(self, kinds, sites):
@@ -207,7 +193,7 @@ class BellContractions:
         vac = self.vacuum
         upper = vac.entries(kinds, sites)
         idx = _table_index(np.subtract(self.sources, sites[..., None]),
-                           vac.radii, "kernel", vac.times)
+                           vac.radius, "kernel")
         v, e, o = vac.v_table[:, idx], vac.e_table[:, idx], vac.o_table[:, idx]
         x = np.where(kinds[..., None] == A, v + 1j * (e - o), 1j * v - (e + o))
         u = self.weights[0] * x[..., 0] + self.weights[1] * x[..., 1]
@@ -217,10 +203,10 @@ class BellContractions:
 
 
 def vacuum_contractions(params, times):
-    return VacuumContractions(params, times,
-                              light_cone_radius(params, np.abs(times)))
+    radius = light_cone_radius(params, np.max(np.abs(times)))
+    return VacuumContractions(params, times, radius)
 
 
 def bell_contractions(params, times, i, j, amp=-1.0):
-    radii = light_cone_radius(params, np.abs(times))
-    return BellContractions(params, times, radii, i, j, amp=amp)
+    radius = light_cone_radius(params, np.max(np.abs(times)))
+    return BellContractions(params, times, radius, i, j, amp=amp)

@@ -28,10 +28,9 @@ import math
 import numpy as np
 
 from .correlators import PairTables
-from .measures import (concurrence_branches, concurrence_closed, one_tangle,
-                       x_entries)
-from .model import PAIR_WINDOW, dispersion
-from .pfaffian import bundles, magnetization
+from .measures import concurrence_branches, x_entries
+from .model import dispersion
+from .pfaffian import bundles
 
 # The 8-point Gauss-Legendre rule on [-1, 1], bit for bit as
 # numpy.polynomial.legendre.leggauss(8) gives it; held here so that a run
@@ -67,7 +66,7 @@ def _gs_grid(params, reach):
 def pair_tables(g):
     """The ground state's K tables from G(r) on |r| <= radius."""
     zero = np.zeros_like(g)
-    return PairTables((None,), [len(g) // 2],
+    return PairTables((None,), len(g) // 2,
                       np.stack([zero, g, -g[::-1], zero])[None],
                       "ground-state table")
 
@@ -103,12 +102,3 @@ def gs_concurrence(params, d):
     label = "parallel" if branch_c >= branch_z else "antiparallel"
     return value, label
 
-
-def gs_tangle_budget(params, window=PAIR_WINDOW):
-    """(tau1, sum of squared pair concurrences up to the window distance),
-    both read off one table of radius window + 1."""
-    con = gs_contractions(params, window + 1)
-    tau1 = one_tangle(magnetization(con, 0)[0])
-    columns = bundles(con, [(0, d) for d in range(1, window + 1)])[0]
-    concs = concurrence_closed(x_entries(columns)).tolist()
-    return tau1, sum(2.0 * c * c for c in concs)  # both chain directions

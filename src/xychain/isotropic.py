@@ -49,11 +49,13 @@ by PAD_STEP sites until the weight it holds is within NORM_DEFECT_TOL of one
 (the norm of a packet, the pair-sector weight of a pair seed); a window
 whose Bessel ladder would pass bessel.MAX_ORDER raises CutoffError.
 `windows` sizes a batch of times at once, one batch of Miller sweeps per
-widening round.  `wavepacket` and `PhiState` take their time's window or
-size their own; a packet also takes a block of times whose windows share a
-radius.  The states are X views (`measures.XView`) for `scenarios`: each
-gives the X entries of pairs, sites and pairs as scalars or arrays and a
-packet's times first, and a packet its partner sums in closed form.
+widening round, then raises the error of its earliest failing time, so a
+block fails before any of its views is measured.  `wavepacket` and
+`PhiState` take their time's window or size their own; a packet also takes
+a block of times whose windows share a radius.  The states are X views
+(`measures.XView`) for `scenarios`: each gives the X entries of pairs,
+sites and pairs as scalars or arrays and a packet's times first, and a
+packet its partner sums in closed form.
 """
 
 import functools
@@ -102,21 +104,22 @@ def windows(i, j, phi, lam_ts, pair=False):
     """Window of the Bell seed on sites i, j at each lam*t of a batch.
 
     Entry k is (radius, ladder): the sites min(i, j) - radius .. max(i, j)
-    + radius and J_0..J_{radius + |j - i|}(lam_ts[k]), or the CutoffError
-    or OutOfRangeError of that lam*t.  The radius starts at the light cone
-    of time lam*t at unit coupling and widens by PAD_STEP until the weight
-    the window holds is within NORM_DEFECT_TOL of one.  With A =
-    sum |g_{p-i}|^2 = sum |g_{p-j}|^2 and X = sum J_{p-i} J_{p-j} over the
-    window, that weight is the packet norm A + Re(e^{i phi} i^{i-j}) X, or
-    with pair=True the pair-sector weight A^2 - X^2 (the Gram determinant
-    of the orbitals).
+    + radius and J_0..J_{radius + |j - i|}(lam_ts[k]).  The radius starts
+    at the light cone of time lam*t at unit coupling and widens by PAD_STEP
+    until the weight the window holds is within NORM_DEFECT_TOL of one.
+    With A = sum |g_{p-i}|^2 = sum |g_{p-j}|^2 and X = sum J_{p-i} J_{p-j}
+    over the window, that weight is the packet norm A + Re(e^{i phi}
+    i^{i-j}) X, or with pair=True the pair-sector weight A^2 - X^2 (the
+    Gram determinant of the orbitals).  The CutoffError or OutOfRangeError
+    of the earliest failing lam*t is raised after the last round.
     """
     i, j = (i, j) if i < j else (j, i)
     span = j - i
     coupling = (seed_amp(phi) * _I_POWERS[(i - j) % 4]).real
     radii = light_cone_radius(ModelParams(1.0), lam_ts).tolist()
-    out = [range_error(r + span, v) for r, v in zip(radii, lam_ts)]
-    todo = [k for k, error in enumerate(out) if error is None]
+    errors = [range_error(r + span, v) for r, v in zip(radii, lam_ts)]
+    out = [None] * len(lam_ts)
+    todo = [k for k, error in enumerate(errors) if error is None]
     while todo:
         radius = np.array([radii[k] for k in todo])
         rows = bessel_rows(radius + span, [lam_ts[k] for k in todo])
@@ -126,29 +129,29 @@ def windows(i, j, phi, lam_ts, pair=False):
             if defect <= NORM_DEFECT_TOL:
                 out[k] = (radii[k], rows[n, :radii[k] + span + 1].copy())
             elif radii[k] + PAD_STEP + span > MAX_ORDER:
-                out[k] = CutoffError(
+                errors[k] = CutoffError(
                     f"window too small at lam*t={lam_ts[k]}: defect "
                     f"{defect:.3e}, and a wider one needs Bessel orders past "
                     f"{MAX_ORDER}")
             else:
                 radii[k] += PAD_STEP
         del rows  # frees this round's block before the next one is swept
-        todo = [k for k in todo if out[k] is None]
+        todo = [k for k in todo if out[k] is None and errors[k] is None]
+    failed = [error for error in errors if error is not None]
+    if failed:
+        raise failed[0]
     return out
 
 
 def _orbitals(i, j, phi, lam_t, window, pair=False):
     """Window sites i - radius .. j + radius and g_{site-i}, g_{site-j} (last
     axis) of the seed on sites i < j (swapped if need be), on its window or,
-    when None, the one `windows` sizes for lam_t; an error in place of the
-    window is raised."""
+    when None, the one `windows` sizes for lam_t."""
     if i == j:
         raise ValueError("seed sites must differ")
     i, j = (i, j) if i < j else (j, i)
     if window is None:
         window, = windows(i, j, phi, [lam_t], pair=pair)
-    if isinstance(window, Exception):
-        raise window
     radius, rows = window
     g = _ladder(rows)
     span = j - i

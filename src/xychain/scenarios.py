@@ -313,11 +313,6 @@ class _ContractionView(measures.XView):
                 if q != x]
 
 
-def _radius(entry):
-    """The radius of a (t, window) entry, or the error in its place."""
-    return entry[1] if isinstance(entry[1], Exception) else entry[1][0]
-
-
 def _ladder_blocks(lengths):
     """Slices of ladders, each within WINDOW_BLOCK_BYTES by its longest."""
     start = longest = 0
@@ -359,8 +354,10 @@ class AnalyticEngine:
         one view for the whole grid.  At gamma = 0 a block of windows holds
         at most WINDOW_BLOCK_BYTES by its own longest ladder, and a packet
         a run of them that share a radius; a pair seed has a view per time.
-        At gamma != 0 a block is cut the same way by its tables, of radius
-        `reach` plus a Bell seed's farthest grid site, and partners."""
+        A block's window failure is raised before any view of that block is
+        measured.  At gamma != 0 a block is cut the same way by its tables,
+        of radius `reach` plus a Bell seed's farthest grid site, and
+        partners."""
         cfg = self.config
         if self._ground is not None:
             stationary = _ContractionView(self._ground)
@@ -394,9 +391,8 @@ class AnalyticEngine:
                 (light_cone_radius(self.params, times) + span + 1).tolist()):
             block = zip(times[k], isotropic.windows(
                 cfg.i, cfg.j, cfg.seed_phase, lam_ts[k], pair=pair))
-            for radius, run in itertools.groupby(block, key=_radius):
-                if isinstance(radius, Exception):
-                    raise radius
+            for radius, run in itertools.groupby(
+                    block, key=lambda entry: entry[1][0]):
                 ts, rows = zip(*[(t, row) for t, (_, row) in run])
                 width = 1 if pair else len(ts)  # a packet takes the run
                 for s in range(0, len(ts), width):

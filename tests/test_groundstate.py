@@ -8,6 +8,7 @@ from xychain.errors import CutoffError
 from xychain.measures import one_tangle
 from xychain.model import ModelParams
 from xychain.pfaffian import bundles, magnetization
+from xychain.scenarios import parse_config_text, run_scenario
 
 KIND = {"A": A, "B": B}
 
@@ -156,11 +157,32 @@ def test_contractions_near_critical_have_slow_convergence():
     assert worst < 2e-2
 
 
+BUDGET = """
+model.lambda = 1.0
+model.gamma = {gamma}
+scenario.kind = ground_state_equilibrium
+grid.t_start = 0.0
+grid.t_stop = 0.0
+grid.dt = 1.0
+grid.x_start = 0
+grid.x_stop = 0
+measures.list = one_tangle, ckw_residual
+"""
+
+
+def gs_tangle_budget(gamma):
+    """(tau1, sum of squared pair concurrences over the pair window) of the
+    ground state at lam = 1, read off a scenario at x = 0."""
+    _, _, columns = run_scenario(parse_config_text(BUDGET.format(gamma=gamma)))
+    tau1 = columns["one_tangle"][0, 0]
+    return tau1, tau1 - columns["ckw_residual"][0, 0]
+
+
 def test_one_tangle_and_budget():
     p = ModelParams(lam=1.0, gamma=0.5)
     tau1 = one_tangle(gs_magnetization(p))
     assert 0.0 < tau1 < 1.0
-    budget_tau, budget_sum = groundstate.gs_tangle_budget(p)
+    budget_tau, budget_sum = gs_tangle_budget(0.5)
     assert np.isclose(budget_tau, tau1, atol=1e-12)
     # monogamy holds strictly here: pair concurrences cover only part of
     # the one-tangle
@@ -170,25 +192,9 @@ def test_one_tangle_and_budget():
 def test_budget_gap_grows_with_anisotropy():
     gaps = []
     for gamma in (0.1, 0.5, 1.0):
-        tau1, total = groundstate.gs_tangle_budget(
-            ModelParams(lam=1.0, gamma=gamma))
+        tau1, total = gs_tangle_budget(gamma)
         gaps.append(tau1 - total)
     assert gaps[0] < gaps[1] < gaps[2]
-
-
-def test_budget_reads_one_table(monkeypatch):
-    # the magnetization and every pair concurrence of a budget read one
-    # ground-state table of radius window + 1
-    radii = []
-
-    def counted(params, radius):
-        radii.append(radius)
-        return build(params, radius)
-
-    build = groundstate.gs_contractions
-    monkeypatch.setattr(groundstate, "gs_contractions", counted)
-    groundstate.gs_tangle_budget(ModelParams(1.0, gamma=0.5), window=5)
-    assert radii == [6]
 
 
 def test_separation_beyond_the_table_is_a_cutoff():

@@ -663,25 +663,24 @@ BLOCK_PAIRS = [(0, 1), (1, 3), (3, 1), (-1, 3), (2, 3), (4, 0), (-2, 5),
 @pytest.mark.parametrize("state", ["vacuum", "bell+1", "bell-1"])
 @pytest.mark.parametrize("chunk", [3, 128, 128 * 14 ** 2])
 def test_block_columns_equal_one_time_blocks(monkeypatch, state, chunk):
-    # every time of a block, its own ring sum padded to the block's widest
-    # table, gives the columns of a block of that time alone bit for bit,
+    # every time of a block at one radius, its own ring sum, gives the
+    # columns of a block of that time alone at that radius bit for bit,
     # whatever the stacks: one string at every time (a budget of 3 entries,
     # below the 5 x 2^2 of one two-operator string's matrices), six
     # two-operator strings or one longer string a stack (128 entries), or
     # one stack per string size (the default budget)
     monkeypatch.setattr(pfaffian_module, "STACK_CHUNK", chunk)
     p = ModelParams(lam=0.8, gamma=0.6)
+    radius = 12
     make = {
-        "vacuum": lambda ts: correlators.vacuum_contractions(p, ts),
-        "bell+1": lambda ts: correlators.bell_contractions(p, ts, 1, 2,
-                                                           amp=1.0),
-        "bell-1": lambda ts: correlators.bell_contractions(p, ts, 0, 3,
-                                                           amp=-1.0),
+        "vacuum": lambda ts: correlators.VacuumContractions(p, ts, radius),
+        "bell+1": lambda ts: correlators.BellContractions(p, ts, radius, 1,
+                                                          2, amp=1.0),
+        "bell-1": lambda ts: correlators.BellContractions(p, ts, radius, 0,
+                                                          3, amp=-1.0),
     }[state]
     times = [0.0, 0.4, 1.7, 5.0, 31.0]
     block = make(times)
-    radii = correlators.vacuum_contractions(p, times).radii
-    assert len(set(radii)) == len(times)
     got = bundles(block, BLOCK_PAIRS)
     assert got.shape == (len(times), len(BLOCK_PAIRS), 7)
     for k, t in enumerate(times):
@@ -719,18 +718,17 @@ def test_ground_state_block_broadcasts_over_every_time():
 
 
 @pytest.mark.parametrize("kind", ["vacuum", "bell"])
-def test_block_cutoff_names_the_earliest_short_time(kind):
-    # radii 3 then 6: a separation of 5 lies past the earlier time's own
-    # radius, and the padding of its table never answers for it
+def test_block_cutoff_names_radius_and_separation(kind):
+    # a block has one radius, 4 for the vacuum and for the Bell seed's
+    # vacuum (its radius 3 plus the seed span): a separation of 5 lies past
+    # it at every time, and the error names the radius and the separation
+    # but no time
     p = ModelParams(lam=1.0, gamma=0.5)
     if kind == "vacuum":
-        block = correlators.VacuumContractions(p, [1.0, 2.0], [3, 6])
-        bundles(block, [(0, 3)])
+        block = correlators.VacuumContractions(p, [1.0, 2.0], 4)
     else:
-        block = correlators.BellContractions(p, [1.0, 2.0], [3, 6], 0, 1)
-        bundles(block, [(-1, 1), (0, 3)])
-    with pytest.raises(CutoffError, match="radius [34] exceeded at "
-                       "separation -?5 at t=1$"):
+        block = correlators.BellContractions(p, [1.0, 2.0], 3, 0, 1)
+    bundles(block, [(0, 4)])
+    with pytest.raises(CutoffError, match="^contraction radius 4 exceeded "
+                       "at separation -?5$"):
         bundles(block, [(0, 1), (0, 5)])
-    later = correlators.VacuumContractions(p, [2.0], [6])
-    bundles(later, [(0, 5)])
