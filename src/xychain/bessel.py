@@ -25,13 +25,13 @@ MAX_ARGUMENT = 2000.0
 _SMALL_X = 1e-4
 
 
-def range_error(nmax, x):
-    """The OutOfRangeError of a ladder to order nmax at x, or None."""
-    if nmax < 0 or nmax > MAX_ORDER:
-        return OutOfRangeError(f"order {nmax} outside [0, {MAX_ORDER}]")
-    if not (0.0 <= x <= MAX_ARGUMENT):
-        return OutOfRangeError(f"argument {x} outside [0, {MAX_ARGUMENT}]")
-    return None
+def range_errors(nmax, x):
+    """{lane: OutOfRangeError} of the lanes (nmax, x), arrays, out of range."""
+    order = (0 <= nmax) & (nmax <= MAX_ORDER)
+    bad = np.flatnonzero(~(order & (0.0 <= x) & (x <= MAX_ARGUMENT)))
+    return {k: OutOfRangeError(
+        f"argument {x[k]} outside [0, {MAX_ARGUMENT}]" if order[k] else
+        f"order {nmax[k]} outside [0, {MAX_ORDER}]") for k in bad.tolist()}
 
 
 def _series_row(nmax, x):
@@ -57,19 +57,22 @@ def _miller(nmax, x):
     reaches its own start order, where it takes the arbitrary seed;
     0 * (2m/x) - 0 keeps it exactly zero before that.  Each lane rescales,
     in place, at the step where its own |J_m| passes 1e250; its orders past
-    nmax are swept like the others and zeroed at the end."""
-    nmax, x = np.array(nmax), np.array(x)
+    nmax are swept like the others and zeroed at the end.  As |J_{m-1}| <=
+    (2m/x + 1) max(|J_m|, |J_{m+1}|), a sweep whose lanes all have start *
+    log1p(2 start / x) < 540 ln 10 cannot pass 1e250 and tests nothing."""
     # Start each sweep far enough above both the order and the turning
     # point that the minimal solution dominates by > 1e18.
     start = np.maximum(nmax, np.ceil(x).astype(int)) + 16
     start += (2.0 * np.sqrt(start)).astype(int) + 20
     start += start % 2
     seeds = set(start.tolist())
-    rows = np.zeros((nmax.max() + 1, len(x)))  # order-major while sweeping
+    bound = np.max(start * np.log1p(2.0 * start / x), initial=0)
+    tested = bound >= 540 * np.log(10)  # else no lane can pass 1e250
+    rows = np.zeros((nmax.max(initial=0) + 1, len(x)))  # order-major
     jp, j, jm = np.zeros((3, len(x)))  # J_{m+1}, J_m, J_{m-1}
     even_sum = np.zeros(len(x))  # J_0 + 2*sum_{k>=1} J_{2k}
     work, big = np.empty(len(x)), np.empty(len(x), dtype=bool)
-    for m in range(max(seeds), 0, -1):
+    for m in range(max(seeds, default=0), 0, -1):
         if m in seeds:
             j[start == m] = 1e-290
         np.divide(2.0 * m, x, out=jm)
@@ -81,8 +84,7 @@ def _miller(nmax, x):
             rows[n] = j
         if n % 2 == 0:
             even_sum += j if n == 0 else np.multiply(2.0, j, out=work)
-        np.greater(np.abs(j, out=work), 1e250, out=big)
-        if big.any():
+        if tested and np.greater(np.abs(j, out=work), 1e250, out=big).any():
             for v in (j, jp, even_sum, rows[n:]):
                 np.multiply(v, 1e-250, out=v, where=big)
     rows[np.arange(len(rows))[:, None] > nmax] = 0.0
@@ -96,14 +98,13 @@ def bessel_rows(nmax, x):
     first lane out of range raises OutOfRangeError.  Lanes with x < 1e-4
     take the series; they sweep at x = 1 meanwhile, so that every lane
     shares one order-major buffer."""
-    nmax, x = [int(n) for n in nmax], [float(v) for v in x]
-    for n, v in zip(nmax, x):
-        error = range_error(n, v)
-        if error is not None:
-            raise error
-    rows = _miller(nmax, [1.0 if v < _SMALL_X else v for v in x])
-    for k, v in enumerate(x):
-        if v < _SMALL_X:
-            rows[k] = 0.0
-            rows[k, :nmax[k] + 1] = _series_row(nmax[k], v)
+    nmax, x = np.asarray(nmax, dtype=int), np.asarray(x, dtype=float)
+    errors = range_errors(nmax, x)
+    if errors:
+        raise errors[min(errors)]
+    small = x < _SMALL_X
+    rows = _miller(nmax, np.where(small, 1.0, x))
+    for k in np.flatnonzero(small).tolist():
+        rows[k] = 0.0
+        rows[k, :nmax[k] + 1] = _series_row(int(nmax[k]), float(x[k]))
     return rows

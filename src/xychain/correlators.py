@@ -135,12 +135,13 @@ class PairTables:
         self.times, self.radius, self._tables = times, int(radius), tables
         self._what = what
 
-    def entries(self, kinds, sites):
+    def entries(self, kinds, sites, pairs=None):
         """K(p, q), (times, ..., n (n - 1) / 2) in `numpy.triu_indices`
         order, of strings given by kind codes and sites (..., n), which
-        broadcast."""
+        broadcast; pairs is the (p, q) of that order, when the caller has
+        it."""
         kinds, sites = np.asarray(kinds), np.asarray(sites)
-        p, q = np.triu_indices(kinds.shape[-1], 1)
+        p, q = pairs or np.triu_indices(kinds.shape[-1], 1)
         idx = _table_index(sites[..., q] - sites[..., p], self.radius,
                            self._what)
         return self._tables[:, 2 * kinds[..., p] + kinds[..., q], idx]
@@ -185,20 +186,25 @@ class BellContractions:
             params, times, abs(j - i) + radius, self.sector)
         self.times = self.vacuum.times
 
-    def entries(self, kinds, sites):
+    def entries(self, kinds, sites, pairs=None):
         """K(p, q) of strings as `PairTables.entries`: the vacuum's plus
-        2 Im(conj(u_p) u_q) / n2, u of every operator from one gather of
-        the kernels V, E, O at both sources."""
+        2 Im(conj(u_p) u_q) / n2, u formed once per distinct (kind, site)
+        operator of the strings, from one gather of the kernels V, E, O at
+        both sources, and gathered to every slot."""
         kinds, sites = np.asarray(kinds), np.asarray(sites)
+        p, q = pairs or np.triu_indices(kinds.shape[-1], 1)
         vac = self.vacuum
-        upper = vac.entries(kinds, sites)
-        idx = _table_index(np.subtract(self.sources, sites[..., None]),
+        upper = vac.entries(kinds, sites, (p, q))
+        codes = 2 * sites + kinds  # one code per operator, kind in bit 0
+        ops, slots = np.unique(codes, return_inverse=True)
+        idx = _table_index(np.subtract(self.sources, (ops >> 1)[:, None]),
                            vac.radius, "kernel")
         v, e, o = vac.v_table[:, idx], vac.e_table[:, idx], vac.o_table[:, idx]
-        x = np.where(kinds[..., None] == A, v + 1j * (e - o), 1j * v - (e + o))
+        x = np.where(((ops & 1) == A)[:, None], v + 1j * (e - o),
+                     1j * v - (e + o))
         u = self.weights[0] * x[..., 0] + self.weights[1] * x[..., 1]
-        p, q = np.triu_indices(kinds.shape[-1], 1)
-        up, uq = u[..., p], u[..., q]
+        slots = slots.reshape(codes.shape)
+        up, uq = u[:, slots[..., p]], u[:, slots[..., q]]
         return upper + 2.0 * (up.real * uq.imag - up.imag * uq.real) / self.n2
 
 

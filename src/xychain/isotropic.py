@@ -49,22 +49,23 @@ by PAD_STEP sites until the weight it holds is within NORM_DEFECT_TOL of one
 (the norm of a packet, the pair-sector weight of a pair seed); a window
 whose Bessel ladder would pass bessel.MAX_ORDER raises CutoffError.
 `windows` sizes a batch of times at once, one batch of Miller sweeps per
-widening round, then raises the error of its earliest failing time, so a
-block fails before any of its views is measured.  `wavepacket` and
-`PhiState` take their time's window or size their own; a packet also takes
-a block of times whose windows share a radius.  The states are X views
-(`measures.XView`) for `scenarios`: each gives the X entries of pairs,
-sites and pairs as scalars or arrays and a packet's times first, and a
-packet its partner sums in closed form.
+widening round, and hands back their radii and one ladder array, or raises
+the error of its earliest failing time, so a block fails before any of its
+views is measured.  `wavepacket` and `PhiState` take their time's radius
+and ladder or size their own; `block_packet` takes a whole block of
+windows and keeps only each time's window sums and the amplitudes on the
+sites a grid reads.  The states are X views (`measures.XView`) for
+`scenarios`: each gives the X entries of pairs, sites and pairs as scalars
+or arrays and a packet's times first, and a packet its partner sums in
+closed form.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import MAX_ORDER, bessel_rows, range_error
+from .bessel import MAX_ORDER, bessel_rows, range_errors
 from .errors import CutoffError
 from .measures import XView, _modulus
 from .model import ModelParams, light_cone_radius, seed_amp
@@ -101,46 +102,80 @@ def _window_sums(rows, radius, span):
 
 
 def windows(i, j, phi, lam_ts, pair=False):
-    """Window of the Bell seed on sites i, j at each lam*t of a batch.
-
-    Entry k is (radius, ladder): the sites min(i, j) - radius .. max(i, j)
-    + radius and J_0..J_{radius + |j - i|}(lam_ts[k]).  The radius starts
-    at the light cone of time lam*t at unit coupling and widens by PAD_STEP
-    until the weight the window holds is within NORM_DEFECT_TOL of one.
-    With A = sum |g_{p-i}|^2 = sum |g_{p-j}|^2 and X = sum J_{p-i} J_{p-j}
-    over the window, that weight is the packet norm A + Re(e^{i phi}
-    i^{i-j}) X, or with pair=True the pair-sector weight A^2 - X^2 (the
-    Gram determinant of the orbitals).  The CutoffError or OutOfRangeError
-    of the earliest failing lam*t is raised after the last round.
-    """
+    """(radii, ladders) of the Bell seed on sites i, j at a batch of lam*t:
+    window k is the sites min(i, j) - radii[k] .. max(i, j) + radii[k], and
+    row k of ladders J_0..J_{radii[k] + |j - i|}(lam_ts[k]), zero past it.
+    A radius starts at the light cone of lam*t at unit coupling and widens
+    by PAD_STEP until the weight the window holds is within NORM_DEFECT_TOL
+    of one: with A = sum |g_{p-i}|^2 = sum |g_{p-j}|^2 and X = sum J_{p-i}
+    J_{p-j} over it, the packet norm A + Re(e^{i phi} i^{i-j}) X, or with
+    pair=True the pair-sector weight A^2 - X^2 (the Gram determinant of the
+    orbitals).  The error of the earliest failing lam*t is raised last."""
     i, j = (i, j) if i < j else (j, i)
     span = j - i
     coupling = (seed_amp(phi) * _I_POWERS[(i - j) % 4]).real
-    radii = light_cone_radius(ModelParams(1.0), lam_ts).tolist()
-    errors = [range_error(r + span, v) for r, v in zip(radii, lam_ts)]
-    out = [None] * len(lam_ts)
-    todo = [k for k, error in enumerate(errors) if error is None]
-    while todo:
-        radius = np.array([radii[k] for k in todo])
-        rows = bessel_rows(radius + span, [lam_ts[k] for k in todo])
-        a, x = _window_sums(rows, radius, span)
-        weight = a * a - x * x if pair else a + coupling * x
-        for n, (k, defect) in enumerate(zip(todo, np.abs(1.0 - weight))):
-            if defect <= NORM_DEFECT_TOL:
-                out[k] = (radii[k], rows[n, :radii[k] + span + 1].copy())
-            elif radii[k] + PAD_STEP + span > MAX_ORDER:
-                errors[k] = CutoffError(
-                    f"window too small at lam*t={lam_ts[k]}: defect "
-                    f"{defect:.3e}, and a wider one needs Bessel orders past "
-                    f"{MAX_ORDER}")
-            else:
-                radii[k] += PAD_STEP
-        del rows  # frees this round's block before the next one is swept
-        todo = [k for k in todo if out[k] is None and errors[k] is None]
-    failed = [error for error in errors if error is not None]
-    if failed:
-        raise failed[0]
-    return out
+    lam_ts = np.asarray(lam_ts, dtype=float)
+    radii = light_cone_radius(ModelParams(1.0), lam_ts)
+    errors = range_errors(radii + span, lam_ts)
+    todo = np.array([k for k in range(len(lam_ts)) if k not in errors], int)
+    ladders = None
+    while todo.size:
+        rows = bessel_rows(radii[todo] + span, lam_ts[todo])
+        ladders = rows if todo.size == len(lam_ts) else None
+        a, x = _window_sums(rows, radii[todo], span)
+        defect = np.abs(1.0 - (a * a - x * x if pair else a + coupling * x))
+        short = defect > NORM_DEFECT_TOL
+        stuck = short & (radii[todo] + PAD_STEP + span > MAX_ORDER)
+        for k, d in zip(todo[stuck].tolist(), defect[stuck].tolist()):
+            errors[k] = CutoffError(
+                f"window too small at lam*t={lam_ts[k]}: defect {d:.3e}, "
+                f"and a wider one needs Bessel orders past {MAX_ORDER}")
+        todo = todo[short & ~stuck]
+        radii[todo] += PAD_STEP
+        del rows  # frees this round's block unless it is the result
+    if errors:
+        raise errors[min(errors)]
+    if ladders is None:  # the last round swept only the widened lanes
+        ladders = bessel_rows(radii + span, lam_ts)
+    return radii, ladders
+
+
+def block_packet(i, j, phi, block, sites):
+    """One packet of the one-particle Bell seed at every time of a block
+    (radii, ladders) of `windows`, holding only each time's window sums of
+    |w| and |w|^2 and the amplitudes on the sites (a range; zero outside a
+    time's window).  The sums run over the times that share a radius, on
+    the real ladders: i^-|l-i| sqrt(2) w_l = J_|l-i| + turn_l J_|l-j| with
+    turn_l = e^{i phi} i^(|l-j| - |l-i|), and w itself, round once per
+    component, as the complex arithmetic of `wavepacket` does."""
+    i, j = (i, j) if i < j else (j, i)
+    (radii, ladders), span, amp = block, j - i, seed_amp(phi)
+    norms, widest = np.empty((2, len(radii))), radii.max()
+    n = np.arange(-widest, widest + span + 1)  # l - i
+    turn = amp * _I_POWERS[(np.abs(n - span) - np.abs(n)) % 4]
+    edges = [0, *(np.flatnonzero(np.diff(radii)) + 1).tolist(), len(radii)]
+    for lo, hi, r in zip(edges, edges[1:], radii[edges[:-1]].tolist()):
+        rows = ladders[lo:hi, :r + span + 1]
+        mirror = np.concatenate((rows[:, :0:-1], rows), axis=1)  # J_|n|
+        cut = turn[widest - r:widest + r + span + 1]
+        # i^-|l-i| sqrt(2) w by parts, in C order so that each row sums
+        # pairwise over its window, as a per-time packet's does
+        parts = np.multiply(mirror[:, :-span], [[cut.real], [cut.imag]],
+                            order="C")
+        parts[0] += mirror[:, span:]
+        parts *= 1.0 / math.sqrt(2.0)
+        np.square(np.hypot(*parts, out=parts[0]), out=parts[1])
+        norms[:, lo:hi] = parts.sum(-1)
+    sites = np.asarray(sites)
+    amps = np.zeros((len(radii), len(sites)), dtype=complex)
+    for n, unit in ((np.abs(sites - j), amp), (np.abs(sites - i), 1.0)):
+        g = unit * _I_POWERS[n % 4]  # exact, so each part rounds once
+        for part, c in ((amps.real, g.real), (amps.imag, g.imag)):
+            part += ladders[:, np.minimum(n, ladders.shape[1] - 1)] * c
+    amps /= math.sqrt(2.0)
+    np.putmask(amps, (sites < i - radii[:, None])
+               | (sites > j + radii[:, None]), 0.0)
+    return SingleParticleState(int(sites[0]), amps, tuple(norms))
 
 
 def _orbitals(i, j, phi, lam_t, window, pair=False):
@@ -151,10 +186,10 @@ def _orbitals(i, j, phi, lam_t, window, pair=False):
         raise ValueError("seed sites must differ")
     i, j = (i, j) if i < j else (j, i)
     if window is None:
-        window, = windows(i, j, phi, [lam_t], pair=pair)
+        window = next(zip(*windows(i, j, phi, [lam_t], pair=pair)))
     radius, rows = window
-    g = _ladder(rows)
     span = j - i
+    g = _ladder(rows[..., :radius + span + 1])
     return np.arange(i - radius, j + radius + 1), g[..., span:], g[..., :-span]
 
 
@@ -168,26 +203,27 @@ def _times_conj(u, v):
 class SingleParticleState(XView):
     """One conserved excitation on the vacuum, gamma = 0.
 
-    Amplitudes are stored on the window [start, start + len - 1] of the
-    last axis, one row per time of a block that shares the window; sites
-    outside carry weight below the normalization tolerance.  With no
-    amplitudes it is the stationary vacuum.  |w|^2 is rounded as the scalar
-    abs(w) ** 2 (libm pow), so grids give site-by-site values bit for bit.
+    Amplitudes are stored on the sites [start, start + len - 1] of the
+    last axis, one row per time: a whole window (the sites outside carry
+    weight below the normalization tolerance), or a block packet's read
+    sites with norms, each time's window sums of |w| and |w|^2 (None sums
+    the amplitudes).  Zero amplitudes make the stationary vacuum.  |w|^2
+    rounds as the scalar abs(w) ** 2 (libm pow), so grids give site-by-site
+    values bit for bit.
     """
 
     start: int
     amps: np.ndarray
-
-    @functools.cached_property
-    def _padded(self):
-        edge = np.zeros(self.amps.shape[:-1] + (1,), dtype=complex)
-        return np.concatenate((edge, self.amps, edge), axis=-1)
+    norms: tuple = None
 
     def w(self, sites):
-        """Amplitudes at the sites (any shape), after the times; zero outside
-        the window, where the clipped index lands on a padding zero."""
-        return self._padded.take(np.subtract(sites, self.start - 1), axis=-1,
-                                 mode="clip")
+        """Amplitudes at the sites (any shape), after the times; zero
+        outside the sites held."""
+        idx = np.subtract(sites, self.start)
+        inside = (idx >= 0) & (idx < self.amps.shape[-1])
+        w = np.asarray(self.amps.take(np.where(inside, idx, 0), axis=-1))
+        w[..., ~inside] = 0.0
+        return w
 
     def _population(self, sites):
         return np.float_power(_modulus(self.w(sites)), 2)
@@ -208,20 +244,22 @@ class SingleParticleState(XView):
         """Closed forms over the window, O(1) per site after one window sum
         per time: sum_q C_nq = 2|w_n| (sum_q |w_q| - |w_n|) and
         sum_q C_nq^2 = 4|w_n|^2 (sum_q |w_q|^2 - |w_n|^2)."""
-        modulus, population = _modulus(self.w(n)), self._population(n)
+        modulus = _modulus(self.w(n))
+        population = np.float_power(modulus, 2)  # as _population rounds
         lead = np.shape(self.amps)[:-1] + (1,) * np.ndim(n)
-        window = _modulus(self.amps)
-        total = window.sum(-1).reshape(lead)
-        square = np.square(window, out=window).sum(-1).reshape(lead)
+        norms = self.norms
+        if norms is None:  # the amplitudes hold the whole window
+            window = _modulus(self.amps)
+            norms = window.sum(-1), np.square(window, out=window).sum(-1)
+        total, square = (np.reshape(v, lead) for v in norms)
         return (2.0 * modulus * (total - modulus),
                 4.0 * population * (square - population))
 
 
 def wavepacket(i, j, phi, t, lam, window=None):
     """Evolved one-particle Bell seed (c_i + e^{i phi} c_j)^dag |vac>/sqrt(2)
-    on its entry of `windows` (sized here when None), or one packet on a
-    (radius, (times, ladder)) block of times that share the radius; t is
-    read only to size a window."""
+    on its window (radius, ladder) of `windows` (sized here when None); t
+    is read only to size a window."""
     sites, gi, gj = _orbitals(i, j, phi, abs(lam) * t, window)
     amps = (gi + seed_amp(phi) * gj) / math.sqrt(2.0)
     return SingleParticleState(start=int(sites[0]), amps=amps)

@@ -126,7 +126,7 @@ def _expectations(contractions, kinds, sites):
     arrays of kind codes and sites, as one real stack of times x count."""
     n = kinds.shape[1]
     p, q = np.triu_indices(n, 1)
-    upper = contractions.entries(kinds, sites)
+    upper = contractions.entries(kinds, sites, (p, q))
     shape = upper.shape[:2]
     mats = np.zeros((n, n) + shape)
     mats[p, q] = upper.transpose(2, 0, 1)

@@ -43,11 +43,12 @@ packet (the gamma = 0 vacuum is the empty packet) and `isotropic.PhiState`
 at gamma = 0, and Pfaffian contractions otherwise or in equilibrium; the
 oracle's view is the evolved ring (`oracle.RingState`), whose X entries
 come from one pass over the state and whose concurrence is Wootters' on
-them.  A stationary view serves the whole grid, a packet a run of times
-whose Bessel windows (`isotropic.windows`, sized a block at a time, each
-block within WINDOW_BLOCK_BYTES by its own longest ladder) share a radius,
-Pfaffian contractions such a block (bounded by its partner concurrences
-too), any other view one time.  Pfaffian tables reach what the grid reads
+them.  A stationary view serves the whole grid, a packet a block of
+Bessel windows (`isotropic.windows`, sized a block at a time, each block
+within WINDOW_BLOCK_BYTES by its own longest ladder and its packet's
+amplitudes on the sites the grid reads), Pfaffian contractions such a
+block (bounded by their tables and partner concurrences), any other view
+one time.  Pfaffian tables reach what the grid reads
 (`AnalyticEngine.views`), Bessel windows start at the light cone, and
 every seed's phase is `model.seed_amp`.  What the analytic engine cannot
 represent exactly (knitted scenarios, phi_bell at gamma != 0, ckw_residual
@@ -352,12 +353,13 @@ class AnalyticEngine:
         """(times, view, baseline) of each block, in order: a Bell seed's
         baseline is the vacuum it sits on, a stationary state is its own and
         one view for the whole grid.  At gamma = 0 a block of windows holds
-        at most WINDOW_BLOCK_BYTES by its own longest ladder, and a packet
-        a run of them that share a radius; a pair seed has a view per time.
-        A block's window failure is raised before any view of that block is
-        measured.  At gamma != 0 a block is cut the same way by its tables,
-        of radius `reach` plus a Bell seed's farthest grid site, and
-        partners."""
+        at most WINDOW_BLOCK_BYTES by its own longest ladder plus, for a
+        packet, its complex amplitudes on the sites the grid reads (x_start
+        to x_stop + max(concurrence_distance, 1)); a packet serves the whole
+        block, a pair seed has a view per time.  A block's window failure is
+        raised before any view of that block is measured.  At gamma != 0 a
+        block is cut the same way by its tables, of radius `reach` plus a
+        Bell seed's farthest grid site, and partners."""
         cfg = self.config
         if self._ground is not None:
             stationary = _ContractionView(self._ground)
@@ -379,27 +381,27 @@ class AnalyticEngine:
                     _ContractionView(con.vacuum) if span else view)
             return
         else:  # the gamma = 0 vacuum is stationary: the empty packet
-            stationary = isotropic.SingleParticleState(0, np.zeros(0, complex))
+            stationary = isotropic.SingleParticleState(
+                0, np.zeros(1, complex))
         if cfg.kind in ("vacuum_only", "ground_state_equilibrium"):
             yield times, stationary, stationary
             return
-        pair = cfg.kind == "phi_bell"
-        state = isotropic.PhiState if pair else isotropic.wavepacket
-        lam_ts = [abs(cfg.lam) * t for t in times]
-        span = abs(cfg.j - cfg.i)
-        for k in _ladder_blocks(
-                (light_cone_radius(self.params, times) + span + 1).tolist()):
-            block = zip(times[k], isotropic.windows(
-                cfg.i, cfg.j, cfg.seed_phase, lam_ts[k], pair=pair))
-            for radius, run in itertools.groupby(
-                    block, key=lambda entry: entry[1][0]):
-                ts, rows = zip(*[(t, row) for t, (_, row) in run])
-                width = 1 if pair else len(ts)  # a packet takes the run
-                for s in range(0, len(ts), width):
-                    ladders = rows[s] if pair else np.stack(rows[s:s + width])
-                    view = state(cfg.i, cfg.j, cfg.seed_phase, ts[s], cfg.lam,
-                                 window=(radius, ladders))
-                    yield list(ts[s:s + width]), view, stationary
+        pair, seed = cfg.kind == "phi_bell", (cfg.i, cfg.j, cfg.seed_phase)
+        lam_ts = abs(cfg.lam) * np.asarray(times)
+        reads = range(cfg.x_start, cfg.x_stop + max(cfg.concurrence_distance,
+                                                    1) + 1)
+        held = 0 if pair else 2 * len(reads)  # a packet's complex amplitudes
+        for k in _ladder_blocks((light_cone_radius(self.params, times) + 1
+                                 + abs(cfg.j - cfg.i) + held).tolist()):
+            if not pair:  # the block's ladders go with the packet's making
+                packet = isotropic.block_packet(
+                    *seed, isotropic.windows(*seed, lam_ts[k]), reads)
+                yield times[k], packet, stationary
+                continue
+            for t, radius, ladder in zip(times[k], *isotropic.windows(
+                    *seed, lam_ts[k], pair=True)):
+                yield [t], isotropic.PhiState(
+                    *seed, t, cfg.lam, window=(radius, ladder)), stationary
 
 
 class OracleEngine:
@@ -473,11 +475,12 @@ def run_scenario(config):
 def write_csv(grid, stream):
     """A grid as CSV rows measure,x,t,value by name, x, then t, t and value
     to 12 significant digits: one format call per (name, x) column, on t
-    fields formatted once and a %.12g left for each value."""
+    fields formatted once and a %.12g left for each value, with only that
+    column's values as Python floats."""
     times, sites, columns = grid
     tails = [",%.12g,%%.12g\n" % t for t in times]
     stream.write("measure,x,t,value\n")
     for name in sorted(columns):
-        for x, column in zip(sites, columns[name].T.tolist()):
+        for x, column in zip(sites, columns[name].T):
             head = "%s,%d" % (name, x)
-            stream.write((head + head.join(tails)) % tuple(column))
+            stream.write((head + head.join(tails)) % tuple(column.tolist()))

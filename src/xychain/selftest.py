@@ -108,8 +108,8 @@ def run_case(gamma, lam, kind, fast=False):
     times = [lam_t / lam for lam_t in lt_grid]
     windows = [None] * len(lt_grid)
     if isotropic_route and not vacuum:
-        windows = isotropic.windows(SEED_I, SEED_J, np.pi,
-                                    [abs(lam) * t for t in times])
+        windows = list(zip(*isotropic.windows(
+            SEED_I, SEED_J, np.pi, [abs(lam) * t for t in times])))
     # each time's sites, and its pair cells then the fidelity pairs
     # (s, s + 1) in the window; one contraction block over all times reads
     # the union of their cells, and each time picks its own rows

@@ -103,7 +103,7 @@ def test_criterion_04_propagation_velocity():
         tstars = []
         for x in xs:
             grid = np.arange(0.01 / lam, (x + 18) / lam + 1e-12, 0.01 / lam)
-            windows = isotropic.windows(0, 1, np.pi, abs(lam) * grid)
+            windows = zip(*isotropic.windows(0, 1, np.pi, abs(lam) * grid))
             vals = [
                 isotropic.wavepacket(0, 1, np.pi, t, lam, window=w)
                 .concurrence(0, x) for t, w in zip(grid, windows)

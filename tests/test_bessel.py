@@ -136,3 +136,32 @@ def test_batched_rows_match_the_scalar_reference():
                 min_size=1, max_size=6))
 def test_batched_rows_property(lanes):
     assert_rows_are_reference([n for n, _ in lanes], [v for _, v in lanes])
+
+
+def _start_bound(nmax, x):
+    """start * log1p(2 start / x) of the sweep of a lane, as in bessel_row:
+    below 540 ln 10 no order of the lane can pass 1e250."""
+    start = max(nmax, int(math.ceil(x))) + 16
+    start += int(2.0 * math.sqrt(start)) + 20
+    start += start % 2
+    return start * math.log1p(2.0 * start / x)
+
+
+def test_a_lane_past_the_bound_rescales_beside_lanes_within_it():
+    # nmax 2000 at x = 0.01 passes 1e250 many times over, so its batch
+    # tests every order; the other lanes keep the bound, and a batch of
+    # them alone sweeps with no rescale test: every lane has the bits of
+    # its own single-lane sweep and of the scalar reference
+    nmax = [60, 2000, 300, 5, 40, 400]
+    x = [37.5, 0.01, 300.0, 2.0, 0.37, 150.0]
+    tripped = [_start_bound(n, v) >= 540 * math.log(10)
+               for n, v in zip(nmax, x)]
+    assert tripped == [False, True, False, False, False, False]
+    mixed, within = bessel_rows(nmax, x), bessel_rows(nmax[2:], x[2:])
+    for k, (n, v) in enumerate(zip(nmax, x)):
+        alone = bessel_rows([n], [v])[0]
+        assert mixed[k, :n + 1].tobytes() == alone.tobytes()
+        assert np.array_equal(alone, bessel_row(n, v))
+        assert not mixed[k, n + 1:].any()
+        if k >= 2:
+            assert within[k - 2, :n + 1].tobytes() == alone.tobytes()

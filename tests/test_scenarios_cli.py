@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import grid_rows
+from helpers import grid_rows, same_bits
 from xychain import correlators, groundstate, isotropic, measures, scenarios
 from xychain.errors import (CapabilityError, ConfigError, CutoffError,
                             OutOfRangeError)
@@ -472,12 +472,14 @@ def counting_methods(monkeypatch, cls, names):
 
 def test_measure_rows_asks_a_view_once_per_request(monkeypatch):
     # one_tangle, total_concurrence and ckw_residual share the answers of
-    # each of the 13 packet views of the singlet spread
+    # each packet view of the singlet spread, one view per block of windows
     asked = ("one_tangle", "partner_sums")
     calls = counting_methods(monkeypatch, isotropic.SingleParticleState,
                              asked)
-    run_scenario(parse_config_file(SCRIPTS / "singlet_spread.cfg"))
-    assert calls == {"one_tangle": 13, "partner_sums": 13}
+    cfg = parse_config_file(SCRIPTS / "singlet_spread.cfg")
+    blocks = list(scenarios.make_engine(cfg).views(cfg.times()))
+    run_scenario(cfg)
+    assert calls == {"one_tangle": len(blocks), "partner_sums": len(blocks)}
     # a vacuum at gamma != 0 is its own baseline: one_tangle and
     # tangle_deviation share one answer per block of times
     calls = counting_methods(monkeypatch, scenarios._ContractionView, asked)
@@ -611,15 +613,15 @@ def test_bessel_route_holds_one_block_of_ladders():
     assert peak < 2e6
 
 
-def test_bessel_route_builds_one_packet_per_run_of_equal_radius(monkeypatch):
+def test_bessel_route_builds_one_packet_per_block_of_windows(monkeypatch):
     # lam*t steps by 0.1, so about ten times in a row share the window
-    # radius ceil(lam*t) + LIGHT_CONE_PAD
+    # radius ceil(lam*t) + LIGHT_CONE_PAD; a block of windows spans many
+    # such runs, and its one packet holds each time's window sums and the
+    # amplitudes on the four sites the grid reads (x = 0 to 0 + 3)
     cfg = parse_config_text(ISOTROPIC.format(
         lam=1.0, kind="psi_bell", i=0, j=1, phi=0.3, t_start=0.0,
         t_stop=300.0, dt=0.1, x_start=0, x_stop=0, measures="one_tangle"))
     times = cfg.times()
-    radii = [radius for radius, _ in isotropic.windows(0, 1, 0.3, times)]
-    runs = sum(1 for k, r in enumerate(radii) if k == 0 or r != radii[k - 1])
     blocks = []
 
     def counting_windows(*args, **kwargs):
@@ -629,16 +631,51 @@ def test_bessel_route_builds_one_packet_per_run_of_equal_radius(monkeypatch):
     windows = isotropic.windows
     monkeypatch.setattr(isotropic, "windows", counting_windows)
     views = list(scenarios.AnalyticEngine(cfg).views(times))
-    assert len(times) == 3001 and runs < 400
-    # each block of windows after the first may cut one run in two
-    assert runs <= len(views) <= runs + len(blocks) - 1
-    # a block holds WINDOW_BLOCK_BYTES by its own longest ladder, so the
-    # short ladders of early times share a few long blocks
-    for *_, lam_ts in blocks:
+    assert len(times) == 3001 and len(views) == len(blocks)
+    assert sum((ts for ts, _, _ in views), []) == times
+    for (ts, view, _), (*_, lam_ts) in zip(views, blocks):
+        assert view.amps.shape == (len(ts), 4) and view.start == 0
+        assert [np.shape(v) for v in view.norms] == [(len(ts),)] * 2
+        # a block holds WINDOW_BLOCK_BYTES by its own longest ladder, so
+        # the short ladders of early times share a few long blocks
         longest = math.ceil(max(lam_ts)) + LIGHT_CONE_PAD + 2
         assert 8 * len(lam_ts) * longest <= scenarios.WINDOW_BLOCK_BYTES
     assert sum(len(lam_ts) for *_, lam_ts in blocks) == 3001
     assert len(blocks) <= 20
+
+
+@pytest.mark.parametrize("phi, i, j, t_start, t_stop, dt", [
+    pytest.param(0.0, 0, 1, 0.0, 100.0, 0.25, id="phase-0-span-1"),
+    pytest.param(math.pi, -1, 1, 0.0, 100.0, 0.25, id="phase-pi-span-2"),
+    pytest.param(2.1, 2, 5, 0.0, 100.0, 0.25, id="phase-2.1-span-3"),
+    # past lam*t ~ 361 the windows widen beyond the light cone
+    pytest.param(2.1, 0, 1, 370.0, 390.0, 0.5, id="phase-2.1-widening")])
+def test_block_packets_equal_per_time_packets_bit_for_bit(phi, i, j, t_start,
+                                                          t_stop, dt):
+    # a block's packet holds only the amplitudes on the sites the grid
+    # reads and each time's window sums, taken run by run on the real
+    # ladders; every measure at every grid site has the bits of the packet
+    # `wavepacket` builds for its time alone
+    cfg = parse_config_text(ISOTROPIC.format(
+        lam=1.0, kind="psi_bell", i=i, j=j, phi=phi, t_start=t_start,
+        t_stop=t_stop, dt=dt, x_start=-6, x_stop=6, measures=", ".join(
+            MEASURES)))
+    times = cfg.times()
+    views = list(scenarios.AnalyticEngine(cfg).views(times))
+    radii, _ = isotropic.windows(i, j, phi, times)
+    cone = np.ceil(times).astype(int) + LIGHT_CONE_PAD
+    assert np.any(radii > cone) if t_start else len(views) > 1
+    start = 0
+    for ts, view, baseline in views:
+        # each block spans several runs of times that share a radius
+        assert len(set(radii[start:start + len(ts)].tolist())) > 1
+        got = dict(scenarios.measure_rows(cfg, view, baseline, ts))
+        for k, t in enumerate(ts):
+            alone = isotropic.wavepacket(i, j, phi, t, cfg.lam)
+            for name, want in scenarios.measure_rows(cfg, alone, baseline,
+                                                     [t]):
+                assert same_bits(got[name][k], want[0]), (name, t)
+        start += len(ts)
 
 
 def test_bessel_route_bounds_the_partner_sums_of_a_view():
