@@ -2,9 +2,12 @@
 """Print the sha256 of every output a performance change must keep.
 
 One line per output: every ``scripts/*.cfg`` CSV, the table of
-``scripts/gs_table.py``, and each perfbench operation's output for input
-sets 0-9 of every workload (a scenario's CSV; for a ``selftest.run_case``
-operation, its label, cell count and every recorded deviation in repr).
+``scripts/gs_table.py``, the CSVs of ``scripts/singlet_gamma.cfg`` and of a
+``vacuum_only`` run on its *x60* grid (x in [-60, 60], dt = 0.1: 81 times,
+where the Pfaffian stacks are many), and each perfbench operation's output
+for input sets 0-9 of every workload (a scenario's CSV; for a
+``selftest.run_case`` operation, its label, cell count and every recorded
+deviation in repr).
 Run it in two checkouts and compare with ``diff``:
 
     python3 scripts/output_digests.py > digests.txt
@@ -13,6 +16,7 @@ It imports ``xychain`` from ``src/`` of the checkout it sits in.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -54,6 +58,12 @@ def digests():
     with contextlib.redirect_stdout(table):
         gs_table.main()
     yield "gs_table.py", table.getvalue()
+    path = ROOT / "scripts" / "singlet_gamma.cfg"
+    singlet = parse_config_text(path.read_text(), source=str(path))
+    x60 = dataclasses.replace(singlet, dt=0.1, x_start=-60, x_stop=60)
+    yield "singlet_gamma.cfg x60", _csv(x60)
+    yield "vacuum_only x60", _csv(dataclasses.replace(x60,
+                                                      kind="vacuum_only"))
     for workload in WORKLOADS:
         for seed in range(REFERENCE_SEEDS):
             for op in operations(workload, seed):

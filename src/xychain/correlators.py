@@ -58,13 +58,17 @@ the seed's own radius; the scenario engine sizes a block's radius by what
 its grid reads, the wrappers below by the light cone of its latest time.
 
 Every translation-invariant Gaussian state is a `PairTables`: rows AA,
-AB, BA, BB of K(l, l + r) over |r| <= radius at a block of times, read by
-one `entries`, which gives the upper triangle of K for whole arrays of
-strings (kinds are the codes A and B) at every time of the block.  The
-vacuum fills the rows by one ring sum per time, so a time's values depend
-only on (t, radius); the ground state (`groundstate`) fills them by
-quadrature, and a Bell seed's `entries` are its vacuum's plus the update.
-A separation beyond the radius raises CutoffError.
+AB, BA, BB of K(l, l + r) over |r| <= radius, held as (kind pair,
+separation, time) so that each entry is a vector over the block's times.
+One `entries` gather gives the upper triangle of K for whole arrays of
+strings (kinds are the codes A and B, operators first) as a real
+(pairs, strings, times) block, the layout a Pfaffian stack is filled in.
+The vacuum fills the rows by one ring sum per time, so a time's values
+depend only on (t, radius); the ground state (`groundstate`) fills them
+by quadrature.  A Bell seed's `entries` are its vacuum's block plus the
+update, added in place from real gathers of the per-operator rows Re u
+and Im u (operators, times).  A separation beyond the radius raises
+CutoffError.
 """
 
 import math
@@ -127,24 +131,25 @@ def _ring_tables(params, t, radius, sector):
 
 class PairTables:
     """The real antisymmetric K of a translation-invariant Gaussian state
-    at a block of times: tables (times, 4, 2 * radius + 1) with rows AA,
-    AB, BA, BB by kind pair 2 * kind_l + kind_m, and entry r + radius of a
-    row at separation r = m - l.  what names the table in a CutoffError."""
+    at a block of times: tables (4, 2 * radius + 1, times) with rows AA,
+    AB, BA, BB by kind pair 2 * kind_l + kind_m, entry r + radius of a row
+    at separation r = m - l, and each entry a time vector.  what names the
+    table in a CutoffError."""
 
     def __init__(self, times, radius, tables, what):
         self.times, self.radius, self._tables = times, int(radius), tables
         self._what = what
 
     def entries(self, kinds, sites, pairs=None):
-        """K(p, q), (times, ..., n (n - 1) / 2) in `numpy.triu_indices`
-        order, of strings given by kind codes and sites (..., n), which
-        broadcast; pairs is the (p, q) of that order, when the caller has
+        """K(p, q), (n (n - 1) / 2, ..., times) in `numpy.triu_indices`
+        order, of strings given operators first by kind codes and sites
+        (n, ...), which broadcast: one gather of time vectors into a fresh
+        array.  pairs is the (p, q) of that order, when the caller has
         it."""
         kinds, sites = np.asarray(kinds), np.asarray(sites)
-        p, q = pairs or np.triu_indices(kinds.shape[-1], 1)
-        idx = _table_index(sites[..., q] - sites[..., p], self.radius,
-                           self._what)
-        return self._tables[:, 2 * kinds[..., p] + kinds[..., q], idx]
+        p, q = pairs or np.triu_indices(len(sites), 1)
+        idx = _table_index(sites[q] - sites[p], self.radius, self._what)
+        return self._tables[2 * kinds[p] + kinds[q], idx]
 
 
 class VacuumContractions(PairTables):
@@ -155,10 +160,11 @@ class VacuumContractions(PairTables):
 
     def __init__(self, params, times, radius, sector="antiperiodic"):
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        rows = [_ring_tables(params, t, radius, sector) for t in times]
-        self.v_table, self.e_table, self.o_table, tables = map(
-            np.stack, zip(*rows))
-        super().__init__(times, radius, tables, "contraction")
+        v, e, o, tables = zip(*[_ring_tables(params, t, radius, sector)
+                                for t in times])
+        self.v_table, self.e_table, self.o_table = map(np.stack, (v, e, o))
+        super().__init__(times, radius, np.stack(tables, axis=-1),
+                         "contraction")
 
 
 class BellContractions:
@@ -188,11 +194,12 @@ class BellContractions:
 
     def entries(self, kinds, sites, pairs=None):
         """K(p, q) of strings as `PairTables.entries`: the vacuum's plus
-        2 Im(conj(u_p) u_q) / n2, u formed once per distinct (kind, site)
-        operator of the strings, from one gather of the kernels V, E, O at
-        both sources, and gathered to every slot."""
+        2 (Re u_p Im u_q - Im u_p Re u_q) / n2, added in place.  u is formed
+        once per distinct (kind, site) operator of the strings, from one
+        gather of the kernels V, E, O at both sources, and its real and
+        imaginary rows (operators, times) are gathered to every slot."""
         kinds, sites = np.asarray(kinds), np.asarray(sites)
-        p, q = pairs or np.triu_indices(kinds.shape[-1], 1)
+        p, q = pairs or np.triu_indices(len(sites), 1)
         vac = self.vacuum
         upper = vac.entries(kinds, sites, (p, q))
         codes = 2 * sites + kinds  # one code per operator, kind in bit 0
@@ -203,9 +210,17 @@ class BellContractions:
         x = np.where(((ops & 1) == A)[:, None], v + 1j * (e - o),
                      1j * v - (e + o))
         u = self.weights[0] * x[..., 0] + self.weights[1] * x[..., 1]
+        re, im = np.ascontiguousarray(u.real.T), np.ascontiguousarray(u.imag.T)
         slots = slots.reshape(codes.shape)
-        up, uq = u[:, slots[..., p]], u[:, slots[..., q]]
-        return upper + 2.0 * (up.real * uq.imag - up.imag * uq.real) / self.n2
+        sp, sq = slots[p], slots[q]
+        update = re[sp]  # in place: one gather beside each product
+        update *= im[sq]
+        cross = im[sp]
+        cross *= re[sq]
+        update -= cross
+        update *= 2.0
+        upper += np.divide(update, self.n2, out=update)
+        return upper
 
 
 def vacuum_contractions(params, times):

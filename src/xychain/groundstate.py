@@ -67,7 +67,7 @@ def pair_tables(g):
     """The ground state's K tables from G(r) on |r| <= radius."""
     zero = np.zeros_like(g)
     return PairTables((None,), len(g) // 2,
-                      np.stack([zero, g, -g[::-1], zero])[None],
+                      np.stack([zero, g, -g[::-1], zero])[..., None],
                       "ground-state table")
 
 

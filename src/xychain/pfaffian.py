@@ -32,22 +32,23 @@ independent row-replacement expansion of the same expectation.
 yy, zz, xy, yx: sizes 2R, 2R, 4, 2R, 2R), groups them by size n and cuts
 each group into stacks of at most STACK_CHUNK entries (times x strings x
 n^2, one string at least), so short strings share a few large stacks.  A
-stack is assembled stack last, (n, n, times x strings), from the upper
-triangle the state's `entries` gives, the lower one its negative, and
-goes through `pfaffians`, a batched Parlett-Reid tridiagonalization
-(Wimmer, ACM TOMS 38:30, 2012) over contiguous stack vectors with the
-pivot chosen per matrix.  Its stacks are real, and real products round
-the same in a stack of any size, so a time's values do not depend on its
-block; a zero pivot column gives Pfaffian 0.  The tests check `pfaffians`
-bit for bit against the row-major elimination, and against
-pf(M)^2 = det(M).
+stack is allocated once, stack last, (n, n, strings x times): the state's
+`entries` give its upper triangle as one real (pairs, strings, times)
+block, written straight into it and then negated in place into the
+lower one.  It goes through `pfaffians`, a batched Parlett-Reid
+tridiagonalization (Wimmer, ACM TOMS 38:30, 2012) over contiguous stack
+vectors with the pivot chosen per matrix.  Its stacks are real, and real
+products round the same in a stack of any size, so a time's values do
+not depend on its block; a zero pivot column gives Pfaffian 0.  The
+tests check `pfaffians` bit for bit against the row-major elimination,
+and against pf(M)^2 = det(M).
 """
 
 import numpy as np
 
 from .correlators import A, B
 
-STACK_CHUNK = 128 * 14 ** 2  # entries per stack (times x strings x n^2)
+STACK_CHUNK = 256 * 14 ** 2  # entries per stack (times x strings x n^2)
 COMPONENTS = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "x"))
 _SWAPPED = (0, 1, 2, 4, 3)  # component columns of (m, l) from those of (l, m)
 
@@ -68,13 +69,19 @@ def pfaffians(a):
         return a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
     val = np.ones(count, dtype=a.dtype)
     buffers = np.empty((2, n - 2, n - 2, count), dtype=a.dtype)
+    every = np.arange(count)
     for k in range(0, n - 2, 2):
         piv = k + 1 + np.argmax(np.abs(a[k + 1:, k]), axis=0)
-        s = np.flatnonzero(piv != k + 1)
-        p = piv[s]  # swaps start at k: rows, columns before it stay unread
-        a[k + 1, k:, s], a[p, k:, s] = a[p, k:, s], a[k + 1, k:, s]
-        a[k:, k + 1, s], a[k:, p, s] = a[k:, p, s], a[k:, k + 1, s]
-        val[s] = -val[s]
+        # rows, then columns, k + 1 and piv trade places in every matrix
+        # (most swap; the rest write a row onto itself) by one gather and
+        # one scatter each; swaps start at k, as earlier ones stay unread
+        row = a[k + 1, k:].copy()
+        a[k + 1, k:] = a[piv, k:, every].T
+        a[piv, k:, every] = row.T
+        column = a[k:, k + 1].copy()
+        a[k:, k + 1] = a[k:, piv, every]
+        a[k:, piv, every] = column
+        np.negative(val, out=val, where=piv != k + 1)
         # a pivot below 1e-300 leaves a column k of underflow: val goes to
         # 0, and dividing by 1 keeps the stack finite where 1 / pivot is not
         pivot = a[k + 1, k]
@@ -121,18 +128,19 @@ def operator_string(alpha, beta, l, m):
     return kinds, a_sites + b_sites, pref
 
 
-def _expectations(contractions, kinds, sites):
+def _expectations(contractions, kinds, sites, triangle):
     """pf(K) (times, count) of equal-size strings given as (count, n)
-    arrays of kind codes and sites, as one real stack of times x count."""
+    arrays of kind codes and sites, as one real stack of count x times:
+    the state's (pairs, count, times) block of the upper triangle (p, q)
+    is written into it, then negated in place for the lower one."""
     n = kinds.shape[1]
-    p, q = np.triu_indices(n, 1)
-    upper = contractions.entries(kinds, sites, (p, q))
-    shape = upper.shape[:2]
-    mats = np.zeros((n, n) + shape)
-    mats[p, q] = upper.transpose(2, 0, 1)
-    mats[q, p] = -mats[p, q]
-    del upper  # the elimination's buffers take their place
-    return pfaffians(mats.reshape(n, n, -1)).reshape(shape)
+    p, q = triangle
+    upper = contractions.entries(kinds.T, sites.T, triangle)
+    mats = np.zeros((n, n) + upper.shape[1:])
+    mats[p, q] = upper
+    mats[q, p] = np.negative(upper, out=upper)
+    del upper  # the elimination's buffers take its place
+    return pfaffians(mats.reshape(n, n, -1)).reshape(mats.shape[2:]).T
 
 
 def bundles(contractions, pairs):
@@ -158,9 +166,11 @@ def bundles(contractions, pairs):
     values = np.empty((len(times), len(pairs), len(COMPONENTS) + 2))
     for n, group in blocks.items():
         step = max(1, STACK_CHUNK // (len(times) * n * n))  # strings a stack
+        triangle = np.triu_indices(n, 1)
         rows, cols, kinds, sites, prefs = map(np.concatenate, zip(*group))
         values[:, rows, cols] = prefs * np.concatenate([
-            _expectations(contractions, kinds[s:s + step], sites[s:s + step])
+            _expectations(contractions, kinds[s:s + step], sites[s:s + step],
+                          triangle)
             for s in range(0, len(rows), step)], axis=1)
     swapped = pairs[:, 0] > pairs[:, 1]
     values[:, swapped, :5] = values[:, swapped][..., _SWAPPED]
@@ -171,6 +181,7 @@ def bundles(contractions, pairs):
 def magnetization(contractions, sites):
     """<S^z_l> = -(1/2) <A_l B_l> = K_AB(l, l) / 2, (times, *shape), at
     the sites (any shape): the entry of the string (A_l, B_l)."""
-    sites = np.asarray(sites, dtype=int)[..., None]
-    return 0.5 * contractions.entries(
-        [A, B], np.concatenate([sites, sites], axis=-1))[..., 0]
+    sites = np.asarray(sites, dtype=int)
+    entry = contractions.entries(np.reshape([A, B], (2,) + (1,) * sites.ndim),
+                                 np.stack([sites, sites]))[0]
+    return 0.5 * np.moveaxis(entry, -1, 0)

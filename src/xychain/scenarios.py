@@ -315,14 +315,23 @@ class _ContractionView(measures.XView):
 
 
 def _ladder_blocks(lengths):
-    """Slices of ladders, each within WINDOW_BLOCK_BYTES by its longest."""
-    start = longest = 0
-    for k, n in enumerate(lengths):
-        longest = max(longest, n, 1)
-        if k > start and 8 * (k + 1 - start) * longest > WINDOW_BLOCK_BYTES:
-            yield slice(start, k)
-            start, longest = k, max(n, 1)
-    yield slice(start, len(lengths))
+    """The slices of ladders, each within WINDOW_BLOCK_BYTES by its longest
+    (a length of 0 counts as 1) or one ladder over it alone; no ladders
+    are one empty slice.  A block ends at the first ladder k past its
+    start where 8 (k + 1 - start) max(lengths[start:k + 1]) exceeds the
+    budget, at most budget / (8 lengths[start]) + 1 ladders on."""
+    lengths = np.maximum(np.asarray(lengths, dtype=np.int64), 1)
+    blocks, start = [], 0
+    while start < len(lengths):
+        window = lengths[start:start + 2 + WINDOW_BLOCK_BYTES // (
+            8 * lengths[start])]
+        over = 8 * np.arange(1, len(window) + 1) * np.maximum.accumulate(
+            window) > WINDOW_BLOCK_BYTES
+        over[0] = False
+        stop = start + int(np.argmax(over)) if over.any() else len(lengths)
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks or [slice(0, 0)]
 
 
 class AnalyticEngine:
@@ -391,8 +400,8 @@ class AnalyticEngine:
         reads = range(cfg.x_start, cfg.x_stop + max(cfg.concurrence_distance,
                                                     1) + 1)
         held = 0 if pair else 2 * len(reads)  # a packet's complex amplitudes
-        for k in _ladder_blocks((light_cone_radius(self.params, times) + 1
-                                 + abs(cfg.j - cfg.i) + held).tolist()):
+        for k in _ladder_blocks(light_cone_radius(self.params, times) + 1
+                                + abs(cfg.j - cfg.i) + held):
             if not pair:  # the block's ladders go with the packet's making
                 packet = isotropic.block_packet(
                     *seed, isotropic.windows(*seed, lam_ts[k]), reads)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xychain import correlators, isotropic, measures, oracle
+from xychain import correlators, isotropic, measures, oracle, scenarios
 from xychain.bessel import bessel_rows
 from xychain.correlators import A, B
 from xychain.model import LIGHT_CONE_PAD, momentum_grid
@@ -235,8 +235,8 @@ def expectation(con, kind_l, l, kind_m, m):
     B_l^2 = -1 when it is the same operator on the same site.  The
     arguments broadcast."""
     kind_l, l, kind_m, m = np.broadcast_arrays(kind_l, l, kind_m, m)
-    k = con.entries(np.stack([kind_l, kind_m], axis=-1),
-                    np.stack([l, m], axis=-1))[..., 0]
+    k = np.moveaxis(con.entries(np.stack([kind_l, kind_m]),
+                                np.stack([l, m]))[0], -1, 0)
     same = (l == m) & (kind_l == kind_m)
     return 1j ** (1 + kind_l + kind_m) * k + np.where(same, 1 - 2 * kind_l, 0)
 
@@ -291,27 +291,27 @@ def pfaffians_row_major(a):
     return val * a[:, n - 2, n - 1]
 
 
-def expectations_row_major(contractions, kinds, sites):
+def expectations_row_major(contractions, kinds, sites, triangle):
     """`pfaffian._expectations` on full (times, count, n, n) real stacks:
-    the upper triangle from the state's `entries`, the lower one its
-    negative, and `pfaffians_row_major`."""
+    the upper triangle (p, q) from the state's (pairs, count, times)
+    `entries`, the lower one its negative, and `pfaffians_row_major`."""
     n = kinds.shape[1]
-    p, q = np.triu_indices(n, 1)
-    upper = contractions.entries(kinds, sites)
+    p, q = triangle
+    upper = contractions.entries(kinds.T, sites.T).T
     mats = np.zeros(upper.shape[:2] + (n, n))
     mats[..., p, q] = upper
     mats[..., q, p] = -upper
     return pfaffians_row_major(mats.reshape(-1, n, n)).reshape(upper.shape[:2])
 
 
-def expectations_complex(contractions, kinds, sites):
+def expectations_complex(contractions, kinds, sites, triangle):
     """The complex route's `pfaffian._expectations`, kept as a reference:
     the vacuum's complex pair matrix M (`expectation`), a Bell seed's
     update (bra_p ket_q - bra_q ket_p) / n2 (`bra_ket`) added to each
     triangle in its own operand order, and complex row-major Pfaffians
     pf(M), returned as the real part of pf(M) / i^(n/2 + n_B) = pf(K)."""
     n = kinds.shape[1]
-    p, q = np.triu_indices(n, 1)
+    p, q = triangle
     vac = getattr(contractions, "vacuum", contractions)
     upper = expectation(vac, kinds[:, p], sites[:, p], kinds[:, q],
                         sites[:, q])
@@ -347,3 +347,17 @@ def same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
     return (x.shape == y.shape and x.dtype == y.dtype
             and x.tobytes() == y.tobytes())
+
+
+def ladder_blocks_greedy(lengths):
+    """`scenarios._ladder_blocks` as a loop over the ladders: a block grows
+    while 8 x its ladders x its longest (at least 1) stays within
+    WINDOW_BLOCK_BYTES, and the last block takes the rest."""
+    start = longest = 0
+    for k, n in enumerate(lengths):
+        longest = max(longest, n, 1)
+        if (k > start and 8 * (k + 1 - start) * longest
+                > scenarios.WINDOW_BLOCK_BYTES):
+            yield slice(start, k)
+            start, longest = k, max(n, 1)
+    yield slice(start, len(lengths))

@@ -512,12 +512,14 @@ def bundle_columns(monkeypatch, config):
 
 
 @pytest.mark.parametrize("text", [SINGLET_GAMMA.read_text(),
-                                  PSI_BELL_GENERIC],
-                         ids=["singlet_gamma", "psi_bell_generic_phase"])
+                                  PSI_BELL_GENERIC,
+                                  GS_BACKGROUND.read_text()],
+                         ids=["singlet_gamma", "psi_bell_generic_phase",
+                              "gs_background"])
 def test_bundles_equal_the_row_major_path_bit_for_bit(monkeypatch, text):
-    # the roadmap singlet's block and a psi_bell block at a generic phase:
-    # the stack-last layout and the stacks sized by entries give the
-    # columns of full real row-major stacks
+    # the roadmap singlet's block, a psi_bell block at a generic phase and
+    # the ground state's tables: the stacks filled in place, stack last,
+    # and sized by entries give the columns of full real row-major stacks
     # (`helpers.expectations_row_major`) to the bit, and the complex route
     # (complex pair matrices, each triangle's update from bra and ket,
     # `helpers.expectations_complex` and `magnetization_complex`) to 1e-15
@@ -540,8 +542,9 @@ def test_bundles_equal_the_row_major_path_bit_for_bit(monkeypatch, text):
 
 def test_singlet_gamma_memory_peak():
     # the largest stacks and the kernel's buffers set the peak allocation
-    # of a warm run of the roadmap singlet (1.68 MB measured), so this
-    # bound keeps STACK_CHUNK from raising the process's memory unseen
+    # of a warm run of the roadmap singlet (1.61 MB measured with stacks of
+    # 256 x 14^2 entries), so this bound keeps STACK_CHUNK from raising the
+    # process's memory unseen
     config = scenarios.parse_config_text(SINGLET_GAMMA.read_text())
     scenarios.run_scenario(config)
     tracemalloc.start()
@@ -551,6 +554,30 @@ def test_singlet_gamma_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.75e6
+
+
+def test_bell_stack_assembly_memory_peak():
+    # a Bell seed's stack is filled in place from real gathers: one
+    # `_expectations` call on 14 strings of 14 operators at 17 times (a
+    # stack of 14 x 14 x 238 entries) peaks at about 3x the stack's bytes,
+    # the elimination's buffers included; complex (times x strings x
+    # pairs) gathers and a transposed copy of the triangle would take it
+    # near 4x
+    p = ModelParams(lam=1.0, gamma=0.5)
+    con = correlators.BellContractions(p, np.arange(17) * 0.5, 16, 0, 1)
+    kinds, offsets, _ = operator_string("x", "x", 0, 7)
+    codes = np.broadcast_to([KIND[kind] for kind in kinds], (14, 14))
+    sites = np.arange(-7, 7)[:, None] + np.array(offsets)
+    triangle = np.triu_indices(14, 1)
+    stack_bytes = 14 * 14 * codes.shape[0] * len(con.times) * 8
+    pfaffian_module._expectations(con, codes, sites, triangle)
+    tracemalloc.start()
+    try:
+        pfaffian_module._expectations(con, codes, sites, triangle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * stack_bytes
 
 
 def test_distinct_site_correlators_are_real():
@@ -668,7 +695,7 @@ def test_block_columns_equal_one_time_blocks(monkeypatch, state, chunk):
     # whatever the stacks: one string at every time (a budget of 3 entries,
     # below the 5 x 2^2 of one two-operator string's matrices), six
     # two-operator strings or one longer string a stack (128 entries), or
-    # one stack per string size (the default budget)
+    # one stack per string size (128 x 14^2 entries; so does the default)
     monkeypatch.setattr(pfaffian_module, "STACK_CHUNK", chunk)
     p = ModelParams(lam=0.8, gamma=0.6)
     radius = 12

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from helpers import grid_rows, same_bits
+from helpers import grid_rows, ladder_blocks_greedy, same_bits
 from xychain import correlators, groundstate, isotropic, measures, scenarios
 from xychain.errors import (CapabilityError, ConfigError, CutoffError,
                             OutOfRangeError)
@@ -716,6 +718,25 @@ def test_pfaffian_route_bounds_the_partner_concurrences_of_a_block():
     assert 8 * len(cfg.times()) * width > 479e3
     assert all(8 * len(b) * width <= scenarios.WINDOW_BLOCK_BYTES
                for b in blocks)
+
+
+OVER_BUDGET = scenarios.WINDOW_BLOCK_BYTES // 8 + 1  # one ladder past it
+
+
+@given(st.lists(st.one_of(st.integers(0, 2), st.integers(0, 600),
+                          st.integers(0, 2 * OVER_BUDGET)), max_size=300))
+@example([])
+@example([0, 0, 0])
+@example([OVER_BUDGET])
+@example([0, 7, OVER_BUDGET, 0, 3, OVER_BUDGET - 1, 1])
+@example([1] * (OVER_BUDGET + 5))
+def test_ladder_blocks_equal_the_greedy_loop(lengths):
+    # the blocks by running maxima cut where the loop over the ladders
+    # (`helpers.ladder_blocks_greedy`) cuts: an empty grid is one empty
+    # block, a length of 0 counts as 1, and a ladder over the budget alone
+    # is a block of one
+    assert list(scenarios._ladder_blocks(lengths)) == list(
+        ladder_blocks_greedy(lengths))
 
 
 def test_oracle_engine_wraps_sites_on_the_ring():
