@@ -18,12 +18,9 @@ from xychain import isotropic
 
 def arrival_time(x, lam):
     grid = np.arange(0.01 / lam, (x + 18) / lam + 1e-12, 0.01 / lam)
-    windows = zip(*isotropic.windows(0, 1, np.pi, abs(lam) * grid))
-    vals = [
-        isotropic.wavepacket(0, 1, np.pi, t, lam, window=w).concurrence(0, x)
-        for t, w in zip(grid, windows)
-    ]
-    return grid[int(np.argmax(vals))]
+    packet = isotropic.block_packet(0, 1, np.pi, isotropic.windows(
+        0, 1, np.pi, abs(lam) * grid), range(0, x + 1))
+    return grid[int(np.argmax(packet.concurrence(0, x)))]
 
 
 def main():

@@ -55,7 +55,13 @@ def _composite_grid(n_panels, a=0.0, b=math.pi):
 
 
 def _gs_grid(params, reach):
+    """Panels in k for G(r) on |r| <= reach, split at a known k_F."""
     panels = int(math.ceil(8.0 * (1.0 + reach)))
+    if params.gamma == 0.0 and params.lam > 1.0:
+        kf = math.acos(-1.0 / params.lam)  # e_k changes sign at k_F
+        k1, w1 = _composite_grid(panels, 0.0, kf)
+        k2, w2 = _composite_grid(panels, kf, math.pi)
+        return np.concatenate([k1, k2]), np.concatenate([w1, w2])
     if params.lam > 1.0 and abs(params.gamma) < 0.1:
         panels = max(panels, 384)
     elif params.lam >= 0.99:
@@ -73,19 +79,9 @@ def pair_tables(g):
 
 def gs_contractions(params, radius):
     """The ground state's K tables, G(r) tabulated on |r| <= radius."""
-    rs = np.arange(-radius, radius + 1)
-    if params.gamma == 0.0 and params.lam > 1.0:
-        # e_k changes sign at k_F; split the integral there.
-        kf = math.acos(-1.0 / params.lam)
-        panels = int(math.ceil(8.0 * (1.0 + radius)))
-        k1, w1 = _composite_grid(panels, 0.0, kf)
-        k2, w2 = _composite_grid(panels, kf, math.pi)
-        k = np.concatenate([k1, k2])
-        w = np.concatenate([w1, w2])
-    else:
-        k, w = _gs_grid(params, radius)
+    k, w = _gs_grid(params, radius)
     e, s, lam_k = dispersion(params, k)
-    kr = np.outer(rs, k)
+    kr = np.outer(np.arange(-radius, radius + 1), k)
     lam_k = np.where(lam_k == 0.0, 1e-300, lam_k)
     return pair_tables((np.cos(kr) @ (w * e / lam_k)
                         - np.sin(kr) @ (w * s / lam_k)) / np.pi)

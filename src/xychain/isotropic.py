@@ -54,10 +54,10 @@ the error of its earliest failing time, so a block fails before any of its
 views is measured.  `wavepacket` and `PhiState` take their time's radius
 and ladder or size their own; `block_packet` takes a whole block of
 windows and keeps only each time's window sums and the amplitudes on the
-sites a grid reads.  The states are X views (`measures.XView`) for
-`scenarios`: each gives the X entries of pairs, sites and pairs as scalars
-or arrays and a packet's times first, and a packet its partner sums in
-closed form.
+sites a grid reads, raising CutoffError on a read past them.  The states
+are X views (`measures.XView`) for `scenarios` and `selftest`: each
+gives the X entries of pairs, sites and pairs as scalars or arrays and a
+packet's times first, and a packet its partner sums in closed form.
 """
 
 import math
@@ -218,9 +218,13 @@ class SingleParticleState(XView):
 
     def w(self, sites):
         """Amplitudes at the sites (any shape), after the times; zero
-        outside the sites held."""
+        outside a whole window, and CutoffError outside a block packet's
+        sites."""
         idx = np.subtract(sites, self.start)
         inside = (idx >= 0) & (idx < self.amps.shape[-1])
+        if self.norms is not None and not np.all(inside):
+            raise CutoffError(f"a block packet holds sites {self.start}.."
+                              f"{self.start + self.amps.shape[-1] - 1} only")
         w = np.asarray(self.amps.take(np.where(inside, idx, 0), axis=-1))
         w[..., ~inside] = 0.0
         return w

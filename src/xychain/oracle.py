@@ -101,9 +101,9 @@ def _bond_flips(gamma, lam):
     return -(xx + yy), yy - xx
 
 
-def build_hamiltonian(n, gamma, lam, index=None):
+def build_hamiltonian(n, gamma, lam, index):
     """Spin Hamiltonian of the periodic n-site ring on the basis indices
-    ``index``, all 2^n by default.
+    ``index`` (np.arange(2 ** n) for the whole space).
 
     The diagonal is -sum_l Sz_l = popcount - n/2.  A bond flips its bit
     pair by `_bond_flips`, summed as a spin-operator build sums them, so
@@ -112,7 +112,6 @@ def build_hamiltonian(n, gamma, lam, index=None):
     itself, else ValueError; a zero flip that leaves it reads its own
     index instead.
     """
-    index = np.arange(2 ** n) if index is None else index
     bits = _bits(index, n)  # row l: site l
     pairs = np.array([_site_bit(n, l) | _site_bit(n, (l + 1) % n)
                       for l in range(n)])[:, None]
@@ -409,7 +408,7 @@ class RingState(measures.XView):
             axis=(0, 2)) for x in xs], (-1, 2))
 
     def one_tangle(self, xs):
-        up, down = self.site_populations(xs).T
+        up, down = self.ask("site_populations", xs).T
         return 4.0 * (up * down)
 
     def pair_entries(self, ls, ms):

@@ -46,7 +46,9 @@ and against pf(M)^2 = det(M).
 
 import numpy as np
 
+from . import measures
 from .correlators import A, B
+from .model import PAIR_WINDOW
 
 STACK_CHUNK = 256 * 14 ** 2  # entries per stack (times x strings x n^2)
 COMPONENTS = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "x"))
@@ -185,3 +187,40 @@ def magnetization(contractions, sites):
     entry = contractions.entries(np.reshape([A, B], (2,) + (1,) * sites.ndim),
                                  np.stack([sites, sites]))[0]
     return 0.5 * np.moveaxis(entry, -1, 0)
+
+
+class ContractionView(measures.XView):
+    """Pfaffian-route view of the contractions of a block of times, whose
+    answers are arrays with the times first (one row, which broadcasts, for
+    the ground state).  Correlator columns are held per (l, m): each call
+    evaluates the pairs it needs that are not held yet in one `bundles`
+    call, and a measure acts on the entries of all its pairs at once."""
+
+    def __init__(self, contractions):
+        self.con = contractions
+        self._slots = {}
+        self._columns = np.empty((len(contractions.times), 0, 7))
+
+    def _fill(self, pairs):
+        """Correlator columns (times, len(pairs), 7) of the pairs."""
+        todo = [p for p in dict.fromkeys(pairs) if p not in self._slots]
+        if todo:
+            self._slots |= {p: k for k, p in enumerate(todo, len(self._slots))}
+            self._columns = np.concatenate(
+                [self._columns, bundles(self.con, todo)], axis=1)
+        return self._columns[:, [self._slots[p] for p in pairs]]
+
+    def pair_entries(self, ls, ms):
+        pairs = zip(np.ravel(ls).tolist(), np.ravel(ms).tolist())
+        return measures.x_entries(self._fill(list(pairs)))
+
+    def magnetization(self, xs):
+        return magnetization(self.con, xs)
+
+    def one_tangle(self, xs):
+        return measures.one_tangle(self.ask("magnetization", xs))
+
+    def partners(self, x):
+        """The sites within PAIR_WINDOW of x."""
+        return [q for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1)
+                if q != x]

@@ -38,36 +38,35 @@ each one entry per site or pair (per time and site or pair on a block).
 Every view is a `measures.XView`, which gives only the X entries of pairs
 and derives the rest.  Engines yield each block's times and view with a
 baseline: the view of the unperturbed reference, whose one_tangle
-tangle_deviation reads.  The analytic engine's views are the one-particle
-packet (the gamma = 0 vacuum is the empty packet) and `isotropic.PhiState`
-at gamma = 0, and Pfaffian contractions otherwise or in equilibrium; the
-oracle's view is the evolved ring (`oracle.RingState`), whose X entries
-come from one pass over the state and whose concurrence is Wootters' on
-them.  A stationary view serves the whole grid, a packet a block of
-Bessel windows (`isotropic.windows`, sized a block at a time, each block
-within WINDOW_BLOCK_BYTES by its own longest ladder and its packet's
-amplitudes on the sites the grid reads), Pfaffian contractions such a
-block (bounded by their tables and partner concurrences), any other view
-one time.  Pfaffian tables reach what the grid reads
-(`AnalyticEngine.views`), Bessel windows start at the light cone, and
-every seed's phase is `model.seed_amp`.  What the analytic engine cannot
-represent exactly (knitted scenarios, phi_bell at gamma != 0, ckw_residual
-on phi_bell) raises CapabilityError when the engine is built; the oracle
-engine handles those on small rings.
+tangle_deviation reads.  The analytic engine's views are, at gamma = 0,
+`isotropic.block_packet` (the vacuum is the empty packet) and
+`isotropic.PhiState`, else `pfaffian.ContractionView`; the oracle's is the
+evolved ring (`oracle.RingState`), whose X entries come from one pass over
+the state and whose concurrence is Wootters' on them.  The selftest
+compares these same views.  A stationary view serves the whole grid, a
+packet a block of Bessel windows (`isotropic.windows`, sized a block at a
+time, each block within WINDOW_BLOCK_BYTES by its own longest ladder and
+its packet's amplitudes on the sites the grid reads), Pfaffian
+contractions such a block (bounded by their tables and partner
+concurrences), any other view one time.  Pfaffian tables reach what the
+grid reads (`AnalyticEngine.views`), Bessel windows start at the light
+cone, and every seed's phase is `model.seed_amp`.  What the analytic
+engine cannot represent exactly (knitted scenarios, phi_bell at gamma != 0,
+ckw_residual on phi_bell) raises CapabilityError when the engine is built;
+the oracle engine handles those on small rings.
 """
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import groundstate, isotropic, measures, oracle
-from .pfaffian import bundles, magnetization
 from .correlators import BellContractions, VacuumContractions
 from .errors import CapabilityError, ConfigError
 from .model import PAIR_WINDOW, ModelParams, light_cone_radius, seed_amp
+from .pfaffian import ContractionView
 
 SCENARIO_KINDS = (
     "vacuum_only",
@@ -280,40 +279,6 @@ def measure_rows(config, view, baseline, times):
     return [(name, grid(values)) for name, values in out.items()]
 
 
-class _ContractionView(measures.XView):
-    """Pfaffian-route view of the contractions of a block of times, whose
-    answers are arrays with the times first (one row, which broadcasts, for
-    the ground state).  Correlator columns are held per (l, m): each call
-    evaluates the pairs it needs that are not held yet in one `bundles`
-    call, and a measure acts on the entries of all its pairs at once."""
-
-    def __init__(self, contractions):
-        self.con = contractions
-        self._slots = {}
-        self._columns = np.empty((len(contractions.times), 0, 7))
-
-    def _fill(self, pairs):
-        """Correlator columns (times, len(pairs), 7) of the pairs."""
-        todo = [p for p in dict.fromkeys(pairs) if p not in self._slots]
-        if todo:
-            self._slots.update(zip(todo, itertools.count(len(self._slots))))
-            self._columns = np.concatenate(
-                [self._columns, bundles(self.con, todo)], axis=1)
-        return self._columns[:, [self._slots[p] for p in pairs]]
-
-    def pair_entries(self, ls, ms):
-        pairs = zip(np.ravel(ls).tolist(), np.ravel(ms).tolist())
-        return measures.x_entries(self._fill(list(pairs)))
-
-    def one_tangle(self, xs):
-        return measures.one_tangle(magnetization(self.con, xs))
-
-    def partners(self, x):
-        """The sites within PAIR_WINDOW of x."""
-        return [q for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1)
-                if q != x]
-
-
 def _ladder_blocks(lengths):
     """The slices of ladders, each within WINDOW_BLOCK_BYTES by its longest
     (a length of 0 counts as 1) or one ladder over it alone; no ladders
@@ -371,7 +336,7 @@ class AnalyticEngine:
         Bell seed's farthest grid site, and partners."""
         cfg = self.config
         if self._ground is not None:
-            stationary = _ContractionView(self._ground)
+            stationary = ContractionView(self._ground)
         elif cfg.gamma != 0.0:
             span = 0 if cfg.kind == "vacuum_only" else abs(cfg.j - cfg.i)
             radius = self.reach
@@ -385,9 +350,9 @@ class AnalyticEngine:
                                         cfg.j, seed_amp(cfg.seed_phase))
                        if span else
                        VacuumContractions(self.params, times[k], radius))
-                view = _ContractionView(con)
+                view = ContractionView(con)
                 yield times[k], view, (
-                    _ContractionView(con.vacuum) if span else view)
+                    ContractionView(con.vacuum) if span else view)
             return
         else:  # the gamma = 0 vacuum is stationary: the empty packet
             stationary = isotropic.SingleParticleState(

@@ -2,18 +2,19 @@
 
 Runs the analytic machinery and the exact-diagonalization oracle over a
 matrix of parameter combinations and compares magnetizations (category
-`correlators`), the X entries of two-site reduced states (`rho2`, checked
-by `measures.x_spectrum` on both sides), concurrences, one-tangles and
-Bell fidelities on a 12-site ring.
+`correlators`), the X entries of two-site reduced states (`rho2`),
+concurrences, one-tangles and Bell fidelities on a 12-site ring.
 Ring wraparound limits how far in time and distance a thermodynamic-limit
 calculation can be compared against a 12-site ring: each cell must satisfy
 lam*t + offset <= n/2 - 2, with the offset measured from the insertion
 sites (or the pair separation for the translation-invariant vacuum).
-The two sides meet as arrays of X entries.  A case builds one contraction
-block over all its times and makes one `bundles` and one `magnetization`
-call over the union of the times' cells; each time reads its own rows of
-those and one `RingState.pair_entries` call, and differences are taken
-array by array.
+Each side is read as the engines read it, as a `measures.XView`: a
+`pfaffian.ContractionView` of one contraction block over the case's times,
+at gamma = 0 also one `isotropic.block_packet` of one `isotropic.windows`
+call (the `(bessel)` categories; the empty packet on the vacuum), and an
+`oracle.RingState` per time.  The cells only shrink as lam*t grows, so a
+block view is read once over the first time's cells, spectra checked, and
+each time keeps its own rows; a ring is read over its time's cells.
 
 This suite doubles as the `xychain selftest` CLI command and as one of the
 acceptance tests.
@@ -28,7 +29,7 @@ import numpy as np
 from . import isotropic, measures, oracle
 from .correlators import bell_contractions, vacuum_contractions
 from .model import ModelParams, seed_amp
-from .pfaffian import bundles, magnetization
+from .pfaffian import ContractionView
 
 RING = 12
 SEED_I, SEED_J = 1, 2
@@ -68,32 +69,36 @@ class CaseReport:
         return f"[{status}] {self.label}: {self.cells} cells; {parts}"
 
 
-def _offset(s):
-    """Distance of site s from the nearer insertion site."""
-    return min(abs(s - SEED_I), abs(s - SEED_J))
+def _cells(kind, limit):
+    """The sites and the pairs (l, l + d), d = 1, 2, 3, of a case's cells up
+    to a weight limit, as arrays, and the weight of each: a cell is compared
+    at lam*t while its weight is at most MASK_LIMIT - lam*t.  A site weighs
+    its offset, its distance from the nearer insertion site (from site 0,
+    which stands for every site, on the translation-invariant vacuum).  The
+    operator string of a pair spans d+1 sites, so a pair weighs the larger
+    offset of its sites plus the extra width d-1; the N=8/10/12 convergence
+    of the excluded cells confirms the cut tracks pure finite-size error."""
+    vacuum = kind == "vacuum_only"
+    sites = np.array([0] if vacuum else SITES)
+    ls, ms = np.array([(l, l + d) for d in (1, 2, 3) for l in sites
+                       if l + d <= SITES[-1]]).T
+    seeds = [0] if vacuum else [SEED_I, SEED_J]
+    site_w, l_w, m_w = (np.abs(np.subtract.outer(s, seeds)).min(-1)
+                        for s in (sites, ls, ms))
+    pair_w = np.maximum(l_w, m_w) + (ms - ls - 1)
+    on, cell = site_w <= limit, pair_w <= limit
+    return sites[on], site_w[on], (ls[cell], ms[cell]), pair_w[cell]
 
 
-def _pair_cells(kind, lam_t):
-    """(l, m) pairs inside the ring-wraparound window.
-
-    The operator string of a pair at separation d spans d+1 sites, so the
-    cell weight counts the extra width d-1 on top of the site offset; the
-    N=8/10/12 convergence of the excluded cells confirms the cut tracks
-    pure finite-size error.
-    """
-    limit = MASK_LIMIT - lam_t + 1e-9
-    if kind == "vacuum_only":
-        return [(0, d) for d in (1, 2, 3) if d + (d - 1) <= limit]
-    return [(l, l + d) for d in (1, 2, 3) for l in SITES
-            if l + d <= SITES[-1]
-            and max(_offset(l), _offset(l + d)) + (d - 1) <= limit]
-
-
-def _site_cells(kind, lam_t):
-    limit = MASK_LIMIT - lam_t + 1e-9
-    if kind == "vacuum_only":
-        return [0] if 0 <= limit else []
-    return [s for s in SITES if _offset(s) <= limit]
+def _read(view, sites, ls, ms):
+    """What a case compares on every route, with the times first on a
+    block: the sites' one-tangles, and the pairs' concurrences and Bell
+    fidelities (4, ...), after checking the pairs' spectra."""
+    view.ask("spectrum", ls, ms)
+    return {"one_tangle": view.ask("one_tangle", sites),
+            "concurrence": view.concurrence(ls, ms),
+            "fidelities": np.asarray(measures.bell_fidelities(
+                view.ask("pair_entries", ls, ms)))}
 
 
 def run_case(gamma, lam, kind, fast=False):
@@ -104,65 +109,40 @@ def run_case(gamma, lam, kind, fast=False):
     vacuum = kind == "vacuum_only"
     base = ws.vacuum() if vacuum else ws.psi_bell(SEED_I, SEED_J, np.pi)
     lt_grid = LT_GRID[1::2] if fast else LT_GRID
-    isotropic_route = gamma == 0.0
     times = [lam_t / lam for lam_t in lt_grid]
-    windows = [None] * len(lt_grid)
-    if isotropic_route and not vacuum:
-        windows = list(zip(*isotropic.windows(
-            SEED_I, SEED_J, np.pi, [abs(lam) * t for t in times])))
-    # each time's sites, and its pair cells then the fidelity pairs
-    # (s, s + 1) in the window; one contraction block over all times reads
-    # the union of their cells, and each time picks its own rows
-    cells = [(_site_cells(kind, lam_t), _pair_cells(kind, lam_t))
-             for lam_t in lt_grid]
-    cells = [(sites, pairs + [(s, s + 1) for s in sites[:-1]], len(pairs))
-             for sites, pairs in cells]
-    site_at = {s: k for k, s in enumerate(
-        dict.fromkeys(s for sites, _, _ in cells for s in sites))}
-    pair_at = {p: k for k, p in enumerate(
-        dict.fromkeys(p for _, pairs, _ in cells for p in pairs))}
-    con = (vacuum_contractions(params, times) if vacuum else bell_contractions(
-        params, times, SEED_I, SEED_J, amp=seed_amp(np.pi)))
-    columns = bundles(con, list(pair_at))
-    mzs = magnetization(con, list(site_at))
+    limits = MASK_LIMIT - np.array(lt_grid) + 1e-9
+    sites, site_w, (ls, ms), pair_w = _cells(kind, limits[0])
+    fid = (ms - ls == 1) & (not vacuum)  # Bell fidelities: a seed's (s, s+1)
+    pf = ContractionView(vacuum_contractions(params, times) if vacuum else
+                         bell_contractions(params, times, SEED_I, SEED_J,
+                                           amp=seed_amp(np.pi)))
+    reads = [("", _read(pf, sites, ls, ms) | {
+        "correlators": pf.ask("magnetization", sites),
+        "rho2": np.asarray(pf.ask("pair_entries", ls, ms))})]
+    if gamma == 0.0 and vacuum:  # the stationary empty packet
+        empty = isotropic.SingleParticleState(0, np.zeros((len(times), 1)))
+        reads.append(("(bessel)", {"one_tangle": empty.one_tangle(sites)}))
+    elif gamma == 0.0:
+        seed = (SEED_I, SEED_J, np.pi)
+        reads.append(("(bessel)", _read(isotropic.block_packet(
+            *seed, isotropic.windows(*seed, [abs(lam) * t for t in times]),
+            SITES), sites, ls, ms)))
 
-    for k, (t, window, vecs) in enumerate(zip(times, windows,
-                                              ws.evolve_grid(base, times))):
+    for k, vecs in enumerate(ws.evolve_grid(base, times)):
         ring = oracle.RingState(ws, vecs)
-        sites, pairs, n_cells = cells[k]
-        cell, fid = slice(n_cells), slice(n_cells, None)
-        report.cells += n_cells + len(sites)
-        ls, ms = zip(*pairs)
-        entries = measures.x_entries(columns[k, [pair_at[p] for p in pairs]])
-        ref = ring.pair_entries(ls, ms)
-        measures.x_spectrum(entries), measures.x_spectrum(ref)  # both sides
-        c_refs = measures.concurrence_wootters(ref)[cell]
-        fids_ref = np.asarray(measures.bell_fidelities(ref))[:, fid]
-        mz = mzs[k, [site_at[s] for s in sites]]
-        up, down = ring.site_populations(sites).T
-        tau_refs = 4.0 * (up * down)  # `RingState.one_tangle`
-        report.record("correlators", mz, (up - down) / 2)
-        report.record("rho2", np.asarray(entries)[:, cell],
-                      np.asarray(ref)[:, cell])
-        report.record("concurrence",
-                      measures.concurrence_closed(entries)[cell], c_refs)
-        report.record("one_tangle", measures.one_tangle(mz), tau_refs)
-        report.record("fidelities", np.asarray(
-            measures.bell_fidelities(entries))[:, fid], fids_ref)
-        if window is not None:
-            state = isotropic.wavepacket(SEED_I, SEED_J, np.pi, t, lam,
-                                         window=window)
-            report.record("concurrence(bessel)",
-                          state.concurrence(ls[cell], ms[cell]), c_refs)
-            report.record("one_tangle(bessel)", state.one_tangle(sites),
-                          tau_refs)
-            bessel = state.pair_entries(ls[fid], ms[fid])
-            measures.x_spectrum(bessel)
-            report.record("fidelities(bessel)",
-                          measures.bell_fidelities(bessel), fids_ref)
-        elif isotropic_route:
-            # stationary vacuum: the Bessel route asserts exact zeros
-            report.record("one_tangle(bessel)", tau_refs, 0.0)
+        on, cell = site_w <= limits[k], pair_w <= limits[k]
+        report.cells += int(on.sum() + cell.sum())
+        up, down = ring.ask("site_populations", sites[on]).T
+        ref = _read(ring, sites[on], ls[cell], ms[cell]) | {
+            "correlators": (up - down) / 2,
+            "rho2": np.asarray(ring.ask("pair_entries", ls[cell], ms[cell]))}
+        ref["fidelities"] = ref["fidelities"][:, fid[cell]]
+        rows = {"correlators": on, "one_tangle": on, "concurrence": cell,
+                "rho2": cell, "fidelities": cell & fid}
+        for tag, block in reads:
+            for category, values in block.items():
+                report.record(category + tag, values[..., k, rows[category]],
+                              ref[category])
     return report
 
 

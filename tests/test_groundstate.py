@@ -125,7 +125,7 @@ def ring_ground_energy(n, gamma, lam):
 def test_ring_energy_matches_exact_diagonalization(n, gamma, lam):
     ws = oracle.OracleWorkspace(n, gamma, lam)
     (gs,) = ws.ground_state()
-    h = oracle.build_hamiltonian(n, gamma, lam)
+    h = oracle.build_hamiltonian(n, gamma, lam, np.arange(2 ** n))
     assert np.isclose(ring_ground_energy(n, gamma, lam),
                       np.vdot(gs, h @ gs).real, atol=1e-10)
 

@@ -478,3 +478,26 @@ def test_seeds_at_phase_pi_take_an_amplitude_of_exactly_minus_one():
     assert np.array_equal(packet.w([0, 1]).imag, [0.0, 0.0])
     c = isotropic.PhiState(0, 1, np.pi, 0.0, 1.0).pair_entries(0, 1)[4]
     assert c == -0.5 and c.imag == 0.0
+
+
+def test_a_block_packet_raises_on_a_read_outside_its_sites():
+    # singlet_spread.cfg's packet at lam t = 12 holds the sites -12..13
+    # that its grid reads; site 14 is inside the window but not held, so a
+    # read there raises instead of giving 0
+    packet = isotropic.block_packet(
+        0, 1, np.pi, isotropic.windows(0, 1, np.pi, [11.5, 12.0]),
+        range(-12, 14))
+    assert np.all(packet.one_tangle([-12, 13]) > 0.0)
+    reads = (lambda: packet.one_tangle(14), lambda: packet.w([-13, 0]),
+             lambda: packet.concurrence(0, 14),
+             lambda: packet.partner_sums([14]))
+    for read in reads:
+        with pytest.raises(CutoffError, match="holds sites -12..13 only"):
+            read()
+    # a packet that holds its whole window, and the empty one, read 0 past
+    # what they hold
+    whole = isotropic.wavepacket(0, 1, np.pi, 12.0, 1.0)
+    assert whole.one_tangle(14) == pytest.approx(0.03698, abs=1e-5)
+    assert whole.one_tangle(10 ** 6) == 0.0
+    empty = isotropic.SingleParticleState(0, np.zeros(1, complex))
+    assert empty.one_tangle(14) == 0.0

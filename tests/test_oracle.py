@@ -82,7 +82,8 @@ def columns(h, n, dtype=float):
 
 def test_hamiltonian_matches_reference():
     n, gamma, lam = 6, 0.6, 0.9
-    built = columns(oracle.build_hamiltonian(n, gamma, lam), n)
+    built = columns(oracle.build_hamiltonian(n, gamma, lam,
+                                           np.arange(2 ** n)), n)
     ref = dense_reference_hamiltonian(n, gamma, lam)
     assert np.max(np.abs(built - ref)) < 1e-12
 
@@ -94,7 +95,7 @@ def test_hamiltonian_matches_reference():
     for n in (4, 5, 6, 7)
     for gamma, lam in ((0.6, 0.9), (0.0, 1.0), (1.0, 0.3), (0.37, 1.7))])
 def test_hamiltonian_equals_the_spin_operator_build(n, gamma, lam):
-    built = oracle.build_hamiltonian(n, gamma, lam)
+    built = oracle.build_hamiltonian(n, gamma, lam, np.arange(2 ** n))
     for dtype in (float, complex):
         acted = columns(built, n, dtype)
         assert acted.dtype == dtype
@@ -306,7 +307,7 @@ def test_ground_state_matches_dense_diagonalization(gamma, lam, parity):
     energies, modes = dense_spectrum(n, gamma, lam)
     ws = oracle.OracleWorkspace(n, gamma, lam)
     (gs,) = ws.ground_state()
-    h = oracle.build_hamiltonian(n, gamma, lam)
+    h = oracle.build_hamiltonian(n, gamma, lam, np.arange(2 ** n))
     assert abs(np.vdot(gs, h @ gs).real - energies[0]) < 1e-12
     ref = modes[:, 0]
     projector_diff = np.outer(gs, gs.conj()) - np.outer(ref, ref)
@@ -327,7 +328,7 @@ def test_ground_state_sector_tie_keeps_the_even_sector():
     assert abs(energies[0] - energies[1]) <= oracle.SECTOR_TIE
     (gs,) = ws.ground_state()
     assert not np.any(gs[odd])
-    h = oracle.build_hamiltonian(n, 0.0, 1.0)
+    h = oracle.build_hamiltonian(n, 0.0, 1.0, np.arange(2 ** n))
     assert abs(np.vdot(gs, h @ gs).real + 6.0) < 1e-12
 
 
@@ -349,7 +350,7 @@ def test_workspace_holds_no_dense_matrix():
         ws = oracle.OracleWorkspace(12, gamma, 1.0)
         evolve(ws, ws.knitted_singlet(1, 2), 0.5)
         (gs,) = ws.ground_state()
-        h = oracle.build_hamiltonian(12, gamma, 1.0)
+        h = oracle.build_hamiltonian(12, gamma, 1.0, np.arange(2 ** 12))
         assert np.vdot(gs, h @ gs).real < 0.0
         assert _held_bytes(vars(ws)) < 5e6
 
@@ -588,7 +589,7 @@ def test_sector_requires_a_set_closed_under_the_nonzero_flips():
     two = index[[bin(i).count("1") == 2 for i in index]]
     vec = np.zeros(2 ** n)
     vec[two] = np.random.default_rng(2).standard_normal(len(two))
-    isotropic = oracle.build_hamiltonian(n, 0.0, 1.0)
+    isotropic = oracle.build_hamiltonian(n, 0.0, 1.0, index)
     assert np.array_equal(oracle.build_hamiltonian(n, 0.0, 1.0, two)
                           @ vec[two], (isotropic @ vec)[two])
     with pytest.raises(ValueError, match="nonzero flip"):
@@ -601,7 +602,7 @@ def test_a_block_build_equals_the_full_build_on_its_indices(n, gamma, lam):
     # the diagonal, the flips and the targets, with a zero flip that leaves
     # the block reading its own index, bit for bit
     ws = oracle.OracleWorkspace(n, gamma, lam)
-    full = oracle.build_hamiltonian(n, gamma, lam)
+    full = oracle.build_hamiltonian(n, gamma, lam, np.arange(2 ** n))
     for index in list(ws._parity) + list(ws._blocks):
         block = oracle.build_hamiltonian(n, gamma, lam, index)
         position = np.full(2 ** n, -1)
@@ -655,9 +656,9 @@ def recorded_builds(monkeypatch):
     order; all 2^n for a full-space build."""
     built, build = [], oracle.build_hamiltonian
 
-    def recording(n, gamma, lam, *index):
-        built.append(index[0] if index else np.arange(2 ** n))
-        return build(n, gamma, lam, *index)
+    def recording(n, gamma, lam, index):
+        built.append(index)
+        return build(n, gamma, lam, index)
 
     monkeypatch.setattr(oracle, "build_hamiltonian", recording)
     return built
@@ -725,7 +726,7 @@ def full_space_walk(ws, vecs, times):
     terms throughout: per block, its part of each row alone, scaled by the
     block's own center and radius, with the same coefficients and chunks,
     one series per chunk from the last time before it."""
-    h = oracle.build_hamiltonian(ws.n, *ws._couplings)
+    h = oracle.build_hamiltonian(ws.n, *ws._couplings, np.arange(2 ** ws.n))
     block_bytes = 16 * len(vecs) * 2 ** ws.n
     per_chunk = max(1, oracle.EVOLVE_BLOCK_BYTES // block_bytes)
     walked = np.zeros((len(times), len(vecs), 2 ** ws.n), dtype=complex)

@@ -506,7 +506,7 @@ def bundle_columns(monkeypatch, config):
         columns.append(bundles(contractions, pairs))
         return columns[-1]
 
-    monkeypatch.setattr(scenarios, "bundles", recording)
+    monkeypatch.setattr(pfaffian_module, "bundles", recording)
     scenarios.run_scenario(config)
     return columns
 
@@ -661,7 +661,7 @@ def test_singlet_time_step_batches_its_pairs(monkeypatch):
         calls.append(list(pairs))
         return bundles(contractions, pairs)
 
-    monkeypatch.setattr(scenarios, "bundles", counting_bundles)
+    monkeypatch.setattr(pfaffian_module, "bundles", counting_bundles)
     blocks = list(scenarios.AnalyticEngine(config).views(config.times()))
     assert [times for times, _, _ in blocks] == [[0.0, 1.0, 2.0]]
     (times, view, baseline), = blocks

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import grid_rows, ladder_blocks_greedy, same_bits
 from xychain import correlators, groundstate, isotropic, measures, scenarios
+from xychain import pfaffian as pfaffian_module
 from xychain.errors import (CapabilityError, ConfigError, CutoffError,
                             OutOfRangeError)
 from xychain.model import LIGHT_CONE_PAD, ModelParams
@@ -414,13 +415,13 @@ def test_ground_state_view_serves_every_time(monkeypatch):
     # the ground state is stationary: a grid of 5 times evaluates the
     # bundles of a grid of 1 time
     calls = []
-    bundles = scenarios.bundles
+    bundles = pfaffian_module.bundles
 
     def counting(contractions, pairs):
         calls.append(len(pairs))
         return bundles(contractions, pairs)
 
-    monkeypatch.setattr(scenarios, "bundles", counting)
+    monkeypatch.setattr(pfaffian_module, "bundles", counting)
     ground = BASE.replace("singlet_on_vacuum", "ground_state_equilibrium")
     ground = ground.replace("model.gamma = 0.0", "model.gamma = 0.5").replace(
         "concurrence, one_tangle",
@@ -447,8 +448,8 @@ def test_contraction_view_evaluates_each_pair_concurrence_once(monkeypatch):
         evaluated.extend(pairs)
         return bundles(contractions, pairs)
 
-    bundles = scenarios.bundles
-    monkeypatch.setattr(scenarios, "bundles", recording)
+    bundles = pfaffian_module.bundles
+    monkeypatch.setattr(pfaffian_module, "bundles", recording)
     singlet = BASE.replace("model.gamma = 0.0", "model.gamma = 0.5").replace(
         "concurrence, one_tangle",
         "concurrence, total_concurrence, ckw_residual")
@@ -484,7 +485,8 @@ def test_measure_rows_asks_a_view_once_per_request(monkeypatch):
     assert calls == {"one_tangle": len(blocks), "partner_sums": len(blocks)}
     # a vacuum at gamma != 0 is its own baseline: one_tangle and
     # tangle_deviation share one answer per block of times
-    calls = counting_methods(monkeypatch, scenarios._ContractionView, asked)
+    calls = counting_methods(monkeypatch, pfaffian_module.ContractionView,
+                             asked)
     cfg = parse_config_file(SCRIPTS / "vacuum_creation.cfg")
     blocks = list(scenarios.make_engine(cfg).views(cfg.times()))
     run_scenario(cfg)

@@ -9,12 +9,13 @@ intended change, write each report's `label`, `cells` and `worst` in the
 same layout.
 """
 
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from xychain import selftest
+from xychain import isotropic, selftest
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "selftest_cases.json"
 RTOL = 1e-12
@@ -41,3 +42,12 @@ def test_case_report_matches_golden(case, fast, want):
     for category, ref in want["worst"].items():
         got = report.worst[category]
         assert abs(got - ref) <= RTOL * abs(ref), (category, got, ref)
+
+
+def test_the_selftest_reads_the_bessel_route_as_block_packets(monkeypatch):
+    # the engine's views are compared, so a per-time packet is never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-time wavepacket was built")
+
+    monkeypatch.setattr(isotropic, "wavepacket", refuse)
+    assert selftest.run_selftest(fast=True, stream=io.StringIO())
