@@ -7,7 +7,10 @@ One line per output: every ``scripts/*.cfg`` CSV, the table of
 where the Pfaffian stacks are many), and each perfbench operation's output
 for input sets 0-9 of every workload (a scenario's CSV; for a
 ``selftest.run_case`` operation, its label, cell count and every recorded
-deviation in repr).
+deviation in repr).  After each scenario's CSV line comes a line named
+``<name> raw``: the sha256 of the scenario's float64 columns, ``tobytes()``
+of each taken by sorted name, which moves when a value moves below the
+CSV's 12 printed digits.
 Run it in two checkouts and compare with ``diff``:
 
     python3 scripts/output_digests.py > digests.txt
@@ -31,48 +34,57 @@ from xychain import write_csv  # noqa: E402
 
 
 def _csv(config):
+    """A scenario's CSV text and the raw bytes of its columns by name."""
+    grid = run_scenario(config)
     out = io.StringIO()
-    write_csv(run_scenario(config), out)
-    return out.getvalue()
+    write_csv(grid, out)
+    columns = grid[2]
+    return out.getvalue(), b"".join(columns[name].tobytes()
+                                    for name in sorted(columns))
 
 
 def _output(op):
-    """A perfbench operation's output as text, or its error."""
+    """A perfbench operation's output as text and, for a scenario, the raw
+    bytes of its columns; or its error and None."""
     try:
         if op.case is None:
             return _csv(parse_config_text(op.config, source=op.name))
         report = selftest.run_case(*op.case, fast=True)
-        return repr((report.label, report.cells, sorted(report.worst.items())))
+        return repr((report.label, report.cells,
+                     sorted(report.worst.items()))), None
     except Exception as exc:
-        return f"raised {type(exc).__name__}: {exc}"
+        return f"raised {type(exc).__name__}: {exc}", None
 
 
 def digests():
-    """(name, text) of every output, in a fixed order."""
+    """(name, text, raw) of every output, in a fixed order; raw is None
+    where the output is no scenario's grid."""
     for path in sorted((ROOT / "scripts").glob("*.cfg")):
-        yield path.name, _csv(parse_config_text(path.read_text(),
-                                                source=str(path)))
+        yield path.name, *_csv(parse_config_text(path.read_text(),
+                                                 source=str(path)))
     sys.path.insert(0, str(ROOT / "scripts"))
     import gs_table
     table = io.StringIO()
     with contextlib.redirect_stdout(table):
         gs_table.main()
-    yield "gs_table.py", table.getvalue()
+    yield "gs_table.py", table.getvalue(), None
     path = ROOT / "scripts" / "singlet_gamma.cfg"
     singlet = parse_config_text(path.read_text(), source=str(path))
     x60 = dataclasses.replace(singlet, dt=0.1, x_start=-60, x_stop=60)
-    yield "singlet_gamma.cfg x60", _csv(x60)
-    yield "vacuum_only x60", _csv(dataclasses.replace(x60,
-                                                      kind="vacuum_only"))
+    yield "singlet_gamma.cfg x60", *_csv(x60)
+    yield "vacuum_only x60", *_csv(dataclasses.replace(x60,
+                                                       kind="vacuum_only"))
     for workload in WORKLOADS:
         for seed in range(REFERENCE_SEEDS):
             for op in operations(workload, seed):
-                yield f"{workload}/{seed}/{op.name}", _output(op)
+                yield f"{workload}/{seed}/{op.name}", *_output(op)
 
 
 def main():
-    for name, text in digests():
+    for name, text, raw in digests():
         print(hashlib.sha256(text.encode()).hexdigest(), name, flush=True)
+        if raw is not None:
+            print(hashlib.sha256(raw).hexdigest(), name, "raw", flush=True)
 
 
 if __name__ == "__main__":

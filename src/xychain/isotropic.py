@@ -325,6 +325,6 @@ class PhiState(XView):
         p = 0.5 * self._at(n)[2]
         return 4.0 * p * (1.0 - p)
 
-    def partners(self, n):
-        """Every other site of the window."""
-        return self.sites[self.sites != n]
+    def partners(self, ns):
+        """Every window site but n (all but an end one for n outside)."""
+        return self.sites[:-1] + (self.sites[:-1] >= np.expand_dims(ns, -1))

@@ -168,9 +168,9 @@ class XView:
     """A measurement view whose pair states are X matrices.
 
     A subclass gives pair_entries(ls, ms), the X entries of the pairs with
-    the times first, and partners(x), the sites a partner sum of site x
-    runs over; concurrence, spectrum and partner_sums follow from them.
-    `ask` answers each request once per view."""
+    the times first, and partners(xs), a grid xs.shape + (P,): a row of P
+    partner sites per site, ascending.  concurrence, spectrum and
+    partner_sums follow from them.  `ask` answers each request once."""
 
     def ask(self, method, *args):
         """method(*args), made once per view and shared by every caller
@@ -191,12 +191,10 @@ class XView:
 
     def partner_sums(self, xs):
         """(sum_q C_xq, sum_q C_xq^2) over the partners q of each site x,
-        each shaped like xs after the times."""
-        rows = [np.asarray(self.partners(x)) for x in np.ravel(xs)]
-        counts = [len(q) for q in rows]
-        ns, qs = np.repeat(np.ravel(xs), counts), np.concatenate(rows)
-        concs = self.concurrence(np.minimum(ns, qs), np.maximum(ns, qs))
-        parts = np.split(concs, np.cumsum(counts)[:-1], axis=-1)
-        sums = [(c.sum(-1), (c * c).sum(-1)) for c in parts]
-        return tuple(np.reshape(np.stack(v, -1), concs.shape[:-1]
-                                + np.shape(xs)) for v in zip(*sums))
+        shaped like xs after the times: rows added left to right (cumsum)."""
+        qs = self.partners(np.asarray(xs))
+        ls, ms = np.sort(np.broadcast_arrays(np.expand_dims(xs, -1), qs), 0)
+        concs = self.concurrence(ls.ravel(), ms.ravel())
+        concs = concs.reshape(concs.shape[:-1] + qs.shape)
+        return tuple(np.cumsum(c, -1)[..., -1].copy()
+                     for c in (concs, concs * concs))

@@ -431,8 +431,8 @@ class RingState(measures.XView):
         return (*np.reshape(pops, (-1, 4)).T,
                 *np.reshape(coherences, (-1, 2)).T)
 
-    def partners(self, x):
-        return [m for m in range(self.ws.n) if m != x % self.ws.n]
+    def partners(self, xs):
+        return np.sort(np.add.outer(xs, np.arange(1, self.ws.n)) % self.ws.n)
 
     def concurrence(self, ls, ms):
         self.ask("spectrum", ls, ms)  # the pairs' one check

@@ -47,12 +47,13 @@ and against pf(M)^2 = det(M).
 import numpy as np
 
 from . import measures
-from .correlators import A, B
+from .correlators import A, B, PairTables
 from .model import PAIR_WINDOW
 
 STACK_CHUNK = 256 * 14 ** 2  # entries per stack (times x strings x n^2)
 COMPONENTS = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "x"))
 _SWAPPED = (0, 1, 2, 4, 3)  # component columns of (m, l) from those of (l, m)
+_OFFSETS = np.delete(np.arange(-PAIR_WINDOW, PAIR_WINDOW + 1), PAIR_WINDOW)
 
 
 def pfaffians(a):
@@ -70,7 +71,7 @@ def pfaffians(a):
     if n == 4:
         return a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
     val = np.ones(count, dtype=a.dtype)
-    buffers = np.empty((2, n - 2, n - 2, count), dtype=a.dtype)
+    buffers = np.empty((2, (n - 2) ** 2 * count), dtype=a.dtype)
     every = np.arange(count)
     for k in range(0, n - 2, 2):
         piv = k + 1 + np.argmax(np.abs(a[k + 1:, k]), axis=0)
@@ -90,7 +91,8 @@ def pfaffians(a):
         val *= a[k, k + 1]
         w = a[k + 2:, k] / np.where(abs(pivot) < 1e-300, 1, pivot)
         v = a[k + 1, k + 2:]
-        vw, wv = buffers[:, k:, k:]
+        m = n - 2 - k  # the trailing block's side; its buffers contiguous
+        vw, wv = buffers[:, :m * m * count].reshape(2, m, m, count)
         np.multiply(v[:, None], w, out=vw)
         np.multiply(w[:, None], v, out=wv)
         a[k + 2:, k + 2:] += np.subtract(vw, wv, out=vw)
@@ -192,9 +194,11 @@ def magnetization(contractions, sites):
 class ContractionView(measures.XView):
     """Pfaffian-route view of the contractions of a block of times, whose
     answers are arrays with the times first (one row, which broadcasts, for
-    the ground state).  Correlator columns are held per (l, m): each call
-    evaluates the pairs it needs that are not held yet in one `bundles`
-    call, and a measure acts on the entries of all its pairs at once."""
+    the ground state).  Correlator columns are held per (l, m), or per
+    separation (0, m - l) for a translation-invariant `PairTables`: each
+    call evaluates the pairs it needs that are not held yet in one `bundles`
+    call.  Its partner grid is x +- 1..PAIR_WINDOW, which partner_sums adds
+    left to right whatever the order the columns are stored in."""
 
     def __init__(self, contractions):
         self.con = contractions
@@ -211,7 +215,10 @@ class ContractionView(measures.XView):
         return self._columns[:, [self._slots[p] for p in pairs]]
 
     def pair_entries(self, ls, ms):
-        pairs = zip(np.ravel(ls).tolist(), np.ravel(ms).tolist())
+        ls, ms = np.ravel(ls), np.ravel(ms)
+        if isinstance(self.con, PairTables):
+            ls, ms = np.zeros_like(ls), ms - ls
+        pairs = zip(ls.tolist(), ms.tolist())
         return measures.x_entries(self._fill(list(pairs)))
 
     def magnetization(self, xs):
@@ -220,7 +227,6 @@ class ContractionView(measures.XView):
     def one_tangle(self, xs):
         return measures.one_tangle(self.ask("magnetization", xs))
 
-    def partners(self, x):
-        """The sites within PAIR_WINDOW of x."""
-        return [q for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1)
-                if q != x]
+    def partners(self, xs):
+        """x - PAIR_WINDOW .. x + PAIR_WINDOW but x, per site x."""
+        return np.add.outer(xs, _OFFSETS)

@@ -32,9 +32,10 @@ one memo (`measures.XView.ask`).
 time; `write_csv` prints it a (name, x) column at a time.  A view offers
 one_tangle(xs), concurrence(ls, ms), pair_entries(ls, ms), spectrum(ls, ms)
 (the pairs' checked spectra) and partner_sums(xs), the sums of C and C^2 over
-each site's partners in the route's window (the light cone on the Bessel
-route, +-PAIR_WINDOW on the Pfaffian route, the whole ring on the oracle),
-each one entry per site or pair (per time and site or pair on a block).
+a fixed grid of partners per site, added left to right in site order (the
+light cone's window on the Bessel route, +-PAIR_WINDOW on the Pfaffian
+route, the whole ring on the oracle; a packet's are closed forms), each one
+entry per site or pair (per time and site or pair on a block).
 Every view is a `measures.XView`, which gives only the X entries of pairs
 and derives the rest.  Engines yield each block's times and view with a
 baseline: the view of the unperturbed reference, whose one_tangle

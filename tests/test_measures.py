@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import (bell_fidelity, random_x_bundle, random_x_entries,
-                     wootters_reference, x_matrix)
-from xychain import measures
+                     same_bits, wootters_reference, x_matrix)
+from xychain import correlators, isotropic, measures, oracle, pfaffian
 from xychain.errors import NumericalHealthError
 from xychain.measures import COLUMNS
+from xychain.model import PAIR_WINDOW, ModelParams
 
 
 def column(**values):
@@ -273,3 +274,65 @@ def test_x_spectrum_rejects_garbage():
 def test_wootters_rejects_unphysical_input():
     with pytest.raises(NumericalHealthError, match="spin-flip spectrum"):
         measures.concurrence_wootters((0.7, -0.1, 0.5, -0.1, 0.0, 0.0))
+
+
+# one set of concurrences in four memory layouts: C order, Fortran order,
+# the pairs axis outermost, and a strided view of the pairs axis
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "pairs-major": lambda c: np.moveaxis(np.moveaxis(c, -1, 0).copy(), 0, -1),
+    "strided": lambda c: np.repeat(c, 2, axis=-1)[..., ::2],
+}
+
+
+def pfaffian_singlet():
+    params = ModelParams(lam=1.0, gamma=0.5)
+    con = correlators.BellContractions(params, [0.5, 1.5, 3.0], 16, 0, 1)
+    return (pfaffian.ContractionView(con), np.arange(-3, 5),
+            lambda x: [q for q in range(x - PAIR_WINDOW, x + PAIR_WINDOW + 1)
+                       if q != x])
+
+
+def ring_bell():
+    # at gamma = 0 the evolved seed is a W state: every pair is entangled
+    ws = oracle.OracleWorkspace(10, 0.0, 1.0)
+    vecs = next(ws.evolve_grid(ws.psi_bell(0, 3, 0.4), [2.0]))
+    return (oracle.RingState(ws, vecs), np.arange(-1, 11),
+            lambda x: [q for q in range(10) if q != x % 10])
+
+
+def phi_pair():
+    # a site outside the window has only zero concurrences
+    state = isotropic.PhiState(-1, 2, 1.3, 6.0, 0.9)
+    sites = state.sites.tolist()
+    return (state, np.array([state.start - 2, -1, 0, 5, sites[-1]]),
+            lambda x: [q for q in sites if q != x][:len(sites) - 1])
+
+
+def left_to_right(c):
+    """The sums of c over its last axis, each added left to right."""
+    total = np.zeros(c.shape[:-1])
+    for k in range(c.shape[-1]):
+        total = total + c[..., k]
+    return total
+
+
+@pytest.mark.parametrize("make", [pfaffian_singlet, ring_bell, phi_pair])
+def test_partner_sums_add_each_row_left_to_right_in_any_layout(make):
+    # each site's partners are added left to right in ascending site order,
+    # whatever the layout the view's concurrences come in (a sum that
+    # follows strides adds a contiguous row of 8 or more pairwise)
+    view, xs, partners = make()
+    concurrence = view.concurrence
+    sums = {}
+    for name, layout in LAYOUTS.items():
+        view.concurrence = lambda ls, ms, layout=layout: layout(
+            concurrence(ls, ms))
+        sums[name] = view.partner_sums(xs)
+    for k, x in enumerate(xs.tolist()):
+        row = np.array(partners(x))
+        c = concurrence(np.minimum(x, row), np.maximum(x, row))
+        for name, (total, square) in sums.items():
+            assert same_bits(total[..., k], left_to_right(c)), name
+            assert same_bits(square[..., k], left_to_right(c * c)), name

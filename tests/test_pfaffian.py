@@ -559,10 +559,11 @@ def test_singlet_gamma_memory_peak():
 def test_bell_stack_assembly_memory_peak():
     # a Bell seed's stack is filled in place from real gathers: one
     # `_expectations` call on 14 strings of 14 operators at 17 times (a
-    # stack of 14 x 14 x 238 entries) peaks at about 3x the stack's bytes,
-    # the elimination's buffers included; complex (times x strings x
-    # pairs) gathers and a transposed copy of the triangle would take it
-    # near 4x
+    # stack of 14 x 14 x 238 entries) peaks at about 3x the stack's bytes
+    # (2.97x measured), the elimination's buffers included; complex
+    # (times x strings x pairs) gathers and a transposed copy of the
+    # triangle would take it near 4x, and strided update buffers, which
+    # numpy's iterator copies through, to 3.13x
     p = ModelParams(lam=1.0, gamma=0.5)
     con = correlators.BellContractions(p, np.arange(17) * 0.5, 16, 0, 1)
     kinds, offsets, _ = operator_string("x", "x", 0, 7)
@@ -577,7 +578,7 @@ def test_bell_stack_assembly_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * stack_bytes
+    assert peak <= 3.05 * stack_bytes
 
 
 def test_distinct_site_correlators_are_real():

@@ -20,7 +20,7 @@ from xychain import correlators, groundstate, isotropic, measures, scenarios
 from xychain import pfaffian as pfaffian_module
 from xychain.errors import (CapabilityError, ConfigError, CutoffError,
                             OutOfRangeError)
-from xychain.model import LIGHT_CONE_PAD, ModelParams
+from xychain.model import LIGHT_CONE_PAD, ModelParams, seed_amp
 from xychain.scenarios import (MEASURES, parse_config_file, parse_config_text,
                                run_scenario, write_csv)
 from xychain.selftest import PFAFFIAN_TOL
@@ -462,6 +462,33 @@ def test_contraction_view_evaluates_each_pair_concurrence_once(monkeypatch):
     assert set(evaluated) == windows | {(x, x + 1) for x in xs}
 
 
+def test_a_vacuum_run_evaluates_each_separation_once_per_time(monkeypatch):
+    # the vacuum's K entries depend only on separations, so `pfaffians`
+    # receives the five strings of each separation the grid reads once per
+    # time, however wide the grid: 1..PAIR_WINDOW for the partner sums, the
+    # concurrence's d = 3 among them
+    received = Counter()
+
+    def counting(a):
+        received[a.shape[0]] += a.shape[2]  # matrices by dimension
+        return pfaffians(a)
+
+    pfaffians = pfaffian_module.pfaffians
+    monkeypatch.setattr(pfaffian_module, "pfaffians", counting)
+    want = Counter()
+    for r in range(1, scenarios.PAIR_WINDOW + 1):
+        want[4] += 3  # zz, at each of the 3 times
+        want[2 * r] += 4 * 3  # xx, yy, xy and yx
+    for x_stop in (2, 60):
+        received.clear()
+        run_scenario(parse_config_text(ISOTROPIC.format(
+            lam=1.0, kind="vacuum_only", i=0, j=1, phi=0.0, t_start=0.0,
+            t_stop=1.0, dt=0.5, x_start=-2, x_stop=x_stop,
+            measures="concurrence, total_concurrence, ckw_residual").replace(
+            "model.gamma = 0.0", "model.gamma = 0.5")))
+        assert received == want
+
+
 def counting_methods(monkeypatch, cls, names):
     """A Counter of the calls of the methods names of cls."""
     calls = Counter()
@@ -680,6 +707,44 @@ def test_block_packets_equal_per_time_packets_bit_for_bit(phi, i, j, t_start,
                                                      [t]):
                 assert same_bits(got[name][k], want[0]), (name, t)
         start += len(ts)
+
+
+DELTA = 1e-15  # roundoff of an X entry on either route
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param((SCRIPTS / "singlet_spread.cfg").read_text(),
+                 id="singlet_spread"),
+    pytest.param(ISOTROPIC.format(
+        lam=0.7, kind="psi_bell", i=-1, j=2, phi=2.1, t_start=0.0,
+        t_stop=20 / 0.7, dt=20 / 0.7 / 24, x_start=-20, x_stop=20,
+        measures="concurrence"), id="psi_bell-2.1"),
+    pytest.param(ISOTROPIC.format(
+        lam=1.0, kind="singlet_on_vacuum", i=0, j=1, phi=0.0, t_start=0.0,
+        t_stop=20.0, dt=2.5, x_start=-20, x_stop=20,
+        measures="concurrence"), id="singlet-lam_t-20")])
+def test_the_chain_routes_agree_at_zero_gamma(config):
+    # at gamma = 0 the engine reads the Bessel route; the Pfaffian route of
+    # the same Bell seed agrees on X entries and one-tangles to roundoff,
+    # and on concurrences within 2 sqrt(delta) + 2 delta: a Pfaffian
+    # population that is 0 on the Bessel side carries about delta, which
+    # the closed form's square root lifts
+    cfg = parse_config_text(config)
+    d, xs = cfg.concurrence_distance, np.array(cfg.sites())
+    params = ModelParams(lam=cfg.lam, gamma=0.0)
+    # with the seeds' span the tables reach from either seed to every read
+    radius = d + max(abs(cfg.x_start), abs(cfg.x_stop)) + abs(cfg.i)
+    for times, packet, _ in scenarios.make_engine(cfg).views(cfg.times()):
+        view = pfaffian_module.ContractionView(correlators.BellContractions(
+            params, times, radius, cfg.i, cfg.j, seed_amp(cfg.seed_phase)))
+        for want, got in zip(packet.pair_entries(xs, xs + d),
+                             view.pair_entries(xs, xs + d)):
+            assert np.max(np.abs(got - want)) <= DELTA
+        assert np.max(np.abs(view.one_tangle(xs)
+                             - packet.one_tangle(xs))) <= DELTA
+        assert np.max(np.abs(view.concurrence(xs, xs + d)
+                             - packet.concurrence(xs, xs + d))) <= (
+            2 * math.sqrt(DELTA) + 2 * DELTA)
 
 
 def test_bessel_route_bounds_the_partner_sums_of_a_view():
